@@ -1,9 +1,10 @@
-"""Solve the three stencil-exact Dirichlet benchmarks and print errors.
+"""Solve the stencil-exact Dirichlet benchmarks on a ladder of grids.
 
 Each problem has a quadratic exact solution reproduced exactly by the
 wide stencil, so the max-node error measures pure solver convergence.
+Prints one row per (operator, grid): solver steps, wall time, error.
 
-Usage: python scripts/run_dirichlet_benchmarks.py [n_side]
+Usage: python scripts/run_dirichlet_benchmarks.py [n_side ...]   (default 33 65 129)
 """
 
 import sys
@@ -16,22 +17,27 @@ from jetcones.solver import solve_dirichlet
 
 
 def main():
-    n_side = int(sys.argv[1]) if len(sys.argv) > 1 else 65
-    grid = square_grid(n_side, 0.0, 1.0)
-    quad = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
-    saddle = GridFunction.from_callable(grid, lambda x: x[0] ** 2 - x[1] ** 2)
-    runs = [
-        ("P", 1.0, quad, "minimal directional curvature = 1"),
-        ("pfold:p=2", 0.0, saddle, "harmonic (frame-mean = 0)"),
-        ("slag", float(np.pi / 2), quad, "phase sum = pi/2"),
-    ]
-    zeros = np.zeros(grid.dims)
-    for key, rhs, exact, desc in runs:
-        t0 = time.time()
-        u, rep = solve_dirichlet(key, rhs, exact, tol=1e-8, init=zeros)
-        err = float(np.max(np.abs(u.values - exact.values)))
-        print(f"{key:12s} {desc:36s} err={err:.2e} "
-              f"iters={rep.iterations:6d} time={time.time() - t0:5.1f}s")
+    sizes = [int(a) for a in sys.argv[1:]] or [33, 65, 129]
+    print(f"{'operator':12s} {'problem':36s} {'grid':>7s} {'iters':>5s} "
+          f"{'time':>7s} {'max err':>8s}")
+    for n_side in sizes:
+        grid = square_grid(n_side, 0.0, 1.0)
+        quad = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
+        saddle = GridFunction.from_callable(grid, lambda x: x[0] ** 2 - x[1] ** 2)
+        runs = [
+            ("P", 1.0, quad, "minimal directional curvature = 1"),
+            ("pfold:p=2", 0.0, saddle, "harmonic (frame-mean = 0)"),
+            ("slag", float(np.pi / 2), quad, "phase sum = pi/2"),
+            ("pucci:1,2", -2.0, saddle, "Pucci minimal operator = -2"),
+        ]
+        zeros = np.zeros(grid.dims)
+        for key, rhs, exact, desc in runs:
+            t0 = time.perf_counter()
+            u, rep = solve_dirichlet(key, rhs, exact, tol=1e-8, init=zeros)
+            elapsed = time.perf_counter() - t0
+            err = float(np.max(np.abs(u.values - exact.values)))
+            print(f"{key:12s} {desc:36s} {f'{n_side}^2':>7s} {rep.iterations:5d} "
+                  f"{elapsed:6.2f}s {err:8.1e}")
 
 
 if __name__ == "__main__":

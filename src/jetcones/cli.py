@@ -3,7 +3,7 @@
 Subcommands: catalog, membership, dual, canonical, garding, distance,
 pseudoconvex, solve, check. Outputs are JSON (to stdout) or CSV files;
 every JSON payload carries the seed so runs are reproducible bit for
-bit at a fixed seed and thread count.
+bit at a fixed seed.
 
 Exit codes: 0 success, 1 negative verdict, 2 usage/parse error,
 3 domain error, 4 non-convergence, 5 hypothesis violation.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -217,11 +218,47 @@ def cmd_pseudoconvex(args) -> int:
     return EXIT_OK if all_yes else EXIT_NEGATIVE
 
 
+SOLVE_KEYS = {"operator", "boundary", "box", "h", "level", "tol", "max_iter", "init", "dim"}
+SOLVE_REQUIRED = ("operator", "boundary", "box", "h")
+
+
+def _read_solve_config(path: str) -> dict:
+    """Load a solve config; every defect is a ParseError (exit 2)."""
+    try:
+        config = json.loads(Path(path).read_text())
+    except OSError as e:
+        raise ParseError(f"cannot read config {path}: {e.strerror}") from e
+    except json.JSONDecodeError as e:
+        raise ParseError(f"config {path} is not valid JSON: {e}") from e
+    if not isinstance(config, dict):
+        raise ParseError(f"config {path} must be a JSON object")
+    if "dt" in config:
+        raise ParseError("config key 'dt' is no longer used: the solver takes "
+                         "sparse policy steps, not explicit time steps")
+    unknown = sorted(set(config) - SOLVE_KEYS)
+    if unknown:
+        raise ParseError(f"unknown config keys {unknown}; known: {sorted(SOLVE_KEYS)}")
+    missing = [k for k in SOLVE_REQUIRED if k not in config]
+    if missing:
+        raise ParseError(f"config is missing required keys {missing}")
+    try:
+        lo, hi = (float(v) for v in config["box"])
+        h = float(config["h"])
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"box must be [lo, hi] and h a number: {e}") from e
+    cells = (hi - lo) / h if h > 0 else math.nan
+    if not (hi > lo and cells >= 1 and abs(cells - round(cells)) <= 1e-9 * cells):
+        raise ParseError(f"h={h!r} does not divide the box [{lo!r}, {hi!r}] "
+                         f"into a whole number of cells")
+    if config.get("init", "zero") != "zero":
+        raise ParseError(f"init must be \"zero\" when given, got {config['init']!r}")
+    return dict(config, box=[lo, hi], h=h, n_side=int(round(cells)) + 1)
+
+
 def cmd_solve(args) -> int:
-    config = json.loads(Path(args.config).read_text())
-    n_side = int(round((config["box"][1] - config["box"][0]) / config["h"])) + 1
+    config = _read_solve_config(args.config)
     d = int(config.get("dim", 2))
-    grid = square_grid(n_side, config["box"][0], config["box"][1], d=d)
+    grid = square_grid(config["n_side"], config["box"][0], config["box"][1], d=d)
     bexpr = compile_expression(config["boundary"])
     mesh = grid.meshgrid()
     g = GridFunction(grid, np.asarray(bexpr(mesh), dtype=float) * np.ones(grid.dims))
@@ -232,10 +269,9 @@ def cmd_solve(args) -> int:
     else:
         rhs_val = float(rhs)
     init = np.zeros(grid.dims) if config.get("init") == "zero" else None
+    limits = {"max_iter": int(config["max_iter"])} if "max_iter" in config else {}
     u, report = solve_dirichlet(
-        config["operator"], rhs_val, g,
-        dt=config.get("dt"), tol=config.get("tol", 1e-10),
-        max_iter=int(config.get("max_iter", 100_000)), init=init,
+        config["operator"], rhs_val, g, tol=config.get("tol", 1e-10), init=init, **limits,
     )
     outdir = Path(args.out_dir or ".")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -250,7 +286,8 @@ def cmd_solve(args) -> int:
         "boundary": config["boundary"],
         "residuals": report.residual_history,
         "iterations": report.iterations,
-        "dt": report.dt,
+        "stop_reason": report.stop_reason,
+        "residual_floor": report.residual_floor,
         "seed": args.seed,
     }
     (outdir / "solve.json").write_text(json.dumps(header, indent=2, sort_keys=True))
@@ -270,8 +307,6 @@ def cmd_check(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="jetcones", description=__doc__)
     ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--threads", type=int, default=1,
-                    help="reserved; module calls are single-threaded")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("catalog", help="list or describe catalog entries")

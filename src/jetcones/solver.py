@@ -1,16 +1,22 @@
 """Desk-scale viscosity Dirichlet solver and experiment harness.
 
 The discretization is a wide-stencil monotone scheme: each supported
-operator is a min/max/partial-sum reduction of directional second
-differences, so increasing any neighbor value never decreases the
-update. The solve is a damped Jacobi fixed point
+operator is a min or max over stencil frames of sums of monotone
+functions of directional second differences D_theta, so increasing any
+neighbor value never decreases the operator at a node. Frozen at the
+active frame, the operator is linear, sum_theta c_theta D_theta with
+c_theta >= 0, and its matrix on the interior unknowns is (minus) an
+M-matrix. The solve repeats
 
-    u <- u + dt * (F_h(u) - psi)   on interior nodes,
+    u <- u - J(u)^-1 (F_h(u) - psi)   on interior nodes,
 
-with dt capped by h^2 / (2 * sum_theta |theta|^-2 * lip) and a 0.9
-safety factor; updates are synchronous (read old array, write new) so
-residual histories are reproducible. Discrete comparison holds for the
-scheme by monotonicity.
+one sparse solve per step, where J(u) is that frozen matrix. For the
+piecewise-linear operators (min/max curvature, frame means, Pucci) this
+is Howard's policy iteration; for the arctan sum of "slag" the frozen
+coefficient is the secant slope arctan(D)/D, a Kacanov iteration. The
+explicit damped-Jacobi step survives only as a private reference for
+the tests; its stability bound still sets the step of the monotonicity
+probe. Discrete comparison holds for the scheme by monotonicity.
 
 The experiment harness turns the comparison principle, the zero maximum
 principle for dual cones, and the uniform translation property into
@@ -24,6 +30,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from .catalog import (
     Arity,
@@ -51,7 +59,12 @@ from .jets import Jet2
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Monotone wide-stencil operator with its stability weight.
+    """Monotone wide-stencil operator with its linearization and stability weight.
+
+    apply evaluates the operator on the interior. linearize returns the
+    same field, bit for bit, together with per-direction coefficients
+    c (shape: stencil directions x interior) such that
+    field = sum_theta c[theta] * D_theta(values) with every c >= 0.
 
     center_weight bounds sum_theta |dR/dDelta_theta| / |theta|^2 over
     the directions active in the reduction R at a node; the explicit
@@ -62,6 +75,7 @@ class DiscreteOperator:
 
     key: str
     apply: Callable[[np.ndarray, Grid], np.ndarray]  # values -> interior field
+    linearize: Callable[[np.ndarray, Grid], tuple]  # values -> (field, coeffs)
     center_weight: float = 1.0
 
 
@@ -76,6 +90,45 @@ def _frame_stack(diffs: np.ndarray, tuples) -> np.ndarray:
     return np.stack([sum(diffs[i] for i in combo) for combo in tuples])
 
 
+def _frame_reduction(tuples, p: int = 1, largest: bool = False,
+                     phi: Optional[Callable] = None,
+                     slope: Optional[Callable] = None) -> tuple:
+    """apply and linearize for F = min (max if largest) over the frames in
+    tuples of sum_{theta in frame} phi(D_theta) / p.
+
+    slope(diffs, terms) gives the per-direction c with phi(D) = c * D
+    (identity phi: c = 1).
+    """
+    singles = all(len(combo) == 1 for combo in tuples)
+    frames = np.asarray(tuples, dtype=np.intp)
+    reduce, pick = (np.max, np.argmax) if largest else (np.min, np.argmin)
+
+    def stack(v, g):
+        diffs = _diff_stack(v, g)
+        terms = diffs if phi is None else phi(diffs)
+        return diffs, terms, terms if singles else _frame_stack(terms, tuples)
+
+    def reduced(stk):
+        fld = reduce(stk, axis=0)
+        return fld if p == 1 else fld / p
+
+    def apply(v, g):
+        return reduced(stack(v, g)[2])
+
+    def linearize(v, g):
+        diffs, terms, stk = stack(v, g)
+        best = frames[pick(stk, axis=0)]  # interior x p direction indices
+        coeffs = np.zeros_like(diffs)
+        for j in range(frames.shape[1]):
+            dirs = best[..., j][None]
+            gain = 1.0 if slope is None else slope(np.take_along_axis(diffs, dirs, 0),
+                                                   np.take_along_axis(terms, dirs, 0))
+            np.put_along_axis(coeffs, dirs, gain / p, 0)
+        return reduced(stk), coeffs
+
+    return apply, linearize
+
+
 def make_discrete_operator(key: str, grid: Grid) -> DiscreteOperator:
     """Build the monotone discretization addressed by an operator key.
 
@@ -88,44 +141,42 @@ def make_discrete_operator(key: str, grid: Grid) -> DiscreteOperator:
 
     name, kv, pos = parse_key(key)
     d = grid.d
+    singles = [(i,) for i in range(len(grid.stencil_dirs))]
 
     if name == "P" or (name == "branch" and int(kv.get("k", 1)) == 1) or (
         name == "pfold" and int(kv.get("p", pos[0] if pos else 1)) == 1
     ):
-        return DiscreteOperator(key, lambda v, g: np.min(_diff_stack(v, g), axis=0))
+        return DiscreteOperator(key, *_frame_reduction(singles))
     if name == "P~" or (name == "branch" and int(kv.get("k", 0)) == d):
-        return DiscreteOperator(key, lambda v, g: np.max(_diff_stack(v, g), axis=0))
+        return DiscreteOperator(key, *_frame_reduction(singles, largest=True))
     if name == "pfold":
         p = int(kv.get("p", pos[0] if pos else 1))
         tuples = grid.orthogonal_tuples(p)
         if not tuples:
             raise UnknownKey(f"stencil has no orthogonal {p}-tuples for {key!r}")
         weight = _frame_weight(grid, tuples, slope=1.0) / p
-
-        def apply(v, g, tuples=tuples, p=p):
-            return np.min(_frame_stack(_diff_stack(v, g), tuples), axis=0) / p
-
-        return DiscreteOperator(key, apply, center_weight=weight)
+        return DiscreteOperator(key, *_frame_reduction(tuples, p=p), center_weight=weight)
     if name == "slag":
         tuples = grid.orthogonal_tuples(d)
 
-        def apply(v, g, tuples=tuples):
-            diffs = np.arctan(_diff_stack(v, g))
-            return np.min(_frame_stack(diffs, tuples), axis=0)
+        def secant(diffs, terms):
+            # arctan(D) / D, continued by its limit 1 at D = 0
+            return np.divide(terms, diffs, out=np.ones_like(diffs), where=diffs != 0)
 
-        return DiscreteOperator(key, apply,
+        return DiscreteOperator(key, *_frame_reduction(tuples, phi=np.arctan, slope=secant),
                                 center_weight=_frame_weight(grid, tuples, slope=1.0))
     if name == "pucci":
         lam = float(kv.get("lam", pos[0] if pos else 1.0))
         Lam = float(kv.get("Lam", pos[1] if len(pos) > 1 else 2.0))
         tuples = grid.orthogonal_tuples(d)
 
-        def apply(v, g, tuples=tuples):
-            diffs = _diff_stack(v, g)
-            weighted = lam * np.maximum(diffs, 0.0) + Lam * np.minimum(diffs, 0.0)
-            return np.min(_frame_stack(weighted, tuples), axis=0)
+        def weighted(diffs):
+            return lam * np.maximum(diffs, 0.0) + Lam * np.minimum(diffs, 0.0)
 
-        return DiscreteOperator(key, apply,
+        def sign_slope(diffs, terms):
+            return np.where(diffs > 0, lam, Lam)
+
+        return DiscreteOperator(key, *_frame_reduction(tuples, phi=weighted, slope=sign_slope),
                                 center_weight=_frame_weight(grid, tuples, slope=Lam))
     raise UnknownKey(f"no monotone discretization registered for key {key!r}")
 
@@ -143,7 +194,8 @@ def stability_dt(grid: Grid, center_weight: float, safety: float = 0.9) -> float
 
     The sum runs over the directions active in the operator's reduction
     (a min/max activates one direction), so min-type operators get the
-    classical h^2/2 step.
+    classical h^2/2 step. It bounds the explicit step of the
+    monotonicity probe and of the Jacobi reference solver.
     """
     return safety * grid.h**2 / (2.0 * center_weight)
 
@@ -180,43 +232,40 @@ def stencil_bias(grid: Grid, op_key: str, rng: np.random.Generator,
 
 @dataclass
 class SolveReport:
+    """Outcome of a converged solve.
+
+    iterations counts linearizations evaluated; all but the last were
+    followed by one sparse solve. residual_floor is the roundoff level
+    eps * max|u| / h^2 below which the residual cannot be pushed.
+    """
+
     operator: str
     iterations: int
     residual: float
-    dt: float
-    residual_history: list = field(default_factory=list)
+    residual_floor: float
+    stop_reason: str
+    residual_history: list
 
     def to_json_dict(self) -> dict:
         return {
             "operator": self.operator,
             "iterations": self.iterations,
             "residual": self.residual,
-            "dt": self.dt,
             "residual_history": self.residual_history,
+            "stop_reason": self.stop_reason,
+            "residual_floor": self.residual_floor,
         }
 
 
-def solve_dirichlet(
-    op_key: str,
-    rhs: Union[float, Callable[[np.ndarray], float]],
-    g: GridFunction,
-    dt: Optional[float] = None,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-    record_every: int = 50,
-    init: Optional[np.ndarray] = None,
-) -> tuple:
-    """Damped fixed-point solve of F_h(u) = rhs with boundary data g.
+# A residual within FLOOR_BAND * residual_floor that has not improved for
+# STALL_STEPS steps is at the floor: further steps only redraw roundoff.
+FLOOR_BAND = 1e3
+STALL_STEPS = 3
 
-    rhs is a constant level or a source field psi(x). The iteration
-    starts from g's values unless init supplies an interior guess.
-    Returns the iterate and a SolveReport with the residual history.
-    Raises NotConverged past max_iter and UnstableStep when the residual
-    grows for 100 consecutive steps.
-    """
+
+def _setup(op_key, rhs, g: GridFunction, init) -> tuple:
     grid = g.grid
     op = make_discrete_operator(op_key, grid)
-    dt = stability_dt(grid, op.center_weight) if dt is None else dt
     interior = grid.interior_slice()
     if callable(rhs):
         mesh = grid.meshgrid()
@@ -227,6 +276,112 @@ def solve_dirichlet(
     u = g.values.copy()
     if init is not None:
         u[interior] = np.asarray(init, dtype=float).reshape(grid.dims)[interior]
+    return grid, op, interior, rhs_field, u
+
+
+def _frozen_matrix(coeffs: np.ndarray, grid: Grid):
+    """Sparse matrix of sum_theta c_theta D_theta on the interior unknowns.
+
+    Only nonzero coefficients are assembled; neighbors on the boundary
+    layer move to the right-hand side, which the caller's residual
+    already holds.
+    """
+    shape = coeffs.shape[1:]
+    n = int(np.prod(shape))
+    w = grid.layer_width
+    index = np.full(grid.dims, -1, dtype=np.int32)
+    index[grid.interior_slice()] = np.arange(n, dtype=np.int32).reshape(shape)
+    diag = np.zeros(n)
+    rows, cols, vals = [], [], []
+    for c, s in zip(coeffs, grid.stencil_dirs):
+        active = c != 0
+        here = np.flatnonzero(active).astype(np.int32)
+        a = c[active] / (grid.h**2 * float(sum(x * x for x in s)))
+        diag[here] -= 2.0 * a
+        for sign in (1, -1):
+            nb = index[tuple(slice(w + sign * o, dim - w + sign * o)
+                             for o, dim in zip(s, grid.dims))][active]
+            keep = nb >= 0
+            rows.append(here[keep])
+            cols.append(nb[keep])
+            vals.append(a[keep])
+    diagonal = np.arange(n, dtype=np.int32)
+    return sp.csc_matrix(
+        (np.concatenate(vals + [diag]),
+         (np.concatenate(rows + [diagonal]), np.concatenate(cols + [diagonal]))),
+        shape=(n, n),
+    )
+
+
+def solve_dirichlet(
+    op_key: str,
+    rhs: Union[float, Callable[[np.ndarray], float]],
+    g: GridFunction,
+    tol: float = 1e-10,
+    max_iter: int = 500,
+    init: Optional[np.ndarray] = None,
+) -> tuple:
+    """Solve F_h(u) = rhs with boundary data g by frozen-coefficient steps.
+
+    rhs is a constant level or a source field psi(x). The iteration
+    starts from g's values unless init supplies an interior guess. Each
+    step linearizes F_h at u (the active frame, with secant slopes for
+    nonlinear terms), stops when max|F_h(u) - psi| <= tol, and otherwise
+    solves the sparse M-matrix system J du = F_h(u) - psi and sets
+    u <- u - du. Returns the iterate and a SolveReport.
+
+    Raises NotConverged past max_iter, or earlier when the residual
+    stalls at its roundoff floor above tol, and UnstableStep when the
+    residual becomes non-finite.
+    """
+    grid, op, interior, rhs_field, u = _setup(op_key, rhs, g, init)
+    history = []
+    best = res = floor = math.inf
+    stalled = 0
+    for it in range(1, max_iter + 1):
+        fld, coeffs = op.linearize(u, grid)
+        fld = fld - rhs_field
+        res = float(np.max(np.abs(fld)))
+        if not math.isfinite(res):
+            raise UnstableStep(f"residual became non-finite at it={it}")
+        history.append(res)
+        floor = float(np.finfo(float).eps * np.max(np.abs(u)) / grid.h**2)
+        if res <= tol:
+            out = GridFunction(grid, u, boundary_data=g.boundary_data.copy())
+            return out, SolveReport(op_key, it, res, floor, "tol", history)
+        stalled = 0 if res < best else stalled + 1
+        best = min(best, res)
+        if stalled >= STALL_STEPS and res <= FLOOR_BAND * floor:
+            raise NotConverged(
+                f"{op_key}: residual {res:.3e} > {tol:.1e} stalled at the roundoff "
+                f"floor {floor:.1e} (eps*max|u|/h^2) after {it} steps",
+                residuals=history,
+            )
+        u[interior] -= spsolve(_frozen_matrix(coeffs, grid), fld.ravel()).reshape(fld.shape)
+    raise NotConverged(
+        f"{op_key}: residual {res:.3e} > {tol:.1e} after {max_iter} steps "
+        f"(roundoff floor {floor:.1e})",
+        residuals=history,
+    )
+
+
+def _solve_jacobi(
+    op_key: str,
+    rhs: Union[float, Callable[[np.ndarray], float]],
+    g: GridFunction,
+    dt: Optional[float] = None,
+    tol: float = 1e-10,
+    max_iter: int = 100_000,
+    init: Optional[np.ndarray] = None,
+) -> tuple:
+    """Reference damped fixed point u <- u + dt * (F_h(u) - psi).
+
+    dt defaults to the stability bound. Returns the iterate and the
+    iteration count. Raises NotConverged past max_iter and UnstableStep
+    when the residual grows for 100 consecutive steps.
+    """
+    grid, op, interior, rhs_field, u = _setup(op_key, rhs, g, init)
+    dt = stability_dt(grid, op.center_weight) if dt is None else dt
     history = []
     prev_res = math.inf
     growth = 0
@@ -235,11 +390,10 @@ def solve_dirichlet(
         res = float(np.max(np.abs(fld)))
         if not math.isfinite(res):
             raise UnstableStep(f"residual became non-finite at it={it}")
-        if it % record_every == 1 or res <= tol:
+        if it % 50 == 1 or res <= tol:
             history.append(res)
         if res <= tol:
-            out = GridFunction(grid, u, boundary_data=g.boundary_data.copy())
-            return out, SolveReport(op_key, it, res, dt, history)
+            return GridFunction(grid, u, boundary_data=g.boundary_data.copy()), it
         growth = growth + 1 if res > prev_res * (1 + 1e-12) else 0
         if growth >= 100:
             raise UnstableStep(f"residual grew for {growth} consecutive steps at it={it}")

@@ -139,6 +139,9 @@ def test_solve_command(tmp_path, capsys):
     assert header["operator"] == "pfold:p=2"
     assert header["residuals"][-1] <= 1e-8
     assert header["iterations"] > 1  # zero init: a real solve happened
+    assert header["stop_reason"] == "tol"
+    assert 0 < header["residual_floor"] < 1e-8
+    assert "dt" not in header
     rows = np.loadtxt(out_dir / "solution.csv", delimiter=",", skiprows=1)
     assert rows.shape == (17 * 17, 3)
     exact = rows[:, 0] ** 2 - rows[:, 1] ** 2
@@ -159,6 +162,53 @@ def test_solve_not_converged_exit_4(tmp_path, capsys):
     cfg.write_text(json.dumps(config))
     code, _, err = run(capsys, "solve", "--config", str(cfg))
     assert code == 4
+
+
+SOLVE_CONFIG = {
+    "operator": "P",
+    "level": 1.0,
+    "box": [0.0, 1.0],
+    "h": 1.0 / 16,
+    "boundary": "0.5*(x1^2 + x2^2)",
+}
+
+
+def solve_usage_error(capsys, tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, _, err = run(capsys, "solve", "--config", str(cfg),
+                       "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+    return err
+
+
+def test_solve_config_rejects_dt(tmp_path, capsys):
+    err = solve_usage_error(capsys, tmp_path, json.dumps(dict(SOLVE_CONFIG, dt=1e-4)))
+    assert "'dt'" in err
+
+
+def test_solve_config_missing_file(tmp_path, capsys):
+    code, _, err = run(capsys, "solve", "--config", str(tmp_path / "absent.json"))
+    assert code == 2
+    assert err.startswith("error: cannot read config") and err.count("\n") == 1
+
+
+def test_solve_config_invalid_json(tmp_path, capsys):
+    err = solve_usage_error(capsys, tmp_path, '{"operator": "P",')
+    assert "not valid JSON" in err
+
+
+def test_solve_config_missing_key(tmp_path, capsys):
+    config = {k: v for k, v in SOLVE_CONFIG.items() if k != "boundary"}
+    err = solve_usage_error(capsys, tmp_path, json.dumps(config))
+    assert "boundary" in err
+
+
+def test_solve_config_h_must_divide_box(tmp_path, capsys):
+    err = solve_usage_error(capsys, tmp_path, json.dumps(dict(SOLVE_CONFIG, h=0.07)))
+    assert "does not divide" in err
 
 
 def test_check_suites_smoke(capsys):

@@ -18,9 +18,15 @@ from jetcones.experiments import (
     utp_perturbed_ma,
     zmp_sample,
 )
-from jetcones.grids import GridFunction, perron_envelope, square_grid
+from jetcones.grids import (
+    GridFunction,
+    perron_envelope,
+    second_difference_field,
+    square_grid,
+)
 from jetcones.jets import SymMat, random_symmetric
 from jetcones.solver import (
+    _solve_jacobi,
     check_subharmonic,
     check_superharmonic,
     comparison_experiment,
@@ -73,7 +79,79 @@ def test_solve_not_converged():
     grid = square_grid(17, 0.0, 1.0)
     g = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
     with pytest.raises(NotConverged):
-        solve_dirichlet("P", 1.0, g, tol=1e-12, max_iter=5, init=np.zeros(grid.dims))
+        _solve_jacobi("P", 1.0, g, tol=1e-12, max_iter=5, init=np.zeros(grid.dims))
+
+
+def test_solve_not_converged_policy_steps():
+    # one linearization and no solve: P on |x|^2/2 needs a second step
+    grid = square_grid(17, 0.0, 1.0)
+    g = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
+    with pytest.raises(NotConverged):
+        solve_dirichlet("P", 1.0, g, tol=1e-12, max_iter=1, init=np.zeros(grid.dims))
+
+
+def test_solve_stops_at_roundoff_floor():
+    grid = square_grid(33, 0.0, 1.0)
+    g = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
+    with pytest.raises(NotConverged, match="floor") as info:
+        solve_dirichlet("P", 1.0, g, tol=1e-16, init=np.zeros(grid.dims))
+    assert len(info.value.residuals) < 20
+
+
+def test_solve_report_json_fields():
+    grid = square_grid(17, 0.0, 1.0)
+    g = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
+    _, rep = solve_dirichlet("P", 1.0, g, tol=1e-9, init=np.zeros(grid.dims))
+    payload = rep.to_json_dict()
+    assert payload["stop_reason"] == "tol"
+    floor = np.finfo(float).eps * np.max(np.abs(g.values)) / grid.h**2
+    assert payload["residual_floor"] == pytest.approx(floor)
+    assert payload["iterations"] == len(payload["residual_history"]) == 2
+
+
+@pytest.mark.parametrize("key, level", [("P", 1.0), ("pucci:1,2", 2.0)])
+def test_solve_exact_at_129(key, level):
+    grid = square_grid(129, 0.0, 1.0)
+    g = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
+    u, rep = solve_dirichlet(key, level, g, tol=1e-8, init=np.zeros(grid.dims))
+    assert np.max(np.abs(u.values - g.values)) <= 1e-6
+
+
+SOLVER_KEYS = ("P", "P~", "branch:k=2", "pfold:p=2", "slag", "pucci:1,2")
+
+
+def test_linearize_matches_apply():
+    grid = square_grid(17, 0.0, 1.0)
+    rng = np.random.default_rng(131)
+    dirs = grid.stencil_dirs
+    for key in SOLVER_KEYS:
+        op = make_discrete_operator(key, grid)
+        for _ in range(5):
+            u = rng.standard_normal(grid.dims)
+            fld, coeffs = op.linearize(u, grid)
+            assert np.array_equal(fld, op.apply(u, grid)), key
+            assert coeffs.shape == (len(dirs),) + fld.shape
+            assert np.all(coeffs >= 0), key
+            diffs = np.stack([
+                second_difference_field(u, s, grid.h, grid.layer_width) for s in dirs
+            ])
+            scale = np.max(np.abs(diffs))
+            assert np.max(np.abs(np.sum(coeffs * diffs, axis=0) - fld)) <= 1e-13 * scale, key
+
+
+@pytest.mark.parametrize("key", SOLVER_KEYS)
+def test_policy_solver_matches_jacobi_reference(key):
+    # non-stencil-aligned data: a rotated quadratic plus a cosine ripple
+    grid = square_grid(17, 0.0, 1.0)
+    c, s = math.cos(0.3), math.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    H = rot @ np.diag([1.0, 2.0]) @ rot.T
+    g = GridFunction.from_callable(
+        grid, lambda x: 0.5 * float(x @ H @ x) + 0.2 * math.cos(2.0 * x[0]))
+    zeros = np.zeros(grid.dims)
+    u, _ = solve_dirichlet(key, 1.0, g, tol=1e-11, init=zeros)
+    ref, _ = _solve_jacobi(key, 1.0, g, tol=1e-11, init=zeros)
+    assert np.max(np.abs(u.values - ref.values)) <= 1e-9
 
 
 def test_unknown_operator_key():
@@ -88,8 +166,8 @@ def test_unstable_step_detected():
     grid = square_grid(17, 0.0, 1.0)
     g = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
     with pytest.raises(UnstableStep):
-        solve_dirichlet("P", 1.0, g, dt=10 * grid.h**2, tol=1e-12,
-                        init=np.zeros(grid.dims))
+        _solve_jacobi("P", 1.0, g, dt=10 * grid.h**2, tol=1e-12,
+                      init=np.zeros(grid.dims))
 
 
 def test_dt_bound_classical_for_min_operator():
