@@ -5,13 +5,13 @@ Usage: python scripts/run_property_suites.py [seed]
 
 import sys
 
-from jetcones.suites import _SUITES, run_suite
+from jetcones.suites import SUITES, run_suite
 
 
 def main():
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 2024
     all_ok = True
-    for name in sorted(_SUITES):
+    for name in sorted(SUITES):
         ok, lines = run_suite(name, seed=seed)
         all_ok &= ok
         print(f"== {name} ==")

@@ -84,11 +84,6 @@ def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
     return 0.5 * (t_lo + t_hi)
 
 
-def canonical_oracle_operator(F: FiberOracle, tol: float = 1e-10):
-    """canonical_operator as a jet-space callable (value/gradient silent)."""
-    return lambda J: canonical_operator(F, J if isinstance(J, Jet2) else J, tol)
-
-
 def _jet_directions(n: int, count: int, seed: int, arity: Arity) -> list:
     """Deterministic unit directions in jet space, canonical axes first.
 

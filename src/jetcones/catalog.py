@@ -33,8 +33,10 @@ from .errors import (
     IndexOutOfRange,
     NegativeSource,
     OddDimension,
+    ParseError,
     PhaseOutOfRange,
     ReferenceJetNotInterior,
+    UnknownKey,
 )
 from .jets import Jet2, SymMat, eigenvalues, projector
 
@@ -121,6 +123,18 @@ def _as_jet(j, n: int) -> Jet2:
 # Constant-coefficient cones
 # ---------------------------------------------------------------------------
 
+def check_index(family: str, name: str, value: int, top: int) -> None:
+    """Raise IndexOutOfRange unless 1 <= value <= top."""
+    if not 1 <= value <= top:
+        raise IndexOutOfRange(f"{family} index {name}={value} outside 1..{top}")
+
+
+def check_pucci(lam: float, Lam: float) -> None:
+    """Raise BadParameters unless 0 < lam < Lam."""
+    if not 0 < lam < Lam:
+        raise BadParameters(f"need 0 < lam < Lam, got lam={lam}, Lam={Lam}")
+
+
 def cone_P(n: int) -> FiberOracle:
     """Convexity cone {A : lambda_min(A) >= 0}."""
     return FiberOracle(
@@ -145,8 +159,7 @@ def cone_P_dual(n: int) -> FiberOracle:
 
 def branch(n: int, k: int) -> FiberOracle:
     """k-th eigenvalue branch {A : lambda_k(A) >= 0}, 1-indexed."""
-    if not 1 <= k <= n:
-        raise IndexOutOfRange(f"branch index k={k} outside 1..{n}")
+    check_index("branch", "k", k, n)
     return FiberOracle(
         label=f"branch k={k}: lambda_{k}(A) >= 0",
         n=n,
@@ -162,8 +175,7 @@ def cone_pfold(n: int, p: int) -> FiberOracle:
     The functional is the smallest p-fold eigenvalue sum, which equals
     the minimum over all p-subsets of eigenvalue sums.
     """
-    if not 1 <= p <= n:
-        raise IndexOutOfRange(f"pfold index p={p} outside 1..{n}")
+    check_index("pfold", "p", p, n)
     return FiberOracle(
         label=f"pfold p={p}: lambda_1(A)+...+lambda_{p}(A) >= 0",
         n=n,
@@ -186,8 +198,7 @@ def elementary_symmetric(lam: np.ndarray, k: int) -> float:
 
 def cone_sigma_k(n: int, k: int) -> FiberOracle:
     """Closed Garding cone of the k-Hessian: sigma_j(lambda(A)) >= 0, j <= k."""
-    if not 1 <= k <= n:
-        raise IndexOutOfRange(f"sigma index k={k} outside 1..{n}")
+    check_index("sigma", "k", k, n)
 
     def g(J: Jet2) -> float:
         lam = eigenvalues(J.A)
@@ -204,8 +215,7 @@ def cone_sigma_k(n: int, k: int) -> FiberOracle:
 
 def cone_pucci(n: int, lam: float, Lam: float) -> FiberOracle:
     """Pucci cone {A : lam * tr A+ + Lam * tr A- >= 0}, 0 < lam < Lam."""
-    if not 0 < lam < Lam:
-        raise BadParameters(f"need 0 < lam < Lam, got lam={lam}, Lam={Lam}")
+    check_pucci(lam, Lam)
 
     def g(J: Jet2) -> float:
         ev = eigenvalues(J.A)
@@ -331,7 +341,9 @@ class DirectionalCone:
         nrm = np.linalg.norm(d)
         if nrm == 0:
             raise BadParameters("halfspace direction must be nonzero")
-        d = d / nrm
+        # a computed unit vector keeps its digits, so that the key a cone
+        # prints rebuilds the same cone
+        d = d / nrm if abs(nrm - 1.0) > 1e-12 else d.copy()
         d.flags.writeable = False
         return DirectionalCone(ConeKind.HALFSPACE, direction=d)
 
@@ -505,10 +517,6 @@ class Box:
     @property
     def center(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
-
-    @property
-    def circumradius(self) -> float:
-        return 0.5 * float(np.linalg.norm(self.hi - self.lo))
 
     def grid(self, per_side: int) -> np.ndarray:
         axes = [np.linspace(self.lo[i], self.hi[i], per_side) for i in range(self.dim)]
@@ -1036,7 +1044,7 @@ def _fmt(x: float) -> str:
         return "inf"
     if x == int(x):
         return str(int(x))
-    return repr(x)
+    return repr(float(x))
 
 
 def _fmt_cone(D: DirectionalCone) -> str:
@@ -1056,8 +1064,6 @@ def _fmt_R(R: float) -> str:
 
 
 def parse_directional_cone(text: str, n: int) -> DirectionalCone:
-    from .errors import ParseError
-
     if text == "full":
         return DirectionalCone.full()
     if text.startswith("half:"):
@@ -1081,8 +1087,6 @@ def parse_key(key: str) -> tuple[str, dict, list]:
     either ident "=" value or a bare value. Values may themselves carry
     colons (directional cones).
     """
-    from .errors import ParseError
-
     key = key.strip()
     if not key:
         raise ParseError("empty key")
@@ -1108,18 +1112,70 @@ def parse_key(key: str) -> tuple[str, dict, list]:
     return name, kv, pos
 
 
-class CatalogEntry:
-    """Factory for a fiber oracle family, addressable by key."""
-
-    def __init__(self, name, build, describe, needs_even=False, variable=False):
-        self.name = name
-        self.build = build
-        self.describe = describe
-        self.needs_even = needs_even
-        self.variable = variable
+def _float_or_inf(text: str) -> float:
+    """Parameter type of a float that may be inf (a structural value)."""
+    return float(text)
 
 
-def _demo_pma(n: int) -> VariableFiberMap:
+@dataclass(frozen=True)
+class KeyFamily:
+    """A family of keys: its factory and its declared parameters.
+
+    params lists (name, type, default) in positional order; type is int,
+    float, _float_or_inf or str. build takes the registry's context (the
+    dimension, or the grid of a discretization) and the bound parameters
+    by name. describe and variable are shown by `jetcones catalog`.
+    """
+
+    build: Callable
+    params: tuple = ()
+    describe: str = ""
+    variable: bool = False
+
+
+def bind_key(key: str, registry: dict, what: str) -> tuple:
+    """Look key's family up in registry and bind its parameters.
+
+    Returns (family name, {parameter: value}). Positional items bind in
+    declared order, named items by name, and missing parameters take
+    their defaults. An unknown family is UnknownKey; unknown parameter
+    names, surplus or repeated items, values that do not convert to the
+    declared type and non-finite numbers (inf only where declared) are
+    ParseErrors. Range checks stay with the family's constructor.
+    """
+    name, kv, pos = parse_key(key)
+    if name not in registry:
+        raise UnknownKey(f"unknown {what} key {key!r}; known: {sorted(registry)}")
+    params = registry[name].params
+    names = [p[0] for p in params]
+    if len(pos) > len(params):
+        raise ParseError(f"{key!r}: {name} takes at most {len(params)} positional "
+                         f"values ({','.join(names) or 'none'}), got {len(pos)}")
+    given = dict(zip(names, pos))
+    for k, v in kv.items():
+        if k not in names:
+            raise ParseError(f"{key!r}: {name} has no parameter {k!r}; known: {names}")
+        if k in given:
+            raise ParseError(f"{key!r}: parameter {k!r} given twice")
+        given[k] = v
+    bound = {}
+    for pname, kind, default in params:
+        text = given.get(pname)
+        try:
+            value = default if text is None else kind(text)
+        except ValueError:
+            value = math.nan
+        if not (kind is str or math.isfinite(value)
+                or (kind is _float_or_inf and value == math.inf)):
+            raise ParseError(f"{key!r}: {pname}={text!r} is not "
+                             f"{'an integer' if kind is int else 'a finite number'}")
+        bound[pname] = value
+    return name, bound
+
+
+def perturbed_ma_map(n: int) -> VariableFiberMap:
+    """The demo perturbed Monge-Ampere fiber map with Lipschitz data:
+    M(x) = diag(1 + |x|^2, 1, ..), f = 1 on the box [-1, 1]^n."""
     box = Box(-np.ones(n), np.ones(n))
 
     def M_field(x):
@@ -1130,9 +1186,9 @@ def _demo_pma(n: int) -> VariableFiberMap:
     return fiber_perturbed_MA(box, M_field, lambda x: 1.0, n=n)
 
 
-def _demo_slag(n: int, theta0: float = 0.5, slope: float = 0.25) -> VariableFiberMap:
+def _demo_slag(n: int) -> VariableFiberMap:
     box = Box(-np.ones(n), np.ones(n))
-    return fiber_special_lagrangian(box, lambda x: theta0 + slope * float(x[0]), n=n)
+    return fiber_special_lagrangian(box, lambda x: 0.5 + 0.25 * float(x[0]), n=n)
 
 
 def _demo_affine_sphere(n: int) -> VariableFiberMap:
@@ -1151,88 +1207,65 @@ def _demo_ot(n: int) -> VariableFiberMap:
     return fiber_optimal_transport(box, g, D, lambda x: 1.0, n=n)
 
 
-def _registry() -> dict:
-    reg = {}
-
-    def add(name, build, describe, **kw):
-        reg[name] = CatalogEntry(name, build, describe, **kw)
-
-    add("P", lambda n, kv, pos: cone_P(n),
-        "convexity cone: lambda_min(A) >= 0")
-    add("P~", lambda n, kv, pos: cone_P_dual(n),
-        "subaffine cone (dual of P): lambda_max(A) >= 0")
-    add("Q", lambda n, kv, pos: cone_Q(n),
-        "negativity-convexity cone: r <= 0 and A >= 0")
-    add("Q~", lambda n, kv, pos: cone_Q_dual(n),
-        "dual of Q: r <= 0 or lambda_max(A) >= 0")
-    add("branch", lambda n, kv, pos: branch(n, int(kv.get("k", pos[0] if pos else 1))),
-        "eigenvalue branch: lambda_k(A) >= 0; params k=1..n")
-    add("pfold", lambda n, kv, pos: cone_pfold(n, int(kv.get("p", pos[0] if pos else 1))),
-        "truncated trace cone: lambda_1+...+lambda_p >= 0; params p=1..n")
-    add("sigma", lambda n, kv, pos: cone_sigma_k(n, int(kv.get("k", pos[0] if pos else 1))),
-        "closed k-Hessian cone: sigma_j(lambda(A)) >= 0 for j <= k; params k=1..n")
-    add("pucci", lambda n, kv, pos: cone_pucci(
-        n, float(kv.get("lam", pos[0] if pos else 1.0)),
-        float(kv.get("Lam", pos[1] if len(pos) > 1 else 2.0))),
-        "extremal cone: lam*tr A+ + Lam*tr A- >= 0; params lam,Lam with 0 < lam < Lam")
-    add("quasiconvex", lambda n, kv, pos: cone_quasiconvex(
-        n, float(kv.get("shift", pos[0] if pos else 0.0))),
-        "shifted convexity cone: A + shift*I >= 0; params shift >= 0")
-    add("lagrangian", lambda n, kv, pos: cone_lagrangian(n),
-        "Lagrangian plurisubharmonicity cone on S(2n): tr(A)/2 - sum mu_j >= 0",
-        needs_even=True)
-    add("M0", lambda n, kv, pos: cone_M0(n),
-        "minimal monotonicity cone: r <= 0, p = 0, A >= 0 (empty interior)")
-    add("M", lambda n, kv, pos: cone_M(MonotonicityCone(
-        float(kv.get("gamma", 0.0)),
-        parse_directional_cone(kv.get("D", "full"), n),
-        float(kv.get("R", "inf"))), n),
-        "fundamental-family cone: r <= -gamma|p|, p in D, A >= (|p|/R)I; "
-        "params gamma, D in {full, half:e1, half:v1,..,vn, orth:1,2,..}, R (number or inf)")
-    add("failure", lambda n, kv, pos: fiber_failure_example(
-        n, float(kv.get("alpha", pos[0] if pos else 2.0)), kv.get("which", "min")),
-        "comparison-failure operator: lambda_min/max of A + |p|^((alpha-1)/n)"
-        "(P_perp + alpha P_p); params alpha > 1, which in {min, max}")
-    add("pma", lambda n, kv, pos: _demo_pma(n),
-        "variable fiber, perturbed Monge-Ampere demo: A + M(x) >= 0, det(A+M(x)) >= 1, "
-        "M(x) = diag(1+|x|^2, 1, ..)",
-        variable=True)
-    add("slag", lambda n, kv, pos: _demo_slag(
-        n, float(kv.get("theta0", 0.5)), float(kv.get("slope", 0.25))),
-        "variable fiber, phase demo: sum arctan lambda_k(A) >= theta0 + slope*x1",
-        variable=True)
-    add("affine-sphere", lambda n, kv, pos: _demo_affine_sphere(n),
-        "variable fiber, affine-sphere demo: (-r)^(n+2) det A >= (1+|x|^2)/2 on N x P",
-        variable=True)
-    add("ot", lambda n, kv, pos: _demo_ot(n),
-        "variable fiber, transport demo: p in first orthant, A >= 0, p1*p2*det A >= 1",
-        variable=True)
-    return reg
-
-
-REGISTRY = _registry()
-
-
-def catalog_names() -> list:
-    return sorted(REGISTRY)
+REGISTRY = {
+    "P": KeyFamily(cone_P, describe="convexity cone: lambda_min(A) >= 0"),
+    "P~": KeyFamily(cone_P_dual, describe="subaffine cone (dual of P): lambda_max(A) >= 0"),
+    "Q": KeyFamily(cone_Q, describe="negativity-convexity cone: r <= 0 and A >= 0"),
+    "Q~": KeyFamily(cone_Q_dual, describe="dual of Q: r <= 0 or lambda_max(A) >= 0"),
+    "branch": KeyFamily(branch, (("k", int, 1),),
+                        "eigenvalue branch: lambda_k(A) >= 0; params k=1..n"),
+    "pfold": KeyFamily(cone_pfold, (("p", int, 1),),
+                       "truncated trace cone: lambda_1+...+lambda_p >= 0; params p=1..n"),
+    "sigma": KeyFamily(cone_sigma_k, (("k", int, 1),),
+                       "closed k-Hessian cone: sigma_j(lambda(A)) >= 0 for j <= k; "
+                       "params k=1..n"),
+    "pucci": KeyFamily(cone_pucci, (("lam", float, 1.0), ("Lam", float, 2.0)),
+                       "extremal cone: lam*tr A+ + Lam*tr A- >= 0; "
+                       "params lam,Lam with 0 < lam < Lam"),
+    "quasiconvex": KeyFamily(cone_quasiconvex, (("shift", float, 0.0),),
+                             "shifted convexity cone: A + shift*I >= 0; params shift >= 0"),
+    "lagrangian": KeyFamily(cone_lagrangian,
+                            describe="Lagrangian plurisubharmonicity cone on S(2n): "
+                            "tr(A)/2 - sum mu_j >= 0"),
+    "M0": KeyFamily(cone_M0,
+                    describe="minimal monotonicity cone: r <= 0, p = 0, A >= 0 "
+                    "(empty interior)"),
+    "M": KeyFamily(
+        lambda n, gamma, D, R: cone_M(
+            MonotonicityCone(gamma, parse_directional_cone(D, n), R), n),
+        (("gamma", float, 0.0), ("D", str, "full"), ("R", _float_or_inf, math.inf)),
+        "fundamental-family cone: r <= -gamma|p|, p in D, A >= (|p|/R)I; params gamma, "
+        "D in {full, half:e1, half:v1,..,vn, orth:1,2,..}, R (number or inf)"),
+    "failure": KeyFamily(fiber_failure_example, (("alpha", float, 2.0), ("which", str, "min")),
+                         "comparison-failure operator: lambda_min/max of "
+                         "A + |p|^((alpha-1)/n)(P_perp + alpha P_p); "
+                         "params alpha > 1, which in {min, max}"),
+    "pma": KeyFamily(perturbed_ma_map,
+                     describe="variable fiber, perturbed Monge-Ampere demo: A + M(x) >= 0, "
+                     "det(A+M(x)) >= 1, M(x) = diag(1+|x|^2, 1, ..)",
+                     variable=True),
+    "slag": KeyFamily(_demo_slag,
+                      describe="variable fiber, phase demo: "
+                      "sum arctan lambda_k(A) >= 0.5 + 0.25*x1",
+                      variable=True),
+    "affine-sphere": KeyFamily(_demo_affine_sphere,
+                               describe="variable fiber, affine-sphere demo: "
+                               "(-r)^(n+2) det A >= (1+|x|^2)/2 on N x P",
+                               variable=True),
+    "ot": KeyFamily(_demo_ot,
+                    describe="variable fiber, transport demo: p in first orthant, A >= 0, "
+                    "p1*p2*det A >= 1",
+                    variable=True),
+}
 
 
 def make_oracle(key: str, n: int):
     """Build the oracle (or variable fiber map) addressed by a catalog key."""
-    from .errors import UnknownKey
-
-    name, kv, pos = parse_key(key)
-    if name not in REGISTRY:
-        raise UnknownKey(f"unknown catalog key {key!r}")
-    entry = REGISTRY[name]
-    if entry.needs_even and n % 2 != 0:
-        raise OddDimension(f"{name} needs even ambient dimension, got {n}")
-    return entry.build(n, kv, pos)
+    name, params = bind_key(key, REGISTRY, "catalog")
+    return REGISTRY[name].build(n, **params)
 
 
 def describe_key(key: str) -> str:
-    from .errors import UnknownKey
-
     name, _, _ = parse_key(key)
     if name not in REGISTRY:
         raise UnknownKey(f"unknown catalog key {key!r}")

@@ -6,7 +6,8 @@ every JSON payload carries the seed so runs are reproducible bit for
 bit at a fixed seed.
 
 Exit codes: 0 success, 1 negative verdict, 2 usage/parse error,
-3 domain error, 4 non-convergence, 5 hypothesis violation.
+3 domain error, 4 non-convergence, 5 hypothesis violation, 6 internal
+error (a bug: the message is followed by the traceback).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,7 @@ from .boundary import (
 )
 from .canonical import canonical_operator, signed_distance
 from .errors import (
+    BracketingFailure,
     HypothesisViolation,
     NotConverged,
     ParseError,
@@ -40,6 +43,7 @@ from .exprs import compile_expression
 from .grids import GridFunction, square_grid
 from .jets import Jet2, SymMat
 from .solver import solve_dirichlet
+from .suites import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -47,6 +51,7 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_NOCONV = 4
 EXIT_HYPOTHESIS = 5
+EXIT_INTERNAL = 6
 
 
 def _load_matrix(text: str) -> SymMat:
@@ -81,39 +86,51 @@ def _jet_from_args(args) -> Jet2:
 def cmd_catalog(args) -> int:
     if args.action == "list":
         rows = []
-        for name in cat.catalog_names():
+        for name in sorted(cat.REGISTRY):
             entry = cat.REGISTRY[name]
             rows.append({
                 "key": name,
                 "variable": entry.variable,
                 "describe": entry.describe,
             })
-        for name in gar.operator_names():
+        for name in sorted(gar.OPERATORS):
             rows.append({
                 "key": name,
                 "operator": True,
-                "describe": gar.OPERATOR_DESCRIPTIONS[name],
+                "describe": gar.OPERATORS[name].describe,
             })
         _emit({"entries": rows, "count": len(rows)}, args.seed)
         return EXIT_OK
-    # describe <key>
+    if args.key is None:
+        raise ParseError("catalog describe needs a key")
     name, _, _ = cat.parse_key(args.key)
-    if name in cat.REGISTRY:
-        _emit({"key": args.key, "describe": cat.describe_key(args.key)}, args.seed)
-        return EXIT_OK
-    if name in gar.OPERATOR_DESCRIPTIONS:
-        _emit({"key": args.key, "describe": gar.OPERATOR_DESCRIPTIONS[name]}, args.seed)
-        return EXIT_OK
-    raise UnknownKey(f"unknown key {args.key!r}")
+    family = cat.REGISTRY.get(name) or gar.OPERATORS.get(name)
+    if family is None:
+        raise UnknownKey(f"unknown key {args.key!r}")
+    _emit({"key": args.key, "describe": family.describe}, args.seed)
+    return EXIT_OK
+
+
+def _fiber_at(oracle, at):
+    """A constant oracle as is; a variable map's fiber at the --at point
+    (default: its domain's center)."""
+    if not isinstance(oracle, cat.VariableFiberMap):
+        return oracle
+    if not at:
+        return oracle.fiber_at(oracle.domain.center)
+    try:
+        x = np.asarray([float(v) for v in at.split(",")])
+    except ValueError as e:
+        raise ParseError(f"bad --at point {at!r}: {e}") from e
+    if len(x) != oracle.domain.dim:
+        raise ParseError(f"--at {at!r} has {len(x)} coordinates, the fiber map "
+                         f"lives in dimension {oracle.domain.dim}")
+    return oracle.fiber_at(x)
 
 
 def cmd_membership(args) -> int:
     J = _jet_from_args(args)
-    oracle = cat.make_oracle(args.key, J.n)
-    if isinstance(oracle, cat.VariableFiberMap):
-        x = np.asarray([float(v) for v in args.at.split(",")]) if args.at else \
-            oracle.domain.center
-        oracle = oracle.fiber_at(x)
+    oracle = _fiber_at(cat.make_oracle(args.key, J.n), args.at)
     region = oracle.classify(J, args.tol)
     _emit({
         "key": args.key,
@@ -128,11 +145,7 @@ def cmd_dual(args) -> int:
     from .duality import dual_contains
 
     J = _jet_from_args(args)
-    oracle = cat.make_oracle(args.key, J.n)
-    if isinstance(oracle, cat.VariableFiberMap):
-        x = np.asarray([float(v) for v in args.at.split(",")]) if args.at else \
-            oracle.domain.center
-        oracle = oracle.fiber_at(x)
+    oracle = _fiber_at(cat.make_oracle(args.key, J.n), args.at)
     region = dual_contains(oracle, J, args.tol)
     _emit({
         "key": args.key,
@@ -297,8 +310,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .suites import run_suite
-
     ok, lines = run_suite(args.suite, seed=args.seed or 2024)
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK if ok else EXIT_NEGATIVE
@@ -359,10 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("check")
-    p.add_argument("suite", choices=[
-        "duality-involution", "garding-identities", "monotonicity",
-        "comparison", "utp",
-    ])
+    p.add_argument("suite", choices=list(SUITES))
     p.set_defaults(fn=cmd_check)
     return ap
 
@@ -384,9 +392,13 @@ def main(argv=None) -> int:
     except (HypothesisViolation,) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (ValueError, UnstableStep) as e:
+    except (ValueError, UnstableStep, BracketingFailure) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from .catalog import (
     FiberOracle,
     MonotonicityCone,
     make_oracle,
+    perturbed_ma_map,
     shift_to_boundary,
 )
 from .grids import Grid, GridFunction, square_grid
@@ -37,32 +38,23 @@ def quadratic_grid_function(grid: Grid, A: SymMat, p=None, c: float = 0.0,
     return GridFunction(grid, c + lin + quad)
 
 
-def _hessian_inside(oracle: FiberOracle, rng: np.random.Generator,
-                    margin: float = 0.2) -> SymMat:
+def _shifted_hessian(oracle: FiberOracle, rng: np.random.Generator,
+                     margin: float) -> SymMat:
+    """A random Hessian moved along I to the cone boundary, then margin
+    further in (margin > 0) or out of the interior (margin < 0)."""
     n = oracle.n
     eyeJ = Jet2.from_matrix(SymMat.identity(n))
     A = random_symmetric(rng, n, 1.0)
     J = shift_to_boundary(oracle, Jet2.from_matrix(A), eyeJ, margin=margin)
     if J is None:
-        raise RuntimeError(f"could not push a Hessian inside {oracle.label}")
-    return J.A
-
-
-def _hessian_outside_interior(oracle: FiberOracle, rng: np.random.Generator,
-                              margin: float = 0.2) -> SymMat:
-    n = oracle.n
-    eyeJ = Jet2.from_matrix(SymMat.identity(n))
-    A = random_symmetric(rng, n, 1.0)
-    J = shift_to_boundary(oracle, Jet2.from_matrix(A), eyeJ, margin=-margin)
-    if J is None:
-        raise RuntimeError(f"could not push a Hessian out of {oracle.label}")
+        raise RuntimeError(f"could not push a Hessian to margin {margin} of {oracle.label}")
     return J.A
 
 
 def sub_super_pair(oracle: FiberOracle, grid: Grid, rng: np.random.Generator):
     """Quadratic subsolution / supersolution with tight boundary ordering."""
-    A_sub = _hessian_inside(oracle, rng)
-    B_sup = _hessian_outside_interior(oracle, rng)
+    A_sub = _shifted_hessian(oracle, rng, 0.2)
+    B_sup = _shifted_hessian(oracle, rng, -0.2)
     p_sub = rng.standard_normal(grid.d) * 0.5
     p_sup = rng.standard_normal(grid.d) * 0.5
     u = quadratic_grid_function(grid, A_sub, p_sub)
@@ -128,20 +120,6 @@ def zmp_battery(cases, n_side: int = 21, seed: int = 109, samples: int = 5) -> d
 # ---------------------------------------------------------------------------
 # Uniform translation probes
 # ---------------------------------------------------------------------------
-
-
-def perturbed_ma_map(n: int = 2, box_half: float = 1.0):
-    """The demo perturbed Monge-Ampere fiber map with Lipschitz data."""
-    from .catalog import Box, fiber_perturbed_MA
-
-    box = Box(-box_half * np.ones(n), box_half * np.ones(n))
-
-    def M_field(x):
-        m = np.eye(n)
-        m[0, 0] = 1.0 + float(x @ x)
-        return SymMat(m)
-
-    return fiber_perturbed_MA(box, M_field, lambda x: 1.0, n=n)
 
 
 def utp_perturbed_ma(theta: float, n_side: int = 17, seed: int = 113,

@@ -27,9 +27,15 @@ from numpy.polynomial import polynomial as npoly
 from scipy.optimize import linprog
 
 from .catalog import (
+    REGISTRY,
     Arity,
     DEFAULT_TOL,
     FiberOracle,
+    KeyFamily,
+    _fmt,
+    bind_key,
+    check_index,
+    check_pucci,
     classify_value,
     complex_structure,
     elementary_symmetric,
@@ -37,10 +43,8 @@ from .catalog import (
 from .errors import (
     BadParameters,
     DegenerateLeadingCoefficient,
-    IndexOutOfRange,
     NonRealRoots,
     OddDimension,
-    UnknownKey,
 )
 from .jets import SymMat, eigenvalues, matrix_sup_norm, random_symmetric
 
@@ -248,8 +252,7 @@ def garding_cone_oracle(op: GardingOperator) -> FiberOracle:
 
 def branch_oracle(op: GardingOperator, k: int) -> FiberOracle:
     """k-th eigenvalue branch {A : Lambda_k(A) >= 0}, 1-indexed."""
-    if not 1 <= k <= op.degree:
-        raise IndexOutOfRange(f"branch index k={k} outside 1..{op.degree}")
+    check_index("branch", "k", k, op.degree)
     return FiberOracle(
         label=f"branch k={k} of {op.label}",
         n=op.n,
@@ -302,8 +305,7 @@ def det_operator(n: int) -> GardingOperator:
 
 def pfold_operator(n: int, p: int) -> GardingOperator:
     """Product of all p-fold eigenvalue sums; degree C(n, p)."""
-    if not 1 <= p <= n:
-        raise IndexOutOfRange(f"pfold index p={p} outside 1..{n}")
+    check_index("pfold", "p", p, n)
     subsets = list(itertools.combinations(range(n), p))
     indicator = np.zeros((len(subsets), n))
     for i, S in enumerate(subsets):
@@ -352,8 +354,7 @@ def delta_elliptic_operator(n: int, delta: float) -> GardingOperator:
 
 def sigma_k_operator(n: int, k: int) -> GardingOperator:
     """k-Hessian operator sigma_k(lambda(A)); degree k."""
-    if not 1 <= k <= n:
-        raise IndexOutOfRange(f"sigma index k={k} outside 1..{n}")
+    check_index("sigma", "k", k, n)
     binom = [math.comb(n - k + j, j) for j in range(k + 1)]
 
     def shifted(a):
@@ -420,8 +421,7 @@ def pucci_vertex_set(n: int, lam: float, Lam: float) -> list:
     A vertex v is extreme iff it is not a nonnegative combination of the
     other vertices; decided by linear feasibility, never hard-coded.
     """
-    if not 0 < lam < Lam:
-        raise BadParameters(f"need 0 < lam < Lam, got lam={lam}, Lam={Lam}")
+    check_pucci(lam, Lam)
     vertices = [np.array(v, dtype=float)
                 for v in itertools.product((lam, Lam), repeat=n)]
     extreme = []
@@ -469,43 +469,25 @@ def pucci_garding_operator(lam: float, Lam: float, n: int) -> GardingOperator:
 # Operator registry
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    if x == int(x):
-        return str(int(x))
-    return repr(x)
-
-
-OPERATOR_DESCRIPTIONS = {
-    "det": "determinant (product of eigenvalues); degree n",
-    "pfold": "product of p-fold eigenvalue sums; params p=1..n; degree C(n,p)",
-    "delta-elliptic": "det(A + delta*tr(A)*I); params delta > 0; degree n",
-    "sigma": "k-Hessian sigma_k(lambda(A)); params k=1..n; degree k",
-    "lagrangian-ma": "product of tr(A)/2 +- mu_1 +- ... +- mu_n on S(2n); degree 2^n",
-    "pucci-garding": "product of extreme-vertex functionals of the eigenvalue cube; "
-                     "params lam,Lam with 0 < lam < Lam",
+OPERATORS = {
+    "det": KeyFamily(det_operator, describe="determinant (product of eigenvalues); degree n"),
+    "pfold": KeyFamily(pfold_operator, REGISTRY["pfold"].params,
+                       "product of p-fold eigenvalue sums; params p=1..n; degree C(n,p)"),
+    "delta-elliptic": KeyFamily(delta_elliptic_operator, (("delta", float, 0.5),),
+                                "det(A + delta*tr(A)*I); params delta > 0; degree n"),
+    "sigma": KeyFamily(sigma_k_operator, REGISTRY["sigma"].params,
+                       "k-Hessian sigma_k(lambda(A)); params k=1..n; degree k"),
+    "lagrangian-ma": KeyFamily(lagrangian_ma_operator,
+                               describe="product of tr(A)/2 +- mu_1 +- ... +- mu_n on S(2n); "
+                               "degree 2^n"),
+    "pucci-garding": KeyFamily(lambda n, lam, Lam: pucci_garding_operator(lam, Lam, n),
+                               REGISTRY["pucci"].params,
+                               "product of extreme-vertex functionals of the eigenvalue "
+                               "cube; params lam,Lam with 0 < lam < Lam"),
 }
 
 
 def make_operator(key: str, n: int) -> GardingOperator:
-    from .catalog import parse_key
-
-    name, kv, pos = parse_key(key)
-    if name == "det":
-        return det_operator(n)
-    if name == "pfold":
-        return pfold_operator(n, int(kv.get("p", pos[0] if pos else 1)))
-    if name == "delta-elliptic":
-        return delta_elliptic_operator(n, float(kv.get("delta", pos[0] if pos else 0.5)))
-    if name == "sigma":
-        return sigma_k_operator(n, int(kv.get("k", pos[0] if pos else 1)))
-    if name == "lagrangian-ma":
-        return lagrangian_ma_operator(n)
-    if name == "pucci-garding":
-        lam = float(kv.get("lam", pos[0] if pos else 1.0))
-        Lam = float(kv.get("Lam", pos[1] if len(pos) > 1 else 2.0))
-        return pucci_garding_operator(lam, Lam, n)
-    raise UnknownKey(f"unknown operator key {key!r}")
-
-
-def operator_names() -> list:
-    return sorted(OPERATOR_DESCRIPTIONS)
+    """Build the hyperbolic operator addressed by an operator key."""
+    name, params = bind_key(key, OPERATORS, "operator")
+    return OPERATORS[name].build(n, **params)

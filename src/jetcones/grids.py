@@ -149,9 +149,6 @@ class GridFunction:
     def copy(self) -> "GridFunction":
         return GridFunction(self.grid, self.values.copy(), self.boundary_data.copy())
 
-    def boundary_trace(self) -> np.ndarray:
-        return self.values[~self.grid.interior_mask()]
-
     def second_difference(self, node, direction) -> float:
         """(u(x + h*dir) + u(x - h*dir) - 2u(x)) / (h |dir|)^2."""
         g = self.grid
@@ -211,30 +208,6 @@ class GridFunction:
             raise BoundaryNode(f"node {node} has no centered jet")
         return Jet2(float(self.values[node]), self.discrete_gradient(node),
                     self.discrete_hessian(node))
-
-
-def directional_second_difference(u: GridFunction, node, direction) -> float:
-    return u.second_difference(node, direction)
-
-
-def discrete_spectrum(u: GridFunction, node) -> np.ndarray:
-    return u.discrete_spectrum(node)
-
-
-def shifted_views(values: np.ndarray, direction) -> tuple:
-    """Interior-aligned views (center, forward, backward) for a stencil offset."""
-    d = values.ndim
-    w = max(abs(c) for c in direction)
-
-    def sl(off):
-        return tuple(
-            slice(w + off[i], values.shape[i] - w + off[i]) for i in range(d)
-        )
-
-    zero = (0,) * d
-    fwd = tuple(direction)
-    bwd = tuple(-c for c in direction)
-    return values[sl(zero)], values[sl(fwd)], values[sl(bwd)]
 
 
 def second_difference_field(values: np.ndarray, direction, h: float,

@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import NonOrthonormalBasis
 
-SPECTRAL_TOL = 1e-12
-GRAM_PRE_TOL = 1e-10
 GRAM_ERR_TOL = 1e-8
 
 # Desk-scale cap: brute-force oracles (char-poly bisection, subset sums,

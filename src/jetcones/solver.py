@@ -34,12 +34,17 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from .catalog import (
+    REGISTRY,
     Arity,
     DEFAULT_TOL,
     FiberOracle,
+    KeyFamily,
     MonotonicityCone,
     VariableFiberMap,
     ConeKind,
+    bind_key,
+    check_index,
+    check_pucci,
     cone_M,
 )
 from .duality import dual_oracle
@@ -129,56 +134,78 @@ def _frame_reduction(tuples, p: int = 1, largest: bool = False,
     return apply, linearize
 
 
+def _branch(grid: Grid, k: int) -> tuple:
+    """lambda_k as the min (k = 1) or max (k = d) of directional curvatures."""
+    check_index("branch", "k", k, grid.d)
+    if k not in (1, grid.d):
+        raise UnknownKey(f"no monotone discretization of branch:k={k} in {grid.d}-D")
+    return _frame_reduction([(i,) for i in range(len(grid.stencil_dirs))], largest=k > 1)
+
+
+def _pfold(grid: Grid, p: int) -> tuple:
+    """Mean over the best orthogonal p-frame (the c = 1 canonical scaling)."""
+    check_index("pfold", "p", p, grid.d)
+    if p == 1:
+        return _branch(grid, 1)
+    tuples = grid.orthogonal_tuples(p)
+    if not tuples:
+        raise UnknownKey(f"stencil has no orthogonal {p}-tuples for pfold:p={p}")
+    return (*_frame_reduction(tuples, p=p), _frame_weight(grid, tuples, slope=1.0) / p)
+
+
+def _slag(grid: Grid) -> tuple:
+    """Sum of arctans of the directional curvatures over the worst frame."""
+    tuples = grid.orthogonal_tuples(grid.d)
+
+    def secant(diffs, terms):
+        # arctan(D) / D, continued by its limit 1 at D = 0
+        return np.divide(terms, diffs, out=np.ones_like(diffs), where=diffs != 0)
+
+    return (*_frame_reduction(tuples, phi=np.arctan, slope=secant),
+            _frame_weight(grid, tuples, slope=1.0))
+
+
+def _pucci(grid: Grid, lam: float, Lam: float) -> tuple:
+    """lam * D+ + Lam * D- summed over the worst frame, 0 < lam < Lam."""
+    check_pucci(lam, Lam)
+    tuples = grid.orthogonal_tuples(grid.d)
+
+    def weighted(diffs):
+        return lam * np.maximum(diffs, 0.0) + Lam * np.minimum(diffs, 0.0)
+
+    def sign_slope(diffs, terms):
+        return np.where(diffs > 0, lam, Lam)
+
+    return (*_frame_reduction(tuples, phi=weighted, slope=sign_slope),
+            _frame_weight(grid, tuples, slope=Lam))
+
+
+# Factories return DiscreteOperator's fields after the key; the families
+# the catalog also knows share its parameter declarations.
+DISCRETE_OPERATORS = {
+    "P": KeyFamily(lambda grid: _branch(grid, 1)),
+    "P~": KeyFamily(lambda grid: _branch(grid, grid.d)),
+    "branch": KeyFamily(_branch, REGISTRY["branch"].params),
+    "pfold": KeyFamily(_pfold, REGISTRY["pfold"].params),
+    "slag": KeyFamily(_slag),
+    "pucci": KeyFamily(_pucci, REGISTRY["pucci"].params),
+}
+
+
 def make_discrete_operator(key: str, grid: Grid) -> DiscreteOperator:
     """Build the monotone discretization addressed by an operator key.
 
-    Supported: "P" (minimal directional curvature), "P~" (maximal),
-    "branch:k=<n or 1>" in 2-D, "pfold:p=<p>" (mean over the best
-    orthogonal frame, the c = 1 canonical scaling), "slag" (sum of
-    arctans over the worst frame), "pucci:lam,Lam".
+    Keys bind as catalog keys do and name the same cones: "P" (minimal
+    directional curvature), "P~" (maximal), "branch:k" for k = 1 or d
+    (the same two), "pfold:p" (mean over the best orthogonal p-frame,
+    the c = 1 canonical scaling), "slag" (sum of arctans over the worst
+    frame) and "pucci:lam,Lam". A malformed key is a ParseError, an
+    out-of-range parameter IndexOutOfRange or BadParameters (the
+    catalog's checks), and a key with no monotone discretization on
+    this grid UnknownKey.
     """
-    from .catalog import parse_key
-
-    name, kv, pos = parse_key(key)
-    d = grid.d
-    singles = [(i,) for i in range(len(grid.stencil_dirs))]
-
-    if name == "P" or (name == "branch" and int(kv.get("k", 1)) == 1) or (
-        name == "pfold" and int(kv.get("p", pos[0] if pos else 1)) == 1
-    ):
-        return DiscreteOperator(key, *_frame_reduction(singles))
-    if name == "P~" or (name == "branch" and int(kv.get("k", 0)) == d):
-        return DiscreteOperator(key, *_frame_reduction(singles, largest=True))
-    if name == "pfold":
-        p = int(kv.get("p", pos[0] if pos else 1))
-        tuples = grid.orthogonal_tuples(p)
-        if not tuples:
-            raise UnknownKey(f"stencil has no orthogonal {p}-tuples for {key!r}")
-        weight = _frame_weight(grid, tuples, slope=1.0) / p
-        return DiscreteOperator(key, *_frame_reduction(tuples, p=p), center_weight=weight)
-    if name == "slag":
-        tuples = grid.orthogonal_tuples(d)
-
-        def secant(diffs, terms):
-            # arctan(D) / D, continued by its limit 1 at D = 0
-            return np.divide(terms, diffs, out=np.ones_like(diffs), where=diffs != 0)
-
-        return DiscreteOperator(key, *_frame_reduction(tuples, phi=np.arctan, slope=secant),
-                                center_weight=_frame_weight(grid, tuples, slope=1.0))
-    if name == "pucci":
-        lam = float(kv.get("lam", pos[0] if pos else 1.0))
-        Lam = float(kv.get("Lam", pos[1] if len(pos) > 1 else 2.0))
-        tuples = grid.orthogonal_tuples(d)
-
-        def weighted(diffs):
-            return lam * np.maximum(diffs, 0.0) + Lam * np.minimum(diffs, 0.0)
-
-        def sign_slope(diffs, terms):
-            return np.where(diffs > 0, lam, Lam)
-
-        return DiscreteOperator(key, *_frame_reduction(tuples, phi=weighted, slope=sign_slope),
-                                center_weight=_frame_weight(grid, tuples, slope=Lam))
-    raise UnknownKey(f"no monotone discretization registered for key {key!r}")
+    name, params = bind_key(key, DISCRETE_OPERATORS, "discretization")
+    return DiscreteOperator(key, *DISCRETE_OPERATORS[name].build(grid, **params))
 
 
 def _frame_weight(grid: Grid, tuples, slope: float) -> float:
@@ -200,33 +227,34 @@ def stability_dt(grid: Grid, center_weight: float, safety: float = 0.9) -> float
     return safety * grid.h**2 / (2.0 * center_weight)
 
 
+# Continuum values, on ascending Hessian eigenvalues, that stencil_bias
+# measures the discretizations against.
+_BIAS_TARGETS = {
+    "P": lambda ev: ev[0],
+    "P~": lambda ev: ev[-1],
+    "slag": lambda ev: np.sum(np.arctan(ev)),
+    "pfold": lambda ev, p: np.mean(ev[:p]),
+}
+
+
 def stencil_bias(grid: Grid, op_key: str, rng: np.random.Generator,
                  trials: int = 50) -> float:
     """Measured worst gap between the discrete operator and its target on
-    random quadratics (the honest substitute for a convergence theorem)."""
+    random quadratics (the honest substitute for a convergence theorem).
+    Keys without a target above measure 0."""
     from .jets import random_symmetric
 
-    op = make_discrete_operator(op_key, grid)
+    name, params = bind_key(op_key, DISCRETE_OPERATORS, "discretization")
+    op = DiscreteOperator(op_key, *DISCRETE_OPERATORS[name].build(grid, **params))
+    target = _BIAS_TARGETS.get(name)
     worst = 0.0
     for _ in range(trials):
         B = random_symmetric(rng, grid.d)
         u = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ B.entries @ x))
         fld = op.apply(u.values, grid)
-        from .catalog import parse_key
-
-        name, kv, pos = parse_key(op_key)
-        if name == "P":
-            target = float(np.linalg.eigvalsh(B.entries)[0])
-        elif name == "P~":
-            target = float(np.linalg.eigvalsh(B.entries)[-1])
-        elif name == "slag":
-            target = float(np.sum(np.arctan(np.linalg.eigvalsh(B.entries))))
-        elif name == "pfold":
-            p = int(kv.get("p", pos[0] if pos else 1))
-            target = float(np.mean(np.linalg.eigvalsh(B.entries)[:p]))
-        else:
-            continue
-        worst = max(worst, float(np.max(np.abs(fld - target))))
+        if target is not None:
+            value = float(target(np.linalg.eigvalsh(B.entries), **params))
+            worst = max(worst, float(np.max(np.abs(fld - value))))
     return worst
 
 

@@ -121,7 +121,7 @@ def _suite_utp(seed: int):
     return ok, lines
 
 
-_SUITES = {
+SUITES = {
     "duality-involution": _suite_duality_involution,
     "garding-identities": _suite_garding_identities,
     "monotonicity": _suite_monotonicity,
@@ -133,6 +133,6 @@ _SUITES = {
 def run_suite(name: str, seed: int = 2024):
     from .errors import UnknownKey
 
-    if name not in _SUITES:
-        raise UnknownKey(f"unknown suite {name!r}; known: {sorted(_SUITES)}")
-    return _SUITES[name](seed)
+    if name not in SUITES:
+        raise UnknownKey(f"unknown suite {name!r}; known: {sorted(SUITES)}")
+    return SUITES[name](seed)

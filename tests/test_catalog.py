@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetcones.catalog import (
     Box,
@@ -46,6 +48,7 @@ from jetcones.errors import (
     DirectionalityViolation,
     IndexOutOfRange,
     OddDimension,
+    ParseError,
     UnknownKey,
 )
 from jetcones.jets import Jet2, SymMat, random_jet, random_symmetric
@@ -510,6 +513,80 @@ def test_key_round_trips():
         assert oracle.key is not None
         again = make_oracle(oracle.key, n)
         assert again.key == oracle.key
+
+
+@pytest.mark.parametrize("key", [
+    "pfold:p=abc", "P:k=3", "pucci:1,2,3", "slag:1", "delta-elliptic:inf",
+])
+def test_malformed_keys_are_parse_errors_in_every_registry(key):
+    from jetcones.garding import OPERATORS, make_operator
+    from jetcones.grids import square_grid
+    from jetcones.solver import DISCRETE_OPERATORS, make_discrete_operator
+
+    grid = square_grid(9, 0.0, 1.0)
+    registries = [
+        (REGISTRY, lambda k: make_oracle(k, 2)),
+        (OPERATORS, lambda k: make_operator(k, 2)),
+        (DISCRETE_OPERATORS, lambda k: make_discrete_operator(k, grid)),
+    ]
+    factories = [build for reg, build in registries if parse_key(key)[0] in reg]
+    assert factories
+    for build in factories:
+        with pytest.raises(ParseError):
+            build(key)
+
+
+POSITIVE = st.floats(0.01, 100.0)
+NONZERO = st.floats(-3.0, 3.0).filter(lambda x: abs(x) >= 0.01)
+
+
+def _text(value) -> str:
+    return value if isinstance(value, str) else repr(value)
+
+
+@st.composite
+def valid_keys(draw):
+    """(key, n) for a catalog family with valid parameters, named or positional."""
+    n = draw(st.integers(2, 4))
+    index = st.integers(1, n)
+    lam = draw(POSITIVE)
+    params = {
+        "P": [], "P~": [], "Q": [], "Q~": [], "M0": [],
+        "branch": [("k", draw(index))],
+        "pfold": [("p", draw(index))],
+        "sigma": [("k", draw(index))],
+        "pucci": [("lam", lam), ("Lam", lam + draw(POSITIVE))],
+        "quasiconvex": [("shift", draw(st.floats(0.0, 100.0)))],
+        "failure": [("alpha", 1.0 + draw(POSITIVE)),
+                    ("which", draw(st.sampled_from(["min", "max"])))],
+    }
+    if n % 2 == 0:
+        params["lagrangian"] = []
+    name = draw(st.sampled_from(sorted(params) + ["M"]))
+    if name == "M":
+        # a cone value carries commas, so M's items are always named
+        axes = draw(st.lists(index, min_size=1, unique=True))
+        D = draw(st.sampled_from([
+            "full",
+            f"half:e{draw(index)}",
+            "half:" + ",".join(repr(draw(NONZERO)) for _ in range(n)),
+            "orth:" + ",".join(map(str, axes)),
+        ]))
+        R = draw(st.sampled_from(["inf", repr(draw(POSITIVE))]))
+        return f"M:gamma={draw(st.floats(0.0, 10.0))!r},D={D},R={R}", n
+    if not params[name]:
+        return name, n
+    named = draw(st.booleans())
+    items = [f"{k}={_text(v)}" if named else _text(v) for k, v in params[name]]
+    return f"{name}:" + ",".join(items), n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(valid_keys())
+def test_make_oracle_key_is_a_fixed_point(case):
+    key, n = case
+    first = make_oracle(key, n).key
+    assert make_oracle(first, n).key == first
 
 
 def test_registry_size_and_describe():

@@ -229,3 +229,67 @@ def test_reproducible_output(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+MATRIX_2D = "[[1,0],[0,1]]"
+
+
+@pytest.mark.parametrize("argv", [
+    ("membership", "--key", "pfold:p=abc", "--matrix", MATRIX_2D),
+    ("membership", "--key", "P:k=3", "--matrix", MATRIX_2D),
+    ("dual", "--key", "pucci:1,2,3", "--matrix", MATRIX_2D),
+    ("membership", "--key", "slag:1", "--matrix", MATRIX_2D),
+    ("garding", "--op", "delta-elliptic:inf", "--matrix", MATRIX_2D),
+])
+def test_malformed_key_exit_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("operator, exit_code", [
+    ("slag:1", 2), ("pucci:1,2,3", 2), ("pfold:p=0", 3), ("pucci:2,1", 3),
+])
+def test_solve_bad_operator_key(tmp_path, capsys, operator, exit_code):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(SOLVE_CONFIG, operator=operator)))
+    code, _, err = run(capsys, "solve", "--config", str(cfg),
+                       "--out-dir", str(tmp_path / "out"))
+    assert code == exit_code
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["membership", "dual"])
+@pytest.mark.parametrize("at", ["a,b", "0.1,0.2,0.3"])
+def test_variable_fiber_bad_at_exit_2(capsys, command, at):
+    code, _, err = run(capsys, command, "--key", "slag", "--matrix", MATRIX_2D, "--at", at)
+    assert code == 2
+    assert "--at" in err
+
+
+def test_variable_fiber_at_point(capsys):
+    code, out, _ = run(capsys, "membership", "--key", "slag", "--matrix", MATRIX_2D,
+                       "--at", "0.5,-0.5")
+    assert code == 0
+    # sum arctan(1) = pi/2 against theta = 0.5 + 0.25 * 0.5
+    assert json.loads(out)["value"] == pytest.approx(np.pi / 2 - 0.625)
+
+
+def test_bracketing_failure_exit_3(capsys):
+    # Q~ holds every jet with r = 0, so no crossing exists along I
+    code, _, err = run(capsys, "canonical", "--key", "Q~", "--matrix", MATRIX_2D)
+    assert code == 3
+    assert err.startswith("error: no boundary crossing")
+
+
+def test_internal_error_exit_6(capsys, monkeypatch):
+    import jetcones.cli as cli
+
+    def broken(args):
+        raise TypeError("unexpected operand")
+
+    monkeypatch.setattr(cli, "cmd_membership", broken)
+    code, _, err = run(capsys, "membership", "--key", "P", "--matrix", MATRIX_2D)
+    assert code == cli.EXIT_INTERNAL == 6
+    assert err.startswith("internal error: TypeError: unexpected operand\n")
+    assert "Traceback" in err

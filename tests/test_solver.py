@@ -10,7 +10,13 @@ from jetcones.catalog import (
     cone_P,
     cone_P_dual,
 )
-from jetcones.errors import HypothesisViolation, NotConverged, UnknownKey
+from jetcones.errors import (
+    BadParameters,
+    HypothesisViolation,
+    IndexOutOfRange,
+    NotConverged,
+    UnknownKey,
+)
 from jetcones.experiments import (
     comparison_battery,
     perturbed_ma_map,
@@ -158,6 +164,25 @@ def test_unknown_operator_key():
     grid = square_grid(17, 0.0, 1.0)
     with pytest.raises(UnknownKey):
         make_discrete_operator("frobnicate", grid)
+
+
+def test_discrete_branch_binds_positionally():
+    # positional items bind in declared order: branch:2 is lambda_2, as in the catalog
+    grid = square_grid(17, 0.0, 1.0)
+    u = GridFunction.from_callable(grid, lambda x: 0.5 * (x[0] ** 2 + 3.0 * x[1] ** 2))
+    fld = make_discrete_operator("branch:2", grid).apply(u.values, grid)
+    assert np.array_equal(fld, make_discrete_operator("branch:k=2", grid).apply(u.values, grid))
+    assert np.allclose(fld, 3.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("key, error", [
+    ("pucci:2,1", BadParameters),
+    ("pucci:lam=-1,Lam=2", BadParameters),
+    ("pfold:p=0", IndexOutOfRange),
+])
+def test_discrete_operator_checks_ranges_like_the_catalog(key, error):
+    with pytest.raises(error):
+        make_discrete_operator(key, square_grid(17, 0.0, 1.0))
 
 
 def test_unstable_step_detected():
