@@ -15,6 +15,11 @@ Membership means g >= 0 (the set is the closure of its interior).
 Constant-coefficient cones live in FiberOracle; variable-coefficient
 examples are VariableFiberMap (a fiber oracle per point of a box),
 carrying their declared monotonicity cone and reference jet explicitly.
+
+Most constant cones write g once in array form, on stacks of jets
+(r[...], p[..., n], A[..., n, n]) -> g[...], and evaluate one jet through
+that same form, so a whole grid of discrete jets is classified with one
+batched eigen-solve and the same bits as one jet at a time.
 """
 
 from __future__ import annotations
@@ -88,8 +93,11 @@ class FiberOracle:
     """Membership classifier for a constraint fiber in jet space.
 
     `functional` is the scalar defining functional g; classify() and
-    margins derive from it. Oracles are immutable and classification is
-    pure, so instances are safe to share between threads.
+    margins derive from it. `array_form`, when present, is g on stacks
+    of jets (r[...], p[..., n], A[..., n, n]) -> g[...], and functional
+    is that form applied to one jet (see array_oracle). Oracles are
+    immutable and classification is pure, so instances are safe to
+    share between threads.
     """
 
     label: str
@@ -97,9 +105,26 @@ class FiberOracle:
     arity: Arity
     functional: Callable[[Jet2], float]
     key: Optional[str] = None
+    array_form: Optional[Callable] = None
 
     def value(self, jet) -> float:
         return float(self.functional(_as_jet(jet, self.n)))
+
+    def values(self, r, p, A) -> np.ndarray:
+        """g over a stack of jets: r[...], p[..., n], A[..., n, n] -> g[...].
+
+        One call of the array form when the oracle has one, bit for bit
+        what value gives jet by jet; otherwise a loop over the jets.
+        """
+        r = np.asarray(r, dtype=float)
+        p = np.asarray(p, dtype=float)
+        A = np.asarray(A, dtype=float)
+        if self.array_form is not None:
+            return np.asarray(self.array_form(r, p, A), dtype=float)
+        out = np.empty(r.shape)
+        for i in np.ndindex(r.shape):
+            out[i] = self.value(Jet2(r[i], p[i], A[i]))
+        return out
 
     def classify(self, jet, tol: float = DEFAULT_TOL) -> Region:
         return classify_value(self.value(jet), tol)
@@ -123,6 +148,19 @@ def _as_jet(j, n: int) -> Jet2:
 # Constant-coefficient cones
 # ---------------------------------------------------------------------------
 
+def array_oracle(label: str, n: int, arity: Arity, key: str,
+                 form: Callable) -> FiberOracle:
+    """An oracle whose functional is the array form applied to one jet."""
+    return FiberOracle(
+        label=label,
+        n=n,
+        arity=arity,
+        functional=lambda J: form(J.r, J.p, J.A.entries),
+        key=key,
+        array_form=form,
+    )
+
+
 def check_index(family: str, name: str, value: int, top: int) -> None:
     """Raise IndexOutOfRange unless 1 <= value <= top."""
     if not 1 <= value <= top:
@@ -137,36 +175,21 @@ def check_pucci(lam: float, Lam: float) -> None:
 
 def cone_P(n: int) -> FiberOracle:
     """Convexity cone {A : lambda_min(A) >= 0}."""
-    return FiberOracle(
-        label="P (convexity): lambda_min(A) >= 0",
-        n=n,
-        arity=Arity.PURE_SECOND_ORDER,
-        functional=lambda J: float(eigenvalues(J.A)[0]),
-        key="P",
-    )
+    return array_oracle("P (convexity): lambda_min(A) >= 0", n, Arity.PURE_SECOND_ORDER,
+                        "P", lambda r, p, A: eigenvalues(A)[..., 0])
 
 
 def cone_P_dual(n: int) -> FiberOracle:
     """Subaffine cone {A : lambda_max(A) >= 0}, the dual of P."""
-    return FiberOracle(
-        label="P~ (subaffine): lambda_max(A) >= 0",
-        n=n,
-        arity=Arity.PURE_SECOND_ORDER,
-        functional=lambda J: float(eigenvalues(J.A)[-1]),
-        key="P~",
-    )
+    return array_oracle("P~ (subaffine): lambda_max(A) >= 0", n, Arity.PURE_SECOND_ORDER,
+                        "P~", lambda r, p, A: eigenvalues(A)[..., -1])
 
 
 def branch(n: int, k: int) -> FiberOracle:
     """k-th eigenvalue branch {A : lambda_k(A) >= 0}, 1-indexed."""
     check_index("branch", "k", k, n)
-    return FiberOracle(
-        label=f"branch k={k}: lambda_{k}(A) >= 0",
-        n=n,
-        arity=Arity.PURE_SECOND_ORDER,
-        functional=lambda J: float(eigenvalues(J.A)[k - 1]),
-        key=f"branch:k={k}",
-    )
+    return array_oracle(f"branch k={k}: lambda_{k}(A) >= 0", n, Arity.PURE_SECOND_ORDER,
+                        f"branch:k={k}", lambda r, p, A: eigenvalues(A)[..., k - 1])
 
 
 def cone_pfold(n: int, p: int) -> FiberOracle:
@@ -176,13 +199,9 @@ def cone_pfold(n: int, p: int) -> FiberOracle:
     the minimum over all p-subsets of eigenvalue sums.
     """
     check_index("pfold", "p", p, n)
-    return FiberOracle(
-        label=f"pfold p={p}: lambda_1(A)+...+lambda_{p}(A) >= 0",
-        n=n,
-        arity=Arity.PURE_SECOND_ORDER,
-        functional=lambda J: float(np.sum(eigenvalues(J.A)[:p])),
-        key=f"pfold:p={p}",
-    )
+    return array_oracle(f"pfold p={p}: lambda_1(A)+...+lambda_{p}(A) >= 0", n,
+                        Arity.PURE_SECOND_ORDER, f"pfold:p={p}",
+                        lambda r, _, A: np.sum(eigenvalues(A)[..., :p], axis=-1))
 
 
 def elementary_symmetric(lam: np.ndarray, k: int) -> float:
@@ -217,30 +236,22 @@ def cone_pucci(n: int, lam: float, Lam: float) -> FiberOracle:
     """Pucci cone {A : lam * tr A+ + Lam * tr A- >= 0}, 0 < lam < Lam."""
     check_pucci(lam, Lam)
 
-    def g(J: Jet2) -> float:
-        ev = eigenvalues(J.A)
-        return float(lam * np.sum(ev[ev > 0]) + Lam * np.sum(ev[ev < 0]))
+    def g(r, p, A):
+        ev = eigenvalues(A)
+        return (lam * np.sum(np.maximum(ev, 0.0), axis=-1)
+                + Lam * np.sum(np.minimum(ev, 0.0), axis=-1))
 
-    return FiberOracle(
-        label=f"pucci ({lam},{Lam}): {lam}*tr A+ + {Lam}*tr A- >= 0",
-        n=n,
-        arity=Arity.PURE_SECOND_ORDER,
-        functional=g,
-        key=f"pucci:{_fmt(lam)},{_fmt(Lam)}",
-    )
+    return array_oracle(f"pucci ({lam},{Lam}): {lam}*tr A+ + {Lam}*tr A- >= 0", n,
+                        Arity.PURE_SECOND_ORDER, f"pucci:{_fmt(lam)},{_fmt(Lam)}", g)
 
 
 def cone_quasiconvex(n: int, shift: float) -> FiberOracle:
     """Quasiconvexity cone P_shift = {A : A + shift*I >= 0}, shift >= 0."""
     if shift < 0:
         raise BadParameters(f"quasiconvexity shift must be >= 0, got {shift}")
-    return FiberOracle(
-        label=f"quasiconvex shift={shift}: lambda_min(A) + {shift} >= 0",
-        n=n,
-        arity=Arity.PURE_SECOND_ORDER,
-        functional=lambda J: float(eigenvalues(J.A)[0]) + shift,
-        key=f"quasiconvex:{_fmt(shift)}",
-    )
+    return array_oracle(f"quasiconvex shift={shift}: lambda_min(A) + {shift} >= 0", n,
+                        Arity.PURE_SECOND_ORDER, f"quasiconvex:{_fmt(shift)}",
+                        lambda r, p, A: eigenvalues(A)[..., 0] + shift)
 
 
 def complex_structure(two_n: int) -> np.ndarray:
@@ -290,24 +301,14 @@ def cone_lagrangian(two_n: int) -> FiberOracle:
 
 def cone_Q(n: int) -> FiberOracle:
     """Gradient-free cone Q = {(r, A) : r <= 0 and A >= 0}."""
-    return FiberOracle(
-        label="Q: r <= 0 and A >= 0",
-        n=n,
-        arity=Arity.GRADIENT_FREE,
-        functional=lambda J: min(-J.r, float(eigenvalues(J.A)[0])),
-        key="Q",
-    )
+    return array_oracle("Q: r <= 0 and A >= 0", n, Arity.GRADIENT_FREE, "Q",
+                        lambda r, p, A: np.minimum(-r, eigenvalues(A)[..., 0]))
 
 
 def cone_Q_dual(n: int) -> FiberOracle:
     """Dual of Q: {(r, A) : r <= 0 or lambda_max(A) >= 0}."""
-    return FiberOracle(
-        label="Q~: r <= 0 or lambda_max(A) >= 0",
-        n=n,
-        arity=Arity.GRADIENT_FREE,
-        functional=lambda J: max(-J.r, float(eigenvalues(J.A)[-1])),
-        key="Q~",
-    )
+    return array_oracle("Q~: r <= 0 or lambda_max(A) >= 0", n, Arity.GRADIENT_FREE, "Q~",
+                        lambda r, p, A: np.maximum(-r, eigenvalues(A)[..., -1]))
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +352,13 @@ class DirectionalCone:
     def orthant(axes) -> "DirectionalCone":
         return DirectionalCone(ConeKind.ORTHANT, axes=tuple(sorted(set(int(a) for a in axes))))
 
-    def functional(self, p: np.ndarray) -> float:
-        """Signed slack of p in the cone (>= 0 inside, jet-norm scale)."""
+    def functional(self, p: np.ndarray):
+        """Signed slack of p[..., n] in the cone (>= 0 inside, jet-norm scale)."""
         if self.kind is ConeKind.FULL:
             return math.inf
         if self.kind is ConeKind.HALFSPACE:
-            return float(p @ self.direction)
-        return float(min(p[a] for a in self.axes))
+            return np.sum(p * self.direction, axis=-1)
+        return np.min(p[..., list(self.axes)], axis=-1)
 
     def interior_direction(self, n: int) -> np.ndarray:
         """A unit vector strictly inside the cone (origin for full space)."""
@@ -390,13 +391,12 @@ class MonotonicityCone:
         if not (self.R > 0):
             raise BadParameters(f"R must be positive or inf, got {self.R}")
 
-    def functional(self, J: Jet2) -> float:
-        pn = float(np.linalg.norm(J.p))
-        g1 = -J.r - self.gamma * pn
-        g2 = self.D.functional(J.p)
-        lam1 = float(eigenvalues(J.A)[0])
+    def functional(self, r, p, A):
+        """Defining functional in array form (see FiberOracle.values)."""
+        pn = np.sqrt(np.sum(p * p, axis=-1))
+        lam1 = eigenvalues(A)[..., 0]
         g3 = lam1 if math.isinf(self.R) else lam1 - pn / self.R
-        return min(g1, g2, g3)
+        return np.minimum(np.minimum(-r - self.gamma * pn, self.D.functional(p)), g3)
 
     def interior_jet(self, n: int) -> Jet2:
         """Canonical jet strictly inside the cone (margin about 1)."""
@@ -411,29 +411,19 @@ class MonotonicityCone:
 
 
 def cone_M(M: MonotonicityCone, n: int) -> FiberOracle:
-    return FiberOracle(
-        label=f"M(gamma={M.gamma}, D={_fmt_cone(M.D)}, R={_fmt_R(M.R)}): "
-        "r <= -gamma|p|, p in D, A >= (|p|/R) I",
-        n=n,
-        arity=Arity.FULL,
-        functional=M.functional,
-        key=M.key(),
-    )
+    return array_oracle(f"M(gamma={M.gamma}, D={_fmt_cone(M.D)}, R={_fmt_R(M.R)}): "
+                        "r <= -gamma|p|, p in D, A >= (|p|/R) I",
+                        n, Arity.FULL, M.key(), M.functional)
 
 
 def cone_M0(n: int) -> FiberOracle:
     """Minimal monotonicity cone N x {0} x P (empty interior)."""
 
-    def g(J: Jet2) -> float:
-        return min(-J.r, -float(np.linalg.norm(J.p)), float(eigenvalues(J.A)[0]))
+    def g(r, p, A):
+        pn = np.sqrt(np.sum(p * p, axis=-1))
+        return np.minimum(np.minimum(-r, -pn), eigenvalues(A)[..., 0])
 
-    return FiberOracle(
-        label="M0: r <= 0, p = 0, A >= 0 (empty interior)",
-        n=n,
-        arity=Arity.FULL,
-        functional=g,
-        key="M0",
-    )
+    return array_oracle("M0: r <= 0, p = 0, A >= 0 (empty interior)", n, Arity.FULL, "M0", g)
 
 
 def reduced_cone(M: MonotonicityCone, n: int, arity: Arity) -> FiberOracle:
@@ -1064,19 +1054,35 @@ def _fmt_R(R: float) -> str:
 
 
 def parse_directional_cone(text: str, n: int) -> DirectionalCone:
+    """Parse full, half:eI, half:v1,..,vn or orth:I,J,.. (axes 1..n).
+
+    A malformed spec, an axis outside 1..n and a direction of the wrong
+    length or with non-finite entries are ParseErrors.
+    """
+
+    def axis(item: str) -> int:
+        if not (item.isascii() and item.isdigit() and 1 <= int(item) <= n):
+            raise ParseError(f"bad directional cone spec {text!r}: "
+                             f"axis {item!r} is not an integer in 1..{n}")
+        return int(item) - 1
+
     if text == "full":
         return DirectionalCone.full()
+    if text.startswith("half:e"):
+        d = np.zeros(n)
+        d[axis(text[len("half:e"):])] = 1.0
+        return DirectionalCone.halfspace(d)
     if text.startswith("half:"):
-        body = text[len("half:"):]
-        if body.startswith("e"):
-            i = int(body[1:]) - 1
-            d = np.zeros(n)
-            d[i] = 1.0
-            return DirectionalCone.halfspace(d)
-        return DirectionalCone.halfspace([float(v) for v in body.split(",")])
+        try:
+            d = [float(v) for v in text[len("half:"):].split(",")]
+        except ValueError:
+            d = []
+        if len(d) != n or not all(math.isfinite(v) for v in d):
+            raise ParseError(f"bad directional cone spec {text!r}: "
+                             f"need {n} finite direction components")
+        return DirectionalCone.halfspace(d)
     if text.startswith("orth:"):
-        axes = [int(a) - 1 for a in text[len("orth:"):].split(",")]
-        return DirectionalCone.orthant(axes)
+        return DirectionalCone.orthant([axis(a) for a in text[len("orth:"):].split(",")])
     raise ParseError(f"bad directional cone spec {text!r}")
 
 

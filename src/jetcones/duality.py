@@ -21,19 +21,28 @@ from .catalog import (
     MonotonicityCone,
     Region,
     VariableFiberMap,
+    array_oracle,
     cone_M,
 )
 from .jets import Jet2, random_jet
 
 
 def dual_oracle(F: FiberOracle) -> FiberOracle:
-    """The Dirichlet dual as a fiber oracle: J in F~ iff -J not in Int F."""
+    """The Dirichlet dual as a fiber oracle: J in F~ iff -J not in Int F.
+
+    An array form of F carries over as -F(-r, -p, -A) on stacks.
+    """
+    label = f"dual of [{F.label}]"
+    key = (F.key + "~") if F.key else None
+    form = F.array_form
+    if form is not None:
+        return array_oracle(label, F.n, F.arity, key, lambda r, p, A: -form(-r, -p, -A))
     return FiberOracle(
-        label=f"dual of [{F.label}]",
+        label=label,
         n=F.n,
         arity=F.arity,
         functional=lambda J: -F.functional(-J),
-        key=(F.key + "~") if F.key else None,
+        key=key,
     )
 
 

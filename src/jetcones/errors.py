@@ -106,6 +106,10 @@ class HypothesisViolation(RuntimeError):
 class UnknownKey(KeyError):
     """Catalog or operator key not recognised."""
 
+    def __str__(self):
+        # KeyError's str() quotes its argument; the message is prose
+        return str(self.args[0]) if self.args else ""
+
 
 class ParseError(ValueError):
     """Malformed key, expression, or JSON payload."""

@@ -209,6 +209,37 @@ class GridFunction:
         return Jet2(float(self.values[node]), self.discrete_gradient(node),
                     self.discrete_hessian(node))
 
+    def jet_field(self, width: int = 1) -> tuple:
+        """Discrete jets of the width-trimmed interior as stacks (r, p, A).
+
+        r[...], p[..., d] and A[..., d, d] span grid.interior_slice(width),
+        and each node's entry is what discrete_jet returns there, to the
+        bit: the same centred differences, with diagonals from
+        second_difference_field (both Hessians are exactly symmetric, so
+        SymMat's symmetrization leaves discrete_jet's unchanged short of
+        overflow).
+        """
+        g = self.grid
+        if width < 1:
+            raise BoundaryNode(f"width {width} leaves nodes with no centered jet")
+        v, h = self.values, g.h
+
+        def at(off):
+            return v[tuple(slice(width + o, dim - width + o) for o, dim in zip(off, g.dims))]
+
+        unit = np.eye(g.d, dtype=int)
+        r = at(np.zeros(g.d, dtype=int)).copy()
+        p = np.stack([(at(e) - at(-e)) / (2 * h) for e in unit], axis=-1)
+        H = np.empty(r.shape + (g.d, g.d))
+        for i, ei in enumerate(unit):
+            H[..., i, i] = second_difference_field(v, ei, h, width)
+            for j in range(i + 1, g.d):
+                ej = unit[j]
+                H[..., i, j] = H[..., j, i] = (
+                    at(ei + ej) - at(ei - ej) - at(ej - ei) + at(-ei - ej)
+                ) / (4 * h * h)
+        return r, p, H
+
 
 def second_difference_field(values: np.ndarray, direction, h: float,
                             width: int) -> np.ndarray:

@@ -170,7 +170,8 @@ def spectrum(A: SymMat) -> Spectrum:
 
 
 def eigenvalues(A) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix (no frame)."""
+    """Ascending eigenvalues of a symmetric matrix, or of each matrix of a
+    stack A[..., n, n] (no frame)."""
     return np.linalg.eigvalsh(_mat(A))
 
 

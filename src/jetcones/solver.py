@@ -481,30 +481,44 @@ class NodeReport:
         return self.members == self.total
 
 
+def _node_report(g: np.ndarray, tol: float, width: int) -> NodeReport:
+    """Summary of functional values g over the width-trimmed interior.
+
+    classify_value's rule node by node: a node is a member unless
+    g < -tol, and its signed margin is g outside the band |g| <= tol and
+    0 inside it. Failures are the first 8 non-members in node order.
+    """
+    member = ~(g < -tol)
+    margin = np.where(member & ~(g > tol), 0.0, g)
+    failures = [
+        (tuple(int(c) + width for c in np.unravel_index(i, g.shape)), float(margin.flat[i]))
+        for i in np.flatnonzero(~member)[:8]
+    ]
+    worst = float(np.min(margin)) if margin.size else math.inf
+    return NodeReport(int(g.size), int(np.count_nonzero(member)), worst, failures)
+
+
 def check_subharmonic(
     u: GridFunction,
     fiber: Union[FiberOracle, VariableFiberMap],
     tol: float = DEFAULT_TOL,
     width: int = 1,
 ) -> NodeReport:
-    """Classify every interior node's discrete jet against the fiber."""
-    variable = isinstance(fiber, VariableFiberMap)
-    grid = u.grid
-    total = members = 0
-    worst = math.inf
-    failures = []
-    for node in grid.interior_nodes(width):
-        J = u.discrete_jet(node)
-        oracle = fiber.fiber_at(grid.node_point(node)) if variable else fiber
-        r = oracle.classify(J, tol)
-        total += 1
-        m = r.margin if r.is_member else -r.margin
-        worst = min(worst, m)
-        if r.is_member:
-            members += 1
-        elif len(failures) < 8:
-            failures.append((node, m))
-    return NodeReport(total, members, worst, failures)
+    """Classify every interior node's discrete jet against the fiber.
+
+    The jets are u.jet_field(width). A constant fiber takes them all in
+    one values call, batched when the oracle has an array form; a
+    variable fiber builds its oracle at each node's point, node by node.
+    """
+    r, p, A = u.jet_field(width)
+    if isinstance(fiber, VariableFiberMap):
+        g = np.empty(r.shape)
+        for i in np.ndindex(r.shape):
+            x = u.grid.node_point(tuple(c + width for c in i))
+            g[i] = fiber.fiber_at(x).value(Jet2(r[i], p[i], A[i]))
+    else:
+        g = fiber.values(r, p, A)
+    return _node_report(g, tol, width)
 
 
 def check_superharmonic(
@@ -640,13 +654,13 @@ def strict_approximator(M: MonotonicityCone, grid: Grid,
         return 0.5 * a * (float(np.sum((x - x0) ** 2)) - K)
 
     out = GridFunction.from_callable(grid, psi)
-    # validate strictness of the analytic jets on the grid
-    oracle = cone_M(M, n)
-    for node in out.grid.interior_nodes(1):
-        x = grid.node_point(node)
-        J = Jet2(psi(x), a * (x - x0), a * np.eye(n))
-        if not oracle.classify(J, DEFAULT_TOL).is_interior:
-            return None
+    # validate strictness of the analytic jets (psi(x), a(x - x0), aI) at
+    # every node one layer in, with one batched evaluation
+    x = grid.lo + grid.h * np.array(grid.interior_nodes(1), dtype=float)
+    r = 0.5 * a * (np.sum((x - x0) ** 2, axis=-1) - K)
+    A = np.broadcast_to(a * np.eye(n), r.shape + (n, n))
+    if not np.all(cone_M(M, n).values(r, a * (x - x0), A) > DEFAULT_TOL):
+        return None
     return out
 
 

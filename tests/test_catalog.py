@@ -517,6 +517,7 @@ def test_key_round_trips():
 
 @pytest.mark.parametrize("key", [
     "pfold:p=abc", "P:k=3", "pucci:1,2,3", "slag:1", "delta-elliptic:inf",
+    "M:D=half:e0", "M:D=orth:0", "M:D=half:e5", "M:D=orth:5", "M:D=half:ex",
 ])
 def test_malformed_keys_are_parse_errors_in_every_registry(key):
     from jetcones.garding import OPERATORS, make_operator
@@ -587,6 +588,42 @@ def test_make_oracle_key_is_a_fixed_point(case):
     key, n = case
     first = make_oracle(key, n).key
     assert make_oracle(first, n).key == first
+
+
+# keys of the cones with an array form; "sigma" and "failure" take the
+# per-jet fallback of values
+VALUES_KEYS = ["P", "P~", "Q", "Q~", "M0", "branch:k=2", "pfold:p=2", "pucci:0.5,3",
+               "quasiconvex:0.5", "M:gamma=0,D=full,R=inf", "M:gamma=1,D=half:e2,R=inf",
+               "M:gamma=0.5,D=orth:1,2,R=2", "M:gamma=0.3,D=half:1,-2,R=0.7",
+               "sigma:k=2", "failure:alpha=2,which=max"]
+ENTRY = st.one_of(st.floats(-1e3, 1e3, allow_nan=False), st.sampled_from([0.0, -0.0, 1.0]))
+
+
+@st.composite
+def jet_stacks(draw):
+    """(n, r[m], p[m, n], A[m, n, n]) with exactly symmetric A."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, 5))
+    flat = np.array(draw(st.lists(ENTRY, min_size=m * (1 + n + n * n),
+                                  max_size=m * (1 + n + n * n))))
+    r, p, G = np.split(flat, [m, m + m * n])
+    G = G.reshape(m, n, n)
+    return n, r, p.reshape(m, n), 0.5 * (G + np.swapaxes(G, 1, 2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(jet_stacks(), st.sampled_from(VALUES_KEYS), st.booleans())
+def test_values_is_value_jet_by_jet(stack, key, dual):
+    from jetcones.duality import dual_oracle
+
+    n, r, p, A = stack
+    key = key.replace("half:1,-2", "half:1," + ",".join(["-2"] * (n - 1)))
+    F = make_oracle(key, n)
+    F = dual_oracle(F) if dual else F
+    g = F.values(r, p, A)
+    one = np.array([F.value(Jet2(r[i], p[i], A[i])) for i in range(len(r))])
+    assert g.shape == r.shape
+    assert np.array_equal(g.view(np.int64), one.view(np.int64))
 
 
 def test_registry_size_and_describe():

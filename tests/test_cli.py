@@ -29,6 +29,10 @@ def test_catalog_describe_and_unknown(capsys):
     assert "tr A" in json.loads(out)["describe"]
     code2, _, err = run(capsys, "catalog", "describe", "bogus")
     assert code2 == 2
+    assert err == "error: unknown key 'bogus'\n"
+    code3, _, err = run(capsys, "membership", "--key", "bogus", "--matrix", "[[1,0],[0,1]]")
+    assert code3 == 2
+    assert err.startswith("error: unknown catalog key 'bogus'; known: [")
 
 
 def test_membership_interior(capsys):
@@ -240,6 +244,11 @@ MATRIX_2D = "[[1,0],[0,1]]"
     ("dual", "--key", "pucci:1,2,3", "--matrix", MATRIX_2D),
     ("membership", "--key", "slag:1", "--matrix", MATRIX_2D),
     ("garding", "--op", "delta-elliptic:inf", "--matrix", MATRIX_2D),
+    ("membership", "--key", "M:D=half:e0", "--matrix", MATRIX_2D),
+    ("membership", "--key", "M:D=orth:0", "--matrix", MATRIX_2D),
+    ("membership", "--key", "M:D=half:e5", "--matrix", MATRIX_2D),
+    ("dual", "--key", "M:D=orth:5", "--matrix", MATRIX_2D),
+    ("membership", "--key", "M:D=half:ex", "--matrix", MATRIX_2D),
 ])
 def test_malformed_key_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)

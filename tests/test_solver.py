@@ -7,9 +7,12 @@ from jetcones.catalog import (
     Arity,
     DirectionalCone,
     MonotonicityCone,
+    VariableFiberMap,
     cone_P,
     cone_P_dual,
+    make_oracle,
 )
+from jetcones.duality import dual_oracle
 from jetcones.errors import (
     BadParameters,
     HypothesisViolation,
@@ -32,6 +35,7 @@ from jetcones.grids import (
 )
 from jetcones.jets import SymMat, random_symmetric
 from jetcones.solver import (
+    NodeReport,
     _solve_jacobi,
     check_subharmonic,
     check_superharmonic,
@@ -395,6 +399,88 @@ def test_ae_guard_discrete_jets_everywhere():
     )
     assert rep1.members == members
     assert rep1.total == len(nodes)
+
+
+def _per_node_report(u, fiber, tol=1e-8, width=1):
+    """Reference route: one discrete_jet and one classify per node."""
+    variable = isinstance(fiber, VariableFiberMap)
+    total = members = 0
+    worst = math.inf
+    failures = []
+    for node in u.grid.interior_nodes(width):
+        oracle = fiber.fiber_at(u.grid.node_point(node)) if variable else fiber
+        r = oracle.classify(u.discrete_jet(node), tol)
+        total += 1
+        m = r.margin if r.is_member else -r.margin
+        worst = min(worst, m)
+        if r.is_member:
+            members += 1
+        elif len(failures) < 8:
+            failures.append((node, m))
+    return NodeReport(total, members, worst, failures)
+
+
+def _rough_field(d, seed):
+    """A mild quadratic plus O(1)-curvature noise, so that every cone sees
+    members and failures, with a block of exact zeros and a linear block
+    (jets with g = 0 and with roundoff-sized g, inside the band |g| <= tol)."""
+    grid = square_grid(13 if d == 2 else 9, -1.0, 1.0, d=d)
+    rng = np.random.default_rng(seed)
+    B = random_symmetric(rng, d)
+    vals = quadratic_grid_function(grid, B).values + grid.h**2 * rng.standard_normal(grid.dims)
+    vals[(slice(0, 4),) * d] = 0.0
+    mesh = grid.meshgrid()
+    linear = 0.1 + 0.3 * mesh[0] - 0.2 * mesh[-1]
+    corner = (slice(-4, None),) * d
+    vals[corner] = linear[corner]
+    return GridFunction(grid, vals)
+
+
+ARRAY_FORM_KEYS = [
+    "P", "P~", "branch:k=1", "branch:k=2", "pfold:p=1", "pfold:p=2", "pucci:1,2",
+    "pucci:0.5,3", "quasiconvex:0.5", "Q", "Q~", "M0", "M:gamma=0,D=full,R=inf",
+    "M:gamma=1,D=half:e1,R=inf", "M:gamma=0.5,D=orth:1,2,R=2", "M:gamma=0.2,D=half:e2,R=0.5",
+]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("key", ARRAY_FORM_KEYS)
+def test_batched_check_subharmonic_matches_per_node_route(key, d):
+    oracle = make_oracle(key, d)
+    reports = []
+    # a linear field: roundoff-sized Hessians, so that worst margins of 0
+    # come from the band rule
+    flat = GridFunction.from_callable(square_grid(9, -1.0, 1.0, d=d),
+                                      lambda x: 0.1 + 0.3 * x[0] - 0.2 * x[-1])
+    for u, width in [(_rough_field(d, 1), 1), (_rough_field(d, 2), 2), (flat, 1)]:
+        for fiber in (oracle, dual_oracle(oracle)):
+            assert fiber.array_form is not None
+            rep = check_subharmonic(u, fiber, width=width)
+            assert rep == _per_node_report(u, fiber, width=width)
+            reports.append(rep)
+    assert any(rep.failures for rep in reports)
+    assert any(rep.members for rep in reports)
+
+
+@pytest.mark.parametrize("key", ["sigma:k=2", "failure:alpha=2,which=min", "pma"])
+def test_check_subharmonic_without_array_form_matches_per_node_route(key):
+    fiber = make_oracle(key, 2)
+    assert getattr(fiber, "array_form", None) is None
+    u = _rough_field(2, 3)
+    for width in (1, 2):
+        assert check_subharmonic(u, fiber, width=width) == _per_node_report(u, fiber, width=width)
+
+
+def test_jet_field_is_discrete_jet_stacked():
+    for d in (2, 3):
+        u = _rough_field(d, 4)
+        for width in (1, 2):
+            r, p, A = u.jet_field(width)
+            for node in u.grid.interior_nodes(width):
+                J = u.discrete_jet(node)
+                i = tuple(c - width for c in node)
+                assert r[i] == J.r
+                assert np.array_equal(p[i], J.p) and np.array_equal(A[i], J.A.entries)
 
 
 # --- uniform translation probe ----------------------------------------------
