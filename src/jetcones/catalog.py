@@ -82,6 +82,16 @@ def classify_value(g: float, tol: float = DEFAULT_TOL) -> Region:
     return Region(RegionKind.BOUNDARY, 0.0)
 
 
+def classify_values(g: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
+    """classify_value over an array: (member, signed margin) arrays.
+
+    A value is a member unless g < -tol; its signed margin is g outside
+    the band |g| <= tol and 0 inside it.
+    """
+    member = ~(g < -tol)
+    return member, np.where(member & ~(g > tol), 0.0, g)
+
+
 class Arity(Enum):
     PURE_SECOND_ORDER = "PureSecondOrder"  # A only
     GRADIENT_FREE = "GradientFree"         # (r, A)

@@ -223,37 +223,34 @@ class GridFunction:
         if width < 1:
             raise BoundaryNode(f"width {width} leaves nodes with no centered jet")
         v, h = self.values, g.h
-
-        def at(off):
-            return v[tuple(slice(width + o, dim - width + o) for o, dim in zip(off, g.dims))]
-
         unit = np.eye(g.d, dtype=int)
-        r = at(np.zeros(g.d, dtype=int)).copy()
-        p = np.stack([(at(e) - at(-e)) / (2 * h) for e in unit], axis=-1)
+        r = _shifted(v, np.zeros(g.d, dtype=int), width).copy()
+        p = np.stack(
+            [(_shifted(v, e, width) - _shifted(v, -e, width)) / (2 * h) for e in unit], axis=-1
+        )
         H = np.empty(r.shape + (g.d, g.d))
         for i, ei in enumerate(unit):
             H[..., i, i] = second_difference_field(v, ei, h, width)
             for j in range(i + 1, g.d):
                 ej = unit[j]
                 H[..., i, j] = H[..., j, i] = (
-                    at(ei + ej) - at(ei - ej) - at(ej - ei) + at(-ei - ej)
+                    _shifted(v, ei + ej, width) - _shifted(v, ei - ej, width)
+                    - _shifted(v, ej - ei, width) + _shifted(v, -ei - ej, width)
                 ) / (4 * h * h)
         return r, p, H
+
+
+def _shifted(values: np.ndarray, off, width: int) -> np.ndarray:
+    """View of values on the width-trimmed interior moved by offset off."""
+    return values[tuple(slice(width + o, dim - width + o) for o, dim in zip(off, values.shape))]
 
 
 def second_difference_field(values: np.ndarray, direction, h: float,
                             width: int) -> np.ndarray:
     """Vectorized directional second difference on the width-trimmed interior."""
-    d = values.ndim
-
-    def sl(off):
-        return tuple(
-            slice(width + off[i], values.shape[i] - width + off[i]) for i in range(d)
-        )
-
-    c = values[sl((0,) * d)]
-    f = values[sl(tuple(direction))]
-    b = values[sl(tuple(-x for x in direction))]
+    c = _shifted(values, (0,) * values.ndim, width)
+    f = _shifted(values, direction, width)
+    b = _shifted(values, tuple(-x for x in direction), width)
     step2 = (h ** 2) * float(sum(x * x for x in direction))
     return (f + b - 2.0 * c) / step2
 

@@ -45,6 +45,7 @@ from .catalog import (
     bind_key,
     check_index,
     check_pucci,
+    classify_values,
     cone_M,
 )
 from .duality import dual_oracle
@@ -55,7 +56,6 @@ from .errors import (
     UnstableStep,
 )
 from .grids import Grid, GridFunction, second_difference_field
-from .jets import Jet2
 
 # ---------------------------------------------------------------------------
 # Discrete operators (monotone reductions of directional second differences)
@@ -484,12 +484,9 @@ class NodeReport:
 def _node_report(g: np.ndarray, tol: float, width: int) -> NodeReport:
     """Summary of functional values g over the width-trimmed interior.
 
-    classify_value's rule node by node: a node is a member unless
-    g < -tol, and its signed margin is g outside the band |g| <= tol and
-    0 inside it. Failures are the first 8 non-members in node order.
+    Failures are the first 8 non-members in node order.
     """
-    member = ~(g < -tol)
-    margin = np.where(member & ~(g > tol), 0.0, g)
+    member, margin = classify_values(g, tol)
     failures = [
         (tuple(int(c) + width for c in np.unravel_index(i, g.shape)), float(margin.flat[i]))
         for i in np.flatnonzero(~member)[:8]
@@ -506,19 +503,13 @@ def check_subharmonic(
 ) -> NodeReport:
     """Classify every interior node's discrete jet against the fiber.
 
-    The jets are u.jet_field(width). A constant fiber takes them all in
-    one values call, batched when the oracle has an array form; a
-    variable fiber builds its oracle at each node's point, node by node.
+    A constant fiber takes the whole u.jet_field(width) in one values
+    call, batched when the oracle has an array form; a variable fiber
+    builds its oracle at each node's point, node by node.
     """
-    r, p, A = u.jet_field(width)
     if isinstance(fiber, VariableFiberMap):
-        g = np.empty(r.shape)
-        for i in np.ndindex(r.shape):
-            x = u.grid.node_point(tuple(c + width for c in i))
-            g[i] = fiber.fiber_at(x).value(Jet2(r[i], p[i], A[i]))
-    else:
-        g = fiber.values(r, p, A)
-    return _node_report(g, tol, width)
+        return _check_on_width(u, fiber, width, tol)
+    return _node_report(fiber.values(*u.jet_field(width)), tol, width)
 
 
 def check_superharmonic(
