@@ -25,6 +25,7 @@ from .catalog import (
     MonotonicityCone,
     RegionKind,
     cone_M,
+    ray_values,
 )
 from .duality import CheckReport
 from .errors import BracketingFailure, ReferenceJetNotInterior
@@ -48,7 +49,7 @@ def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
     def member(t: float) -> bool:
         # sign of the defining functional, not the tolerance band: the
         # bisection target is the exact zero crossing
-        return F.value(J + (-t) * eyeJ) >= 0.0
+        return ray_values(F, J, eyeJ, -t) >= 0.0
 
     span = jet_norm(J) + 1.0
     t_lo, t_hi = None, None  # member at t_lo, non-member at t_hi
@@ -139,7 +140,7 @@ def signed_distance(
         s_keep, s_flip = 0.0, None
         s = 1.0
         while s <= cap:
-            if (F.value(J + s * U) >= 0.0) != inside:
+            if (ray_values(F, J, U, s) >= 0.0) != inside:
                 s_flip = s
                 break
             s_keep = s
@@ -148,7 +149,7 @@ def signed_distance(
             return None
         for _ in range(80):
             mid = 0.5 * (s_keep + s_flip)
-            if (F.value(J + mid * U) >= 0.0) == inside:
+            if (ray_values(F, J, U, mid) >= 0.0) == inside:
                 s_keep = mid
             else:
                 s_flip = mid

@@ -154,6 +154,22 @@ def _as_jet(j, n: int) -> Jet2:
     raise TypeError(f"cannot interpret {type(j)} as a jet in dimension {n}")
 
 
+def ray_values(oracle: FiberOracle, J: Jet2, U: Jet2, t):
+    """g(J + t*U) for a scalar t or each entry of an array t.
+
+    Evaluated through FiberOracle.values with the arithmetic of
+    J + t * U on Jet2s, so the result matches oracle.value(J + t * U)
+    to the bit without building the intermediate jets.
+    """
+    if J.n != U.n:
+        raise ValueError(f"dimension mismatch: jet of dimension {J.n}, direction {U.n}")
+    t = np.asarray(t, dtype=float)
+    r = J.r + t * U.r
+    p = J.p + t[..., None] * U.p
+    A = J.A.entries + t[..., None, None] * U.A.entries
+    return oracle.values(r, p, A)
+
+
 # ---------------------------------------------------------------------------
 # Constant-coefficient cones
 # ---------------------------------------------------------------------------
@@ -824,6 +840,9 @@ def shift_to_boundary(
     fiber is monotone for, so bisection applies. Returns None when no
     crossing is bracketed.
     """
+    def inside(t: float) -> bool:
+        return classify_value(ray_values(oracle, J, J0, t), tol).is_member
+
     t_in, t_out = None, None
     t = 0.0
     if oracle.contains(J, tol):
@@ -831,7 +850,7 @@ def shift_to_boundary(
         step = -1.0
         for _ in range(max_expand):
             t += step
-            if not oracle.contains(J + t * J0, tol):
+            if not inside(t):
                 t_out = t
                 break
             t_in = t
@@ -841,7 +860,7 @@ def shift_to_boundary(
         step = 1.0
         for _ in range(max_expand):
             t += step
-            if oracle.contains(J + t * J0, tol):
+            if inside(t):
                 t_in = t
                 break
             t_out = t
@@ -850,7 +869,7 @@ def shift_to_boundary(
         return None
     for _ in range(60):
         mid = 0.5 * (t_in + t_out)
-        if oracle.contains(J + mid * J0, tol):
+        if inside(mid):
             t_in = mid
         else:
             t_out = mid

@@ -35,32 +35,48 @@ def _as_symmetric(entries, tol=1e-12):
 
 @dataclass(frozen=True)
 class SymMat:
-    """Symmetric n x n matrix; storage enforces exact symmetry."""
+    """Symmetric n x n matrix; storage enforces exact symmetry.
+
+    The public constructor validates and symmetrizes its input. Sums,
+    differences, negations and scalar multiples of SymMat operands are
+    exactly symmetric already and skip that step (_trusted); a plain
+    array operand is validated like constructor input.
+    """
 
     entries: np.ndarray
 
     def __init__(self, entries):
-        a = _as_symmetric(entries)
-        if a.shape[0] > MAX_DIM:
-            raise ValueError(f"dimension {a.shape[0]} exceeds supported cap {MAX_DIM}")
-        a.flags.writeable = False
-        object.__setattr__(self, "entries", a)
+        _freeze(self, _as_symmetric(entries))
+
+    @classmethod
+    def _trusted(cls, a: np.ndarray) -> "SymMat":
+        """Wrap an exactly symmetric square array without re-validation."""
+        m = object.__new__(cls)
+        _freeze(m, a)
+        return m
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
 
     def __add__(self, other):
-        return SymMat(self.entries + _mat(other))
+        return self._combine(other, np.add)
 
     def __sub__(self, other):
-        return SymMat(self.entries - _mat(other))
+        return self._combine(other, np.subtract)
+
+    def _combine(self, other, op) -> "SymMat":
+        b = _mat(other)
+        if b.shape != self.entries.shape:
+            raise ValueError(f"dimension mismatch: {self.entries.shape} and {b.shape}")
+        c = op(self.entries, b)
+        return SymMat._trusted(c) if isinstance(other, SymMat) else SymMat(c)
 
     def __neg__(self):
-        return SymMat(-self.entries)
+        return SymMat._trusted(-self.entries)
 
     def __mul__(self, t: float):
-        return SymMat(self.entries * t)
+        return SymMat._trusted(self.entries * _scalar(t))
 
     __rmul__ = __mul__
 
@@ -77,6 +93,19 @@ class SymMat:
         if len(vals) == 1 and np.ndim(vals[0]) == 1:
             vals = tuple(vals[0])
         return SymMat(np.diag(np.asarray(vals, dtype=float)))
+
+
+def _freeze(m: SymMat, a: np.ndarray) -> None:
+    if a.shape[0] > MAX_DIM:
+        raise ValueError(f"dimension {a.shape[0]} exceeds supported cap {MAX_DIM}")
+    a.flags.writeable = False
+    object.__setattr__(m, "entries", a)
+
+
+def _scalar(t):
+    if np.ndim(t) != 0:
+        raise TypeError(f"jets scale by a scalar, got shape {np.shape(t)}")
+    return t
 
 
 def _mat(x) -> np.ndarray:
@@ -97,23 +126,30 @@ class Jet2:
         p = np.asarray(p, dtype=float).reshape(-1)
         if len(p) != A.n:
             raise ValueError(f"gradient length {len(p)} != matrix dimension {A.n}")
-        p.flags.writeable = False
-        object.__setattr__(self, "r", float(r))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "A", A)
+        _set_jet(self, r, p, A)
+
+    @classmethod
+    def _trusted(cls, r, p: np.ndarray, A: SymMat) -> "Jet2":
+        """Assemble a jet from parts of matching dimension, unchecked."""
+        J = object.__new__(cls)
+        _set_jet(J, r, p, A)
+        return J
 
     @property
     def n(self) -> int:
         return self.A.n
 
     def __add__(self, other: "Jet2") -> "Jet2":
-        return Jet2(self.r + other.r, self.p + other.p, self.A + other.A)
+        if other.n != self.n:
+            raise ValueError(f"dimension mismatch: jets of dimension {self.n} and {other.n}")
+        return Jet2._trusted(self.r + other.r, self.p + other.p, self.A + other.A)
 
     def __neg__(self) -> "Jet2":
-        return Jet2(-self.r, -self.p, -self.A)
+        return Jet2._trusted(-self.r, -self.p, -self.A)
 
     def __mul__(self, t: float) -> "Jet2":
-        return Jet2(t * self.r, t * self.p, t * self.A)
+        t = _scalar(t)
+        return Jet2._trusted(t * self.r, t * self.p, t * self.A)
 
     __rmul__ = __mul__
 
@@ -133,6 +169,13 @@ class Jet2:
     def from_json_dict(d: dict) -> "Jet2":
         # Full symmetric matrix required, both triangles present and equal.
         return Jet2(d["r"], d["p"], SymMat(d["A"]))
+
+
+def _set_jet(J: Jet2, r, p: np.ndarray, A: SymMat) -> None:
+    p.flags.writeable = False
+    object.__setattr__(J, "r", float(r))
+    object.__setattr__(J, "p", p)
+    object.__setattr__(J, "A", A)
 
 
 @dataclass(frozen=True)
@@ -213,7 +256,7 @@ def projector(e: np.ndarray) -> np.ndarray:
 
 def random_symmetric(rng: np.random.Generator, n: int, scale: float = 1.0) -> SymMat:
     g = rng.standard_normal((n, n)) * scale
-    return SymMat(0.5 * (g + g.T))
+    return SymMat._trusted(0.5 * (g + g.T))
 
 
 def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:

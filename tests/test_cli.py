@@ -152,6 +152,34 @@ def test_solve_command(tmp_path, capsys):
     assert np.max(np.abs(rows[:, 2] - exact)) < 1e-6
 
 
+def _without_timing(header: dict) -> dict:
+    return {k: v for k, v in header.items()
+            if not (k.endswith("_s") or "time" in k or "elapsed" in k)}
+
+
+@pytest.mark.parametrize("operator", ["pucci:1,2", "slag"])
+def test_solve_is_deterministic(tmp_path, capsys, operator):
+    # two runs on one config write byte-identical outputs (timing fields,
+    # should any appear, are left out of the comparison)
+    config = {"operator": operator, "level": 0.0, "box": [0.0, 1.0], "h": 1.0 / 16,
+              "tol": 1e-9, "boundary": "x1^2 + 0.3*x1*x2 - 0.5*x2^2 + 0.1*abs(x1 - 0.4)"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    texts, solutions = [], []
+    for i in range(2):
+        out_dir = tmp_path / f"run{i}"
+        code, _, _ = run(capsys, "solve", "--config", str(cfg), "--out-dir", str(out_dir))
+        assert code == 0
+        header = json.loads((out_dir / "solve.json").read_text())
+        if header == _without_timing(header):
+            texts.append((out_dir / "solve.json").read_bytes())
+        else:
+            texts.append(json.dumps(_without_timing(header), sort_keys=True).encode())
+        solutions.append((out_dir / "solution.csv").read_bytes())
+    assert texts[0] == texts[1]
+    assert solutions[0] == solutions[1]
+
+
 def test_solve_not_converged_exit_4(tmp_path, capsys):
     config = {
         "operator": "P",

@@ -9,6 +9,7 @@ from jetcones.jets import (
     SymMat,
     eigenvalues,
     jet_norm,
+    random_jet,
     random_orthogonal,
     random_psd,
     random_symmetric,
@@ -190,3 +191,92 @@ def test_jet_json_round_trip():
 def test_jet_json_rejects_mismatched_triangles():
     with pytest.raises(ValueError):
         Jet2.from_json_dict({"r": 0.0, "p": [0.0, 0.0], "A": [[1.0, 2.0], [0.0, 1.0]]})
+
+
+# --- dimension mismatches and the trusted arithmetic constructor ------------
+
+SMALL = Jet2(0.0, [1.0], [[1.0]])
+BIG = Jet2(0.0, [1.0, 2.0, 3.0], np.eye(3))
+
+
+def test_symmat_add_rejects_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        SMALL.A + BIG.A
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        SMALL.A + np.eye(3)
+
+
+def test_symmat_sub_rejects_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        BIG.A - SMALL.A
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        BIG.A - np.ones((1, 1))
+
+
+def test_jet_add_rejects_dimension_mismatch():
+    # used to broadcast to a 3-D jet with p = [2, 3, 4]
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        SMALL + BIG
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        BIG + SMALL
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Jet2(0.0, [1.0, 2.0], np.eye(2)) + BIG
+
+
+def test_ray_values_rejects_dimension_mismatch():
+    from jetcones.catalog import cone_P, ray_values
+
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        ray_values(cone_P(3), BIG, SMALL, 0.5)
+
+
+def test_scalar_multiple_rejects_arrays():
+    with pytest.raises(TypeError):
+        BIG * np.array([1.0, 2.0, 3.0])
+    with pytest.raises(TypeError):
+        BIG.A * np.ones(3)
+
+
+def test_symmat_plus_array_is_validated():
+    with pytest.raises(ValueError, match="not symmetric"):
+        SymMat.identity(2) + np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+def test_trusted_arithmetic_equals_validated_construction(seed, n):
+    rng = np.random.default_rng(seed)
+    A, B = random_symmetric(rng, n, 3.0), random_symmetric(rng, n, 1e-3)
+    J, K = random_jet(rng, n, 2.0), random_jet(rng, n)
+    t = float(rng.standard_normal() * 10.0 ** rng.integers(-3, 4))
+    for got, ref in [
+        (A + B, SymMat(A.entries + B.entries)),
+        (A - B, SymMat(A.entries - B.entries)),
+        (-A, SymMat(-A.entries)),
+        (A * t, SymMat(A.entries * t)),
+        (t * A, SymMat(A.entries * t)),
+    ]:
+        assert _bits(got.entries) == _bits(ref.entries)
+        assert not got.entries.flags.writeable
+        assert np.array_equal(got.entries, got.entries.T)
+    for got, ref in [
+        (J + K, Jet2(J.r + K.r, J.p + K.p, SymMat(J.A.entries + K.A.entries))),
+        (-J, Jet2(-J.r, -J.p, SymMat(-J.A.entries))),
+        (t * J, Jet2(t * J.r, t * J.p, SymMat(J.A.entries * t))),
+        (J * t, Jet2(t * J.r, t * J.p, SymMat(J.A.entries * t))),
+    ]:
+        assert type(got.r) is float and _bits(got.r) == _bits(ref.r)
+        assert _bits(got.p) == _bits(ref.p) and not got.p.flags.writeable
+        assert _bits(got.A.entries) == _bits(ref.A.entries)
+    g = np.random.default_rng(seed).standard_normal((n, n)) * 2.0
+    S = random_symmetric(np.random.default_rng(seed), n, 2.0)
+    assert _bits(S.entries) == _bits(SymMat(0.5 * (g + g.T)).entries)
+
+
+def test_random_symmetric_keeps_dimension_cap():
+    with pytest.raises(ValueError):
+        random_symmetric(np.random.default_rng(0), 9)
