@@ -25,6 +25,7 @@ from .catalog import (
     MonotonicityCone,
     RegionKind,
     cone_M,
+    per_jet_form,
     ray_values,
 )
 from .duality import CheckReport
@@ -193,13 +194,14 @@ def induced_fiber(op: JetOp, G: Optional[FiberOracle], n: int, arity: Arity,
     The defining functional is min(G's functional, op); with G = None the
     operator is unconstrained.
     """
+    op_form = per_jet_form(op)
     if G is None:
-        fun = op
+        form = op_form
     else:
-        def fun(J: Jet2) -> float:
-            return min(G.functional(J), op(J))
+        def form(r, p, A):
+            return np.minimum(G.form(r, p, A), op_form(r, p, A))
 
-    return FiberOracle(label=label, n=n, arity=arity, functional=fun)
+    return FiberOracle(label, n, arity, None, form)
 
 
 def _structured_probe_jets(n: int, rng: np.random.Generator, count: int) -> list:

@@ -12,14 +12,15 @@ scalar defining functional g with
 so every oracle documents its numerical slack through g's conditioning.
 Membership means g >= 0 (the set is the closure of its interior).
 
-Constant-coefficient cones live in FiberOracle; variable-coefficient
-examples are VariableFiberMap (a fiber oracle per point of a box),
-carrying their declared monotonicity cone and reference jet explicitly.
-
-Most constant cones write g once in array form, on stacks of jets
-(r[...], p[..., n], A[..., n, n]) -> g[...], and evaluate one jet through
-that same form, so a whole grid of discrete jets is classified with one
-batched eigen-solve and the same bits as one jet at a time.
+Every fiber writes g once, as a form on stacks of jets,
+(r[...], p[..., n], A[..., n, n]) -> g[...]. One jet goes through the
+same form, so a whole grid of discrete jets is classified with one call
+and the same bits as one jet at a time. Constant-coefficient cones are
+FiberOracles. Variable-coefficient examples are VariableFiberMaps, whose
+form also takes the points, (x[..., n], r, p, A) -> g[...], and which
+carry their declared monotonicity cone and reference jet explicitly.
+Functionals that exist only one jet at a time (the Garding root-finders,
+user-supplied jet operators) become forms through per_jet_form.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import (
     ReferenceJetNotInterior,
     UnknownKey,
 )
-from .jets import Jet2, SymMat, eigenvalues, projector
+from .jets import Jet2, SymMat, eigenvalues
 
 DEFAULT_TOL = 1e-8
 
@@ -102,45 +103,55 @@ class Arity(Enum):
 class FiberOracle:
     """Membership classifier for a constraint fiber in jet space.
 
-    `functional` is the scalar defining functional g; classify() and
-    margins derive from it. `array_form`, when present, is g on stacks
-    of jets (r[...], p[..., n], A[..., n, n]) -> g[...], and functional
-    is that form applied to one jet (see array_oracle). Oracles are
-    immutable and classification is pure, so instances are safe to
-    share between threads.
+    `form` is the defining functional g on stacks of jets,
+    (r[...], p[..., n], A[..., n, n]) -> g[...]; value, classify() and
+    margins apply it to one jet. Oracles are immutable and
+    classification is pure, so instances are safe to share between
+    threads.
     """
 
     label: str
     n: int
     arity: Arity
-    functional: Callable[[Jet2], float]
-    key: Optional[str] = None
-    array_form: Optional[Callable] = None
+    key: Optional[str]
+    form: Callable
 
     def value(self, jet) -> float:
-        return float(self.functional(_as_jet(jet, self.n)))
+        J = _as_jet(jet, self.n)
+        return float(self.form(J.r, J.p, J.A.entries))
 
     def values(self, r, p, A) -> np.ndarray:
-        """g over a stack of jets: r[...], p[..., n], A[..., n, n] -> g[...].
-
-        One call of the array form when the oracle has one, bit for bit
-        what value gives jet by jet; otherwise a loop over the jets.
-        """
+        """g over a stack of jets: r[...], p[..., n], A[..., n, n] -> g[...],
+        bit for bit what value gives jet by jet."""
         r = np.asarray(r, dtype=float)
         p = np.asarray(p, dtype=float)
         A = np.asarray(A, dtype=float)
-        if self.array_form is not None:
-            return np.asarray(self.array_form(r, p, A), dtype=float)
-        out = np.empty(r.shape)
-        for i in np.ndindex(r.shape):
-            out[i] = self.value(Jet2(r[i], p[i], A[i]))
-        return out
+        return np.asarray(self.form(r, p, A), dtype=float)
 
     def classify(self, jet, tol: float = DEFAULT_TOL) -> Region:
         return classify_value(self.value(jet), tol)
 
     def contains(self, jet, tol: float = DEFAULT_TOL) -> bool:
         return self.classify(jet, tol).is_member
+
+
+def per_jet_form(fn: Callable[[Jet2], float]) -> Callable:
+    """Lift a Jet2 -> float functional to a stack form, one jet at a time.
+
+    For functionals with no array arithmetic: root-finders that work one
+    matrix at a time and user-supplied jet operators.
+    """
+
+    def form(r, p, A):
+        r = np.asarray(r, dtype=float)
+        p = np.asarray(p, dtype=float)
+        A = np.asarray(A, dtype=float)
+        out = np.empty(r.shape)
+        for i in np.ndindex(r.shape):
+            out[i] = fn(Jet2(r[i], p[i], A[i]))
+        return out
+
+    return form
 
 
 def _as_jet(j, n: int) -> Jet2:
@@ -174,19 +185,6 @@ def ray_values(oracle: FiberOracle, J: Jet2, U: Jet2, t):
 # Constant-coefficient cones
 # ---------------------------------------------------------------------------
 
-def array_oracle(label: str, n: int, arity: Arity, key: str,
-                 form: Callable) -> FiberOracle:
-    """An oracle whose functional is the array form applied to one jet."""
-    return FiberOracle(
-        label=label,
-        n=n,
-        arity=arity,
-        functional=lambda J: form(J.r, J.p, J.A.entries),
-        key=key,
-        array_form=form,
-    )
-
-
 def check_index(family: str, name: str, value: int, top: int) -> None:
     """Raise IndexOutOfRange unless 1 <= value <= top."""
     if not 1 <= value <= top:
@@ -201,21 +199,21 @@ def check_pucci(lam: float, Lam: float) -> None:
 
 def cone_P(n: int) -> FiberOracle:
     """Convexity cone {A : lambda_min(A) >= 0}."""
-    return array_oracle("P (convexity): lambda_min(A) >= 0", n, Arity.PURE_SECOND_ORDER,
-                        "P", lambda r, p, A: eigenvalues(A)[..., 0])
+    return FiberOracle("P (convexity): lambda_min(A) >= 0", n, Arity.PURE_SECOND_ORDER,
+                       "P", lambda r, p, A: eigenvalues(A)[..., 0])
 
 
 def cone_P_dual(n: int) -> FiberOracle:
     """Subaffine cone {A : lambda_max(A) >= 0}, the dual of P."""
-    return array_oracle("P~ (subaffine): lambda_max(A) >= 0", n, Arity.PURE_SECOND_ORDER,
-                        "P~", lambda r, p, A: eigenvalues(A)[..., -1])
+    return FiberOracle("P~ (subaffine): lambda_max(A) >= 0", n, Arity.PURE_SECOND_ORDER,
+                       "P~", lambda r, p, A: eigenvalues(A)[..., -1])
 
 
 def branch(n: int, k: int) -> FiberOracle:
     """k-th eigenvalue branch {A : lambda_k(A) >= 0}, 1-indexed."""
     check_index("branch", "k", k, n)
-    return array_oracle(f"branch k={k}: lambda_{k}(A) >= 0", n, Arity.PURE_SECOND_ORDER,
-                        f"branch:k={k}", lambda r, p, A: eigenvalues(A)[..., k - 1])
+    return FiberOracle(f"branch k={k}: lambda_{k}(A) >= 0", n, Arity.PURE_SECOND_ORDER,
+                       f"branch:k={k}", lambda r, p, A: eigenvalues(A)[..., k - 1])
 
 
 def cone_pfold(n: int, p: int) -> FiberOracle:
@@ -225,37 +223,33 @@ def cone_pfold(n: int, p: int) -> FiberOracle:
     the minimum over all p-subsets of eigenvalue sums.
     """
     check_index("pfold", "p", p, n)
-    return array_oracle(f"pfold p={p}: lambda_1(A)+...+lambda_{p}(A) >= 0", n,
-                        Arity.PURE_SECOND_ORDER, f"pfold:p={p}",
-                        lambda r, _, A: np.sum(eigenvalues(A)[..., :p], axis=-1))
+    return FiberOracle(f"pfold p={p}: lambda_1(A)+...+lambda_{p}(A) >= 0", n,
+                       Arity.PURE_SECOND_ORDER, f"pfold:p={p}",
+                       lambda r, _, A: np.sum(eigenvalues(A)[..., :p], axis=-1))
 
 
-def elementary_symmetric(lam: np.ndarray, k: int) -> float:
-    """sigma_k of the entries of lam, by the generating-polynomial recurrence."""
-    e = np.zeros(k + 1)
-    e[0] = 1.0
-    for x in lam:
-        upper = min(k, len(e) - 1)
-        for j in range(upper, 0, -1):
-            e[j] += x * e[j - 1]
-    return float(e[k])
+def elementary_symmetric(lam: np.ndarray, k: int):
+    """sigma_k of the entries of lam along its last axis, by the
+    generating-polynomial recurrence."""
+    lam = np.asarray(lam, dtype=float)
+    e = np.zeros(lam.shape[:-1] + (k + 1,))
+    e[..., 0] = 1.0
+    for i in range(lam.shape[-1]):
+        for j in range(k, 0, -1):
+            e[..., j] += lam[..., i] * e[..., j - 1]
+    return e[..., k]
 
 
 def cone_sigma_k(n: int, k: int) -> FiberOracle:
     """Closed Garding cone of the k-Hessian: sigma_j(lambda(A)) >= 0, j <= k."""
     check_index("sigma", "k", k, n)
 
-    def g(J: Jet2) -> float:
-        lam = eigenvalues(J.A)
-        return min(elementary_symmetric(lam, j) for j in range(1, k + 1))
+    def g(r, p, A):
+        lam = eigenvalues(A)
+        return np.min([elementary_symmetric(lam, j) for j in range(1, k + 1)], axis=0)
 
-    return FiberOracle(
-        label=f"sigma k={k}: sigma_j(lambda(A)) >= 0 for j=1..{k}",
-        n=n,
-        arity=Arity.PURE_SECOND_ORDER,
-        functional=g,
-        key=f"sigma:k={k}",
-    )
+    return FiberOracle(f"sigma k={k}: sigma_j(lambda(A)) >= 0 for j=1..{k}", n,
+                       Arity.PURE_SECOND_ORDER, f"sigma:k={k}", g)
 
 
 def cone_pucci(n: int, lam: float, Lam: float) -> FiberOracle:
@@ -267,17 +261,17 @@ def cone_pucci(n: int, lam: float, Lam: float) -> FiberOracle:
         return (lam * np.sum(np.maximum(ev, 0.0), axis=-1)
                 + Lam * np.sum(np.minimum(ev, 0.0), axis=-1))
 
-    return array_oracle(f"pucci ({lam},{Lam}): {lam}*tr A+ + {Lam}*tr A- >= 0", n,
-                        Arity.PURE_SECOND_ORDER, f"pucci:{_fmt(lam)},{_fmt(Lam)}", g)
+    return FiberOracle(f"pucci ({lam},{Lam}): {lam}*tr A+ + {Lam}*tr A- >= 0", n,
+                       Arity.PURE_SECOND_ORDER, f"pucci:{_fmt(lam)},{_fmt(Lam)}", g)
 
 
 def cone_quasiconvex(n: int, shift: float) -> FiberOracle:
     """Quasiconvexity cone P_shift = {A : A + shift*I >= 0}, shift >= 0."""
     if shift < 0:
         raise BadParameters(f"quasiconvexity shift must be >= 0, got {shift}")
-    return array_oracle(f"quasiconvex shift={shift}: lambda_min(A) + {shift} >= 0", n,
-                        Arity.PURE_SECOND_ORDER, f"quasiconvex:{_fmt(shift)}",
-                        lambda r, p, A: eigenvalues(A)[..., 0] + shift)
+    return FiberOracle(f"quasiconvex shift={shift}: lambda_min(A) + {shift} >= 0", n,
+                       Arity.PURE_SECOND_ORDER, f"quasiconvex:{_fmt(shift)}",
+                       lambda r, p, A: eigenvalues(A)[..., 0] + shift)
 
 
 def complex_structure(two_n: int) -> np.ndarray:
@@ -289,17 +283,18 @@ def complex_structure(two_n: int) -> np.ndarray:
     return J
 
 
-def skew_hermitian_mu(A: SymMat) -> np.ndarray:
-    """Nonnegative eigenvalues mu_1..mu_n of the anti-commuting part of A.
+def skew_hermitian_mu(A) -> np.ndarray:
+    """Nonnegative eigenvalues mu_1..mu_n of the anti-commuting part of A,
+    a matrix or a stack A[..., 2n, 2n], along the last axis.
 
     A splits into a part commuting with the complex structure and a part
     anti-commuting with it; the latter has spectrum {+-mu_j}.
     """
-    Jc = complex_structure(A.n)
-    sk = 0.5 * (A.entries + Jc @ A.entries @ Jc)
-    ev = np.sort(np.linalg.eigvalsh(sk))
+    a = A.entries if isinstance(A, SymMat) else np.asarray(A, dtype=float)
+    two_n = a.shape[-1]
+    Jc = complex_structure(two_n)
     # spectrum is symmetric {+-mu}; the top n entries are the mu_j >= 0
-    return ev[A.n // 2 :]
+    return eigenvalues(0.5 * (a + Jc @ a @ Jc))[..., two_n // 2:]
 
 
 def cone_lagrangian(two_n: int) -> FiberOracle:
@@ -312,29 +307,24 @@ def cone_lagrangian(two_n: int) -> FiberOracle:
     if two_n % 2 != 0:
         raise OddDimension(f"Lagrangian cone needs even ambient dimension, got {two_n}")
 
-    def g(J: Jet2) -> float:
-        mu = skew_hermitian_mu(J.A)
-        return 0.5 * float(np.trace(J.A.entries)) - float(np.sum(mu))
+    def g(r, p, A):
+        return (0.5 * np.trace(A, axis1=-2, axis2=-1)
+                - np.sum(skew_hermitian_mu(A), axis=-1))
 
-    return FiberOracle(
-        label="lagrangian: tr(A)/2 - mu_1 - ... - mu_n >= 0",
-        n=two_n,
-        arity=Arity.PURE_SECOND_ORDER,
-        functional=g,
-        key="lagrangian",
-    )
+    return FiberOracle("lagrangian: tr(A)/2 - mu_1 - ... - mu_n >= 0", two_n,
+                       Arity.PURE_SECOND_ORDER, "lagrangian", g)
 
 
 def cone_Q(n: int) -> FiberOracle:
     """Gradient-free cone Q = {(r, A) : r <= 0 and A >= 0}."""
-    return array_oracle("Q: r <= 0 and A >= 0", n, Arity.GRADIENT_FREE, "Q",
-                        lambda r, p, A: np.minimum(-r, eigenvalues(A)[..., 0]))
+    return FiberOracle("Q: r <= 0 and A >= 0", n, Arity.GRADIENT_FREE, "Q",
+                       lambda r, p, A: np.minimum(-r, eigenvalues(A)[..., 0]))
 
 
 def cone_Q_dual(n: int) -> FiberOracle:
     """Dual of Q: {(r, A) : r <= 0 or lambda_max(A) >= 0}."""
-    return array_oracle("Q~: r <= 0 or lambda_max(A) >= 0", n, Arity.GRADIENT_FREE, "Q~",
-                        lambda r, p, A: np.maximum(-r, eigenvalues(A)[..., -1]))
+    return FiberOracle("Q~: r <= 0 or lambda_max(A) >= 0", n, Arity.GRADIENT_FREE, "Q~",
+                       lambda r, p, A: np.maximum(-r, eigenvalues(A)[..., -1]))
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +427,9 @@ class MonotonicityCone:
 
 
 def cone_M(M: MonotonicityCone, n: int) -> FiberOracle:
-    return array_oracle(f"M(gamma={M.gamma}, D={_fmt_cone(M.D)}, R={_fmt_R(M.R)}): "
-                        "r <= -gamma|p|, p in D, A >= (|p|/R) I",
-                        n, Arity.FULL, M.key(), M.functional)
+    return FiberOracle(f"M(gamma={M.gamma}, D={_fmt_cone(M.D)}, R={_fmt_R(M.R)}): "
+                       "r <= -gamma|p|, p in D, A >= (|p|/R) I",
+                       n, Arity.FULL, M.key(), M.functional)
 
 
 def cone_M0(n: int) -> FiberOracle:
@@ -449,7 +439,7 @@ def cone_M0(n: int) -> FiberOracle:
         pn = np.sqrt(np.sum(p * p, axis=-1))
         return np.minimum(np.minimum(-r, -pn), eigenvalues(A)[..., 0])
 
-    return array_oracle("M0: r <= 0, p = 0, A >= 0 (empty interior)", n, Arity.FULL, "M0", g)
+    return FiberOracle("M0: r <= 0, p = 0, A >= 0 (empty interior)", n, Arity.FULL, "M0", g)
 
 
 def reduced_cone(M: MonotonicityCone, n: int, arity: Arity) -> FiberOracle:
@@ -465,16 +455,21 @@ def reduced_cone(M: MonotonicityCone, n: int, arity: Arity) -> FiberOracle:
 # Comparison-failure example (gradient slot is live, value slot silent)
 # ---------------------------------------------------------------------------
 
-def failure_matrix(p: np.ndarray, A: SymMat, alpha: float) -> SymMat:
-    """A + |p|^((alpha-1)/n) (P_perp + alpha P_p), with the p=0 limit A."""
-    n = A.n
-    pn = float(np.linalg.norm(p))
-    if pn == 0.0:
-        return A
-    Pp = projector(p)
-    Pperp = np.eye(n) - Pp
-    w = pn ** ((alpha - 1.0) / n)
-    return SymMat(A.entries + w * (Pperp + alpha * Pp))
+def _dot_self(v: np.ndarray) -> np.ndarray:
+    """v @ v for each vector of a stack v[..., n], with the arithmetic of
+    the dot product of one vector."""
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def failure_matrix(p: np.ndarray, A: np.ndarray, alpha: float) -> np.ndarray:
+    """A + |p|^((alpha-1)/n) (P_perp + alpha P_p), with the p=0 limit A,
+    on stacks p[..., n] and A[..., n, n]."""
+    n = A.shape[-1]
+    pp = _dot_self(p)
+    zero = (pp == 0.0)[..., None, None]
+    Pp = p[..., :, None] * p[..., None, :] / np.where(zero, 1.0, pp[..., None, None])
+    w = np.sqrt(pp)[..., None, None] ** ((alpha - 1.0) / n)
+    return np.where(zero, A, A + w * (np.eye(n) - Pp + alpha * Pp))
 
 
 def fiber_failure_example(n: int, alpha: float, which: str = "min") -> FiberOracle:
@@ -489,16 +484,10 @@ def fiber_failure_example(n: int, alpha: float, which: str = "min") -> FiberOrac
         raise BadParameters(f"which must be 'min' or 'max', got {which!r}")
     idx = 0 if which == "min" else -1
 
-    def g(J: Jet2) -> float:
-        return float(eigenvalues(failure_matrix(J.p, J.A, alpha))[idx])
-
     return FiberOracle(
-        label=f"failure alpha={alpha} ({which}): lambda_{which} of gradient-coupled matrix >= 0",
-        n=n,
-        arity=Arity.FULL,
-        functional=g,
-        key=f"failure:alpha={_fmt(alpha)},which={which}",
-    )
+        f"failure alpha={alpha} ({which}): lambda_{which} of gradient-coupled matrix >= 0",
+        n, Arity.FULL, f"failure:alpha={_fmt(alpha)},which={which}",
+        lambda r, p, A: eigenvalues(failure_matrix(p, A, alpha))[..., idx])
 
 
 # ---------------------------------------------------------------------------
@@ -547,14 +536,20 @@ class Box:
 class VariableFiberMap:
     """Fiber oracle per point of a box, with declared monotonicity data.
 
-    The reference jet must lie in the interior of the declared cone; the
+    `form` is the defining functional on stacks of points and jets,
+    (x[..., n], r[...], p[..., n], A[..., n, n]) -> g[...], where x
+    broadcasts against the jets; it raises NegativeSource or
+    PhaseOutOfRange when the data fails at a point of x. `describe_at(x)`
+    labels the fiber at one point and raises the same errors. The
+    reference jet must lie in the interior of the declared cone; the
     choice is free, so it is pinned explicitly rather than inferred.
     Evaluators must be re-entrant.
     """
 
     label: str
     domain: Box
-    fiber_at: Callable[[np.ndarray], FiberOracle]
+    form: Callable
+    describe_at: Callable[[np.ndarray], str]
     monotonicity: MonotonicityCone
     reference_jet: Jet2
     arity: Arity
@@ -564,42 +559,63 @@ class VariableFiberMap:
     def n(self) -> int:
         return self.reference_jet.n
 
+    def fiber_at(self, x) -> FiberOracle:
+        """The fiber at the point x: the form with x fixed."""
+        x = np.asarray(x, dtype=float)
+        form = self.form
+        return FiberOracle(self.describe_at(x), self.n, self.arity, None,
+                           lambda r, p, A: form(x, r, p, A))
+
+
+def _checked_field(field, x: np.ndarray, ok: Callable, error, name: str, rule: str):
+    """field(x) on a point stack x[..., n]; error, naming the first point
+    where ok fails, when it fails anywhere."""
+    v = np.asarray(field(x), dtype=float)
+    bad = np.broadcast_to(~ok(v), x.shape[:-1])
+    if np.any(bad):
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        raise error(f"{name}({x[i]}) = {np.broadcast_to(v, bad.shape)[i]} {rule}")
+    return v
+
+
+def _source(f_field, x: np.ndarray):
+    """f(x) on a point stack; NegativeSource where f < 0."""
+    return _checked_field(f_field, x, lambda f: ~(f < 0), NegativeSource, "f", "< 0")
+
+
+def _point(x: np.ndarray) -> list:
+    return np.round(x, 6).tolist()
+
 
 def fiber_perturbed_MA(
     domain: Box,
-    M_field: Callable[[np.ndarray], SymMat],
-    f_field: Callable[[np.ndarray], float],
+    M_field: Callable[[np.ndarray], np.ndarray],
+    f_field: Callable[[np.ndarray], np.ndarray],
     n: Optional[int] = None,
 ) -> VariableFiberMap:
     """Perturbed Monge-Ampere fibers.
 
     F_x = {A : A + M(x) >= 0 and det(A + M(x)) - f(x) >= 0}, f >= 0.
+    M_field maps points x[..., n] to symmetric matrices [..., n, n] and
+    f_field to values [...].
     """
-    n = n if n is not None else M_field(domain.center).n
+    n = n if n is not None else np.shape(M_field(domain.center))[-1]
 
-    def fiber(x: np.ndarray) -> FiberOracle:
-        Mx = M_field(x)
-        fx = float(f_field(x))
-        if fx < 0:
-            raise NegativeSource(f"f({x}) = {fx} < 0")
+    def form(x, r, p, A):
+        fx = _source(f_field, x)
+        B = A + M_field(x)
+        return np.minimum(eigenvalues(B)[..., 0], np.linalg.det(B) - fx)
 
-        def g(J: Jet2) -> float:
-            B = J.A.entries + Mx.entries
-            lam1 = float(np.linalg.eigvalsh(B)[0])
-            return min(lam1, float(np.linalg.det(B)) - fx)
-
-        return FiberOracle(
-            label=f"perturbed-MA fiber at {np.round(x, 6).tolist()}",
-            n=n,
-            arity=Arity.PURE_SECOND_ORDER,
-            functional=g,
-        )
+    def describe_at(x):
+        _source(f_field, x)
+        return f"perturbed-MA fiber at {_point(x)}"
 
     mono = MonotonicityCone(0.0, DirectionalCone.full(), math.inf)
     return VariableFiberMap(
         label="perturbed Monge-Ampere: A + M(x) >= 0 and det(A + M(x)) >= f(x)",
         domain=domain,
-        fiber_at=fiber,
+        form=form,
+        describe_at=describe_at,
         monotonicity=mono,
         reference_jet=Jet2.from_matrix(SymMat.identity(n)),
         arity=Arity.PURE_SECOND_ORDER,
@@ -629,41 +645,37 @@ def phase_interval_index(n: int, theta: float) -> int:
 
 def fiber_special_lagrangian(
     domain: Box,
-    theta_field: Callable[[np.ndarray], float],
+    theta_field: Callable[[np.ndarray], np.ndarray],
     n: int,
     special_tol: float = 1e-9,
 ) -> VariableFiberMap:
     """Gradient-of-graph phase fibers {A : sum_k arctan(lambda_k(A)) >= theta(x)}.
 
-    theta must take values in (-n*pi/2, n*pi/2). The fiber label records
-    which phase interval contains theta(x) and flags special values.
+    theta_field maps points x[..., n] to phases [...] in
+    (-n*pi/2, n*pi/2). The fiber label records which phase interval
+    contains theta(x) and flags special values.
     """
     bound = n * np.pi / 2
 
-    def fiber(x: np.ndarray) -> FiberOracle:
-        th = float(theta_field(x))
-        if not -bound < th < bound:
-            raise PhaseOutOfRange(f"theta({x}) = {th} outside (-{bound}, {bound})")
-        cuts = phase_intervals(n)
-        special = bool(np.any(np.abs(cuts - th) <= special_tol))
-        k = phase_interval_index(n, th)
-        tag = f"interval I_{k}" + (" [special value]" if special else "")
+    def phase(x):
+        return _checked_field(theta_field, x, lambda th: (-bound < th) & (th < bound),
+                              PhaseOutOfRange, "theta", f"outside (-{bound}, {bound})")
 
-        def g(J: Jet2) -> float:
-            return float(np.sum(np.arctan(eigenvalues(J.A)))) - th
+    def form(x, r, p, A):
+        return np.sum(np.arctan(eigenvalues(A)), axis=-1) - phase(x)
 
-        return FiberOracle(
-            label=f"special-Lagrangian fiber at {np.round(x, 6).tolist()}, theta={th:.6g}, {tag}",
-            n=n,
-            arity=Arity.PURE_SECOND_ORDER,
-            functional=g,
-        )
+    def describe_at(x):
+        th = float(phase(x))
+        special = bool(np.any(np.abs(phase_intervals(n) - th) <= special_tol))
+        tag = f"interval I_{phase_interval_index(n, th)}" + (" [special value]" if special else "")
+        return f"special-Lagrangian fiber at {_point(x)}, theta={th:.6g}, {tag}"
 
     mono = MonotonicityCone(0.0, DirectionalCone.full(), math.inf)
     return VariableFiberMap(
         label="special Lagrangian: sum arctan(lambda_k(A)) >= theta(x)",
         domain=domain,
-        fiber_at=fiber,
+        form=form,
+        describe_at=describe_at,
         monotonicity=mono,
         reference_jet=Jet2.from_matrix(SymMat.identity(n)),
         arity=Arity.PURE_SECOND_ORDER,
@@ -673,34 +685,30 @@ def fiber_special_lagrangian(
 
 def fiber_affine_sphere(
     domain: Box,
-    f_field: Callable[[np.ndarray], float],
+    f_field: Callable[[np.ndarray], np.ndarray],
     n: int,
 ) -> VariableFiberMap:
-    """Gradient-free fibers {(r, A) in N x P : (-r)^(n+2) det A >= f(x)}."""
+    """Gradient-free fibers {(r, A) in N x P : (-r)^(n+2) det A >= f(x)}.
 
-    def fiber(x: np.ndarray) -> FiberOracle:
-        fx = float(f_field(x))
-        if fx < 0:
-            raise NegativeSource(f"f({x}) = {fx} < 0")
+    f_field maps points x[..., n] to values [...].
+    """
 
-        def g(J: Jet2) -> float:
-            lam1 = float(eigenvalues(J.A)[0])
-            head = min(-J.r, lam1)
-            det = float(np.linalg.det(J.A.entries))
-            return min(head, (max(-J.r, 0.0)) ** (n + 2) * max(det, 0.0) - fx)
+    def form(x, r, p, A):
+        fx = _source(f_field, x)
+        head = np.minimum(-r, eigenvalues(A)[..., 0])
+        return np.minimum(head, np.maximum(-r, 0.0) ** (n + 2)
+                          * np.maximum(np.linalg.det(A), 0.0) - fx)
 
-        return FiberOracle(
-            label=f"affine-sphere fiber at {np.round(x, 6).tolist()}",
-            n=n,
-            arity=Arity.GRADIENT_FREE,
-            functional=g,
-        )
+    def describe_at(x):
+        _source(f_field, x)
+        return f"affine-sphere fiber at {_point(x)}"
 
     mono = MonotonicityCone(0.0, DirectionalCone.full(), math.inf)
     return VariableFiberMap(
         label="hyperbolic affine sphere: (-r)^(n+2) det A >= f(x) on N x P",
         domain=domain,
-        fiber_at=fiber,
+        form=form,
+        describe_at=describe_at,
         monotonicity=mono,
         reference_jet=Jet2(-1.0, np.zeros(n), SymMat.identity(n)),
         arity=Arity.GRADIENT_FREE,
@@ -740,18 +748,20 @@ def check_directionality(
 
 def fiber_optimal_transport(
     domain: Box,
-    g_density: Callable[[np.ndarray], float],
+    g_density: Callable[[np.ndarray], np.ndarray],
     D: DirectionalCone,
-    f_field: Callable[[np.ndarray], float],
+    f_field: Callable[[np.ndarray], np.ndarray],
     n: int,
     verify_directionality: bool = True,
     directionality_samples: int = 512,
 ) -> VariableFiberMap:
     """Gradient-coupled fibers {(r,p,A) : p in D, A >= 0, g(p) det A >= f(x)}.
 
-    The target density g must satisfy the directionality inequality
-    g(p+q) >= g(p) on D x D; the sampled check runs at construction and
-    raises DirectionalityViolation with a witness pair when it fails.
+    g_density maps gradients p[..., n] and f_field points x[..., n] to
+    values [...]. The target density g must satisfy the directionality
+    inequality g(p+q) >= g(p) on D x D; the sampled check runs at
+    construction and raises DirectionalityViolation with a witness pair
+    when it fails.
     """
     if verify_directionality:
         witness = check_directionality(g_density, D, n, samples=directionality_samples)
@@ -762,30 +772,21 @@ def fiber_optimal_transport(
                 witness=witness,
             )
 
-    def fiber(x: np.ndarray) -> FiberOracle:
-        fx = float(f_field(x))
-        if fx < 0:
-            raise NegativeSource(f"f({x}) = {fx} < 0")
+    def form(x, r, p, A):
+        fx = _source(f_field, x)
+        head = np.minimum(D.functional(p), eigenvalues(A)[..., 0])
+        return np.minimum(head, g_density(p) * np.maximum(np.linalg.det(A), 0.0) - fx)
 
-        def gg(J: Jet2) -> float:
-            lam1 = float(eigenvalues(J.A)[0])
-            head = min(D.functional(J.p), lam1)
-            det = float(np.linalg.det(J.A.entries))
-            gp = float(g_density(J.p))
-            return min(head, gp * max(det, 0.0) - fx)
-
-        return FiberOracle(
-            label=f"optimal-transport fiber at {np.round(x, 6).tolist()}",
-            n=n,
-            arity=Arity.FULL,
-            functional=gg,
-        )
+    def describe_at(x):
+        _source(f_field, x)
+        return f"optimal-transport fiber at {_point(x)}"
 
     mono = MonotonicityCone(0.0, D, math.inf)
     return VariableFiberMap(
         label="optimal transport: p in D, A >= 0, g(p) det A >= f(x)",
         domain=domain,
-        fiber_at=fiber,
+        form=form,
+        describe_at=describe_at,
         monotonicity=mono,
         reference_jet=Jet2(
             -1.0,
@@ -1214,21 +1215,21 @@ def perturbed_ma_map(n: int) -> VariableFiberMap:
     box = Box(-np.ones(n), np.ones(n))
 
     def M_field(x):
-        m = np.eye(n)
-        m[0, 0] = 1.0 + float(x @ x)
-        return SymMat(m)
+        m = np.tile(np.eye(n), x.shape[:-1] + (1, 1))
+        m[..., 0, 0] = 1.0 + _dot_self(x)
+        return m
 
     return fiber_perturbed_MA(box, M_field, lambda x: 1.0, n=n)
 
 
 def _demo_slag(n: int) -> VariableFiberMap:
     box = Box(-np.ones(n), np.ones(n))
-    return fiber_special_lagrangian(box, lambda x: 0.5 + 0.25 * float(x[0]), n=n)
+    return fiber_special_lagrangian(box, lambda x: 0.5 + 0.25 * x[..., 0], n=n)
 
 
 def _demo_affine_sphere(n: int) -> VariableFiberMap:
     box = Box(-np.ones(n), np.ones(n))
-    return fiber_affine_sphere(box, lambda x: 0.5 * (1.0 + float(x @ x)), n=n)
+    return fiber_affine_sphere(box, lambda x: 0.5 * (1.0 + _dot_self(x)), n=n)
 
 
 def _demo_ot(n: int) -> VariableFiberMap:
@@ -1237,7 +1238,7 @@ def _demo_ot(n: int) -> VariableFiberMap:
     D = DirectionalCone.orthant(range(k))
 
     def g(p):
-        return float(np.prod(p[:k]))
+        return np.prod(p[..., :k], axis=-1)
 
     return fiber_optimal_transport(box, g, D, lambda x: 1.0, n=n)
 

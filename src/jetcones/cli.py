@@ -128,6 +128,15 @@ def _fiber_at(oracle, at):
     return oracle.fiber_at(x)
 
 
+def _constant_oracle(key: str, n: int, command: str):
+    """The constant cone a key names; a variable fiber map is a usage error."""
+    oracle = cat.make_oracle(key, n)
+    if isinstance(oracle, cat.VariableFiberMap):
+        raise ParseError(f"{command} takes a constant cone, and {key!r} is a variable fiber "
+                         f"map; classify one of its fibers with membership or dual --at")
+    return oracle
+
+
 def cmd_membership(args) -> int:
     J = _jet_from_args(args)
     oracle = _fiber_at(cat.make_oracle(args.key, J.n), args.at)
@@ -157,7 +166,7 @@ def cmd_dual(args) -> int:
 
 def cmd_canonical(args) -> int:
     J = _jet_from_args(args)
-    oracle = cat.make_oracle(args.key, J.n)
+    oracle = _constant_oracle(args.key, J.n, "canonical")
     value = canonical_operator(oracle, J.A, tol=args.tol)
     if args.out:
         flat = list(J.A.entries.ravel()) + [value]
@@ -184,7 +193,7 @@ def cmd_garding(args) -> int:
 
 def cmd_distance(args) -> int:
     J = _jet_from_args(args)
-    oracle = cat.make_oracle(args.key, J.n)
+    oracle = _constant_oracle(args.key, J.n, "distance")
     value = signed_distance(oracle, J, directions=args.directions, seed=args.seed or 53)
     _emit({"key": args.key, "signed_distance": value}, args.seed)
     return EXIT_OK
@@ -195,7 +204,7 @@ def cmd_pseudoconvex(args) -> int:
         else json.loads(args.domain)
     dom = domain_from_spec(spec)
     n = len(dom.bbox.lo)
-    oracle = cat.make_oracle(args.key, n)
+    oracle = _constant_oracle(args.key, n, "pseudoconvex")
     elliptic, worst, _ = strict_ellipticity_check(oracle)
     seeds = []
     if args.points:

@@ -10,7 +10,7 @@ from pass/fail counts and reported separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -21,7 +21,6 @@ from .catalog import (
     MonotonicityCone,
     Region,
     VariableFiberMap,
-    array_oracle,
     classify_value,
     cone_M,
     ray_values,
@@ -29,23 +28,18 @@ from .catalog import (
 from .jets import Jet2, random_jet
 
 
-def dual_oracle(F: FiberOracle) -> FiberOracle:
-    """The Dirichlet dual as a fiber oracle: J in F~ iff -J not in Int F.
-
-    An array form of F carries over as -F(-r, -p, -A) on stacks.
-    """
+def dual_oracle(F: Union[FiberOracle, VariableFiberMap]):
+    """The Dirichlet dual, J in F~ iff -J not in Int F, with the form
+    -g(-r, -p, -A); a variable fiber map is dualized fiber by fiber and
+    keeps its domain and monotonicity data."""
     label = f"dual of [{F.label}]"
     key = (F.key + "~") if F.key else None
-    form = F.array_form
-    if form is not None:
-        return array_oracle(label, F.n, F.arity, key, lambda r, p, A: -form(-r, -p, -A))
-    return FiberOracle(
-        label=label,
-        n=F.n,
-        arity=F.arity,
-        functional=lambda J: -F.functional(-J),
-        key=key,
-    )
+    form = F.form
+    if isinstance(F, VariableFiberMap):
+        return replace(F, label=label, key=key,
+                       form=lambda x, r, p, A: -form(x, -r, -p, -A),
+                       describe_at=lambda x: f"dual of [{F.describe_at(x)}]")
+    return FiberOracle(label, F.n, F.arity, key, lambda r, p, A: -form(-r, -p, -A))
 
 
 def dual_contains(F: FiberOracle, J, tol: float = DEFAULT_TOL) -> Region:

@@ -6,14 +6,18 @@
     power  := atom [ "^" unary ]
     atom   := NUMBER | VAR | FUNC "(" expr { "," expr } ")" | "(" expr ")"
     VAR    := "x1" | "x2" | ... | "xn"
-    FUNC   := "abs" | "min" | "max"
+    FUNC   := "abs" (one argument) | "min" | "max" (two or more)
 
 Numbers are floats; evaluation is vectorized over numpy arrays so
-boundary expressions apply to whole grids at once.
+boundary expressions apply to whole grids at once. Arithmetic follows
+IEEE rules without warnings (1/0 is inf, 0/0 is nan); callers that need
+finite values check them. Parentheses, minus signs and exponents nest at
+most MAX_NESTING deep. Anything malformed is a ParseError.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Callable, Sequence
 
@@ -21,17 +25,22 @@ import numpy as np
 
 from .errors import ParseError
 
+MAX_NESTING = 32
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^(),]))"
 )
 
+# name -> (fewest arguments, most arguments or None, evaluation)
 _FUNCS = {
-    "abs": lambda args: np.abs(args[0]),
-    "min": lambda args: np.minimum.reduce(args),
-    "max": lambda args: np.maximum.reduce(args),
+    "abs": (1, 1, lambda args: np.abs(args[0])),
+    "min": (2, None, lambda args: functools.reduce(np.minimum, args)),
+    "max": (2, None, lambda args: functools.reduce(np.maximum, args)),
 }
+
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
 
 
 def _tokenize(text: str) -> list:
@@ -56,6 +65,7 @@ class _Parser:
     def __init__(self, tokens):
         self.toks = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -69,33 +79,39 @@ class _Parser:
         self.i += 1
         return v
 
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
+    def chain(self, ops, operand):
+        """operand { op operand }, kept flat and evaluated left to right."""
+        node = operand()
+        rest = []
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
             op = self.take("op")
-            rhs = self.term()
-            node = ("bin", op, node, rhs)
-        return node
+            rest.append((op, operand()))
+        return ("chain", node, rest) if rest else node
+
+    def expr(self):
+        return self.chain(("+", "-"), self.term)
 
     def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.take("op")
-            rhs = self.unary()
-            node = ("bin", op, node, rhs)
-        return node
+        return self.chain(("*", "/"), self.unary)
 
     def unary(self):
+        # every nested construct recurses through here
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
         if self.peek() == ("op", "-"):
             self.take("op")
-            return ("neg", self.unary())
-        return self.power()
+            node = ("neg", self.unary())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self):
         base = self.atom()
         if self.peek() == ("op", "^"):
             self.take("op")
-            return ("bin", "^", base, self.unary())
+            return ("chain", base, [("^", self.unary())])
         return base
 
     def atom(self):
@@ -114,6 +130,10 @@ class _Parser:
                     self.take("op", ",")
                     args.append(self.expr())
                 self.take("op", ")")
+                fewest, most, _ = _FUNCS[v]
+                if len(args) < fewest or (most is not None and len(args) > most):
+                    takes = f"{fewest}" if most == fewest else f"at least {fewest}"
+                    raise ParseError(f"{v} takes {takes} argument(s), got {len(args)}")
                 return ("call", v, args)
             if not re.fullmatch(r"x[1-9]\d*", v):
                 raise ParseError(f"unknown identifier {v!r} (variables are x1..xn)")
@@ -138,18 +158,11 @@ def _eval(node, coords):
     if kind == "neg":
         return -_eval(node[1], coords)
     if kind == "call":
-        return _FUNCS[node[1]]([_eval(a, coords) for a in node[2]])
-    _, op, a, b = node
-    va, vb = _eval(a, coords), _eval(b, coords)
-    if op == "+":
-        return va + vb
-    if op == "-":
-        return va - vb
-    if op == "*":
-        return va * vb
-    if op == "/":
-        return va / vb
-    return np.power(va, vb)
+        return _FUNCS[node[1]][2]([_eval(a, coords) for a in node[2]])
+    value = _eval(node[1], coords)
+    for op, rhs in node[2]:
+        value = _BINARY[op](value, _eval(rhs, coords))
+    return value
 
 
 def compile_expression(text: str) -> Callable:
@@ -160,6 +173,7 @@ def compile_expression(text: str) -> Callable:
         raise ParseError(f"trailing input after expression: {text!r}")
 
     def f(coords: Sequence):
-        return _eval(tree, list(coords))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return _eval(tree, list(coords))
 
     return f

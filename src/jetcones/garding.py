@@ -37,8 +37,9 @@ from .catalog import (
     check_index,
     check_pucci,
     classify_value,
-    complex_structure,
     elementary_symmetric,
+    per_jet_form,
+    skew_hermitian_mu,
 )
 from .errors import (
     BadParameters,
@@ -242,24 +243,18 @@ def garding_cone_contains(op: GardingOperator, A, tol: float = DEFAULT_TOL):
 def garding_cone_oracle(op: GardingOperator) -> FiberOracle:
     """The closed cone as a catalog-compatible fiber oracle."""
     return FiberOracle(
-        label=f"closed cone of {op.label}: Lambda_min(A) >= 0",
-        n=op.n,
-        arity=Arity.PURE_SECOND_ORDER,
-        functional=lambda J: float(garding_eigenvalues(op, J.A)[0]),
-        key=(op.key + ":cone") if op.key else None,
-    )
+        f"closed cone of {op.label}: Lambda_min(A) >= 0", op.n, Arity.PURE_SECOND_ORDER,
+        (op.key + ":cone") if op.key else None,
+        per_jet_form(lambda J: float(garding_eigenvalues(op, J.A)[0])))
 
 
 def branch_oracle(op: GardingOperator, k: int) -> FiberOracle:
     """k-th eigenvalue branch {A : Lambda_k(A) >= 0}, 1-indexed."""
     check_index("branch", "k", k, op.degree)
     return FiberOracle(
-        label=f"branch k={k} of {op.label}",
-        n=op.n,
-        arity=Arity.PURE_SECOND_ORDER,
-        functional=lambda J: float(garding_eigenvalues(op, J.A)[k - 1]),
-        key=(op.key + f":branch:k={k}") if op.key else None,
-    )
+        f"branch k={k} of {op.label}", op.n, Arity.PURE_SECOND_ORDER,
+        (op.key + f":branch:k={k}") if op.key else None,
+        per_jet_form(lambda J: float(garding_eigenvalues(op, J.A)[k - 1])))
 
 
 def garding_dirichlet_check(
@@ -392,13 +387,10 @@ def lagrangian_ma_operator(two_n: int) -> GardingOperator:
         raise OddDimension(f"Lagrangian operator needs even dimension, got {two_n}")
     n = two_n // 2
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
-    Jc = complex_structure(two_n)
 
     def factors(a):
         # tr(A + sI)/2 = tr(A)/2 + n*s; the anti-commuting part ignores sI
-        sk = 0.5 * (a + Jc @ a @ Jc)
-        mu = np.sort(np.linalg.eigvalsh(sk))[n:]
-        return 0.5 * float(np.trace(a)) + signs @ mu
+        return 0.5 * float(np.trace(a)) + signs @ skew_hermitian_mu(a)
 
     def shifted(a):
         base = factors(a)

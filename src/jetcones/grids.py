@@ -104,6 +104,12 @@ class Grid:
     def node_point(self, node) -> np.ndarray:
         return self.lo + self.h * np.asarray(node, dtype=float)
 
+    def node_points(self, width: Optional[int] = None) -> np.ndarray:
+        """node_point of every node of interior_slice(width), stacked [..., d]."""
+        w = self.layer_width if width is None else width
+        axes = [np.arange(w, dim - w, dtype=float) for dim in self.dims]
+        return self.lo + self.h * np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
     def orthogonal_tuples(self, p: int) -> list:
         """All p-tuples of mutually orthogonal stencil directions."""
         dirs = [np.array(s, dtype=float) for s in self.stencil_dirs]

@@ -248,12 +248,6 @@ def trace_on_subspace(A: SymMat, W, tol: float = GRAM_ERR_TOL) -> float:
     return float(np.einsum("ij,ik,jk->", a, w, w))
 
 
-def projector(e: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the line through e (e need not be unit)."""
-    e = np.asarray(e, dtype=float)
-    return np.outer(e, e) / float(e @ e)
-
-
 def random_symmetric(rng: np.random.Generator, n: int, scale: float = 1.0) -> SymMat:
     g = rng.standard_normal((n, n)) * scale
     return SymMat._trusted(0.5 * (g + g.T))

@@ -14,9 +14,10 @@ one sparse solve per step, where J(u) is that frozen matrix. For the
 piecewise-linear operators (min/max curvature, frame means, Pucci) this
 is Howard's policy iteration; for the arctan sum of "slag" the frozen
 coefficient is the secant slope arctan(D)/D, a Kacanov iteration. The
-explicit damped-Jacobi step survives only as a private reference for
-the tests; its stability bound still sets the step of the monotonicity
-probe. Discrete comparison holds for the scheme by monotonicity.
+explicit damped-Jacobi iteration the solver replaced is kept in the
+tests as a reference; its stability bound (stability_dt) still sets the
+step of the monotonicity probe. Discrete comparison holds for the
+scheme by monotonicity.
 
 The experiment harness turns the comparison principle, the zero maximum
 principle for dual cones, and the uniform translation property into
@@ -393,46 +394,6 @@ def solve_dirichlet(
     )
 
 
-def _solve_jacobi(
-    op_key: str,
-    rhs: Union[float, Callable[[np.ndarray], float]],
-    g: GridFunction,
-    dt: Optional[float] = None,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-    init: Optional[np.ndarray] = None,
-) -> tuple:
-    """Reference damped fixed point u <- u + dt * (F_h(u) - psi).
-
-    dt defaults to the stability bound. Returns the iterate and the
-    iteration count. Raises NotConverged past max_iter and UnstableStep
-    when the residual grows for 100 consecutive steps.
-    """
-    grid, op, interior, rhs_field, u = _setup(op_key, rhs, g, init)
-    dt = stability_dt(grid, op.center_weight) if dt is None else dt
-    history = []
-    prev_res = math.inf
-    growth = 0
-    for it in range(1, max_iter + 1):
-        fld = op.apply(u, grid) - rhs_field
-        res = float(np.max(np.abs(fld)))
-        if not math.isfinite(res):
-            raise UnstableStep(f"residual became non-finite at it={it}")
-        if it % 50 == 1 or res <= tol:
-            history.append(res)
-        if res <= tol:
-            return GridFunction(grid, u, boundary_data=g.boundary_data.copy()), it
-        growth = growth + 1 if res > prev_res * (1 + 1e-12) else 0
-        if growth >= 100:
-            raise UnstableStep(f"residual grew for {growth} consecutive steps at it={it}")
-        prev_res = res
-        u[interior] = u[interior] + dt * fld
-    raise NotConverged(
-        f"{op_key}: residual {prev_res:.3e} > {tol:.1e} after {max_iter} iterations",
-        residuals=history,
-    )
-
-
 def scheme_monotonicity_probe(
     op_key: str,
     grid: Grid,
@@ -481,11 +442,18 @@ class NodeReport:
         return self.members == self.total
 
 
-def _node_report(g: np.ndarray, tol: float, width: int) -> NodeReport:
-    """Summary of functional values g over the width-trimmed interior.
+def _classify(u: GridFunction, fiber: Union[FiberOracle, VariableFiberMap],
+              tol: float, width: int) -> NodeReport:
+    """Classify u's discrete jets on the width-trimmed interior with one
+    form call, a variable fiber taking the node points along.
 
     Failures are the first 8 non-members in node order.
     """
+    jets = u.jet_field(width)
+    if isinstance(fiber, VariableFiberMap):
+        g = fiber.form(u.grid.node_points(width), *jets)
+    else:
+        g = fiber.values(*jets)
     member, margin = classify_values(g, tol)
     failures = [
         (tuple(int(c) + width for c in np.unravel_index(i, g.shape)), float(margin.flat[i]))
@@ -503,13 +471,10 @@ def check_subharmonic(
 ) -> NodeReport:
     """Classify every interior node's discrete jet against the fiber.
 
-    A constant fiber takes the whole u.jet_field(width) in one values
-    call, batched when the oracle has an array form; a variable fiber
-    builds its oracle at each node's point, node by node.
+    The whole u.jet_field(width) goes through the fiber's form in one
+    call; a variable fiber also takes the node points.
     """
-    if isinstance(fiber, VariableFiberMap):
-        return _check_on_width(u, fiber, width, tol)
-    return _node_report(fiber.values(*u.jet_field(width)), tol, width)
+    return _classify(u, fiber, tol, width)
 
 
 def check_superharmonic(
@@ -520,23 +485,7 @@ def check_superharmonic(
 ) -> NodeReport:
     """Superharmonicity via duality: -w must be subharmonic for the dual."""
     neg = GridFunction(w.grid, -w.values, boundary_data=-w.boundary_data)
-    if isinstance(fiber, VariableFiberMap):
-        base = fiber
-
-        def fiber_at(x):
-            return dual_oracle(base.fiber_at(x))
-
-        dual = VariableFiberMap(
-            label=f"dual of [{base.label}]",
-            domain=base.domain,
-            fiber_at=fiber_at,
-            monotonicity=base.monotonicity,
-            reference_jet=base.reference_jet,
-            arity=base.arity,
-        )
-    else:
-        dual = dual_oracle(fiber)
-    return check_subharmonic(neg, dual, tol, width)
+    return check_subharmonic(neg, dual_oracle(fiber), tol, width)
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +596,7 @@ def strict_approximator(M: MonotonicityCone, grid: Grid,
     out = GridFunction.from_callable(grid, psi)
     # validate strictness of the analytic jets (psi(x), a(x - x0), aI) at
     # every node one layer in, with one batched evaluation
-    x = grid.lo + grid.h * np.array(grid.interior_nodes(1), dtype=float)
+    x = grid.node_points(1)
     r = 0.5 * a * (np.sum((x - x0) ** 2, axis=-1) - K)
     A = np.broadcast_to(a * np.eye(n), r.shape + (n, n))
     if not np.all(cone_M(M, n).values(r, a * (x - x0), A) > DEFAULT_TOL):
@@ -763,7 +712,7 @@ def uniform_translation_probe(
         vals = shifted if psi is None or theta == 0 else shifted + theta * psi.values
         width = grid.layer_width + max(abs(c) for c in off)
         trial = GridFunction(grid, vals.copy(), boundary_data=vals.copy())
-        rep = _check_on_width(trial, theta_map, width, tol)
+        rep = _classify(trial, theta_map, tol, width)
         tested += 1
         ynorm = grid.h * math.sqrt(sum(c * c for c in off))
         if rep.all_pass:
@@ -773,22 +722,3 @@ def uniform_translation_probe(
             break
     return TranslationReport(delta=delta, theta=theta, tested=tested, failures=failures)
 
-
-def _check_on_width(u: GridFunction, fiber: VariableFiberMap, width: int,
-                    tol: float) -> NodeReport:
-    grid = u.grid
-    total = members = 0
-    worst = math.inf
-    failures = []
-    for node in grid.interior_nodes(width):
-        J = u.discrete_jet(node)
-        oracle = fiber.fiber_at(grid.node_point(node))
-        r = oracle.classify(J, tol)
-        total += 1
-        m = r.margin if r.is_member else -r.margin
-        worst = min(worst, m)
-        if r.is_member:
-            members += 1
-        elif len(failures) < 8:
-            failures.append((node, m))
-    return NodeReport(total, members, worst, failures)

@@ -271,12 +271,12 @@ def test_criterion_7_correspondence_controls(capsys):
     ), "witnesses should sit on the negative-value, zero-Hessian face"
     # fiber continuity dichotomy across / within phase intervals
     box = cat.Box([-1.0, -1.0], [1.0, 1.0])
-    crossing = fiber_special_lagrangian(box, lambda x: 0.4 * float(x[0]), n=2)
+    crossing = fiber_special_lagrangian(box, lambda x: 0.4 * x[..., 0], n=2)
     repx = check_fiberegularity(crossing, M_FULL, eta=0.1, grid_per_side=16,
                                 anchors=40, jets_per_point=20, seed=7009)
     assert not repx.passed
     assert repx.witness is not None
-    inside = fiber_special_lagrangian(box, lambda x: 1.1 + 0.15 * float(x[0]), n=2)
+    inside = fiber_special_lagrangian(box, lambda x: 1.1 + 0.15 * x[..., 0], n=2)
     repi = check_fiberegularity(inside, M_FULL, eta=0.1, grid_per_side=16,
                                 anchors=40, jets_per_point=20, seed=7010)
     assert repi.passed

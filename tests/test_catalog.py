@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetcones.catalog import (
+    Arity,
     Box,
     DirectionalCone,
     MonotonicityCone,
@@ -39,6 +41,7 @@ from jetcones.catalog import (
     parse_key,
     phase_interval_index,
     REGISTRY,
+    VariableFiberMap,
     shift_to_boundary,
     skew_hermitian_mu,
 )
@@ -290,6 +293,9 @@ def test_failure_example():
     assert kind(F, Jet2(0.0, [0, 0], SymMat.identity(2))) is RegionKind.INTERIOR
     # alpha=2, n=2, p=e1, A=0: matrix diag(2, 1), lambda_min = 1
     assert F.value(Jet2(0.0, [1, 0], SymMat.zero(2))) == pytest.approx(1.0)
+    # at p = 0 the matrix is A itself, also next to p != 0 in one stack
+    A = np.broadcast_to(np.diag([-0.5, 2.0]), (2, 2, 2))
+    assert F.values(np.zeros(2), [[0.0, 0.0], [1.0, 0.0]], A).tolist() == [-0.5, 1.5]
     with pytest.raises(BadAlpha):
         fiber_failure_example(2, 1.0)
     # monotonicity in the gradient slot fails away from p = 0
@@ -365,8 +371,16 @@ def box2():
     return Box([-1.0, -1.0], [1.0, 1.0])
 
 
+def ma_field(x):
+    """diag(1 + |x|^2, 1) at each point of a stack x[..., 2]."""
+    m = np.zeros(x.shape[:-1] + (2, 2))
+    m[..., 0, 0] = 1.0 + np.sum(x * x, axis=-1)
+    m[..., 1, 1] = 1.0
+    return m
+
+
 def test_perturbed_ma_reduces_to_cone_P():
-    theta = fiber_perturbed_MA(box2(), lambda x: SymMat.zero(2), lambda x: 0.0, n=2)
+    theta = fiber_perturbed_MA(box2(), lambda x: np.zeros((2, 2)), lambda x: 0.0, n=2)
     rng = np.random.default_rng(22)
     P = cone_P(2)
     fib = theta.fiber_at(np.zeros(2))
@@ -378,7 +392,7 @@ def test_perturbed_ma_reduces_to_cone_P():
 def test_perturbed_ma_boundary_case():
     theta = fiber_perturbed_MA(
         box2(),
-        lambda x: SymMat.diag(1.0 + float(x @ x), 1.0),
+        ma_field,
         lambda x: 1.0,
         n=2,
     )
@@ -391,7 +405,7 @@ def test_perturbed_ma_fiberegularity_positive_delta():
     # field, so a 64-per-side grid (spacing ~0.032) resolves it
     theta = fiber_perturbed_MA(
         box2(),
-        lambda x: SymMat.diag(1.0 + float(x @ x), 1.0),
+        ma_field,
         lambda x: 1.0,
         n=2,
     )
@@ -402,7 +416,7 @@ def test_perturbed_ma_fiberegularity_positive_delta():
 
 
 def test_constant_fiber_delta_is_diameter():
-    theta = fiber_perturbed_MA(box2(), lambda x: SymMat.zero(2), lambda x: 1.0, n=2)
+    theta = fiber_perturbed_MA(box2(), lambda x: np.zeros((2, 2)), lambda x: 1.0, n=2)
     rep = check_fiberegularity(theta, M_FULL, eta=0.05, grid_per_side=5,
                                anchors=25, jets_per_point=8)
     assert rep.passed
@@ -421,6 +435,24 @@ def test_special_lagrangian_examples():
     bad = fiber_special_lagrangian(box2(), lambda x: 4.0, n=2)
     with pytest.raises(PhaseOutOfRange):
         bad.fiber_at(np.zeros(2))
+
+
+def test_variable_fields_are_checked_on_point_stacks():
+    from jetcones.errors import NegativeSource, PhaseOutOfRange
+
+    x = np.array([[0.5, 0.0], [-0.25, 0.5], [-0.5, 0.75]])
+    jets = (np.zeros(3), np.zeros((3, 2)), np.zeros((3, 2, 2)))
+    theta = fiber_perturbed_MA(box2(), lambda x: np.zeros((2, 2)), lambda x: x[..., 0], n=2)
+    with pytest.raises(NegativeSource, match=r"^f\(\[-0\.25 +0\.5 *\]\) = -0\.25 < 0$"):
+        theta.form(x, *jets)
+    with pytest.raises(NegativeSource):
+        theta.fiber_at(x[2])
+    assert theta.fiber_at(x[0]).label == "perturbed-MA fiber at [0.5, 0.0]"
+    slag = fiber_special_lagrangian(box2(), lambda x: 5.0 * x[..., 1], n=2)
+    with pytest.raises(PhaseOutOfRange, match=r"^theta\(\[-0\.5 +0\.75 *\]\) = 3\.75 "):
+        slag.form(x, *jets)
+    assert slag.fiber_at(x[1]).label == (
+        "special-Lagrangian fiber at [-0.25, 0.5], theta=2.5, interval I_1")
 
 
 def test_phase_interval_index():
@@ -450,13 +482,13 @@ def test_special_lagrangian_top_interval_convexity_probe():
 def test_special_lagrangian_fiberegularity_dichotomy():
     # crossing the special value 0: the inclusion fails at the sample
     # resolution (level sets run to infinity, the +eta*I gain dies)
-    crossing = fiber_special_lagrangian(box2(), lambda x: 0.4 * float(x[0]), n=2)
+    crossing = fiber_special_lagrangian(box2(), lambda x: 0.4 * x[..., 0], n=2)
     rep = check_fiberegularity(crossing, M_FULL, eta=0.1, grid_per_side=16,
                                anchors=40, jets_per_point=20)
     assert not rep.passed
     # inside one interval the gain is bounded below by eta*sin^2(theta),
     # so the threshold eta*sin^2(0.95)/0.15 ~ 0.44 clears the resolution
-    inside = fiber_special_lagrangian(box2(), lambda x: 1.1 + 0.15 * float(x[0]), n=2)
+    inside = fiber_special_lagrangian(box2(), lambda x: 1.1 + 0.15 * x[..., 0], n=2)
     rep2 = check_fiberegularity(inside, M_FULL, eta=0.1, grid_per_side=16,
                                 anchors=40, jets_per_point=20)
     assert rep2.passed
@@ -476,7 +508,7 @@ def test_affine_sphere_reduces_to_Q_at_zero_source():
 def test_optimal_transport_examples():
     D = DirectionalCone.orthant([0, 1])
     theta = fiber_optimal_transport(
-        box2(), lambda p: float(p[0] * p[1]), D, lambda x: 1.0, n=2
+        box2(), lambda p: p[..., 0] * p[..., 1], D, lambda x: 1.0, n=2
     )
     fib = theta.fiber_at(np.zeros(2))
     J = Jet2(0.0, [1.0, 1.0], SymMat.identity(2))
@@ -485,7 +517,7 @@ def test_optimal_transport_examples():
     # directionality; the oracle reports it rather than guessing intent
     with pytest.raises(DirectionalityViolation):
         fiber_optimal_transport(
-            box2(), lambda p: -float(p[1]),
+            box2(), lambda p: -p[..., 1],
             DirectionalCone.halfspace([0, 1]), lambda x: 1.0, n=2,
         )
     assert check_directionality(lambda p: float(p[0] * p[1]), D, 2) is None
@@ -590,38 +622,69 @@ def test_make_oracle_key_is_a_fixed_point(case):
     assert make_oracle(first, n).key == first
 
 
-# keys of the cones with an array form; "sigma" and "failure" take the
-# per-jet fallback of values
 VALUES_KEYS = ["P", "P~", "Q", "Q~", "M0", "branch:k=2", "pfold:p=2", "pucci:0.5,3",
                "quasiconvex:0.5", "M:gamma=0,D=full,R=inf", "M:gamma=1,D=half:e2,R=inf",
                "M:gamma=0.5,D=orth:1,2,R=2", "M:gamma=0.3,D=half:1,-2,R=0.7",
-               "sigma:k=2", "failure:alpha=2,which=max"]
+               "sigma:k=2", "lagrangian", "failure:alpha=2,which=max",
+               "failure:alpha=3,which=min", "pma", "slag", "affine-sphere", "ot",
+               "garding-cone", "garding-branch", "induced"]
 ENTRY = st.one_of(st.floats(-1e3, 1e3, allow_nan=False), st.sampled_from([0.0, -0.0, 1.0]))
+
+
+@functools.lru_cache(maxsize=None)
+def values_oracle(key, n):
+    """The oracle or variable map that VALUES_KEYS names in dimension n."""
+    from jetcones.canonical import induced_fiber
+    from jetcones.garding import branch_oracle, det_operator, garding_cone_oracle, \
+        sigma_k_operator
+
+    if key == "garding-cone":
+        return garding_cone_oracle(det_operator(n))
+    if key == "garding-branch":
+        return branch_oracle(sigma_k_operator(n, 2), 2)
+    if key == "induced":
+        return induced_fiber(lambda J: float(np.trace(J.A.entries)) - J.r + J.p[0],
+                             cone_Q(n), n, Arity.FULL)
+    return make_oracle(key.replace("half:1,-2", "half:1," + ",".join(["-2"] * (n - 1))), n)
 
 
 @st.composite
 def jet_stacks(draw):
-    """(n, r[m], p[m, n], A[m, n, n]) with exactly symmetric A."""
+    """(n, r[m], p[m, n], A[m, n, n], x[m, n]): jets with exactly
+    symmetric A, and points of the box [-1, 1]^n."""
     n = draw(st.integers(2, 4))
     m = draw(st.integers(1, 5))
     flat = np.array(draw(st.lists(ENTRY, min_size=m * (1 + n + n * n),
                                   max_size=m * (1 + n + n * n))))
     r, p, G = np.split(flat, [m, m + m * n])
     G = G.reshape(m, n, n)
-    return n, r, p.reshape(m, n), 0.5 * (G + np.swapaxes(G, 1, 2))
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, (m, n))
+    return n, r, p.reshape(m, n), 0.5 * (G + np.swapaxes(G, 1, 2)), x
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(jet_stacks(), st.sampled_from(VALUES_KEYS), st.booleans())
 def test_values_is_value_jet_by_jet(stack, key, dual):
+    """A stack evaluation equals one jet at a time, bit for bit: values
+    against value for an oracle, and for a variable map its form on
+    stacked points against the fiber built at each point (the dual of
+    each fiber, for the dual map)."""
+    from hypothesis import assume
+
     from jetcones.duality import dual_oracle
 
-    n, r, p, A = stack
-    key = key.replace("half:1,-2", "half:1," + ",".join(["-2"] * (n - 1)))
-    F = make_oracle(key, n)
-    F = dual_oracle(F) if dual else F
-    g = F.values(r, p, A)
-    one = np.array([F.value(Jet2(r[i], p[i], A[i])) for i in range(len(r))])
+    n, r, p, A, x = stack
+    assume(key != "lagrangian" or n % 2 == 0)
+    F = values_oracle(key, n)
+    G = dual_oracle(F) if dual else F
+    if isinstance(F, VariableFiberMap):
+        g = G.form(x, r, p, A)
+        fibers = [F.fiber_at(x[i]) for i in range(len(r))]
+        one = np.array([(dual_oracle(f) if dual else f).value(Jet2(r[i], p[i], A[i]))
+                        for i, f in enumerate(fibers)])
+    else:
+        g = G.values(r, p, A)
+        one = np.array([G.value(Jet2(r[i], p[i], A[i])) for i in range(len(r))])
     assert g.shape == r.shape
     assert np.array_equal(g.view(np.int64), one.view(np.int64))
 

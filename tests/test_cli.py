@@ -330,3 +330,61 @@ def test_internal_error_exit_6(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 6
     assert err.startswith("internal error: TypeError: unexpected operand\n")
     assert "Traceback" in err
+
+
+VARIABLE_KEYS = ["pma", "slag", "affine-sphere", "ot"]
+SPHERE_2D = '{"kind": "sphere", "n": 2}'
+
+EXIT_CODES = [
+    (("catalog", "list"), 0),
+    (("catalog", "describe"), 2),
+    (("membership", "--key", "P", "--matrix", MATRIX_2D), 0),
+    (("membership", "--key", "P", "--matrix", "[[-1,0],[0,1]]"), 1),
+    (("membership", "--key", "P", "--matrix", "oops"), 2),
+    (("membership", "--key", "lagrangian", "--matrix", "[[1,0,0],[0,1,0],[0,0,1]]"), 3),
+    (("dual", "--key", "slag", "--matrix", MATRIX_2D, "--at", "0.1,0.2"), 0),
+    (("dual", "--key", "pma", "--matrix", MATRIX_2D, "--at", "a,b"), 2),
+    (("canonical", "--key", "P", "--matrix", MATRIX_2D), 0),
+    (("canonical", "--key", "Q~", "--matrix", MATRIX_2D), 3),
+    (("distance", "--key", "P", "--matrix", MATRIX_2D, "--directions", "8"), 0),
+    (("pseudoconvex", "--domain", SPHERE_2D, "--key", "P", "--count", "2"), 0),
+    (("pseudoconvex", "--domain", '{"kind": "slab", "n": 2}', "--key", "P",
+      "--points", "1.0,0.2"), 1),
+    (("garding", "--op", "det", "--matrix", MATRIX_2D), 0),
+    (("garding", "--op", "bogus", "--matrix", MATRIX_2D), 2),
+    (("check", "no-such-suite"), 2),
+    (("solve", {}), 0),
+    (("solve", {"init": "zero", "max_iter": 1}), 4),
+    (("solve", {"boundary": "1/0"}), 3),
+    (("solve", {"boundary": "abs(1,2)"}), 2),
+    (("solve", {"boundary": "-" * 3000 + "x1"}), 2),
+    (("solve", {"level": "max(x1)"}), 2),
+] + [
+    (argv + ("--key", key), 2)
+    for key in VARIABLE_KEYS
+    for argv in [("canonical", "--matrix", MATRIX_2D), ("distance", "--matrix", MATRIX_2D),
+                 ("pseudoconvex", "--domain", SPHERE_2D)]
+]
+
+
+def _exit_case_id(case):
+    argv, code = case
+    words = [json.dumps(w)[:24] if isinstance(w, dict) else w[:24] for w in argv]
+    return " ".join(words) + f" -> {code}"
+
+
+@pytest.mark.parametrize("argv, code", EXIT_CODES, ids=map(_exit_case_id, EXIT_CODES))
+def test_exit_code_contract(tmp_path, capsys, argv, code):
+    """Each subcommand's exit code: 0 success, 1 negative verdict, 2 usage
+    or parse error, 3 domain error, 4 non-convergence; errors print one
+    line and never a traceback."""
+    if argv[0] == "solve":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(SOLVE_CONFIG, **argv[1])))
+        argv = ("solve", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+    got, _, err = run(capsys, *argv)
+    assert got == code
+    if code >= 2 and argv[0] not in ("check",):
+        assert err.startswith("error: ") and err.count("\n") == 1
+    if code == 2 and argv[-2:-1] == ("--key",) and argv[-1] in VARIABLE_KEYS:
+        assert "variable fiber map" in err and "membership or dual --at" in err

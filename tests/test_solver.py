@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from jetcones.errors import (
     IndexOutOfRange,
     NotConverged,
     UnknownKey,
+    UnstableStep,
 )
 from jetcones.experiments import (
     comparison_battery,
@@ -36,7 +38,8 @@ from jetcones.grids import (
 from jetcones.jets import SymMat, random_symmetric
 from jetcones.solver import (
     NodeReport,
-    _solve_jacobi,
+    TranslationReport,
+    _setup,
     check_subharmonic,
     check_superharmonic,
     comparison_experiment,
@@ -83,6 +86,33 @@ def test_solve_with_source_field():
     g = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
     u, rep = solve_dirichlet("P", lambda x: 1.0, g, tol=1e-9)
     assert np.max(np.abs(u.values - g.values)) < 1e-6
+
+
+def _solve_jacobi(op_key, rhs, g, dt=None, tol=1e-10, max_iter=100_000, init=None):
+    """Reference solver: the damped fixed point u <- u + dt * (F_h(u) - psi)
+    that solve_dirichlet replaced.
+
+    dt defaults to the stability bound. Returns the iterate and the
+    iteration count. Raises NotConverged past max_iter and UnstableStep
+    when the residual grows for 100 consecutive steps.
+    """
+    grid, op, interior, rhs_field, u = _setup(op_key, rhs, g, init)
+    dt = stability_dt(grid, op.center_weight) if dt is None else dt
+    prev_res = math.inf
+    growth = 0
+    for it in range(1, max_iter + 1):
+        fld = op.apply(u, grid) - rhs_field
+        res = float(np.max(np.abs(fld)))
+        if not math.isfinite(res):
+            raise UnstableStep(f"residual became non-finite at it={it}")
+        if res <= tol:
+            return GridFunction(grid, u, boundary_data=g.boundary_data.copy()), it
+        growth = growth + 1 if res > prev_res * (1 + 1e-12) else 0
+        if growth >= 100:
+            raise UnstableStep(f"residual grew for {growth} consecutive steps at it={it}")
+        prev_res = res
+        u[interior] = u[interior] + dt * fld
+    raise NotConverged(f"{op_key}: residual {prev_res:.3e} > {tol:.1e} after {max_iter} iterations")
 
 
 def test_solve_not_converged():
@@ -190,8 +220,6 @@ def test_discrete_operator_checks_ranges_like_the_catalog(key, error):
 
 
 def test_unstable_step_detected():
-    from jetcones.errors import UnstableStep
-
     grid = square_grid(17, 0.0, 1.0)
     g = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
     with pytest.raises(UnstableStep):
@@ -401,14 +429,17 @@ def test_ae_guard_discrete_jets_everywhere():
     assert rep1.total == len(nodes)
 
 
-def _per_node_report(u, fiber, tol=1e-8, width=1):
-    """Reference route: one discrete_jet and one classify per node."""
+def _per_node_report(u, fiber, tol=1e-8, width=1, dual=False):
+    """Reference route: one discrete_jet and one classify per node, a
+    variable fiber's oracle built at the node's point and, with dual,
+    each node's oracle dualized."""
     variable = isinstance(fiber, VariableFiberMap)
     total = members = 0
     worst = math.inf
     failures = []
     for node in u.grid.interior_nodes(width):
         oracle = fiber.fiber_at(u.grid.node_point(node)) if variable else fiber
+        oracle = dual_oracle(oracle) if dual else oracle
         r = oracle.classify(u.discrete_jet(node), tol)
         total += 1
         m = r.margin if r.is_member else -r.margin
@@ -436,39 +467,33 @@ def _rough_field(d, seed):
     return GridFunction(grid, vals)
 
 
-ARRAY_FORM_KEYS = [
+SUBHARMONIC_KEYS = [
     "P", "P~", "branch:k=1", "branch:k=2", "pfold:p=1", "pfold:p=2", "pucci:1,2",
     "pucci:0.5,3", "quasiconvex:0.5", "Q", "Q~", "M0", "M:gamma=0,D=full,R=inf",
     "M:gamma=1,D=half:e1,R=inf", "M:gamma=0.5,D=orth:1,2,R=2", "M:gamma=0.2,D=half:e2,R=0.5",
+    "sigma:k=2", "failure:alpha=2,which=min", "pma", "slag", "affine-sphere", "ot",
 ]
 
 
 @pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("key", ARRAY_FORM_KEYS)
+@pytest.mark.parametrize("key", SUBHARMONIC_KEYS)
 def test_batched_check_subharmonic_matches_per_node_route(key, d):
-    oracle = make_oracle(key, d)
+    fiber = make_oracle(key, d)
     reports = []
     # a linear field: roundoff-sized Hessians, so that worst margins of 0
     # come from the band rule
     flat = GridFunction.from_callable(square_grid(9, -1.0, 1.0, d=d),
                                       lambda x: 0.1 + 0.3 * x[0] - 0.2 * x[-1])
     for u, width in [(_rough_field(d, 1), 1), (_rough_field(d, 2), 2), (flat, 1)]:
-        for fiber in (oracle, dual_oracle(oracle)):
-            assert fiber.array_form is not None
-            rep = check_subharmonic(u, fiber, width=width)
-            assert rep == _per_node_report(u, fiber, width=width)
+        for dual in (False, True):
+            rep = check_subharmonic(u, dual_oracle(fiber) if dual else fiber, width=width)
+            assert rep == _per_node_report(u, fiber, width=width, dual=dual)
             reports.append(rep)
+        neg = GridFunction(u.grid, -u.values)
+        assert check_superharmonic(u, fiber, width=width) == _per_node_report(
+            neg, fiber, width=width, dual=True)
     assert any(rep.failures for rep in reports)
     assert any(rep.members for rep in reports)
-
-
-@pytest.mark.parametrize("key", ["sigma:k=2", "failure:alpha=2,which=min", "pma"])
-def test_check_subharmonic_without_array_form_matches_per_node_route(key):
-    fiber = make_oracle(key, 2)
-    assert getattr(fiber, "array_form", None) is None
-    u = _rough_field(2, 3)
-    for width in (1, 2):
-        assert check_subharmonic(u, fiber, width=width) == _per_node_report(u, fiber, width=width)
 
 
 def test_jet_field_is_discrete_jet_stacked():
@@ -476,11 +501,13 @@ def test_jet_field_is_discrete_jet_stacked():
         u = _rough_field(d, 4)
         for width in (1, 2):
             r, p, A = u.jet_field(width)
+            x = u.grid.node_points(width)
             for node in u.grid.interior_nodes(width):
                 J = u.discrete_jet(node)
                 i = tuple(c - width for c in node)
                 assert r[i] == J.r
                 assert np.array_equal(p[i], J.p) and np.array_equal(A[i], J.A.entries)
+                assert np.array_equal(x[i], u.grid.node_point(node))
 
 
 # --- uniform translation probe ----------------------------------------------
@@ -490,7 +517,7 @@ def test_utp_constant_fiber_full_margin():
     from jetcones.catalog import Box, fiber_perturbed_MA
 
     box = Box([-1.0, -1.0], [1.0, 1.0])
-    const = fiber_perturbed_MA(box, lambda x: SymMat.zero(2), lambda x: 0.0, n=2)
+    const = fiber_perturbed_MA(box, lambda x: np.zeros((2, 2)), lambda x: 0.0, n=2)
     grid = square_grid(17, -1.0, 1.0)
     u = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
     rep = uniform_translation_probe(u, const, None, 0.0, max_shift=3)
@@ -503,6 +530,41 @@ def test_utp_perturbed_ma_positive_delta_and_negative_control():
     assert rep.passed and rep.delta > 0
     rep0 = utp_perturbed_ma(theta=0.0, n_side=17)
     assert not rep0.passed
+
+
+def _per_node_translation_probe(u, theta_map, psi, theta, max_shift=3, tol=1e-8):
+    """Reference: the translation probe with every trial classified node
+    by node, one discrete_jet and one fiber_at per node (psi taken as
+    strictly subharmonic)."""
+    grid = u.grid
+    offsets = [off for off in itertools.product(range(-max_shift, max_shift + 1), repeat=grid.d)
+               if any(off)]
+    offsets.sort(key=lambda o: sum(c * c for c in o))
+    delta, tested, failures = 0.0, 0, []
+    for off in offsets:
+        shifted = np.roll(u.values, shift=off, axis=tuple(range(grid.d)))
+        vals = shifted if psi is None or theta == 0 else shifted + theta * psi.values
+        width = grid.layer_width + max(abs(c) for c in off)
+        rep = _per_node_report(GridFunction(grid, vals.copy(), boundary_data=vals.copy()),
+                               theta_map, tol, width)
+        tested += 1
+        if rep.all_pass:
+            delta = max(delta, grid.h * math.sqrt(sum(c * c for c in off)))
+        else:
+            failures.append((off, rep.worst_margin))
+            break
+    return TranslationReport(delta=delta, theta=theta, tested=tested, failures=failures)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.1])
+def test_utp_matches_per_node_reference(theta, monkeypatch):
+    import jetcones.solver as solver
+
+    rep = utp_perturbed_ma(theta=theta, n_side=17)
+    monkeypatch.setattr(solver, "uniform_translation_probe", _per_node_translation_probe)
+    ref = utp_perturbed_ma(theta=theta, n_side=17)
+    assert rep == ref
+    assert rep.tested > 1 if theta else rep.failures
 
 
 def test_utp_requires_strict_psi():
