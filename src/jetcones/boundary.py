@@ -316,7 +316,14 @@ DOMAIN_BUILDERS = {
 def domain_from_spec(spec: dict) -> LevelSetDomain:
     from .errors import ParseError
 
+    if not isinstance(spec, dict):
+        raise ParseError(f"a domain spec is a JSON object, got {type(spec).__name__}")
     kind = spec.get("kind")
     if kind not in DOMAIN_BUILDERS:
         raise ParseError(f"unknown domain kind {kind!r}; known: {sorted(DOMAIN_BUILDERS)}")
-    return DOMAIN_BUILDERS[kind](spec)
+    try:
+        return DOMAIN_BUILDERS[kind](spec)
+    except KeyError as e:
+        raise ParseError(f"{kind} domain spec needs field {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"bad {kind} domain spec: {e}") from e

@@ -14,6 +14,7 @@ is fixed by agreement with lambda_min on the convexity cone.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -24,7 +25,11 @@ from .catalog import (
     FiberOracle,
     MonotonicityCone,
     RegionKind,
+    bisect_brackets,
     cone_M,
+    fan_values,
+    first_hit,
+    first_true,
     per_jet_form,
     ray_values,
 )
@@ -47,42 +52,34 @@ def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
     n = J.n
     eyeJ = Jet2.from_matrix(SymMat.identity(n))
 
-    def member(t: float) -> bool:
+    def member(t):
         # sign of the defining functional, not the tolerance band: the
         # bisection target is the exact zero crossing
         return ray_values(F, J, eyeJ, -t) >= 0.0
 
     span = jet_norm(J) + 1.0
-    t_lo, t_hi = None, None  # member at t_lo, non-member at t_hi
-    t = -span
-    if member(0.0):
-        t_lo = 0.0
-        t = span
-        while t <= SEARCH_RADIUS:
-            if not member(t):
-                t_hi = t
-                break
-            t_lo = t
-            t *= 2.0
-    else:
-        t_hi = 0.0
-        t = -span
-        while t >= -SEARCH_RADIUS:
-            if member(t):
-                t_lo = t
-                break
-            t_hi = t
-            t *= 2.0
-    if t_lo is None or t_hi is None:
+    ups = []
+    t = span
+    while t <= SEARCH_RADIUS:
+        ups.append(t)
+        t *= 2.0
+    start_in = bool(member(0.0))
+    side = ups if start_in else [-u for u in ups]
+    k = first_hit(lambda t: member(t) != start_in, side)
+    if k is None:
         raise BracketingFailure(
             f"no boundary crossing of {F.label} along I within radius {SEARCH_RADIUS:g}"
         )
-    while abs(t_hi - t_lo) > tol * max(1.0, abs(t_lo) + abs(t_hi)):
-        mid = 0.5 * (t_lo + t_hi)
-        if member(mid):
-            t_lo = mid
-        else:
-            t_hi = mid
+    # member at t_lo, non-member at t_hi
+    last, first = ([0.0] + side)[k], side[k]
+    bracket = (last, first) if start_in else (first, last)
+
+    def done(t_lo, t_hi):
+        return not abs(t_hi - t_lo) > tol * max(1.0, abs(t_lo) + abs(t_hi))
+
+    if not done(*bracket):
+        bracket, = bisect_brackets(lambda live, t: member(t), [bracket], done)
+    t_lo, t_hi = bracket
     return 0.5 * (t_lo + t_hi)
 
 
@@ -118,6 +115,18 @@ def _jet_directions(n: int, count: int, seed: int, arity: Arity) -> list:
     return dirs[:count]
 
 
+@functools.lru_cache(maxsize=32)
+def _direction_stack(n: int, count: int, seed: int, arity: Arity) -> tuple:
+    """_jet_directions as read-only stacks (r[D], p[D, n], A[D, n, n]), built
+    once per argument tuple."""
+    dirs = _jet_directions(n, count, seed, arity)
+    stack = (np.array([U.r for U in dirs]), np.array([U.p for U in dirs]).reshape(-1, n),
+             np.array([U.A.entries for U in dirs]).reshape(-1, n, n))
+    for a in stack:
+        a.setflags(write=False)
+    return stack
+
+
 def signed_distance(
     F: FiberOracle,
     J,
@@ -135,39 +144,48 @@ def signed_distance(
     """
     J = J if isinstance(J, Jet2) else Jet2.from_matrix(J)
     inside = F.value(J) >= 0.0
-
-    def crossing(U: Jet2) -> Optional[float]:
-        # first s > 0 where the functional's sign flips along J + sU
-        s_keep, s_flip = 0.0, None
-        s = 1.0
-        while s <= cap:
-            if (ray_values(F, J, U, s) >= 0.0) != inside:
-                s_flip = s
-                break
-            s_keep = s
-            s *= 2.0
-        if s_flip is None:
-            return None
-        for _ in range(80):
-            mid = 0.5 * (s_keep + s_flip)
-            if (ray_values(F, J, U, mid) >= 0.0) == inside:
-                s_keep = mid
-            else:
-                s_flip = mid
-            if s_flip - s_keep < tol * max(1.0, s_flip):
-                break
-        return 0.5 * (s_keep + s_flip)
-
-    best = None
-    for U in _jet_directions(J.n, directions, seed, F.arity):
-        s = crossing(U)
-        if s is not None and (best is None or s < best):
-            best = s
-    if best is None:
+    found = [s for s in _crossings(F, J, inside, directions, tol, seed, cap) if s is not None]
+    if not found:
         raise BracketingFailure(
             f"no boundary crossing of {F.label} from the query jet within radius {cap:g}"
         )
+    best = min(found)
     return best if inside else -best
+
+
+def _crossings(F: FiberOracle, J: Jet2, inside: bool, directions: int, tol: float,
+               seed: int, cap: float) -> list:
+    """For each direction U of the stream, the first s > 0 where the sign of
+    F's functional along J + s*U stops matching inside (bisected to tol), or
+    None when doubling s from 1 finds none up to cap. All directions search
+    in lockstep, each with its own stop rule."""
+    Ur, Up, UA = _direction_stack(J.n, directions, seed, F.arity)
+
+    def keeps(live, s):
+        g = fan_values(F, J, Ur[live, None], Up[live, None], UA[live, None], s)
+        return (g >= 0.0) == inside
+
+    # every direction's doubling bracket s = 1, 2, 4, ... <= cap, in one call
+    ss = []
+    s = 1.0
+    while s <= cap:
+        ss.append(s)
+        s *= 2.0
+    flips = ~keeps(np.arange(len(Ur)), np.array([ss]))
+    crossing, brackets = [], []
+    for i, row in enumerate(flips):
+        k = first_true(row)
+        if k is not None:
+            crossing.append(i)
+            brackets.append((([0.0] + ss)[k], ss[k]))
+    crossing = np.array(crossing, dtype=int)
+    brackets = bisect_brackets(lambda live, s: keeps(crossing[live], s), brackets,
+                               lambda s_keep, s_flip: s_flip - s_keep < tol * max(1.0, s_flip),
+                               max_steps=80)
+    out = [None] * len(Ur)
+    for i, (s_keep, s_flip) in zip(crossing.tolist(), brackets):
+        out[i] = 0.5 * (s_keep + s_flip)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +237,8 @@ def _structured_probe_jets(n: int, rng: np.random.Generator, count: int) -> list
 def _boundary_probe(F: FiberOracle, J_in: Jet2, J_out: Jet2,
                     tol: float) -> Optional[Jet2]:
     """Bisect the segment [J_in, J_out] to a jet classified Boundary."""
+    # one probe per step: induced fibers evaluate per jet (per_jet_form), so a
+    # 15-row bisection tree would cost 15 evaluations to save 3 calls
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -345,6 +365,8 @@ def check_topological_tameness(
         above = [J for J, v in pool if v > c]
         for i in range(min(len(below), len(above), 20)):
             Jb, Ja = below[i], above[i]
+            # one probe per step: op is a JetOp, so a stacked tree would cost
+            # one op call per row, 15 to save 3
             lo, hi = 0.0, 1.0
             for _ in range(80):
                 mid = 0.5 * (lo + hi)

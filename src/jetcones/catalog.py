@@ -83,13 +83,18 @@ def classify_value(g: float, tol: float = DEFAULT_TOL) -> Region:
     return Region(RegionKind.BOUNDARY, 0.0)
 
 
+def members(g: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """classify_value(g, tol).is_member over an array: g < -tol is outside."""
+    return ~(g < -tol)
+
+
 def classify_values(g: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
     """classify_value over an array: (member, signed margin) arrays.
 
     A value is a member unless g < -tol; its signed margin is g outside
     the band |g| <= tol and 0 inside it.
     """
-    member = ~(g < -tol)
+    member = members(g, tol)
     return member, np.where(member & ~(g > tol), 0.0, g)
 
 
@@ -174,11 +179,101 @@ def ray_values(oracle: FiberOracle, J: Jet2, U: Jet2, t):
     """
     if J.n != U.n:
         raise ValueError(f"dimension mismatch: jet of dimension {J.n}, direction {U.n}")
+    return fan_values(oracle, J, U.r, U.p, U.A.entries, t)
+
+
+def fan_values(oracle: FiberOracle, J: Jet2, Ur, Up, UA, t):
+    """ray_values for a stack of directions U = (Ur[...], Up[..., n], UA[..., n, n])
+    whose leading axes broadcast against t's."""
     t = np.asarray(t, dtype=float)
-    r = J.r + t * U.r
-    p = J.p + t[..., None] * U.p
-    A = J.A.entries + t[..., None, None] * U.A.entries
+    r = J.r + t * Ur
+    p = J.p + t[..., None] * Up
+    A = J.A.entries + t[..., None, None] * UA
     return oracle.values(r, p, A)
+
+
+# Levels of each bracket's bisection tree evaluated per values call: one
+# call costs about as much as a few rows, so deeper trees save calls but
+# waste rows past the stop point. On the verify workload depths 3 to 5
+# timed alike and 6 and 7 slower.
+BISECTION_DEPTH = 4
+
+
+def first_true(flags) -> Optional[int]:
+    """Index of the first True in a 1-D boolean array, or None."""
+    hits = np.flatnonzero(flags)
+    return int(hits[0]) if hits.size else None
+
+
+def first_hit(probe: Callable, ts: list) -> Optional[int]:
+    """Index of the first t in ts with probe(t) true, or None.
+
+    probe maps an array of ts to flags. It sees 2**BISECTION_DEPTH - 1 ts
+    per call, in order, and no call follows the first hit: a long
+    doubling sequence usually flips within its first few entries.
+    """
+    rows = 2 ** BISECTION_DEPTH - 1
+    for start in range(0, len(ts), rows):
+        k = first_true(probe(np.array(ts[start:start + rows])))
+        if k is not None:
+            return start + k
+    return None
+
+
+def bisect_brackets(keeps: Callable, brackets: list, done: Callable,
+                    max_steps: Optional[int] = None) -> list:
+    """Bisect many brackets at once, BISECTION_DEPTH levels per keeps call.
+
+    Each bracket (a, b) has a on the keep side and b on the flip side.
+    The result for each is the bracket this loop ends with:
+
+        for _ in range(max_steps):          # forever when None
+            mid = 0.5 * (a + b)
+            if keep(mid): a = mid
+            else: b = mid
+            if done(a, b): break
+
+    keeps(live, t) gets the indices of the unfinished brackets and, for
+    each, the 2**BISECTION_DEPTH - 1 midpoints of the next levels of its
+    bisection tree in order from a to b, t[len(live), 2**d - 1]; it
+    returns the keep flags of the same shape. Every midpoint is
+    0.5 * (a + b) of the endpoints the loop would hold there, and the
+    walk applies done and max_steps after each step, so the result is
+    the loop's to the bit.
+    """
+    out = list(brackets)
+    steps = [0] * len(out)
+    live = list(range(len(out)))
+    while live:
+        trees = []
+        for i in live:
+            # level by level, each new midpoint goes between its bracket's ends
+            pts = list(out[i])
+            for _ in range(BISECTION_DEPTH):
+                wider = [pts[0]]
+                for x, y in zip(pts, pts[1:]):
+                    wider += (0.5 * (x + y), y)
+                pts = wider
+            trees.append(pts)
+        keep = keeps(live, np.array([pts[1:-1] for pts in trees])).tolist()
+        unfinished = []
+        for i, pts, kept in zip(live, trees, keep):
+            # pts[(lo + hi) // 2] was built as 0.5 * (pts[lo] + pts[hi])
+            lo, hi = 0, len(pts) - 1
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if kept[mid - 1]:
+                    lo = mid
+                else:
+                    hi = mid
+                steps[i] += 1
+                if done(pts[lo], pts[hi]) or steps[i] == max_steps:
+                    break
+            else:
+                unfinished.append(i)
+            out[i] = (pts[lo], pts[hi])
+        live = unfinished
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -841,41 +936,23 @@ def shift_to_boundary(
     fiber is monotone for, so bisection applies. Returns None when no
     crossing is bracketed.
     """
-    def inside(t: float) -> bool:
-        return classify_value(ray_values(oracle, J, J0, t), tol).is_member
+    def inside(t):
+        return members(ray_values(oracle, J, J0, t), tol)
 
-    t_in, t_out = None, None
-    t = 0.0
-    if oracle.contains(J, tol):
-        t_in = 0.0
-        step = -1.0
-        for _ in range(max_expand):
-            t += step
-            if not inside(t):
-                t_out = t
-                break
-            t_in = t
-            step *= 2.0
-    else:
-        t_out = 0.0
-        step = 1.0
-        for _ in range(max_expand):
-            t += step
-            if inside(t):
-                t_in = t
-                break
-            t_out = t
-            step *= 2.0
-    if t_in is None or t_out is None:
+    # the doubling bracket t += step; step *= 2
+    start_in = oracle.contains(J, tol)
+    ts, t, step = [], 0.0, (-1.0 if start_in else 1.0)
+    for _ in range(max_expand):
+        t += step
+        ts.append(t)
+        step *= 2.0
+    k = first_hit(lambda t: inside(t) != start_in, ts)
+    if k is None:
         return None
-    for _ in range(60):
-        mid = 0.5 * (t_in + t_out)
-        if inside(mid):
-            t_in = mid
-        else:
-            t_out = mid
-        if abs(t_in - t_out) < tol:
-            break
+    prev = 0.0 if k == 0 else ts[k - 1]
+    t_in, t_out = (prev, ts[k]) if start_in else (ts[k], prev)
+    (t_in, t_out), = bisect_brackets(lambda live, t: inside(t), [(t_in, t_out)],
+                                     lambda a, b: abs(a - b) < tol, max_steps=60)
     return J + (t_in + margin) * J0
 
 

@@ -118,14 +118,20 @@ def _fiber_at(oracle, at):
         return oracle
     if not at:
         return oracle.fiber_at(oracle.domain.center)
+    return oracle.fiber_at(_parse_point(at, oracle.domain.dim, "--at"))
+
+
+def _parse_point(text: str, dim: int, flag: str) -> np.ndarray:
+    """A comma-separated point with dim coordinates; anything else is a
+    ParseError that names the flag it came from."""
     try:
-        x = np.asarray([float(v) for v in at.split(",")])
+        x = np.asarray([float(v) for v in text.split(",")])
     except ValueError as e:
-        raise ParseError(f"bad --at point {at!r}: {e}") from e
-    if len(x) != oracle.domain.dim:
-        raise ParseError(f"--at {at!r} has {len(x)} coordinates, the fiber map "
-                         f"lives in dimension {oracle.domain.dim}")
-    return oracle.fiber_at(x)
+        raise ParseError(f"bad {flag} point {text!r}: {e}") from e
+    if len(x) != dim:
+        raise ParseError(f"{flag} {text!r} has {len(x)} coordinates, "
+                         f"expected dimension {dim}")
+    return x
 
 
 def _constant_oracle(key: str, n: int, command: str):
@@ -200,8 +206,14 @@ def cmd_distance(args) -> int:
 
 
 def cmd_pseudoconvex(args) -> int:
-    spec = json.loads(Path(args.domain).read_text()) if Path(args.domain).exists() \
-        else json.loads(args.domain)
+    try:
+        text = Path(args.domain).read_text()
+    except OSError:  # not a readable file: the spec itself
+        text = args.domain
+    try:
+        spec = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"bad --domain JSON: {e}") from e
     dom = domain_from_spec(spec)
     n = len(dom.bbox.lo)
     oracle = _constant_oracle(args.key, n, "pseudoconvex")
@@ -209,7 +221,7 @@ def cmd_pseudoconvex(args) -> int:
     seeds = []
     if args.points:
         for chunk in args.points.split(";"):
-            seeds.append(np.asarray([float(v) for v in chunk.split(",")]))
+            seeds.append(_parse_point(chunk, n, "--points"))
     else:
         rng = np.random.default_rng(args.seed or 101)
         for _ in range(args.count):

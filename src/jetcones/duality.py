@@ -23,6 +23,8 @@ from .catalog import (
     VariableFiberMap,
     classify_value,
     cone_M,
+    first_hit,
+    members,
     ray_values,
 )
 from .jets import Jet2, random_jet
@@ -163,12 +165,14 @@ def sample_cone_member(M: MonotonicityCone, rng: np.random.Generator, n: int,
         return Jet2(-M.gamma * pn, p, SymMat(a * np.eye(n)))
     J0 = M.interior_jet(n)
     J = random_jet(rng, n, scale)
-    # mix toward the interior jet until membership holds
-    t = 0.0
+    # mix toward the interior jet along t = 0, 0.5, 1.5, ... until membership
+    # holds or t reaches 1e6
+    ts = [0.0]
+    while ts[-1] < 1e6:
+        ts.append(2.0 * ts[-1] + 0.5)
     oracle = cone_M(M, n)
-    while not classify_value(ray_values(oracle, J, J0, t)).is_member and t < 1e6:
-        t = 2.0 * t + 0.5
-    return J + t * J0
+    k = first_hit(lambda t: members(ray_values(oracle, J, J0, t)), ts)
+    return J + ts[-1 if k is None else k] * J0
 
 
 def check_monotonicity(
@@ -184,10 +188,10 @@ def check_monotonicity(
     variable = isinstance(F, VariableFiberMap)
     n = F.n
     rep = CheckReport(name="monotonicity", seed=seed)
+    J0 = M.interior_jet(n)
     for i in range(samples):
         oracle = F.fiber_at(F.domain.sample(rng, 1)[0]) if variable else F
-        J = _member_sampler(oracle, rng, n, scale, tol,
-                            shift_jet=M.interior_jet(n))
+        J = _member_sampler(oracle, rng, n, scale, tol, shift_jet=J0)
         if J is None:
             continue
         K = sample_cone_member(M, rng, n, scale=abs(rng.standard_normal()) + 0.1,

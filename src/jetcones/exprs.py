@@ -44,6 +44,7 @@ _BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^":
 
 
 def _tokenize(text: str) -> list:
+    text = text.rstrip()
     pos = 0
     out = []
     while pos < len(text):

@@ -350,11 +350,19 @@ EXIT_CODES = [
     (("pseudoconvex", "--domain", SPHERE_2D, "--key", "P", "--count", "2"), 0),
     (("pseudoconvex", "--domain", '{"kind": "slab", "n": 2}', "--key", "P",
       "--points", "1.0,0.2"), 1),
+    (("pseudoconvex", "--domain", SPHERE_2D, "--key", "P", "--points", "a,b"), 2),
+    (("pseudoconvex", "--domain", SPHERE_2D, "--key", "P", "--points", "0.1,0.2,0.3"), 2),
+    (("pseudoconvex", "--domain", '{"kind": sphere', "--key", "P"), 2),
+    (("pseudoconvex", "--domain", '["sphere"]', "--key", "P"), 2),
+    (("pseudoconvex", "--domain", '{"kind": "ellipsoid"}', "--key", "P"), 2),
+    (("pseudoconvex", "--domain", '{"kind": "sphere", "n": 2' + " " * 300 + "}", "--key", "P",
+      "--count", "1"), 0),
     (("garding", "--op", "det", "--matrix", MATRIX_2D), 0),
     (("garding", "--op", "bogus", "--matrix", MATRIX_2D), 2),
     (("check", "no-such-suite"), 2),
     (("solve", {}), 0),
     (("solve", {"init": "zero", "max_iter": 1}), 4),
+    (("solve", {"boundary": "0.5*(x1^2 + x2^2) "}), 0),
     (("solve", {"boundary": "1/0"}), 3),
     (("solve", {"boundary": "abs(1,2)"}), 2),
     (("solve", {"boundary": "-" * 3000 + "x1"}), 2),

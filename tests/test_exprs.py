@@ -54,8 +54,13 @@ def test_scientific_numbers():
     assert compile_expression("1e-2 + .5")([]) == pytest.approx(0.51)
 
 
+@pytest.mark.parametrize("text", ["x1 ", " x1\t"])
+def test_surrounding_whitespace_is_skipped(text):
+    assert compile_expression(text)([3.0]) == 3.0
+
+
 @pytest.mark.parametrize("bad", [
-    "", "x0", "y1", "1 +", "foo(2)", "(1", "1 $ 2", "abs 2", "x1 x2",
+    "", " \t", "x0", "y1", "1 +", "foo(2)", "(1", "1 $ 2", "abs 2", "x1 x2",
     "abs(1,2)", "min(1)", "max(x1)", "min()",
     pytest.param("-" * 3000 + "1", id="3000 minus signs"),
     pytest.param("(" * 3000 + "1" + ")" * 3000, id="3000 parentheses"),
