@@ -28,14 +28,14 @@ from .catalog import (
     bisect_brackets,
     cone_M,
     fan_values,
-    first_hit,
+    first_hits,
     first_true,
     per_jet_form,
     ray_values,
 )
 from .duality import CheckReport
 from .errors import BracketingFailure, ReferenceJetNotInterior
-from .jets import Jet2, SymMat, jet_norm, random_jet, random_psd
+from .jets import Jet2, SymMat, jet_norm, random_jet, random_psd, stack_jets
 
 SEARCH_RADIUS = 1e6
 
@@ -65,7 +65,7 @@ def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
         t *= 2.0
     start_in = bool(member(0.0))
     side = ups if start_in else [-u for u in ups]
-    k = first_hit(lambda t: member(t) != start_in, side)
+    k, = first_hits(lambda live, t: member(t) != start_in, [side])
     if k is None:
         raise BracketingFailure(
             f"no boundary crossing of {F.label} along I within radius {SEARCH_RADIUS:g}"
@@ -119,9 +119,7 @@ def _jet_directions(n: int, count: int, seed: int, arity: Arity) -> list:
 def _direction_stack(n: int, count: int, seed: int, arity: Arity) -> tuple:
     """_jet_directions as read-only stacks (r[D], p[D, n], A[D, n, n]), built
     once per argument tuple."""
-    dirs = _jet_directions(n, count, seed, arity)
-    stack = (np.array([U.r for U in dirs]), np.array([U.p for U in dirs]).reshape(-1, n),
-             np.array([U.A.entries for U in dirs]).reshape(-1, n, n))
+    stack = stack_jets(_jet_directions(n, count, seed, arity), n)
     for a in stack:
         a.setflags(write=False)
     return stack
@@ -162,7 +160,8 @@ def _crossings(F: FiberOracle, J: Jet2, inside: bool, directions: int, tol: floa
     Ur, Up, UA = _direction_stack(J.n, directions, seed, F.arity)
 
     def keeps(live, s):
-        g = fan_values(F, J, Ur[live, None], Up[live, None], UA[live, None], s)
+        g = fan_values(F.values, (J.r, J.p, J.A.entries),
+                       (Ur[live, None], Up[live, None], UA[live, None]), s)
         return (g >= 0.0) == inside
 
     # every direction's doubling bracket s = 1, 2, 4, ... <= cap, in one call

@@ -25,6 +25,7 @@ user-supplied jet operators) become forms through per_jet_form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -179,17 +180,17 @@ def ray_values(oracle: FiberOracle, J: Jet2, U: Jet2, t):
     """
     if J.n != U.n:
         raise ValueError(f"dimension mismatch: jet of dimension {J.n}, direction {U.n}")
-    return fan_values(oracle, J, U.r, U.p, U.A.entries, t)
+    return fan_values(oracle.values, (J.r, J.p, J.A.entries), (U.r, U.p, U.A.entries), t)
 
 
-def fan_values(oracle: FiberOracle, J: Jet2, Ur, Up, UA, t):
-    """ray_values for a stack of directions U = (Ur[...], Up[..., n], UA[..., n, n])
-    whose leading axes broadcast against t's."""
+def fan_values(values: Callable, J: tuple, U: tuple, t):
+    """values(J + t*U) for stacks of jets J and directions U, each given as
+    (r[...], p[..., n], A[..., n, n]) with leading axes that broadcast
+    against t's; values maps such a stack (r, p, A) to g[...]."""
     t = np.asarray(t, dtype=float)
-    r = J.r + t * Ur
-    p = J.p + t[..., None] * Up
-    A = J.A.entries + t[..., None, None] * UA
-    return oracle.values(r, p, A)
+    Jr, Jp, JA = J
+    Ur, Up, UA = U
+    return values(Jr + t * Ur, Jp + t[..., None] * Up, JA + t[..., None, None] * UA)
 
 
 # Levels of each bracket's bisection tree evaluated per values call: one
@@ -205,19 +206,39 @@ def first_true(flags) -> Optional[int]:
     return int(hits[0]) if hits.size else None
 
 
-def first_hit(probe: Callable, ts: list) -> Optional[int]:
-    """Index of the first t in ts with probe(t) true, or None.
+def take_rows(a: np.ndarray, rows) -> np.ndarray:
+    """a[rows] for rows that list some of a's row indices in increasing
+    order, as the searches' live sets do: a itself, unindexed, when rows
+    lists all of them."""
+    return a if len(rows) == len(a) else a[rows]
 
-    probe maps an array of ts to flags. It sees 2**BISECTION_DEPTH - 1 ts
-    per call, in order, and no call follows the first hit: a long
-    doubling sequence usually flips within its first few entries.
+
+def first_hits(probe: Callable, ts) -> list:
+    """For each row of ts[rows, m], the index of its first t with probe
+    true, or None.
+
+    probe(live, t) gets the indices of the rows without a hit so far and
+    their next 2**BISECTION_DEPTH - 1 ts, in order, as t[len(live), k];
+    it returns the flags of the same shape. No row is probed past its
+    first hit: a long doubling sequence usually flips within its first
+    few entries.
     """
-    rows = 2 ** BISECTION_DEPTH - 1
-    for start in range(0, len(ts), rows):
-        k = first_true(probe(np.array(ts[start:start + rows])))
-        if k is not None:
-            return start + k
-    return None
+    ts = np.asarray(ts, dtype=float)
+    width = 2 ** BISECTION_DEPTH - 1
+    out = [None] * len(ts)
+    live = list(range(len(ts)))
+    for start in range(0, ts.shape[1], width):
+        if not live:
+            break
+        flags = np.asarray(probe(live, take_rows(ts, live)[:, start:start + width])).tolist()
+        missed = []
+        for i, row in zip(live, flags):
+            if True in row:
+                out[i] = start + row.index(True)
+            else:
+                missed.append(i)
+        live = missed
+    return out
 
 
 def bisect_brackets(keeps: Callable, brackets: list, done: Callable,
@@ -922,12 +943,16 @@ class FiberegReport:
         return self.witness is None or self.delta > self.resolution * (1 + 1e-9)
 
 
+# shift_to_boundary's membership tolerance along the ray
+SHIFT_TOL = 1e-9
+
+
 def shift_to_boundary(
     oracle: FiberOracle,
     J: Jet2,
     J0: Jet2,
     margin: float = 1e-6,
-    tol: float = 1e-9,
+    tol: float = SHIFT_TOL,
     max_expand: int = 60,
 ) -> Optional[Jet2]:
     """Move J along J0 onto the membership boundary, then step inside.
@@ -936,24 +961,62 @@ def shift_to_boundary(
     fiber is monotone for, so bisection applies. Returns None when no
     crossing is bracketed.
     """
-    def inside(t):
-        return members(ray_values(oracle, J, J0, t), tol)
+    t_in, = boundary_shifts(lambda live, r, p, A: oracle.values(r, p, A),
+                            (np.array([J.r]), J.p[None], J.A.entries[None]),
+                            [oracle.contains(J, tol)], J0, tol, max_expand)
+    return None if t_in is None else J + (t_in + margin) * J0
 
-    # the doubling bracket t += step; step *= 2
-    start_in = oracle.contains(J, tol)
-    ts, t, step = [], 0.0, (-1.0 if start_in else 1.0)
-    for _ in range(max_expand):
+
+@functools.lru_cache(maxsize=8)
+def _doubling_steps(count: int) -> np.ndarray:
+    """The doubling bracket t += step; step *= 2 from t = 0, step = 1:
+    t = 1, 3, 7, ..., count entries, read-only."""
+    steps, t, step = [], 0.0, 1.0
+    for _ in range(count):
         t += step
-        ts.append(t)
+        steps.append(t)
         step *= 2.0
-    k = first_hit(lambda t: inside(t) != start_in, ts)
-    if k is None:
-        return None
-    prev = 0.0 if k == 0 else ts[k - 1]
-    t_in, t_out = (prev, ts[k]) if start_in else (ts[k], prev)
-    (t_in, t_out), = bisect_brackets(lambda live, t: inside(t), [(t_in, t_out)],
-                                     lambda a, b: abs(a - b) < tol, max_steps=60)
-    return J + (t_in + margin) * J0
+    out = np.array(steps)
+    out.setflags(write=False)
+    return out
+
+
+def boundary_shifts(values: Callable, J: tuple, start_in, J0: Jet2, tol: float = SHIFT_TOL,
+                    max_expand: int = 60) -> list:
+    """The search of shift_to_boundary for a stack of jets, in lockstep.
+
+    J = (r[N], p[N, n], A[N, n, n]) holds the jets; values(live, r, p, A)
+    evaluates the functional of the fiber of each row in live on the
+    stack r[len(live), k], p, A (the rows may lie in different fibers);
+    start_in[i] is J_i's membership under tol. For each row the result is
+    the member end t_in of its crossing along J_i + t*J0: doubled
+    outward (t = +-1, +-3, +-7, ...) from t = 0 for max_expand steps,
+    then bisected until the bracket is narrower than tol (at most 60
+    steps). It is None when no crossing is bracketed.
+    """
+    start_in = np.asarray(start_in, dtype=bool)
+    Jr, Jp, JA = (a[:, None] for a in J)
+    U = (J0.r, J0.p, J0.A.entries)
+
+    def inside(rows, t):
+        at = (take_rows(Jr, rows), take_rows(Jp, rows), take_rows(JA, rows))
+        return members(fan_values(lambda r, p, A: values(rows, r, p, A), at, U, t), tol)
+
+    ts = _doubling_steps(max_expand) * np.where(start_in, -1.0, 1.0)[:, None]
+    hits = first_hits(lambda live, t: inside(live, t) != take_rows(start_in, live)[:, None], ts)
+    rows = [i for i, k in enumerate(hits) if k is not None]
+    brackets = []
+    for i in rows:
+        k = hits[i]
+        prev, flip = (0.0 if k == 0 else ts[i, k - 1].item()), ts[i, k].item()
+        brackets.append((prev, flip) if start_in[i] else (flip, prev))
+    rows = np.array(rows, dtype=int)
+    brackets = bisect_brackets(lambda live, t: inside(take_rows(rows, live), t), brackets,
+                               lambda a, b: abs(a - b) < tol, max_steps=60)
+    out = [None] * len(hits)
+    for i, (t_in, _) in zip(rows.tolist(), brackets):
+        out[i] = t_in
+    return out
 
 
 def _fiber_jet_samples(

@@ -198,6 +198,8 @@ def cmd_garding(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    if args.directions < 1:
+        raise ParseError(f"--directions must be at least 1, got {args.directions}")
     J = _jet_from_args(args)
     oracle = _constant_oracle(args.key, J.n, "distance")
     value = signed_distance(oracle, J, directions=args.directions, seed=args.seed or 53)

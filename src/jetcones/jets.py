@@ -171,6 +171,13 @@ class Jet2:
         return Jet2(d["r"], d["p"], SymMat(d["A"]))
 
 
+def stack_jets(jets, n: int) -> tuple:
+    """A sequence of jets in dimension n as stacks (r[N], p[N, n], A[N, n, n])."""
+    return (np.array([J.r for J in jets], dtype=float),
+            np.array([J.p for J in jets], dtype=float).reshape(len(jets), n),
+            np.array([J.A.entries for J in jets], dtype=float).reshape(len(jets), n, n))
+
+
 def _set_jet(J: Jet2, r, p: np.ndarray, A: SymMat) -> None:
     p.flags.writeable = False
     object.__setattr__(J, "r", float(r))

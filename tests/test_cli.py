@@ -347,6 +347,8 @@ EXIT_CODES = [
     (("canonical", "--key", "P", "--matrix", MATRIX_2D), 0),
     (("canonical", "--key", "Q~", "--matrix", MATRIX_2D), 3),
     (("distance", "--key", "P", "--matrix", MATRIX_2D, "--directions", "8"), 0),
+    (("distance", "--key", "P", "--matrix", MATRIX_2D, "--directions", "0"), 2),
+    (("distance", "--key", "P", "--matrix", MATRIX_2D, "--directions", "-1"), 2),
     (("pseudoconvex", "--domain", SPHERE_2D, "--key", "P", "--count", "2"), 0),
     (("pseudoconvex", "--domain", '{"kind": "slab", "n": 2}', "--key", "P",
       "--points", "1.0,0.2"), 1),

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from jetcones import garding as gar
 from jetcones.catalog import (
+    Arity,
     DirectionalCone,
+    FiberOracle,
     MonotonicityCone,
     RegionKind,
     branch,
@@ -13,13 +16,17 @@ from jetcones.catalog import (
     cone_P,
     cone_P_dual,
     cone_pfold,
+    cone_pucci,
     cone_Q,
     cone_Q_dual,
+    cone_sigma_k,
     fiber_affine_sphere,
     fiber_failure_example,
     Box,
 )
 from jetcones.duality import (
+    CheckReport,
+    check_dual_pair,
     check_inclusion,
     check_involution,
     check_jet_addition,
@@ -136,3 +143,83 @@ def test_dual_positive_homogeneity():
             continue
         t = float(rng.uniform(0.2, 5.0))
         assert Fd.classify(t * J, 1e-10).is_member == r.is_member
+
+
+def ref_check_inclusion(F, G, samples=1000, seed=37, tol=1e-8, scale=1.5):
+    rng = np.random.default_rng(seed)
+    rep = CheckReport(name="inclusion", seed=seed)
+    for _ in range(samples):
+        J = random_jet(rng, F.n, scale)
+        rF = F.classify(J, tol)
+        if not rF.is_member:
+            continue
+        if rF.margin <= 3 * tol:
+            rep.excluded_boundary += 1
+            continue
+        rG = G.classify(J, tol)
+        ok = rG.is_member
+        rep.record(ok, rG.margin if ok else -rG.margin, None if ok else J)
+    return rep
+
+
+@pytest.mark.parametrize("F, G, tol", [
+    (cone_P(3), branch(3, 2), 1e-8),
+    (dual_oracle(branch(3, 2)), dual_oracle(cone_P(3)), 1e-8),
+    (branch(3, 2), cone_P(3), 1e-8),             # fails, with witnesses
+    (cone_pfold(3, 2), cone_P(3), 0.05),        # a wide band excludes jets
+    (cone_Q(2), cone_Q(2), 1e-8),
+], ids=["P-in-branch2", "dual-reversed", "branch2-not-in-P", "wide-band", "Q-in-Q"])
+def test_check_inclusion_matches_per_jet_loop(F, G, tol):
+    for samples in (0, 1, 500):
+        got = check_inclusion(F, G, samples=samples, seed=34, tol=tol)
+        ref = ref_check_inclusion(F, G, samples=samples, seed=34, tol=tol)
+        assert got.to_json_dict() == ref.to_json_dict()
+        assert float.hex(got.worst_margin) == float.hex(ref.worst_margin)
+    assert (got.excluded_boundary > 0) == (tol > 1e-8)
+
+
+def eig_oracle(label, n, f):
+    """A pure second-order oracle from a closed form in the eigenvalues."""
+    return FiberOracle(label, n, Arity.PURE_SECOND_ORDER, None,
+                       lambda r, p, A: f(np.linalg.eigvalsh(A)))
+
+
+def ref_check_dual_pair(F, G, samples, seed, tol=1e-8, scale=1.5):
+    rng = np.random.default_rng(seed)
+    rep = CheckReport(name=f"dual-pair[{F.key or F.label}, {G.key or G.label}]", seed=seed)
+    for _ in range(samples):
+        J = random_jet(rng, F.n, scale)
+        r1 = dual_contains(F, J, tol)
+        if r1.margin <= 3 * tol:
+            rep.excluded_boundary += 1
+            continue
+        ok = r1.is_member == G.classify(J, tol).is_member
+        rep.record(ok, r1.margin, None if ok else J)
+    return rep
+
+
+@pytest.mark.parametrize("F, G, dual", [
+    (cone_P(3), cone_P_dual(3), True),
+    (cone_Q(2), cone_Q_dual(2), True),
+    (branch(3, 1), eig_oracle("lambda_3", 3, lambda ev: ev[..., 2]), True),
+    (cone_pfold(3, 2), eig_oracle("top-2 sum", 3, lambda ev: ev[..., 1] + ev[..., 2]), True),
+    (cone_sigma_k(3, 2), gar.branch_oracle(gar.sigma_k_operator(3, 2), 2), True),
+    (branch(3, 1), branch(3, 1), False),
+    (cone_pucci(2, 1.0, 2.0), cone_pucci(2, 1.0, 2.0), False),
+    (cone_pfold(3, 2), eig_oracle("bottom-2 sum", 3, lambda ev: ev[..., 0] + ev[..., 1]), False),
+    (cone_sigma_k(3, 2), gar.branch_oracle(gar.sigma_k_operator(3, 2), 1), False),
+], ids=["P", "Q", "branch1", "pfold2", "sigma2", "branch1-self", "pucci-unswapped",
+        "pfold-bottom", "sigma-Lambda-min"])
+def test_check_dual_pair(F, G, dual):
+    rep = check_dual_pair(F, G, samples=400, seed=5)
+    assert rep.ok == dual
+    assert rep.checked > 300
+    assert bool(rep.witnesses) == (not dual)
+    ref = ref_check_dual_pair(F, G, samples=400, seed=5)
+    assert rep.to_json_dict() == ref.to_json_dict()
+    assert float.hex(rep.worst_margin) == float.hex(ref.worst_margin)
+
+
+def test_check_dual_pair_needs_one_dimension():
+    with pytest.raises(ValueError):
+        check_dual_pair(cone_P(2), cone_P_dual(3))

@@ -1,15 +1,18 @@
-"""The line searches and the involution check against the Jet2 route.
+"""The line searches and the sampled checks against the Jet2 route.
 
 canonical_operator, signed_distance, shift_to_boundary, the mixing loop
-of sample_cone_member and check_involution evaluate oracles on arrays
-along a ray (ray_values, fan_values) and on stacks (FiberOracle.values).
-The searches probe whole doubling brackets per call and walk
+of sample_cone_member, check_involution, check_monotonicity and
+check_jet_addition evaluate oracles on arrays along a ray (ray_values,
+fan_values) and on stacks (FiberOracle.values). The searches probe
+doubling brackets 2**BISECTION_DEPTH - 1 entries per call and walk
 BISECTION_DEPTH levels of each bisection tree per call, signed_distance
-for all directions in lockstep (catalog.bisect_brackets). The references
-below are the one-probe-at-a-time loops written with Jet2 arithmetic and
-one oracle.value per probe; every returned value, jet and report must
-match them bit for bit. Probes past the point where such a loop would
-stop must not warn either, so RuntimeWarnings are errors here.
+for all directions in lockstep (catalog.bisect_brackets) and the two
+sampled checks for all samples in lockstep (catalog.boundary_shifts).
+The references below are the one-probe-at-a-time, one-sample-at-a-time
+loops written with Jet2 arithmetic and one oracle.value per probe;
+every returned value, jet, report and error must match them bit for
+bit. Probes past the point where such a loop would stop must not warn
+either, so RuntimeWarnings are errors here.
 """
 
 import math
@@ -27,15 +30,29 @@ from jetcones.canonical import (
 )
 from jetcones.catalog import (
     Arity,
+    Box,
+    ConeKind,
     DirectionalCone,
+    FiberOracle,
     MonotonicityCone,
+    VariableFiberMap,
     bisect_brackets,
+    cone_M,
+    fiber_affine_sphere,
+    fiber_optimal_transport,
     make_oracle,
     ray_values,
     shift_to_boundary,
 )
-from jetcones.duality import CheckReport, check_involution, dual_oracle, sample_cone_member
-from jetcones.errors import BracketingFailure
+from jetcones.duality import (
+    CheckReport,
+    check_involution,
+    check_jet_addition,
+    check_monotonicity,
+    dual_oracle,
+    sample_cone_member,
+)
+from jetcones.errors import BracketingFailure, NegativeSource
 from jetcones.jets import Jet2, SymMat, jet_norm, random_jet, random_symmetric
 
 
@@ -172,6 +189,74 @@ def ref_sample_cone_member(M, rng, n, scale):
     while not oracle.contains(J + t * J0) and t < 1e6:
         t = 2.0 * t + 0.5
     return J + t * J0
+
+
+def ref_cone_member(M, rng, n, scale, extreme):
+    if not extreme:
+        return ref_sample_cone_member(M, rng, n, scale)
+    p = rng.standard_normal(n) * scale
+    if M.D.kind is ConeKind.HALFSPACE:
+        s = p @ M.D.direction
+        if s < 0:
+            p = p - 2 * s * M.D.direction
+    elif M.D.kind is ConeKind.ORTHANT:
+        q = np.zeros(n)
+        for a in M.D.axes:
+            q[a] = abs(p[a])
+        p = q
+    pn = float(np.linalg.norm(p))
+    a = 0.0 if math.isinf(M.R) else pn / M.R
+    return Jet2(-M.gamma * pn, p, SymMat(a * np.eye(n)))
+
+
+def ref_member_sampler(oracle, rng, n, scale, tol, J0):
+    J = random_jet(rng, n, scale)
+    if oracle.contains(J, tol):
+        return J
+    moved = ref_shift_to_boundary(oracle, J, J0, margin=abs(rng.standard_normal()) + 1e-3)
+    if moved is not None and oracle.contains(moved, tol):
+        return moved
+    return None
+
+
+def ref_record(rep, oracle, S, witness, tol):
+    r = oracle.classify(S, tol)
+    ok = r.is_member or r.margin <= 10 * tol
+    rep.record(ok, r.margin if r.is_member else -r.margin, None if ok else witness)
+
+
+def ref_check_monotonicity(F, M, samples=400, seed=29, tol=1e-8, scale=1.5):
+    rng = np.random.default_rng(seed)
+    variable = isinstance(F, VariableFiberMap)
+    rep = CheckReport(name="monotonicity", seed=seed)
+    J0 = M.interior_jet(F.n)
+    for i in range(samples):
+        oracle = F.fiber_at(F.domain.sample(rng, 1)[0]) if variable else F
+        J = ref_member_sampler(oracle, rng, F.n, scale, tol, J0)
+        if J is None:
+            continue
+        K = ref_cone_member(M, rng, F.n, abs(rng.standard_normal()) + 0.1, i % 2 == 0)
+        ref_record(rep, oracle, J + K, J, tol)
+    return rep
+
+
+def ref_check_jet_addition(F, M, samples=400, seed=31, tol=1e-8, scale=1.5, precheck=True):
+    if precheck:
+        mono = ref_check_monotonicity(F, M, samples=max(200, samples), seed=seed + 1,
+                                      tol=tol, scale=scale)
+        if not mono.ok:
+            raise ValueError(f"jet-addition precondition failed: F is not M-monotone "
+                             f"({mono.failed} violations)")
+    rng = np.random.default_rng(seed)
+    Fd, Md = dual_oracle(F), dual_oracle(cone_M(M, F.n))
+    J0 = M.interior_jet(F.n)
+    rep = CheckReport(name="jet-addition", seed=seed)
+    for _ in range(samples):
+        J = ref_member_sampler(F, rng, F.n, scale, tol, J0)
+        K = ref_member_sampler(Fd, rng, F.n, scale, tol, J0)
+        if J is not None and K is not None:
+            ref_record(rep, Md, J + K, J + K, tol)
+    return rep
 
 
 def ref_bisect(keep, a, b, done, max_steps):
@@ -428,3 +513,131 @@ def test_sample_cone_member_mixing_on_more_cones(M, n, scale):
         got = sample_cone_member(M, np.random.default_rng(seed), n, scale=scale)
         ref = ref_sample_cone_member(M, np.random.default_rng(seed), n, scale)
         assert hexes(got) == hexes(ref)
+
+
+# --- check_monotonicity and check_jet_addition against the per-sample loops --
+
+M_FULL = MonotonicityCone(0.0, DirectionalCone.full(), math.inf)
+M_HALF = MonotonicityCone(0.0, DirectionalCone.halfspace([1.0, 0.0]), math.inf)
+
+
+def empty_fiber(n):
+    return FiberOracle("empty", n, Arity.PURE_SECOND_ORDER, None,
+                       lambda r, p, A: np.full(np.shape(r), -1.0))
+
+
+def gradient_capped(n):
+    """min(lambda_min(A), 1 - |p|): no shift along M_FULL's interior jet,
+    which leaves p alone, reaches the fiber from |p| > 1."""
+    return FiberOracle("capped", n, Arity.FULL, None,
+                       lambda r, p, A: np.minimum(np.linalg.eigvalsh(A)[..., 0],
+                                                  1.0 - np.sqrt(np.sum(p * p, axis=-1))))
+
+
+def affine_sphere(f_field):
+    return fiber_affine_sphere(Box([-1, -1], [1, 1]), f_field, n=2)
+
+
+def half_plane_ot(f_field):
+    """Optimal-transport fibers with p in the half plane p1 >= 0: a shift
+    along M_FULL's interior jet never repairs p1 < 0."""
+    return fiber_optimal_transport(Box([-1, -1], [1, 1]), lambda p: np.ones(np.shape(p)[:-1]),
+                                   DirectionalCone.halfspace([1.0, 0.0]), f_field, n=2)
+
+
+def same_report(got, ref):
+    assert got.to_json_dict() == ref.to_json_dict()
+    assert float.hex(got.worst_margin) == float.hex(ref.worst_margin)
+    assert [hexes(w) for w in got.witnesses] == [hexes(w) for w in ref.witnesses]
+
+
+CHECK_CASES = [
+    pytest.param(lambda: make_oracle("P", 3), M_FULL, id="P3"),
+    pytest.param(lambda: make_oracle("Q", 2), M_FULL, id="Q2"),
+    pytest.param(lambda: make_oracle("pucci:1,2", 2), M_FULL, id="pucci"),
+    pytest.param(lambda: make_oracle("failure:alpha=2,which=min", 2), M_HALF, id="failure"),
+    pytest.param(lambda: affine_sphere(lambda x: 0.5), M_FULL, id="affine-sphere"),
+    pytest.param(lambda: gradient_capped(2), M_FULL, id="capped"),
+    pytest.param(lambda: empty_fiber(2), M_FULL, id="empty"),
+]
+
+
+@pytest.mark.parametrize("seed", [29, 4])
+@pytest.mark.parametrize("make, M", CHECK_CASES)
+def test_check_monotonicity_matches_per_sample_loop(make, M, seed):
+    F = make()
+    got = check_monotonicity(F, M, samples=160, seed=seed)
+    same_report(got, ref_check_monotonicity(F, M, samples=160, seed=seed))
+    if F.label == "empty":
+        assert got.checked == 0
+    if F.key and F.key.startswith("failure"):
+        assert got.witnesses
+
+
+def report_or_refusal(check, *args, **kwargs):
+    try:
+        return check(*args, **kwargs)
+    except ValueError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("make, M", CHECK_CASES[:4] + CHECK_CASES[5:])
+def test_check_jet_addition_matches_per_sample_loop(make, M):
+    # the failure example and the capped fiber are not monotone: the
+    # precheck refuses them, with the same count of violations
+    F = make()
+    for precheck in (True, False):
+        got = report_or_refusal(check_jet_addition, F, M, samples=120, seed=31,
+                                precheck=precheck)
+        ref = report_or_refusal(ref_check_jet_addition, F, M, samples=120, seed=31,
+                                precheck=precheck)
+        if isinstance(ref, str):
+            assert precheck and got == ref
+        else:
+            same_report(got, ref)
+
+
+def test_monotonicity_at_the_default_sizes():
+    # test_duality's cases at their sample counts and seeds
+    for F, M, samples in [(make_oracle("P", 3), M_FULL, 400),
+                          (affine_sphere(lambda x: 0.5), M_FULL, 300),
+                          (make_oracle("failure:alpha=2,which=min", 2), M_HALF, 400)]:
+        same_report(check_monotonicity(F, M, samples=samples),
+                    ref_check_monotonicity(F, M, samples=samples))
+
+
+def test_restarts_follow_the_per_sample_draws():
+    # three in four shifts fail, so nearly every batch restarts; a sample's
+    # cone draws must follow only a shift that held
+    F = gradient_capped(3)
+    for seed in range(3):
+        got = check_monotonicity(F, M_FULL, samples=60, seed=seed)
+        same_report(got, ref_check_monotonicity(F, M_FULL, samples=60, seed=seed))
+        assert 0 < got.checked < 30
+
+
+def error_of(check, *args, **kwargs):
+    with pytest.raises(NegativeSource) as e:
+        check(*args, **kwargs)
+    return str(e.value)
+
+
+@pytest.mark.parametrize("make", [affine_sphere, half_plane_ot], ids=["affine-sphere", "ot"])
+def test_bad_point_raises_the_per_sample_error(make):
+    # f < 0 on a strip of the box: the first point drawn there raises. On
+    # the half-plane fibers failed shifts come first, so the batch's later
+    # draws were speculative and the error must be the one of the point
+    # the per-sample loop reaches
+    theta = make(lambda x: x[..., 0] + 0.9)
+    for seed in (29, 3):
+        got = error_of(check_monotonicity, theta, M_FULL, samples=200, seed=seed)
+        assert got == error_of(ref_check_monotonicity, theta, M_FULL, samples=200, seed=seed)
+        assert got.startswith("f(")
+
+
+def test_variable_fibers_without_bad_points_match():
+    theta = half_plane_ot(lambda x: 0.2 + 0.1 * x[..., 1])
+    for seed in (29, 3):
+        got = check_monotonicity(theta, M_FULL, samples=120, seed=seed)
+        same_report(got, ref_check_monotonicity(theta, M_FULL, samples=120, seed=seed))
+        assert 0 < got.checked < 120
