@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .catalog import Box, DEFAULT_TOL, FiberOracle
+from .catalog import Box, DEFAULT_TOL, FiberOracle, bisect_brackets, fan_values
 from .errors import NotOnBoundary, SingularGradient
 from .jets import SymMat, random_orthogonal, trace_on_subspace
 
@@ -130,26 +130,30 @@ def strict_pseudoconvex_at(
 
     Tests A_x + t*P_e interior to F at t = t_cap first; positivity of F
     makes membership monotone in t, so one probe at the cap is decisive
-    up to the cap. On success the minimal t0 is found by bisection.
+    up to the cap. On success the minimal t0 is the interior end hi of
+    [0, t_cap] bisected until hi - lo <= tol * max(1, hi), with no step
+    when [0, t_cap] already meets that rule.
     """
-    n = len(bp.x)
-    Pe = SymMat(np.outer(bp.e, bp.e))
+    zero_p = np.zeros(len(bp.x))
+    Pe = SymMat(np.outer(bp.e, bp.e)).entries
 
-    def interior_at(t: float) -> bool:
-        return F.classify(bp.A_x + t * Pe, DEFAULT_TOL).is_interior
+    def outside(t):
+        g = fan_values(F.values, (0.0, zero_p, bp.A_x.entries), (0.0, zero_p, Pe), t)
+        return ~(g > DEFAULT_TOL)
 
-    if not interior_at(t_cap):
+    at_cap, at_zero = outside(np.array([t_cap, 0.0])).tolist()
+    if at_cap:
         return PseudoconvexVerdict(convex=False, t0=None, t_cap=t_cap)
-    lo, hi = 0.0, t_cap
-    if interior_at(0.0):
+    if not at_zero:
         return PseudoconvexVerdict(convex=True, t0=0.0, t_cap=t_cap)
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if interior_at(mid):
-            hi = mid
-        else:
-            lo = mid
-    return PseudoconvexVerdict(convex=True, t0=hi, t_cap=t_cap)
+
+    def done(lo, hi):
+        return not hi - lo > tol * max(1.0, hi)
+
+    bracket = (0.0, t_cap)
+    if not done(*bracket):
+        bracket, = bisect_brackets(lambda live, t: outside(t), [bracket], done)
+    return PseudoconvexVerdict(convex=True, t0=bracket[1], t_cap=t_cap)
 
 
 def strict_ellipticity_check(

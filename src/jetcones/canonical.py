@@ -27,9 +27,8 @@ from .catalog import (
     RegionKind,
     bisect_brackets,
     cone_M,
+    crossing_brackets,
     fan_values,
-    first_hits,
-    first_true,
     per_jet_form,
     ray_values,
 )
@@ -57,22 +56,14 @@ def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
         # bisection target is the exact zero crossing
         return ray_values(F, J, eyeJ, -t) >= 0.0
 
-    span = jet_norm(J) + 1.0
-    ups = []
-    t = span
-    while t <= SEARCH_RADIUS:
-        ups.append(t)
-        t *= 2.0
     start_in = bool(member(0.0))
-    side = ups if start_in else [-u for u in ups]
-    k, = first_hits(lambda live, t: member(t) != start_in, [side])
-    if k is None:
+    side = _doublings(jet_norm(J) + 1.0, SEARCH_RADIUS)
+    bracket, = crossing_brackets(lambda live, t: member(t),
+                                 [side if start_in else [-u for u in side]], [start_in])
+    if bracket is None:
         raise BracketingFailure(
             f"no boundary crossing of {F.label} along I within radius {SEARCH_RADIUS:g}"
         )
-    # member at t_lo, non-member at t_hi
-    last, first = ([0.0] + side)[k], side[k]
-    bracket = (last, first) if start_in else (first, last)
 
     def done(t_lo, t_hi):
         return not abs(t_hi - t_lo) > tol * max(1.0, abs(t_lo) + abs(t_hi))
@@ -81,6 +72,15 @@ def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
         bracket, = bisect_brackets(lambda live, t: member(t), [bracket], done)
     t_lo, t_hi = bracket
     return 0.5 * (t_lo + t_hi)
+
+
+def _doublings(first: float, cap: float) -> list:
+    """first, 2*first, 4*first, ... while at most cap."""
+    out = []
+    while first <= cap:
+        out.append(first)
+        first *= 2.0
+    return out
 
 
 def _jet_directions(n: int, count: int, seed: int, arity: Arity) -> list:
@@ -164,27 +164,11 @@ def _crossings(F: FiberOracle, J: Jet2, inside: bool, directions: int, tol: floa
                        (Ur[live, None], Up[live, None], UA[live, None]), s)
         return (g >= 0.0) == inside
 
-    # every direction's doubling bracket s = 1, 2, 4, ... <= cap, in one call
-    ss = []
-    s = 1.0
-    while s <= cap:
-        ss.append(s)
-        s *= 2.0
-    flips = ~keeps(np.arange(len(Ur)), np.array([ss]))
-    crossing, brackets = [], []
-    for i, row in enumerate(flips):
-        k = first_true(row)
-        if k is not None:
-            crossing.append(i)
-            brackets.append((([0.0] + ss)[k], ss[k]))
-    crossing = np.array(crossing, dtype=int)
-    brackets = bisect_brackets(lambda live, s: keeps(crossing[live], s), brackets,
-                               lambda s_keep, s_flip: s_flip - s_keep < tol * max(1.0, s_flip),
-                               max_steps=80)
-    out = [None] * len(Ur)
-    for i, (s_keep, s_flip) in zip(crossing.tolist(), brackets):
-        out[i] = 0.5 * (s_keep + s_flip)
-    return out
+    ss = _doublings(1.0, cap)
+    found = crossing_brackets(keeps, np.broadcast_to(ss, (len(Ur), len(ss))), [True] * len(Ur),
+                              lambda s_keep, s_flip: s_flip - s_keep < tol * max(1.0, s_flip),
+                              max_steps=80)
+    return [None if b is None else 0.5 * (b[0] + b[1]) for b in found]
 
 
 # ---------------------------------------------------------------------------

@@ -200,12 +200,6 @@ def fan_values(values: Callable, J: tuple, U: tuple, t):
 BISECTION_DEPTH = 4
 
 
-def first_true(flags) -> Optional[int]:
-    """Index of the first True in a 1-D boolean array, or None."""
-    hits = np.flatnonzero(flags)
-    return int(hits[0]) if hits.size else None
-
-
 def take_rows(a: np.ndarray, rows) -> np.ndarray:
     """a[rows] for rows that list some of a's row indices in increasing
     order, as the searches' live sets do: a itself, unindexed, when rows
@@ -213,31 +207,50 @@ def take_rows(a: np.ndarray, rows) -> np.ndarray:
     return a if len(rows) == len(a) else a[rows]
 
 
-def first_hits(probe: Callable, ts) -> list:
-    """For each row of ts[rows, m], the index of its first t with probe
-    true, or None.
+def crossing_brackets(keeps: Callable, ts, start, done: Optional[Callable] = None,
+                      max_steps: Optional[int] = None) -> list:
+    """For each row of ts[rows, m], the bracket of its first crossing, or
+    None when keeps holds start[row] at every entry.
 
-    probe(live, t) gets the indices of the rows without a hit so far and
-    their next 2**BISECTION_DEPTH - 1 ts, in order, as t[len(live), k];
-    it returns the flags of the same shape. No row is probed past its
-    first hit: a long doubling sequence usually flips within its first
-    few entries.
+    keeps(live, t) gets the indices of the rows still searched, in
+    increasing order, and their next ts as t[len(live), k]; it returns
+    the keep flags of the same shape. Rows are probed
+    2**BISECTION_DEPTH - 1 entries per call and none past its first
+    entry k whose flag differs from start[row]. Row i's bracket holds
+    the keep end first:
+
+        (ts[i, k - 1], ts[i, k])   when start[i],
+        (ts[i, k], ts[i, k - 1])   otherwise (the row starts on the flip side),
+
+    with 0.0, the search's start, for ts[i, k - 1] when k == 0. With
+    done, each bracket is then bisected by
+    bisect_brackets(keeps, brackets, done, max_steps), which takes at
+    least one step.
     """
     ts = np.asarray(ts, dtype=float)
     width = 2 ** BISECTION_DEPTH - 1
     out = [None] * len(ts)
     live = list(range(len(ts)))
-    for start in range(0, ts.shape[1], width):
+    for lo in range(0, ts.shape[1], width):
         if not live:
             break
-        flags = np.asarray(probe(live, take_rows(ts, live)[:, start:start + width])).tolist()
+        flags = np.asarray(keeps(live, take_rows(ts, live)[:, lo:lo + width])).tolist()
         missed = []
         for i, row in zip(live, flags):
-            if True in row:
-                out[i] = start + row.index(True)
-            else:
+            flip = not start[i]
+            if flip not in row:
                 missed.append(i)
+                continue
+            k = lo + row.index(flip)
+            prev = ts[i, k - 1].item() if k else 0.0
+            out[i] = (ts[i, k].item(), prev) if flip else (prev, ts[i, k].item())
         live = missed
+    if done is not None:
+        rows = [i for i, b in enumerate(out) if b is not None]
+        found = bisect_brackets(lambda live, t: keeps([rows[j] for j in live], t),
+                                [out[i] for i in rows], done, max_steps)
+        for i, b in zip(rows, found):
+            out[i] = b
     return out
 
 
@@ -759,17 +772,20 @@ def phase_interval_index(n: int, theta: float) -> int:
     return k
 
 
+# distance from a special phase value within which a fiber label flags it
+SPECIAL_PHASE_TOL = 1e-9
+
+
 def fiber_special_lagrangian(
     domain: Box,
     theta_field: Callable[[np.ndarray], np.ndarray],
     n: int,
-    special_tol: float = 1e-9,
 ) -> VariableFiberMap:
     """Gradient-of-graph phase fibers {A : sum_k arctan(lambda_k(A)) >= theta(x)}.
 
     theta_field maps points x[..., n] to phases [...] in
     (-n*pi/2, n*pi/2). The fiber label records which phase interval
-    contains theta(x) and flags special values.
+    contains theta(x) and flags special values (within SPECIAL_PHASE_TOL).
     """
     bound = n * np.pi / 2
 
@@ -782,7 +798,7 @@ def fiber_special_lagrangian(
 
     def describe_at(x):
         th = float(phase(x))
-        special = bool(np.any(np.abs(phase_intervals(n) - th) <= special_tol))
+        special = bool(np.any(np.abs(phase_intervals(n) - th) <= SPECIAL_PHASE_TOL))
         tag = f"interval I_{phase_interval_index(n, th)}" + (" [special value]" if special else "")
         return f"special-Lagrangian fiber at {_point(x)}, theta={th:.6g}, {tag}"
 
@@ -868,25 +884,22 @@ def fiber_optimal_transport(
     D: DirectionalCone,
     f_field: Callable[[np.ndarray], np.ndarray],
     n: int,
-    verify_directionality: bool = True,
-    directionality_samples: int = 512,
 ) -> VariableFiberMap:
     """Gradient-coupled fibers {(r,p,A) : p in D, A >= 0, g(p) det A >= f(x)}.
 
     g_density maps gradients p[..., n] and f_field points x[..., n] to
     values [...]. The target density g must satisfy the directionality
-    inequality g(p+q) >= g(p) on D x D; the sampled check runs at
-    construction and raises DirectionalityViolation with a witness pair
-    when it fails.
+    inequality g(p+q) >= g(p) on D x D; the sampled check
+    (check_directionality at its defaults) runs at construction and
+    raises DirectionalityViolation with a witness pair when it fails.
     """
-    if verify_directionality:
-        witness = check_directionality(g_density, D, n, samples=directionality_samples)
-        if witness is not None:
-            p, q = witness
-            raise DirectionalityViolation(
-                f"g(p+q) < g(p) at p={np.round(p, 6).tolist()}, q={np.round(q, 6).tolist()}",
-                witness=witness,
-            )
+    witness = check_directionality(g_density, D, n)
+    if witness is not None:
+        p, q = witness
+        raise DirectionalityViolation(
+            f"g(p+q) < g(p) at p={np.round(p, 6).tolist()}, q={np.round(q, 6).tolist()}",
+            witness=witness,
+        )
 
     def form(x, r, p, A):
         fx = _source(f_field, x)
@@ -1003,20 +1016,9 @@ def boundary_shifts(values: Callable, J: tuple, start_in, J0: Jet2, tol: float =
         return members(fan_values(lambda r, p, A: values(rows, r, p, A), at, U, t), tol)
 
     ts = _doubling_steps(max_expand) * np.where(start_in, -1.0, 1.0)[:, None]
-    hits = first_hits(lambda live, t: inside(live, t) != take_rows(start_in, live)[:, None], ts)
-    rows = [i for i, k in enumerate(hits) if k is not None]
-    brackets = []
-    for i in rows:
-        k = hits[i]
-        prev, flip = (0.0 if k == 0 else ts[i, k - 1].item()), ts[i, k].item()
-        brackets.append((prev, flip) if start_in[i] else (flip, prev))
-    rows = np.array(rows, dtype=int)
-    brackets = bisect_brackets(lambda live, t: inside(take_rows(rows, live), t), brackets,
-                               lambda a, b: abs(a - b) < tol, max_steps=60)
-    out = [None] * len(hits)
-    for i, (t_in, _) in zip(rows.tolist(), brackets):
-        out[i] = t_in
-    return out
+    brackets = crossing_brackets(inside, ts, start_in.tolist(), lambda a, b: abs(a - b) < tol,
+                                 max_steps=60)
+    return [None if b is None else b[0] for b in brackets]
 
 
 def _fiber_jet_samples(
@@ -1439,10 +1441,3 @@ def make_oracle(key: str, n: int):
     """Build the oracle (or variable fiber map) addressed by a catalog key."""
     name, params = bind_key(key, REGISTRY, "catalog")
     return REGISTRY[name].build(n, **params)
-
-
-def describe_key(key: str) -> str:
-    name, _, _ = parse_key(key)
-    if name not in REGISTRY:
-        raise UnknownKey(f"unknown catalog key {key!r}")
-    return REGISTRY[name].describe

@@ -37,8 +37,8 @@ from .catalog import (
     boundary_shifts,
     classify_value,
     cone_M,
+    crossing_brackets,
     fan_values,
-    first_hits,
     members,
     take_rows,
 )
@@ -268,11 +268,12 @@ def _mix_into_cone(M: MonotonicityCone, n: int, jets: list) -> list:
     J0 = M.interior_jet(n)
     values = cone_M(M, n).values
     rays = tuple(a[:, None] for a in stack_jets(jets, n))
-    hits = first_hits(
+    brackets = crossing_brackets(
         lambda live, t: members(fan_values(values, tuple(take_rows(a, live) for a in rays),
                                            (J0.r, J0.p, J0.A.entries), t)),
-        np.repeat(_MIXING_ROW, len(jets), axis=0))
-    return [J + _MIXING_TS[-1 if k is None else k] * J0 for J, k in zip(jets, hits)]
+        np.repeat(_MIXING_ROW, len(jets), axis=0), [False] * len(jets))
+    # a bracket's member end comes first
+    return [J + (_MIXING_TS[-1] if b is None else b[0]) * J0 for J, b in zip(jets, brackets)]
 
 
 def sample_cone_member(M: MonotonicityCone, rng: np.random.Generator, n: int,

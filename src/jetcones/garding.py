@@ -66,11 +66,10 @@ class HyperbolicityCertificate:
 class GardingOperator:
     """I-hyperbolic polynomial of degree m on S(n).
 
-    eval_matrix evaluates F(A). shifted_eval(A) returns s -> F(A + sI)
-    (the default rebuilds matrices; eigenvalue-based operators install a
-    cheap closure). exact_eigenvalues, when present, computes the
-    ascending eigenvalue vector from the operator's factor structure at
-    machine precision; the generic recovery route stays available for
+    eval_matrix evaluates F(A). exact_eigenvalues, when present, computes
+    the ascending eigenvalue vector from the operator's factor structure
+    at machine precision; the generic recovery route, which samples
+    s -> F(A + sI) through eval_matrix alone, stays available for
     cross-validation and for operators without closed factors. Instances
     are immutable in use and safe to share.
     """
@@ -79,7 +78,6 @@ class GardingOperator:
     n: int
     degree: int
     eval_matrix: Callable[[np.ndarray], float]
-    shifted_eval_factory: Optional[Callable[[np.ndarray], Callable[[float], float]]] = None
     exact_eigenvalues: Optional[Callable[[np.ndarray], np.ndarray]] = None
     key: Optional[str] = None
     certificate: Optional[HyperbolicityCertificate] = field(default=None, repr=False)
@@ -92,13 +90,6 @@ class GardingOperator:
     def eval(self, A) -> float:
         a = A.entries if isinstance(A, SymMat) else np.asarray(A, dtype=float)
         return float(self.eval_matrix(a))
-
-    def shifted_eval(self, A) -> Callable[[float], float]:
-        a = A.entries if isinstance(A, SymMat) else np.asarray(A, dtype=float)
-        if self.shifted_eval_factory is not None:
-            return self.shifted_eval_factory(a)
-        eye = np.eye(self.n)
-        return lambda s: float(self.eval_matrix(a + s * eye))
 
     @property
     def eval_I(self) -> float:
@@ -128,8 +119,8 @@ def garding_eigenvalues(op: GardingOperator, A, tol: float = ROOT_TOL,
     # Chebyshev points on [-R, R]; eigenvalues always live in [-||A||, ||A||]
     R = 2.0 * scale
     nodes = R * np.cos(np.pi * (2 * np.arange(m + 1) + 1) / (2 * (m + 1)))
-    q = op.shifted_eval(a)
-    vals = np.array([q(s) for s in nodes])
+    eye = np.eye(op.n)
+    vals = np.array([float(op.eval_matrix(a + s * eye)) for s in nodes])
     poly = npoly.Polynomial.fit(nodes, vals, deg=m)
     series = poly.convert()
     coeffs = series.coef
@@ -283,16 +274,11 @@ def garding_dirichlet_check(
 # ---------------------------------------------------------------------------
 
 def det_operator(n: int) -> GardingOperator:
-    def shifted(a):
-        lam = eigenvalues(a)
-        return lambda s: float(np.prod(lam + s))
-
     return GardingOperator(
         label="det",
         n=n,
         degree=n,
         eval_matrix=lambda a: float(np.linalg.det(a)),
-        shifted_eval_factory=shifted,
         exact_eigenvalues=eigenvalues,
         key="det",
     )
@@ -306,16 +292,11 @@ def pfold_operator(n: int, p: int) -> GardingOperator:
     for i, S in enumerate(subsets):
         indicator[i, list(S)] = 1.0
 
-    def shifted(a):
-        sums = indicator @ eigenvalues(a)
-        return lambda s: float(np.prod(sums + p * s))
-
     return GardingOperator(
         label=f"pfold p={p}",
         n=n,
         degree=len(subsets),
         eval_matrix=lambda a: float(np.prod(indicator @ eigenvalues(a))),
-        shifted_eval_factory=shifted,
         exact_eigenvalues=lambda a: (indicator @ eigenvalues(a)) / p,
         key=f"pfold:p={p}",
     )
@@ -326,20 +307,15 @@ def delta_elliptic_operator(n: int, delta: float) -> GardingOperator:
     if delta <= 0:
         raise BadParameters(f"delta must be positive, got {delta}")
 
-    def from_lam(lam, s=0.0):
-        tr = float(np.sum(lam)) + n * s
-        return float(np.prod(lam + s + delta * tr))
-
-    def shifted(a):
+    def eval_matrix(a):
         lam = eigenvalues(a)
-        return lambda s: from_lam(lam, s)
+        return float(np.prod(lam + delta * float(np.sum(lam))))
 
     return GardingOperator(
         label=f"delta-elliptic delta={delta}",
         n=n,
         degree=n,
-        eval_matrix=lambda a: from_lam(eigenvalues(a)),
-        shifted_eval_factory=shifted,
+        eval_matrix=eval_matrix,
         exact_eigenvalues=lambda a, d=delta: (
             lambda lam: (lam + d * np.sum(lam)) / (1.0 + n * d)
         )(eigenvalues(a)),
@@ -351,10 +327,6 @@ def sigma_k_operator(n: int, k: int) -> GardingOperator:
     """k-Hessian operator sigma_k(lambda(A)); degree k."""
     check_index("sigma", "k", k, n)
     binom = [math.comb(n - k + j, j) for j in range(k + 1)]
-
-    def shifted(a):
-        lam = eigenvalues(a)
-        return lambda s: elementary_symmetric(lam + s, k)
 
     def exact(a):
         # sigma_k(lam + s) = sum_j C(n-k+j, j) sigma_{k-j}(lam) s^j: the
@@ -371,7 +343,6 @@ def sigma_k_operator(n: int, k: int) -> GardingOperator:
         n=n,
         degree=k,
         eval_matrix=lambda a: elementary_symmetric(eigenvalues(a), k),
-        shifted_eval_factory=shifted,
         exact_eigenvalues=exact,
         key=f"sigma:k={k}",
     )
@@ -392,16 +363,11 @@ def lagrangian_ma_operator(two_n: int) -> GardingOperator:
         # tr(A + sI)/2 = tr(A)/2 + n*s; the anti-commuting part ignores sI
         return 0.5 * float(np.trace(a)) + signs @ skew_hermitian_mu(a)
 
-    def shifted(a):
-        base = factors(a)
-        return lambda s: float(np.prod(base + n * s))
-
     return GardingOperator(
         label="lagrangian-ma",
         n=two_n,
         degree=2 ** n,
         eval_matrix=lambda a: float(np.prod(factors(a))),
-        shifted_eval_factory=shifted,
         exact_eigenvalues=lambda a: factors(a) / n,
         key="lagrangian-ma",
     )
@@ -442,16 +408,11 @@ def pucci_garding_operator(lam: float, Lam: float, n: int) -> GardingOperator:
     V = np.stack(S)
     weights = V.sum(axis=1)
 
-    def shifted(a):
-        base = V @ eigenvalues(a)
-        return lambda s: float(np.prod(base + weights * s))
-
     return GardingOperator(
         label=f"pucci-garding ({lam},{Lam}), {len(S)} factors",
         n=n,
         degree=len(S),
         eval_matrix=lambda a: float(np.prod(V @ eigenvalues(a))),
-        shifted_eval_factory=shifted,
         exact_eigenvalues=lambda a: (V @ eigenvalues(a)) / weights,
         key=f"pucci-garding:{_fmt(lam)},{_fmt(Lam)}",
     )

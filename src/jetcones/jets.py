@@ -227,9 +227,7 @@ def eigenvalues(A) -> np.ndarray:
 
 def jet_norm(J: Jet2) -> float:
     """max(|r|, |p|_2, max_k |lambda_k(A)|); zero iff J is the zero jet."""
-    lam = eigenvalues(J.A)
-    lam_max = float(np.max(np.abs(lam))) if lam.size else 0.0
-    return max(abs(J.r), float(np.linalg.norm(J.p)), lam_max)
+    return max(abs(J.r), float(np.linalg.norm(J.p)), matrix_sup_norm(J.A))
 
 
 def matrix_sup_norm(A) -> float:

@@ -15,8 +15,10 @@ from jetcones.boundary import (
     strict_pseudoconvex_at,
     tangential_planes,
 )
-from jetcones.catalog import cone_P, cone_P_dual, cone_pfold
+from jetcones.catalog import DEFAULT_TOL, cone_P, cone_P_dual, cone_pfold, make_oracle
+from jetcones.cli import main
 from jetcones.errors import NotOnBoundary, ParseError, SingularGradient
+from jetcones.jets import SymMat
 
 
 def finite_difference_curvature(dom, x, v, h=1e-5):
@@ -193,3 +195,83 @@ def test_domain_from_spec():
     assert abs(dom.phi(np.array([1.0, 0.0]))) < 1e-12
     with pytest.raises(ParseError):
         domain_from_spec({"kind": "torus"})
+
+
+# --- strict_pseudoconvex_at against its one-probe-per-step loop ---------------
+
+def ref_strict_pseudoconvex_at(F, bp, t_cap=1e6, tol=1e-6):
+    """(convex, t0) from one classify call per probe."""
+    Pe = SymMat(np.outer(bp.e, bp.e))
+
+    def interior_at(t):
+        return F.classify(bp.A_x + t * Pe, DEFAULT_TOL).is_interior
+
+    if not interior_at(t_cap):
+        return False, None
+    lo, hi = 0.0, t_cap
+    if interior_at(0.0):
+        return True, 0.0
+    while hi - lo > tol * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if interior_at(mid):
+            hi = mid
+        else:
+            lo = mid
+    return True, hi
+
+
+PSEUDOCONVEX_POINTS = [
+    (sphere_domain(3), [0.1, 0.2, 0.9]),
+    (ellipsoid_domain([2.0, 1.0, 0.5]), [0.5, 0.4, 0.3]),
+    (cylinder_domain(), [0.9, 0.4, 0.0]),
+    (saddle_domain(), [0.05, 0.05, 0.0]),
+    (saddle_domain(), [0.4, -0.1, 0.0]),
+]
+
+
+def hex_or_none(t):
+    return None if t is None else float.hex(t)
+
+
+@pytest.mark.parametrize("key", ["P", "pfold:p=2", "branch:k=2", "pucci:1,2"])
+@pytest.mark.parametrize("t_cap, tol", [(1e6, 1e-6), (3.5, 1e-6), (2.5, 1e-12), (0.75, 1e-3),
+                                        (1e-6, 1e-6), (1e-7, 1e-6), (0.0, 1e-6)])
+def test_strict_pseudoconvex_at_matches_the_stepwise_loop(key, t_cap, tol):
+    F = make_oracle(key, 3)
+    for dom, seed in PSEUDOCONVEX_POINTS:
+        bp = boundary_point(dom, project_to_boundary(dom, np.asarray(seed)))
+        v = strict_pseudoconvex_at(F, bp, t_cap=t_cap, tol=tol)
+        convex, t0 = ref_strict_pseudoconvex_at(F, bp, t_cap, tol)
+        assert (v.convex, hex_or_none(v.t0)) == (convex, hex_or_none(t0)), dom.label
+        assert v.t_cap == t_cap
+
+
+def test_strict_pseudoconvex_at_cap_within_tol_takes_no_step():
+    # P on the unit sphere: A_x + t*P_e is interior for every t > DEFAULT_TOL
+    # and not at 0, so the bisection would move a cap it were to step from
+    bp = boundary_point(sphere_domain(3), [0.0, 0.0, 1.0])
+    for t_cap in (1e-7, 1e-6):
+        v = strict_pseudoconvex_at(cone_P(3), bp, t_cap=t_cap, tol=1e-6)
+        assert v.convex and v.t0 == t_cap
+    v = strict_pseudoconvex_at(cone_P(3), bp, t_cap=2e-6, tol=1e-6)
+    assert v.convex and v.t0 == 1e-6
+
+
+@pytest.mark.parametrize("key, t_cap", [("P", "1e6"), ("P", "3.5"), ("P", "1e-7"),
+                                        ("pfold:p=2", "2.5"), ("branch:k=2", "0.5")])
+def test_pseudoconvex_cli_t_cap_matches_the_stepwise_loop(capsys, key, t_cap):
+    points = [[0.1, 0.2, 0.9], [0.6, -0.5, 0.4], [0.0, 0.3, -0.8]]
+    code = main(["pseudoconvex", "--domain", '{"kind": "sphere", "n": 3}', "--key", key,
+                 "--points", ";".join(",".join(map(str, x)) for x in points), "--t-cap", t_cap])
+    rows = capsys.readouterr().out.splitlines()[1:]
+    dom, F = sphere_domain(3), make_oracle(key, 3)
+    want = []
+    for x, row in zip(points, rows):
+        bp = boundary_point(dom, project_to_boundary(dom, np.asarray(x)))
+        convex, t0 = ref_strict_pseudoconvex_at(F, bp, float(t_cap))
+        want.append(convex)
+        verdict, got = row.split(",")[-2:]
+        assert verdict == ("yes" if convex else "no")
+        assert (None if got == "" else float.hex(float(got))) == hex_or_none(t0)
+    assert len(rows) == len(points)
+    assert code == (0 if all(want) else 1)

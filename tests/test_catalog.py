@@ -30,7 +30,7 @@ from jetcones.catalog import (
     cone_quasiconvex,
     cone_sigma_k,
     complex_structure,
-    describe_key,
+    crossing_brackets,
     elementary_symmetric,
     fiber_affine_sphere,
     fiber_failure_example,
@@ -691,7 +691,6 @@ def test_values_is_value_jet_by_jet(stack, key, dual):
 
 def test_registry_size_and_describe():
     assert len(REGISTRY) >= 14
-    assert "lambda_min" in describe_key("P")
     with pytest.raises(UnknownKey):
         make_oracle("bogus", 2)
 
@@ -700,3 +699,112 @@ def test_variable_fiber_keys():
     for key in ["pma", "slag", "affine-sphere", "ot"]:
         vf = make_oracle(key, 2)
         assert hasattr(vf, "fiber_at")
+
+
+# --- crossing_brackets against the stepwise loop it stands for ----------------
+
+def ref_crossing_bracket(keep, ts, start, done=None, max_steps=None):
+    """Walk ts one entry at a time to the first flag that is not start, then
+    bisect one midpoint at a time."""
+    prev = 0.0
+    for t in ts:
+        if keep(t) != start:
+            a, b = (prev, t) if start else (t, prev)
+            break
+        prev = t
+    else:
+        return None
+    if done is None:
+        return a, b
+    steps = 0
+    while True:
+        mid = 0.5 * (a + b)
+        if keep(mid):
+            a = mid
+        else:
+            b = mid
+        steps += 1
+        if done(a, b) or steps == max_steps:
+            return a, b
+
+
+def bracket_hex(b):
+    return None if b is None else tuple(map(float.hex, b))
+
+
+def crossing_rows():
+    """120 rows of 24 ts (doubling or uniform, every third mirrored to t < 0),
+    their starts, and the entry where each first flips (None: never). The
+    first 40 flip at entries 0, 14, 15 and 16 in turn, around the 15-entry
+    chunk boundary."""
+    rng = np.random.default_rng(83)
+    ts, start, first = [], [], []
+    for i in range(120):
+        row = 2.0 ** np.arange(24) if i % 2 else np.arange(1.0, 25.0) + rng.uniform(0, 0.5)
+        k = (0, 14, 15, 16)[i % 4] if i < 40 else int(rng.integers(0, 28))
+        ts.append(-row if i % 3 == 0 else row)
+        start.append(bool(rng.integers(0, 2)))
+        first.append(k if k < 24 else None)
+    return np.array(ts), start, first
+
+
+def crossing_keeps(ts, start, first, calls):
+    """Keep rules per row that hold start up to halfway before the first
+    flip, flip there, and beyond that wiggle with t, so neither the probe
+    nor the bisection sees a monotone rule."""
+    def keep_one(i, t):
+        k = first[i]
+        if k is None or abs(t) < (0.0 if k == 0 else 0.5 * abs(ts[i, k - 1] + ts[i, k])):
+            return start[i]
+        if t == ts[i, k]:
+            return not start[i]
+        return math.floor(abs(t) * 1e3 + i) % 3 != 0
+
+    def keeps(live, t):
+        calls.append((list(live), t.shape))
+        return np.array([[keep_one(i, x) for x in row] for i, row in zip(live, t.tolist())],
+                        dtype=bool).reshape(t.shape)
+
+    return keep_one, keeps
+
+
+@pytest.mark.parametrize("max_steps", [None, 1, 5, 60])
+def test_crossing_brackets_match_the_stepwise_loop(max_steps):
+    ts, start, first = crossing_rows()
+    calls = []
+    keep_one, keeps = crossing_keeps(ts, start, first, calls)
+
+    def done(a, b):
+        return abs(a - b) < 1e-6
+
+    refs = [ref_crossing_bracket(functools.partial(keep_one, i), ts[i].tolist(), start[i])
+            for i in range(len(ts))]
+    got = crossing_brackets(keeps, ts, start)
+    assert list(map(bracket_hex, got)) == list(map(bracket_hex, refs))
+    # the flips sit where the rows put them: the keep end comes first, and
+    # the end at 0.0 stands in for the entry before entry 0
+    for i, k in enumerate(first):
+        if k is None:
+            assert got[i] is None
+        else:
+            ends = (0.0 if k == 0 else ts[i, k - 1], ts[i, k])
+            assert got[i] == (ends if start[i] else ends[::-1])
+    assert {None, 0, 14, 15, 16} <= set(first)
+    # 15 entries per call, and no row probed past the chunk of its first flip
+    assert all(shape[1] <= 15 for _, shape in calls)
+    for i, k in enumerate(first):
+        assert sum(i in live for live, _ in calls) == (23 if k is None else k) // 15 + 1
+
+    refs = [ref_crossing_bracket(functools.partial(keep_one, i), ts[i].tolist(), start[i],
+                                 done, max_steps) for i in range(len(ts))]
+    got = crossing_brackets(keeps, ts, start, done, max_steps)
+    assert list(map(bracket_hex, got)) == list(map(bracket_hex, refs))
+
+
+def test_crossing_brackets_with_no_rows_or_no_entries():
+    def keeps(live, t):
+        raise AssertionError("nothing to probe")
+
+    assert crossing_brackets(keeps, np.zeros((0, 5)), []) == []
+    assert crossing_brackets(keeps, np.zeros((3, 0)), [True, False, True],
+                             lambda a, b: True) == [None, None, None]

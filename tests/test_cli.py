@@ -27,6 +27,9 @@ def test_catalog_describe_and_unknown(capsys):
     code, out, _ = run(capsys, "catalog", "describe", "pucci:1,2")
     assert code == 0
     assert "tr A" in json.loads(out)["describe"]
+    code, out, _ = run(capsys, "catalog", "describe", "P")
+    assert code == 0
+    assert "lambda_min" in json.loads(out)["describe"]
     code2, _, err = run(capsys, "catalog", "describe", "bogus")
     assert code2 == 2
     assert err == "error: unknown key 'bogus'\n"

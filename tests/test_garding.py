@@ -64,8 +64,9 @@ def test_zero_matrix_eigenvalues_vanish():
 
 
 def test_generic_recovery_cross_validates_exact_path():
-    # dual route: the Chebyshev-recovery/companion pipeline must agree
-    # with the factor formulas wherever the eigenvalues are separated
+    # dual route: the Chebyshev-recovery/companion pipeline, which samples
+    # F itself (eval_matrix at A + sI), must agree with the factor
+    # formulas wherever the eigenvalues are separated
     rng = np.random.default_rng(54)
     for op in (det_operator(3), pfold_operator(4, 2), sigma_k_operator(3, 2),
                delta_elliptic_operator(3, 0.5), lagrangian_ma_operator(4),
