@@ -15,9 +15,11 @@ is fixed by agreement with lambda_min on the convexity cone.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .catalog import (
     Arity,
@@ -33,37 +35,68 @@ from .catalog import (
     ray_values,
 )
 from .duality import CheckReport
-from .errors import BracketingFailure, ReferenceJetNotInterior
-from .jets import Jet2, SymMat, jet_norm, random_jet, random_psd, stack_jets
+from .errors import BadParameters, BracketingFailure, ReferenceJetNotInterior
+from .jets import Jet2, SymMat, eigenvalues, jet_norm, random_jet, random_psd, stack_jets
 
 SEARCH_RADIUS = 1e6
+# The smallest tol canonical_operator takes: Brent's relative-tolerance
+# floor. Both routes stop at or above it; the bisection's stop rule cannot
+# be met below one ulp of t, so tol = 0 would never return.
+MIN_TOL = 4 * np.finfo(float).eps
+# Brent's method takes at most about k**2 steps where bisection takes k
+# (Brent 1973), and k <= 72 for a doubling bracket within SEARCH_RADIUS
+# at tol >= MIN_TOL. Near a multiple root (sigma:k=3 at A = tI) it took
+# 140 steps, past brentq's default limit of 100.
+BRENT_MAX_ITER = 72 ** 2
 
 
 def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
     """The unique t with A - tI on the boundary of the cone F.
 
-    Found by bisection on the monotone membership indicator
-    t -> [A - tI in F], bracketed by doubling from ||A|| + 1. Raises
-    BracketingFailure when no crossing exists within the search radius
-    (fiber empty or the whole space).
-    """
-    J = A if isinstance(A, Jet2) else Jet2.from_matrix(A)
-    n = J.n
-    eyeJ = Jet2.from_matrix(SymMat.identity(n))
+    The crossing of the membership indicator t -> [A - tI in F] is
+    bracketed by doubling from ||A|| + 1; BracketingFailure when none lies
+    within the search radius (fiber empty or the whole space). tol must be
+    finite and at least MIN_TOL (BadParameters otherwise).
 
-    def member(t):
-        # sign of the defining functional, not the tolerance band: the
-        # bisection target is the exact zero crossing
-        return ray_values(F, J, eyeJ, -t) >= 0.0
+    A spectral fiber (F.spectrum = f, g = f(lambda(A))) takes one
+    eigen-solve: with lambda the eigenvalues of A, g(A - tI) is
+    f(lambda - t), and t is Brent's zero of that scalar map on the
+    doubling bracket, within tol * (1 + |t|) of it. For the seven
+    spectral catalog cones (P, P~, branch, pfold, sigma, pucci,
+    quasiconvex) f(lambda - t) is strictly positive before the crossing
+    (lambda - t lies in the open cone there) and strictly negative after
+    it, so its only zero is the crossing. A fiber whose g vanishes on an
+    interval, like Q's min(-r, lambda_min) at r = 0, has spectrum None.
+
+    Every other fiber bisects the indicator until the bracket is narrower
+    than tol * max(1, |t_lo| + |t_hi|) and returns its midpoint.
+    """
+    if not (math.isfinite(tol) and tol >= MIN_TOL):
+        raise BadParameters(f"canonical tol must be finite and at least {MIN_TOL:.3g}, got {tol}")
+    J = A if isinstance(A, Jet2) else Jet2.from_matrix(A)
+    f = F.spectrum
+    lam = None if f is None else eigenvalues(J.A)
+    side = _doublings(jet_norm(J, lam) + 1.0, SEARCH_RADIUS)
+    if f is not None:
+        def member(t):
+            return f(lam - np.asarray(t)[..., None]) >= 0.0
+    else:
+        eyeJ = Jet2.from_matrix(SymMat.identity(J.n))
+
+        def member(t):
+            # sign of the defining functional, not the tolerance band: the
+            # bisection target is the exact zero crossing
+            return ray_values(F, J, eyeJ, -t) >= 0.0
 
     start_in = bool(member(0.0))
-    side = _doublings(jet_norm(J) + 1.0, SEARCH_RADIUS)
     bracket, = crossing_brackets(lambda live, t: member(t),
                                  [side if start_in else [-u for u in side]], [start_in])
     if bracket is None:
         raise BracketingFailure(
             f"no boundary crossing of {F.label} along I within radius {SEARCH_RADIUS:g}"
         )
+    if f is not None:
+        return _spectral_root(f, lam, *bracket, tol)
 
     def done(t_lo, t_hi):
         return not abs(t_hi - t_lo) > tol * max(1.0, abs(t_lo) + abs(t_hi))
@@ -72,6 +105,28 @@ def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
         bracket, = bisect_brackets(lambda live, t: member(t), [bracket], done)
     t_lo, t_hi = bracket
     return 0.5 * (t_lo + t_hi)
+
+
+def _spectral_root(f: Callable, lam: np.ndarray, keep: float, flip: float, tol: float) -> float:
+    """The crossing of g(t) = f(lam - t), which is >= 0 up to it and < 0 past
+    it, given keep (g >= 0) and flip (g < 0): Brent's zero to
+    tol * (1 + |t|), then one secant step on the tightest bracket Brent
+    evaluated. Brent stops on the bracket's width, often next to an
+    inverse-quadratic step through a point beyond a kink of g; the secant
+    step stays inside that bracket and is exact up to rounding wherever g
+    is linear on it (P, P~, branch, quasiconvex, pfold; pucci away from its
+    kinks)."""
+    ends = [None, None]  # the last points evaluated with g >= 0 and with g < 0
+
+    def g(t):
+        v = float(f(lam - t))
+        # every point Brent evaluates lies inside its current bracket
+        ends[v < 0.0] = (t, v)
+        return v
+
+    brentq(g, keep, flip, xtol=tol, rtol=tol, maxiter=BRENT_MAX_ITER)
+    (a, ga), (b, gb) = ends
+    return a + (b - a) * (ga / (ga - gb))
 
 
 def _doublings(first: float, cap: float) -> list:

@@ -114,6 +114,11 @@ class FiberOracle:
     margins apply it to one jet. Oracles are immutable and
     classification is pure, so instances are safe to share between
     threads.
+
+    `spectrum`, when set, is g as a function of the Hessian's ascending
+    eigenvalues alone, f(lambda[..., n]) -> g[...], with form
+    f(eigenvalues(A)) (see spectral_oracle). canonical_operator takes its
+    root-finding route on it.
     """
 
     label: str
@@ -121,6 +126,7 @@ class FiberOracle:
     arity: Arity
     key: Optional[str]
     form: Callable
+    spectrum: Optional[Callable] = None
 
     def value(self, jet) -> float:
         J = _as_jet(jet, self.n)
@@ -326,23 +332,31 @@ def check_pucci(lam: float, Lam: float) -> None:
         raise BadParameters(f"need 0 < lam < Lam, got lam={lam}, Lam={Lam}")
 
 
+def spectral_oracle(label: str, n: int, key: str, f: Callable) -> FiberOracle:
+    """The pure second-order cone {A : f(lambda(A)) >= 0} for a function f
+    of the ascending eigenvalues, f(lambda[..., n]) -> g[...]: its form is
+    f(eigenvalues(A)) and its spectrum f."""
+    return FiberOracle(label, n, Arity.PURE_SECOND_ORDER, key,
+                       lambda r, p, A: f(eigenvalues(A)), spectrum=f)
+
+
 def cone_P(n: int) -> FiberOracle:
     """Convexity cone {A : lambda_min(A) >= 0}."""
-    return FiberOracle("P (convexity): lambda_min(A) >= 0", n, Arity.PURE_SECOND_ORDER,
-                       "P", lambda r, p, A: eigenvalues(A)[..., 0])
+    return spectral_oracle("P (convexity): lambda_min(A) >= 0", n, "P",
+                           lambda lam: lam[..., 0])
 
 
 def cone_P_dual(n: int) -> FiberOracle:
     """Subaffine cone {A : lambda_max(A) >= 0}, the dual of P."""
-    return FiberOracle("P~ (subaffine): lambda_max(A) >= 0", n, Arity.PURE_SECOND_ORDER,
-                       "P~", lambda r, p, A: eigenvalues(A)[..., -1])
+    return spectral_oracle("P~ (subaffine): lambda_max(A) >= 0", n, "P~",
+                           lambda lam: lam[..., -1])
 
 
 def branch(n: int, k: int) -> FiberOracle:
     """k-th eigenvalue branch {A : lambda_k(A) >= 0}, 1-indexed."""
     check_index("branch", "k", k, n)
-    return FiberOracle(f"branch k={k}: lambda_{k}(A) >= 0", n, Arity.PURE_SECOND_ORDER,
-                       f"branch:k={k}", lambda r, p, A: eigenvalues(A)[..., k - 1])
+    return spectral_oracle(f"branch k={k}: lambda_{k}(A) >= 0", n, f"branch:k={k}",
+                           lambda lam: lam[..., k - 1])
 
 
 def cone_pfold(n: int, p: int) -> FiberOracle:
@@ -352,9 +366,8 @@ def cone_pfold(n: int, p: int) -> FiberOracle:
     the minimum over all p-subsets of eigenvalue sums.
     """
     check_index("pfold", "p", p, n)
-    return FiberOracle(f"pfold p={p}: lambda_1(A)+...+lambda_{p}(A) >= 0", n,
-                       Arity.PURE_SECOND_ORDER, f"pfold:p={p}",
-                       lambda r, _, A: np.sum(eigenvalues(A)[..., :p], axis=-1))
+    return spectral_oracle(f"pfold p={p}: lambda_1(A)+...+lambda_{p}(A) >= 0", n,
+                           f"pfold:p={p}", lambda lam: np.sum(lam[..., :p], axis=-1))
 
 
 def elementary_symmetric(lam: np.ndarray, k: int):
@@ -372,35 +385,29 @@ def elementary_symmetric(lam: np.ndarray, k: int):
 def cone_sigma_k(n: int, k: int) -> FiberOracle:
     """Closed Garding cone of the k-Hessian: sigma_j(lambda(A)) >= 0, j <= k."""
     check_index("sigma", "k", k, n)
-
-    def g(r, p, A):
-        lam = eigenvalues(A)
-        return np.min([elementary_symmetric(lam, j) for j in range(1, k + 1)], axis=0)
-
-    return FiberOracle(f"sigma k={k}: sigma_j(lambda(A)) >= 0 for j=1..{k}", n,
-                       Arity.PURE_SECOND_ORDER, f"sigma:k={k}", g)
+    return spectral_oracle(
+        f"sigma k={k}: sigma_j(lambda(A)) >= 0 for j=1..{k}", n, f"sigma:k={k}",
+        lambda lam: np.min([elementary_symmetric(lam, j) for j in range(1, k + 1)], axis=0))
 
 
 def cone_pucci(n: int, lam: float, Lam: float) -> FiberOracle:
     """Pucci cone {A : lam * tr A+ + Lam * tr A- >= 0}, 0 < lam < Lam."""
     check_pucci(lam, Lam)
 
-    def g(r, p, A):
-        ev = eigenvalues(A)
+    def f(ev):
         return (lam * np.sum(np.maximum(ev, 0.0), axis=-1)
                 + Lam * np.sum(np.minimum(ev, 0.0), axis=-1))
 
-    return FiberOracle(f"pucci ({lam},{Lam}): {lam}*tr A+ + {Lam}*tr A- >= 0", n,
-                       Arity.PURE_SECOND_ORDER, f"pucci:{_fmt(lam)},{_fmt(Lam)}", g)
+    return spectral_oracle(f"pucci ({lam},{Lam}): {lam}*tr A+ + {Lam}*tr A- >= 0", n,
+                           f"pucci:{_fmt(lam)},{_fmt(Lam)}", f)
 
 
 def cone_quasiconvex(n: int, shift: float) -> FiberOracle:
     """Quasiconvexity cone P_shift = {A : A + shift*I >= 0}, shift >= 0."""
     if shift < 0:
         raise BadParameters(f"quasiconvexity shift must be >= 0, got {shift}")
-    return FiberOracle(f"quasiconvex shift={shift}: lambda_min(A) + {shift} >= 0", n,
-                       Arity.PURE_SECOND_ORDER, f"quasiconvex:{_fmt(shift)}",
-                       lambda r, p, A: eigenvalues(A)[..., 0] + shift)
+    return spectral_oracle(f"quasiconvex shift={shift}: lambda_min(A) + {shift} >= 0", n,
+                           f"quasiconvex:{_fmt(shift)}", lambda lam: lam[..., 0] + shift)
 
 
 def complex_structure(two_n: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from .boundary import (
     strict_ellipticity_check,
     strict_pseudoconvex_at,
 )
-from .canonical import canonical_operator, signed_distance
+from .canonical import MIN_TOL, canonical_operator, signed_distance
 from .errors import (
     BracketingFailure,
     HypothesisViolation,
@@ -171,6 +171,8 @@ def cmd_dual(args) -> int:
 
 
 def cmd_canonical(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= MIN_TOL):
+        raise ParseError(f"--tol must be finite and at least {MIN_TOL:.3g}, got {args.tol}")
     J = _jet_from_args(args)
     oracle = _constant_oracle(args.key, J.n, "canonical")
     value = canonical_operator(oracle, J.A, tol=args.tol)
@@ -208,6 +210,8 @@ def cmd_distance(args) -> int:
 
 
 def cmd_pseudoconvex(args) -> int:
+    if not (math.isfinite(args.t_cap) and args.t_cap >= 0.0):
+        raise ParseError(f"--t-cap must be finite and at least 0, got {args.t_cap}")
     try:
         text = Path(args.domain).read_text()
     except OSError:  # not a readable file: the spec itself

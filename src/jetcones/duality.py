@@ -105,10 +105,12 @@ class CheckReport:
 
 
 def _sample_jets(n: int, samples: int, seed: int, scale: float) -> tuple:
-    """random_jet draws at a fixed seed, and the same jets as stacks (r, p, A)."""
-    rng = np.random.default_rng(seed)
-    jets = [random_jet(rng, n, scale) for _ in range(samples)]
-    return jets, stack_jets(jets, n)
+    """The jets of `samples` random_jet draws at a fixed seed, as stacks
+    (r, p, A), bit for bit: one draw of the whole sample, sliced in
+    random_jet's order (r, then p, then the square that A symmetrizes)."""
+    x = np.random.default_rng(seed).standard_normal((samples, 1 + n + n * n)) * scale
+    g = x[:, 1 + n:].reshape(samples, n, n)
+    return x[:, 0], x[:, 1:1 + n], 0.5 * (g + g.swapaxes(-1, -2))
 
 
 def _agreement(F: FiberOracle, G: FiberOracle, name: str, same: Callable, samples: int,
@@ -120,14 +122,14 @@ def _agreement(F: FiberOracle, G: FiberOracle, name: str, same: Callable, sample
     if F.n != G.n:
         raise ValueError(f"dimension mismatch: oracles of dimension {F.n} and {G.n}")
     rep = CheckReport(name=name, seed=seed)
-    jets, (r, p, A) = _sample_jets(F.n, samples, seed, scale)
+    r, p, A = _sample_jets(F.n, samples, seed, scale)
     first = [classify_value(g, tol) for g in F.values(r, p, A).tolist()]
     kept = [i for i, r1 in enumerate(first) if r1.margin > 3 * tol]
     rep.excluded_boundary = samples - len(kept)
     second = G.values(r[kept], p[kept], A[kept]).tolist()
     for i, g in zip(kept, second):
         ok = same(first[i], classify_value(g, tol))
-        rep.record(ok, first[i].margin, None if ok else jets[i])
+        rep.record(ok, first[i].margin, None if ok else Jet2(r[i], p[i], A[i]))
     return rep
 
 
@@ -431,7 +433,7 @@ def check_inclusion(
     and G the members of F outside F's 3*tol boundary band in another.
     """
     rep = CheckReport(name="inclusion", seed=seed)
-    jets, (r, p, A) = _sample_jets(F.n, samples, seed, scale)
+    r, p, A = _sample_jets(F.n, samples, seed, scale)
     first = [classify_value(g, tol) for g in F.values(r, p, A).tolist()]
     inside = [i for i, rF in enumerate(first) if rF.is_member]
     kept = [i for i in inside if first[i].margin > 3 * tol]
@@ -439,5 +441,5 @@ def check_inclusion(
     for i, g in zip(kept, G.values(r[kept], p[kept], A[kept]).tolist()):
         rG = classify_value(g, tol)
         ok = rG.is_member
-        rep.record(ok, rG.margin if ok else -rG.margin, None if ok else jets[i])
+        rep.record(ok, rG.margin if ok else -rG.margin, None if ok else Jet2(r[i], p[i], A[i]))
     return rep

@@ -10,6 +10,7 @@ spectral decomposition, the jet norm, and traces on subspaces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -225,14 +226,21 @@ def eigenvalues(A) -> np.ndarray:
     return np.linalg.eigvalsh(_mat(A))
 
 
-def jet_norm(J: Jet2) -> float:
-    """max(|r|, |p|_2, max_k |lambda_k(A)|); zero iff J is the zero jet."""
-    return max(abs(J.r), float(np.linalg.norm(J.p)), matrix_sup_norm(J.A))
+def jet_norm(J: Jet2, lam: Optional[np.ndarray] = None) -> float:
+    """max(|r|, |p|_2, max_k |lambda_k(A)|); zero iff J is the zero jet.
+
+    lam, when given, is eigenvalues(J.A), which is then not solved again.
+    """
+    sup = matrix_sup_norm(J.A) if lam is None else _sup_abs(lam)
+    return max(abs(J.r), float(np.linalg.norm(J.p)), sup)
 
 
 def matrix_sup_norm(A) -> float:
     """max_k |lambda_k(A)|, the Hessian part of the jet norm."""
-    lam = eigenvalues(A)
+    return _sup_abs(eigenvalues(A))
+
+
+def _sup_abs(lam: np.ndarray) -> float:
     return float(np.max(np.abs(lam))) if lam.size else 0.0
 
 

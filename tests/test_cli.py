@@ -349,6 +349,11 @@ EXIT_CODES = [
     (("dual", "--key", "pma", "--matrix", MATRIX_2D, "--at", "a,b"), 2),
     (("canonical", "--key", "P", "--matrix", MATRIX_2D), 0),
     (("canonical", "--key", "Q~", "--matrix", MATRIX_2D), 3),
+    (("canonical", "--key", "P", "--matrix", MATRIX_2D, "--tol", "0"), 2),
+    (("canonical", "--key", "P", "--matrix", MATRIX_2D, "--tol", "-1"), 2),
+    (("canonical", "--key", "P", "--matrix", MATRIX_2D, "--tol", "1e-20"), 2),
+    (("canonical", "--key", "P", "--matrix", MATRIX_2D, "--tol", "nan"), 2),
+    (("canonical", "--key", "Q", "--matrix", MATRIX_2D, "--tol", "8.9e-16"), 0),
     (("distance", "--key", "P", "--matrix", MATRIX_2D, "--directions", "8"), 0),
     (("distance", "--key", "P", "--matrix", MATRIX_2D, "--directions", "0"), 2),
     (("distance", "--key", "P", "--matrix", MATRIX_2D, "--directions", "-1"), 2),
@@ -356,6 +361,9 @@ EXIT_CODES = [
     (("pseudoconvex", "--domain", '{"kind": "slab", "n": 2}', "--key", "P",
       "--points", "1.0,0.2"), 1),
     (("pseudoconvex", "--domain", SPHERE_2D, "--key", "P", "--points", "a,b"), 2),
+    (("pseudoconvex", "--domain", SPHERE_2D, "--key", "P", "--t-cap", "inf"), 2),
+    (("pseudoconvex", "--domain", SPHERE_2D, "--key", "P", "--t-cap", "nan"), 2),
+    (("pseudoconvex", "--domain", SPHERE_2D, "--key", "P", "--t-cap", "-2"), 2),
     (("pseudoconvex", "--domain", SPHERE_2D, "--key", "P", "--points", "0.1,0.2,0.3"), 2),
     (("pseudoconvex", "--domain", '{"kind": sphere', "--key", "P"), 2),
     (("pseudoconvex", "--domain", '["sphere"]', "--key", "P"), 2),

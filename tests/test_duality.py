@@ -26,6 +26,7 @@ from jetcones.catalog import (
 )
 from jetcones.duality import (
     CheckReport,
+    _sample_jets,
     check_dual_pair,
     check_inclusion,
     check_involution,
@@ -34,7 +35,7 @@ from jetcones.duality import (
     dual_contains,
     dual_oracle,
 )
-from jetcones.jets import Jet2, SymMat, random_jet, random_symmetric
+from jetcones.jets import Jet2, SymMat, random_jet, random_symmetric, stack_jets
 
 M_A_PART = MonotonicityCone(0.0, DirectionalCone.full(), math.inf)
 
@@ -176,6 +177,21 @@ def test_check_inclusion_matches_per_jet_loop(F, G, tol):
         assert got.to_json_dict() == ref.to_json_dict()
         assert float.hex(got.worst_margin) == float.hex(ref.worst_margin)
     assert (got.excluded_boundary > 0) == (tol > 1e-8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sample_jets_are_the_per_jet_draws(n):
+    # one standard_normal call for the whole sample, against random_jet
+    # one jet at a time from the same seed
+    for scale in (1.0, 1.5, 2.0):
+        for samples in (0, 1, 37):
+            rng = np.random.default_rng(8)
+            ref = stack_jets([random_jet(rng, n, scale) for _ in range(samples)], n)
+            got = _sample_jets(n, samples, 8, scale)
+            for a, b in zip(got, ref):
+                assert a.shape == b.shape
+                assert list(map(float.hex, a.ravel().tolist())) == \
+                    list(map(float.hex, b.ravel().tolist()))
 
 
 def eig_oracle(label, n, f):

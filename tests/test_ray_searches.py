@@ -13,14 +13,21 @@ loops written with Jet2 arithmetic and one oracle.value per probe;
 every returned value, jet, report and error must match them bit for
 bit. Probes past the point where such a loop would stop must not warn
 either, so RuntimeWarnings are errors here.
+
+canonical_operator on a spectral fiber (FiberOracle.spectrum set) finds
+a root of f(lambda - t) instead of bisecting: it is checked against the
+closed forms and within the reference's final bracket, and the bisection
+route stays checked bit for bit through replace(F, spectrum=None).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from jetcones.canonical import (
+    MIN_TOL,
     SEARCH_RADIUS,
     _crossings,
     _jet_directions,
@@ -52,7 +59,7 @@ from jetcones.duality import (
     dual_oracle,
     sample_cone_member,
 )
-from jetcones.errors import BracketingFailure, NegativeSource
+from jetcones.errors import BadParameters, BracketingFailure, NegativeSource
 from jetcones.jets import Jet2, SymMat, jet_norm, random_jet, random_symmetric
 
 
@@ -82,6 +89,11 @@ ORACLES = [pytest.param(make, id=name) for make, name in CASES]
 # --- references: the Jet2-arithmetic routes ---------------------------------
 
 def ref_canonical_operator(F, A, tol=1e-10):
+    t_lo, t_hi = ref_canonical_bracket(F, A, tol)
+    return 0.5 * (t_lo + t_hi)
+
+
+def ref_canonical_bracket(F, A, tol=1e-10):
     J = A if isinstance(A, Jet2) else Jet2.from_matrix(A)
     eyeJ = Jet2.from_matrix(SymMat.identity(J.n))
 
@@ -114,7 +126,7 @@ def ref_canonical_operator(F, A, tol=1e-10):
             t_lo = mid
         else:
             t_hi = mid
-    return 0.5 * (t_lo + t_hi)
+    return t_lo, t_hi
 
 
 def ref_crossing(F, J, U, inside, tol=1e-9, cap=SEARCH_RADIUS):
@@ -312,7 +324,8 @@ def test_ray_values_is_value_of_the_jet2_sum(make):
 
 @pytest.mark.parametrize("make", ORACLES)
 def test_canonical_operator_matches_jet2_route(make):
-    F = make()
+    # the bisection route; spectral fibers are checked against it below
+    F = replace(make(), spectrum=None)
     rng = np.random.default_rng(7)
     for _ in range(6):
         A = random_symmetric(rng, F.n, 1.5)
@@ -473,7 +486,7 @@ def test_shift_to_boundary_none_within_max_expand(max_expand):
 
 
 def test_crossing_at_the_first_doubling_step():
-    P = make_oracle("P", 2)
+    P = replace(make_oracle("P", 2), spectrum=None)
     # span = 4: A - 4I already leaves P
     A = SymMat.diag(0.5, 3.0)
     assert float.hex(canonical_operator(P, A)) == float.hex(ref_canonical_operator(P, A))
@@ -487,7 +500,7 @@ def test_crossing_at_the_first_doubling_step():
 
 
 def test_bracket_already_within_tol():
-    P = make_oracle("P", 2)
+    P = replace(make_oracle("P", 2), spectrum=None)
     A = SymMat.diag(0.5, 3.0)
     # the doubling bracket (0, 4) meets the stop rule before any bisection step
     assert canonical_operator(P, A, tol=1.0) == 2.0 == ref_canonical_operator(P, A, tol=1.0)
@@ -501,6 +514,132 @@ def test_bracket_already_within_tol():
         got = _crossings(P, J, inside, 16, 1.0, 53, SEARCH_RADIUS)
         ref = [ref_crossing(P, J, U, inside, tol=1.0) for U in _jet_directions(2, 16, 53, P.arity)]
         assert list(map(hex_or_none, got)) == list(map(hex_or_none, ref))
+
+
+# --- the spectral route of canonical_operator ---------------------------------
+
+def pucci_root(ev, lam, Lam):
+    """The t with lam * sum (ev - t)^+ + Lam * sum (ev - t)^- = 0, solved on
+    the linear piece where it lies."""
+    ev = np.sort(ev)
+    n = len(ev)
+    for k in range(n + 1):  # k eigenvalues below t
+        t = (Lam * ev[:k].sum() + lam * ev[k:].sum()) / (Lam * k + lam * (n - k))
+        if (k == 0 or ev[k - 1] <= t) and (k == n or t <= ev[k]):
+            return float(t)
+    raise AssertionError("no linear piece holds the root")
+
+
+# the seven spectral families, with the closed form of t in the eigenvalues
+# where one exists
+SPECTRAL = [
+    pytest.param("P", 3, lambda ev: ev[0], id="P"),
+    pytest.param("P~", 3, lambda ev: ev[-1], id="P~"),
+    pytest.param("branch:k=2", 3, lambda ev: ev[1], id="branch"),
+    pytest.param("quasiconvex:0.5", 3, lambda ev: ev[0] + 0.5, id="quasiconvex"),
+    pytest.param("pfold:p=2", 3, lambda ev: float(np.mean(ev[:2])), id="pfold"),
+    pytest.param("pucci:1,2", 2, lambda ev: pucci_root(ev, 1.0, 2.0), id="pucci2"),
+    pytest.param("pucci:0.5,3", 3, lambda ev: pucci_root(ev, 0.5, 3.0), id="pucci3"),
+    pytest.param("sigma:k=2", 3, None, id="sigma"),
+]
+
+
+def spectral_queries(n, seed):
+    """Random matrices over six decades of scale, multiples of I and
+    matrices with a repeated eigenvalue."""
+    rng = np.random.default_rng(seed)
+    mats = [random_symmetric(rng, n, scale) for scale in (1e-3, 1.5, 1e3) for _ in range(40)]
+    mats += [SymMat(t * np.eye(n)) for t in (0.0, 1.0, -2.5, 1e-300, 3e5)]
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    mats.append(SymMat(q @ np.diag([1.0] * (n - 1) + [-2.0]) @ q.T))
+    return mats
+
+
+@pytest.mark.parametrize("key, n, closed", SPECTRAL)
+def test_spectral_forms_are_the_spectrum_of_the_eigenvalues(key, n, closed):
+    F = make_oracle(key, n)
+    rng = np.random.default_rng(23)
+    r, p = rng.standard_normal(12), rng.standard_normal((12, n))
+    A = np.array([random_symmetric(rng, n, 1.5).entries for _ in range(12)])
+    got = F.values(r, p, A)
+    assert list(map(float.hex, got.tolist())) == \
+        list(map(float.hex, F.spectrum(np.linalg.eigvalsh(A)).tolist()))
+    assert float.hex(F.value(Jet2(r[0], p[0], A[0]))) == float.hex(float(got[0]))
+
+
+@pytest.mark.parametrize("key, n, closed", [c for c in SPECTRAL if c.values[2] is not None])
+def test_spectral_canonical_matches_the_closed_forms(key, n, closed):
+    # exact up to rounding where g(t) = f(lambda - t) is linear on Brent's
+    # last bracket. Pucci's g has a kink at each eigenvalue, and at A = tI
+    # the root is one: there the value is good to tol * (1 + |t|), as
+    # Brent's bracket is
+    F = make_oracle(key, n)
+    for tol in (1e-10, 1e-6, MIN_TOL):
+        for A in spectral_queries(n, 29):
+            ev = np.linalg.eigvalsh(A.entries)
+            t = closed(ev)
+            at_kink = key.startswith("pucci") and ev[0] == ev[-1]
+            bound = tol * (1.0 + abs(t)) if at_kink else 1e-13 * max(1.0, abs(t))
+            assert abs(canonical_operator(F, A, tol=tol) - t) <= bound
+
+
+@pytest.mark.parametrize("key, n, closed", SPECTRAL)
+def test_spectral_canonical_within_the_bisection_bracket(key, n, closed):
+    # the reference bisects to a bracket; the root lies in it, and the
+    # spectral value within tol * max(1, |t|) of the root
+    F = make_oracle(key, n)
+    for tol in (1e-10, 1e-6):
+        for A in spectral_queries(n, 31)[::3]:
+            t_lo, t_hi = ref_canonical_bracket(F, A, tol)
+            t = 0.5 * (t_lo + t_hi)
+            got = canonical_operator(F, A, tol=tol)
+            assert abs(got - t) <= 0.5 * abs(t_hi - t_lo) + tol * max(1.0, abs(t))
+
+
+@pytest.mark.parametrize("key, n, closed", SPECTRAL)
+def test_spectral_bracketing_failures_like_the_bisection(key, n, closed):
+    # the doubling starts at the jet norm + 1, r and p included, and fails
+    # once that passes SEARCH_RADIUS
+    F = make_oracle(key, n)
+    bisect = replace(F, spectrum=None)
+    shape = np.diag(np.linspace(1.0, -0.5, n))
+    queries = [SymMat(s * shape) for s in (999998.0, 999999.5, 2e6)]
+    queries += [Jet2(r, np.zeros(n), shape) for r in (999998.0, -2e6)]
+    got = [outcome(canonical_operator, F, A) for A in queries]
+    assert [g == "BracketingFailure" for g in got] == \
+        [outcome(canonical_operator, bisect, A) == "BracketingFailure" for A in queries] == \
+        [False, True, True, False, True]
+
+
+def test_fibers_off_the_spectral_route_keep_the_bisection():
+    # Q's g = min(-r, lambda_min) is exactly 0 for t below lambda_min when
+    # r = 0, so a root-finder could stop anywhere there
+    for key, n in [("Q", 2), ("Q~", 2), ("M:gamma=1,D=half:1,0,R=1", 2), ("M0", 2),
+                   ("lagrangian", 4), ("failure:alpha=2,which=min", 2)]:
+        assert make_oracle(key, n).spectrum is None
+    for F in (dual_oracle(make_oracle("P", 2)), pma_slice(2), all_jets(2)):
+        assert F.spectrum is None
+    Q = make_oracle("Q", 2)
+    for A in spectral_queries(2, 37)[::4]:
+        assert float.hex(canonical_operator(Q, A)) == float.hex(ref_canonical_operator(Q, A))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, 1e-20, MIN_TOL / 2, math.nan, math.inf])
+def test_canonical_tol_out_of_range(tol):
+    for key in ("P", "Q"):
+        with pytest.raises(BadParameters):
+            canonical_operator(make_oracle(key, 2), SymMat.diag(1.0, 2.0), tol=tol)
+
+
+def test_canonical_at_the_smallest_tol():
+    # both routes stop at MIN_TOL, also next to a multiple root
+    A = SymMat.diag(1.0, 2.0)
+    assert canonical_operator(make_oracle("P", 2), A, tol=MIN_TOL) == 1.0
+    assert abs(canonical_operator(make_oracle("Q", 2), A, tol=MIN_TOL) - 1.0) <= 4 * MIN_TOL
+    sigma3 = make_oracle("sigma:k=3", 3)
+    for t in (0.0, 1.0, -2.5):
+        got = canonical_operator(sigma3, SymMat(t * np.eye(3)), tol=MIN_TOL)
+        assert abs(got - t) <= 2 * MIN_TOL * max(1.0, abs(t))
 
 
 @pytest.mark.parametrize("M, n, scale", [
