@@ -1,20 +1,32 @@
-"""Print every output of the benchmark's verify workload as exact JSON.
+"""Print every output of one benchmark workload as exact JSON.
 
 Usage: PYTHONPATH=src python scripts/dump_verify_outputs.py [--seed N]
-           [--distances K] > outputs.json
+           [--workload {verify,grid-checks}] [--distances K] > outputs.json
 
-Builds the verify workload's inputs for the seed (perfbench/workloads.py),
-runs each operation once and prints its output: check reports as
-to_json_dict, floats as float.hex. It adds the signed distances of the
-first K canonical-operator matrices of each cone. Run it against two
-checkouts (PYTHONPATH=<checkout>/src) and diff the files to show that a
-change keeps every verdict, margin and value bit for bit.
+Builds the workload's inputs for the seed (perfbench/workloads.py), runs
+each operation once and prints its output, floats as float.hex:
+
+- verify (the default): check reports as to_json_dict, canonical values,
+  Garding residuals and pseudoconvexity verdicts, plus the signed
+  distances of the first K canonical-operator matrices of each cone;
+- grid-checks: every comparison and zero-maximum verdict (ok, witness
+  node, margin, note), the strict approximator of the oversized box,
+  the TranslationReport fields, the discrete jets classified per
+  operation, and the probe verdicts. The seconds the workload's node
+  counter measures are left out.
+
+Run it against two checkouts (PYTHONPATH=<checkout>/src) and diff the
+files to show that a change keeps every verdict, margin and value bit
+for bit.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -29,6 +41,10 @@ CONES = {"P2": catalog.cone_P(2), "P3": catalog.cone_P(3),
 def exact(x):
     if isinstance(x, CheckReport):
         return exact(x.to_json_dict())
+    if dataclasses.is_dataclass(x):
+        return {f.name: exact(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, (np.ndarray, np.generic)):
+        return exact(x.tolist())
     if isinstance(x, dict):
         return {k: exact(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -38,17 +54,39 @@ def exact(x):
     return x
 
 
+def verify_outputs(seed: int, distances: int) -> dict:
+    wl = workloads.build("verify", seed, Path("."))
+    out = {op.name: exact(op.call()) for op in wl.ops}
+    for name, F in CONES.items():
+        mats = wl.inputs[name][:distances]
+        out[f"signed_distance_{name}"] = exact(
+            [canonical.signed_distance(F, A) for A in mats])
+    return out
+
+
+def grid_check_outputs(seed: int) -> dict:
+    wl = workloads.build("grid-checks", seed, Path("."))
+    out = {}
+    for op in wl.ops:
+        result = op.call()
+        if op.call.func is workloads._counted:
+            result, nodes, _seconds = result
+            result = {"output": result, "nodes": nodes}
+        out[op.name] = exact(result)
+    return out
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--distances", type=int, default=10)
+    ap.add_argument("--workload", choices=("verify", "grid-checks"), default="verify")
+    ap.add_argument("--distances", type=int, default=10,
+                    help="signed distances per cone (verify only)")
     args = ap.parse_args()
-    wl = workloads.build("verify", args.seed, Path("."))
-    out = {op.name: exact(op.call()) for op in wl.ops}
-    for name, F in CONES.items():
-        mats = wl.inputs[name][: args.distances]
-        out[f"signed_distance_{name}"] = exact(
-            [canonical.signed_distance(F, A) for A in mats])
+    if args.workload == "verify":
+        out = verify_outputs(args.seed, args.distances)
+    else:
+        out = grid_check_outputs(args.seed)
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
     print()
 

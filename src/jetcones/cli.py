@@ -175,7 +175,7 @@ def cmd_canonical(args) -> int:
         raise ParseError(f"--tol must be finite and at least {MIN_TOL:.3g}, got {args.tol}")
     J = _jet_from_args(args)
     oracle = _constant_oracle(args.key, J.n, "canonical")
-    value = canonical_operator(oracle, J.A, tol=args.tol)
+    value = canonical_operator(oracle, J, tol=args.tol)
     if args.out:
         flat = list(J.A.entries.ravel()) + [value]
         Path(args.out).write_text(",".join(repr(float(v)) for v in flat) + "\n")

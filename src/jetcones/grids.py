@@ -247,14 +247,24 @@ class GridFunction:
 
 
 def _shifted(values: np.ndarray, off, width: int) -> np.ndarray:
-    """View of values on the width-trimmed interior moved by offset off."""
-    return values[tuple(slice(width + o, dim - width + o) for o, dim in zip(off, values.shape))]
+    """View of values on the width-trimmed interior moved by offset off.
+
+    The trim and the offset act on the trailing len(off) axes; leading
+    axes (a stack of grid functions) ride along.
+    """
+    grid_dims = values.shape[values.ndim - len(off):]
+    return values[(..., *(slice(width + o, dim - width + o) for o, dim in zip(off, grid_dims)))]
 
 
 def second_difference_field(values: np.ndarray, direction, h: float,
                             width: int) -> np.ndarray:
-    """Vectorized directional second difference on the width-trimmed interior."""
-    c = _shifted(values, (0,) * values.ndim, width)
+    """Vectorized directional second difference on the width-trimmed interior.
+
+    values is one grid function or a stack of them, (*lead, *grid dims)
+    with len(direction) grid axes last; each grid function's field is
+    the one it gets alone, to the bit.
+    """
+    c = _shifted(values, (0,) * len(direction), width)
     f = _shifted(values, direction, width)
     b = _shifted(values, tuple(-x for x in direction), width)
     step2 = (h ** 2) * float(sum(x * x for x in direction))

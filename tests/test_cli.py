@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from jetcones.canonical import canonical_operator
+from jetcones.catalog import make_oracle
 from jetcones.cli import main
+from jetcones.jets import random_jet
 
 
 def run(capsys, *argv):
@@ -92,6 +95,24 @@ def test_canonical_command(capsys):
                        "--matrix", "[[1,0,0],[0,2,0],[0,0,3]]")
     assert code == 0
     assert json.loads(out)["canonical"] == pytest.approx(1.5, abs=1e-8)
+
+
+@pytest.mark.parametrize("key, n", [("P", 2), ("P", 3), ("P~", 3), ("branch:k=2", 3),
+                                    ("pfold:p=2", 3), ("sigma:k=2", 3), ("pucci:1,2", 2),
+                                    ("quasiconvex:shift=0.5", 2)])
+def test_canonical_command_on_jets_agrees_with_the_matrix_route(capsys, key, n):
+    # a spectral cone ignores r and p; they only move the doubling start
+    F = make_oracle(key, n)
+    rng = np.random.default_rng(17)
+    tol = 1e-10
+    for _ in range(5):
+        J = random_jet(rng, n, scale=2.0)
+        jet = {"r": 5.0 * J.r, "p": (5.0 * J.p).tolist(), "A": J.A.entries.tolist()}
+        code, out, _ = run(capsys, "canonical", "--key", key, "--jet", json.dumps(jet),
+                           "--tol", str(tol))
+        assert code == 0
+        t = canonical_operator(F, J.A, tol=tol)
+        assert abs(json.loads(out)["canonical"] - t) <= tol * (1 + abs(t)), key
 
 
 def test_distance_command(capsys):
@@ -354,6 +375,9 @@ EXIT_CODES = [
     (("canonical", "--key", "P", "--matrix", MATRIX_2D, "--tol", "1e-20"), 2),
     (("canonical", "--key", "P", "--matrix", MATRIX_2D, "--tol", "nan"), 2),
     (("canonical", "--key", "Q", "--matrix", MATRIX_2D, "--tol", "8.9e-16"), 0),
+    # the whole jet goes in: Q's fiber at r = 1 is empty, at r = -1 it is not
+    (("canonical", "--key", "Q", "--jet", '{"r": 1, "p": [0, 0], "A": [[1, 0], [0, 2]]}'), 3),
+    (("canonical", "--key", "Q", "--jet", '{"r": -1, "p": [0, 0], "A": [[1, 0], [0, 2]]}'), 0),
     (("distance", "--key", "P", "--matrix", MATRIX_2D, "--directions", "8"), 0),
     (("distance", "--key", "P", "--matrix", MATRIX_2D, "--directions", "0"), 2),
     (("distance", "--key", "P", "--matrix", MATRIX_2D, "--directions", "-1"), 2),

@@ -8,6 +8,7 @@ from jetcones.grids import (
     GridFunction,
     perron_envelope,
     quasiconvexity_defect,
+    second_difference_field,
     square_grid,
     sup_convolution,
     sup_convolution_bruteforce,
@@ -38,6 +39,26 @@ def test_second_difference_exact_on_quadratics():
     v = GridFunction.from_callable(g, lambda x: x[0] ** 2 - x[1] ** 2)
     assert v.second_difference((8, 8), (1, 0)) == pytest.approx(2.0)
     assert v.second_difference((8, 8), (0, 1)) == pytest.approx(-2.0)
+
+
+@pytest.mark.parametrize("d, side", [(1, 9), (2, 17), (3, 9)])
+def test_second_difference_field_on_a_stack(d, side):
+    # leading axes ride along: each grid function's field is the one it
+    # gets alone, to the bit, and matches the node-by-node difference
+    g = square_grid(side, 0.0, 1.0, d=d)
+    rng = np.random.default_rng(d)
+    stack = rng.standard_normal((2, 3, *g.dims))
+    w = g.layer_width
+    for s in g.stencil_dirs:
+        fld = second_difference_field(stack, s, g.h, w)
+        assert fld.shape == (2, 3) + tuple(dim - 2 * w for dim in g.dims)
+        for i in range(2):
+            for j in range(3):
+                single = second_difference_field(stack[i, j], s, g.h, w)
+                assert np.array_equal(fld[i, j], single)
+        node = (w,) * d
+        u = GridFunction(g, stack[1, 2])
+        assert fld[(1, 2) + (0,) * d] == u.second_difference(node, s)
 
 
 def test_stencil_out_of_bounds():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -36,7 +37,9 @@ from jetcones.grids import (
     square_grid,
 )
 from jetcones.jets import SymMat, random_symmetric
+from jetcones import solver
 from jetcones.solver import (
+    DISCRETE_OPERATORS,
     NodeReport,
     TranslationReport,
     _setup,
@@ -239,11 +242,151 @@ def test_scheme_monotonicity_all_operators():
         assert scheme_monotonicity_probe(key, grid, states=100), key
 
 
+def _first_failing_state(op_key, grid, states, seed=97, bump=1e-6, tol=1e-12):
+    """Reference for scheme_monotonicity_probe: the states one at a time,
+    two whole-grid applies each, as the probe ran before it evaluated
+    blocks. Returns the index of the first failing state, or None."""
+    rng = np.random.default_rng(seed)
+    op = make_discrete_operator(op_key, grid)
+    dt = solver.stability_dt(grid, op.center_weight)
+    interior = grid.interior_slice()
+    for i in range(states):
+        u = rng.standard_normal(grid.dims)
+        node = tuple(rng.integers(0, dim) for dim in grid.dims)
+        base = u[interior] + dt * op.apply(u, grid)
+        u2 = u.copy()
+        u2[node] += bump
+        upd = u2[interior] + dt * op.apply(u2, grid)
+        if float(np.min(upd - base)) < -tol * bump:
+            return i
+    return None
+
+
+def _probe_per_state(op_key, grid, states, **kwargs):
+    return _first_failing_state(op_key, grid, states, **kwargs) is None
+
+
+PROBE_KEYS = ("P", "P~", "slag", "pucci:1,2", "pfold:p=2")
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.2, 3.0])
+@pytest.mark.parametrize("d", [2, 3])
+def test_probe_matches_the_per_state_reference(monkeypatch, d, scale):
+    # scale > 1 steps past the stability bound, where the explicit update
+    # stops being monotone; slag keeps passing (see the probe's docstring)
+    grid = square_grid(17 if d == 2 else 9, 0.0, 1.0, d=d)
+    bound = solver.stability_dt
+    monkeypatch.setattr(solver, "stability_dt",
+                        lambda g, weight, safety=0.9: scale * bound(g, weight, safety))
+    for key in PROBE_KEYS:
+        for states in (100, 37):
+            got = scheme_monotonicity_probe(key, grid, states=states)
+            assert got == _probe_per_state(key, grid, states), (key, states)
+            assert got == (scale == 1.0 or key == "slag"), (key, states)
+        first = _first_failing_state(key, grid, 100)
+        if first is not None:
+            # the verdict turns at the reference's first failing state, wherever
+            # it falls in a block
+            assert scheme_monotonicity_probe(key, grid, states=first), key
+            assert not scheme_monotonicity_probe(key, grid, states=first + 1), key
+        assert scheme_monotonicity_probe(key, grid, states=0), key
+
+
+def test_probe_evaluates_the_per_state_draws_in_blocks(monkeypatch):
+    grid = square_grid(17, 0.0, 1.0)
+    stacks = []
+    build = solver.make_discrete_operator
+
+    def recording(key, g):
+        op = build(key, g)
+
+        def apply(values, g):
+            stacks.append(values.copy())
+            return op.apply(values, g)
+
+        return dataclasses.replace(op, apply=apply)
+
+    monkeypatch.setattr(solver, "make_discrete_operator", recording)
+    assert scheme_monotonicity_probe("P", grid, states=37, seed=5)
+    block = solver._PROBE_BLOCK
+    assert block == 16
+    assert [len(s) for s in stacks] == [16, 16, 16, 16, 5, 5]
+    rng = np.random.default_rng(5)
+    for i in range(37):
+        u = rng.standard_normal(grid.dims)
+        node = tuple(rng.integers(0, dim) for dim in grid.dims)
+        b, k = divmod(i, block)
+        assert np.array_equal(stacks[2 * b][k], u), i
+        u[node] += 1e-6
+        assert np.array_equal(stacks[2 * b + 1][k], u), i
+
+
+def _discrete_keys(d):
+    return ("P", "P~", "branch:k=1", f"branch:k={d}", "pfold:p=2", "slag", "pucci:1,2")
+
+
+@pytest.mark.parametrize("d, side", [(2, 17), (3, 9)])
+def test_stacked_apply_is_the_single_applies(d, side):
+    grid = square_grid(side, 0.0, 1.0, d=d)
+    keys = _discrete_keys(d)
+    assert {key.split(":")[0] for key in keys} == set(DISCRETE_OPERATORS)
+    rng = np.random.default_rng(211)
+    # magnitudes from 1e-3 to 1e3 reach both of arctan's regimes for slag
+    scales = 10.0 ** rng.uniform(-3, 3, 37)
+    stack = rng.standard_normal((37, *grid.dims)) * scales.reshape((37,) + (1,) * d)
+    for key in keys:
+        op = make_discrete_operator(key, grid)
+        single = np.stack([op.apply(u, grid) for u in stack])
+        assert np.array_equal(op.apply(stack, grid), single), key
+        nested = op.apply(stack[:12].reshape((3, 4, *grid.dims)), grid)
+        assert np.array_equal(nested, single[:12].reshape(nested.shape)), key
+
+
 def test_stencil_bias_reported():
     grid = square_grid(17, 0.0, 1.0)
     rng = np.random.default_rng(91)
     bias = stencil_bias(grid, "P", rng, trials=30)
     assert 0 <= bias < 0.5  # measured, not hidden; modest on the 8-point set
+
+
+@pytest.mark.parametrize("d, side", [(2, 17), (3, 9)])
+def test_stencil_bias_of_every_discrete_key(d, side):
+    grid = square_grid(side, 0.0, 1.0, d=d)
+    for key in _discrete_keys(d):
+        bias = stencil_bias(grid, key, np.random.default_rng(91), trials=10)
+        assert math.isfinite(bias) and bias >= 0, key
+    # branch:k=1 is P and branch:k=d is P~, with the same bias
+    for a, b in (("branch:k=1", "P"), (f"branch:k={d}", "P~")):
+        assert (stencil_bias(grid, a, np.random.default_rng(5), trials=10)
+                == stencil_bias(grid, b, np.random.default_rng(5), trials=10) > 0)
+
+
+def test_bias_targets_are_exact_on_the_stencil_frame():
+    # a quadratic whose eigenframe is the axes frame: every frame-minimum
+    # discretization but slag's (arctan is not concave) hits its target
+    grid = square_grid(17, 0.0, 1.0)
+    ev = np.array([-2.0, 1.0])
+    u = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ np.diag(ev[::-1]) @ x))
+    for key in ("P", "P~", "branch:k=1", "branch:k=2", "pfold:p=2", "pucci:1,2"):
+        name, params = solver.bind_key(key, DISCRETE_OPERATORS, "discretization")
+        target = float(solver._BIAS_TARGETS[name](ev, **params))
+        fld = make_discrete_operator(key, grid).apply(u.values, grid)
+        assert np.max(np.abs(fld - target)) <= 1e-10, key
+    # the targets are the catalog cones' spectra (pfold's is the sum, not the mean)
+    ev3 = np.array([-2.0, 0.5, 3.0])
+    for key, target in (("P", ev3[0]), ("P~", ev3[-1]), ("branch:k=1", ev3[0]),
+                        ("branch:k=3", ev3[-1]), ("pfold:p=2", -0.75),
+                        ("pucci:1,2", 0.5 + 3.0 - 4.0)):
+        name, params = solver.bind_key(key, DISCRETE_OPERATORS, "discretization")
+        assert solver._BIAS_TARGETS[name](ev3, **params) == target, key
+        scale = params.get("p", 1)
+        assert make_oracle(key, 3).spectrum(ev3) == scale * target, key
+
+
+def test_stencil_bias_without_a_target_is_unknown(monkeypatch):
+    monkeypatch.delitem(solver._BIAS_TARGETS, "slag")
+    with pytest.raises(UnknownKey):
+        stencil_bias(square_grid(17, 0.0, 1.0), "slag", np.random.default_rng(0))
 
 
 def test_perron_envelope_agrees_with_solver_on_convex_data():
