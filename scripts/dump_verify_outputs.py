@@ -1,7 +1,7 @@
 """Print every output of one benchmark workload as exact JSON.
 
 Usage: PYTHONPATH=src python scripts/dump_verify_outputs.py [--seed N]
-           [--workload {verify,grid-checks}] [--distances K] > outputs.json
+           [--workload {verify,grid-checks,solve}] [--distances K] > outputs.json
 
 Builds the workload's inputs for the seed (perfbench/workloads.py), runs
 each operation once and prints its output, floats as float.hex:
@@ -13,7 +13,10 @@ each operation once and prints its output, floats as float.hex:
   node, margin, note), the strict approximator of the oversized box,
   the TranslationReport fields, the discrete jets classified per
   operation, and the probe verdicts. The seconds the workload's node
-  counter measures are left out.
+  counter measures are left out;
+- solve: each problem's exit code and the sha256 of the solution.csv
+  and solve.json that `jetcones solve` writes (in a temporary
+  directory), so the files are compared byte for byte.
 
 Run it against two checkouts (PYTHONPATH=<checkout>/src) and diff the
 files to show that a change keeps every verdict, margin and value bit
@@ -22,8 +25,10 @@ for bit.
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -76,17 +81,32 @@ def grid_check_outputs(seed: int) -> dict:
     return out
 
 
+def solve_outputs(seed: int) -> dict:
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        wl = workloads.build("solve", seed, Path(tmp))
+        for op in wl.ops:
+            rc, _stdout = op.call()  # stdout names the temporary directory
+            files = Path(tmp) / op.name
+            out[op.name] = {"exit": rc, **{
+                name: hashlib.sha256((files / name).read_bytes()).hexdigest()
+                for name in ("solution.csv", "solve.json")}}
+    return out
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--workload", choices=("verify", "grid-checks"), default="verify")
+    ap.add_argument("--workload", choices=("verify", "grid-checks", "solve"), default="verify")
     ap.add_argument("--distances", type=int, default=10,
                     help="signed distances per cone (verify only)")
     args = ap.parse_args()
     if args.workload == "verify":
         out = verify_outputs(args.seed, args.distances)
-    else:
+    elif args.workload == "grid-checks":
         out = grid_check_outputs(args.seed)
+    else:
+        out = solve_outputs(args.seed)
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
     print()
 

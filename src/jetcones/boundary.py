@@ -14,6 +14,7 @@ strict-convexity semantics of the membership condition below require.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -120,6 +121,12 @@ class PseudoconvexVerdict:
     t_cap: float
 
 
+def _threshold_done(lo, hi, tol: float):
+    """strict_pseudoconvex_at's stop rule on arrays of bracket ends: the
+    bracket is at most tol * max(1, hi) wide (or has a NaN end)."""
+    return np.logical_not(hi - lo > tol * np.maximum(1.0, hi))
+
+
 def strict_pseudoconvex_at(
     F: FiberOracle,
     bp: BoundaryPointData,
@@ -147,9 +154,7 @@ def strict_pseudoconvex_at(
     if not at_zero:
         return PseudoconvexVerdict(convex=True, t0=0.0, t_cap=t_cap)
 
-    def done(lo, hi):
-        return not hi - lo > tol * max(1.0, hi)
-
+    done = functools.partial(_threshold_done, tol=tol)
     bracket = (0.0, t_cap)
     if not done(*bracket):
         bracket, = bisect_brackets(lambda live, t: outside(t), [bracket], done)

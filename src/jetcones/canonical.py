@@ -50,6 +50,12 @@ MIN_TOL = 4 * np.finfo(float).eps
 BRENT_MAX_ITER = 72 ** 2
 
 
+def _bracket_done(t_lo, t_hi, tol: float):
+    """canonical_operator's stop rule on arrays of bracket ends: the bracket
+    is at most tol * max(1, |t_lo| + |t_hi|) wide (or has a NaN end)."""
+    return np.logical_not(np.abs(t_hi - t_lo) > tol * np.maximum(1.0, np.abs(t_lo) + np.abs(t_hi)))
+
+
 def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
     """The unique t with A - tI on the boundary of the cone F.
 
@@ -98,9 +104,7 @@ def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
     if f is not None:
         return _spectral_root(f, lam, *bracket, tol)
 
-    def done(t_lo, t_hi):
-        return not abs(t_hi - t_lo) > tol * max(1.0, abs(t_lo) + abs(t_hi))
-
+    done = functools.partial(_bracket_done, tol=tol)
     if not done(*bracket):
         bracket, = bisect_brackets(lambda live, t: member(t), [bracket], done)
     t_lo, t_hi = bracket
@@ -206,6 +210,12 @@ def signed_distance(
     return best if inside else -best
 
 
+def _crossing_done(s_keep, s_flip, tol: float):
+    """_crossings' stop rule on arrays of bracket ends: the bracket is
+    narrower than tol * max(1, s_flip)."""
+    return s_flip - s_keep < tol * np.maximum(1.0, s_flip)
+
+
 def _crossings(F: FiberOracle, J: Jet2, inside: bool, directions: int, tol: float,
                seed: int, cap: float) -> list:
     """For each direction U of the stream, the first s > 0 where the sign of
@@ -221,7 +231,7 @@ def _crossings(F: FiberOracle, J: Jet2, inside: bool, directions: int, tol: floa
 
     ss = _doublings(1.0, cap)
     found = crossing_brackets(keeps, np.broadcast_to(ss, (len(Ur), len(ss))), [True] * len(Ur),
-                              lambda s_keep, s_flip: s_flip - s_keep < tol * max(1.0, s_flip),
+                              functools.partial(_crossing_done, tol=tol),
                               max_steps=80)
     return [None if b is None else 0.5 * (b[0] + b[1]) for b in found]
 

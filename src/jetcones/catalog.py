@@ -45,7 +45,7 @@ from .errors import (
     ReferenceJetNotInterior,
     UnknownKey,
 )
-from .jets import Jet2, SymMat, eigenvalues
+from .jets import Jet2, SymMat, eigenvalues, heavy_tail_symmetric, random_jet, stack_jets
 
 DEFAULT_TOL = 1e-8
 
@@ -199,10 +199,14 @@ def fan_values(values: Callable, J: tuple, U: tuple, t):
     return values(Jr + t * Ur, Jp + t[..., None] * Up, JA + t[..., None, None] * UA)
 
 
-# Levels of each bracket's bisection tree evaluated per values call: one
-# call costs about as much as a few rows, so deeper trees save calls but
-# waste rows past the stop point. On the verify workload depths 3 to 5
-# timed alike and 6 and 7 slower.
+# Levels of each bracket's bisection tree evaluated per keeps call (and
+# the doubling probe's entries per call, 2**depth - 1): one call costs
+# about as much as a few rows, so deeper trees save calls but waste rows
+# past the stop point. The walk table below has 2**(2**depth - 1) rows,
+# so the walker serves depths up to 4. Measured with this walker (three
+# alternating 10 s runs, seed 7, 2-core x86 host): verify batch_s
+# 0.297-0.301 s at depth 3 against 0.338-0.341 s at 4, grid-checks
+# focus_s 0.054-0.056 s at both.
 BISECTION_DEPTH = 4
 
 
@@ -211,6 +215,11 @@ def take_rows(a: np.ndarray, rows) -> np.ndarray:
     order, as the searches' live sets do: a itself, unindexed, when rows
     lists all of them."""
     return a if len(rows) == len(a) else a[rows]
+
+
+def _check_max_steps(max_steps: Optional[int]) -> None:
+    if max_steps is not None and max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1 (or None for no cap), got {max_steps}")
 
 
 def crossing_brackets(keeps: Callable, ts, start, done: Optional[Callable] = None,
@@ -231,8 +240,9 @@ def crossing_brackets(keeps: Callable, ts, start, done: Optional[Callable] = Non
     with 0.0, the search's start, for ts[i, k - 1] when k == 0. With
     done, each bracket is then bisected by
     bisect_brackets(keeps, brackets, done, max_steps), which takes at
-    least one step.
+    least one step; max_steps below 1 raises ValueError.
     """
+    _check_max_steps(max_steps)
     ts = np.asarray(ts, dtype=float)
     width = 2 ** BISECTION_DEPTH - 1
     out = [None] * len(ts)
@@ -253,11 +263,44 @@ def crossing_brackets(keeps: Callable, ts, start, done: Optional[Callable] = Non
         live = missed
     if done is not None:
         rows = [i for i, b in enumerate(out) if b is not None]
-        found = bisect_brackets(lambda live, t: keeps([rows[j] for j in live], t),
+        index = np.array(rows, dtype=int)
+        found = bisect_brackets(lambda live, t: keeps(index[live], t),
                                 [out[i] for i in rows], done, max_steps)
         for i, b in zip(rows, found):
             out[i] = b
     return out
+
+
+# a round's tree has points 0.._TREE_WIDTH, 0 the keep end of its bracket
+_TREE_WIDTH = 2 ** BISECTION_DEPTH
+# per level of the tree: its new midpoints, their left and their right ends
+_TREE_LEVELS = tuple((slice(h, None, 2 * h), slice(None, -h, 2 * h), slice(2 * h, None, 2 * h))
+                     for h in (_TREE_WIDTH >> k for k in range(1, BISECTION_DEPTH + 1)))
+# the keep flag of inner point k + 1 is bit k of the tree's flag code
+_FLAG_BITS = 1 << np.arange(_TREE_WIDTH - 1, dtype=np.int32)
+
+
+def _walk_table() -> np.ndarray:
+    """The bisection walk through a round's tree for every flag code: row
+    code holds the tree positions of the keep ends after steps
+    1..BISECTION_DEPTH, then those of the flip ends, read-only."""
+    codes = np.arange(2 ** (_TREE_WIDTH - 1), dtype=np.int32)
+    lo = np.zeros_like(codes)
+    ends = np.empty((len(codes), 2 * BISECTION_DEPTH), dtype=np.int8)
+    for step in range(BISECTION_DEPTH):
+        half = _TREE_WIDTH >> (step + 1)
+        # the step's midpoint, point lo + half, keeps when its flag is set
+        lo += (codes >> (lo + half - 1) & 1) * half
+        ends[:, step] = lo
+        ends[:, BISECTION_DEPTH + step] = lo + half
+    ends.setflags(write=False)
+    return ends
+
+
+_WALK = _walk_table()
+# a step's keep and flip columns in a row of _WALK
+_STEP_ENDS = np.array([0, BISECTION_DEPTH])
+_LAST_STEP = np.arange(BISECTION_DEPTH) == BISECTION_DEPTH - 1
 
 
 def bisect_brackets(keeps: Callable, brackets: list, done: Callable,
@@ -273,47 +316,49 @@ def bisect_brackets(keeps: Callable, brackets: list, done: Callable,
             else: b = mid
             if done(a, b): break
 
-    keeps(live, t) gets the indices of the unfinished brackets and, for
-    each, the 2**BISECTION_DEPTH - 1 midpoints of the next levels of its
-    bisection tree in order from a to b, t[len(live), 2**d - 1]; it
-    returns the keep flags of the same shape. Every midpoint is
-    0.5 * (a + b) of the endpoints the loop would hold there, and the
-    walk applies done and max_steps after each step, so the result is
-    the loop's to the bit.
+    max_steps below 1 raises ValueError. Each round builds the next
+    BISECTION_DEPTH levels of every unfinished bracket's bisection tree
+    as one array, every midpoint 0.5 * (a + b) of its own parent ends.
+    keeps(live, t) gets the indices of the unfinished brackets (an int
+    array, increasing) and their trees' 2**d - 1 inner points in order
+    from a to b, t[len(live), 2**d - 1]; it returns the keep flags of
+    the same shape. The walk follows the flags to the bracket after each
+    of the round's d steps, and done(a, b) gets them all at once as
+    arrays a[len(live), d], b[len(live), d] (step j in column j); it
+    returns their stop flags as a bool array of that shape. Each row
+    ends at its first stop or at step max_steps, so the result is the
+    loop's to the bit.
     """
-    out = list(brackets)
-    steps = [0] * len(out)
-    live = list(range(len(out)))
-    while live:
-        trees = []
-        for i in live:
-            # level by level, each new midpoint goes between its bracket's ends
-            pts = list(out[i])
-            for _ in range(BISECTION_DEPTH):
-                wider = [pts[0]]
-                for x, y in zip(pts, pts[1:]):
-                    wider += (0.5 * (x + y), y)
-                pts = wider
-            trees.append(pts)
-        keep = keeps(live, np.array([pts[1:-1] for pts in trees])).tolist()
-        unfinished = []
-        for i, pts, kept in zip(live, trees, keep):
-            # pts[(lo + hi) // 2] was built as 0.5 * (pts[lo] + pts[hi])
-            lo, hi = 0, len(pts) - 1
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if kept[mid - 1]:
-                    lo = mid
-                else:
-                    hi = mid
-                steps[i] += 1
-                if done(pts[lo], pts[hi]) or steps[i] == max_steps:
-                    break
-            else:
-                unfinished.append(i)
-            out[i] = (pts[lo], pts[hi])
-        live = unfinished
-    return out
+    _check_max_steps(max_steps)
+    depth = BISECTION_DEPTH
+    out = np.array(brackets, dtype=float).reshape(len(brackets), 2)
+    live = np.arange(len(out))
+    cols = live[:, None]
+    ends = out
+    steps = 0
+    while len(live):
+        # one column per bracket: point 0 its keep end, the last its flip end
+        tree = np.empty((_TREE_WIDTH + 1, len(live)))
+        tree[::_TREE_WIDTH] = ends.T
+        for mid, left, right in _TREE_LEVELS:
+            tree[mid] = 0.5 * (tree[left] + tree[right])
+        code = np.dot(keeps(live, tree[1:-1].T), _FLAG_BITS)
+        rows = cols[:len(live)]
+        ends = tree[_WALK[code], rows]
+        stop = done(ends[:, :depth], ends[:, depth:])
+        steps += depth
+        if max_steps is not None and max_steps <= steps:
+            stop = stop | (np.arange(steps - depth + 1, steps + 1) == max_steps)
+        if not stop.any():
+            ends = ends[:, depth - 1::depth]
+            continue
+        # each row's first stop, or its last step while it goes on
+        last = (stop | _LAST_STEP).argmax(axis=1)
+        ends = ends[rows, last[:, None] + _STEP_ENDS]
+        out[live] = ends
+        going = ~stop[rows[:, 0], last]
+        live, ends = live[going], ends[going]
+    return list(zip(*out.T.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -965,13 +1010,21 @@ class FiberegReport:
 
 # shift_to_boundary's membership tolerance along the ray
 SHIFT_TOL = 1e-9
+# how far past the boundary shift_to_boundary moves a jet by default
+SHIFT_MARGIN = 1e-6
+
+
+def one_fiber_values(oracle: FiberOracle) -> Callable:
+    """oracle.values as the lockstep searches call it, values(rows, r, p,
+    A), every row in the one fiber."""
+    return lambda rows, r, p, A: oracle.values(r, p, A)
 
 
 def shift_to_boundary(
     oracle: FiberOracle,
     J: Jet2,
     J0: Jet2,
-    margin: float = 1e-6,
+    margin: float = SHIFT_MARGIN,
     tol: float = SHIFT_TOL,
     max_expand: int = 60,
 ) -> Optional[Jet2]:
@@ -981,10 +1034,41 @@ def shift_to_boundary(
     fiber is monotone for, so bisection applies. Returns None when no
     crossing is bracketed.
     """
-    t_in, = boundary_shifts(lambda live, r, p, A: oracle.values(r, p, A),
-                            (np.array([J.r]), J.p[None], J.A.entries[None]),
-                            [oracle.contains(J, tol)], J0, tol, max_expand)
-    return None if t_in is None else J + (t_in + margin) * J0
+    moved, = shift_jets_to_boundary(one_fiber_values(oracle), [J], J0, [margin], None, tol,
+                                    max_expand)
+    return moved
+
+
+def shift_jets_to_boundary(values: Callable, jets: list, J0: Jet2, margins, start_in=None,
+                           tol: float = SHIFT_TOL, max_expand: int = 60,
+                           member_tol: Optional[float] = None) -> list:
+    """shift_to_boundary for a list of jets in one lockstep search
+    (boundary_shifts): jets[i] moves along J0 onto the boundary, then
+    margins[i] past it, to the bit as shift_to_boundary moves it, or is
+    None when no crossing is bracketed.
+
+    values(rows, r, p, A) evaluates the fiber functional of the jets at
+    indices rows on a stack; start_in holds each jet's membership under
+    tol (one values call when None). With member_tol, a moved jet that
+    is not a member under member_tol becomes None, all tested in one
+    values call.
+    """
+    if not jets:
+        return []
+    n = J0.n
+    J = stack_jets(jets, n)
+    if start_in is None:
+        start_in = members(values(np.arange(len(jets)), *J), tol)
+    t_in = boundary_shifts(values, J, start_in, J0, tol, max_expand)
+    out = [None if t is None else K + (t + m) * J0 for K, t, m in zip(jets, t_in, margins)]
+    if member_tol is not None:
+        rows = np.array([i for i, K in enumerate(out) if K is not None], dtype=int)
+        if rows.size:
+            moved = stack_jets([out[i] for i in rows], n)
+            for i, ok in zip(rows.tolist(), members(values(rows, *moved), member_tol).tolist()):
+                if not ok:
+                    out[i] = None
+    return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -1035,25 +1119,24 @@ def _fiber_jet_samples(
     rng: np.random.Generator,
     count: int,
 ) -> list:
-    """Jets in Theta(x) near its boundary, with heavy-tailed Hessians."""
-    from .jets import heavy_tail_symmetric, random_jet
-
+    """Jets in Theta(x) near its boundary, with heavy-tailed Hessians: count
+    draws, each shifted to the boundary as shift_to_boundary moves it (all
+    in one lockstep search) and kept when the moved jet is a member."""
     oracle = theta.fiber_at(x)
-    out = []
     n = theta.n
+    bases = []
     for i in range(count):
         if i % 2 == 0:
-            base = Jet2(
+            bases.append(Jet2(
                 rng.standard_normal(),
                 rng.standard_normal(n),
                 heavy_tail_symmetric(rng, n),
-            )
+            ))
         else:
-            base = random_jet(rng, n, scale=1.5)
-        J = shift_to_boundary(oracle, base, J0)
-        if J is not None and oracle.contains(J):
-            out.append(J)
-    return out
+            bases.append(random_jet(rng, n, scale=1.5))
+    moved = shift_jets_to_boundary(one_fiber_values(oracle), bases, J0, [SHIFT_MARGIN] * count,
+                                   member_tol=DEFAULT_TOL)
+    return [J for J in moved if J is not None]
 
 
 def check_fiberegularity(

@@ -13,6 +13,7 @@ error (a bug: the message is followed by the traceback).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -295,6 +296,16 @@ def _read_solve_config(path: str) -> dict:
     return dict(config, box=[lo, hi], h=h, n_side=int(round(cells)) + 1)
 
 
+def solution_csv(u: GridFunction) -> str:
+    """u as CSV text: a header x1,...,xd,value, then one row per node in
+    C order of the grid's index, each float as its repr."""
+    axes = [[repr(c) for c in axis.tolist()] for axis in u.grid.coords()]
+    lines = [",".join(f"x{i + 1}" for i in range(u.grid.d)) + ",value"]
+    lines += [",".join(pt) + "," + repr(v)
+              for pt, v in zip(itertools.product(*axes), u.values.ravel().tolist())]
+    return "\n".join(lines) + "\n"
+
+
 def cmd_solve(args) -> int:
     config = _read_solve_config(args.config)
     d = int(config.get("dim", 2))
@@ -315,11 +326,7 @@ def cmd_solve(args) -> int:
     )
     outdir = Path(args.out_dir or ".")
     outdir.mkdir(parents=True, exist_ok=True)
-    coords = np.stack([m.ravel() for m in mesh], axis=-1)
-    lines = [",".join(f"x{i + 1}" for i in range(d)) + ",value"]
-    for pt, v in zip(coords, u.values.ravel()):
-        lines.append(",".join(repr(float(c)) for c in pt) + "," + repr(float(v)))
-    (outdir / "solution.csv").write_text("\n".join(lines) + "\n")
+    (outdir / "solution.csv").write_text(solution_csv(u))
     header = {
         "grid": {"box": config["box"], "h": grid.h, "dims": list(grid.dims)},
         "operator": config["operator"],

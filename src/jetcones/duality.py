@@ -13,9 +13,9 @@ check_involution, check_dual_pair and check_inclusion draw the whole
 sample first and classify it with one values call per oracle;
 check_monotonicity and check_jet_addition draw sample by sample, then
 push every jet outside its fiber to the boundary in one lockstep search
-(catalog.boundary_shifts), mix the cone members in one lockstep search
-and classify every sum in one call. Reports are filled in sample order
-and match the one-sample-at-a-time loops bit for bit.
+(catalog.shift_jets_to_boundary), mix the cone members in one lockstep
+search and classify every sum in one call. Reports are filled in sample
+order and match the one-sample-at-a-time loops bit for bit.
 """
 
 from __future__ import annotations
@@ -34,12 +34,13 @@ from .catalog import (
     MonotonicityCone,
     Region,
     VariableFiberMap,
-    boundary_shifts,
     classify_value,
     cone_M,
     crossing_brackets,
     fan_values,
     members,
+    one_fiber_values,
+    shift_jets_to_boundary,
     take_rows,
 )
 from .jets import Jet2, SymMat, random_jet, stack_jets
@@ -190,7 +191,7 @@ def _fiber_values(F: Union[FiberOracle, VariableFiberMap], points: Optional[list
     p, A, each row in the fiber of its sample; for a variable fiber map
     that is the fiber at points[row]."""
     if points is None:
-        return lambda rows, r, p, A: F.values(r, p, A)
+        return one_fiber_values(F)
     x = np.array(points, dtype=float).reshape(-1, F.n)
 
     def values(rows, r, p, A):
@@ -209,22 +210,16 @@ def _into_fibers(values: Callable, draws: list, J0: Jet2, tol: float) -> list:
     member under tol. All shifts search in lockstep, and the moved jets
     are tested in one values call.
     """
-    n = J0.n
     out = [d.J for d in draws]
     rows = np.array([i for i, d in enumerate(draws) if d.margin is not None], dtype=int)
     if not rows.size:
         return out
-    t_in = boundary_shifts(lambda live, r, p, A: values(take_rows(rows, live), r, p, A),
-                           stack_jets([draws[i].J for i in rows], n),
-                           [draws[i].start_in for i in rows], J0)
-    for i, t in zip(rows.tolist(), t_in):
-        out[i] = None if t is None else draws[i].J + (t + draws[i].margin) * J0
-    moved = np.array([i for i in rows.tolist() if out[i] is not None], dtype=int)
-    if moved.size:
-        inside = members(values(moved, *stack_jets([out[i] for i in moved], n)), tol)
-        for i, ok in zip(moved.tolist(), inside.tolist()):
-            if not ok:
-                out[i] = None
+    moved = shift_jets_to_boundary(lambda live, r, p, A: values(take_rows(rows, live), r, p, A),
+                                   [draws[i].J for i in rows], J0,
+                                   [draws[i].margin for i in rows],
+                                   [draws[i].start_in for i in rows], member_tol=tol)
+    for i, K in zip(rows.tolist(), moved):
+        out[i] = K
     return out
 
 

@@ -15,11 +15,11 @@ import numpy as np
 
 from .catalog import (
     Arity,
-    FiberOracle,
     MonotonicityCone,
     make_oracle,
+    one_fiber_values,
     perturbed_ma_map,
-    shift_to_boundary,
+    shift_jets_to_boundary,
 )
 from .grids import Grid, GridFunction, square_grid
 from .jets import Jet2, SymMat, random_symmetric
@@ -38,25 +38,11 @@ def quadratic_grid_function(grid: Grid, A: SymMat, p=None, c: float = 0.0,
     return GridFunction(grid, c + lin + quad)
 
 
-def _shifted_hessian(oracle: FiberOracle, rng: np.random.Generator,
-                     margin: float) -> SymMat:
-    """A random Hessian moved along I to the cone boundary, then margin
-    further in (margin > 0) or out of the interior (margin < 0)."""
-    n = oracle.n
-    eyeJ = Jet2.from_matrix(SymMat.identity(n))
-    A = random_symmetric(rng, n, 1.0)
-    J = shift_to_boundary(oracle, Jet2.from_matrix(A), eyeJ, margin=margin)
-    if J is None:
-        raise RuntimeError(f"could not push a Hessian to margin {margin} of {oracle.label}")
-    return J.A
-
-
-def sub_super_pair(oracle: FiberOracle, grid: Grid, rng: np.random.Generator):
-    """Quadratic subsolution / supersolution with tight boundary ordering."""
-    A_sub = _shifted_hessian(oracle, rng, 0.2)
-    B_sup = _shifted_hessian(oracle, rng, -0.2)
-    p_sub = rng.standard_normal(grid.d) * 0.5
-    p_sup = rng.standard_normal(grid.d) * 0.5
+def sub_super_pair(grid: Grid, A_sub: SymMat, B_sup: SymMat, p_sub, p_sup):
+    """Quadratic subsolution / supersolution with tight boundary ordering:
+    Hessians A_sub and B_sup, gradients p_sub and p_sup at the center, and
+    the supersolution raised until it meets the subsolution on the
+    boundary layer."""
     u = quadratic_grid_function(grid, A_sub, p_sub)
     w = quadratic_grid_function(grid, B_sup, p_sup)
     mask = ~grid.interior_mask()
@@ -67,17 +53,36 @@ def sub_super_pair(oracle: FiberOracle, grid: Grid, rng: np.random.Generator):
 
 def comparison_battery(keys, pairs: int = 10, n_side: int = 33, seed: int = 107,
                        dims: Optional[dict] = None) -> dict:
-    """Seeded sub/super comparison verdicts per catalog key."""
+    """Seeded sub/super comparison verdicts per catalog key.
+
+    Each pair draws a random subsolution Hessian, a supersolution Hessian
+    and the two gradients, in that order. Every Hessian moves along I to
+    the cone boundary, then 0.2 further in (subsolutions) or out of the
+    interior (supersolutions), all of a key's in one lockstep search; a
+    Hessian with no crossing raises RuntimeError at its pair's turn.
+    """
     dims = dims or {}
     out = {}
     for key in keys:
         d = dims.get(key, 2)
         grid = square_grid(n_side if d == 2 else max(9, n_side // 3), 0.0, 1.0, d=d)
         oracle = make_oracle(key, d)
+        n = oracle.n
         rng = np.random.default_rng(seed)
+        draws = [(random_symmetric(rng, n, 1.0), random_symmetric(rng, n, 1.0),
+                  rng.standard_normal(grid.d) * 0.5, rng.standard_normal(grid.d) * 0.5)
+                 for _ in range(pairs)]
+        margins = (0.2, -0.2)
+        shifted = shift_jets_to_boundary(
+            one_fiber_values(oracle), [Jet2.from_matrix(A) for draw in draws for A in draw[:2]],
+            Jet2.from_matrix(SymMat.identity(n)), margins * pairs)
         verdicts = []
-        for _ in range(pairs):
-            u, w = sub_super_pair(oracle, grid, rng)
+        for i, (_, _, p_sub, p_sup) in enumerate(draws):
+            for J, margin in zip(shifted[2 * i:2 * i + 2], margins):
+                if J is None:
+                    raise RuntimeError(
+                        f"could not push a Hessian to margin {margin} of {oracle.label}")
+            u, w = sub_super_pair(grid, shifted[2 * i].A, shifted[2 * i + 1].A, p_sub, p_sup)
             verdicts.append(comparison_experiment(oracle, u, w))
         out[key] = verdicts
     return out

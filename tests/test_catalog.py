@@ -732,14 +732,14 @@ def bracket_hex(b):
     return None if b is None else tuple(map(float.hex, b))
 
 
-def crossing_rows():
-    """120 rows of 24 ts (doubling or uniform, every third mirrored to t < 0),
-    their starts, and the entry where each first flips (None: never). The
-    first 40 flip at entries 0, 14, 15 and 16 in turn, around the 15-entry
-    chunk boundary."""
+def crossing_rows(count=120):
+    """count rows of 24 ts (doubling or uniform, every third mirrored to
+    t < 0), their starts, and the entry where each first flips (None:
+    never). The first 40 flip at entries 0, 14, 15 and 16 in turn, around
+    the 15-entry chunk boundary; a shorter list is a prefix of a longer."""
     rng = np.random.default_rng(83)
     ts, start, first = [], [], []
-    for i in range(120):
+    for i in range(count):
         row = 2.0 ** np.arange(24) if i % 2 else np.arange(1.0, 25.0) + rng.uniform(0, 0.5)
         k = (0, 14, 15, 16)[i % 4] if i < 40 else int(rng.integers(0, 28))
         ts.append(-row if i % 3 == 0 else row)
@@ -768,7 +768,7 @@ def crossing_keeps(ts, start, first, calls):
     return keep_one, keeps
 
 
-@pytest.mark.parametrize("max_steps", [None, 1, 5, 60])
+@pytest.mark.parametrize("max_steps", [None, 1, 4, 5, 60, 80])
 def test_crossing_brackets_match_the_stepwise_loop(max_steps):
     ts, start, first = crossing_rows()
     calls = []
@@ -795,10 +795,13 @@ def test_crossing_brackets_match_the_stepwise_loop(max_steps):
     for i, k in enumerate(first):
         assert sum(i in live for live, _ in calls) == (23 if k is None else k) // 15 + 1
 
-    refs = [ref_crossing_bracket(functools.partial(keep_one, i), ts[i].tolist(), start[i],
-                                 done, max_steps) for i in range(len(ts))]
-    got = crossing_brackets(keeps, ts, start, done, max_steps)
-    assert list(map(bracket_hex, got)) == list(map(bracket_hex, refs))
+    for count in (1, 16, 120, 300):
+        ts, start, first = crossing_rows(count)
+        keep_one, keeps = crossing_keeps(ts, start, first, [])
+        refs = [ref_crossing_bracket(functools.partial(keep_one, i), ts[i].tolist(), start[i],
+                                     done, max_steps) for i in range(count)]
+        got = crossing_brackets(keeps, ts, start, lambda a, b: np.abs(a - b) < 1e-6, max_steps)
+        assert list(map(bracket_hex, got)) == list(map(bracket_hex, refs))
 
 
 def test_crossing_brackets_with_no_rows_or_no_entries():

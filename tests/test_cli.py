@@ -5,7 +5,8 @@ import pytest
 
 from jetcones.canonical import canonical_operator
 from jetcones.catalog import make_oracle
-from jetcones.cli import main
+from jetcones.cli import main, solution_csv
+from jetcones.grids import GridFunction, square_grid
 from jetcones.jets import random_jet
 
 
@@ -433,3 +434,27 @@ def test_exit_code_contract(tmp_path, capsys, argv, code):
         assert err.startswith("error: ") and err.count("\n") == 1
     if code == 2 and argv[-2:-1] == ("--key",) and argv[-1] in VARIABLE_KEYS:
         assert "variable fiber map" in err and "membership or dual --at" in err
+
+
+def ref_solution_csv(u):
+    """The per-row formatter: one row of coordinates per node from the mesh."""
+    mesh = u.grid.meshgrid()
+    coords = np.stack([m.ravel() for m in mesh], axis=-1)
+    lines = [",".join(f"x{i + 1}" for i in range(u.grid.d)) + ",value"]
+    for pt, v in zip(coords, u.values.ravel()):
+        lines.append(",".join(repr(float(c)) for c in pt) + "," + repr(float(v)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n_side, lo, hi, d", [(7, -1.0, 1.0 / 3.0, 2), (5, 0.0, 1e16, 3)])
+def test_solution_csv_matches_the_per_row_formatter(n_side, lo, hi, d):
+    grid = square_grid(n_side, lo, hi, d=d)
+    rng = np.random.default_rng(d)
+    values = rng.standard_normal(grid.dims)
+    special = [1e-5, 1e16, -0.0, 1.0 / 3.0, 0.0, -1e-300, 123456789.125]
+    values.ravel()[:len(special)] = special
+    u = GridFunction(grid, values)
+    text = solution_csv(u)
+    assert text == ref_solution_csv(u)
+    rows = text.splitlines()
+    assert len(rows) == 1 + n_side ** d and "-0.0" in rows[3] and "1e-05" in rows[1]

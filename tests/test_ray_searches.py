@@ -20,15 +20,19 @@ closed forms and within the reference's final bracket, and the bisection
 route stays checked bit for bit through replace(F, spectrum=None).
 """
 
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from jetcones.boundary import _threshold_done
 from jetcones.canonical import (
     MIN_TOL,
     SEARCH_RADIUS,
+    _bracket_done,
+    _crossing_done,
     _crossings,
     _jet_directions,
     canonical_operator,
@@ -36,6 +40,7 @@ from jetcones.canonical import (
     signed_distance,
 )
 from jetcones.catalog import (
+    BISECTION_DEPTH,
     Arity,
     Box,
     ConeKind,
@@ -43,8 +48,10 @@ from jetcones.catalog import (
     FiberOracle,
     MonotonicityCone,
     VariableFiberMap,
+    _fiber_jet_samples,
     bisect_brackets,
     cone_M,
+    crossing_brackets,
     fiber_affine_sphere,
     fiber_optimal_transport,
     make_oracle,
@@ -60,7 +67,14 @@ from jetcones.duality import (
     sample_cone_member,
 )
 from jetcones.errors import BadParameters, BracketingFailure, NegativeSource
-from jetcones.jets import Jet2, SymMat, jet_norm, random_jet, random_symmetric
+from jetcones.jets import (
+    Jet2,
+    SymMat,
+    heavy_tail_symmetric,
+    jet_norm,
+    random_jet,
+    random_symmetric,
+)
 
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -403,21 +417,109 @@ def test_check_involution_matches_jet2_route(make, samples):
 @pytest.mark.parametrize("max_steps", [None, 1, 3, 4, 5, 9, 80])
 def test_bisect_brackets_walks_the_stepwise_loop(max_steps):
     # keep rules that are not monotone in t and differ per bracket: the walk
-    # must follow each tree exactly, not just find some crossing
+    # must follow each tree exactly, not just find some crossing; brackets
+    # of every width up to 10 stop in different rounds
     def keep_rows(rows, t):
         return np.floor(t * 1e3 + np.asarray(rows)[:, None]) % 3 != 0
 
-    def done(a, b):
+    def stop(a, b):
         return abs(a - b) < 1e-6
 
     rng = np.random.default_rng(17)
-    brackets = [tuple(rng.uniform(-5.0, 5.0, 2).tolist()) for _ in range(40)]
-    brackets += [(0.0, 1.0), (1.0, 0.0), (2.0, 2.0), (-1e-7, 1e-7)]
-    got = bisect_brackets(keep_rows, brackets, done, max_steps)
-    for i, (a, b) in enumerate(brackets):
-        ref = ref_bisect(lambda t: bool(keep_rows([i], np.array([[t]]))[0, 0]), a, b, done,
-                         max_steps)
-        assert tuple(map(float.hex, got[i])) == tuple(map(float.hex, ref))
+    sets = [[tuple(rng.uniform(-5.0, 5.0, 2).tolist()) for _ in range(40)]
+            + [(0.0, 1.0), (1.0, 0.0), (2.0, 2.0), (-1e-7, 1e-7)]]
+    sets += [[tuple(rng.uniform(-5.0, 5.0, 2).tolist()) for _ in range(count)]
+             for count in (1, 16, 300)]
+    for brackets in sets:
+        # done sees each round's candidate brackets as (rows, depth) arrays
+        rounds, shapes = [], []
+
+        def keeps(rows, t):
+            rounds.append(len(rows))
+            return keep_rows(rows, t)
+
+        def done(a, b):
+            shapes.append((type(a), a.shape, type(b), b.shape))
+            return np.abs(a - b) < 1e-6
+
+        got = bisect_brackets(keeps, brackets, done, max_steps)
+        for i, (a, b) in enumerate(brackets):
+            ref = ref_bisect(lambda t: bool(keep_rows([i], np.array([[t]]))[0, 0]), a, b, stop,
+                             max_steps)
+            assert tuple(map(float.hex, got[i])) == tuple(map(float.hex, ref))
+        d = BISECTION_DEPTH
+        assert shapes == [(np.ndarray, (rows, d), np.ndarray, (rows, d)) for rows in rounds]
+        assert rounds[0] == len(brackets) and rounds == sorted(rounds, reverse=True)
+
+
+@pytest.mark.parametrize("max_steps", [0, -1])
+def test_walker_rejects_a_step_cap_below_one(max_steps):
+    def keeps(rows, t):
+        raise AssertionError("nothing to probe")
+
+    def never(a, b):
+        return np.zeros(np.shape(a), dtype=bool)
+
+    with pytest.raises(ValueError, match="max_steps"):
+        bisect_brackets(keeps, [(0.0, 1.0)], never, max_steps)
+    with pytest.raises(ValueError, match="max_steps"):
+        crossing_brackets(keeps, np.ones((1, 3)), [True], never, max_steps)
+
+
+# the stop rules' scalar forms, as the stepwise loops write them
+SCALAR_STOP_RULES = {
+    "canonical": lambda a, b, tol: not abs(b - a) > tol * max(1.0, abs(a) + abs(b)),
+    "crossing": lambda a, b, tol: b - a < tol * max(1.0, b),
+    "threshold": lambda a, b, tol: not b - a > tol * max(1.0, b),
+}
+ARRAY_STOP_RULES = {"canonical": _bracket_done, "crossing": _crossing_done,
+                    "threshold": _threshold_done}
+
+
+@pytest.mark.parametrize("rule", sorted(SCALAR_STOP_RULES))
+def test_array_stop_rules_equal_their_scalar_forms(rule):
+    ends = [0.0, -0.0, 1e-300, 1e-12, 0.5, 1.0, 1.0 + 1e-9, -3.0, 2.5e5, 1e300,
+            math.inf, -math.inf, math.nan]
+    a, b = (np.array(x) for x in zip(*itertools.product(ends, repeat=2)))
+    for tol in (1e-10, 1e-6, 1.0):
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = ARRAY_STOP_RULES[rule](a, b, tol)
+        ref = [SCALAR_STOP_RULES[rule](x, y, tol) for x, y in zip(a.tolist(), b.tolist())]
+        assert got.dtype == bool and got.tolist() == ref
+        # on (rows, depth) stacks as the walker passes them
+        with np.errstate(invalid="ignore", over="ignore"):
+            stacked = ARRAY_STOP_RULES[rule](a.reshape(-1, 13), b.reshape(-1, 13), tol)
+        assert stacked.tolist() == np.reshape(ref, (-1, 13)).tolist()
+
+
+def ref_fiber_jet_samples(theta, x, J0, rng, count):
+    oracle, n, out = theta.fiber_at(x), theta.n, []
+    for i in range(count):
+        if i % 2 == 0:
+            base = Jet2(rng.standard_normal(), rng.standard_normal(n), heavy_tail_symmetric(rng, n))
+        else:
+            base = random_jet(rng, n, scale=1.5)
+        J = ref_shift_to_boundary(oracle, base, J0)
+        if J is not None and oracle.contains(J):
+            out.append(J)
+    return out
+
+
+@pytest.mark.parametrize("key", ["pma", "slag", "affine-sphere", "ot"])
+def test_fiber_jet_samples_match_the_per_jet_loop(key):
+    theta = make_oracle(key, 2)
+    J0 = theta.reference_jet
+    seen = set()
+    for seed in range(3):
+        x = theta.domain.sample(np.random.default_rng(seed), 1)[0]
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _fiber_jet_samples(theta, x, J0, rng, 12)
+        ref = ref_fiber_jet_samples(theta, x, J0, ref_rng, 12)
+        assert list(map(hexes, got)) == list(map(hexes, ref))
+        # the draws leave the generator where the per-jet loop leaves it
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        seen.add(len(got))
+    assert seen != {0}
 
 
 def hex_or_none(s):

@@ -13,6 +13,7 @@ from jetcones.catalog import (
     cone_P,
     cone_P_dual,
     make_oracle,
+    shift_to_boundary,
 )
 from jetcones.duality import dual_oracle
 from jetcones.errors import (
@@ -36,8 +37,8 @@ from jetcones.grids import (
     second_difference_field,
     square_grid,
 )
-from jetcones.jets import SymMat, random_symmetric
-from jetcones import solver
+from jetcones.jets import Jet2, SymMat, random_symmetric
+from jetcones import experiments, solver
 from jetcones.solver import (
     DISCRETE_OPERATORS,
     NodeReport,
@@ -453,6 +454,66 @@ def test_comparison_battery_3d_smoke():
     res = comparison_battery(["pfold:p=2"], pairs=2, n_side=9, seed=118,
                              dims={"pfold:p=2": 3})
     assert all(v.ok for v in res["pfold:p=2"])
+
+
+def ref_comparison_battery(key, d, pairs, n_side, seed):
+    """The per-pair loop: draw, shift (shift_to_boundary, one Hessian at a
+    time), build and check each pair before drawing the next."""
+    grid = square_grid(n_side if d == 2 else max(9, n_side // 3), 0.0, 1.0, d=d)
+    oracle = make_oracle(key, d)
+    eyeJ = Jet2.from_matrix(SymMat.identity(d))
+    rng = np.random.default_rng(seed)
+    verdicts = []
+    for _ in range(pairs):
+        hessians = []
+        for margin in (0.2, -0.2):
+            J = shift_to_boundary(oracle, Jet2.from_matrix(random_symmetric(rng, d, 1.0)), eyeJ,
+                                  margin=margin)
+            if J is None:
+                raise RuntimeError(f"could not push a Hessian to margin {margin} of {oracle.label}")
+            hessians.append(J.A)
+        u = quadratic_grid_function(grid, hessians[0], rng.standard_normal(grid.d) * 0.5)
+        w = quadratic_grid_function(grid, hessians[1], rng.standard_normal(grid.d) * 0.5)
+        mask = ~grid.interior_mask()
+        gap = float(np.max(u.values[mask] - w.values[mask]))
+        w = GridFunction(grid, w.values + gap, boundary_data=w.boundary_data + gap)
+        verdicts.append(comparison_experiment(oracle, u, w))
+    return verdicts
+
+
+def exact_verdict(v):
+    return dataclasses.replace(v, margin=float.hex(v.margin))
+
+
+@pytest.mark.parametrize("key, d", [("P", 2), ("branch:k=2", 2), ("pucci:1,2", 2),
+                                    ("pfold:p=2", 3)])
+def test_comparison_battery_matches_the_per_pair_loop(key, d):
+    got = comparison_battery([key], pairs=5, n_side=17, seed=131, dims={key: d})[key]
+    ref = ref_comparison_battery(key, d, pairs=5, n_side=17, seed=131)
+    assert list(map(exact_verdict, got)) == list(map(exact_verdict, ref))
+    assert len(got) == 5
+
+
+def test_comparison_battery_fails_at_the_pair_of_its_failed_shift(monkeypatch):
+    # pair 2's supersolution Hessian finds no crossing: pairs 0 and 1 are
+    # checked first, as in the per-pair loop
+    real_shift, real_experiment = experiments.shift_jets_to_boundary, comparison_experiment
+    checked = []
+
+    def shift(*args):
+        out = real_shift(*args)
+        out[5] = None
+        return out
+
+    def experiment(*args):
+        checked.append(args)
+        return real_experiment(*args)
+
+    monkeypatch.setattr(experiments, "shift_jets_to_boundary", shift)
+    monkeypatch.setattr(experiments, "comparison_experiment", experiment)
+    with pytest.raises(RuntimeError, match="margin -0.2 of"):
+        comparison_battery(["P"], pairs=4, n_side=9, seed=3)
+    assert len(checked) == 2
 
 
 def test_comparison_rejects_bad_hypotheses():
