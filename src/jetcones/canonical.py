@@ -71,8 +71,11 @@ def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
     spectral catalog cones (P, P~, branch, pfold, sigma, pucci,
     quasiconvex) f(lambda - t) is strictly positive before the crossing
     (lambda - t lies in the open cone there) and strictly negative after
-    it, so its only zero is the crossing. A fiber whose g vanishes on an
-    interval, like Q's min(-r, lambda_min) at r = 0, has spectrum None.
+    it, so its only zero is the crossing. The same holds for their duals
+    (duality.dual_oracle), whose f(lambda - t) is negative exactly where
+    the cone's f(t - lambda reversed) is positive. A fiber whose g
+    vanishes on an interval, like Q's min(-r, lambda_min) at r = 0, has
+    spectrum None.
 
     Every other fiber bisects the indicator until the bracket is narrower
     than tol * max(1, |t_lo| + |t_hi|) and returns its midpoint.

@@ -45,7 +45,15 @@ from .errors import (
     ReferenceJetNotInterior,
     UnknownKey,
 )
-from .jets import Jet2, SymMat, eigenvalues, heavy_tail_symmetric, random_jet, stack_jets
+from .jets import (
+    Jet2,
+    SymMat,
+    eigenvalues,
+    heavy_tail_symmetric,
+    random_jet,
+    stack_jets,
+    unstack_jets,
+)
 
 DEFAULT_TOL = 1e-8
 
@@ -116,9 +124,13 @@ class FiberOracle:
     threads.
 
     `spectrum`, when set, is g as a function of the Hessian's ascending
-    eigenvalues alone, f(lambda[..., n]) -> g[...], with form
-    f(eigenvalues(A)) (see spectral_oracle). canonical_operator takes its
-    root-finding route on it.
+    eigenvalues alone, f(lambda[..., n]) -> g[...]. The eigenvalue cones
+    have form f(eigenvalues(A)) (see spectral_oracle); the dual of such a
+    cone has spectrum -f(-lambda[..., ::-1]), equal to its form up to
+    rounding. Since lambda(A + s*I) = lambda(A) + s, canonical_operator
+    finds its root on f(lambda - t), and boundary_shifts searches a ray
+    whose Hessian part is c*I on f(lambda + t*c), with one eigen-solve
+    per jet instead of one per probe.
     """
 
     label: str
@@ -203,10 +215,12 @@ def fan_values(values: Callable, J: tuple, U: tuple, t):
 # the doubling probe's entries per call, 2**depth - 1): one call costs
 # about as much as a few rows, so deeper trees save calls but waste rows
 # past the stop point. The walk table below has 2**(2**depth - 1) rows,
-# so the walker serves depths up to 4. Measured with this walker (three
-# alternating 10 s runs, seed 7, 2-core x86 host): verify batch_s
-# 0.297-0.301 s at depth 3 against 0.338-0.341 s at 4, grid-checks
-# focus_s 0.054-0.056 s at both.
+# so the walker serves depths up to 4. Measured with this walker and the
+# eigenvalue route of boundary_shifts (four alternating 10 s runs per
+# depth, seeds 7-10, 2-core x86 host), depth 3 against depth 4: verify
+# batch_s 0.245 s against 0.255 s (median, -3.8 %, faster in 3 of 4
+# pairs), grid-checks focus_s 0.051 s against 0.049 s (+2.8 %, slower in
+# 3 of 4 pairs).
 BISECTION_DEPTH = 4
 
 
@@ -1035,39 +1049,45 @@ def shift_to_boundary(
     crossing is bracketed.
     """
     moved, = shift_jets_to_boundary(one_fiber_values(oracle), [J], J0, [margin], None, tol,
-                                    max_expand)
+                                    max_expand, spectrum=oracle.spectrum)
     return moved
 
 
 def shift_jets_to_boundary(values: Callable, jets: list, J0: Jet2, margins, start_in=None,
                            tol: float = SHIFT_TOL, max_expand: int = 60,
-                           member_tol: Optional[float] = None) -> list:
+                           member_tol: Optional[float] = None,
+                           spectrum: Optional[Callable] = None) -> list:
     """shift_to_boundary for a list of jets in one lockstep search
     (boundary_shifts): jets[i] moves along J0 onto the boundary, then
-    margins[i] past it, to the bit as shift_to_boundary moves it, or is
-    None when no crossing is bracketed.
+    margins[i] past it, K + (t + margins[i]) * J0, or is None when no
+    crossing is bracketed.
 
     values(rows, r, p, A) evaluates the fiber functional of the jets at
     indices rows on a stack; start_in holds each jet's membership under
-    tol (one values call when None). With member_tol, a moved jet that
-    is not a member under member_tol becomes None, all tested in one
-    values call.
+    tol (found by the search when None); spectrum is the fiber's
+    FiberOracle.spectrum or None, as boundary_shifts takes it. The moved
+    jets are computed on stacks with the float operations of Jet2
+    arithmetic. With member_tol, a moved jet that is not a member under
+    member_tol becomes None, all tested in one values call; a Jet2 is
+    built only for each jet kept.
     """
+    out = [None] * len(jets)
     if not jets:
-        return []
-    n = J0.n
-    J = stack_jets(jets, n)
-    if start_in is None:
-        start_in = members(values(np.arange(len(jets)), *J), tol)
-    t_in = boundary_shifts(values, J, start_in, J0, tol, max_expand)
-    out = [None if t is None else K + (t + m) * J0 for K, t, m in zip(jets, t_in, margins)]
+        return out
+    J = stack_jets(jets, J0.n)
+    t_in = boundary_shifts(values, J, start_in, J0, tol, max_expand, spectrum)
+    rows = np.array([i for i, t in enumerate(t_in) if t is not None], dtype=int)
+    if not rows.size:
+        return out
+    s = np.array([t_in[i] for i in rows]) + np.asarray(margins, dtype=float)[rows]
+    moved = (take_rows(J[0], rows) + s * J0.r,
+             take_rows(J[1], rows) + s[:, None] * J0.p,
+             take_rows(J[2], rows) + s[:, None, None] * J0.A.entries)
+    kept = np.arange(len(rows))
     if member_tol is not None:
-        rows = np.array([i for i, K in enumerate(out) if K is not None], dtype=int)
-        if rows.size:
-            moved = stack_jets([out[i] for i in rows], n)
-            for i, ok in zip(rows.tolist(), members(values(rows, *moved), member_tol).tolist()):
-                if not ok:
-                    out[i] = None
+        kept = kept[members(values(rows, *moved), member_tol)]
+    for i, K in zip(rows[kept].tolist(), unstack_jets(*(take_rows(a, kept) for a in moved))):
+        out[i] = K
     return out
 
 
@@ -1085,27 +1105,54 @@ def _doubling_steps(count: int) -> np.ndarray:
     return out
 
 
+def _scalar_hessian(J0: Jet2) -> Optional[float]:
+    """c when the Hessian of J0 is exactly c*I, else None."""
+    A = J0.A.entries
+    c = float(A[0, 0])
+    return c if np.array_equal(A, c * np.eye(J0.n)) else None
+
+
 def boundary_shifts(values: Callable, J: tuple, start_in, J0: Jet2, tol: float = SHIFT_TOL,
-                    max_expand: int = 60) -> list:
+                    max_expand: int = 60, spectrum: Optional[Callable] = None) -> list:
     """The search of shift_to_boundary for a stack of jets, in lockstep.
 
     J = (r[N], p[N, n], A[N, n, n]) holds the jets; values(live, r, p, A)
     evaluates the functional of the fiber of each row in live on the
     stack r[len(live), k], p, A (the rows may lie in different fibers);
-    start_in[i] is J_i's membership under tol. For each row the result is
-    the member end t_in of its crossing along J_i + t*J0: doubled
-    outward (t = +-1, +-3, +-7, ...) from t = 0 for max_expand steps,
-    then bisected until the bracket is narrower than tol (at most 60
-    steps). It is None when no crossing is bracketed.
+    start_in[i] is J_i's membership under tol, or start_in is None and
+    the search finds it. For each row the result is the member end t_in
+    of its crossing along J_i + t*J0: doubled outward (t = +-1, +-3,
+    +-7, ...) from t = 0 for max_expand steps, then bisected until the
+    bracket is narrower than tol (at most 60 steps). It is None when no
+    crossing is bracketed.
+
+    spectrum is the fiber's FiberOracle.spectrum f (every row in that one
+    fiber) or None. When it is set and J0's Hessian is exactly c*I, the
+    search solves each jet's eigenvalues lambda once and probes
+    f(lambda + t*c), since lambda(A + t*c*I) = lambda(A) + t*c; the
+    probes then differ from values on J_i + t*J0 only by the rounding of
+    the eigen-solves. Every other search probes values along the ray.
     """
+    c = None if spectrum is None else _scalar_hessian(J0)
+    if c is None:
+        if start_in is None:
+            start_in = members(values(np.arange(len(J[0])), *J), tol)
+        Jr, Jp, JA = (a[:, None] for a in J)
+        U = (J0.r, J0.p, J0.A.entries)
+
+        def inside(rows, t):
+            at = (take_rows(Jr, rows), take_rows(Jp, rows), take_rows(JA, rows))
+            return members(fan_values(lambda r, p, A: values(rows, r, p, A), at, U, t), tol)
+    else:
+        lam = eigenvalues(J[2])
+        if start_in is None:
+            start_in = members(spectrum(lam), tol)
+        lam = lam[:, None]
+
+        def inside(rows, t):
+            return members(spectrum(take_rows(lam, rows) + (t * c)[..., None]), tol)
+
     start_in = np.asarray(start_in, dtype=bool)
-    Jr, Jp, JA = (a[:, None] for a in J)
-    U = (J0.r, J0.p, J0.A.entries)
-
-    def inside(rows, t):
-        at = (take_rows(Jr, rows), take_rows(Jp, rows), take_rows(JA, rows))
-        return members(fan_values(lambda r, p, A: values(rows, r, p, A), at, U, t), tol)
-
     ts = _doubling_steps(max_expand) * np.where(start_in, -1.0, 1.0)[:, None]
     brackets = crossing_brackets(inside, ts, start_in.tolist(), lambda a, b: abs(a - b) < tol,
                                  max_steps=60)

@@ -49,7 +49,10 @@ from .jets import Jet2, SymMat, random_jet, stack_jets
 def dual_oracle(F: Union[FiberOracle, VariableFiberMap]):
     """The Dirichlet dual, J in F~ iff -J not in Int F, with the form
     -g(-r, -p, -A); a variable fiber map is dualized fiber by fiber and
-    keeps its domain and monotonicity data."""
+    keeps its domain and monotonicity data. The dual of a spectral fiber
+    (FiberOracle.spectrum = f) has spectrum -f(-lambda[..., ::-1]), the
+    same function of the eigenvalues up to the rounding of the
+    eigen-solves."""
     label = f"dual of [{F.label}]"
     key = (F.key + "~") if F.key else None
     form = F.form
@@ -57,7 +60,10 @@ def dual_oracle(F: Union[FiberOracle, VariableFiberMap]):
         return replace(F, label=label, key=key,
                        form=lambda x, r, p, A: -form(x, -r, -p, -A),
                        describe_at=lambda x: f"dual of [{F.describe_at(x)}]")
-    return FiberOracle(label, F.n, F.arity, key, lambda r, p, A: -form(-r, -p, -A))
+    # lambda(-A) is -lambda(A) reversed, so a spectral fiber's dual is spectral
+    f = F.spectrum
+    return FiberOracle(label, F.n, F.arity, key, lambda r, p, A: -form(-r, -p, -A),
+                       None if f is None else lambda lam: -f(-lam[..., ::-1]))
 
 
 def dual_contains(F: FiberOracle, J, tol: float = DEFAULT_TOL) -> Region:
@@ -201,14 +207,17 @@ def _fiber_values(F: Union[FiberOracle, VariableFiberMap], points: Optional[list
     return values
 
 
-def _into_fibers(values: Callable, draws: list, J0: Jet2, tol: float) -> list:
+def _into_fibers(values: Callable, draws: list, J0: Jet2, tol: float,
+                 spectrum: Optional[Callable] = None) -> list:
     """Each draw's jet inside its fiber, or None.
 
     A member stays as drawn. A jet outside moves along J0 to the fiber's
     boundary and its margin past it, as shift_to_boundary moves it, and
     becomes None when no crossing is bracketed or the moved jet is not a
-    member under tol. All shifts search in lockstep, and the moved jets
-    are tested in one values call.
+    member under tol. All shifts search in lockstep, on the eigenvalues
+    when spectrum (the fiber's FiberOracle.spectrum) is set and J0's
+    Hessian is a multiple of I, and the moved jets are tested in one
+    values call.
     """
     out = [d.J for d in draws]
     rows = np.array([i for i, d in enumerate(draws) if d.margin is not None], dtype=int)
@@ -217,7 +226,8 @@ def _into_fibers(values: Callable, draws: list, J0: Jet2, tol: float) -> list:
     moved = shift_jets_to_boundary(lambda live, r, p, A: values(take_rows(rows, live), r, p, A),
                                    [draws[i].J for i in rows], J0,
                                    [draws[i].margin for i in rows],
-                                   [draws[i].start_in for i in rows], member_tol=tol)
+                                   [draws[i].start_in for i in rows], member_tol=tol,
+                                   spectrum=spectrum)
     for i, K in zip(rows.tolist(), moved):
         out[i] = K
     return out
@@ -341,7 +351,8 @@ def check_monotonicity(
             draws.append(_draw(rng, J, g, tol))
             bk.append(_cone_draw(M, rng, n, abs(rng.standard_normal()) + 0.1,
                                  extreme=(j % 2 == 0)))
-        moved = _into_fibers(_fiber_values(F, bx if variable else None), draws, J0, tol)
+        moved = _into_fibers(_fiber_values(F, bx if variable else None), draws, J0, tol,
+                             None if variable else F.spectrum)
         fail = next((k for k, Jm in enumerate(moved) if Jm is None), None)
         if fail is None:
             if raised is not None:
@@ -405,8 +416,8 @@ def check_jet_addition(
         drawsF.append(_draw(rng, J, F.value(J), tol))
         K = random_jet(rng, n, scale)
         drawsFd.append(_draw(rng, K, Fd.value(K), tol))
-    Js = _into_fibers(_fiber_values(F), drawsF, J0, tol)
-    Ks = _into_fibers(_fiber_values(Fd), drawsFd, J0, tol)
+    Js = _into_fibers(_fiber_values(F), drawsF, J0, tol, F.spectrum)
+    Ks = _into_fibers(_fiber_values(Fd), drawsFd, J0, tol, Fd.spectrum)
     sums = [J + K for J, K in zip(Js, Ks) if J is not None and K is not None]
     rep = CheckReport(name="jet-addition", seed=seed)
     if sums:

@@ -58,8 +58,9 @@ def comparison_battery(keys, pairs: int = 10, n_side: int = 33, seed: int = 107,
     Each pair draws a random subsolution Hessian, a supersolution Hessian
     and the two gradients, in that order. Every Hessian moves along I to
     the cone boundary, then 0.2 further in (subsolutions) or out of the
-    interior (supersolutions), all of a key's in one lockstep search; a
-    Hessian with no crossing raises RuntimeError at its pair's turn.
+    interior (supersolutions), all of a key's in one lockstep search (on
+    the eigenvalues for a spectral key); a Hessian with no crossing raises
+    RuntimeError at its pair's turn.
     """
     dims = dims or {}
     out = {}
@@ -75,7 +76,7 @@ def comparison_battery(keys, pairs: int = 10, n_side: int = 33, seed: int = 107,
         margins = (0.2, -0.2)
         shifted = shift_jets_to_boundary(
             one_fiber_values(oracle), [Jet2.from_matrix(A) for draw in draws for A in draw[:2]],
-            Jet2.from_matrix(SymMat.identity(n)), margins * pairs)
+            Jet2.from_matrix(SymMat.identity(n)), margins * pairs, spectrum=oracle.spectrum)
         verdicts = []
         for i, (_, _, p_sub, p_sup) in enumerate(draws):
             for J, margin in zip(shifted[2 * i:2 * i + 2], margins):

@@ -179,6 +179,13 @@ def stack_jets(jets, n: int) -> tuple:
             np.array([J.A.entries for J in jets], dtype=float).reshape(len(jets), n, n))
 
 
+def unstack_jets(r: np.ndarray, p: np.ndarray, A: np.ndarray) -> list:
+    """The jets of stacks (r[N], p[N, n], A[N, n, n]) whose Hessians are
+    exactly symmetric (sums and multiples of validated jets), unchecked;
+    each jet keeps a read-only view of its rows."""
+    return [Jet2._trusted(ri, pi, SymMat._trusted(Ai)) for ri, pi, Ai in zip(r.tolist(), p, A)]
+
+
 def _set_jet(J: Jet2, r, p: np.ndarray, A: SymMat) -> None:
     p.flags.writeable = False
     object.__setattr__(J, "r", float(r))

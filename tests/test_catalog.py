@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetcones.catalog import (
+    BISECTION_DEPTH,
     Arity,
     Box,
     DirectionalCone,
@@ -732,16 +733,21 @@ def bracket_hex(b):
     return None if b is None else tuple(map(float.hex, b))
 
 
+# entries crossing_brackets probes per call
+CHUNK = 2 ** BISECTION_DEPTH - 1
+
+
 def crossing_rows(count=120):
     """count rows of 24 ts (doubling or uniform, every third mirrored to
     t < 0), their starts, and the entry where each first flips (None:
-    never). The first 40 flip at entries 0, 14, 15 and 16 in turn, around
-    the 15-entry chunk boundary; a shorter list is a prefix of a longer."""
+    never). The first 40 flip at entries 0, CHUNK - 1, CHUNK and
+    CHUNK + 1 in turn, around the first chunk boundary; a shorter list is
+    a prefix of a longer."""
     rng = np.random.default_rng(83)
     ts, start, first = [], [], []
     for i in range(count):
         row = 2.0 ** np.arange(24) if i % 2 else np.arange(1.0, 25.0) + rng.uniform(0, 0.5)
-        k = (0, 14, 15, 16)[i % 4] if i < 40 else int(rng.integers(0, 28))
+        k = (0, CHUNK - 1, CHUNK, CHUNK + 1)[i % 4] if i < 40 else int(rng.integers(0, 28))
         ts.append(-row if i % 3 == 0 else row)
         start.append(bool(rng.integers(0, 2)))
         first.append(k if k < 24 else None)
@@ -789,11 +795,11 @@ def test_crossing_brackets_match_the_stepwise_loop(max_steps):
         else:
             ends = (0.0 if k == 0 else ts[i, k - 1], ts[i, k])
             assert got[i] == (ends if start[i] else ends[::-1])
-    assert {None, 0, 14, 15, 16} <= set(first)
-    # 15 entries per call, and no row probed past the chunk of its first flip
-    assert all(shape[1] <= 15 for _, shape in calls)
+    assert {None, 0, CHUNK - 1, CHUNK, CHUNK + 1} <= set(first)
+    # CHUNK entries per call, and no row probed past the chunk of its first flip
+    assert all(shape[1] <= CHUNK for _, shape in calls)
     for i, k in enumerate(first):
-        assert sum(i in live for live, _ in calls) == (23 if k is None else k) // 15 + 1
+        assert sum(i in live for live, _ in calls) == (23 if k is None else k) // CHUNK + 1
 
     for count in (1, 16, 120, 300):
         ts, start, first = crossing_rows(count)

@@ -17,7 +17,12 @@ either, so RuntimeWarnings are errors here.
 canonical_operator on a spectral fiber (FiberOracle.spectrum set) finds
 a root of f(lambda - t) instead of bisecting: it is checked against the
 closed forms and within the reference's final bracket, and the bisection
-route stays checked bit for bit through replace(F, spectrum=None).
+route stays checked bit for bit through replace(F, spectrum=None). The
+duals of the spectral fibers are spectral too. boundary_shifts on a
+spectral fiber along a ray whose Hessian part is c*I probes
+f(lambda + t*c) instead of the fiber's values along the ray: it is
+checked against the ray route within tol, and at the seeds of the
+Jet2-route comparisons below it matches them bit for bit as well.
 """
 
 import itertools
@@ -41,6 +46,8 @@ from jetcones.canonical import (
 )
 from jetcones.catalog import (
     BISECTION_DEPTH,
+    DEFAULT_TOL,
+    SHIFT_TOL,
     Arity,
     Box,
     ConeKind,
@@ -50,12 +57,15 @@ from jetcones.catalog import (
     VariableFiberMap,
     _fiber_jet_samples,
     bisect_brackets,
+    boundary_shifts,
     cone_M,
     crossing_brackets,
     fiber_affine_sphere,
     fiber_optimal_transport,
     make_oracle,
+    one_fiber_values,
     ray_values,
+    shift_jets_to_boundary,
     shift_to_boundary,
 )
 from jetcones.duality import (
@@ -74,6 +84,7 @@ from jetcones.jets import (
     jet_norm,
     random_jet,
     random_symmetric,
+    stack_jets,
 )
 
 
@@ -719,8 +730,11 @@ def test_fibers_off_the_spectral_route_keep_the_bisection():
     for key, n in [("Q", 2), ("Q~", 2), ("M:gamma=1,D=half:1,0,R=1", 2), ("M0", 2),
                    ("lagrangian", 4), ("failure:alpha=2,which=min", 2)]:
         assert make_oracle(key, n).spectrum is None
-    for F in (dual_oracle(make_oracle("P", 2)), pma_slice(2), all_jets(2)):
+        assert dual_oracle(make_oracle(key, n)).spectrum is None
+    for F in (pma_slice(2), all_jets(2)):
         assert F.spectrum is None
+    # the dual of a spectral fiber is spectral (see the dual tests below)
+    assert dual_oracle(make_oracle("P", 2)).spectrum is not None
     Q = make_oracle("Q", 2)
     for A in spectral_queries(2, 37)[::4]:
         assert float.hex(canonical_operator(Q, A)) == float.hex(ref_canonical_operator(Q, A))
@@ -742,6 +756,131 @@ def test_canonical_at_the_smallest_tol():
     for t in (0.0, 1.0, -2.5):
         got = canonical_operator(sigma3, SymMat(t * np.eye(3)), tol=MIN_TOL)
         assert abs(got - t) <= 2 * MIN_TOL * max(1.0, abs(t))
+
+
+# --- spectral duals and the eigenvalue route of the boundary shifts ----------
+
+SPECTRAL_KEYS = ["P", "P~", "branch:k=2", "pfold:p=2", "sigma:k=2", "pucci:1,2",
+                 "quasiconvex:0.5"]
+SPECTRAL_FIBERS = [pytest.param(key, n, id=f"{key}-{n}d") for key in SPECTRAL_KEYS
+                   for n in (2, 3)]
+
+
+@pytest.mark.parametrize("key, n", SPECTRAL_FIBERS)
+def test_dual_spectrum_is_the_dual_form(key, n):
+    # -f(-lambda reversed) against -f(eigenvalues(-A)): equal up to the
+    # rounding of the two eigen-solves; the double dual's spectrum is f
+    F = make_oracle(key, n)
+    Fd = dual_oracle(F)
+    mats = np.array([A.entries for A in spectral_queries(n, 41)])
+    lam = np.linalg.eigvalsh(mats)
+    got, form = Fd.spectrum(lam), Fd.values(np.zeros(len(mats)), np.zeros((len(mats), n)), mats)
+    bound = 1e-12 * (1.0 + np.abs(lam).max(axis=-1))
+    assert got.shape == form.shape and np.all(np.abs(got - form) <= bound)
+    assert np.array_equal(dual_oracle(Fd).spectrum(lam), F.spectrum(lam))
+
+
+@pytest.mark.parametrize("key, n", SPECTRAL_FIBERS)
+def test_dual_canonical_by_brent_matches_the_bisection(key, n):
+    Fd = dual_oracle(make_oracle(key, n))
+    bisect = replace(Fd, spectrum=None)
+    for tol in (1e-10, 1e-6):
+        for A in spectral_queries(n, 43)[::3]:
+            t = canonical_operator(bisect, A, tol=tol)
+            assert abs(canonical_operator(Fd, A, tol=tol) - t) <= 2 * tol * max(1.0, abs(t))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_dual_of_P_canonical_is_lambda_max(n):
+    Fd = dual_oracle(make_oracle("P", n))
+    for A in spectral_queries(n, 47):
+        t = float(np.linalg.eigvalsh(A.entries)[-1])
+        assert abs(canonical_operator(Fd, A) - t) <= 1e-13 * max(1.0, abs(t))
+
+
+def shift_rays(n):
+    """J0 = I, the interior jets of two monotonicity cones (Hessians I
+    and 2I, with r and p parts), and c*I for c = 0.5, 3 and -1 (along
+    which no jet of a positively monotone fiber crosses)."""
+    eye = np.eye(n)
+    return [Jet2.from_matrix(SymMat.identity(n)),
+            M_FULL.interior_jet(n),
+            MonotonicityCone(1.0, DirectionalCone.halfspace([1.0] + [0.0] * (n - 1)),
+                             1.0).interior_jet(n),
+            Jet2(0.0, np.zeros(n), 0.5 * eye), Jet2(0.3, np.ones(n), 3.0 * eye),
+            Jet2(0.0, np.zeros(n), -eye)]
+
+
+def shift_queries(n, seed, count=40):
+    rng = np.random.default_rng(seed)
+    jets = [random_jet(rng, n, 1.5) for _ in range(count // 2)]
+    jets += [Jet2(rng.standard_normal(), rng.standard_normal(n), heavy_tail_symmetric(rng, n))
+             for _ in range(count - count // 2)]
+    return jets, (np.abs(rng.standard_normal(count)) + 1e-3).tolist()
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["F", "dual"])
+@pytest.mark.parametrize("key, n", SPECTRAL_FIBERS)
+def test_eigenvalue_shifts_match_the_fan_route(key, n, dual):
+    F = dual_oracle(make_oracle(key, n)) if dual else make_oracle(key, n)
+    # both searches end within tol of a crossing, and the two crossings
+    # differ by the rounding of the eigen-solves
+    jets, margins = shift_queries(n, 53)
+    J = stack_jets(jets, n)
+    values = one_fiber_values(F)
+    crossed = 0
+    for J0 in shift_rays(n):
+        for tol in (SHIFT_TOL, 1e-4):
+            fast = boundary_shifts(values, J, None, J0, tol, spectrum=F.spectrum)
+            slow = boundary_shifts(values, J, None, J0, tol)
+            assert [t is None for t in fast] == [t is None for t in slow]
+            for a, b in zip(fast, slow):
+                if a is not None:
+                    assert abs(a - b) <= tol + 1e-12 * (1.0 + abs(b))
+                    crossed += 1
+        # the moved jets differ by (t_fast - t_slow) * J0, and the same
+        # ones are members
+        got = shift_jets_to_boundary(values, jets, J0, margins, member_tol=DEFAULT_TOL,
+                                     spectrum=F.spectrum)
+        ref = shift_jets_to_boundary(values, jets, J0, margins, member_tol=DEFAULT_TOL)
+        assert [K is None for K in got] == [K is None for K in ref]
+        for K, L in zip(got, ref):
+            if K is not None:
+                gap = jet_norm(K + (-L))
+                assert gap <= (SHIFT_TOL + 1e-12 * (1.0 + jet_norm(L))) * jet_norm(J0)
+    assert crossed
+
+
+def recording(values, calls):
+    def rec(rows, r, p, A):
+        calls.append(np.shape(r))
+        return values(rows, r, p, A)
+    return rec
+
+
+@pytest.mark.parametrize("key, n", [("P", 2), ("pucci:1,2", 3), ("sigma:k=2", 3)])
+def test_shifts_off_a_scalar_hessian_take_the_fan_route(key, n):
+    # the eigenvalue route calls values for the moved jets only; a J0 with
+    # a non-scalar Hessian probes values along the ray, bit for bit as
+    # the search without spectrum
+    F = make_oracle(key, n)
+    jets, margins = shift_queries(n, 59, 12)
+    off_diagonal = np.eye(n) + 0.25 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    for A0, fan in [(np.eye(n), False), (np.diag(np.linspace(1.0, 2.0, n)), True),
+                    (off_diagonal, True)]:
+        J0 = Jet2.from_matrix(A0)
+        calls, ref_calls = [], []
+        got = shift_jets_to_boundary(recording(one_fiber_values(F), calls), jets, J0, margins,
+                                     member_tol=DEFAULT_TOL, spectrum=F.spectrum)
+        ref = shift_jets_to_boundary(recording(one_fiber_values(F), ref_calls), jets, J0,
+                                     margins, member_tol=DEFAULT_TOL)
+        if fan:
+            assert calls == ref_calls
+            assert [None if K is None else hexes(K) for K in got] == \
+                [None if K is None else hexes(K) for K in ref]
+        else:
+            # one call: the moved jets' membership
+            assert len(calls) == 1 and len(calls[0]) == 1 and len(ref_calls) > 1
 
 
 @pytest.mark.parametrize("M, n, scale", [
@@ -845,6 +984,33 @@ def test_monotonicity_at_the_default_sizes():
                           (make_oracle("failure:alpha=2,which=min", 2), M_HALF, 400)]:
         same_report(check_monotonicity(F, M, samples=samples),
                     ref_check_monotonicity(F, M, samples=samples))
+
+
+@pytest.mark.parametrize("max_expand", [3, 60])
+def test_lockstep_shifts_keep_each_jets_margin_around_failures(max_expand):
+    # jets with |p| > 1 never reach the capped fiber, and at max_expand 3
+    # far jets find no crossing either: every other jet keeps its own
+    # margin and its own membership verdict, as the per-jet shift gives
+    F = gradient_capped(2)
+    J0 = M_FULL.interior_jet(2)
+    rng = np.random.default_rng(61)
+    jets = [Jet2(rng.standard_normal(), 0.7 * rng.standard_normal(2),
+                 random_symmetric(rng, 2, 6.0)) for _ in range(40)]
+    margins = (np.abs(rng.standard_normal(40)) + 1e-3).tolist()
+    refs = [ref_shift_to_boundary(F, J, J0, margin=m, max_expand=max_expand)
+            for J, m in zip(jets, margins)]
+    assert 5 < sum(K is None for K in refs) < 35
+    got = shift_jets_to_boundary(one_fiber_values(F), jets, J0, margins,
+                                 max_expand=max_expand)
+    assert [None if K is None else hexes(K) for K in got] == \
+        [None if K is None else hexes(K) for K in refs]
+    # member_tol -0.2 keeps the moved jets with g >= 0.2, about half of them
+    kept = shift_jets_to_boundary(one_fiber_values(F), jets, J0, margins,
+                                  max_expand=max_expand, member_tol=-0.2)
+    verdicts = [K is not None and F.value(K) >= 0.2 for K in refs]
+    assert 3 < sum(verdicts) < sum(K is not None for K in refs) - 3
+    assert [None if K is None else hexes(K) for K in kept] == \
+        [hexes(K) if ok else None for K, ok in zip(refs, verdicts)]
 
 
 def test_restarts_follow_the_per_sample_draws():

@@ -500,8 +500,8 @@ def test_comparison_battery_fails_at_the_pair_of_its_failed_shift(monkeypatch):
     real_shift, real_experiment = experiments.shift_jets_to_boundary, comparison_experiment
     checked = []
 
-    def shift(*args):
-        out = real_shift(*args)
+    def shift(*args, **kwargs):
+        out = real_shift(*args, **kwargs)
         out[5] = None
         return out
 
