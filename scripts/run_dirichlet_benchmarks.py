@@ -2,7 +2,8 @@
 
 Each problem has a quadratic exact solution reproduced exactly by the
 wide stencil, so the max-node error measures pure solver convergence.
-Prints one row per (operator, grid): solver steps, wall time, error.
+Prints one row per (operator, grid): solver steps, sparse factorizations,
+accepted Newton steps, wall time, error.
 Exits 1 when a max error exceeds MAX_ERR (after printing every row), and
 non-zero when a solve raises.
 
@@ -22,8 +23,8 @@ MAX_ERR = 1e-6
 
 def main():
     sizes = [int(a) for a in sys.argv[1:]] or [33, 65, 129]
-    print(f"{'operator':12s} {'problem':36s} {'grid':>7s} {'iters':>5s} "
-          f"{'time':>7s} {'max err':>8s}")
+    print(f"{'operator':12s} {'problem':36s} {'grid':>7s} {'iters':>5s} {'facts':>5s} "
+          f"{'newton':>6s} {'time':>7s} {'max err':>8s}")
     failed = 0
     for n_side in sizes:
         grid = square_grid(n_side, 0.0, 1.0)
@@ -42,7 +43,7 @@ def main():
             elapsed = time.perf_counter() - t0
             err = float(np.max(np.abs(u.values - exact.values)))
             print(f"{key:12s} {desc:36s} {f'{n_side}^2':>7s} {rep.iterations:5d} "
-                  f"{elapsed:6.2f}s {err:8.1e}")
+                  f"{rep.factorizations:5d} {rep.newton_steps:6d} {elapsed:6.2f}s {err:8.1e}")
             failed += not err <= MAX_ERR
     if failed:
         print(f"{failed} solve(s) off the exact solution by more than {MAX_ERR:g}")

@@ -335,10 +335,13 @@ def cmd_solve(args) -> int:
         "iterations": report.iterations,
         "stop_reason": report.stop_reason,
         "residual_floor": report.residual_floor,
+        "factorizations": report.factorizations,
+        "newton_steps": report.newton_steps,
         "seed": args.seed,
     }
     (outdir / "solve.json").write_text(json.dumps(header, indent=2, sort_keys=True))
-    _emit({"iterations": report.iterations, "residual": report.residual,
+    _emit({"iterations": report.iterations, "factorizations": report.factorizations,
+           "newton_steps": report.newton_steps, "residual": report.residual,
            "out_dir": str(outdir)}, args.seed)
     return EXIT_OK
 

@@ -12,12 +12,16 @@ M-matrix. The solve repeats
 
 one sparse solve per step, where J(u) is that frozen matrix. For the
 piecewise-linear operators (min/max curvature, frame means, Pucci) this
-is Howard's policy iteration; for the arctan sum of "slag" the frozen
-coefficient is the secant slope arctan(D)/D, a Kacanov iteration. The
-explicit damped-Jacobi iteration the solver replaced is kept in the
-tests as a reference; its stability bound (stability_dt) still sets the
-step of the monotonicity probe. Discrete comparison holds for the
-scheme by monotonicity.
+is Howard's policy iteration. For the arctan sum of "slag" the solve
+takes secant steps (frozen coefficient arctan(D)/D), then Newton steps
+with backtracking on the max residual: J(u) takes the tangent slopes
+1/(1 + D^2) on the active frame, a semismooth Newton step that
+converges superlinearly near the solution, and a step length halving
+from 1 keeps each accepted step decreasing the residual. The explicit
+damped-Jacobi iteration the solver replaced is kept in the tests as a
+reference, with the secant-only iteration; its stability bound
+(stability_dt) still sets the step of the monotonicity probe.
+Discrete comparison holds for the scheme by monotonicity.
 
 The experiment harness turns the comparison principle, the zero maximum
 principle for dual cones, and the uniform translation property into
@@ -27,12 +31,13 @@ grid-level checks with explicit hypothesis validation.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .catalog import (
     REGISTRY,
@@ -75,6 +80,10 @@ class DiscreteOperator:
     bit, together with per-direction coefficients c (shape: stencil
     directions x interior) such that
     field = sum_theta c[theta] * D_theta(values) with every c >= 0.
+    tangent, on an operator whose frame terms phi are smooth (slag),
+    returns linearize's pair and the tangent coefficients phi'(D_theta)
+    on the same active frame, also >= 0 and zero off it; it is None
+    where phi is piecewise linear and the secant slope is the tangent.
 
     center_weight bounds sum_theta |dR/dDelta_theta| / |theta|^2 over
     the directions active in the reduction R at a node; the explicit
@@ -86,6 +95,8 @@ class DiscreteOperator:
     key: str
     apply: Callable[[np.ndarray, Grid], np.ndarray]  # values -> interior field
     linearize: Callable[[np.ndarray, Grid], tuple]  # values -> (field, coeffs)
+    # values -> (field, coeffs, tangent coeffs); None when phi is piecewise linear
+    tangent: Optional[Callable[[np.ndarray, Grid], tuple]] = None
     center_weight: float = 1.0
 
 
@@ -106,12 +117,15 @@ def _frame_stack(diffs: np.ndarray, tuples) -> np.ndarray:
 
 def _frame_reduction(tuples, p: int = 1, largest: bool = False,
                      phi: Optional[Callable] = None,
-                     slope: Optional[Callable] = None) -> tuple:
-    """apply and linearize for F = min (max if largest) over the frames in
-    tuples of sum_{theta in frame} phi(D_theta) / p.
+                     slope: Optional[Callable] = None,
+                     tangent: Optional[Callable] = None) -> tuple:
+    """apply, linearize and tangent for F = min (max if largest) over the
+    frames in tuples of sum_{theta in frame} phi(D_theta) / p.
 
     slope(diffs, terms) gives the per-direction c with phi(D) = c * D
-    (identity phi: c = 1).
+    (identity phi: c = 1). tangent(diffs) is phi'(D); without it the
+    returned tangent is None, as for a piecewise-linear phi, whose
+    secant slope already is its tangent.
     """
     singles = all(len(combo) == 1 for combo in tuples)
     frames = np.asarray(tuples, dtype=np.intp)
@@ -129,18 +143,26 @@ def _frame_reduction(tuples, p: int = 1, largest: bool = False,
     def apply(v, g):
         return reduced(stack(v, g)[2])
 
-    def linearize(v, g):
+    def frozen(v, g, gains):
+        # the field and one coefficient array per gain on the active frame
         diffs, terms, stk = stack(v, g)
         best = frames[pick(stk, axis=0)]  # interior x p direction indices
-        coeffs = np.zeros_like(diffs)
+        coeffs = [np.zeros_like(diffs) for _ in gains]
         for j in range(frames.shape[1]):
             dirs = best[..., j][None]
-            gain = 1.0 if slope is None else slope(np.take_along_axis(diffs, dirs, 0),
-                                                   np.take_along_axis(terms, dirs, 0))
-            np.put_along_axis(coeffs, dirs, gain / p, 0)
-        return reduced(stk), coeffs
+            for c, gain in zip(coeffs, gains):
+                c_j = 1.0 if gain is None else gain(np.take_along_axis(diffs, dirs, 0),
+                                                    np.take_along_axis(terms, dirs, 0))
+                np.put_along_axis(c, dirs, c_j / p, 0)
+        return (reduced(stk), *coeffs)
 
-    return apply, linearize
+    def linearize(v, g):
+        return frozen(v, g, (slope,))
+
+    def linearize_tangent(v, g):
+        return frozen(v, g, (slope, lambda diffs, terms: tangent(diffs)))
+
+    return apply, linearize, None if tangent is None else linearize_tangent
 
 
 def _branch(grid: Grid, k: int) -> tuple:
@@ -170,7 +192,11 @@ def _slag(grid: Grid) -> tuple:
         # arctan(D) / D, continued by its limit 1 at D = 0
         return np.divide(terms, diffs, out=np.ones_like(diffs), where=diffs != 0)
 
-    return (*_frame_reduction(tuples, phi=np.arctan, slope=secant),
+    def derivative(diffs):
+        with np.errstate(over="ignore"):  # 1 / (1 + inf) = 0 is the limit
+            return 1.0 / (1.0 + diffs * diffs)
+
+    return (*_frame_reduction(tuples, phi=np.arctan, slope=secant, tangent=derivative),
             _frame_weight(grid, tuples, slope=1.0))
 
 
@@ -277,9 +303,13 @@ def stencil_bias(grid: Grid, op_key: str, rng: np.random.Generator,
 class SolveReport:
     """Outcome of a converged solve.
 
-    iterations counts linearizations evaluated; all but the last were
-    followed by one sparse solve. residual_floor is the roundoff level
-    eps * max|u| / h^2 below which the residual cannot be pushed.
+    iterations counts the steps' iterates, one residual_history entry
+    each: the start and every accepted update. factorizations counts
+    the sparse solves made, Newton directions whose every try was
+    rejected included, so it is iterations - 1 for the piecewise-linear
+    operators; newton_steps counts the accepted Newton steps.
+    residual_floor is the roundoff level eps * max|u| / h^2 below which
+    the residual cannot be pushed.
     """
 
     operator: str
@@ -288,6 +318,8 @@ class SolveReport:
     residual_floor: float
     stop_reason: str
     residual_history: list
+    factorizations: int
+    newton_steps: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -297,6 +329,8 @@ class SolveReport:
             "residual_history": self.residual_history,
             "stop_reason": self.stop_reason,
             "residual_floor": self.residual_floor,
+            "factorizations": self.factorizations,
+            "newton_steps": self.newton_steps,
         }
 
 
@@ -368,22 +402,31 @@ def solve_dirichlet(
 
     rhs is a constant level or a source field psi(x). The iteration
     starts from g's values unless init supplies an interior guess. Each
-    step linearizes F_h at u (the active frame, with secant slopes for
-    nonlinear terms), stops when max|F_h(u) - psi| <= tol, and otherwise
-    solves the sparse M-matrix system J du = F_h(u) - psi and sets
-    u <- u - du. Returns the iterate and a SolveReport.
+    step linearizes F_h at u on the active frame and stops when
+    max|F_h(u) - psi| <= tol. Otherwise it solves the sparse M-matrix
+    system J du = F_h(u) - psi and sets u <- u - du: a policy step for
+    the piecewise-linear operators, a secant step (slopes phi(D)/D) for
+    an operator with a tangent (slag). For the latter, secant steps
+    give way to Newton steps with backtracking on the max residual: J
+    takes the tangent slopes phi'(D), and u - alpha du is accepted at
+    the first alpha in _NEWTON_STEPS whose residual is finite and lower.
+    Newton steps are tried while the residual is below a gate, which
+    starts infinite; when every alpha is rejected, the gate drops to
+    half the current residual and that step is a secant step from the
+    same u. Returns the iterate and a SolveReport.
 
     Raises NotConverged past max_iter, or earlier when the residual
     stalls at its roundoff floor above tol, and UnstableStep when the
     residual becomes non-finite.
     """
     grid, op, interior, rhs_field, u = _setup(op_key, rhs, g, init)
+    linearize = op.linearize if op.tangent is None else op.tangent
     history = []
-    best = res = floor = math.inf
-    stalled = 0
+    best = res = floor = gate = math.inf
+    stalled = factorizations = newton_steps = 0
+    state = linearize(u, grid)
     for it in range(1, max_iter + 1):
-        fld, coeffs = op.linearize(u, grid)
-        fld = fld - rhs_field
+        fld, coeffs = state[0] - rhs_field, state[1]
         res = float(np.max(np.abs(fld)))
         if not math.isfinite(res):
             raise UnstableStep(f"residual became non-finite at it={it}")
@@ -391,7 +434,8 @@ def solve_dirichlet(
         floor = float(np.finfo(float).eps * np.max(np.abs(u)) / grid.h**2)
         if res <= tol:
             out = GridFunction(grid, u, boundary_data=g.boundary_data.copy())
-            return out, SolveReport(op_key, it, res, floor, "tol", history)
+            return out, SolveReport(op_key, it, res, floor, "tol", history,
+                                    factorizations, newton_steps)
         stalled = 0 if res < best else stalled + 1
         best = min(best, res)
         if stalled >= STALL_STEPS and res <= FLOOR_BAND * floor:
@@ -400,12 +444,49 @@ def solve_dirichlet(
                 f"floor {floor:.1e} (eps*max|u|/h^2) after {it} steps",
                 residuals=history,
             )
+        if op.tangent is not None and res < gate:
+            factorizations += 1
+            step = _newton_step(op, grid, interior, rhs_field, u, fld, state[2], res)
+            if step is not None:
+                u, state = step
+                newton_steps += 1
+                continue
+            gate = res / 2
         u[interior] -= spsolve(_frozen_matrix(coeffs, grid), fld.ravel()).reshape(fld.shape)
+        factorizations += 1
+        state = linearize(u, grid)
     raise NotConverged(
         f"{op_key}: residual {res:.3e} > {tol:.1e} after {max_iter} steps "
         f"(roundoff floor {floor:.1e})",
         residuals=history,
     )
+
+
+# Step lengths the Newton line search tries, longest first.
+_NEWTON_STEPS = (1.0, 0.5, 0.25, 0.125)
+
+
+def _newton_step(op, grid, interior, rhs_field, u, fld, tangent, res) -> Optional[tuple]:
+    """One sparse solve with the tangent matrix for the direction delta,
+    then u - alpha * delta for alpha in _NEWTON_STEPS, each try one
+    op.tangent call. Returns (iterate, op.tangent's triple there) for the
+    first try whose max residual is finite and below res, or None.
+
+    A singular or overflowing tangent system leaves a non-finite delta
+    and is rejected; its warnings stay inside.
+    """
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore", MatrixRankWarning)
+        delta = spsolve(_frozen_matrix(tangent, grid), fld.ravel()).reshape(fld.shape)
+        if not np.all(np.isfinite(delta)):
+            return None
+        for alpha in _NEWTON_STEPS:
+            trial = u.copy()
+            trial[interior] -= alpha * delta
+            state = op.tangent(trial, grid)
+            if float(np.max(np.abs(state[0] - rhs_field))) < res:
+                return trial, state
+    return None
 
 
 # States per block of the monotonicity probe: the states and their bumped

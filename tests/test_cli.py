@@ -168,6 +168,11 @@ def test_solve_command(tmp_path, capsys):
     assert header["operator"] == "pfold:p=2"
     assert header["residuals"][-1] <= 1e-8
     assert header["iterations"] > 1  # zero init: a real solve happened
+    assert header["factorizations"] == header["iterations"] - 1  # policy steps only
+    assert header["newton_steps"] == 0
+    summary = json.loads(out)
+    assert (summary["factorizations"], summary["newton_steps"]) == (
+        header["factorizations"], header["newton_steps"])
     assert header["stop_reason"] == "tol"
     assert 0 < header["residual_floor"] < 1e-8
     assert "dt" not in header
@@ -196,6 +201,9 @@ def test_solve_is_deterministic(tmp_path, capsys, operator):
         code, _, _ = run(capsys, "solve", "--config", str(cfg), "--out-dir", str(out_dir))
         assert code == 0
         header = json.loads((out_dir / "solve.json").read_text())
+        # the step counts are deterministic and stay in the comparison
+        assert header["factorizations"] >= header["iterations"] - 1
+        assert (header["newton_steps"] > 0) == (operator == "slag")
         if header == _without_timing(header):
             texts.append((out_dir / "solve.json").read_bytes())
         else:

@@ -1,9 +1,11 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 from jetcones.catalog import (
     Arity,
@@ -119,6 +121,117 @@ def _solve_jacobi(op_key, rhs, g, dt=None, tol=1e-10, max_iter=100_000, init=Non
     raise NotConverged(f"{op_key}: residual {prev_res:.3e} > {tol:.1e} after {max_iter} iterations")
 
 
+def _solve_secant(op_key, rhs, g, tol=1e-10, max_iter=500, init=None):
+    """Reference solver: frozen-coefficient steps with the secant slopes of
+    op.linearize only, one sparse solve per step, as solve_dirichlet ran
+    before it took Newton steps. Returns the iterate and the step count.
+    """
+    grid, op, interior, rhs_field, u = _setup(op_key, rhs, g, init)
+    for it in range(1, max_iter + 1):
+        fld, coeffs = op.linearize(u, grid)
+        fld = fld - rhs_field
+        res = float(np.max(np.abs(fld)))
+        if not math.isfinite(res):
+            raise UnstableStep(f"residual became non-finite at it={it}")
+        if res <= tol:
+            return GridFunction(grid, u, boundary_data=g.boundary_data.copy()), it
+        u[interior] -= spsolve(solver._frozen_matrix(coeffs, grid), fld.ravel()).reshape(fld.shape)
+    raise NotConverged(f"{op_key}: residual {res:.3e} > {tol:.1e} after {max_iter} steps")
+
+
+def _ripple(grid):
+    # non-stencil-aligned data: a rotated quadratic plus a cosine ripple
+    c, s = math.cos(0.3), math.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    H = rot @ np.diag([1.0, 2.0]) @ rot.T
+    return GridFunction.from_callable(
+        grid, lambda x: 0.5 * float(x @ H @ x) + 0.2 * math.cos(2.0 * x[0]))
+
+
+def _bowl(n_side, d=2):
+    return GridFunction.from_callable(square_grid(n_side, 0.0, 1.0, d=d),
+                                      lambda x: 0.5 * float(x @ x))
+
+
+@pytest.mark.parametrize("g, level", [
+    (_bowl(33), math.pi / 2),
+    (_ripple(square_grid(33, 0.0, 1.0)), 0.0),
+    (_ripple(square_grid(33, 0.0, 1.0)), 1.0),
+    (_bowl(9, d=3), 3 * math.pi / 4),
+], ids=["bowl-33", "ripple-0", "ripple-1", "bowl-9^3"])
+def test_slag_newton_steps_match_the_secant_reference(g, level):
+    zeros = np.zeros(g.grid.dims)
+    u, rep = solve_dirichlet("slag", level, g, tol=1e-10, init=zeros)
+    ref, steps = _solve_secant("slag", level, g, tol=1e-10, init=zeros)
+    assert np.max(np.abs(u.values - ref.values)) <= 1e-9
+    assert rep.newton_steps > 0
+    assert rep.factorizations < steps - 1
+
+
+@pytest.mark.parametrize("n_side, most", [(33, 15), (65, 17)])
+def test_slag_bowl_factorizations(n_side, most):
+    # the secant iteration alone takes 27 and 29 at tol 1e-8
+    g = _bowl(n_side)
+    u, rep = solve_dirichlet("slag", math.pi / 2, g, tol=1e-8, init=np.zeros(g.grid.dims))
+    assert rep.factorizations <= most
+    assert np.max(np.abs(u.values - g.values)) <= 1e-12
+
+
+def test_slag_steep_data_converges_without_warnings():
+    # 20|x|^2 at level 3: the secant iteration alone stopped at a residual
+    # of 2.8e-7 after the default 500 steps
+    grid = square_grid(33, 0.0, 1.0)
+    g = GridFunction.from_callable(grid, lambda x: 20.0 * float(x @ x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, rep = solve_dirichlet("slag", 3.0, g, tol=1e-10, init=np.zeros(grid.dims))
+    assert rep.stop_reason == "tol"
+    op = make_discrete_operator("slag", grid)
+    assert np.max(np.abs(op.apply(u.values, grid) - 3.0)) <= 1e-10
+
+
+def test_singular_or_overflowing_tangent_is_a_rejected_try():
+    g = _bowl(17)
+    grid, u = g.grid, g.values.copy()
+    op = make_discrete_operator("slag", grid)
+    fld, _, tangent = op.tangent(u, grid)
+    tiny = np.zeros_like(tangent)
+    tiny[0] = 1e-300  # solvable, but the direction overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.zeros_like(tangent), tiny):
+            assert solver._newton_step(op, grid, grid.interior_slice(), 0.0, u, fld,
+                                       bad, 1.0) is None
+
+
+@pytest.mark.parametrize("d, side", [(2, 17), (3, 9)])
+def test_slag_tangent_contract(d, side):
+    grid = square_grid(side, 0.0, 1.0, d=d)
+    op = make_discrete_operator("slag", grid)
+    rng = np.random.default_rng(137)
+    eps = 1e-6
+    for scale in (0.1, 1.0, 10.0):
+        # second differences of order scale, across arctan's regimes
+        u = scale * grid.h**2 * rng.standard_normal(grid.dims)
+        fld, coeffs, tangent = op.tangent(u, grid)
+        ref_fld, ref_coeffs = op.linearize(u, grid)
+        assert np.array_equal(fld, ref_fld) and np.array_equal(coeffs, ref_coeffs)
+        diffs = np.stack([second_difference_field(u, s, grid.h, grid.layer_width)
+                          for s in grid.stencil_dirs])
+        active = coeffs > 0
+        assert np.all(np.sum(active, axis=0) == d)  # one orthogonal frame per node
+        assert np.all(tangent >= 0)
+        assert np.all(tangent[~active] == 0)
+        np.testing.assert_allclose(tangent[active], 1.0 / (1.0 + diffs[active] ** 2),
+                                   rtol=1e-15)
+        # the tangent is the derivative of apply: a central difference along v
+        v = grid.h**2 * rng.standard_normal(grid.dims)
+        dv = np.stack([second_difference_field(v, s, grid.h, grid.layer_width)
+                       for s in grid.stencil_dirs])
+        fd = (op.apply(u + eps * v, grid) - op.apply(u - eps * v, grid)) / (2 * eps)
+        np.testing.assert_allclose(fd, np.sum(tangent * dv, axis=0), rtol=0, atol=1e-8)
+
+
 def test_solve_not_converged():
     grid = square_grid(17, 0.0, 1.0)
     g = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
@@ -151,6 +264,8 @@ def test_solve_report_json_fields():
     floor = np.finfo(float).eps * np.max(np.abs(g.values)) / grid.h**2
     assert payload["residual_floor"] == pytest.approx(floor)
     assert payload["iterations"] == len(payload["residual_history"]) == 2
+    assert payload["factorizations"] == 1
+    assert payload["newton_steps"] == 0
 
 
 @pytest.mark.parametrize("key, level", [("P", 1.0), ("pucci:1,2", 2.0)])
@@ -185,17 +300,26 @@ def test_linearize_matches_apply():
 
 @pytest.mark.parametrize("key", SOLVER_KEYS)
 def test_policy_solver_matches_jacobi_reference(key):
-    # non-stencil-aligned data: a rotated quadratic plus a cosine ripple
     grid = square_grid(17, 0.0, 1.0)
-    c, s = math.cos(0.3), math.sin(0.3)
-    rot = np.array([[c, -s], [s, c]])
-    H = rot @ np.diag([1.0, 2.0]) @ rot.T
-    g = GridFunction.from_callable(
-        grid, lambda x: 0.5 * float(x @ H @ x) + 0.2 * math.cos(2.0 * x[0]))
+    g = _ripple(grid)
     zeros = np.zeros(grid.dims)
     u, _ = solve_dirichlet(key, 1.0, g, tol=1e-11, init=zeros)
     ref, _ = _solve_jacobi(key, 1.0, g, tol=1e-11, init=zeros)
     assert np.max(np.abs(u.values - ref.values)) <= 1e-9
+
+
+@pytest.mark.parametrize("key", [k for k in SOLVER_KEYS if k != "slag"])
+def test_piecewise_linear_solves_take_no_tangent(monkeypatch, key):
+    grid = square_grid(17, 0.0, 1.0)
+    assert make_discrete_operator(key, grid).tangent is None
+
+    def no_tangent(*args):
+        raise AssertionError("tangent step tried")
+
+    monkeypatch.setattr(solver, "_newton_step", no_tangent)
+    _, rep = solve_dirichlet(key, 1.0, _ripple(grid), tol=1e-11, init=np.zeros(grid.dims))
+    assert rep.factorizations == rep.iterations - 1
+    assert rep.newton_steps == 0
 
 
 def test_unknown_operator_key():
