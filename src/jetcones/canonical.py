@@ -64,18 +64,19 @@ def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
     within the search radius (fiber empty or the whole space). tol must be
     finite and at least MIN_TOL (BadParameters otherwise).
 
-    A spectral fiber (F.spectrum = f, g = f(lambda(A))) takes one
-    eigen-solve: with lambda the eigenvalues of A, g(A - tI) is
-    f(lambda - t), and t is Brent's zero of that scalar map on the
-    doubling bracket, within tol * (1 + |t|) of it. For the seven
-    spectral catalog cones (P, P~, branch, pfold, sigma, pucci,
-    quasiconvex) f(lambda - t) is strictly positive before the crossing
-    (lambda - t lies in the open cone there) and strictly negative after
-    it, so its only zero is the crossing. The same holds for their duals
-    (duality.dual_oracle), whose f(lambda - t) is negative exactly where
-    the cone's f(t - lambda reversed) is positive. A fiber whose g
-    vanishes on an interval, like Q's min(-r, lambda_min) at r = 0, has
-    spectrum None.
+    A pure second-order spectral fiber (F.spectrum = f, g = f(r, p,
+    lambda(A))) takes one eigen-solve: with lambda the eigenvalues of A,
+    g(A - tI) is f(r, p, lambda - t), and t is Brent's zero of that
+    scalar map on the doubling bracket, within tol * (1 + |t|) of it. For
+    the seven pure second-order spectral catalog cones (P, P~, branch,
+    pfold, sigma, pucci, quasiconvex) f(lambda - t) is strictly positive
+    before the crossing (lambda - t lies in the open cone there) and
+    strictly negative after it, so its only zero is the crossing. The
+    same holds for their duals (duality.dual_oracle), whose f(lambda - t)
+    is negative exactly where the cone's f(t - lambda reversed) is
+    positive. The other spectral fibers may vanish on an interval, like
+    Q's min(-r, lambda_min - t) at r = 0, where Brent could stop
+    anywhere.
 
     Every other fiber bisects the indicator until the bracket is narrower
     than tol * max(1, |t_lo| + |t_hi|) and returns its midpoint.
@@ -83,12 +84,12 @@ def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
     if not (math.isfinite(tol) and tol >= MIN_TOL):
         raise BadParameters(f"canonical tol must be finite and at least {MIN_TOL:.3g}, got {tol}")
     J = A if isinstance(A, Jet2) else Jet2.from_matrix(A)
-    f = F.spectrum
+    f = F.spectrum if F.arity is Arity.PURE_SECOND_ORDER else None
     lam = None if f is None else eigenvalues(J.A)
     side = _doublings(jet_norm(J, lam) + 1.0, SEARCH_RADIUS)
     if f is not None:
         def member(t):
-            return f(lam - np.asarray(t)[..., None]) >= 0.0
+            return f(J.r, J.p, lam - np.asarray(t)[..., None]) >= 0.0
     else:
         eyeJ = Jet2.from_matrix(SymMat.identity(J.n))
 
@@ -105,7 +106,7 @@ def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
             f"no boundary crossing of {F.label} along I within radius {SEARCH_RADIUS:g}"
         )
     if f is not None:
-        return _spectral_root(f, lam, *bracket, tol)
+        return _spectral_root(functools.partial(f, J.r, J.p), lam, *bracket, tol)
 
     done = functools.partial(_bracket_done, tol=tol)
     if not done(*bracket):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -123,14 +123,16 @@ class FiberOracle:
     classification is pure, so instances are safe to share between
     threads.
 
-    `spectrum`, when set, is g as a function of the Hessian's ascending
-    eigenvalues alone, f(lambda[..., n]) -> g[...]. The eigenvalue cones
-    have form f(eigenvalues(A)) (see spectral_oracle); the dual of such a
-    cone has spectrum -f(-lambda[..., ::-1]), equal to its form up to
-    rounding. Since lambda(A + s*I) = lambda(A) + s, canonical_operator
-    finds its root on f(lambda - t), and boundary_shifts searches a ray
-    whose Hessian part is c*I on f(lambda + t*c), with one eigen-solve
-    per jet instead of one per probe.
+    `spectrum`, when set, is g as a function of the value, the gradient
+    and the Hessian's ascending eigenvalues, f(r[...], p[..., n],
+    lam[..., n]) -> g[...]. The cones that read A only through its
+    eigenvalues have form f(r, p, eigenvalues(A)) (see spectral_oracle);
+    the dual of such a cone has spectrum -f(-r, -p, -lam[..., ::-1]),
+    equal to its form up to rounding. Since lambda(A + s*I) = lambda(A)
+    + s, canonical_operator finds the root of a pure second-order
+    spectral fiber on f(r, p, lambda - t), and boundary_shifts searches a
+    ray whose Hessian part is c*I on f(r + t*r0, p + t*p0, lambda + t*c),
+    with one eigen-solve per jet instead of one per probe.
     """
 
     label: str
@@ -203,12 +205,14 @@ def ray_values(oracle: FiberOracle, J: Jet2, U: Jet2, t):
 
 def fan_values(values: Callable, J: tuple, U: tuple, t):
     """values(J + t*U) for stacks of jets J and directions U, each given as
-    (r[...], p[..., n], A[..., n, n]) with leading axes that broadcast
-    against t's; values maps such a stack (r, p, A) to g[...]."""
+    parts (r[...], ...) with leading axes that broadcast against t's, as
+    (r, p[..., n], A[..., n, n]) or the spectral (r, p, lam[..., n]); t
+    gets one trailing axis per axis a part of J has past r's. values maps
+    such a stack to g[...]."""
     t = np.asarray(t, dtype=float)
-    Jr, Jp, JA = J
-    Ur, Up, UA = U
-    return values(Jr + t * Ur, Jp + t[..., None] * Up, JA + t[..., None, None] * UA)
+    lead = np.ndim(J[0])
+    return values(*(a + t.reshape(t.shape + (1,) * (np.ndim(a) - lead)) * u
+                    for a, u in zip(J, U)))
 
 
 # Levels of each bracket's bisection tree evaluated per keeps call (and
@@ -391,31 +395,32 @@ def check_pucci(lam: float, Lam: float) -> None:
         raise BadParameters(f"need 0 < lam < Lam, got lam={lam}, Lam={Lam}")
 
 
-def spectral_oracle(label: str, n: int, key: str, f: Callable) -> FiberOracle:
-    """The pure second-order cone {A : f(lambda(A)) >= 0} for a function f
-    of the ascending eigenvalues, f(lambda[..., n]) -> g[...]: its form is
-    f(eigenvalues(A)) and its spectrum f."""
-    return FiberOracle(label, n, Arity.PURE_SECOND_ORDER, key,
-                       lambda r, p, A: f(eigenvalues(A)), spectrum=f)
+def spectral_oracle(label: str, n: int, key: str, f: Callable,
+                    arity: Arity = Arity.PURE_SECOND_ORDER) -> FiberOracle:
+    """The cone {(r, p, A) : f(r, p, lambda(A)) >= 0} for a function f of
+    the value, the gradient and the ascending eigenvalues, f(r[...],
+    p[..., n], lam[..., n]) -> g[...]: its form is f(r, p, eigenvalues(A))
+    and its spectrum f."""
+    return FiberOracle(label, n, arity, key, lambda r, p, A: f(r, p, eigenvalues(A)), f)
 
 
 def cone_P(n: int) -> FiberOracle:
     """Convexity cone {A : lambda_min(A) >= 0}."""
     return spectral_oracle("P (convexity): lambda_min(A) >= 0", n, "P",
-                           lambda lam: lam[..., 0])
+                           lambda r, p, lam: lam[..., 0])
 
 
 def cone_P_dual(n: int) -> FiberOracle:
     """Subaffine cone {A : lambda_max(A) >= 0}, the dual of P."""
     return spectral_oracle("P~ (subaffine): lambda_max(A) >= 0", n, "P~",
-                           lambda lam: lam[..., -1])
+                           lambda r, p, lam: lam[..., -1])
 
 
 def branch(n: int, k: int) -> FiberOracle:
     """k-th eigenvalue branch {A : lambda_k(A) >= 0}, 1-indexed."""
     check_index("branch", "k", k, n)
     return spectral_oracle(f"branch k={k}: lambda_{k}(A) >= 0", n, f"branch:k={k}",
-                           lambda lam: lam[..., k - 1])
+                           lambda r, p, lam: lam[..., k - 1])
 
 
 def cone_pfold(n: int, p: int) -> FiberOracle:
@@ -426,7 +431,7 @@ def cone_pfold(n: int, p: int) -> FiberOracle:
     """
     check_index("pfold", "p", p, n)
     return spectral_oracle(f"pfold p={p}: lambda_1(A)+...+lambda_{p}(A) >= 0", n,
-                           f"pfold:p={p}", lambda lam: np.sum(lam[..., :p], axis=-1))
+                           f"pfold:p={p}", lambda r, q, lam: np.sum(lam[..., :p], axis=-1))
 
 
 def elementary_symmetric(lam: np.ndarray, k: int):
@@ -446,14 +451,14 @@ def cone_sigma_k(n: int, k: int) -> FiberOracle:
     check_index("sigma", "k", k, n)
     return spectral_oracle(
         f"sigma k={k}: sigma_j(lambda(A)) >= 0 for j=1..{k}", n, f"sigma:k={k}",
-        lambda lam: np.min([elementary_symmetric(lam, j) for j in range(1, k + 1)], axis=0))
+        lambda r, p, lam: np.min([elementary_symmetric(lam, j) for j in range(1, k + 1)], axis=0))
 
 
 def cone_pucci(n: int, lam: float, Lam: float) -> FiberOracle:
     """Pucci cone {A : lam * tr A+ + Lam * tr A- >= 0}, 0 < lam < Lam."""
     check_pucci(lam, Lam)
 
-    def f(ev):
+    def f(r, p, ev):
         return (lam * np.sum(np.maximum(ev, 0.0), axis=-1)
                 + Lam * np.sum(np.minimum(ev, 0.0), axis=-1))
 
@@ -466,7 +471,7 @@ def cone_quasiconvex(n: int, shift: float) -> FiberOracle:
     if shift < 0:
         raise BadParameters(f"quasiconvexity shift must be >= 0, got {shift}")
     return spectral_oracle(f"quasiconvex shift={shift}: lambda_min(A) + {shift} >= 0", n,
-                           f"quasiconvex:{_fmt(shift)}", lambda lam: lam[..., 0] + shift)
+                           f"quasiconvex:{_fmt(shift)}", lambda r, p, lam: lam[..., 0] + shift)
 
 
 def complex_structure(two_n: int) -> np.ndarray:
@@ -512,14 +517,14 @@ def cone_lagrangian(two_n: int) -> FiberOracle:
 
 def cone_Q(n: int) -> FiberOracle:
     """Gradient-free cone Q = {(r, A) : r <= 0 and A >= 0}."""
-    return FiberOracle("Q: r <= 0 and A >= 0", n, Arity.GRADIENT_FREE, "Q",
-                       lambda r, p, A: np.minimum(-r, eigenvalues(A)[..., 0]))
+    return spectral_oracle("Q: r <= 0 and A >= 0", n, "Q",
+                           lambda r, p, lam: np.minimum(-r, lam[..., 0]), Arity.GRADIENT_FREE)
 
 
 def cone_Q_dual(n: int) -> FiberOracle:
     """Dual of Q: {(r, A) : r <= 0 or lambda_max(A) >= 0}."""
-    return FiberOracle("Q~: r <= 0 or lambda_max(A) >= 0", n, Arity.GRADIENT_FREE, "Q~",
-                       lambda r, p, A: np.maximum(-r, eigenvalues(A)[..., -1]))
+    return spectral_oracle("Q~: r <= 0 or lambda_max(A) >= 0", n, "Q~",
+                           lambda r, p, lam: np.maximum(-r, lam[..., -1]), Arity.GRADIENT_FREE)
 
 
 # ---------------------------------------------------------------------------
@@ -602,10 +607,11 @@ class MonotonicityCone:
         if not (self.R > 0):
             raise BadParameters(f"R must be positive or inf, got {self.R}")
 
-    def functional(self, r, p, A):
-        """Defining functional in array form (see FiberOracle.values)."""
+    def spectrum(self, r, p, lam):
+        """Defining functional on the ascending Hessian eigenvalues, in
+        array form (see FiberOracle.spectrum)."""
         pn = np.sqrt(np.sum(p * p, axis=-1))
-        lam1 = eigenvalues(A)[..., 0]
+        lam1 = lam[..., 0]
         g3 = lam1 if math.isinf(self.R) else lam1 - pn / self.R
         return np.minimum(np.minimum(-r - self.gamma * pn, self.D.functional(p)), g3)
 
@@ -622,19 +628,19 @@ class MonotonicityCone:
 
 
 def cone_M(M: MonotonicityCone, n: int) -> FiberOracle:
-    return FiberOracle(f"M(gamma={M.gamma}, D={_fmt_cone(M.D)}, R={_fmt_R(M.R)}): "
-                       "r <= -gamma|p|, p in D, A >= (|p|/R) I",
-                       n, Arity.FULL, M.key(), M.functional)
+    return spectral_oracle(f"M(gamma={M.gamma}, D={_fmt_cone(M.D)}, R={_fmt_R(M.R)}): "
+                           "r <= -gamma|p|, p in D, A >= (|p|/R) I",
+                           n, M.key(), M.spectrum, Arity.FULL)
 
 
 def cone_M0(n: int) -> FiberOracle:
     """Minimal monotonicity cone N x {0} x P (empty interior)."""
 
-    def g(r, p, A):
+    def f(r, p, lam):
         pn = np.sqrt(np.sum(p * p, axis=-1))
-        return np.minimum(np.minimum(-r, -pn), eigenvalues(A)[..., 0])
+        return np.minimum(np.minimum(-r, -pn), lam[..., 0])
 
-    return FiberOracle("M0: r <= 0, p = 0, A >= 0 (empty interior)", n, Arity.FULL, "M0", g)
+    return spectral_oracle("M0: r <= 0, p = 0, A >= 0 (empty interior)", n, "M0", f, Arity.FULL)
 
 
 def reduced_cone(M: MonotonicityCone, n: int, arity: Arity) -> FiberOracle:
@@ -1028,10 +1034,20 @@ SHIFT_TOL = 1e-9
 SHIFT_MARGIN = 1e-6
 
 
-def one_fiber_values(oracle: FiberOracle) -> Callable:
-    """oracle.values as the lockstep searches call it, values(rows, r, p,
-    A), every row in the one fiber."""
-    return lambda rows, r, p, A: oracle.values(r, p, A)
+def fiber_values(F, points: Optional[list] = None) -> Callable:
+    """values(rows, r, p, A): the functional of F on a stack r[len(rows),
+    ...], p, A, as the lockstep searches call it. Every row lies in the
+    one fiber of a FiberOracle; for a VariableFiberMap, row i lies in the
+    fiber at points[rows[i]]."""
+    if points is None:
+        return lambda rows, r, p, A: F.values(r, p, A)
+    x = np.array(points, dtype=float).reshape(-1, F.n)
+
+    def values(rows, r, p, A):
+        at = x[rows].reshape((len(rows),) + (1,) * (np.ndim(r) - 1) + (F.n,))
+        return np.asarray(F.form(at, r, p, A), dtype=float)
+
+    return values
 
 
 def shift_to_boundary(
@@ -1048,34 +1064,31 @@ def shift_to_boundary(
     fiber is monotone for, so bisection applies. Returns None when no
     crossing is bracketed.
     """
-    moved, = shift_jets_to_boundary(one_fiber_values(oracle), [J], J0, [margin], None, tol,
-                                    max_expand, spectrum=oracle.spectrum)
+    moved, = shift_jets_to_boundary(oracle, [J], J0, [margin], None, tol, max_expand)
     return moved
 
 
-def shift_jets_to_boundary(values: Callable, jets: list, J0: Jet2, margins, start_in=None,
+def shift_jets_to_boundary(F, jets: list, J0: Jet2, margins, start_in=None,
                            tol: float = SHIFT_TOL, max_expand: int = 60,
                            member_tol: Optional[float] = None,
-                           spectrum: Optional[Callable] = None) -> list:
+                           points: Optional[list] = None) -> list:
     """shift_to_boundary for a list of jets in one lockstep search
     (boundary_shifts): jets[i] moves along J0 onto the boundary, then
     margins[i] past it, K + (t + margins[i]) * J0, or is None when no
     crossing is bracketed.
 
-    values(rows, r, p, A) evaluates the fiber functional of the jets at
-    indices rows on a stack; start_in holds each jet's membership under
-    tol (found by the search when None); spectrum is the fiber's
-    FiberOracle.spectrum or None, as boundary_shifts takes it. The moved
-    jets are computed on stacks with the float operations of Jet2
-    arithmetic. With member_tol, a moved jet that is not a member under
-    member_tol becomes None, all tested in one values call; a Jet2 is
-    built only for each jet kept.
+    F is a FiberOracle, or a VariableFiberMap with jets[i] in the fiber
+    at points[i]; start_in holds each jet's membership under tol (found
+    by the search when None). The moved jets are computed on stacks with
+    the float operations of Jet2 arithmetic. With member_tol, a moved
+    jet that is not a member under member_tol becomes None, all tested
+    in one values call; a Jet2 is built only for each jet kept.
     """
     out = [None] * len(jets)
     if not jets:
         return out
     J = stack_jets(jets, J0.n)
-    t_in = boundary_shifts(values, J, start_in, J0, tol, max_expand, spectrum)
+    t_in = boundary_shifts(F, J, start_in, J0, tol, max_expand, points)
     rows = np.array([i for i, t in enumerate(t_in) if t is not None], dtype=int)
     if not rows.size:
         return out
@@ -1085,7 +1098,7 @@ def shift_jets_to_boundary(values: Callable, jets: list, J0: Jet2, margins, star
              take_rows(J[2], rows) + s[:, None, None] * J0.A.entries)
     kept = np.arange(len(rows))
     if member_tol is not None:
-        kept = kept[members(values(rows, *moved), member_tol)]
+        kept = kept[members(fiber_values(F, points)(rows, *moved), member_tol)]
     for i, K in zip(rows[kept].tolist(), unstack_jets(*(take_rows(a, kept) for a in moved))):
         out[i] = K
     return out
@@ -1112,45 +1125,40 @@ def _scalar_hessian(J0: Jet2) -> Optional[float]:
     return c if np.array_equal(A, c * np.eye(J0.n)) else None
 
 
-def boundary_shifts(values: Callable, J: tuple, start_in, J0: Jet2, tol: float = SHIFT_TOL,
-                    max_expand: int = 60, spectrum: Optional[Callable] = None) -> list:
+def boundary_shifts(F, J: tuple, start_in, J0: Jet2, tol: float = SHIFT_TOL,
+                    max_expand: int = 60, points: Optional[list] = None) -> list:
     """The search of shift_to_boundary for a stack of jets, in lockstep.
 
-    J = (r[N], p[N, n], A[N, n, n]) holds the jets; values(live, r, p, A)
-    evaluates the functional of the fiber of each row in live on the
-    stack r[len(live), k], p, A (the rows may lie in different fibers);
-    start_in[i] is J_i's membership under tol, or start_in is None and
-    the search finds it. For each row the result is the member end t_in
-    of its crossing along J_i + t*J0: doubled outward (t = +-1, +-3,
-    +-7, ...) from t = 0 for max_expand steps, then bisected until the
-    bracket is narrower than tol (at most 60 steps). It is None when no
-    crossing is bracketed.
+    J = (r[N], p[N, n], A[N, n, n]) holds the jets; F is a FiberOracle,
+    every row in its one fiber, or a VariableFiberMap with row i in the
+    fiber at points[i] (see fiber_values). start_in[i] is J_i's
+    membership under tol, or start_in is None and the search finds it.
+    For each row the result is the member end t_in of its crossing along
+    J_i + t*J0: doubled outward (t = +-1, +-3, +-7, ...) from t = 0 for
+    max_expand steps, then bisected until the bracket is narrower than
+    tol (at most 60 steps). It is None when no crossing is bracketed.
 
-    spectrum is the fiber's FiberOracle.spectrum f (every row in that one
-    fiber) or None. When it is set and J0's Hessian is exactly c*I, the
-    search solves each jet's eigenvalues lambda once and probes
-    f(lambda + t*c), since lambda(A + t*c*I) = lambda(A) + t*c; the
-    probes then differ from values on J_i + t*J0 only by the rounding of
-    the eigen-solves. Every other search probes values along the ray.
+    When F has a spectrum f and J0's Hessian is exactly c*I, the search
+    solves each jet's eigenvalues lambda once and probes f(r + t*r0,
+    p + t*p0, lambda + t*c), since lambda(A + t*c*I) = lambda(A) + t*c;
+    the probes then differ from the form on J_i + t*J0 only by the
+    rounding of the eigen-solves. Every other search probes the form
+    along the ray.
     """
-    c = None if spectrum is None else _scalar_hessian(J0)
+    f = None if points is not None else F.spectrum
+    c = None if f is None else _scalar_hessian(J0)
     if c is None:
-        if start_in is None:
-            start_in = members(values(np.arange(len(J[0])), *J), tol)
-        Jr, Jp, JA = (a[:, None] for a in J)
-        U = (J0.r, J0.p, J0.A.entries)
-
-        def inside(rows, t):
-            at = (take_rows(Jr, rows), take_rows(Jp, rows), take_rows(JA, rows))
-            return members(fan_values(lambda r, p, A: values(rows, r, p, A), at, U, t), tol)
+        values, U = fiber_values(F, points), (J0.r, J0.p, J0.A.entries)
     else:
-        lam = eigenvalues(J[2])
-        if start_in is None:
-            start_in = members(spectrum(lam), tol)
-        lam = lam[:, None]
+        J = (J[0], J[1], eigenvalues(J[2]))
+        values, U = (lambda rows, r, p, lam: f(r, p, lam)), (J0.r, J0.p, c)
+    if start_in is None:
+        start_in = members(values(np.arange(len(J[0])), *J), tol)
+    J = tuple(a[:, None] for a in J)
 
-        def inside(rows, t):
-            return members(spectrum(take_rows(lam, rows) + (t * c)[..., None]), tol)
+    def inside(rows, t):
+        at = tuple(take_rows(a, rows) for a in J)
+        return members(fan_values(functools.partial(values, rows), at, U, t), tol)
 
     start_in = np.asarray(start_in, dtype=bool)
     ts = _doubling_steps(max_expand) * np.where(start_in, -1.0, 1.0)[:, None]
@@ -1181,7 +1189,7 @@ def _fiber_jet_samples(
             ))
         else:
             bases.append(random_jet(rng, n, scale=1.5))
-    moved = shift_jets_to_boundary(one_fiber_values(oracle), bases, J0, [SHIFT_MARGIN] * count,
+    moved = shift_jets_to_boundary(oracle, bases, J0, [SHIFT_MARGIN] * count,
                                    member_tol=DEFAULT_TOL)
     return [J for J in moved if J is not None]
 

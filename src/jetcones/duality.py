@@ -38,8 +38,8 @@ from .catalog import (
     cone_M,
     crossing_brackets,
     fan_values,
+    fiber_values,
     members,
-    one_fiber_values,
     shift_jets_to_boundary,
     take_rows,
 )
@@ -50,9 +50,9 @@ def dual_oracle(F: Union[FiberOracle, VariableFiberMap]):
     """The Dirichlet dual, J in F~ iff -J not in Int F, with the form
     -g(-r, -p, -A); a variable fiber map is dualized fiber by fiber and
     keeps its domain and monotonicity data. The dual of a spectral fiber
-    (FiberOracle.spectrum = f) has spectrum -f(-lambda[..., ::-1]), the
-    same function of the eigenvalues up to the rounding of the
-    eigen-solves."""
+    (FiberOracle.spectrum = f) has spectrum -f(-r, -p, -lam[..., ::-1]),
+    the same function of the eigenvalues as its form up to the rounding
+    of the eigen-solves."""
     label = f"dual of [{F.label}]"
     key = (F.key + "~") if F.key else None
     form = F.form
@@ -63,7 +63,7 @@ def dual_oracle(F: Union[FiberOracle, VariableFiberMap]):
     # lambda(-A) is -lambda(A) reversed, so a spectral fiber's dual is spectral
     f = F.spectrum
     return FiberOracle(label, F.n, F.arity, key, lambda r, p, A: -form(-r, -p, -A),
-                       None if f is None else lambda lam: -f(-lam[..., ::-1]))
+                       None if f is None else lambda r, p, lam: -f(-r, -p, -lam[..., ::-1]))
 
 
 def dual_contains(F: FiberOracle, J, tol: float = DEFAULT_TOL) -> Region:
@@ -192,43 +192,28 @@ def _draw(rng: np.random.Generator, J: Jet2, g: float, tol: float) -> _Draw:
     return _Draw(J, margin, not g < -SHIFT_TOL, rng.bit_generator.state)
 
 
-def _fiber_values(F: Union[FiberOracle, VariableFiberMap], points: Optional[list] = None):
-    """values(rows, r, p, A): F's functional on a stack r[len(rows), ...],
-    p, A, each row in the fiber of its sample; for a variable fiber map
-    that is the fiber at points[row]."""
-    if points is None:
-        return one_fiber_values(F)
-    x = np.array(points, dtype=float).reshape(-1, F.n)
-
-    def values(rows, r, p, A):
-        at = x[rows].reshape((len(rows),) + (1,) * (np.ndim(r) - 1) + (F.n,))
-        return np.asarray(F.form(at, r, p, A), dtype=float)
-
-    return values
-
-
-def _into_fibers(values: Callable, draws: list, J0: Jet2, tol: float,
-                 spectrum: Optional[Callable] = None) -> list:
-    """Each draw's jet inside its fiber, or None.
+def _into_fibers(F: Union[FiberOracle, VariableFiberMap], draws: list, J0: Jet2, tol: float,
+                 points: Optional[list] = None) -> list:
+    """Each draw's jet inside its fiber (for a variable fiber map, the
+    fiber at points[i]), or None.
 
     A member stays as drawn. A jet outside moves along J0 to the fiber's
     boundary and its margin past it, as shift_to_boundary moves it, and
     becomes None when no crossing is bracketed or the moved jet is not a
-    member under tol. All shifts search in lockstep, on the eigenvalues
-    when spectrum (the fiber's FiberOracle.spectrum) is set and J0's
-    Hessian is a multiple of I, and the moved jets are tested in one
-    values call.
+    member under tol. All shifts search in lockstep
+    (catalog.boundary_shifts, on the eigenvalues for a spectral fiber
+    when J0's Hessian is a multiple of I), and the moved jets are tested
+    in one values call.
     """
     out = [d.J for d in draws]
-    rows = np.array([i for i, d in enumerate(draws) if d.margin is not None], dtype=int)
-    if not rows.size:
+    rows = [i for i, d in enumerate(draws) if d.margin is not None]
+    if not rows:
         return out
-    moved = shift_jets_to_boundary(lambda live, r, p, A: values(take_rows(rows, live), r, p, A),
-                                   [draws[i].J for i in rows], J0,
+    moved = shift_jets_to_boundary(F, [draws[i].J for i in rows], J0,
                                    [draws[i].margin for i in rows],
                                    [draws[i].start_in for i in rows], member_tol=tol,
-                                   spectrum=spectrum)
-    for i, K in zip(rows.tolist(), moved):
+                                   points=None if points is None else [points[i] for i in rows])
+    for i, K in zip(rows, moved):
         out[i] = K
     return out
 
@@ -351,8 +336,7 @@ def check_monotonicity(
             draws.append(_draw(rng, J, g, tol))
             bk.append(_cone_draw(M, rng, n, abs(rng.standard_normal()) + 0.1,
                                  extreme=(j % 2 == 0)))
-        moved = _into_fibers(_fiber_values(F, bx if variable else None), draws, J0, tol,
-                             None if variable else F.spectrum)
+        moved = _into_fibers(F, draws, J0, tol, bx if variable else None)
         fail = next((k for k, Jm in enumerate(moved) if Jm is None), None)
         if fail is None:
             if raised is not None:
@@ -374,7 +358,7 @@ def check_monotonicity(
     mixing = [k for k, j in enumerate(index) if j % 2 == 1]
     for k, K in zip(mixing, _mix_into_cone(M, n, [cones[k] for k in mixing])):
         cones[k] = K
-    values = _fiber_values(F, points if variable else None)
+    values = fiber_values(F, points if variable else None)
     sums = stack_jets([J + K for J, K in zip(jets, cones)], n)
     _record_sums(rep, values(np.arange(len(jets)), *sums), jets, tol)
     return rep
@@ -416,8 +400,8 @@ def check_jet_addition(
         drawsF.append(_draw(rng, J, F.value(J), tol))
         K = random_jet(rng, n, scale)
         drawsFd.append(_draw(rng, K, Fd.value(K), tol))
-    Js = _into_fibers(_fiber_values(F), drawsF, J0, tol, F.spectrum)
-    Ks = _into_fibers(_fiber_values(Fd), drawsFd, J0, tol, Fd.spectrum)
+    Js = _into_fibers(F, drawsF, J0, tol)
+    Ks = _into_fibers(Fd, drawsFd, J0, tol)
     sums = [J + K for J, K in zip(Js, Ks) if J is not None and K is not None]
     rep = CheckReport(name="jet-addition", seed=seed)
     if sums:

@@ -17,7 +17,6 @@ from .catalog import (
     Arity,
     MonotonicityCone,
     make_oracle,
-    one_fiber_values,
     perturbed_ma_map,
     shift_jets_to_boundary,
 )
@@ -75,8 +74,8 @@ def comparison_battery(keys, pairs: int = 10, n_side: int = 33, seed: int = 107,
                  for _ in range(pairs)]
         margins = (0.2, -0.2)
         shifted = shift_jets_to_boundary(
-            one_fiber_values(oracle), [Jet2.from_matrix(A) for draw in draws for A in draw[:2]],
-            Jet2.from_matrix(SymMat.identity(n)), margins * pairs, spectrum=oracle.spectrum)
+            oracle, [Jet2.from_matrix(A) for draw in draws for A in draw[:2]],
+            Jet2.from_matrix(SymMat.identity(n)), margins * pairs)
         verdicts = []
         for i, (_, _, p_sub, p_sup) in enumerate(draws):
             for J, margin in zip(shifted[2 * i:2 * i + 2], margins):

@@ -12,7 +12,7 @@ the stencil_bias helper) rather than a convergence theorem.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np

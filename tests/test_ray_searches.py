@@ -14,14 +14,15 @@ every returned value, jet, report and error must match them bit for
 bit. Probes past the point where such a loop would stop must not warn
 either, so RuntimeWarnings are errors here.
 
-canonical_operator on a spectral fiber (FiberOracle.spectrum set) finds
-a root of f(lambda - t) instead of bisecting: it is checked against the
-closed forms and within the reference's final bracket, and the bisection
-route stays checked bit for bit through replace(F, spectrum=None). The
-duals of the spectral fibers are spectral too. boundary_shifts on a
-spectral fiber along a ray whose Hessian part is c*I probes
-f(lambda + t*c) instead of the fiber's values along the ray: it is
-checked against the ray route within tol, and at the seeds of the
+canonical_operator on a pure second-order spectral fiber
+(FiberOracle.spectrum set) finds a root of f(r, p, lambda - t) instead of
+bisecting: it is checked against the closed forms and within the
+reference's final bracket, and the bisection route stays checked bit for
+bit through replace(F, spectrum=None). The duals of the spectral fibers
+are spectral too. boundary_shifts on a spectral fiber (Q, Q~, M and M0
+as well) along a ray whose Hessian part is c*I probes f(r + t*r0,
+p + t*p0, lambda + t*c) instead of the fiber's values along the ray: it
+is checked against the ray route within tol, and at the seeds of the
 Jet2-route comparisons below it matches them bit for bit as well.
 """
 
@@ -47,6 +48,7 @@ from jetcones.canonical import (
 from jetcones.catalog import (
     BISECTION_DEPTH,
     DEFAULT_TOL,
+    REGISTRY,
     SHIFT_TOL,
     Arity,
     Box,
@@ -56,6 +58,7 @@ from jetcones.catalog import (
     MonotonicityCone,
     VariableFiberMap,
     _fiber_jet_samples,
+    bind_key,
     bisect_brackets,
     boundary_shifts,
     cone_M,
@@ -63,7 +66,7 @@ from jetcones.catalog import (
     fiber_affine_sphere,
     fiber_optimal_transport,
     make_oracle,
-    one_fiber_values,
+    parse_directional_cone,
     ray_values,
     shift_jets_to_boundary,
     shift_to_boundary,
@@ -655,6 +658,9 @@ SPECTRAL = [
     pytest.param("pucci:0.5,3", 3, lambda ev: pucci_root(ev, 0.5, 3.0), id="pucci3"),
     pytest.param("sigma:k=2", 3, None, id="sigma"),
 ]
+# the spectral cones that read r or p too; canonical_operator bisects them
+MIXED_KEYS = ["Q", "Q~", "M0", "M:gamma=1,D=half:e1,R=1", "M:gamma=2,D=orth:1,R=0.5",
+              "M:gamma=0.5,D=full,R=inf"]
 
 
 def spectral_queries(n, seed):
@@ -668,7 +674,8 @@ def spectral_queries(n, seed):
     return mats
 
 
-@pytest.mark.parametrize("key, n, closed", SPECTRAL)
+@pytest.mark.parametrize("key, n, closed", SPECTRAL + [
+    pytest.param(key, n, None, id=f"{key}-{n}d") for key in MIXED_KEYS for n in (2, 3)])
 def test_spectral_forms_are_the_spectrum_of_the_eigenvalues(key, n, closed):
     F = make_oracle(key, n)
     rng = np.random.default_rng(23)
@@ -676,7 +683,7 @@ def test_spectral_forms_are_the_spectrum_of_the_eigenvalues(key, n, closed):
     A = np.array([random_symmetric(rng, n, 1.5).entries for _ in range(12)])
     got = F.values(r, p, A)
     assert list(map(float.hex, got.tolist())) == \
-        list(map(float.hex, F.spectrum(np.linalg.eigvalsh(A)).tolist()))
+        list(map(float.hex, F.spectrum(r, p, np.linalg.eigvalsh(A)).tolist()))
     assert float.hex(F.value(Jet2(r[0], p[0], A[0]))) == float.hex(float(got[0]))
 
 
@@ -725,16 +732,24 @@ def test_spectral_bracketing_failures_like_the_bisection(key, n, closed):
 
 
 def test_fibers_off_the_spectral_route_keep_the_bisection():
-    # Q's g = min(-r, lambda_min) is exactly 0 for t below lambda_min when
-    # r = 0, so a root-finder could stop anywhere there
-    for key, n in [("Q", 2), ("Q~", 2), ("M:gamma=1,D=half:1,0,R=1", 2), ("M0", 2),
-                   ("lagrangian", 4), ("failure:alpha=2,which=min", 2)]:
+    for key, n in [("lagrangian", 4), ("failure:alpha=2,which=min", 2)]:
         assert make_oracle(key, n).spectrum is None
         assert dual_oracle(make_oracle(key, n)).spectrum is None
     for F in (pma_slice(2), all_jets(2)):
         assert F.spectrum is None
     # the dual of a spectral fiber is spectral (see the dual tests below)
     assert dual_oracle(make_oracle("P", 2)).spectrum is not None
+    # Q's g = min(-r, lambda_min - t) is exactly 0 for t below lambda_min
+    # when r = 0, so a root-finder could stop anywhere there: the spectral
+    # fibers that read r or p bisect, as without their spectrum
+    rng = np.random.default_rng(37)
+    queries = spectral_queries(2, 37)[::4] + [random_jet(rng, 2, 1.5) for _ in range(6)]
+    for key in MIXED_KEYS:
+        for F in (make_oracle(key, 2), dual_oracle(make_oracle(key, 2))):
+            assert F.spectrum is not None
+            bisect = replace(F, spectrum=None)
+            assert [outcome(canonical_operator, F, A) for A in queries] == \
+                [outcome(canonical_operator, bisect, A) for A in queries], F.label
     Q = make_oracle("Q", 2)
     for A in spectral_queries(2, 37)[::4]:
         assert float.hex(canonical_operator(Q, A)) == float.hex(ref_canonical_operator(Q, A))
@@ -764,20 +779,25 @@ SPECTRAL_KEYS = ["P", "P~", "branch:k=2", "pfold:p=2", "sigma:k=2", "pucci:1,2",
                  "quasiconvex:0.5"]
 SPECTRAL_FIBERS = [pytest.param(key, n, id=f"{key}-{n}d") for key in SPECTRAL_KEYS
                    for n in (2, 3)]
+ALL_SPECTRAL_FIBERS = SPECTRAL_FIBERS + [pytest.param(key, n, id=f"{key}-{n}d")
+                                         for key in MIXED_KEYS for n in (2, 3)]
 
 
-@pytest.mark.parametrize("key, n", SPECTRAL_FIBERS)
+@pytest.mark.parametrize("key, n", ALL_SPECTRAL_FIBERS)
 def test_dual_spectrum_is_the_dual_form(key, n):
-    # -f(-lambda reversed) against -f(eigenvalues(-A)): equal up to the
-    # rounding of the two eigen-solves; the double dual's spectrum is f
+    # -f(-r, -p, -lambda reversed) against -f(-r, -p, eigenvalues(-A)):
+    # equal up to the rounding of the two eigen-solves; the double dual's
+    # spectrum is f
     F = make_oracle(key, n)
     Fd = dual_oracle(F)
     mats = np.array([A.entries for A in spectral_queries(n, 41)])
+    rng = np.random.default_rng(41)
+    r, p = rng.standard_normal(len(mats)), rng.standard_normal((len(mats), n))
     lam = np.linalg.eigvalsh(mats)
-    got, form = Fd.spectrum(lam), Fd.values(np.zeros(len(mats)), np.zeros((len(mats), n)), mats)
+    got, form = Fd.spectrum(r, p, lam), Fd.values(r, p, mats)
     bound = 1e-12 * (1.0 + np.abs(lam).max(axis=-1))
     assert got.shape == form.shape and np.all(np.abs(got - form) <= bound)
-    assert np.array_equal(dual_oracle(Fd).spectrum(lam), F.spectrum(lam))
+    assert np.array_equal(dual_oracle(Fd).spectrum(r, p, lam), F.spectrum(r, p, lam))
 
 
 @pytest.mark.parametrize("key, n", SPECTRAL_FIBERS)
@@ -798,15 +818,20 @@ def test_dual_of_P_canonical_is_lambda_max(n):
         assert abs(canonical_operator(Fd, A) - t) <= 1e-13 * max(1.0, abs(t))
 
 
-def shift_rays(n):
-    """J0 = I, the interior jets of two monotonicity cones (Hessians I
-    and 2I, with r and p parts), and c*I for c = 0.5, 3 and -1 (along
-    which no jet of a positively monotone fiber crosses)."""
+def monotonicity_cone(key, n):
+    """The MonotonicityCone of an M key."""
+    _, params = bind_key(key, REGISTRY, "catalog")
+    return MonotonicityCone(params["gamma"], parse_directional_cone(params["D"], n), params["R"])
+
+
+def shift_rays(n, M=None):
+    """J0 = I, the interior jets of two monotonicity cones, M_FULL and M
+    (by default M(1, half:e1, 1); Hessians I and 2I there, with r and p
+    parts), and c*I for c = 0.5, 3 and -1 (along which no jet of a
+    positively monotone fiber crosses)."""
     eye = np.eye(n)
-    return [Jet2.from_matrix(SymMat.identity(n)),
-            M_FULL.interior_jet(n),
-            MonotonicityCone(1.0, DirectionalCone.halfspace([1.0] + [0.0] * (n - 1)),
-                             1.0).interior_jet(n),
+    M = M or MonotonicityCone(1.0, DirectionalCone.halfspace([1.0] + [0.0] * (n - 1)), 1.0)
+    return [Jet2.from_matrix(SymMat.identity(n)), M_FULL.interior_jet(n), M.interior_jet(n),
             Jet2(0.0, np.zeros(n), 0.5 * eye), Jet2(0.3, np.ones(n), 3.0 * eye),
             Jet2(0.0, np.zeros(n), -eye)]
 
@@ -820,19 +845,26 @@ def shift_queries(n, seed, count=40):
 
 
 @pytest.mark.parametrize("dual", [False, True], ids=["F", "dual"])
-@pytest.mark.parametrize("key, n", SPECTRAL_FIBERS)
+@pytest.mark.parametrize("key, n", ALL_SPECTRAL_FIBERS)
 def test_eigenvalue_shifts_match_the_fan_route(key, n, dual):
     F = dual_oracle(make_oracle(key, n)) if dual else make_oracle(key, n)
+    fan = replace(F, spectrum=None)
     # both searches end within tol of a crossing, and the two crossings
-    # differ by the rounding of the eigen-solves
+    # differ by the rounding of the eigen-solves. An M fiber shifts along
+    # its own interior jet: along another M cone's, its terms -r - gamma|p|
+    # and lambda_1 - |p|/R can tend to constants, and both routes then
+    # report crossings at t ~ 1e15 that only the rounding places
+    M = monotonicity_cone(key, n) if key.startswith("M:") else None
     jets, margins = shift_queries(n, 53)
+    # and jets with p = 0, where M0 (empty interior) has its members
+    jets += [Jet2(J.r, np.zeros(n), J.A) for J in jets[:10]]
+    margins += margins[:10]
     J = stack_jets(jets, n)
-    values = one_fiber_values(F)
     crossed = 0
-    for J0 in shift_rays(n):
+    for J0 in shift_rays(n, M):
         for tol in (SHIFT_TOL, 1e-4):
-            fast = boundary_shifts(values, J, None, J0, tol, spectrum=F.spectrum)
-            slow = boundary_shifts(values, J, None, J0, tol)
+            fast = boundary_shifts(F, J, None, J0, tol)
+            slow = boundary_shifts(fan, J, None, J0, tol)
             assert [t is None for t in fast] == [t is None for t in slow]
             for a, b in zip(fast, slow):
                 if a is not None:
@@ -840,29 +872,30 @@ def test_eigenvalue_shifts_match_the_fan_route(key, n, dual):
                     crossed += 1
         # the moved jets differ by (t_fast - t_slow) * J0, and the same
         # ones are members
-        got = shift_jets_to_boundary(values, jets, J0, margins, member_tol=DEFAULT_TOL,
-                                     spectrum=F.spectrum)
-        ref = shift_jets_to_boundary(values, jets, J0, margins, member_tol=DEFAULT_TOL)
+        got = shift_jets_to_boundary(F, jets, J0, margins, member_tol=DEFAULT_TOL)
+        ref = shift_jets_to_boundary(fan, jets, J0, margins, member_tol=DEFAULT_TOL)
         assert [K is None for K in got] == [K is None for K in ref]
         for K, L in zip(got, ref):
             if K is not None:
                 gap = jet_norm(K + (-L))
                 assert gap <= (SHIFT_TOL + 1e-12 * (1.0 + jet_norm(L))) * jet_norm(J0)
-    assert crossed
+    # the dual of M0, whose interior is empty, is the whole jet space
+    assert crossed or (key, dual) == ("M0", True)
 
 
-def recording(values, calls):
-    def rec(rows, r, p, A):
+def recording(F, calls, spectrum):
+    """F with its spectrum or without, its form noting each stack's shape."""
+    def form(r, p, A):
         calls.append(np.shape(r))
-        return values(rows, r, p, A)
-    return rec
+        return F.form(r, p, A)
+    return replace(F, form=form, spectrum=F.spectrum if spectrum else None)
 
 
 @pytest.mark.parametrize("key, n", [("P", 2), ("pucci:1,2", 3), ("sigma:k=2", 3)])
 def test_shifts_off_a_scalar_hessian_take_the_fan_route(key, n):
-    # the eigenvalue route calls values for the moved jets only; a J0 with
-    # a non-scalar Hessian probes values along the ray, bit for bit as
-    # the search without spectrum
+    # the eigenvalue route calls the form for the moved jets only; a J0
+    # with a non-scalar Hessian probes the form along the ray, bit for bit
+    # as the search without spectrum
     F = make_oracle(key, n)
     jets, margins = shift_queries(n, 59, 12)
     off_diagonal = np.eye(n) + 0.25 * (np.eye(n, k=1) + np.eye(n, k=-1))
@@ -870,10 +903,10 @@ def test_shifts_off_a_scalar_hessian_take_the_fan_route(key, n):
                     (off_diagonal, True)]:
         J0 = Jet2.from_matrix(A0)
         calls, ref_calls = [], []
-        got = shift_jets_to_boundary(recording(one_fiber_values(F), calls), jets, J0, margins,
-                                     member_tol=DEFAULT_TOL, spectrum=F.spectrum)
-        ref = shift_jets_to_boundary(recording(one_fiber_values(F), ref_calls), jets, J0,
-                                     margins, member_tol=DEFAULT_TOL)
+        got = shift_jets_to_boundary(recording(F, calls, True), jets, J0, margins,
+                                     member_tol=DEFAULT_TOL)
+        ref = shift_jets_to_boundary(recording(F, ref_calls, False), jets, J0, margins,
+                                     member_tol=DEFAULT_TOL)
         if fan:
             assert calls == ref_calls
             assert [None if K is None else hexes(K) for K in got] == \
@@ -977,6 +1010,24 @@ def test_check_jet_addition_matches_per_sample_loop(make, M):
             same_report(got, ref)
 
 
+M_HALF_R1 = MonotonicityCone(1.0, DirectionalCone.halfspace([1.0, 0.0]), 1.0)
+
+
+@pytest.mark.parametrize("seed", [29, 3, 8])
+@pytest.mark.parametrize("key, M", [("Q", M_FULL), ("Q~", M_FULL), (M_HALF_R1.key(), M_HALF_R1)],
+                         ids=["Q", "Q~", "M"])
+def test_spectral_shifts_keep_the_check_reports(key, M, seed):
+    # the checks shift along M's interior jet, whose Hessian is a multiple
+    # of I: the eigenvalue route must give the reports of the ray route
+    F = make_oracle(key, 2)
+    fan = replace(F, spectrum=None)
+    for check in (check_monotonicity, check_jet_addition):
+        got = report_or_refusal(check, F, M, samples=120, seed=seed)
+        ref = report_or_refusal(check, fan, M, samples=120, seed=seed)
+        assert not isinstance(got, str)
+        same_report(got, ref)
+
+
 def test_monotonicity_at_the_default_sizes():
     # test_duality's cases at their sample counts and seeds
     for F, M, samples in [(make_oracle("P", 3), M_FULL, 400),
@@ -1000,13 +1051,12 @@ def test_lockstep_shifts_keep_each_jets_margin_around_failures(max_expand):
     refs = [ref_shift_to_boundary(F, J, J0, margin=m, max_expand=max_expand)
             for J, m in zip(jets, margins)]
     assert 5 < sum(K is None for K in refs) < 35
-    got = shift_jets_to_boundary(one_fiber_values(F), jets, J0, margins,
-                                 max_expand=max_expand)
+    got = shift_jets_to_boundary(F, jets, J0, margins, max_expand=max_expand)
     assert [None if K is None else hexes(K) for K in got] == \
         [None if K is None else hexes(K) for K in refs]
     # member_tol -0.2 keeps the moved jets with g >= 0.2, about half of them
-    kept = shift_jets_to_boundary(one_fiber_values(F), jets, J0, margins,
-                                  max_expand=max_expand, member_tol=-0.2)
+    kept = shift_jets_to_boundary(F, jets, J0, margins, max_expand=max_expand,
+                                  member_tol=-0.2)
     verdicts = [K is not None and F.value(K) >= 0.2 for K in refs]
     assert 3 < sum(verdicts) < sum(K is not None for K in refs) - 3
     assert [None if K is None else hexes(K) for K in kept] == \

@@ -487,31 +487,24 @@ def test_stencil_bias_of_every_discrete_key(d, side):
 
 
 def test_bias_targets_are_exact_on_the_stencil_frame():
-    # a quadratic whose eigenframe is the axes frame: every frame-minimum
-    # discretization but slag's (arctan is not concave) hits its target
+    # stencil_bias measures against the catalog cones' spectra, pfold's
+    # divided by p (its discretization is the frame mean). On a quadratic
+    # whose eigenframe is the axes frame every frame-minimum
+    # discretization but slag's (arctan is not concave) hits that target
     grid = square_grid(17, 0.0, 1.0)
     ev = np.array([-2.0, 1.0])
     u = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ np.diag(ev[::-1]) @ x))
     for key in ("P", "P~", "branch:k=1", "branch:k=2", "pfold:p=2", "pucci:1,2"):
         name, params = solver.bind_key(key, DISCRETE_OPERATORS, "discretization")
-        target = float(solver._BIAS_TARGETS[name](ev, **params))
+        target = make_oracle(key, 2).spectrum(0.0, 0.0, ev) / params.get("p", 1)
         fld = make_discrete_operator(key, grid).apply(u.values, grid)
         assert np.max(np.abs(fld - target)) <= 1e-10, key
-    # the targets are the catalog cones' spectra (pfold's is the sum, not the mean)
+    # the spectra are the continuum operators
     ev3 = np.array([-2.0, 0.5, 3.0])
     for key, target in (("P", ev3[0]), ("P~", ev3[-1]), ("branch:k=1", ev3[0]),
-                        ("branch:k=3", ev3[-1]), ("pfold:p=2", -0.75),
+                        ("branch:k=3", ev3[-1]), ("pfold:p=2", -1.5),
                         ("pucci:1,2", 0.5 + 3.0 - 4.0)):
-        name, params = solver.bind_key(key, DISCRETE_OPERATORS, "discretization")
-        assert solver._BIAS_TARGETS[name](ev3, **params) == target, key
-        scale = params.get("p", 1)
-        assert make_oracle(key, 3).spectrum(ev3) == scale * target, key
-
-
-def test_stencil_bias_without_a_target_is_unknown(monkeypatch):
-    monkeypatch.delitem(solver._BIAS_TARGETS, "slag")
-    with pytest.raises(UnknownKey):
-        stencil_bias(square_grid(17, 0.0, 1.0), "slag", np.random.default_rng(0))
+        assert make_oracle(key, 3).spectrum(0.0, 0.0, ev3) == target, key
 
 
 def test_perron_envelope_agrees_with_solver_on_convex_data():
