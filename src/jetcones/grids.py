@@ -326,19 +326,6 @@ def sup_convolution(u: GridFunction, eps: float) -> GridFunction:
     return GridFunction(g, vals, boundary_data=vals.copy())
 
 
-def sup_convolution_bruteforce(u: GridFunction, eps: float) -> GridFunction:
-    """Direct double-loop reference for the separable implementation."""
-    g = u.grid
-    pts = np.stack([m.ravel() for m in g.meshgrid()], axis=-1)
-    flat = u.values.ravel()
-    out = np.empty_like(flat)
-    for i, x in enumerate(pts):
-        d2 = np.sum((pts - x) ** 2, axis=1)
-        out[i] = np.max(flat - d2 / (2.0 * eps))
-    vals = out.reshape(g.dims)
-    return GridFunction(g, vals, boundary_data=vals.copy())
-
-
 def quasiconvexity_defect(u: GridFunction, eps: float) -> float:
     """Worst second difference of u + |x|^2/(2 eps) over stencil directions.
 

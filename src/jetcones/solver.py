@@ -18,10 +18,13 @@ with backtracking on the max residual: J(u) takes the tangent slopes
 1/(1 + D^2) on the active frame, a semismooth Newton step that
 converges superlinearly near the solution, and a step length halving
 from 1 keeps each accepted step decreasing the residual. The explicit
-damped-Jacobi iteration the solver replaced is kept in the tests as a
-reference, with the secant-only iteration; its stability bound
-(stability_dt) still sets the step of the monotonicity probe.
-Discrete comparison holds for the scheme by monotonicity.
+damped-Jacobi iteration the solver replaced, with its step bound, is
+kept in the tests as a reference, with the secant-only iteration.
+
+Monotone here is degenerate ellipticity in Oberman's sense (SIAM J.
+Numer. Anal. 2006), the hypothesis the solver and discrete comparison
+rest on; scheme_monotonicity_probe checks it by finite differences,
+with no time step.
 
 The experiment harness turns the comparison principle, the zero maximum
 principle for dual cones, and the uniform translation property into
@@ -31,6 +34,7 @@ grid-level checks with explicit hypothesis validation.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -55,6 +59,7 @@ from .catalog import (
     classify_values,
     cone_M,
     make_oracle,
+    reduced_cone,
 )
 from .duality import dual_oracle
 from .errors import (
@@ -64,6 +69,7 @@ from .errors import (
     UnstableStep,
 )
 from .grids import Grid, GridFunction, second_difference_field
+from .jets import random_symmetric
 
 # ---------------------------------------------------------------------------
 # Discrete operators (monotone reductions of directional second differences)
@@ -72,7 +78,7 @@ from .grids import Grid, GridFunction, second_difference_field
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Monotone wide-stencil operator with its linearization and stability weight.
+    """Degenerate elliptic wide-stencil operator with its linearizations.
 
     apply evaluates the operator on the interior. It takes one grid
     function, values of shape grid.dims, or a stack of them,
@@ -87,11 +93,9 @@ class DiscreteOperator:
     on the same active frame, also >= 0 and zero off it; it is None
     where phi is piecewise linear and the secant slope is the tangent.
 
-    center_weight bounds sum_theta |dR/dDelta_theta| / |theta|^2 over
-    the directions active in the reduction R at a node; the explicit
-    Euler step stays monotone for dt <= h^2 / (2 * center_weight).
-    A min/max over directions activates a single unit direction
-    (weight 1, the classical h^2/2 bound); frame sums add their terms.
+    Coefficients c >= 0 make the operator degenerate elliptic: raising
+    a neighbor value never lowers the field at a node, and raising the
+    node's own value never raises it.
     """
 
     key: str
@@ -99,7 +103,6 @@ class DiscreteOperator:
     linearize: Callable[[np.ndarray, Grid], tuple]  # values -> (field, coeffs)
     # values -> (field, coeffs, tangent coeffs); None when phi is piecewise linear
     tangent: Optional[Callable[[np.ndarray, Grid], tuple]] = None
-    center_weight: float = 1.0
 
 
 def _diff_stack(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -179,7 +182,7 @@ def _pfold(grid: Grid, p: int) -> tuple:
     tuples = grid.orthogonal_tuples(p)
     if not tuples:
         raise UnknownKey(f"stencil has no orthogonal {p}-tuples for pfold:p={p}")
-    return (*_frame_reduction(tuples, p=p), _frame_weight(grid, tuples, slope=1.0) / p)
+    return _frame_reduction(tuples, p=p)
 
 
 def _slag(grid: Grid) -> tuple:
@@ -194,8 +197,7 @@ def _slag(grid: Grid) -> tuple:
         with np.errstate(over="ignore"):  # 1 / (1 + inf) = 0 is the limit
             return 1.0 / (1.0 + diffs * diffs)
 
-    return (*_frame_reduction(tuples, phi=np.arctan, slope=secant, tangent=derivative),
-            _frame_weight(grid, tuples, slope=1.0))
+    return _frame_reduction(tuples, phi=np.arctan, slope=secant, tangent=derivative)
 
 
 def _pucci(grid: Grid, lam: float, Lam: float) -> tuple:
@@ -209,8 +211,7 @@ def _pucci(grid: Grid, lam: float, Lam: float) -> tuple:
     def sign_slope(diffs, terms):
         return np.where(diffs > 0, lam, Lam)
 
-    return (*_frame_reduction(tuples, phi=weighted, slope=sign_slope),
-            _frame_weight(grid, tuples, slope=Lam))
+    return _frame_reduction(tuples, phi=weighted, slope=sign_slope)
 
 
 # Factories return DiscreteOperator's fields after the key; the families
@@ -241,25 +242,6 @@ def make_discrete_operator(key: str, grid: Grid) -> DiscreteOperator:
     return DiscreteOperator(key, *DISCRETE_OPERATORS[name].build(grid, **params))
 
 
-def _frame_weight(grid: Grid, tuples, slope: float) -> float:
-    """Worst active sum of slope / |theta|^2 over the candidate frames."""
-    dirs = grid.stencil_dirs
-    return max(
-        sum(slope / sum(c * c for c in dirs[i]) for i in combo) for combo in tuples
-    )
-
-
-def stability_dt(grid: Grid, center_weight: float, safety: float = 0.9) -> float:
-    """dt bound h^2 / (2 * active sum of |theta|^-2 * slope), with safety.
-
-    The sum runs over the directions active in the operator's reduction
-    (a min/max activates one direction), so min-type operators get the
-    classical h^2/2 step. It bounds the explicit step of the
-    monotonicity probe and of the Jacobi reference solver.
-    """
-    return safety * grid.h**2 / (2.0 * center_weight)
-
-
 def stencil_bias(grid: Grid, op_key: str, rng: np.random.Generator,
                  trials: int = 50) -> float:
     """Measured worst gap between the discrete operator and its target on
@@ -271,8 +253,6 @@ def stencil_bias(grid: Grid, op_key: str, rng: np.random.Generator,
     are concave, and a frame's diagonal is majorized by the eigenvalues
     (Schur-Horn), so no frame does better.
     """
-    from .jets import random_symmetric
-
     name, params = bind_key(op_key, DISCRETE_OPERATORS, "discretization")
     op = DiscreteOperator(op_key, *DISCRETE_OPERATORS[name].build(grid, **params))
     if name == "slag":
@@ -484,45 +464,50 @@ def _newton_step(op, grid, interior, rhs_field, u, fld, tangent, res) -> Optiona
 # States per block of the monotonicity probe: the states and their bumped
 # copies go through apply as (_PROBE_BLOCK, *grid.dims) stacks.
 _PROBE_BLOCK = 16
+# The probe's bump of one node, and the change in F_h it forgives, in units
+# of _PROBE_BUMP / h^2 (the bump's change in an axis second difference).
+_PROBE_BUMP = 1e-6
+_PROBE_TOL = 1e-12
 
 
-def scheme_monotonicity_probe(
-    op_key: str,
-    grid: Grid,
-    states: int = 100,
-    seed: int = 97,
-    bump: float = 1e-6,
-    tol: float = 1e-12,
-) -> bool:
-    """Finite-difference check that the update map is monotone.
+def scheme_monotonicity_probe(op_key: str, grid: Grid, states: int = 100,
+                              seed: int = 97) -> bool:
+    """Finite-difference check that the scheme is degenerate elliptic.
 
-    At random states, bumping one neighbor up must not decrease the
-    updated value at any node (dt at the stability bound). Each state is
-    a standard-normal grid function and a node, drawn state by state in
+    At random states, bumping one node up by _PROBE_BUMP must not lower
+    F_h at any other interior node, nor raise it at the bumped node, by
+    more than _PROBE_TOL * _PROBE_BUMP / h^2. Each state is a
+    standard-normal grid function scaled by h^2, so that its second
+    differences are of order 1 (at order 1/h^2 arctan is flat and a
+    slag-shaped scheme cannot fail), and a node, drawn state by state in
     that order; the states are evaluated _PROBE_BLOCK at a time, one
     apply on the block and one on its bumped copy, and the probe returns
     False at the first block holding a failing state.
-
-    The probe has little power on slag: standard-normal states put its
-    second differences, of order 1/h^2, where arctan is flat, so it
-    stays True even at three times the stability bound (17^2 and 9^3
-    grids), where every other discretization fails.
     """
     rng = np.random.default_rng(seed)
     op = make_discrete_operator(op_key, grid)
-    dt = stability_dt(grid, op.center_weight)
-    interior = (..., *grid.interior_slice())
+    slack = _PROBE_TOL * _PROBE_BUMP / grid.h**2
+    # each node's index in the flattened interior field, -1 on the layer
+    inner = tuple(dim - 2 * grid.layer_width for dim in grid.dims)
+    flat = np.full(grid.dims, -1)
+    flat[grid.interior_slice()] = np.arange(math.prod(inner)).reshape(inner)
     for start in range(0, states, _PROBE_BLOCK):
         u = np.empty((min(_PROBE_BLOCK, states - start), *grid.dims))
-        nodes = []
+        nodes = np.empty((len(u), grid.d), dtype=np.intp)
         for k in range(len(u)):
             u[k] = rng.standard_normal(grid.dims)
-            nodes.append((k, *(rng.integers(0, dim) for dim in grid.dims)))
-        base = u[interior] + dt * op.apply(u, grid)
-        for node in nodes:
-            u[node] += bump
-        upd = u[interior] + dt * op.apply(u, grid)
-        if float(np.min(upd - base)) < -tol * bump:
+            nodes[k] = [rng.integers(0, dim) for dim in grid.dims]
+        u *= grid.h**2
+        base = op.apply(u, grid)
+        bumped = (np.arange(len(u)), *nodes.T)
+        u[bumped] += _PROBE_BUMP
+        rise = (op.apply(u, grid) - base).reshape(len(u), -1)
+        # the bumped node's own field must not rise
+        at = flat[bumped[1:]]
+        inside = at >= 0
+        own = (np.flatnonzero(inside), at[inside])
+        rise[own] = -rise[own]
+        if float(np.min(rise)) < -slack:
             return False
     return True
 
@@ -653,6 +638,7 @@ def strict_approximator(M: MonotonicityCone, grid: Grid,
     does not fit.
     """
     n = grid.d
+    corners = _box_corners(grid)
     center = 0.5 * (grid.lo + grid.hi)
     halfdiag = 0.5 * float(np.linalg.norm(grid.hi - grid.lo))
     if math.isinf(M.R):
@@ -676,14 +662,12 @@ def strict_approximator(M: MonotonicityCone, grid: Grid,
                 cand = center - depth * dirn
                 if float(np.linalg.norm(center - cand)) + halfdiag >= M.R:
                     break
-                corners = _box_corners(grid)
                 if all(M.D.functional(c - cand) > 1e-9 for c in corners):
                     x0 = cand
                     break
             if x0 is None:
                 return None
     # psi = a(|x - x0|^2 - K)/2 with a, K making every jet interior
-    corners = _box_corners(grid)
     pmax = max(float(np.linalg.norm(c - x0)) for c in corners)
     if math.isinf(M.R):
         a = 1.0
@@ -709,11 +693,9 @@ def strict_approximator(M: MonotonicityCone, grid: Grid,
 
 
 def _box_corners(grid: Grid) -> list:
-    import itertools as it
-
     return [
         np.array(c)
-        for c in it.product(*[(grid.lo[i], grid.hi[i]) for i in range(grid.d)])
+        for c in itertools.product(*[(grid.lo[i], grid.hi[i]) for i in range(grid.d)])
     ]
 
 
@@ -733,8 +715,6 @@ def zmp_experiment(
     (pure second order, gradient free) always admit a quadratic
     approximator; the R-finite obstruction only arises for full jets.
     """
-    from .catalog import reduced_cone
-
     grid = z.grid
     cone = reduced_cone(M, grid.d, arity)
     rep = check_subharmonic(z, dual_oracle(cone), tol)
@@ -802,9 +782,7 @@ def uniform_translation_probe(
             )
     offsets = []
     rng = range(-max_shift, max_shift + 1)
-    import itertools as it
-
-    for off in it.product(rng, repeat=grid.d):
+    for off in itertools.product(rng, repeat=grid.d):
         if any(off):
             offsets.append(off)
     offsets.sort(key=lambda o: sum(c * c for c in o))

@@ -12,6 +12,7 @@ from jetcones.catalog import (
     DirectionalCone,
     MonotonicityCone,
     VariableFiberMap,
+    bind_key,
     cone_P,
     cone_P_dual,
     make_oracle,
@@ -43,6 +44,7 @@ from jetcones.jets import Jet2, SymMat, random_symmetric
 from jetcones import experiments, solver
 from jetcones.solver import (
     DISCRETE_OPERATORS,
+    DiscreteOperator,
     NodeReport,
     TranslationReport,
     _setup,
@@ -52,7 +54,6 @@ from jetcones.solver import (
     make_discrete_operator,
     scheme_monotonicity_probe,
     solve_dirichlet,
-    stability_dt,
     stencil_bias,
     strict_approximator,
     uniform_translation_probe,
@@ -103,7 +104,7 @@ def _solve_jacobi(op_key, rhs, g, dt=None, tol=1e-10, max_iter=100_000, init=Non
     when the residual grows for 100 consecutive steps.
     """
     grid, op, interior, rhs_field, u = _setup(op_key, rhs, g, init)
-    dt = stability_dt(grid, op.center_weight) if dt is None else dt
+    dt = _stability_dt(op_key, grid) if dt is None else dt
     prev_res = math.inf
     growth = 0
     for it in range(1, max_iter + 1):
@@ -119,6 +120,27 @@ def _solve_jacobi(op_key, rhs, g, dt=None, tol=1e-10, max_iter=100_000, init=Non
         prev_res = res
         u[interior] = u[interior] + dt * fld
     raise NotConverged(f"{op_key}: residual {prev_res:.3e} > {tol:.1e} after {max_iter} iterations")
+
+
+def _stability_dt(op_key, grid, safety=0.9):
+    """The damped-Jacobi step bound h^2 / (2 * w), with safety.
+
+    The explicit step u + dt * F_h(u) keeps u(x)'s own coefficient
+    1 - 2 dt sum_theta c_theta / (|theta|^2 h^2) >= 0 when w bounds
+    sum_theta c_theta / |theta|^2 over the directions active at a node:
+    1 for a min or max over single directions (the classical h^2 / 2),
+    and for the frame sums the worst frame's sum of slope / |theta|^2,
+    over p for pfold; the slope is 1 (pfold, slag's arctan) or Lam (pucci).
+    """
+    name, params = bind_key(op_key, DISCRETE_OPERATORS, "discretization")
+    p = params.get("p", grid.d)
+    if name in ("P", "P~", "branch") or p == 1:
+        weight = 1.0
+    else:
+        slope = params.get("Lam", 1.0)
+        weight = max(sum(slope / sum(c * c for c in grid.stencil_dirs[i]) for i in combo)
+                     for combo in grid.orthogonal_tuples(p)) / params.get("p", 1)
+    return safety * grid.h**2 / (2.0 * weight)
 
 
 def _solve_secant(op_key, rhs, g, tol=1e-10, max_iter=500, init=None):
@@ -280,22 +302,28 @@ SOLVER_KEYS = ("P", "P~", "branch:k=2", "pfold:p=2", "slag", "pucci:1,2")
 
 
 def test_linearize_matches_apply():
-    grid = square_grid(17, 0.0, 1.0)
     rng = np.random.default_rng(131)
-    dirs = grid.stencil_dirs
-    for key in SOLVER_KEYS:
-        op = make_discrete_operator(key, grid)
-        for _ in range(5):
-            u = rng.standard_normal(grid.dims)
-            fld, coeffs = op.linearize(u, grid)
-            assert np.array_equal(fld, op.apply(u, grid)), key
-            assert coeffs.shape == (len(dirs),) + fld.shape
-            assert np.all(coeffs >= 0), key
-            diffs = np.stack([
-                second_difference_field(u, s, grid.h, grid.layer_width) for s in dirs
-            ])
-            scale = np.max(np.abs(diffs))
-            assert np.max(np.abs(np.sum(coeffs * diffs, axis=0) - fld)) <= 1e-13 * scale, key
+    for d, side in ((2, 17), (3, 9)):
+        grid = square_grid(side, 0.0, 1.0, d=d)
+        dirs = grid.stencil_dirs
+        # standard-normal states put the second differences near 1/h^2; scaled
+        # by h^2 * {0.1, 1, 10} they are of order 1, where arctan bends
+        for key in _discrete_keys(d):
+            op = make_discrete_operator(key, grid)
+            for size in (1.0, 0.1 * grid.h**2, grid.h**2, 10 * grid.h**2):
+                for _ in range(5):
+                    u = size * rng.standard_normal(grid.dims)
+                    fld, coeffs = op.linearize(u, grid)
+                    assert np.array_equal(fld, op.apply(u, grid)), key
+                    assert coeffs.shape == (len(dirs),) + fld.shape
+                    assert np.all(coeffs >= 0), key
+                    diffs = np.stack([
+                        second_difference_field(u, s, grid.h, grid.layer_width) for s in dirs
+                    ])
+                    scale = np.max(np.abs(diffs))
+                    assert np.max(np.abs(np.sum(coeffs * diffs, axis=0) - fld)) <= 1e-13 * scale, key
+                    if op.tangent is not None:
+                        assert all(np.all(c >= 0) for c in op.tangent(u, grid)[1:]), key
 
 
 @pytest.mark.parametrize("key", SOLVER_KEYS)
@@ -357,8 +385,7 @@ def test_unstable_step_detected():
 
 def test_dt_bound_classical_for_min_operator():
     grid = square_grid(17, 0.0, 1.0)
-    op = make_discrete_operator("P", grid)
-    assert stability_dt(grid, op.center_weight) == pytest.approx(0.45 * grid.h**2)
+    assert _stability_dt("P", grid) == pytest.approx(0.45 * grid.h**2)
 
 
 def test_scheme_monotonicity_all_operators():
@@ -367,22 +394,25 @@ def test_scheme_monotonicity_all_operators():
         assert scheme_monotonicity_probe(key, grid, states=100), key
 
 
-def _first_failing_state(op_key, grid, states, seed=97, bump=1e-6, tol=1e-12):
+def _first_failing_state(op_key, grid, states, seed=97):
     """Reference for scheme_monotonicity_probe: the states one at a time,
-    two whole-grid applies each, as the probe ran before it evaluated
-    blocks. Returns the index of the first failing state, or None."""
+    two whole-grid applies each, with a mask for the bumped node. Returns
+    the index of the first failing state, or None."""
     rng = np.random.default_rng(seed)
-    op = make_discrete_operator(op_key, grid)
-    dt = solver.stability_dt(grid, op.center_weight)
-    interior = grid.interior_slice()
+    op = solver.make_discrete_operator(op_key, grid)
+    bump = solver._PROBE_BUMP
+    slack = solver._PROBE_TOL * bump / grid.h**2
     for i in range(states):
-        u = rng.standard_normal(grid.dims)
+        u = grid.h**2 * rng.standard_normal(grid.dims)
         node = tuple(rng.integers(0, dim) for dim in grid.dims)
-        base = u[interior] + dt * op.apply(u, grid)
+        base = op.apply(u, grid)
         u2 = u.copy()
         u2[node] += bump
-        upd = u2[interior] + dt * op.apply(u2, grid)
-        if float(np.min(upd - base)) < -tol * bump:
+        rise = op.apply(u2, grid) - base
+        bumped = np.zeros(grid.dims, dtype=bool)
+        bumped[node] = True
+        bumped = bumped[grid.interior_slice()]
+        if np.any(rise[~bumped] < -slack) or np.any(rise[bumped] > slack):
             return i
     return None
 
@@ -391,30 +421,74 @@ def _probe_per_state(op_key, grid, states, **kwargs):
     return _first_failing_state(op_key, grid, states, **kwargs) is None
 
 
-PROBE_KEYS = ("P", "P~", "slag", "pucci:1,2", "pfold:p=2")
+def _additive_mutant(eps):
+    """make_discrete_operator with F - eps * D_theta0 for the first stencil
+    direction theta0: its coefficient is -eps at nodes where theta0 is off
+    the active frame."""
+    build = solver.make_discrete_operator
+
+    def mutant(key, g):
+        op = build(key, g)
+        theta0 = g.stencil_dirs[0]
+
+        def apply(values, g):
+            return op.apply(values, g) - eps * second_difference_field(
+                values, theta0, g.h, g.layer_width)
+
+        return dataclasses.replace(op, apply=apply)
+
+    return mutant
+
+
+def _slag_shaped_mutant(a):
+    """make_discrete_operator with slag's frame sum of
+    phi(D) = arctan(D) - a * D / (1 + D^2), whose slope
+    ((1 - a) + (1 + a) D^2) / (1 + D^2)^2 is negative only for
+    |D| < sqrt((a - 1) / (a + 1)): 0.45 at a = 1.5, 0.58 at a = 2."""
+
+    def phi(diffs):
+        return np.arctan(diffs) - a * diffs / (1.0 + diffs * diffs)
+
+    def mutant(key, g):
+        return DiscreteOperator(key, *solver._frame_reduction(g.orthogonal_tuples(g.d), phi=phi))
+
+    return mutant
+
+
+def _assert_probe_is_the_reference(key, grid, passes):
+    for states in (100, 37):
+        got = scheme_monotonicity_probe(key, grid, states=states)
+        assert got == _probe_per_state(key, grid, states), (key, states)
+        assert got == passes, (key, states)
+    first = _first_failing_state(key, grid, 100)
+    if first is not None:
+        # the verdict turns at the reference's first failing state, wherever
+        # it falls in a block
+        assert scheme_monotonicity_probe(key, grid, states=first), key
+        assert not scheme_monotonicity_probe(key, grid, states=first + 1), key
+    assert scheme_monotonicity_probe(key, grid, states=0), key
 
 
 @pytest.mark.parametrize("scale", [1.0, 1.2, 3.0])
 @pytest.mark.parametrize("d", [2, 3])
 def test_probe_matches_the_per_state_reference(monkeypatch, d, scale):
-    # scale > 1 steps past the stability bound, where the explicit update
-    # stops being monotone; slag keeps passing (see the probe's docstring)
+    # every discretization passes; its additive mutant, eps = scale * 1e-3,
+    # fails: one coefficient below 0 is enough
     grid = square_grid(17 if d == 2 else 9, 0.0, 1.0, d=d)
-    bound = solver.stability_dt
-    monkeypatch.setattr(solver, "stability_dt",
-                        lambda g, weight, safety=0.9: scale * bound(g, weight, safety))
-    for key in PROBE_KEYS:
-        for states in (100, 37):
-            got = scheme_monotonicity_probe(key, grid, states=states)
-            assert got == _probe_per_state(key, grid, states), (key, states)
-            assert got == (scale == 1.0 or key == "slag"), (key, states)
-        first = _first_failing_state(key, grid, 100)
-        if first is not None:
-            # the verdict turns at the reference's first failing state, wherever
-            # it falls in a block
-            assert scheme_monotonicity_probe(key, grid, states=first), key
-            assert not scheme_monotonicity_probe(key, grid, states=first + 1), key
-        assert scheme_monotonicity_probe(key, grid, states=0), key
+    for key in _discrete_keys(d):
+        _assert_probe_is_the_reference(key, grid, passes=True)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "make_discrete_operator", _additive_mutant(scale * 1e-3))
+            _assert_probe_is_the_reference(key, grid, passes=False)
+
+
+@pytest.mark.parametrize("a", [1.5, 2.0])
+def test_probe_fails_a_slag_shaped_mutant(monkeypatch, a):
+    # the slope is negative only near D = 0, where the h^2-scaled states put
+    # the second differences (at order 1/h^2 the mutant looks like slag)
+    grid = square_grid(17, 0.0, 1.0)
+    monkeypatch.setattr(solver, "make_discrete_operator", _slag_shaped_mutant(a))
+    _assert_probe_is_the_reference("slag", grid, passes=False)
 
 
 def test_probe_evaluates_the_per_state_draws_in_blocks(monkeypatch):
@@ -438,11 +512,11 @@ def test_probe_evaluates_the_per_state_draws_in_blocks(monkeypatch):
     assert [len(s) for s in stacks] == [16, 16, 16, 16, 5, 5]
     rng = np.random.default_rng(5)
     for i in range(37):
-        u = rng.standard_normal(grid.dims)
+        u = grid.h**2 * rng.standard_normal(grid.dims)
         node = tuple(rng.integers(0, dim) for dim in grid.dims)
         b, k = divmod(i, block)
         assert np.array_equal(stacks[2 * b][k], u), i
-        u[node] += 1e-6
+        u[node] += solver._PROBE_BUMP
         assert np.array_equal(stacks[2 * b + 1][k], u), i
 
 
