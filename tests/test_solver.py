@@ -417,8 +417,8 @@ def _first_failing_state(op_key, grid, states, seed=97):
     return None
 
 
-def _probe_per_state(op_key, grid, states, **kwargs):
-    return _first_failing_state(op_key, grid, states, **kwargs) is None
+def _probe_per_state(op_key, grid, states):
+    return _first_failing_state(op_key, grid, states) is None
 
 
 def _additive_mutant(eps):
