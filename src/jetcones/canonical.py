@@ -44,9 +44,9 @@ SEARCH_RADIUS = 1e6
 # be met below one ulp of t, so tol = 0 would never return.
 MIN_TOL = 4 * np.finfo(float).eps
 # Brent's method takes at most about k**2 steps where bisection takes k
-# (Brent 1973), and k <= 72 for a doubling bracket within SEARCH_RADIUS
-# at tol >= MIN_TOL. Near a multiple root (sigma:k=3 at A = tI) it took
-# 140 steps, past brentq's default limit of 100.
+# (Brent 1973), and k <= 72 for a bracket within SEARCH_RADIUS at
+# tol >= MIN_TOL. Near a multiple root (sigma:k=3 at A = tI) Brent on the
+# whole doubling bracket took 140 steps, past brentq's default limit of 100.
 BRENT_MAX_ITER = 72 ** 2
 
 
@@ -66,17 +66,24 @@ def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
 
     A pure second-order spectral fiber (F.spectrum = f, g = f(r, p,
     lambda(A))) takes one eigen-solve: with lambda the eigenvalues of A,
-    g(A - tI) is f(r, p, lambda - t), and t is Brent's zero of that
-    scalar map on the doubling bracket, within tol * (1 + |t|) of it. For
-    the seven pure second-order spectral catalog cones (P, P~, branch,
-    pfold, sigma, pucci, quasiconvex) f(lambda - t) is strictly positive
-    before the crossing (lambda - t lies in the open cone there) and
-    strictly negative after it, so its only zero is the crossing. The
-    same holds for their duals (duality.dual_oracle), whose f(lambda - t)
-    is negative exactly where the cone's f(t - lambda reversed) is
-    positive. The other spectral fibers may vanish on an interval, like
-    Q's min(-r, lambda_min - t) at r = 0, where Brent could stop
-    anywhere.
+    g(A - tI) is f(r, p, lambda - t). One stacked f call on the ladder of
+    0, the +-doubling points and the eigenvalues brackets the crossing
+    (_ladder_bracket); one secant step on that bracket, certified by a
+    second stacked call, lands within tol * (1 + |t|) of it
+    (_ladder_root), and Brent's zero on the bracket is the fallback where
+    the certificate fails (_spectral_root). For a closed cone with P in F
+    and F missing -Int P the crossing lies in [lambda_1, lambda_n]; for P,
+    P~, branch, pfold, quasiconvex and pucci and their duals f(lambda - t)
+    is linear between consecutive eigenvalues, its kinks sitting at the
+    eigenvalues only, so the secant step is exact up to rounding. For the
+    seven pure second-order spectral catalog cones (P, P~, branch, pfold,
+    sigma, pucci, quasiconvex) f(lambda - t) is strictly positive before
+    the crossing (lambda - t lies in the open cone there) and strictly
+    negative after it, so its only zero is the crossing. The same holds
+    for their duals (duality.dual_oracle), whose f(lambda - t) is negative
+    exactly where the cone's f(t - lambda reversed) is positive. The other
+    spectral fibers may vanish on an interval, like Q's min(-r,
+    lambda_min - t) at r = 0, where a root could land anywhere.
 
     Every other fiber bisects the indicator until the bracket is narrower
     than tol * max(1, |t_lo| + |t_hi|) and returns its midpoint.
@@ -88,8 +95,8 @@ def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
     lam = None if f is None else eigenvalues(J.A)
     side = _doublings(jet_norm(J, lam) + 1.0, SEARCH_RADIUS)
     if f is not None:
-        def member(t):
-            return f(J.r, J.p, lam - np.asarray(t)[..., None]) >= 0.0
+        f = functools.partial(f, J.r, J.p)
+        bracket = _ladder_bracket(f, lam, side)
     else:
         eyeJ = Jet2.from_matrix(SymMat.identity(J.n))
 
@@ -98,15 +105,15 @@ def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
             # bisection target is the exact zero crossing
             return ray_values(F, J, eyeJ, -t) >= 0.0
 
-    start_in = bool(member(0.0))
-    bracket, = crossing_brackets(lambda live, t: member(t),
-                                 [side if start_in else [-u for u in side]], [start_in])
+        start_in = bool(member(0.0))
+        bracket, = crossing_brackets(lambda live, t: member(t),
+                                     [side if start_in else -side], [start_in])
     if bracket is None:
         raise BracketingFailure(
             f"no boundary crossing of {F.label} along I within radius {SEARCH_RADIUS:g}"
         )
     if f is not None:
-        return _spectral_root(functools.partial(f, J.r, J.p), lam, *bracket, tol)
+        return _ladder_root(f, lam, *bracket, tol)
 
     done = functools.partial(_bracket_done, tol=tol)
     if not done(*bracket):
@@ -115,15 +122,52 @@ def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
     return 0.5 * (t_lo + t_hi)
 
 
+def _ladder_bracket(f: Callable, lam: np.ndarray, side: np.ndarray) -> Optional[tuple]:
+    """The first sign change of g(t) = f(lam - t) from g >= 0 to g < 0 on
+    the sorted ladder of 0, +-side and lam, from one stacked f call, as
+    ((keep, g(keep)), (flip, g(flip))). None when side is empty or g keeps
+    one sign on the ladder. Every eigenvalue lies within (-side[0],
+    side[0]), so the ladder spans the doubling walk's reach on both sides
+    of 0, and g, which is >= 0 up to the crossing and < 0 past it, changes
+    sign on the ladder exactly when the walk finds a crossing."""
+    if not side.size:
+        return None
+    ts = np.sort(np.concatenate((-side, [0.0], lam, side)))
+    g = f(lam - ts[:, None])
+    keep = g >= 0.0
+    change = keep[:-1] > keep[1:]
+    i = int(change.argmax())
+    if not change[i]:
+        return None
+    return tuple(zip(ts[i:i + 2].tolist(), g[i:i + 2].tolist()))
+
+
+def _ladder_root(f: Callable, lam: np.ndarray, keep: tuple, flip: tuple, tol: float) -> float:
+    """The crossing of g(t) = f(lam - t) on a ladder bracket from
+    _ladder_bracket: one secant step t on it, returned when one stacked f
+    call certifies g(t - d) >= 0 > g(t + d) for d = tol * (1 + |t|) / 2, so
+    the crossing lies within tol * (1 + |t|) of t. The step is exact up to
+    rounding where g is linear on the bracket. Otherwise Brent's zero on
+    the bracket (_spectral_root)."""
+    (a, ga), (b, gb) = keep, flip
+    t = a + (b - a) * (ga / (ga - gb))
+    d = 0.5 * tol * (1.0 + abs(t))
+    below, above = f(lam - np.array([[t - d], [t + d]])).tolist()
+    if below >= 0.0 and above < 0.0:
+        return t
+    return _spectral_root(f, lam, a, b, tol)
+
+
 def _spectral_root(f: Callable, lam: np.ndarray, keep: float, flip: float, tol: float) -> float:
     """The crossing of g(t) = f(lam - t), which is >= 0 up to it and < 0 past
-    it, given keep (g >= 0) and flip (g < 0): Brent's zero to
-    tol * (1 + |t|), then one secant step on the tightest bracket Brent
-    evaluated. Brent stops on the bracket's width, often next to an
-    inverse-quadratic step through a point beyond a kink of g; the secant
-    step stays inside that bracket and is exact up to rounding wherever g
-    is linear on it (P, P~, branch, quasiconvex, pfold; pucci away from its
-    kinks)."""
+    it, given keep (g >= 0) and flip (g < 0): the fallback of _ladder_root
+    where its certificate fails, as for sigma's curved g, or at tol near
+    MIN_TOL where the rounding of g outgrows the certificate's margin.
+    Brent's zero to tol * (1 + |t|), then one secant step on the
+    tightest bracket Brent evaluated. Brent stops on the bracket's width,
+    often next to an inverse-quadratic step through a point beyond a kink
+    of g; the secant step stays inside that bracket and is exact up to
+    rounding wherever g is linear on it."""
     ends = [None, None]  # the last points evaluated with g >= 0 and with g < 0
 
     def g(t):
@@ -137,13 +181,14 @@ def _spectral_root(f: Callable, lam: np.ndarray, keep: float, flip: float, tol: 
     return a + (b - a) * (ga / (ga - gb))
 
 
-def _doublings(first: float, cap: float) -> list:
-    """first, 2*first, 4*first, ... while at most cap."""
-    out = []
-    while first <= cap:
-        out.append(first)
-        first *= 2.0
-    return out
+def _doublings(first: float, cap: float) -> np.ndarray:
+    """first, 2*first, 4*first, ... while at most cap, for first > 0."""
+    if not first <= cap:
+        return np.empty(0)
+    # first * 2**k is exact, as repeated doubling is, and exceeds cap for
+    # k past the difference of their binary exponents
+    out = np.ldexp(first, np.arange(math.frexp(cap)[1] - math.frexp(first)[1] + 1))
+    return out[out <= cap]
 
 
 def _jet_directions(n: int, count: int, seed: int, arity: Arity) -> list:

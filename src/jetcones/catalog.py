@@ -1032,6 +1032,13 @@ class FiberegReport:
 SHIFT_TOL = 1e-9
 # how far past the boundary shift_to_boundary moves a jet by default
 SHIFT_MARGIN = 1e-6
+# J + t*J0 keeps at most half of J's digits once |t*J0| passes |J| times
+# this: boundary_shifts reports no crossing there. Along a ray on which the
+# functional tends to a constant, its rounding, about eps*|t*J0|, outgrows
+# the functional's own size long before J + t*J0 has lost all of J's
+# digits (at |J|/eps), and the sign flips it places differ between two
+# evaluations of the same functional
+ROUNDING_REACH = 1.0 / math.sqrt(np.finfo(float).eps)
 
 
 def fiber_values(F, points: Optional[list] = None) -> Callable:
@@ -1136,7 +1143,9 @@ def boundary_shifts(F, J: tuple, start_in, J0: Jet2, tol: float = SHIFT_TOL,
     For each row the result is the member end t_in of its crossing along
     J_i + t*J0: doubled outward (t = +-1, +-3, +-7, ...) from t = 0 for
     max_expand steps, then bisected until the bracket is narrower than
-    tol (at most 60 steps). It is None when no crossing is bracketed.
+    tol (at most 60 steps). It is None when no crossing is bracketed, or
+    when |t_in*J0| passes ROUNDING_REACH * max(1, |J_i|), norms taken as
+    max(|r|, |p|_2, |A|_F).
 
     When F has a spectrum f and J0's Hessian is exactly c*I, the search
     solves each jet's eigenvalues lambda once and probes f(r + t*r0,
@@ -1145,6 +1154,8 @@ def boundary_shifts(F, J: tuple, start_in, J0: Jet2, tol: float = SHIFT_TOL,
     rounding of the eigen-solves. Every other search probes the form
     along the ray.
     """
+    reach = ROUNDING_REACH * np.maximum(1.0, _jet_sizes(*J))
+    step = float(_jet_sizes(J0.r, J0.p, J0.A.entries))
     f = None if points is not None else F.spectrum
     c = None if f is None else _scalar_hessian(J0)
     if c is None:
@@ -1164,7 +1175,16 @@ def boundary_shifts(F, J: tuple, start_in, J0: Jet2, tol: float = SHIFT_TOL,
     ts = _doubling_steps(max_expand) * np.where(start_in, -1.0, 1.0)[:, None]
     brackets = crossing_brackets(inside, ts, start_in.tolist(), lambda a, b: abs(a - b) < tol,
                                  max_steps=60)
-    return [None if b is None else b[0] for b in brackets]
+    return [None if b is None or abs(b[0]) * step > cap else b[0]
+            for b, cap in zip(brackets, reach.tolist())]
+
+
+def _jet_sizes(r, p, A):
+    """max(|r|, |p|_2, |A|_F) of each jet of a stack (r[...], p[..., n],
+    A[..., n, n]): within a factor sqrt(n) of the jet norm, without an
+    eigen-solve."""
+    return np.maximum(np.abs(r), np.maximum(np.linalg.norm(p, axis=-1),
+                                            np.linalg.norm(A, axis=(-2, -1))))
 
 
 def _fiber_jet_samples(

@@ -13,6 +13,7 @@ error (a bug: the message is followed by the traceback).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -352,7 +353,10 @@ def cmd_check(args) -> int:
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The jetcones argument parser, built once per process: parse_args
+    leaves it unchanged, and building it costs more than a small command."""
     ap = argparse.ArgumentParser(prog="jetcones", description=__doc__)
     ap.add_argument("--seed", type=int, default=None)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -360,16 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="list or describe catalog entries")
     p.add_argument("action", choices=["list", "describe"])
     p.add_argument("key", nargs="?")
-    p.set_defaults(fn=cmd_catalog)
 
-    for name, fn in (("membership", cmd_membership), ("dual", cmd_dual)):
+    for name in ("membership", "dual"):
         p = sub.add_parser(name)
         p.add_argument("--key", required=True)
         p.add_argument("--matrix")
         p.add_argument("--jet")
         p.add_argument("--at", help="evaluation point for variable fibers, e.g. 0.1,0.2")
         p.add_argument("--tol", type=float, default=cat.DEFAULT_TOL)
-        p.set_defaults(fn=fn)
 
     p = sub.add_parser("canonical")
     p.add_argument("--key", required=True)
@@ -377,20 +379,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jet")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out", help="CSV output path (matrix entries flattened, then value)")
-    p.set_defaults(fn=cmd_canonical)
 
     p = sub.add_parser("garding")
     p.add_argument("--op", required=True)
     p.add_argument("--matrix", required=True)
     p.add_argument("--out", help="CSV output path (inputs flattened, then eigenvalues)")
-    p.set_defaults(fn=cmd_garding)
 
     p = sub.add_parser("distance")
     p.add_argument("--key", required=True)
     p.add_argument("--matrix")
     p.add_argument("--jet")
     p.add_argument("--directions", type=int, default=256)
-    p.set_defaults(fn=cmd_distance)
 
     p = sub.add_parser("pseudoconvex")
     p.add_argument("--domain", required=True, help="domain spec JSON (inline or path)")
@@ -399,16 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--t-cap", type=float, default=1e6)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_pseudoconvex)
 
     p = sub.add_parser("solve")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir")
-    p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("check")
     p.add_argument("suite", choices=list(SUITES))
-    p.set_defaults(fn=cmd_check)
     return ap
 
 
@@ -419,7 +415,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0,) else 0
     try:
-        return args.fn(args)
+        # each subcommand runs cmd_<name>, looked up by name when it runs
+        return globals()[f"cmd_{args.command}"](args)
     except (ParseError, UnknownKey) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -140,14 +140,11 @@ def utp_perturbed_ma(theta: float, n_side: int = 17, seed: int = 113,
     theta_map = perturbed_ma_map(2)
     grid = square_grid(n_side, -1.0, 1.0, d=2)
 
-    def u_fun(x):
-        return -curvature * x[0] ** 4 / 12.0
-
-    u = GridFunction.from_callable(grid, u_fun)
+    # x1^4 by the scalar power of each coordinate, which numpy's array
+    # power can miss by an ulp; |x|^2 by matmul, the arithmetic of x @ x
+    u1 = [-curvature * c ** 4 / 12.0 for c in grid.coords()[0].tolist()]
+    u = GridFunction(grid, np.repeat(np.array(u1)[:, None], grid.dims[1], axis=1))
     K = 2.0 * 2 + 1.0
-
-    def psi_fun(x):
-        return 0.5 * (float(x @ x) - K)
-
-    psi = GridFunction.from_callable(grid, psi_fun)
+    x = np.stack(grid.meshgrid(), axis=-1)
+    psi = GridFunction(grid, 0.5 * ((x[..., None, :] @ x[..., :, None])[..., 0, 0] - K))
     return uniform_translation_probe(u, theta_map, psi, theta, max_shift=max_shift)

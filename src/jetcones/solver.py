@@ -678,10 +678,8 @@ def strict_approximator(M: MonotonicityCone, grid: Grid,
         a = 1.0
     K = (pmax**2 + 2.0 * (M.gamma * pmax + 1.0) / a) + 1.0
 
-    def psi(x):
-        return 0.5 * a * (float(np.sum((x - x0) ** 2)) - K)
-
-    out = GridFunction.from_callable(grid, psi)
+    nodes = np.stack(grid.meshgrid(), axis=-1)
+    out = GridFunction(grid, 0.5 * a * (np.sum((nodes - x0) ** 2, axis=-1) - K))
     # validate strictness of the analytic jets (psi(x), a(x - x0), aI) at
     # every node one layer in, with one batched evaluation
     x = grid.node_points(1)

@@ -5,7 +5,7 @@ import pytest
 
 from jetcones.canonical import canonical_operator
 from jetcones.catalog import make_oracle
-from jetcones.cli import main, solution_csv
+from jetcones.cli import build_parser, main, solution_csv
 from jetcones.grids import GridFunction, square_grid
 from jetcones.jets import random_jet
 
@@ -14,6 +14,30 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_repeated_main_calls_match_fresh_ones(capsys):
+    # main parses with one cached parser; a run of commands in one process
+    # (a usage error among them) prints and exits as with a parser built
+    # fresh for each
+    commands = [
+        ("catalog", "describe", "P"),
+        ("membership", "--key", "P", "--matrix", "[[-1,0],[0,1]]"),
+        ("canonical", "--key", "pucci:1,2", "--matrix", "[[1,0.5],[0.5,-2]]"),
+        ("canonical", "--matrix", "[[1,0],[0,1]]"),
+        ("canonical", "--key", "P", "--matrix", "oops"),
+        ("dual", "--key", "P~", "--matrix", "[[1,0],[0,-3]]"),
+        ("membership", "--key", "P", "--matrix", "[[-1,0],[0,1]]"),
+    ]
+    cached = [run(capsys, *argv) for argv in commands]
+    fresh = []
+    for argv in commands:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 1, 0, 2, 2, 1, 1]
+    assert "the following arguments are required: --key" in cached[3][2]
+    assert build_parser() is build_parser()
 
 
 def test_catalog_list(capsys):

@@ -111,6 +111,22 @@ def test_jet_norm_examples():
     assert jet_norm(Jet2(1.0, [3, 4], SymMat.diag(-7, 2))) == 7.0
 
 
+def test_jet_norm_matches_the_numpy_reductions():
+    # the norm as np.linalg.norm and np.max(np.abs(...)) compute it, to the
+    # bit, with and without the eigenvalues passed in; zero and negative
+    # entries, and scales over 450 decades
+    rng = np.random.default_rng(83)
+    jets = [Jet2.zero(n) for n in (1, 2, 3)]
+    jets += [Jet2(-0.0, [-0.0, 0.0], SymMat.diag(-0.0, 0.0))]
+    jets += [Jet2(rng.standard_normal() * s, rng.standard_normal(n) * s,
+                  random_symmetric(rng, n, s))
+             for n in (1, 2, 3, 5) for s in (1e-300, 1e-3, 1.0, 1e3, 1e150) for _ in range(8)]
+    for J in jets:
+        lam = np.linalg.eigvalsh(J.A.entries)
+        ref = max(abs(J.r), float(np.linalg.norm(J.p)), float(np.max(np.abs(lam))))
+        assert float.hex(jet_norm(J)) == float.hex(jet_norm(J, lam)) == float.hex(ref)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_jet_norm_is_a_norm(seed):

@@ -15,10 +15,12 @@ bit. Probes past the point where such a loop would stop must not warn
 either, so RuntimeWarnings are errors here.
 
 canonical_operator on a pure second-order spectral fiber
-(FiberOracle.spectrum set) finds a root of f(r, p, lambda - t) instead of
-bisecting: it is checked against the closed forms and within the
-reference's final bracket, and the bisection route stays checked bit for
-bit through replace(F, spectrum=None). The duals of the spectral fibers
+(FiberOracle.spectrum set) finds the crossing of f(r, p, lambda - t) on a
+ladder of doubling points and eigenvalues instead of bisecting: it is
+checked against the closed forms, within the reference's final bracket
+and against Brent's zero on the doubling bracket, its f calls are
+counted, and the bisection route stays checked bit for bit through
+replace(F, spectrum=None). The duals of the spectral fibers
 are spectral too. boundary_shifts on a spectral fiber (Q, Q~, M and M0
 as well) along a ray whose Hessian part is c*I probes f(r + t*r0,
 p + t*p0, lambda + t*c) instead of the fiber's values along the ray: it
@@ -26,6 +28,7 @@ is checked against the ray route within tol, and at the seeds of the
 Jet2-route comparisons below it matches them bit for bit as well.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import replace
@@ -33,6 +36,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from jetcones import canonical as canonical_module
+from jetcones import catalog as catalog_module
 from jetcones.boundary import _threshold_done
 from jetcones.canonical import (
     MIN_TOL,
@@ -40,7 +45,9 @@ from jetcones.canonical import (
     _bracket_done,
     _crossing_done,
     _crossings,
+    _doublings,
     _jet_directions,
+    _spectral_root,
     canonical_operator,
     induced_fiber,
     signed_distance,
@@ -49,6 +56,7 @@ from jetcones.catalog import (
     BISECTION_DEPTH,
     DEFAULT_TOL,
     REGISTRY,
+    ROUNDING_REACH,
     SHIFT_TOL,
     Arity,
     Box,
@@ -128,7 +136,19 @@ def ref_canonical_bracket(F, A, tol=1e-10):
     def member(t):
         return F.value(J + (-t) * eyeJ) >= 0.0
 
-    span = jet_norm(J) + 1.0
+    t_lo, t_hi = ref_doubling_bracket(member, jet_norm(J) + 1.0)
+    while abs(t_hi - t_lo) > tol * max(1.0, abs(t_lo) + abs(t_hi)):
+        mid = 0.5 * (t_lo + t_hi)
+        if member(mid):
+            t_lo = mid
+        else:
+            t_hi = mid
+    return t_lo, t_hi
+
+
+def ref_doubling_bracket(member, span):
+    """The bracket (t_lo, t_hi) of the crossing of member, walked from 0 by
+    doubling from span outward on the side member(0) says."""
     t_lo, t_hi = None, None
     if member(0.0):
         t_lo, t = 0.0, span
@@ -148,12 +168,6 @@ def ref_canonical_bracket(F, A, tol=1e-10):
             t *= 2.0
     if t_lo is None or t_hi is None:
         raise BracketingFailure("no crossing")
-    while abs(t_hi - t_lo) > tol * max(1.0, abs(t_lo) + abs(t_hi)):
-        mid = 0.5 * (t_lo + t_hi)
-        if member(mid):
-            t_lo = mid
-        else:
-            t_hi = mid
     return t_lo, t_hi
 
 
@@ -601,6 +615,24 @@ def test_shift_to_boundary_none_within_max_expand(max_expand):
     assert shift_to_boundary(all_jets(2), far, eyeJ, max_expand=max_expand) is None
 
 
+def test_doublings_match_the_doubling_loop():
+    def loop(first, cap):
+        out = []
+        while first <= cap:
+            out.append(first)
+            first *= 2.0
+        return out
+
+    rng = np.random.default_rng(89)
+    cases = [(1.0, SEARCH_RADIUS), (1.0, 1.0), (1.0 + 2**-52, 1.0), (3.0, 3.0 * 2**19),
+             (3.0, np.nextafter(3.0 * 2**19, 0.0)), (math.nan, 1.0), (math.inf, 1.0),
+             (1e-300, 1e300), (5e-324, 1.0), (1.0, 1.7e308)]
+    cases += list(zip(rng.uniform(1e-3, 1e6, 500).tolist(), rng.uniform(0.0, 1e7, 500).tolist()))
+    cases += [(2.0**k * (1.0 + 2**-52), 2.0**j) for k in range(-3, 24) for j in range(-3, 24)]
+    for first, cap in cases:
+        assert _doublings(first, cap).tolist() == loop(first, cap)
+
+
 def test_crossing_at_the_first_doubling_step():
     P = replace(make_oracle("P", 2), spectrum=None)
     # span = 4: A - 4I already leaves P
@@ -731,6 +763,124 @@ def test_spectral_bracketing_failures_like_the_bisection(key, n, closed):
         [False, True, True, False, True]
 
 
+def spectrum_counting(F, calls):
+    """F with its spectrum noting the shape of each eigenvalue stack."""
+    f = F.spectrum
+
+    def spectrum(r, p, lam):
+        calls.append(np.shape(lam))
+        return f(r, p, lam)
+
+    return replace(F, spectrum=spectrum)
+
+
+def spectral_fiber(key, n, dual):
+    F = make_oracle(key, n)
+    return dual_oracle(F) if dual else F
+
+
+def sigma2_root(ev):
+    """The t with sigma_2(ev - t) = 0 and sigma_1(ev - t) >= 0 for three
+    eigenvalues: the smaller root of 3t^2 - 2 s1 t + s2, in the form free
+    of cancellation."""
+    s1, s2 = ev.sum(), ev[0] * ev[1] + ev[0] * ev[2] + ev[1] * ev[2]
+    d = math.sqrt(max(s1 * s1 - 3.0 * s2, 0.0))
+    return (s1 - d) / 3.0 if s1 < 0.0 else s2 / (s1 + d) if s1 + d > 0.0 else 0.0
+
+
+# the families whose f(lambda - t) is linear between consecutive eigenvalues
+PIECEWISE_LINEAR = [c for c in SPECTRAL if c.id != "sigma"]
+DUALS = pytest.mark.parametrize("dual", [False, True], ids=["cone", "dual"])
+
+
+@DUALS
+@pytest.mark.parametrize("key, n, closed", PIECEWISE_LINEAR)
+def test_spectral_canonical_takes_two_spectrum_calls(key, n, closed, dual):
+    # one stacked call on the ladder brackets the crossing, one more
+    # certifies the secant step on it: no Brent on distinct eigenvalues,
+    # over six decades of scale
+    F = spectral_fiber(key, n, dual)
+    for A in spectral_queries(n, 43)[:120]:
+        assert np.all(np.diff(np.linalg.eigvalsh(A.entries)) > 0.0)
+        calls = []
+        got = canonical_operator(spectrum_counting(F, calls), A)
+        assert len(calls) <= 2
+        assert float.hex(got) == float.hex(canonical_operator(F, A))
+
+
+@DUALS
+@pytest.mark.parametrize("key, n, closed", SPECTRAL)
+def test_spectral_canonical_agrees_with_brent_on_the_doubling_bracket(key, n, closed, dual):
+    # the ladder's value against Brent's zero on the doubling bracket,
+    # the spectral route it replaced, within tol * (1 + |t|); and inside the
+    # bisection reference's bracket up to the rounding of its own
+    # eigen-solves of A - tI
+    F = spectral_fiber(key, n, dual)
+    bisect = replace(F, spectrum=None)
+    for tol in (1e-10, 1e-6):
+        for A in spectral_queries(n, 31)[::3]:
+            J = Jet2.from_matrix(A)
+            lam = np.linalg.eigvalsh(A.entries)
+            g = functools.partial(F.spectrum, J.r, J.p)
+            keep, flip = ref_doubling_bracket(lambda t: g(lam - t) >= 0.0, jet_norm(J) + 1.0)
+            brent = _spectral_root(g, lam, keep, flip, tol)
+            got = canonical_operator(F, A, tol=tol)
+            assert abs(got - brent) <= tol * (1.0 + abs(brent))
+            t_lo, t_hi = ref_canonical_bracket(bisect, A, tol)
+            rounding = 1e-13 * max(1.0, abs(got))
+            assert t_lo - rounding <= got <= t_hi + rounding
+
+
+def test_spectral_canonical_falls_back_to_brent(monkeypatch):
+    # sigma's f(lambda - t) is curved, so the secant step on the ladder's
+    # bracket misses the certificate; so does pucci's at MIN_TOL on
+    # matrices of scale 1e3, where the rounding of g outgrows the
+    # certificate's margin. Both take Brent's zero on the ladder's bracket
+    fallbacks = []
+
+    def counted(*args):
+        fallbacks.append(args[2:4])
+        return _spectral_root(*args)
+
+    monkeypatch.setattr(canonical_module, "_spectral_root", counted)
+    sigma = make_oracle("sigma:k=2", 3)
+    for tol in (1e-10, 1e-6, MIN_TOL):
+        for A in spectral_queries(3, 47)[:120]:
+            ev = np.linalg.eigvalsh(A.entries)
+            t = sigma2_root(ev)
+            fallbacks.clear()
+            got = canonical_operator(sigma, A, tol=tol)
+            assert len(fallbacks) == 1
+            keep, flip = fallbacks[0]
+            assert ev[0] <= keep < flip <= ev[-1]
+            assert abs(got - t) <= tol * (1.0 + abs(t)) + 1e-13 * max(1.0, np.abs(ev).max())
+    pucci = make_oracle("pucci:1,2", 2)
+    fallbacks.clear()
+    for A in spectral_queries(2, 29)[80:120]:
+        t = pucci_root(np.linalg.eigvalsh(A.entries), 1.0, 2.0)
+        assert abs(canonical_operator(pucci, A, tol=MIN_TOL) - t) <= 1e-13 * max(1.0, abs(t))
+    assert fallbacks
+
+
+@DUALS
+@pytest.mark.parametrize("key, n, closed", SPECTRAL)
+def test_spectral_canonical_at_a_multiple_eigenvalue(key, n, closed, dual):
+    # at A = sI every eigenvalue is s, a point of the ladder; the crossing
+    # is s for every family but quasiconvex, whose is s + 0.5 (s - 0.5 for
+    # its dual). Rotated, the eigen-solve splits s by rounding
+    F = spectral_fiber(key, n, dual)
+    shift = 0.5 * (-1.0 if dual else 1.0) if key.startswith("quasiconvex") else 0.0
+    q = np.linalg.qr(np.random.default_rng(53).standard_normal((n, n)))[0]
+    for tol in (1e-10, 1e-6, MIN_TOL):
+        for s in (0.0, 1.0, -2.5, 1e-300, 3e5, 1.0 / 3.0):
+            for A in (SymMat(s * np.eye(n)), SymMat(q @ (s * np.eye(n)) @ q.T)):
+                t = s + shift
+                ev = np.linalg.eigvalsh(A.entries)
+                rounding = np.abs(ev - s).max()
+                got = canonical_operator(F, A, tol=tol)
+                assert abs(got - t) <= tol * (1.0 + abs(t)) + n * rounding
+
+
 def test_fibers_off_the_spectral_route_keep_the_bisection():
     for key, n in [("lagrangian", 4), ("failure:alpha=2,which=min", 2)]:
         assert make_oracle(key, n).spectrum is None
@@ -852,8 +1002,8 @@ def test_eigenvalue_shifts_match_the_fan_route(key, n, dual):
     # both searches end within tol of a crossing, and the two crossings
     # differ by the rounding of the eigen-solves. An M fiber shifts along
     # its own interior jet: along another M cone's, its terms -r - gamma|p|
-    # and lambda_1 - |p|/R can tend to constants, and both routes then
-    # report crossings at t ~ 1e15 that only the rounding places
+    # and lambda_1 - |p|/R can tend to constants (see
+    # test_rounding_placed_crossings_are_no_crossings)
     M = monotonicity_cone(key, n) if key.startswith("M:") else None
     jets, margins = shift_queries(n, 53)
     # and jets with p = 0, where M0 (empty interior) has its members
@@ -881,6 +1031,38 @@ def test_eigenvalue_shifts_match_the_fan_route(key, n, dual):
                 assert gap <= (SHIFT_TOL + 1e-12 * (1.0 + jet_norm(L))) * jet_norm(J0)
     # the dual of M0, whose interior is empty, is the whole jet space
     assert crossed or (key, dual) == ("M0", True)
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["F", "dual"])
+def test_rounding_placed_crossings_are_no_crossings(dual, monkeypatch):
+    # M(2, orth:1, 0.5) along the interior jet of M(1, half:e1, 1): its
+    # terms -r - 2|p| and lambda_1 - 2|p| tend to constants, so past
+    # |J|/sqrt(eps) the sign of the functional is the rounding's, and the
+    # two routes placed crossings near t ~ 1e15 apart (or on one route
+    # only). Both report none there now, and agree on the rest
+    F = make_oracle("M:gamma=2,D=orth:1,R=0.5", 2)
+    F = dual_oracle(F) if dual else F
+    fan = replace(F, spectrum=None)
+    J0 = shift_rays(2)[2]
+    jets, _ = shift_queries(2, 53)
+    jets += [Jet2(J.r, np.zeros(2), J.A) for J in jets[:10]]
+    J = stack_jets(jets, 2)
+    for tol in (SHIFT_TOL, 1e-4):
+        fast = boundary_shifts(F, J, None, J0, tol)
+        slow = boundary_shifts(fan, J, None, J0, tol)
+        assert [t is None for t in fast] == [t is None for t in slow]
+        for a, b, K in zip(fast, slow, jets):
+            if a is not None:
+                assert abs(a - b) <= tol + 1e-12 * (1.0 + abs(b))
+                # |A|_F is at most sqrt(2) times the spectral norm in 2-D
+                reach = ROUNDING_REACH * math.sqrt(2.0) * max(1.0, jet_norm(K))
+                assert abs(a) * jet_norm(J0) <= reach
+    # without the reach the routes part
+    monkeypatch.setattr(catalog_module, "ROUNDING_REACH", math.inf)
+    fast = boundary_shifts(F, J, None, J0, SHIFT_TOL)
+    slow = boundary_shifts(fan, J, None, J0, SHIFT_TOL)
+    assert fast != slow
+    assert max(abs(t) for t in fast + slow if t is not None) > 1e14
 
 
 def recording(F, calls, spectrum):

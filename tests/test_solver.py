@@ -764,6 +764,39 @@ def test_zmp_R_finite_dichotomy():
     assert strict_approximator(M, small) is not None
 
 
+@pytest.mark.parametrize("grid", [square_grid(17, -1.0, 1.0), square_grid(12, -0.7, 1.3),
+                                  square_grid(9, -0.3, 0.4, d=3)], ids=["17", "12", "9^3"])
+def test_strict_approximator_matches_the_per_node_quadratic(grid):
+    # psi = (|x - x0|^2 - K) / 2 on the node array, to the bit as the per-node
+    # callable evaluates it (R infinite, full D: x0 the box center, a = 1)
+    gamma = 0.5
+    psi = strict_approximator(MonotonicityCone(gamma, DirectionalCone.full(), math.inf), grid)
+    x0 = 0.5 * (grid.lo + grid.hi)
+    pmax = max(float(np.linalg.norm(c - x0)) for c in solver._box_corners(grid))
+    K = (pmax**2 + 2.0 * (gamma * pmax + 1.0) / 1.0) + 1.0
+    ref = GridFunction.from_callable(
+        grid, lambda x: 0.5 * 1.0 * (float(np.sum((x - x0) ** 2)) - K))
+    assert np.array_equal(psi.values, ref.values)
+
+
+@pytest.mark.parametrize("n_side", [5, 12, 17, 22])
+def test_utp_grid_functions_match_the_per_node_callables(n_side, monkeypatch):
+    # u = -c x1^4 / 12 and psi = (|x|^2 - K) / 2 on the node array, to the bit
+    # as the per-node callables evaluate them; n_side 12 and 22 are sizes where
+    # numpy's array power misses the scalar one
+    seen = []
+    monkeypatch.setattr(solver, "uniform_translation_probe",
+                        lambda u, theta_map, psi, theta, max_shift: seen.append((u, psi)))
+    utp_perturbed_ma(theta=0.1, n_side=n_side, curvature=0.15)
+    (u, psi), = seen
+    grid = square_grid(n_side, -1.0, 1.0, d=2)
+    ref_u = GridFunction.from_callable(grid, lambda x: -0.15 * x[0] ** 4 / 12.0)
+    ref_psi = GridFunction.from_callable(grid, lambda x: 0.5 * (float(x @ x) - 5.0))
+    assert np.array_equal(u.values, ref_u.values)
+    assert np.array_equal(np.signbit(u.values), np.signbit(ref_u.values))
+    assert np.array_equal(psi.values, ref_psi.values)
+
+
 def test_strict_approximator_halfspace_cone():
     M = MonotonicityCone(1.0, DirectionalCone.halfspace([0.0, 1.0]), math.inf)
     grid = square_grid(17, -1.0, 1.0)
