@@ -1196,8 +1196,8 @@ def _fiber_jet_samples(
 ) -> list:
     """Jets in Theta(x) near its boundary, with heavy-tailed Hessians: count
     draws, each shifted to the boundary as shift_to_boundary moves it (all
-    in one lockstep search) and kept when the moved jet is a member."""
-    oracle = theta.fiber_at(x)
+    in one lockstep search on the map's point form) and kept when the
+    moved jet is a member."""
     n = theta.n
     bases = []
     for i in range(count):
@@ -1209,8 +1209,8 @@ def _fiber_jet_samples(
             ))
         else:
             bases.append(random_jet(rng, n, scale=1.5))
-    moved = shift_jets_to_boundary(oracle, bases, J0, [SHIFT_MARGIN] * count,
-                                   member_tol=DEFAULT_TOL)
+    moved = shift_jets_to_boundary(theta, bases, J0, [SHIFT_MARGIN] * count,
+                                   member_tol=DEFAULT_TOL, points=[x] * count)
     return [J for J in moved if J is not None]
 
 
@@ -1231,7 +1231,9 @@ def check_fiberegularity(
     boundary of Theta(x). Anchor points pair with neighbors on a ladder
     of grid distances (1, 2, 4, ... steps plus the diagonals), so the
     smallest violating distance is located relative to the sample
-    resolution; see FiberegReport for the pass semantics.
+    resolution; see FiberegReport for the pass semantics. Each pair
+    takes one form call at y on the anchor's stacked jets plus eta*J0;
+    the jets count as checked up to the first one outside Theta(y).
     """
     omega = omega or theta.domain
     J0 = theta.reference_jet
@@ -1278,14 +1280,17 @@ def check_fiberegularity(
                 pairs.append((ix, jy))
     pairs.sort(key=lambda p: np.linalg.norm(point(p[0]) - point(p[1])))
 
+    shifted = eta * J0
     jet_cache: dict = {}
 
     def jets_at(ix):
+        # the anchor's jets, and their stacks shifted by eta*J0
         if ix not in jet_cache:
-            jet_cache[ix] = _fiber_jet_samples(theta, point(ix), J0, rng, jets_per_point)
+            jets = _fiber_jet_samples(theta, point(ix), J0, rng, jets_per_point)
+            r, p, A = stack_jets(jets, theta.n)
+            jet_cache[ix] = jets, (r + shifted.r, p + shifted.p, A + shifted.A.entries)
         return jet_cache[ix]
 
-    shifted = eta * J0
     delta = omega.diameter
     resolution = math.inf
     witness = None
@@ -1296,20 +1301,18 @@ def check_fiberegularity(
         if witness is not None and dist >= delta:
             break
         resolution = min(resolution, dist)
-        oy = theta.fiber_at(y)
-        bad = None
-        for J in jets_at(ix):
-            jets_checked += 1
-            if not oy.contains(J + shifted, tol):
-                bad = J
-                break
-        if bad is not None and dist < delta:
+        jets, moved = jets_at(ix)
+        if not jets:
+            continue
+        outside = np.flatnonzero(~members(np.asarray(theta.form(y, *moved)), tol))
+        jets_checked += int(outside[0]) + 1 if outside.size else len(jets)
+        if outside.size and dist < delta:
             delta = dist
             witness = {
                 "x": x.tolist(),
                 "y": y.tolist(),
                 "distance": dist,
-                "jet": bad.to_json_dict(),
+                "jet": jets[outside[0]].to_json_dict(),
             }
     return FiberegReport(
         eta=eta,

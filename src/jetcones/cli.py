@@ -311,19 +311,19 @@ def cmd_solve(args) -> int:
     config = _read_solve_config(args.config)
     d = int(config.get("dim", 2))
     grid = square_grid(config["n_side"], config["box"][0], config["box"][1], d=d)
-    bexpr = compile_expression(config["boundary"])
     mesh = grid.meshgrid()
-    g = GridFunction(grid, np.asarray(bexpr(mesh), dtype=float) * np.ones(grid.dims))
-    rhs = config.get("level", 0.0)
-    if isinstance(rhs, str):
-        rhs_fn = compile_expression(rhs)
-        rhs_val = lambda x: float(rhs_fn(list(x)))
-    else:
-        rhs_val = float(rhs)
+
+    def on_mesh(text):
+        # an expression's node values, one vectorized evaluation on the mesh
+        return np.asarray(compile_expression(text)(mesh), dtype=float) * np.ones(grid.dims)
+
+    g = GridFunction(grid, on_mesh(config["boundary"]))
+    level = config.get("level", 0.0)
+    rhs = on_mesh(level) if isinstance(level, str) else float(level)
     init = np.zeros(grid.dims) if config.get("init") == "zero" else None
     limits = {"max_iter": int(config["max_iter"])} if "max_iter" in config else {}
     u, report = solve_dirichlet(
-        config["operator"], rhs_val, g, tol=config.get("tol", 1e-10), init=init, **limits,
+        config["operator"], rhs, g, tol=config.get("tol", 1e-10), init=init, **limits,
     )
     outdir = Path(args.out_dir or ".")
     outdir.mkdir(parents=True, exist_ok=True)

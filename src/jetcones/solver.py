@@ -253,19 +253,21 @@ def stencil_bias(grid: Grid, op_key: str, rng: np.random.Generator,
     are concave, and a frame's diagonal is majorized by the eigenvalues
     (Schur-Horn), so no frame does better.
     """
+    op = make_discrete_operator(op_key, grid)
     name, params = bind_key(op_key, DISCRETE_OPERATORS, "discretization")
-    op = DiscreteOperator(op_key, *DISCRETE_OPERATORS[name].build(grid, **params))
     if name == "slag":
         # the catalog's slag is a variable fiber map, with no spectrum
         def target(ev):
             return np.sum(np.arctan(ev))
     else:
         target = functools.partial(make_oracle(op_key, grid.d).spectrum, 0.0, 0.0)
+    # x.Bx / 2 on the node array by matmul, the arithmetic of x @ B @ x at a node
+    x = np.stack(grid.meshgrid(), axis=-1)
     worst = 0.0
     for _ in range(trials):
         B = random_symmetric(rng, grid.d)
-        u = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ B.entries @ x))
-        fld = op.apply(u.values, grid)
+        u = 0.5 * (x[..., None, :] @ B.entries @ x[..., :, None])[..., 0, 0]
+        fld = op.apply(u, grid)
         value = float(target(np.linalg.eigvalsh(B.entries))) / params.get("p", 1)
         worst = max(worst, float(np.max(np.abs(fld - value))))
     return worst
@@ -293,18 +295,6 @@ class SolveReport:
     factorizations: int
     newton_steps: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "operator": self.operator,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "residual_history": self.residual_history,
-            "stop_reason": self.stop_reason,
-            "residual_floor": self.residual_floor,
-            "factorizations": self.factorizations,
-            "newton_steps": self.newton_steps,
-        }
-
 
 # A residual within FLOOR_BAND * residual_floor that has not improved for
 # STALL_STEPS steps is at the floor: further steps only redraw roundoff.
@@ -316,10 +306,8 @@ def _setup(op_key, rhs, g: GridFunction, init) -> tuple:
     grid = g.grid
     op = make_discrete_operator(op_key, grid)
     interior = grid.interior_slice()
-    if callable(rhs):
-        mesh = grid.meshgrid()
-        pts = np.stack(mesh, axis=-1)
-        rhs_field = np.apply_along_axis(lambda x: float(rhs(x)), -1, pts)[interior]
+    if np.ndim(rhs):
+        rhs_field = np.asarray(rhs, dtype=float).reshape(grid.dims)[interior]
     else:
         rhs_field = float(rhs)
     u = g.values.copy()
@@ -364,7 +352,7 @@ def _frozen_matrix(coeffs: np.ndarray, grid: Grid):
 
 def solve_dirichlet(
     op_key: str,
-    rhs: Union[float, Callable[[np.ndarray], float]],
+    rhs: Union[float, np.ndarray],
     g: GridFunction,
     tol: float = 1e-10,
     max_iter: int = 500,
@@ -372,8 +360,10 @@ def solve_dirichlet(
 ) -> tuple:
     """Solve F_h(u) = rhs with boundary data g by frozen-coefficient steps.
 
-    rhs is a constant level or a source field psi(x). The iteration
-    starts from g's values unless init supplies an interior guess. Each
+    rhs is a constant level or the source field psi as node values of
+    shape grid.dims, evaluated on the mesh as g's values are; only its
+    interior nodes are read, as for init. The iteration starts from
+    g's values unless init supplies an interior guess. Each
     step linearizes F_h at u on the active frame and stops when
     max|F_h(u) - psi| <= tol. Otherwise it solves the sparse M-matrix
     system J du = F_h(u) - psi and sets u <- u - du: a policy step for
@@ -627,8 +617,7 @@ def comparison_experiment(
     return Verdict(ok=True, margin=worst)
 
 
-def strict_approximator(M: MonotonicityCone, grid: Grid,
-                        margin_target: float = 1e-3) -> Optional[GridFunction]:
+def strict_approximator(M: MonotonicityCone, grid: Grid) -> Optional[GridFunction]:
     """A strictly M-subharmonic quadratic on the grid box, when one exists.
 
     The dichotomy: R infinite admits psi on every bounded box; R finite
@@ -667,25 +656,21 @@ def strict_approximator(M: MonotonicityCone, grid: Grid,
                     break
             if x0 is None:
                 return None
-    # psi = a(|x - x0|^2 - K)/2 with a, K making every jet interior
+    # psi = (|x - x0|^2 - K)/2 with K making every jet interior; its
+    # gradient x - x0 must stay inside the radius-R ball
     pmax = max(float(np.linalg.norm(c - x0)) for c in corners)
-    if math.isinf(M.R):
-        a = 1.0
-    else:
-        # need a > a * pmax / R, i.e. pmax < R; scale for margin
-        if pmax >= M.R * (1 - 1e-9):
-            return None
-        a = 1.0
-    K = (pmax**2 + 2.0 * (M.gamma * pmax + 1.0) / a) + 1.0
+    if pmax >= M.R * (1 - 1e-9):
+        return None
+    K = (pmax**2 + 2.0 * (M.gamma * pmax + 1.0)) + 1.0
 
     nodes = np.stack(grid.meshgrid(), axis=-1)
-    out = GridFunction(grid, 0.5 * a * (np.sum((nodes - x0) ** 2, axis=-1) - K))
-    # validate strictness of the analytic jets (psi(x), a(x - x0), aI) at
+    out = GridFunction(grid, 0.5 * (np.sum((nodes - x0) ** 2, axis=-1) - K))
+    # validate strictness of the analytic jets (psi(x), x - x0, I) at
     # every node one layer in, with one batched evaluation
     x = grid.node_points(1)
-    r = 0.5 * a * (np.sum((x - x0) ** 2, axis=-1) - K)
-    A = np.broadcast_to(a * np.eye(n), r.shape + (n, n))
-    if not np.all(cone_M(M, n).values(r, a * (x - x0), A) > DEFAULT_TOL):
+    r = 0.5 * (np.sum((x - x0) ** 2, axis=-1) - K)
+    A = np.broadcast_to(np.eye(n), r.shape + (n, n))
+    if not np.all(cone_M(M, n).values(r, x - x0, A) > DEFAULT_TOL):
         return None
     return out
 

@@ -6,8 +6,10 @@ import pytest
 from jetcones.canonical import canonical_operator
 from jetcones.catalog import make_oracle
 from jetcones.cli import build_parser, main, solution_csv
+from jetcones.exprs import compile_expression
 from jetcones.grids import GridFunction, square_grid
 from jetcones.jets import random_jet
+from jetcones.solver import solve_dirichlet
 
 
 def run(capsys, *argv):
@@ -235,6 +237,38 @@ def test_solve_is_deterministic(tmp_path, capsys, operator):
         solutions.append((out_dir / "solution.csv").read_bytes())
     assert texts[0] == texts[1]
     assert solutions[0] == solutions[1]
+
+
+def _solve_files(tmp_path, capsys, name, **changes):
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(dict(SOLVE_CONFIG, init="zero", tol=1e-9, **changes)))
+    out_dir = tmp_path / name
+    code, _, _ = run(capsys, "solve", "--config", str(cfg), "--out-dir", str(out_dir))
+    assert code == 0
+    return [(out_dir / f).read_bytes() for f in ("solution.csv", "solve.json")]
+
+
+def test_solve_constant_level_expression_is_the_number(tmp_path, capsys):
+    assert (_solve_files(tmp_path, capsys, "text", level="1 + 0*x1")
+            == _solve_files(tmp_path, capsys, "number", level=1.0))
+
+
+def test_solve_level_expression_is_evaluated_on_the_mesh(tmp_path, capsys):
+    # an x-dependent source psi: the CLI evaluates it on the mesh, as the
+    # boundary, and solves with those node values
+    level = "1 + 0.5*x1*x2^2 - max(x1, 0.4) + 0.2*abs(x2 - 0.3) + min(x1, x2)"
+    csv, _ = _solve_files(tmp_path, capsys, "field", level=level)
+    grid = square_grid(17, 0.0, 1.0)
+    mesh = grid.meshgrid()
+    f = compile_expression(level)
+    psi = f(mesh)
+    # the whole-mesh evaluation is the per-node one, bit for bit
+    per_node = [float(f(list(x))) for x in np.stack(mesh, axis=-1).reshape(-1, 2)]
+    assert psi.ravel().tolist() == per_node
+    g = GridFunction(grid, compile_expression(SOLVE_CONFIG["boundary"])(mesh))
+    u, _ = solve_dirichlet("P", psi, g, tol=1e-9, init=np.zeros(grid.dims))
+    assert csv.decode() == solution_csv(u)
+    assert csv != _solve_files(tmp_path, capsys, "number", level=1.0)[0]
 
 
 def test_solve_not_converged_exit_4(tmp_path, capsys):

@@ -121,6 +121,31 @@ def test_non_hyperbolic_negative_control():
         verify_hyperbolic(bad, samples=100)
 
 
+def test_hyperbolicity_check_samples_F_not_its_exact_eigenvalues():
+    # exact_eigenvalues that are real by construction say nothing about F:
+    # the check must sample s -> F(A + sI) and reject the bad polynomial
+    bad = GardingOperator(
+        label="bad-with-exact", n=3, degree=2,
+        eval_matrix=lambda a: float(np.trace(a @ a) - 0.05 * np.trace(a) ** 2),
+        exact_eigenvalues=lambda a: np.linalg.eigvalsh(a)[:2],
+    )
+    cert, witnesses = hyperbolicity_check(bad, samples=100, seed=44)
+    assert not cert.passed and cert.worst_residue > 0
+    assert witnesses
+    with pytest.raises(NonRealRoots):
+        verify_hyperbolic(bad, samples=100)
+    assert bad.certificate is None
+
+
+@pytest.mark.parametrize("key, n", [("det", 3), ("det", 2), ("pfold:p=2", 4),
+                                    ("delta-elliptic", 3), ("sigma:k=2", 3), ("sigma:k=3", 3),
+                                    ("sigma:k=2", 4), ("lagrangian-ma", 4),
+                                    ("pucci-garding:1,2", 3)])
+def test_builtin_operators_pass_the_sampled_check_of_F(key, n):
+    cert, witnesses = hyperbolicity_check(make_operator(key, n), samples=200, seed=41)
+    assert cert.passed and not witnesses
+
+
 def test_certificate_cached():
     op = verify_hyperbolic(det_operator(3), samples=50)
     assert op.certificate is not None

@@ -64,9 +64,11 @@ from jetcones.catalog import (
     DirectionalCone,
     FiberOracle,
     MonotonicityCone,
+    FiberegReport,
     VariableFiberMap,
     _fiber_jet_samples,
     bind_key,
+    check_fiberegularity,
     bisect_brackets,
     boundary_shifts,
     cone_M,
@@ -76,6 +78,7 @@ from jetcones.catalog import (
     make_oracle,
     parse_directional_cone,
     ray_values,
+    reduced_cone,
     shift_jets_to_boundary,
     shift_to_boundary,
 )
@@ -548,6 +551,76 @@ def test_fiber_jet_samples_match_the_per_jet_loop(key):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         seen.add(len(got))
     assert seen != {0}
+
+
+def ref_check_fiberegularity(theta, M, eta, seed, grid_per_side=16, anchors=120,
+                             jets_per_point=12, tol=DEFAULT_TOL):
+    """check_fiberegularity by the per-point route: each anchor's jets shift
+    in the fiber_at(x) oracle, and each pair builds fiber_at(y) and tests
+    its jets one contains call at a time."""
+    J0, omega, d = theta.reference_jet, theta.domain, theta.domain.dim
+    assert reduced_cone(M, theta.n, theta.arity).classify(J0, tol).is_interior
+    rng = np.random.default_rng(seed)
+    axes = [np.linspace(omega.lo[i], omega.hi[i], grid_per_side) for i in range(d)]
+    idx_all = list(np.ndindex(*(grid_per_side,) * d))
+    if len(idx_all) > anchors:
+        idx_all = [idx_all[s] for s in rng.choice(len(idx_all), size=anchors, replace=False)]
+
+    def point(ix):
+        return np.array([axes[k][ix[k]] for k in range(d)])
+
+    offsets = [tuple(int(k == j) for j in range(d)) for k in range(d)] + [(1,) * d]
+    step = 2
+    while step < grid_per_side:
+        offsets += [(step,) + (0,) * (d - 1), (step,) * d]
+        step *= 2
+    pairs = [(ix, tuple(i + o for i, o in zip(ix, off))) for ix in idx_all for off in offsets
+             if all(0 <= i + o < grid_per_side for i, o in zip(ix, off))]
+    pairs.sort(key=lambda p: np.linalg.norm(point(p[0]) - point(p[1])))
+    cache = {}
+
+    def jets_at(ix):
+        if ix not in cache:
+            n, bases = theta.n, []
+            for i in range(jets_per_point):
+                bases.append(Jet2(rng.standard_normal(), rng.standard_normal(n),
+                                  heavy_tail_symmetric(rng, n)) if i % 2 == 0
+                             else random_jet(rng, n, scale=1.5))
+            moved = shift_jets_to_boundary(theta.fiber_at(point(ix)), bases, J0,
+                                           [1e-6] * jets_per_point, member_tol=DEFAULT_TOL)
+            cache[ix] = [J for J in moved if J is not None]
+        return cache[ix]
+
+    shifted, delta, resolution, witness, checked = eta * J0, omega.diameter, math.inf, None, 0
+    for ix, jy in pairs:
+        x, y = point(ix), point(jy)
+        dist = float(np.linalg.norm(x - y))
+        if witness is not None and dist >= delta:
+            break
+        resolution = min(resolution, dist)
+        oy, bad = theta.fiber_at(y), None
+        for J in jets_at(ix):
+            checked += 1
+            if not oy.contains(J + shifted, tol):
+                bad = J
+                break
+        if bad is not None and dist < delta:
+            delta = dist
+            witness = {"x": x.tolist(), "y": y.tolist(), "distance": dist,
+                       "jet": bad.to_json_dict()}
+    return FiberegReport(eta, delta, resolution if math.isfinite(resolution) else omega.diameter,
+                         omega.diameter, len(pairs), checked, witness)
+
+
+@pytest.mark.parametrize("key", ["pma", "slag", "affine-sphere", "ot"])
+def test_fiberegularity_matches_the_per_point_route(key):
+    theta = make_oracle(key, 2)
+    for eta, seed in ((0.1, 11), (0.0, 3), (1e-3, 5)):
+        got = check_fiberegularity(theta, theta.monotonicity, eta=eta, seed=seed, anchors=40)
+        ref = ref_check_fiberegularity(theta, theta.monotonicity, eta, seed, anchors=40)
+        assert got == ref
+        # the first three maps stop at a witness, ot scans every pair
+        assert (got.witness is None) == (key == "ot")
 
 
 def hex_or_none(s):

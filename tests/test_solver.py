@@ -91,8 +91,22 @@ def test_solve_phase_operator_constant_phase():
 def test_solve_with_source_field():
     grid = square_grid(25, 0.0, 1.0)
     g = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
-    u, rep = solve_dirichlet("P", lambda x: 1.0, g, tol=1e-9)
+    u, rep = solve_dirichlet("P", np.ones(grid.dims), g, tol=1e-9)
     assert np.max(np.abs(u.values - g.values)) < 1e-6
+
+
+def test_source_field_reads_only_its_interior_nodes():
+    # psi as node values: the boundary layer's entries are never read, and
+    # a field of the constant level is the constant, bit for bit
+    grid = square_grid(17, 0.0, 1.0)
+    g = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
+    zeros = np.zeros(grid.dims)
+    psi = np.full(grid.dims, 1.0)
+    psi[~grid.interior_mask()] = np.nan
+    u, rep = solve_dirichlet("P", psi, g, tol=1e-9, init=zeros)
+    ref, ref_rep = solve_dirichlet("P", 1.0, g, tol=1e-9, init=zeros)
+    assert np.array_equal(u.values, ref.values)
+    assert rep.residual_history == ref_rep.residual_history
 
 
 def _solve_jacobi(op_key, rhs, g, dt=None, tol=1e-10, max_iter=100_000, init=None):
@@ -281,13 +295,12 @@ def test_solve_report_json_fields():
     grid = square_grid(17, 0.0, 1.0)
     g = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
     _, rep = solve_dirichlet("P", 1.0, g, tol=1e-9, init=np.zeros(grid.dims))
-    payload = rep.to_json_dict()
-    assert payload["stop_reason"] == "tol"
+    assert rep.stop_reason == "tol"
     floor = np.finfo(float).eps * np.max(np.abs(g.values)) / grid.h**2
-    assert payload["residual_floor"] == pytest.approx(floor)
-    assert payload["iterations"] == len(payload["residual_history"]) == 2
-    assert payload["factorizations"] == 1
-    assert payload["newton_steps"] == 0
+    assert rep.residual_floor == pytest.approx(floor)
+    assert rep.iterations == len(rep.residual_history) == 2
+    assert rep.factorizations == 1
+    assert rep.newton_steps == 0
 
 
 @pytest.mark.parametrize("key, level", [("P", 1.0), ("pucci:1,2", 2.0)])
@@ -558,6 +571,25 @@ def test_stencil_bias_of_every_discrete_key(d, side):
     for a, b in (("branch:k=1", "P"), (f"branch:k={d}", "P~")):
         assert (stencil_bias(grid, a, np.random.default_rng(5), trials=10)
                 == stencil_bias(grid, b, np.random.default_rng(5), trials=10) > 0)
+
+
+@pytest.mark.parametrize("d, side", [(2, 17), (3, 9)])
+def test_stencil_bias_matches_the_per_node_quadratics(d, side):
+    # the reference builds each trial quadratic node by node with
+    # GridFunction.from_callable; stencil_bias builds it on the node array
+    grid = square_grid(side, 0.0, 1.0, d=d)
+    for key in _discrete_keys(d):
+        name, params = solver.bind_key(key, DISCRETE_OPERATORS, "discretization")
+        op = make_discrete_operator(key, grid)
+        rng, worst = np.random.default_rng(7), 0.0
+        for _ in range(10):
+            B = random_symmetric(rng, d)
+            u = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ B.entries @ x))
+            ev = np.linalg.eigvalsh(B.entries)
+            target = (np.sum(np.arctan(ev)) if name == "slag"
+                      else make_oracle(key, d).spectrum(0.0, 0.0, ev) / params.get("p", 1))
+            worst = max(worst, float(np.max(np.abs(op.apply(u.values, grid) - float(target)))))
+        assert stencil_bias(grid, key, np.random.default_rng(7), trials=10) == worst, key
 
 
 def test_bias_targets_are_exact_on_the_stencil_frame():
