@@ -24,6 +24,7 @@ from scipy.optimize import brentq
 from .catalog import (
     Arity,
     DEFAULT_TOL,
+    SHIFT_MARGIN,
     FiberOracle,
     MonotonicityCone,
     RegionKind,
@@ -31,12 +32,24 @@ from .catalog import (
     cone_M,
     crossing_brackets,
     fan_values,
+    members,
     per_jet_form,
     ray_values,
+    shift_jets_to_boundary,
 )
 from .duality import CheckReport
 from .errors import BadParameters, BracketingFailure, ReferenceJetNotInterior
-from .jets import Jet2, SymMat, eigenvalues, jet_norm, random_jet, random_psd, stack_jets
+from .jets import (
+    Jet2,
+    SymMat,
+    eigenvalues,
+    jet_norm,
+    random_jet,
+    random_jets,
+    random_psd,
+    stack_jets,
+    unstack_jets,
+)
 
 SEARCH_RADIUS = 1e6
 # The smallest tol canonical_operator takes: Brent's relative-tolerance
@@ -489,25 +502,34 @@ def check_strict_M_monotone(
     seed: int = 71,
     tol: float = 1e-12,
 ) -> CheckReport:
-    """Sampled strict monotonicity op(J + t*J0) > op(J) on members, t in (0, 1]."""
+    """Sampled strict monotonicity op(J + t*J0) > op(J) on members, t in (0, 1].
+
+    The whole sample is drawn first: the jets (one random_jets block,
+    scale 1.5), then one uniform block of t in [1e-3, 1). One values call
+    classifies the jets; those outside F move along J0 onto its boundary
+    and SHIFT_MARGIN past it in one lockstep search
+    (shift_jets_to_boundary), and a sample whose moved jet is not a
+    member is dropped. op takes one jet, so it runs jet by jet.
+    """
     n = F.n
     J0 = J0 if J0 is not None else M.interior_jet(n)
     if not cone_M(M, n).classify(J0).is_interior:
         raise ReferenceJetNotInterior("J0 must lie in the interior of M")
     rng = np.random.default_rng(seed)
+    r, p, A = random_jets(rng, n, samples, scale=1.5)
+    ts = rng.uniform(1e-3, 1.0, samples).tolist()
+    jets = unstack_jets(r, p, A)
+    outside = np.flatnonzero(~members(F.values(r, p, A))).tolist()
+    moved = shift_jets_to_boundary(F, [jets[i] for i in outside], J0,
+                                   [SHIFT_MARGIN] * len(outside), member_tol=DEFAULT_TOL)
+    for i, K in zip(outside, moved):
+        jets[i] = K
     rep = CheckReport(name="strict-M-monotone", seed=seed)
-    from .catalog import shift_to_boundary
-
-    for _ in range(samples):
-        J = random_jet(rng, n, scale=1.5)
-        if not F.contains(J):
-            J = shift_to_boundary(F, J, J0)
-            if J is None or not F.contains(J):
-                continue
-        t = rng.uniform(1e-3, 1.0)
-        gain = op(J + t * J0) - op(J)
-        ok = gain > tol
-        rep.record(ok, gain, None if ok else J)
+    for J, t in zip(jets, ts):
+        if J is not None:
+            gain = op(J + t * J0) - op(J)
+            ok = gain > tol
+            rep.record(ok, gain, None if ok else J)
     return rep
 
 

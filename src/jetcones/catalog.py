@@ -204,15 +204,20 @@ def ray_values(oracle: FiberOracle, J: Jet2, U: Jet2, t):
 
 
 def fan_values(values: Callable, J: tuple, U: tuple, t):
-    """values(J + t*U) for stacks of jets J and directions U, each given as
-    parts (r[...], ...) with leading axes that broadcast against t's, as
-    (r, p[..., n], A[..., n, n]) or the spectral (r, p, lam[..., n]); t
-    gets one trailing axis per axis a part of J has past r's. values maps
-    such a stack to g[...]."""
+    """values(J + t*U) (see jets_along); values maps a stack of jets to
+    g[...]."""
+    return values(*jets_along(J, U, t))
+
+
+def jets_along(J: tuple, U: tuple, t) -> tuple:
+    """The parts of J + t*U, with the float operations of Jet2 arithmetic,
+    for stacks of jets J and directions U, each given as parts (r[...],
+    ...) with leading axes that broadcast against t's, as (r, p[..., n],
+    A[..., n, n]) or the spectral (r, p, lam[..., n]); t gets one trailing
+    axis per axis a part of J has past r's."""
     t = np.asarray(t, dtype=float)
     lead = np.ndim(J[0])
-    return values(*(a + t.reshape(t.shape + (1,) * (np.ndim(a) - lead)) * u
-                    for a, u in zip(J, U)))
+    return tuple(a + t.reshape(t.shape + (1,) * (np.ndim(a) - lead)) * u for a, u in zip(J, U))
 
 
 # Levels of each bracket's bisection tree evaluated per keeps call (and
@@ -1080,35 +1085,42 @@ def shift_jets_to_boundary(F, jets: list, J0: Jet2, margins, start_in=None,
                            member_tol: Optional[float] = None,
                            points: Optional[list] = None) -> list:
     """shift_to_boundary for a list of jets in one lockstep search
-    (boundary_shifts): jets[i] moves along J0 onto the boundary, then
-    margins[i] past it, K + (t + margins[i]) * J0, or is None when no
-    crossing is bracketed.
-
-    F is a FiberOracle, or a VariableFiberMap with jets[i] in the fiber
-    at points[i]; start_in holds each jet's membership under tol (found
-    by the search when None). The moved jets are computed on stacks with
-    the float operations of Jet2 arithmetic. With member_tol, a moved
-    jet that is not a member under member_tol becomes None, all tested
-    in one values call; a Jet2 is built only for each jet kept.
-    """
+    (shift_stack_to_boundary): jets[i] moves along J0 onto the boundary,
+    then margins[i] past it, or is None when no crossing is bracketed or,
+    with member_tol, when the moved jet is not a member under member_tol.
+    A Jet2 is built only for each jet kept."""
     out = [None] * len(jets)
-    if not jets:
-        return out
-    J = stack_jets(jets, J0.n)
-    t_in = boundary_shifts(F, J, start_in, J0, tol, max_expand, points)
-    rows = np.array([i for i, t in enumerate(t_in) if t is not None], dtype=int)
-    if not rows.size:
-        return out
-    s = np.array([t_in[i] for i in rows]) + np.asarray(margins, dtype=float)[rows]
-    moved = (take_rows(J[0], rows) + s * J0.r,
-             take_rows(J[1], rows) + s[:, None] * J0.p,
-             take_rows(J[2], rows) + s[:, None, None] * J0.A.entries)
-    kept = np.arange(len(rows))
-    if member_tol is not None:
-        kept = kept[members(fiber_values(F, points)(rows, *moved), member_tol)]
-    for i, K in zip(rows[kept].tolist(), unstack_jets(*(take_rows(a, kept) for a in moved))):
+    rows, moved = shift_stack_to_boundary(F, stack_jets(jets, J0.n), J0, margins, start_in,
+                                          tol, max_expand, member_tol, points)
+    for i, K in zip(rows.tolist(), unstack_jets(*moved)):
         out[i] = K
     return out
+
+
+def shift_stack_to_boundary(F, J: tuple, J0: Jet2, margins, start_in=None,
+                            tol: float = SHIFT_TOL, max_expand: int = 60,
+                            member_tol: Optional[float] = None,
+                            points: Optional[list] = None) -> tuple:
+    """shift_to_boundary for a stack of jets J = (r[N], p[N, n], A[N, n, n])
+    in one lockstep search (boundary_shifts): row i moves along J0 onto
+    the boundary, then margins[i] past it, J_i + (t + margins[i]) * J0,
+    with the float operations of Jet2 arithmetic.
+
+    F is a FiberOracle, or a VariableFiberMap with row i in the fiber at
+    points[i]; start_in holds each row's membership under tol (found by
+    the search when None). Returns the rows whose crossing is bracketed,
+    ascending, and their moved jets as stacks; with member_tol, only the
+    rows whose moved jet is a member under member_tol, all tested in one
+    values call.
+    """
+    t_in = boundary_shifts(F, J, start_in, J0, tol, max_expand, points) if len(J[0]) else []
+    rows = np.array([i for i, t in enumerate(t_in) if t is not None], dtype=int)
+    s = np.array([t for t in t_in if t is not None]) + np.asarray(margins, dtype=float)[rows]
+    moved = jets_along(tuple(take_rows(a, rows) for a in J), (J0.r, J0.p, J0.A.entries), s)
+    if member_tol is not None and rows.size:
+        kept = members(fiber_values(F, points)(rows, *moved), member_tol)
+        rows, moved = rows[kept], tuple(a[kept] for a in moved)
+    return rows, moved
 
 
 @functools.lru_cache(maxsize=8)

@@ -294,6 +294,16 @@ def random_jet(rng: np.random.Generator, n: int, scale: float = 1.0) -> Jet2:
     )
 
 
+def random_jets(rng: np.random.Generator, n: int, count: int, scale=1.0) -> tuple:
+    """The jets of count random_jet draws as stacks (r, p, A), bit for bit:
+    one standard_normal block, sliced in random_jet's order (r, then p,
+    then the square that A symmetrizes). scale is a number or one per
+    jet, scale[count]."""
+    x = rng.standard_normal((count, 1 + n + n * n)) * np.asarray(scale, dtype=float)[..., None]
+    g = x[:, 1 + n:].reshape(count, n, n)
+    return x[:, 0], x[:, 1:1 + n], 0.5 * (g + g.swapaxes(-1, -2))
+
+
 def heavy_tail_symmetric(rng: np.random.Generator, n: int, angle_margin: float = 0.05) -> SymMat:
     """Random symmetric matrix with tan-distributed eigenvalues.
 

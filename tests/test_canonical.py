@@ -19,6 +19,7 @@ from jetcones.canonical import (
 from jetcones.catalog import (
     Arity,
     DirectionalCone,
+    FiberOracle,
     MonotonicityCone,
     check_negativity,
     check_positivity,
@@ -26,10 +27,12 @@ from jetcones.catalog import (
     cone_pfold,
     cone_pucci,
     cone_Q,
+    shift_to_boundary,
 )
+from jetcones.duality import CheckReport
 from jetcones.errors import BoundaryNode, BracketingFailure
 from jetcones.grids import GridFunction, square_grid
-from jetcones.jets import Jet2, SymMat, random_psd, random_symmetric
+from jetcones.jets import Jet2, SymMat, random_jet, random_psd, random_symmetric
 
 M_A_PART = MonotonicityCone(0.0, DirectionalCone.full(), math.inf)
 
@@ -221,13 +224,96 @@ def test_tameness_det_on_P_and_constant_control():
     assert not rep2.ok
 
 
+def slag_op(a):
+    return float(np.sum(np.arctan(np.linalg.eigvalsh(a))))
+
+
+def whole_space(n):
+    return induced_fiber(lambda J: 1.0, None, n, Arity.PURE_SECOND_ORDER, "all")
+
+
 def test_strict_M_monotone_det_and_slag():
     rep = check_strict_M_monotone(det_op, cone_P(2), M_A_PART, samples=200)
     assert rep.ok
-    slag = matrix_op(lambda a: float(np.sum(np.arctan(np.linalg.eigvalsh(a)))))
-    whole = induced_fiber(lambda J: 1.0, None, 2, Arity.PURE_SECOND_ORDER, "all")
-    rep2 = check_strict_M_monotone(slag, whole, M_A_PART, samples=200)
+    rep2 = check_strict_M_monotone(matrix_op(slag_op), whole_space(2), M_A_PART, samples=200)
     assert rep2.ok
+
+
+def ref_check_strict_M_monotone(op, F, M, samples=300, seed=71, tol=1e-12):
+    # the jets, then the t of every sample, then one sample at a time
+    rng = np.random.default_rng(seed)
+    J0 = M.interior_jet(F.n)
+    jets = [random_jet(rng, F.n, scale=1.5) for _ in range(samples)]
+    ts = [rng.uniform(1e-3, 1.0) for _ in range(samples)]
+    rep = CheckReport(name="strict-M-monotone", seed=seed)
+    for J, t in zip(jets, ts):
+        if not F.contains(J):
+            J = shift_to_boundary(F, J, J0)
+            if J is None or not F.contains(J):
+                continue
+        gain = op(J + t * J0) - op(J)
+        ok = gain > tol
+        rep.record(ok, gain, None if ok else J)
+    return rep
+
+
+def hexes(J):
+    return (float.hex(J.r), [float.hex(x) for x in J.p],
+            [float.hex(x) for x in J.A.entries.ravel()])
+
+
+def gradient_capped(n):
+    """min(lambda_min(A), 1 - |p|): no shift along (-1, 0, I), which
+    leaves p alone, reaches the fiber from |p| > 1."""
+    return FiberOracle("capped", n, Arity.FULL, None,
+                       lambda r, p, A: np.minimum(np.linalg.eigvalsh(A)[..., 0],
+                                                  1.0 - np.sqrt(np.sum(p * p, axis=-1))))
+
+
+def eigenvalue_band(n):
+    """min(lambda_min(A), 1 - lambda_max(A)): a shift along (-1, 0, I)
+    that finds the window of members often steps past it by its margin,
+    and the moved jet is no member."""
+    def form(r, p, A):
+        ev = np.linalg.eigvalsh(A)
+        return np.minimum(ev[..., 0], 1.0 - ev[..., -1])
+
+    return FiberOracle("band", n, Arity.PURE_SECOND_ORDER, None, form)
+
+
+def pocket(n):
+    """lambda_min(A) >= 0 with a pocket 5e-7 < lambda_min(A) < 2e-6 cut
+    out: a shift along (-1, 0, I) that lands on lambda_min = 0 steps
+    SHIFT_MARGIN = 1e-6 into the pocket, and the moved jet is no member."""
+    def form(r, p, A):
+        lam = np.linalg.eigvalsh(A)[..., 0]
+        return np.minimum(lam, np.maximum(5e-7 - lam, lam - 2e-6))
+
+    return FiberOracle("pocket", n, Arity.PURE_SECOND_ORDER, None, form)
+
+
+@pytest.mark.parametrize("op, make", [
+    (det_op, lambda: cone_P(2)),
+    (det_op, lambda: cone_P(3)),
+    (det_op, lambda: gradient_capped(2)),
+    (det_op, lambda: eigenvalue_band(2)),
+    (det_op, lambda: pocket(2)),
+    (matrix_op(slag_op), lambda: whole_space(2)),
+    # -trace decreases along J0 = (-1, 0, I): every sample fails
+    (matrix_op(lambda a: -np.trace(a)), lambda: cone_P(2)),
+], ids=["det-P2", "det-P3", "capped", "band", "pocket", "slag", "minus-trace"])
+def test_strict_M_monotone_matches_the_per_sample_loop(op, make):
+    F = make()
+    for seed in (71, 5):
+        got = check_strict_M_monotone(op, F, M_A_PART, samples=120, seed=seed)
+        ref = ref_check_strict_M_monotone(op, F, M_A_PART, samples=120, seed=seed)
+        assert got.to_json_dict() == ref.to_json_dict()
+        assert float.hex(got.worst_margin) == float.hex(ref.worst_margin)
+        assert [hexes(w) for w in got.witnesses] == [hexes(w) for w in ref.witnesses]
+        # failed shifts, and shifts past the band or into the pocket, drop
+        # their samples
+        assert (got.checked < 120) == (F.label in ("capped", "band", "pocket"))
+        assert got.checked > 0
 
 
 # --- admissible viscosity tests on grid functions ---------------------------

@@ -26,7 +26,6 @@ from jetcones.catalog import (
 )
 from jetcones.duality import (
     CheckReport,
-    _sample_jets,
     check_dual_pair,
     check_inclusion,
     check_involution,
@@ -35,7 +34,7 @@ from jetcones.duality import (
     dual_contains,
     dual_oracle,
 )
-from jetcones.jets import Jet2, SymMat, random_jet, random_symmetric, stack_jets
+from jetcones.jets import Jet2, SymMat, random_jet, random_jets, random_symmetric, stack_jets
 
 M_A_PART = MonotonicityCone(0.0, DirectionalCone.full(), math.inf)
 
@@ -182,12 +181,14 @@ def test_check_inclusion_matches_per_jet_loop(F, G, tol):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_sample_jets_are_the_per_jet_draws(n):
     # one standard_normal call for the whole sample, against random_jet
-    # one jet at a time from the same seed
-    for scale in (1.0, 1.5, 2.0):
-        for samples in (0, 1, 37):
+    # one jet at a time from the same seed, at one scale or one per jet
+    for samples in (0, 1, 37):
+        per_jet = np.abs(np.random.default_rng(9).standard_normal(samples)) + 0.1
+        for scale in (1.0, 1.5, 2.0, per_jet):
+            scales = np.broadcast_to(scale, (samples,)).tolist()
             rng = np.random.default_rng(8)
-            ref = stack_jets([random_jet(rng, n, scale) for _ in range(samples)], n)
-            got = _sample_jets(n, samples, 8, scale)
+            ref = stack_jets([random_jet(rng, n, s) for s in scales], n)
+            got = random_jets(np.random.default_rng(8), n, samples, scale)
             for a, b in zip(got, ref):
                 assert a.shape == b.shape
                 assert list(map(float.hex, a.ravel().tolist())) == \

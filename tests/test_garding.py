@@ -11,6 +11,7 @@ from jetcones.errors import (
     UnknownKey,
 )
 from jetcones.garding import (
+    ROOT_TOL,
     GardingOperator,
     branch_oracle,
     delta_elliptic_operator,
@@ -144,6 +145,15 @@ def test_hyperbolicity_check_samples_F_not_its_exact_eigenvalues():
 def test_builtin_operators_pass_the_sampled_check_of_F(key, n):
     cert, witnesses = hyperbolicity_check(make_operator(key, n), samples=200, seed=41)
     assert cert.passed and not witnesses
+
+
+def test_passing_certificate_records_its_worst_residue():
+    # every sample's residue counts, not only a failing one's: a pass is
+    # above 0 (rounding) and within the pass threshold, which is at
+    # least ROOT_TOL
+    cert, witnesses = hyperbolicity_check(det_operator(3), seed=41)
+    assert cert.passed and not witnesses
+    assert 0 < cert.worst_residue <= ROOT_TOL
 
 
 def test_certificate_cached():

@@ -9,10 +9,13 @@ BISECTION_DEPTH levels of each bisection tree per call, signed_distance
 for all directions in lockstep (catalog.bisect_brackets) and the two
 sampled checks for all samples in lockstep (catalog.boundary_shifts).
 The references below are the one-probe-at-a-time, one-sample-at-a-time
-loops written with Jet2 arithmetic and one oracle.value per probe;
-every returned value, jet, report and error must match them bit for
-bit. Probes past the point where such a loop would stop must not warn
-either, so RuntimeWarnings are errors here.
+loops written with Jet2 arithmetic and one oracle.value per probe; the
+references of the sampled checks draw the checks' blocks in the same
+order (random_jet by random_jet, which gives a random_jets block to the
+bit) and then take one sample at a time. Every returned value, jet,
+report and error must match them bit for bit. Probes past the point
+where such a loop would stop must not warn either, so RuntimeWarnings
+are errors here.
 
 canonical_operator on a pure second-order spectral fiber
 (FiberOracle.spectrum set) finds the crossing of f(r, p, lambda - t) on a
@@ -251,9 +254,9 @@ def ref_sample_cone_member(M, rng, n, scale):
 def ref_cone_member(M, rng, n, scale, extreme):
     if not extreme:
         return ref_sample_cone_member(M, rng, n, scale)
-    p = rng.standard_normal(n) * scale
+    p = random_jet(rng, n, scale).p
     if M.D.kind is ConeKind.HALFSPACE:
-        s = p @ M.D.direction
+        s = M.D.functional(p)
         if s < 0:
             p = p - 2 * s * M.D.direction
     elif M.D.kind is ConeKind.ORTHANT:
@@ -261,16 +264,15 @@ def ref_cone_member(M, rng, n, scale, extreme):
         for a in M.D.axes:
             q[a] = abs(p[a])
         p = q
-    pn = float(np.linalg.norm(p))
+    pn = math.sqrt(np.sum(p * p))
     a = 0.0 if math.isinf(M.R) else pn / M.R
     return Jet2(-M.gamma * pn, p, SymMat(a * np.eye(n)))
 
 
-def ref_member_sampler(oracle, rng, n, scale, tol, J0):
-    J = random_jet(rng, n, scale)
+def ref_into_fiber(oracle, J, margin, tol, J0):
     if oracle.contains(J, tol):
         return J
-    moved = ref_shift_to_boundary(oracle, J, J0, margin=abs(rng.standard_normal()) + 1e-3)
+    moved = ref_shift_to_boundary(oracle, J, J0, margin=margin)
     if moved is not None and oracle.contains(moved, tol):
         return moved
     return None
@@ -283,17 +285,23 @@ def ref_record(rep, oracle, S, witness, tol):
 
 
 def ref_check_monotonicity(F, M, samples=400, seed=29, tol=1e-8, scale=1.5):
+    # the draws of the whole sample first, part by part, then one sample at
+    # a time: its fiber, its jet moved into the fiber, its cone member
     rng = np.random.default_rng(seed)
     variable = isinstance(F, VariableFiberMap)
+    n = F.n
+    points = [F.domain.sample(rng, 1)[0] if variable else None for _ in range(samples)]
+    jets = [random_jet(rng, n, scale) for _ in range(samples)]
+    margins = [abs(rng.standard_normal()) + 1e-3 for _ in range(samples)]
+    scales = [abs(rng.standard_normal()) + 0.1 for _ in range(samples)]
+    cones = [ref_cone_member(M, rng, n, scales[i], i % 2 == 0) for i in range(samples)]
     rep = CheckReport(name="monotonicity", seed=seed)
-    J0 = M.interior_jet(F.n)
-    for i in range(samples):
-        oracle = F.fiber_at(F.domain.sample(rng, 1)[0]) if variable else F
-        J = ref_member_sampler(oracle, rng, F.n, scale, tol, J0)
-        if J is None:
-            continue
-        K = ref_cone_member(M, rng, F.n, abs(rng.standard_normal()) + 0.1, i % 2 == 0)
-        ref_record(rep, oracle, J + K, J, tol)
+    J0 = M.interior_jet(n)
+    for x, J, margin, K in zip(points, jets, margins, cones):
+        oracle = F.fiber_at(x) if variable else F
+        J = ref_into_fiber(oracle, J, margin, tol, J0)
+        if J is not None:
+            ref_record(rep, oracle, J + K, J, tol)
     return rep
 
 
@@ -305,12 +313,17 @@ def ref_check_jet_addition(F, M, samples=400, seed=31, tol=1e-8, scale=1.5, prec
             raise ValueError(f"jet-addition precondition failed: F is not M-monotone "
                              f"({mono.failed} violations)")
     rng = np.random.default_rng(seed)
-    Fd, Md = dual_oracle(F), dual_oracle(cone_M(M, F.n))
-    J0 = M.interior_jet(F.n)
+    n = F.n
+    Fd, Md = dual_oracle(F), dual_oracle(cone_M(M, n))
+    J0 = M.interior_jet(n)
+    Js = [random_jet(rng, n, scale) for _ in range(samples)]
+    Ks = [random_jet(rng, n, scale) for _ in range(samples)]
+    marginsJ = [abs(rng.standard_normal()) + 1e-3 for _ in range(samples)]
+    marginsK = [abs(rng.standard_normal()) + 1e-3 for _ in range(samples)]
     rep = CheckReport(name="jet-addition", seed=seed)
-    for _ in range(samples):
-        J = ref_member_sampler(F, rng, F.n, scale, tol, J0)
-        K = ref_member_sampler(Fd, rng, F.n, scale, tol, J0)
+    for J, K, mJ, mK in zip(Js, Ks, marginsJ, marginsK):
+        J = ref_into_fiber(F, J, mJ, tol, J0)
+        K = ref_into_fiber(Fd, K, mK, tol, J0)
         if J is not None and K is not None:
             ref_record(rep, Md, J + K, J + K, tol)
     return rep
@@ -1202,6 +1215,18 @@ def gradient_capped(n):
                                                   1.0 - np.sqrt(np.sum(p * p, axis=-1))))
 
 
+def eigenvalue_band(n):
+    """min(lambda_min(A), 1 - lambda_max(A)): along M_FULL's interior jet
+    the members form a window of width 1 - (lambda_max - lambda_min), so
+    a shift that finds the window often steps past it by its margin and
+    the moved jet is no member."""
+    def form(r, p, A):
+        ev = np.linalg.eigvalsh(A)
+        return np.minimum(ev[..., 0], 1.0 - ev[..., -1])
+
+    return FiberOracle("band", n, Arity.PURE_SECOND_ORDER, None, form)
+
+
 def affine_sphere(f_field):
     return fiber_affine_sphere(Box([-1, -1], [1, 1]), f_field, n=2)
 
@@ -1227,6 +1252,7 @@ CHECK_CASES = [
     pytest.param(lambda: affine_sphere(lambda x: 0.5), M_FULL, id="affine-sphere"),
     pytest.param(lambda: gradient_capped(2), M_FULL, id="capped"),
     pytest.param(lambda: empty_fiber(2), M_FULL, id="empty"),
+    pytest.param(lambda: eigenvalue_band(2), M_FULL, id="band"),
 ]
 
 
@@ -1318,9 +1344,9 @@ def test_lockstep_shifts_keep_each_jets_margin_around_failures(max_expand):
         [hexes(K) if ok else None for K, ok in zip(refs, verdicts)]
 
 
-def test_restarts_follow_the_per_sample_draws():
-    # three in four shifts fail, so nearly every batch restarts; a sample's
-    # cone draws must follow only a shift that held
+def test_failed_shifts_drop_only_their_samples():
+    # three in four shifts fail; each failure drops its own sample and
+    # leaves every other sample's draws where they were
     F = gradient_capped(3)
     for seed in range(3):
         got = check_monotonicity(F, M_FULL, samples=60, seed=seed)
@@ -1336,10 +1362,9 @@ def error_of(check, *args, **kwargs):
 
 @pytest.mark.parametrize("make", [affine_sphere, half_plane_ot], ids=["affine-sphere", "ot"])
 def test_bad_point_raises_the_per_sample_error(make):
-    # f < 0 on a strip of the box: the first point drawn there raises. On
-    # the half-plane fibers failed shifts come first, so the batch's later
-    # draws were speculative and the error must be the one of the point
-    # the per-sample loop reaches
+    # f < 0 on a strip of the box: the first point drawn there raises,
+    # the one the per-sample loop reaches first, though the check
+    # classifies every point's jet in one call
     theta = make(lambda x: x[..., 0] + 0.9)
     for seed in (29, 3):
         got = error_of(check_monotonicity, theta, M_FULL, samples=200, seed=seed)
@@ -1353,3 +1378,15 @@ def test_variable_fibers_without_bad_points_match():
         got = check_monotonicity(theta, M_FULL, samples=120, seed=seed)
         same_report(got, ref_check_monotonicity(theta, M_FULL, samples=120, seed=seed))
         assert 0 < got.checked < 120
+
+
+@pytest.mark.parametrize("key, n", [("P", 3), ("Q", 2), ("pucci:1,2", 2)])
+def test_verify_arguments_pass_at_20_seeds(key, n):
+    # the benchmark's monotonicity and jet-addition calls: 200 and 100
+    # samples against M(0, full, inf)
+    F = make_oracle(key, n)
+    for seed in range(20):
+        mono = check_monotonicity(F, M_FULL, samples=200, seed=seed)
+        assert mono.ok and mono.checked > 100
+        add = check_jet_addition(F, M_FULL, samples=100, seed=seed)
+        assert add.ok and add.checked > 0
