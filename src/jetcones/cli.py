@@ -338,12 +338,13 @@ def cmd_solve(args) -> int:
         "residual_floor": report.residual_floor,
         "factorizations": report.factorizations,
         "newton_steps": report.newton_steps,
+        "start": report.start,
         "seed": args.seed,
     }
     (outdir / "solve.json").write_text(json.dumps(header, indent=2, sort_keys=True))
     _emit({"iterations": report.iterations, "factorizations": report.factorizations,
-           "newton_steps": report.newton_steps, "residual": report.residual,
-           "out_dir": str(outdir)}, args.seed)
+           "newton_steps": report.newton_steps, "start": report.start,
+           "residual": report.residual, "out_dir": str(outdir)}, args.seed)
     return EXIT_OK
 
 

@@ -13,13 +13,19 @@ M-matrix. The solve repeats
 one sparse solve per step, where J(u) is that frozen matrix. For the
 piecewise-linear operators (min/max curvature, frame means, Pucci) this
 is Howard's policy iteration. For the arctan sum of "slag" the solve
-takes secant steps (frozen coefficient arctan(D)/D), then Newton steps
-with backtracking on the max residual: J(u) takes the tangent slopes
+is a Poisson start, then Newton steps with backtracking on the max
+residual. The Poisson start (Froese and Oberman, SIAM J. Numer. Anal.
+2011) is one solve of the tangent at the zero function, the axis
+Laplacian, with the boundary data; it replaces the initial guess when
+its residual is lower. A Newton step's J(u) takes the tangent slopes
 1/(1 + D^2) on the active frame, a semismooth Newton step that
-converges superlinearly near the solution, and a step length halving
-from 1 keeps each accepted step decreasing the residual. The explicit
-damped-Jacobi iteration the solver replaced, with its step bound, is
-kept in the tests as a reference, with the secant-only iteration.
+converges superlinearly near the solution (Bokanowski, Maroso and
+Zidani, SIAM J. Numer. Anal. 2009), and a step length halving from 1
+keeps each accepted step decreasing the residual. Secant steps (frozen
+coefficient arctan(D)/D) are the fallback when every step length is
+rejected. The explicit damped-Jacobi iteration the solver replaced,
+with its step bound, is kept in the tests as a reference, with the
+secant-only iteration.
 
 Monotone here is degenerate ellipticity in Oberman's sense (SIAM J.
 Numer. Anal. 2006), the hypothesis the solver and discrete comparison
@@ -279,11 +285,13 @@ class SolveReport:
 
     iterations counts the steps' iterates, one residual_history entry
     each: the start and every accepted update. factorizations counts
-    the sparse solves made, Newton directions whose every try was
-    rejected included, so it is iterations - 1 for the piecewise-linear
-    operators; newton_steps counts the accepted Newton steps.
-    residual_floor is the roundoff level eps * max|u| / h^2 below which
-    the residual cannot be pushed.
+    the sparse solves made, the Poisson start's and Newton directions
+    whose every try was rejected included, so it is iterations - 1 for
+    the piecewise-linear operators; newton_steps counts the accepted
+    Newton steps. start is "poisson" when the iteration started from the
+    Poisson start, "init" when from the initial guess. residual_floor is
+    the roundoff level eps * max|u| / h^2 below which the residual
+    cannot be pushed.
     """
 
     operator: str
@@ -294,6 +302,7 @@ class SolveReport:
     residual_history: list
     factorizations: int
     newton_steps: int
+    start: str
 
 
 # A residual within FLOOR_BAND * residual_floor that has not improved for
@@ -313,41 +322,59 @@ def _setup(op_key, rhs, g: GridFunction, init) -> tuple:
     u = g.values.copy()
     if init is not None:
         u[interior] = np.asarray(init, dtype=float).reshape(grid.dims)[interior]
-    return grid, op, interior, rhs_field, u
+    return grid, op, interior, rhs_field, u, _assembler(grid)
 
 
-def _frozen_matrix(coeffs: np.ndarray, grid: Grid):
-    """Sparse matrix of sum_theta c_theta D_theta on the interior unknowns.
+def _interior_index(grid: Grid) -> np.ndarray:
+    """Each node's index in the flattened interior field, -1 on the layer."""
+    inner = tuple(dim - 2 * grid.layer_width for dim in grid.dims)
+    index = np.full(grid.dims, -1, dtype=np.int32)
+    index[grid.interior_slice()] = np.arange(math.prod(inner), dtype=np.int32).reshape(inner)
+    return index
+
+
+def _assembler(grid: Grid) -> Callable[[np.ndarray], sp.csc_matrix]:
+    """coeffs -> sparse matrix of sum_theta c_theta D_theta on the interior
+    unknowns, with the neighbour indices along each direction built once.
 
     Only nonzero coefficients are assembled; neighbors on the boundary
     layer move to the right-hand side, which the caller's residual
     already holds.
     """
-    shape = coeffs.shape[1:]
-    n = int(np.prod(shape))
     w = grid.layer_width
-    index = np.full(grid.dims, -1, dtype=np.int32)
-    index[grid.interior_slice()] = np.arange(n, dtype=np.int32).reshape(shape)
-    diag = np.zeros(n)
-    rows, cols, vals = [], [], []
-    for c, s in zip(coeffs, grid.stencil_dirs):
-        active = c != 0
-        here = np.flatnonzero(active).astype(np.int32)
-        a = c[active] / (grid.h**2 * float(sum(x * x for x in s)))
-        diag[here] -= 2.0 * a
-        for sign in (1, -1):
-            nb = index[tuple(slice(w + sign * o, dim - w + sign * o)
-                             for o, dim in zip(s, grid.dims))][active]
-            keep = nb >= 0
-            rows.append(here[keep])
-            cols.append(nb[keep])
-            vals.append(a[keep])
-    diagonal = np.arange(n, dtype=np.int32)
-    return sp.csc_matrix(
-        (np.concatenate(vals + [diag]),
-         (np.concatenate(rows + [diagonal]), np.concatenate(cols + [diagonal]))),
-        shape=(n, n),
-    )
+    index = _interior_index(grid)
+    # per direction: h^2 |s|^2 and the interior index of every interior
+    # node's neighbour at +s and at -s, flattened
+    stencil = [
+        (grid.h**2 * float(sum(x * x for x in s)),
+         [index[tuple(slice(w + sign * o, dim - w + sign * o)
+                      for o, dim in zip(s, grid.dims))].ravel() for sign in (1, -1)])
+        for s in grid.stencil_dirs
+    ]
+
+    def matrix(coeffs):
+        n = coeffs[0].size
+        diag = np.zeros(n)
+        rows, cols, vals = [], [], []
+        for c, (scale, neighbours) in zip(coeffs, stencil):
+            active = c != 0
+            here = np.flatnonzero(active).astype(np.int32)
+            a = c[active] / scale
+            diag[here] -= 2.0 * a
+            for nbr in neighbours:
+                nb = nbr[here]
+                keep = nb >= 0
+                rows.append(here[keep])
+                cols.append(nb[keep])
+                vals.append(a[keep])
+        diagonal = np.arange(n, dtype=np.int32)
+        return sp.csc_matrix(
+            (np.concatenate(vals + [diag]),
+             (np.concatenate(rows + [diagonal]), np.concatenate(cols + [diagonal]))),
+            shape=(n, n),
+        )
+
+    return matrix
 
 
 def solve_dirichlet(
@@ -363,30 +390,41 @@ def solve_dirichlet(
     rhs is a constant level or the source field psi as node values of
     shape grid.dims, evaluated on the mesh as g's values are; only its
     interior nodes are read, as for init. The iteration starts from
-    g's values unless init supplies an interior guess. Each
-    step linearizes F_h at u on the active frame and stops when
-    max|F_h(u) - psi| <= tol. Otherwise it solves the sparse M-matrix
-    system J du = F_h(u) - psi and sets u <- u - du: a policy step for
-    the piecewise-linear operators, a secant step (slopes phi(D)/D) for
-    an operator with a tangent (slag). For the latter, secant steps
-    give way to Newton steps with backtracking on the max residual: J
+    g's values unless init supplies an interior guess. For an operator
+    with a tangent (slag) whose start has a residual above tol, one
+    sparse solve first gives the Poisson start (see _poisson_start),
+    which replaces the start when its max residual is lower.
+
+    Each step linearizes F_h at u on the active frame and stops when
+    max|F_h(u) - psi| <= tol. Otherwise, for the piecewise-linear
+    operators, it solves the sparse M-matrix system J du = F_h(u) - psi
+    and sets u <- u - du, a policy step. For an operator with a tangent
+    it takes a Newton step with backtracking on the max residual: J
     takes the tangent slopes phi'(D), and u - alpha du is accepted at
     the first alpha in _NEWTON_STEPS whose residual is finite and lower.
     Newton steps are tried while the residual is below a gate, which
     starts infinite; when every alpha is rejected, the gate drops to
-    half the current residual and that step is a secant step from the
-    same u. Returns the iterate and a SolveReport.
+    half the current residual and that step is a secant step (slopes
+    phi(D)/D) from the same u. Returns the iterate and a SolveReport.
 
     Raises NotConverged past max_iter, or earlier when the residual
     stalls at its roundoff floor above tol, and UnstableStep when the
     residual becomes non-finite.
     """
-    grid, op, interior, rhs_field, u = _setup(op_key, rhs, g, init)
+    grid, op, interior, rhs_field, u, assemble = _setup(op_key, rhs, g, init)
     linearize = op.linearize if op.tangent is None else op.tangent
     history = []
     best = res = floor = gate = math.inf
     stalled = factorizations = newton_steps = 0
     state = linearize(u, grid)
+    start = "init"
+    if op.tangent is not None:
+        res = float(np.max(np.abs(state[0] - rhs_field)))
+        if res > tol:
+            factorizations += 1
+            poisson = _poisson_start(op, grid, assemble, interior, rhs_field, u, res)
+            if poisson is not None:
+                (u, state), start = poisson, "poisson"
     for it in range(1, max_iter + 1):
         fld, coeffs = state[0] - rhs_field, state[1]
         res = float(np.max(np.abs(fld)))
@@ -397,7 +435,7 @@ def solve_dirichlet(
         if res <= tol:
             out = GridFunction(grid, u, boundary_data=g.boundary_data.copy())
             return out, SolveReport(op_key, it, res, floor, "tol", history,
-                                    factorizations, newton_steps)
+                                    factorizations, newton_steps, start)
         stalled = 0 if res < best else stalled + 1
         best = min(best, res)
         if stalled >= STALL_STEPS and res <= FLOOR_BAND * floor:
@@ -408,13 +446,13 @@ def solve_dirichlet(
             )
         if op.tangent is not None and res < gate:
             factorizations += 1
-            step = _newton_step(op, grid, interior, rhs_field, u, fld, state[2], res)
+            step = _newton_step(op, grid, assemble, interior, rhs_field, u, fld, state[2], res)
             if step is not None:
                 u, state = step
                 newton_steps += 1
                 continue
             gate = res / 2
-        u[interior] -= spsolve(_frozen_matrix(coeffs, grid), fld.ravel()).reshape(fld.shape)
+        u[interior] -= spsolve(assemble(coeffs), fld.ravel()).reshape(fld.shape)
         factorizations += 1
         state = linearize(u, grid)
     raise NotConverged(
@@ -424,11 +462,29 @@ def solve_dirichlet(
     )
 
 
+def _poisson_start(op, grid, assemble, interior, rhs_field, u, res) -> Optional[tuple]:
+    """One sparse solve of the linear problem with op's tangent coefficients
+    c0 at the zero function (for slag the axis Laplacian) and u's boundary
+    data: v = u - J0^-1 (sum_theta c0 D_theta(u) - psi). Returns
+    (v, op.tangent's triple there) when v's max residual is below res,
+    the start's, or None.
+    """
+    coeffs = op.tangent(np.zeros(grid.dims), grid)[2]
+    fld = np.sum(coeffs * _diff_stack(u, grid), axis=0) - rhs_field
+    v = u.copy()
+    v[interior] -= spsolve(assemble(coeffs), fld.ravel()).reshape(fld.shape)
+    state = op.tangent(v, grid)
+    if float(np.max(np.abs(state[0] - rhs_field))) < res:
+        return v, state
+    return None
+
+
 # Step lengths the Newton line search tries, longest first.
 _NEWTON_STEPS = (1.0, 0.5, 0.25, 0.125)
 
 
-def _newton_step(op, grid, interior, rhs_field, u, fld, tangent, res) -> Optional[tuple]:
+def _newton_step(op, grid, assemble, interior, rhs_field, u, fld, tangent,
+                 res) -> Optional[tuple]:
     """One sparse solve with the tangent matrix for the direction delta,
     then u - alpha * delta for alpha in _NEWTON_STEPS, each try one
     op.tangent call. Returns (iterate, op.tangent's triple there) for the
@@ -439,7 +495,7 @@ def _newton_step(op, grid, interior, rhs_field, u, fld, tangent, res) -> Optiona
     """
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore", MatrixRankWarning)
-        delta = spsolve(_frozen_matrix(tangent, grid), fld.ravel()).reshape(fld.shape)
+        delta = spsolve(assemble(tangent), fld.ravel()).reshape(fld.shape)
         if not np.all(np.isfinite(delta)):
             return None
         for alpha in _NEWTON_STEPS:
@@ -477,10 +533,7 @@ def scheme_monotonicity_probe(op_key: str, grid: Grid, states: int = 100,
     rng = np.random.default_rng(seed)
     op = make_discrete_operator(op_key, grid)
     slack = _PROBE_TOL * _PROBE_BUMP / grid.h**2
-    # each node's index in the flattened interior field, -1 on the layer
-    inner = tuple(dim - 2 * grid.layer_width for dim in grid.dims)
-    flat = np.full(grid.dims, -1)
-    flat[grid.interior_slice()] = np.arange(math.prod(inner)).reshape(inner)
+    flat = _interior_index(grid)
     for start in range(0, states, _PROBE_BLOCK):
         u = np.empty((min(_PROBE_BLOCK, states - start), *grid.dims))
         nodes = np.empty((len(u), grid.d), dtype=np.intp)

@@ -196,9 +196,10 @@ def test_solve_command(tmp_path, capsys):
     assert header["iterations"] > 1  # zero init: a real solve happened
     assert header["factorizations"] == header["iterations"] - 1  # policy steps only
     assert header["newton_steps"] == 0
+    assert header["start"] == "init"  # no Poisson start for a piecewise-linear operator
     summary = json.loads(out)
-    assert (summary["factorizations"], summary["newton_steps"]) == (
-        header["factorizations"], header["newton_steps"])
+    assert (summary["factorizations"], summary["newton_steps"], summary["start"]) == (
+        header["factorizations"], header["newton_steps"], header["start"])
     assert header["stop_reason"] == "tol"
     assert 0 < header["residual_floor"] < 1e-8
     assert "dt" not in header

@@ -1,10 +1,13 @@
 import dataclasses
+import importlib.util
 import itertools
 import math
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from jetcones.catalog import (
@@ -117,7 +120,7 @@ def _solve_jacobi(op_key, rhs, g, dt=None, tol=1e-10, max_iter=100_000, init=Non
     iteration count. Raises NotConverged past max_iter and UnstableStep
     when the residual grows for 100 consecutive steps.
     """
-    grid, op, interior, rhs_field, u = _setup(op_key, rhs, g, init)
+    grid, op, interior, rhs_field, u, _ = _setup(op_key, rhs, g, init)
     dt = _stability_dt(op_key, grid) if dt is None else dt
     prev_res = math.inf
     growth = 0
@@ -162,7 +165,7 @@ def _solve_secant(op_key, rhs, g, tol=1e-10, max_iter=500, init=None):
     op.linearize only, one sparse solve per step, as solve_dirichlet ran
     before it took Newton steps. Returns the iterate and the step count.
     """
-    grid, op, interior, rhs_field, u = _setup(op_key, rhs, g, init)
+    grid, op, interior, rhs_field, u, _ = _setup(op_key, rhs, g, init)
     for it in range(1, max_iter + 1):
         fld, coeffs = op.linearize(u, grid)
         fld = fld - rhs_field
@@ -171,8 +174,56 @@ def _solve_secant(op_key, rhs, g, tol=1e-10, max_iter=500, init=None):
             raise UnstableStep(f"residual became non-finite at it={it}")
         if res <= tol:
             return GridFunction(grid, u, boundary_data=g.boundary_data.copy()), it
-        u[interior] -= spsolve(solver._frozen_matrix(coeffs, grid), fld.ravel()).reshape(fld.shape)
+        u[interior] -= spsolve(_frozen_matrix(coeffs, grid), fld.ravel()).reshape(fld.shape)
     raise NotConverged(f"{op_key}: residual {res:.3e} > {tol:.1e} after {max_iter} steps")
+
+
+def _frozen_matrix(coeffs, grid):
+    """Reference assembly: the sparse matrix of sum_theta c_theta D_theta
+    on the interior unknowns, with the neighbour indices built afresh on
+    every call, as the solver assembled before it built them once per
+    solve."""
+    shape = coeffs.shape[1:]
+    n = int(np.prod(shape))
+    w = grid.layer_width
+    index = np.full(grid.dims, -1, dtype=np.int32)
+    index[grid.interior_slice()] = np.arange(n, dtype=np.int32).reshape(shape)
+    diag = np.zeros(n)
+    rows, cols, vals = [], [], []
+    for c, s in zip(coeffs, grid.stencil_dirs):
+        active = c != 0
+        here = np.flatnonzero(active).astype(np.int32)
+        a = c[active] / (grid.h**2 * float(sum(x * x for x in s)))
+        diag[here] -= 2.0 * a
+        for sign in (1, -1):
+            nb = index[tuple(slice(w + sign * o, dim - w + sign * o)
+                             for o, dim in zip(s, grid.dims))][active]
+            keep = nb >= 0
+            rows.append(here[keep])
+            cols.append(nb[keep])
+            vals.append(a[keep])
+    diagonal = np.arange(n, dtype=np.int32)
+    return sp.csc_matrix(
+        (np.concatenate(vals + [diag]),
+         (np.concatenate(rows + [diagonal]), np.concatenate(cols + [diagonal]))),
+        shape=(n, n),
+    )
+
+
+@pytest.mark.parametrize("d, side", [(2, 17), (2, 33), (3, 9)])
+def test_assembler_matches_the_per_call_assembly(d, side):
+    grid = square_grid(side, 0.0, 1.0, d=d)
+    assemble = solver._assembler(grid)
+    rng = np.random.default_rng(149)
+    for key in _discrete_keys(d):
+        op = make_discrete_operator(key, grid)
+        for size in (1.0, grid.h**2):
+            u = size * rng.standard_normal(grid.dims)
+            for coeffs in (op.linearize if op.tangent is None else op.tangent)(u, grid)[1:]:
+                got, ref = assemble(coeffs), _frozen_matrix(coeffs, grid)
+                for attr in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(got, attr), getattr(ref, attr)), key
+                    assert getattr(got, attr).dtype == getattr(ref, attr).dtype, key
 
 
 def _ripple(grid):
@@ -204,13 +255,84 @@ def test_slag_newton_steps_match_the_secant_reference(g, level):
     assert rep.factorizations < steps - 1
 
 
-@pytest.mark.parametrize("n_side, most", [(33, 15), (65, 17)])
+@pytest.mark.parametrize("n_side, most", [(33, 5), (65, 6)])
 def test_slag_bowl_factorizations(n_side, most):
-    # the secant iteration alone takes 27 and 29 at tol 1e-8
+    # the secant iteration alone takes 27 and 29 at tol 1e-8; secant steps
+    # from the zero interior, then Newton, took 14 and 16
     g = _bowl(n_side)
     u, rep = solve_dirichlet("slag", math.pi / 2, g, tol=1e-8, init=np.zeros(g.grid.dims))
+    assert rep.start == "poisson"
     assert rep.factorizations <= most
     assert np.max(np.abs(u.values - g.values)) <= 1e-12
+
+
+def test_poisson_start_keeps_a_good_init():
+    g = _bowl(33)
+    _, rep = solve_dirichlet("slag", math.pi / 2, g, tol=1e-10, init=g.values)
+    assert (rep.start, rep.iterations, rep.factorizations) == ("init", 1, 0)
+    # near the solution the Poisson start is worse and is thrown away, its
+    # solve counted; Newton finishes from the guess
+    near = g.values + 1e-6 * g.grid.h**2 * np.sin(7.0 * g.values)
+    u, rep = solve_dirichlet("slag", math.pi / 2, g, tol=1e-10, init=near)
+    assert rep.start == "init"
+    assert rep.factorizations == rep.newton_steps + 1
+    assert np.max(np.abs(u.values - g.values)) <= 1e-12
+
+
+def _quadratic(grid, H):
+    x = np.stack(grid.meshgrid(), axis=-1)
+    return GridFunction(grid, 0.5 * (x[..., None, :] @ H @ x[..., :, None])[..., 0, 0])
+
+
+_ROT = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
+
+
+@pytest.mark.parametrize("H, parent", [
+    (np.eye(2), 14),
+    (_ROT @ np.diag([1.0, 2.0]) @ _ROT.T, 18),
+    (np.diag([3.0, 0.2]), 16),
+    (np.diag([1.0, -3.0]), 12),
+    (np.diag([8.0, 8.0]), 65),
+], ids=["bowl", "rotated", "anisotropic", "saddle", "steep"])
+def test_slag_poisson_start_matches_the_secant_reference(H, parent):
+    # parent: the factorizations of secant steps, then Newton, from the
+    # zero interior without the Poisson start
+    g = _quadratic(square_grid(33, 0.0, 1.0), H)
+    level = float(np.sum(np.arctan(np.linalg.eigvalsh(H))))
+    zeros = np.zeros(g.grid.dims)
+    u, rep = solve_dirichlet("slag", level, g, tol=1e-10, init=zeros)
+    ref, _ = _solve_secant("slag", level, g, tol=1e-10, init=zeros)
+    assert rep.start == "poisson"
+    assert np.max(np.abs(u.values - ref.values)) <= 1e-9
+    assert rep.factorizations <= parent
+
+
+def _ladder_script():
+    path = pathlib.Path(__file__).parents[1] / "scripts" / "run_dirichlet_benchmarks.py"
+    spec = importlib.util.spec_from_file_location("run_dirichlet_benchmarks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n_side", [33, 129])
+def test_ladder_quadratics_match_the_pointwise_evaluation(n_side):
+    grid = square_grid(n_side, 0.0, 1.0)
+    quad, saddle = _ladder_script().quadratics(grid)
+    ref_quad = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
+    ref_saddle = GridFunction.from_callable(grid, lambda x: x[0] ** 2 - x[1] ** 2)
+    assert np.array_equal(quad.values, ref_quad.values)
+    assert np.array_equal(saddle.values, ref_saddle.values)
+
+
+def test_ladder_reports_the_start(monkeypatch, capsys):
+    ladder = _ladder_script()
+    monkeypatch.setattr(ladder.sys, "argv", ["run_dirichlet_benchmarks.py", "17"])
+    assert ladder.main() == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert "start" in header.split()
+    starts = {row.split()[0]: row.split()[-3] for row in rows}
+    assert starts == {"P": "init", "pfold:p=2": "init", "slag": "poisson", "pucci:1,2": "init"}
 
 
 def test_slag_steep_data_converges_without_warnings():
@@ -236,8 +358,8 @@ def test_singular_or_overflowing_tangent_is_a_rejected_try():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for bad in (np.zeros_like(tangent), tiny):
-            assert solver._newton_step(op, grid, grid.interior_slice(), 0.0, u, fld,
-                                       bad, 1.0) is None
+            assert solver._newton_step(op, grid, solver._assembler(grid),
+                                       grid.interior_slice(), 0.0, u, fld, bad, 1.0) is None
 
 
 @pytest.mark.parametrize("d, side", [(2, 17), (3, 9)])
@@ -301,6 +423,7 @@ def test_solve_report_json_fields():
     assert rep.iterations == len(rep.residual_history) == 2
     assert rep.factorizations == 1
     assert rep.newton_steps == 0
+    assert rep.start == "init"
 
 
 @pytest.mark.parametrize("key, level", [("P", 1.0), ("pucci:1,2", 2.0)])
@@ -361,6 +484,7 @@ def test_piecewise_linear_solves_take_no_tangent(monkeypatch, key):
     _, rep = solve_dirichlet(key, 1.0, _ripple(grid), tol=1e-11, init=np.zeros(grid.dims))
     assert rep.factorizations == rep.iterations - 1
     assert rep.newton_steps == 0
+    assert rep.start == "init"
 
 
 def test_unknown_operator_key():
