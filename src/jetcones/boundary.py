@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .catalog import Box, DEFAULT_TOL, FiberOracle, bisect_brackets, fan_values
+from .catalog import Box, DEFAULT_TOL, FiberOracle, bisect_brackets, jets_along
 from .errors import NotOnBoundary, SingularGradient
 from .jets import SymMat, random_orthogonal, trace_on_subspace
 
@@ -145,7 +145,7 @@ def strict_pseudoconvex_at(
     Pe = SymMat(np.outer(bp.e, bp.e)).entries
 
     def outside(t):
-        g = fan_values(F.values, (0.0, zero_p, bp.A_x.entries), (0.0, zero_p, Pe), t)
+        g = F.values(*jets_along((0.0, zero_p, bp.A_x.entries), (0.0, zero_p, Pe), t))
         return ~(g > DEFAULT_TOL)
 
     at_cap, at_zero = outside(np.array([t_cap, 0.0])).tolist()

@@ -31,11 +31,11 @@ from .catalog import (
     bisect_brackets,
     cone_M,
     crossing_brackets,
-    fan_values,
+    jets_along,
     members,
     per_jet_form,
     ray_values,
-    shift_jets_to_boundary,
+    shift_stack_to_boundary,
 )
 from .duality import CheckReport
 from .errors import BadParameters, BracketingFailure, ReferenceJetNotInterior
@@ -287,8 +287,8 @@ def _crossings(F: FiberOracle, J: Jet2, inside: bool, directions: int, tol: floa
     Ur, Up, UA = _direction_stack(J.n, directions, seed, F.arity)
 
     def keeps(live, s):
-        g = fan_values(F.values, (J.r, J.p, J.A.entries),
-                       (Ur[live, None], Up[live, None], UA[live, None]), s)
+        g = F.values(*jets_along((J.r, J.p, J.A.entries),
+                                 (Ur[live, None], Up[live, None], UA[live, None]), s))
         return (g >= 0.0) == inside
 
     ss = _doublings(1.0, cap)
@@ -507,9 +507,10 @@ def check_strict_M_monotone(
     The whole sample is drawn first: the jets (one random_jets block,
     scale 1.5), then one uniform block of t in [1e-3, 1). One values call
     classifies the jets; those outside F move along J0 onto its boundary
-    and SHIFT_MARGIN past it in one lockstep search
-    (shift_jets_to_boundary), and a sample whose moved jet is not a
-    member is dropped. op takes one jet, so it runs jet by jet.
+    and SHIFT_MARGIN past it in one lockstep search on their stacks
+    (shift_stack_to_boundary), and a sample whose moved jet is not a
+    member is dropped. op takes one jet, so it runs jet by jet, on Jet2s
+    built from the stacks.
     """
     n = F.n
     J0 = J0 if J0 is not None else M.interior_jet(n)
@@ -517,19 +518,20 @@ def check_strict_M_monotone(
         raise ReferenceJetNotInterior("J0 must lie in the interior of M")
     rng = np.random.default_rng(seed)
     r, p, A = random_jets(rng, n, samples, scale=1.5)
-    ts = rng.uniform(1e-3, 1.0, samples).tolist()
-    jets = unstack_jets(r, p, A)
-    outside = np.flatnonzero(~members(F.values(r, p, A))).tolist()
-    moved = shift_jets_to_boundary(F, [jets[i] for i in outside], J0,
-                                   [SHIFT_MARGIN] * len(outside), member_tol=DEFAULT_TOL)
-    for i, K in zip(outside, moved):
-        jets[i] = K
+    ts = rng.uniform(1e-3, 1.0, samples)
+    kept = members(F.values(r, p, A))
+    outside = np.flatnonzero(~kept)
+    rows, moved = shift_stack_to_boundary(F, (r[outside], p[outside], A[outside]), J0,
+                                          [SHIFT_MARGIN] * len(outside), member_tol=DEFAULT_TOL)
+    # a moved jet takes its sample's place; a sample left outside is dropped
+    kept[outside[rows]] = True
+    for part, m in zip((r, p, A), moved):
+        part[outside[rows]] = m
     rep = CheckReport(name="strict-M-monotone", seed=seed)
-    for J, t in zip(jets, ts):
-        if J is not None:
-            gain = op(J + t * J0) - op(J)
-            ok = gain > tol
-            rep.record(ok, gain, None if ok else J)
+    for J, t in zip(unstack_jets(r[kept], p[kept], A[kept]), ts[kept].tolist()):
+        gain = op(J + t * J0) - op(J)
+        ok = gain > tol
+        rep.record(ok, gain, None if ok else J)
     return rep
 
 

@@ -52,7 +52,6 @@ from .jets import (
     heavy_tail_symmetric,
     random_jet,
     stack_jets,
-    unstack_jets,
 )
 
 DEFAULT_TOL = 1e-8
@@ -200,13 +199,7 @@ def ray_values(oracle: FiberOracle, J: Jet2, U: Jet2, t):
     """
     if J.n != U.n:
         raise ValueError(f"dimension mismatch: jet of dimension {J.n}, direction {U.n}")
-    return fan_values(oracle.values, (J.r, J.p, J.A.entries), (U.r, U.p, U.A.entries), t)
-
-
-def fan_values(values: Callable, J: tuple, U: tuple, t):
-    """values(J + t*U) (see jets_along); values maps a stack of jets to
-    g[...]."""
-    return values(*jets_along(J, U, t))
+    return oracle.values(*jets_along((J.r, J.p, J.A.entries), (U.r, U.p, U.A.entries), t))
 
 
 def jets_along(J: tuple, U: tuple, t) -> tuple:
@@ -250,9 +243,9 @@ def crossing_brackets(keeps: Callable, ts, start, done: Optional[Callable] = Non
     """For each row of ts[rows, m], the bracket of its first crossing, or
     None when keeps holds start[row] at every entry.
 
-    keeps(live, t) gets the indices of the rows still searched, in
-    increasing order, and their next ts as t[len(live), k]; it returns
-    the keep flags of the same shape. Rows are probed
+    keeps(live, t) gets the indices of the rows still searched, as an int
+    array in increasing order, and their next ts as t[len(live), k]; it
+    returns the keep flags of the same shape. Rows are probed
     2**BISECTION_DEPTH - 1 entries per call and none past its first
     entry k whose flag differs from start[row]. Row i's bracket holds
     the keep end first:
@@ -267,23 +260,24 @@ def crossing_brackets(keeps: Callable, ts, start, done: Optional[Callable] = Non
     """
     _check_max_steps(max_steps)
     ts = np.asarray(ts, dtype=float)
+    start = np.asarray(start, dtype=bool)
     width = 2 ** BISECTION_DEPTH - 1
     out = [None] * len(ts)
-    live = list(range(len(ts)))
+    live = np.arange(len(ts))
     for lo in range(0, ts.shape[1], width):
-        if not live:
+        if not live.size:
             break
-        flags = np.asarray(keeps(live, take_rows(ts, live)[:, lo:lo + width])).tolist()
-        missed = []
-        for i, row in zip(live, flags):
-            flip = not start[i]
-            if flip not in row:
-                missed.append(i)
-                continue
-            k = lo + row.index(flip)
-            prev = ts[i, k - 1].item() if k else 0.0
-            out[i] = (ts[i, k].item(), prev) if flip else (prev, ts[i, k].item())
-        live = missed
+        flips = np.asarray(keeps(live, take_rows(ts, live)[:, lo:lo + width])) != start[live, None]
+        hit = flips.any(axis=1)
+        rows = live[hit]
+        k = lo + flips[hit].argmax(axis=1)
+        t = ts[rows, k]
+        prev = np.where(k > 0, ts[rows, k - 1], 0.0)
+        on_keep = start[rows]
+        for i, a, b in zip(rows.tolist(), np.where(on_keep, prev, t).tolist(),
+                           np.where(on_keep, t, prev).tolist()):
+            out[i] = (a, b)
+        live = live[~hit]
     if done is not None:
         rows = [i for i, b in enumerate(out) if b is not None]
         index = np.array(rows, dtype=int)
@@ -1033,9 +1027,9 @@ class FiberegReport:
         return self.witness is None or self.delta > self.resolution * (1 + 1e-9)
 
 
-# shift_to_boundary's membership tolerance along the ray
+# shift_stack_to_boundary's membership tolerance along the ray
 SHIFT_TOL = 1e-9
-# how far past the boundary shift_to_boundary moves a jet by default
+# how far past the boundary the shifted jets of the sampled checks move
 SHIFT_MARGIN = 1e-6
 # J + t*J0 keeps at most half of J's digits once |t*J0| passes |J| times
 # this: boundary_shifts reports no crossing there. Along a ray on which the
@@ -1062,49 +1056,16 @@ def fiber_values(F, points: Optional[list] = None) -> Callable:
     return values
 
 
-def shift_to_boundary(
-    oracle: FiberOracle,
-    J: Jet2,
-    J0: Jet2,
-    margin: float = SHIFT_MARGIN,
-    tol: float = SHIFT_TOL,
-    max_expand: int = 60,
-) -> Optional[Jet2]:
-    """Move J along J0 onto the membership boundary, then step inside.
-
-    Membership is monotone along J0 when J0 is interior to a cone the
-    fiber is monotone for, so bisection applies. Returns None when no
-    crossing is bracketed.
-    """
-    moved, = shift_jets_to_boundary(oracle, [J], J0, [margin], None, tol, max_expand)
-    return moved
-
-
-def shift_jets_to_boundary(F, jets: list, J0: Jet2, margins, start_in=None,
-                           tol: float = SHIFT_TOL, max_expand: int = 60,
-                           member_tol: Optional[float] = None,
-                           points: Optional[list] = None) -> list:
-    """shift_to_boundary for a list of jets in one lockstep search
-    (shift_stack_to_boundary): jets[i] moves along J0 onto the boundary,
-    then margins[i] past it, or is None when no crossing is bracketed or,
-    with member_tol, when the moved jet is not a member under member_tol.
-    A Jet2 is built only for each jet kept."""
-    out = [None] * len(jets)
-    rows, moved = shift_stack_to_boundary(F, stack_jets(jets, J0.n), J0, margins, start_in,
-                                          tol, max_expand, member_tol, points)
-    for i, K in zip(rows.tolist(), unstack_jets(*moved)):
-        out[i] = K
-    return out
-
-
 def shift_stack_to_boundary(F, J: tuple, J0: Jet2, margins, start_in=None,
                             tol: float = SHIFT_TOL, max_expand: int = 60,
                             member_tol: Optional[float] = None,
                             points: Optional[list] = None) -> tuple:
-    """shift_to_boundary for a stack of jets J = (r[N], p[N, n], A[N, n, n])
-    in one lockstep search (boundary_shifts): row i moves along J0 onto
-    the boundary, then margins[i] past it, J_i + (t + margins[i]) * J0,
-    with the float operations of Jet2 arithmetic.
+    """Move each jet of the stack J = (r[N], p[N, n], A[N, n, n]) along J0
+    onto the membership boundary, then margins[i] past it, in one lockstep
+    search (boundary_shifts): row i becomes J_i + (t + margins[i]) * J0,
+    with the float operations of Jet2 arithmetic. Membership is monotone
+    along J0 when J0 is interior to a cone the fiber is monotone for, so
+    bisection applies.
 
     F is a FiberOracle, or a VariableFiberMap with row i in the fiber at
     points[i]; start_in holds each row's membership under tol (found by
@@ -1146,7 +1107,7 @@ def _scalar_hessian(J0: Jet2) -> Optional[float]:
 
 def boundary_shifts(F, J: tuple, start_in, J0: Jet2, tol: float = SHIFT_TOL,
                     max_expand: int = 60, points: Optional[list] = None) -> list:
-    """The search of shift_to_boundary for a stack of jets, in lockstep.
+    """The search of shift_stack_to_boundary, all jets of the stack in lockstep.
 
     J = (r[N], p[N, n], A[N, n, n]) holds the jets; F is a FiberOracle,
     every row in its one fiber, or a VariableFiberMap with row i in the
@@ -1181,11 +1142,11 @@ def boundary_shifts(F, J: tuple, start_in, J0: Jet2, tol: float = SHIFT_TOL,
 
     def inside(rows, t):
         at = tuple(take_rows(a, rows) for a in J)
-        return members(fan_values(functools.partial(values, rows), at, U, t), tol)
+        return members(values(rows, *jets_along(at, U, t)), tol)
 
     start_in = np.asarray(start_in, dtype=bool)
     ts = _doubling_steps(max_expand) * np.where(start_in, -1.0, 1.0)[:, None]
-    brackets = crossing_brackets(inside, ts, start_in.tolist(), lambda a, b: abs(a - b) < tol,
+    brackets = crossing_brackets(inside, ts, start_in, lambda a, b: abs(a - b) < tol,
                                  max_steps=60)
     return [None if b is None or abs(b[0]) * step > cap else b[0]
             for b, cap in zip(brackets, reach.tolist())]
@@ -1205,11 +1166,11 @@ def _fiber_jet_samples(
     J0: Jet2,
     rng: np.random.Generator,
     count: int,
-) -> list:
-    """Jets in Theta(x) near its boundary, with heavy-tailed Hessians: count
-    draws, each shifted to the boundary as shift_to_boundary moves it (all
-    in one lockstep search on the map's point form) and kept when the
-    moved jet is a member."""
+) -> tuple:
+    """Jets in Theta(x) near its boundary, with heavy-tailed Hessians, as
+    stacks (r, p, A): count draws, each moved along J0 to the boundary and
+    SHIFT_MARGIN past it (all in one lockstep search on the map's point
+    form) and kept when the moved jet is a member."""
     n = theta.n
     bases = []
     for i in range(count):
@@ -1221,9 +1182,9 @@ def _fiber_jet_samples(
             ))
         else:
             bases.append(random_jet(rng, n, scale=1.5))
-    moved = shift_jets_to_boundary(theta, bases, J0, [SHIFT_MARGIN] * count,
-                                   member_tol=DEFAULT_TOL, points=[x] * count)
-    return [J for J in moved if J is not None]
+    _, moved = shift_stack_to_boundary(theta, stack_jets(bases, n), J0, [SHIFT_MARGIN] * count,
+                                       member_tol=DEFAULT_TOL, points=[x] * count)
+    return moved
 
 
 def check_fiberegularity(
@@ -1296,10 +1257,9 @@ def check_fiberegularity(
     jet_cache: dict = {}
 
     def jets_at(ix):
-        # the anchor's jets, and their stacks shifted by eta*J0
+        # the anchor's jets, and the same stacks shifted by eta*J0
         if ix not in jet_cache:
-            jets = _fiber_jet_samples(theta, point(ix), J0, rng, jets_per_point)
-            r, p, A = stack_jets(jets, theta.n)
+            r, p, A = jets = _fiber_jet_samples(theta, point(ix), J0, rng, jets_per_point)
             jet_cache[ix] = jets, (r + shifted.r, p + shifted.p, A + shifted.A.entries)
         return jet_cache[ix]
 
@@ -1314,17 +1274,17 @@ def check_fiberegularity(
             break
         resolution = min(resolution, dist)
         jets, moved = jets_at(ix)
-        if not jets:
+        if not len(jets[0]):
             continue
         outside = np.flatnonzero(~members(np.asarray(theta.form(y, *moved)), tol))
-        jets_checked += int(outside[0]) + 1 if outside.size else len(jets)
+        jets_checked += int(outside[0]) + 1 if outside.size else len(jets[0])
         if outside.size and dist < delta:
             delta = dist
             witness = {
                 "x": x.tolist(),
                 "y": y.tolist(),
                 "distance": dist,
-                "jet": jets[outside[0]].to_json_dict(),
+                "jet": Jet2(*(a[outside[0]] for a in jets)).to_json_dict(),
             }
     return FiberegReport(
         eta=eta,

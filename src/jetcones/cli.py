@@ -206,7 +206,8 @@ def cmd_distance(args) -> int:
         raise ParseError(f"--directions must be at least 1, got {args.directions}")
     J = _jet_from_args(args)
     oracle = _constant_oracle(args.key, J.n, "distance")
-    value = signed_distance(oracle, J, directions=args.directions, seed=args.seed or 53)
+    value = signed_distance(oracle, J, directions=args.directions,
+                            seed=53 if args.seed is None else args.seed)
     _emit({"key": args.key, "signed_distance": value}, args.seed)
     return EXIT_OK
 
@@ -231,7 +232,7 @@ def cmd_pseudoconvex(args) -> int:
         for chunk in args.points.split(";"):
             seeds.append(_parse_point(chunk, n, "--points"))
     else:
-        rng = np.random.default_rng(args.seed or 101)
+        rng = np.random.default_rng(101 if args.seed is None else args.seed)
         for _ in range(args.count):
             seeds.append(dom.bbox.lo + rng.random(n) * (dom.bbox.hi - dom.bbox.lo))
     rows = ["x,e,principal_curvatures,verdict,t0"]
@@ -349,7 +350,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    ok, lines = run_suite(args.suite, seed=args.seed or 2024)
+    ok, lines = run_suite(args.suite, seed=2024 if args.seed is None else args.seed)
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK if ok else EXIT_NEGATIVE
 

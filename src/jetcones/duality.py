@@ -40,7 +40,6 @@ from .catalog import (
     classify_values,
     cone_M,
     crossing_brackets,
-    fan_values,
     fiber_values,
     jets_along,
     members,
@@ -173,11 +172,11 @@ def _into_fibers(F: Union[FiberOracle, VariableFiberMap], J: tuple, J0: Jet2, ma
     ascending, and those jets as stacks.
 
     A member under tol stays as drawn. A jet outside moves along J0 to
-    the fiber's boundary and margins[i] past it, as shift_to_boundary
-    moves it, and is dropped when no crossing is bracketed or the moved
-    jet is not a member under tol. One values call classifies the stack,
-    one lockstep search (catalog.shift_stack_to_boundary) moves the jets
-    outside and one more values call tests the moved jets.
+    the fiber's boundary and margins[i] past it, and is dropped when no
+    crossing is bracketed or the moved jet is not a member under tol. One
+    values call classifies the stack, one lockstep search
+    (catalog.shift_stack_to_boundary) moves the jets outside and one more
+    values call tests the moved jets.
     """
     g = fiber_values(F, points)(np.arange(len(J[0])), *J)
     inside = members(g, tol)
@@ -212,7 +211,7 @@ def _mix_into_cone(M: MonotonicityCone, n: int, J: tuple) -> tuple:
     rays = tuple(a[:, None] for a in J)
     count = len(J[0])
     brackets = crossing_brackets(
-        lambda live, t: members(fan_values(values, tuple(take_rows(a, live) for a in rays), U, t)),
+        lambda live, t: members(values(*jets_along(tuple(take_rows(a, live) for a in rays), U, t))),
         np.repeat(_MIXING_ROW, count, axis=0), [False] * count)
     # a bracket's member end comes first
     return jets_along(J, U, [_MIXING_TS[-1] if b is None else b[0] for b in brackets])
@@ -244,21 +243,6 @@ def _cone_members(M: MonotonicityCone, n: int, J: tuple, extreme: np.ndarray) ->
     for part, mixed in zip(out, _mix_into_cone(M, n, tuple(b[mixing] for b in J))):
         part[mixing] = mixed
     return out
-
-
-def sample_cone_member(M: MonotonicityCone, rng: np.random.Generator, n: int,
-                       scale: float = 1.0, extreme: bool = False) -> Jet2:
-    """Random jet inside M(gamma, D, R), built constructively from one
-    random_jet draw: the one-row case of _cone_members.
-
-    With extreme=True the jet sits on the cone's extreme rays, the
-    discriminating directions for monotonicity probes. Otherwise the
-    random jet is mixed toward the cone's interior jet along t = 0, 0.5,
-    1.5, ... until membership holds or t reaches 1e6.
-    """
-    K, = unstack_jets(*_cone_members(M, n, random_jets(rng, n, 1, scale),
-                                     np.array([extreme])))
-    return K
 
 
 def _record_sums(rep: CheckReport, g: np.ndarray, W: tuple, tol: float) -> None:

@@ -17,10 +17,10 @@ from .catalog import (
     MonotonicityCone,
     make_oracle,
     perturbed_ma_map,
-    shift_jets_to_boundary,
+    shift_stack_to_boundary,
 )
 from .grids import Grid, GridFunction, square_grid
-from .jets import Jet2, SymMat, random_symmetric
+from .jets import Jet2, SymMat, random_symmetric, unstack_jets
 from .solver import comparison_experiment, zmp_experiment
 
 
@@ -72,13 +72,15 @@ def comparison_battery(keys, pairs: int = 10, n_side: int = 33, seed: int = 107,
                   rng.standard_normal(grid.d) * 0.5, rng.standard_normal(grid.d) * 0.5)
                  for _ in range(pairs)]
         margins = (0.2, -0.2)
-        shifted = shift_jets_to_boundary(
-            oracle, [Jet2.from_matrix(A) for draw in draws for A in draw[:2]],
+        hessians = np.array([A.entries for draw in draws for A in draw[:2]]).reshape(-1, n, n)
+        rows, moved = shift_stack_to_boundary(
+            oracle, (np.zeros(len(hessians)), np.zeros((len(hessians), n)), hessians),
             Jet2.from_matrix(SymMat.identity(n)), margins * pairs)
+        shifted = dict(zip(rows.tolist(), unstack_jets(*moved)))
         verdicts = []
         for i, (_, _, p_sub, p_sup) in enumerate(draws):
-            for J, margin in zip(shifted[2 * i:2 * i + 2], margins):
-                if J is None:
+            for k, margin in zip((2 * i, 2 * i + 1), margins):
+                if k not in shifted:
                     raise RuntimeError(
                         f"could not push a Hessian to margin {margin} of {oracle.label}")
             u, w = sub_super_pair(grid, shifted[2 * i].A, shifted[2 * i + 1].A, p_sub, p_sup)

@@ -1,0 +1,63 @@
+"""Jet2-arithmetic references shared by the test modules (not collected).
+
+ref_shift_to_boundary and ref_sample_cone_member are the one-jet,
+one-probe-at-a-time loops that catalog.shift_stack_to_boundary and
+duality._cone_members run on stacks in lockstep: every probe is one
+oracle.contains call on a Jet2 sum. shift_jets runs
+shift_stack_to_boundary on a list of Jet2s and hands back one moved Jet2
+or None per jet, so its result compares with the references jet by jet.
+"""
+
+from jetcones.catalog import make_oracle, shift_stack_to_boundary
+from jetcones.jets import random_jet, stack_jets, unstack_jets
+
+
+def ref_shift_to_boundary(oracle, J, J0, margin=1e-6, tol=1e-9, max_expand=60):
+    t_in, t_out, t = None, None, 0.0
+    if oracle.contains(J, tol):
+        t_in, step = 0.0, -1.0
+        for _ in range(max_expand):
+            t += step
+            if not oracle.contains(J + t * J0, tol):
+                t_out = t
+                break
+            t_in = t
+            step *= 2.0
+    else:
+        t_out, step = 0.0, 1.0
+        for _ in range(max_expand):
+            t += step
+            if oracle.contains(J + t * J0, tol):
+                t_in = t
+                break
+            t_out = t
+            step *= 2.0
+    if t_in is None or t_out is None:
+        return None
+    for _ in range(60):
+        mid = 0.5 * (t_in + t_out)
+        if oracle.contains(J + mid * J0, tol):
+            t_in = mid
+        else:
+            t_out = mid
+        if abs(t_in - t_out) < tol:
+            break
+    return J + (t_in + margin) * J0
+
+
+def ref_sample_cone_member(M, rng, n, scale):
+    oracle = make_oracle(M.key(), n)
+    J0, J, t = M.interior_jet(n), random_jet(rng, n, scale), 0.0
+    while not oracle.contains(J + t * J0) and t < 1e6:
+        t = 2.0 * t + 0.5
+    return J + t * J0
+
+
+def shift_jets(F, jets, J0, margins, **kwargs):
+    """shift_stack_to_boundary(F, <jets stacked>, J0, margins, **kwargs) as
+    a list: the moved Jet2 of each jet, or None where the search drops it."""
+    out = [None] * len(jets)
+    rows, moved = shift_stack_to_boundary(F, stack_jets(jets, J0.n), J0, margins, **kwargs)
+    for i, K in zip(rows.tolist(), unstack_jets(*moved)):
+        out[i] = K
+    return out

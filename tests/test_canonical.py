@@ -27,12 +27,12 @@ from jetcones.catalog import (
     cone_pfold,
     cone_pucci,
     cone_Q,
-    shift_to_boundary,
 )
 from jetcones.duality import CheckReport
 from jetcones.errors import BoundaryNode, BracketingFailure
 from jetcones.grids import GridFunction, square_grid
 from jetcones.jets import Jet2, SymMat, random_jet, random_psd, random_symmetric
+from jet2_refs import ref_shift_to_boundary
 
 M_A_PART = MonotonicityCone(0.0, DirectionalCone.full(), math.inf)
 
@@ -248,7 +248,7 @@ def ref_check_strict_M_monotone(op, F, M, samples=300, seed=71, tol=1e-12):
     rep = CheckReport(name="strict-M-monotone", seed=seed)
     for J, t in zip(jets, ts):
         if not F.contains(J):
-            J = shift_to_boundary(F, J, J0)
+            J = ref_shift_to_boundary(F, J, J0)
             if J is None or not F.contains(J):
                 continue
         gain = op(J + t * J0) - op(J)

@@ -43,9 +43,10 @@ from jetcones.catalog import (
     phase_interval_index,
     REGISTRY,
     VariableFiberMap,
-    shift_to_boundary,
+    members,
     skew_hermitian_mu,
 )
+from jetcones.duality import _cone_members
 from jetcones.errors import (
     BadAlpha,
     BadParameters,
@@ -55,7 +56,8 @@ from jetcones.errors import (
     ParseError,
     UnknownKey,
 )
-from jetcones.jets import Jet2, SymMat, random_jet, random_symmetric
+from jetcones.jets import Jet2, SymMat, random_jet, random_jets, random_symmetric
+from jet2_refs import shift_jets
 
 M_FULL = MonotonicityCone(0.0, DirectionalCone.full(), math.inf)
 
@@ -253,17 +255,19 @@ def test_cone_M_examples():
 
 
 def test_cone_M_is_closed_under_addition_and_scaling():
-    from jetcones.duality import sample_cone_member
-
+    # each of the 10,000 samples draws J's random jet, K's, then t; every J
+    # (on the extreme rays at i % 3 == 0) and every K becomes a cone member
+    # in one stacked call per side, and each closure is one values call
     rng = np.random.default_rng(17)
     M = MonotonicityCone(1.0, DirectionalCone.halfspace([0, 1]), 2.0)
     oracle = cone_M(M, 2)
-    for i in range(10_000):
-        J = sample_cone_member(M, rng, 2, extreme=(i % 3 == 0))
-        K = sample_cone_member(M, rng, 2)
-        t = float(rng.uniform(0.1, 3.0))
-        assert oracle.classify(J + K, 1e-7).is_member
-        assert oracle.classify(t * J, 1e-7).is_member
+    Js, Ks, ts = zip(*[(random_jets(rng, 2, 1), random_jets(rng, 2, 1), rng.uniform(0.1, 3.0))
+                       for _ in range(10_000)])
+    J, K = (_cone_members(M, 2, tuple(map(np.concatenate, zip(*side))), extreme)
+            for side, extreme in [(Js, np.arange(10_000) % 3 == 0), (Ks, np.zeros(10_000, bool))])
+    t = np.array(ts)
+    assert members(oracle.values(*(a + b for a, b in zip(J, K))), 1e-7).all()
+    assert members(oracle.values(t * J[0], t[:, None] * J[1], t[:, None, None] * J[2]), 1e-7).all()
 
 
 def test_cone_M0_has_empty_interior():
@@ -355,9 +359,8 @@ def test_boundary_jets_have_nearby_interior(oracle):
     eyeJ = Jet2.from_matrix(SymMat.identity(n))
     bump = 10 * tol * Jet2(-1.0, np.zeros(n), SymMat.identity(n))
     found = 0
-    for _ in range(200):
-        J = shift_to_boundary(oracle, random_jet(rng, n), eyeJ, margin=0.0,
-                              tol=1e-11)
+    jets = [random_jet(rng, n) for _ in range(200)]
+    for J in shift_jets(oracle, jets, eyeJ, [0.0] * len(jets), tol=1e-11):
         if J is None or oracle.classify(J, 1e-6).kind is not RegionKind.BOUNDARY:
             continue
         found += 1
@@ -470,9 +473,9 @@ def test_special_lagrangian_top_interval_convexity_probe():
     rng = np.random.default_rng(23)
     eyeJ = Jet2.from_matrix(SymMat.identity(2))
     checked = 0
-    for _ in range(300):
-        A = shift_to_boundary(fib, random_jet(rng, 2, 1.5), eyeJ, margin=0.05)
-        B = shift_to_boundary(fib, random_jet(rng, 2, 1.5), eyeJ, margin=0.05)
+    # each pair draws A's jet, then B's
+    moved = shift_jets(fib, [random_jet(rng, 2, 1.5) for _ in range(600)], eyeJ, [0.05] * 600)
+    for A, B in zip(moved[::2], moved[1::2]):
         if A is None or B is None:
             continue
         checked += 1

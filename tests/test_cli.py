@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from jetcones.canonical import canonical_operator
+from jetcones.boundary import domain_from_spec
+from jetcones.canonical import canonical_operator, signed_distance
 from jetcones.catalog import make_oracle
 from jetcones.cli import build_parser, main, solution_csv
 from jetcones.exprs import compile_expression
 from jetcones.grids import GridFunction, square_grid
-from jetcones.jets import random_jet
+from jetcones.jets import Jet2, random_jet
 from jetcones.solver import solve_dirichlet
 
 
@@ -353,6 +354,27 @@ def test_reproducible_output(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def test_seed_zero_is_not_the_default_seed(capsys):
+    # --seed 0 draws the points of default_rng(0), as if given through
+    # --points, not those of the default seed
+    dom = domain_from_spec(json.loads(SPHERE_2D))
+    rng = np.random.default_rng(0)
+    drawn = [dom.bbox.lo + rng.random(2) * (dom.bbox.hi - dom.bbox.lo) for _ in range(2)]
+    points = ";".join(",".join(map(repr, x.tolist())) for x in drawn)
+    argv = ("pseudoconvex", "--domain", SPHERE_2D, "--key", "P")
+    _, zero, _ = run(capsys, "--seed", "0", *argv, "--count", "2")
+    _, direct, _ = run(capsys, *argv, "--points", points)
+    _, default, _ = run(capsys, *argv, "--count", "2")
+    assert zero == direct != default
+    # and the distance stream of seed 0
+    matrix = "[[0.3,0.1],[0.1,-0.2]]"
+    _, out, _ = run(capsys, "--seed", "0", "distance", "--key", "P~", "--matrix", matrix,
+                    "--directions", "64")
+    J = Jet2.from_matrix(np.array(json.loads(matrix)))
+    assert json.loads(out)["signed_distance"] == signed_distance(
+        make_oracle("P~", 2), J, directions=64, seed=0)
 
 
 MATRIX_2D = "[[1,0],[0,1]]"

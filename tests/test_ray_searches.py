@@ -1,15 +1,17 @@
 """The line searches and the sampled checks against the Jet2 route.
 
-canonical_operator, signed_distance, shift_to_boundary, the mixing loop
-of sample_cone_member, check_involution, check_monotonicity and
+canonical_operator, signed_distance, shift_stack_to_boundary, the mixing
+loop of duality._cone_members, check_involution, check_monotonicity and
 check_jet_addition evaluate oracles on arrays along a ray (ray_values,
-fan_values) and on stacks (FiberOracle.values). The searches probe
-doubling brackets 2**BISECTION_DEPTH - 1 entries per call and walk
-BISECTION_DEPTH levels of each bisection tree per call, signed_distance
-for all directions in lockstep (catalog.bisect_brackets) and the two
-sampled checks for all samples in lockstep (catalog.boundary_shifts).
-The references below are the one-probe-at-a-time, one-sample-at-a-time
-loops written with Jet2 arithmetic and one oracle.value per probe; the
+values(*jets_along(...))) and on stacks (FiberOracle.values). The
+searches probe doubling brackets 2**BISECTION_DEPTH - 1 entries per call
+and walk BISECTION_DEPTH levels of each bisection tree per call,
+signed_distance for all directions in lockstep (catalog.bisect_brackets)
+and the shifts of the two sampled checks for all samples in lockstep
+(catalog.boundary_shifts). The references here and in jet2_refs are the
+one-probe-at-a-time, one-sample-at-a-time loops written with Jet2
+arithmetic and one oracle.value per probe (shift_jets runs the stack
+search on a list of Jet2s to compare with them jet by jet); the
 references of the sampled checks draw the checks' blocks in the same
 order (random_jet by random_jet, which gives a random_jets block to the
 bit) and then take one sample at a time. Every returned value, jet,
@@ -60,6 +62,7 @@ from jetcones.catalog import (
     DEFAULT_TOL,
     REGISTRY,
     ROUNDING_REACH,
+    SHIFT_MARGIN,
     SHIFT_TOL,
     Arity,
     Box,
@@ -82,16 +85,14 @@ from jetcones.catalog import (
     parse_directional_cone,
     ray_values,
     reduced_cone,
-    shift_jets_to_boundary,
-    shift_to_boundary,
 )
 from jetcones.duality import (
     CheckReport,
+    _cone_members,
     check_involution,
     check_jet_addition,
     check_monotonicity,
     dual_oracle,
-    sample_cone_member,
 )
 from jetcones.errors import BadParameters, BracketingFailure, NegativeSource
 from jetcones.jets import (
@@ -100,9 +101,12 @@ from jetcones.jets import (
     heavy_tail_symmetric,
     jet_norm,
     random_jet,
+    random_jets,
     random_symmetric,
     stack_jets,
+    unstack_jets,
 )
+from jet2_refs import ref_sample_cone_member, ref_shift_to_boundary, shift_jets
 
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -208,47 +212,6 @@ def ref_signed_distance(F, J, directions=256, tol=1e-9, seed=53, cap=SEARCH_RADI
     if best is None:
         raise BracketingFailure("no crossing")
     return best if inside else -best
-
-
-def ref_shift_to_boundary(oracle, J, J0, margin=1e-6, tol=1e-9, max_expand=60):
-    t_in, t_out, t = None, None, 0.0
-    if oracle.contains(J, tol):
-        t_in, step = 0.0, -1.0
-        for _ in range(max_expand):
-            t += step
-            if not oracle.contains(J + t * J0, tol):
-                t_out = t
-                break
-            t_in = t
-            step *= 2.0
-    else:
-        t_out, step = 0.0, 1.0
-        for _ in range(max_expand):
-            t += step
-            if oracle.contains(J + t * J0, tol):
-                t_in = t
-                break
-            t_out = t
-            step *= 2.0
-    if t_in is None or t_out is None:
-        return None
-    for _ in range(60):
-        mid = 0.5 * (t_in + t_out)
-        if oracle.contains(J + mid * J0, tol):
-            t_in = mid
-        else:
-            t_out = mid
-        if abs(t_in - t_out) < tol:
-            break
-    return J + (t_in + margin) * J0
-
-
-def ref_sample_cone_member(M, rng, n, scale):
-    oracle = make_oracle(M.key(), n)
-    J0, J, t = M.interior_jet(n), random_jet(rng, n, scale), 0.0
-    while not oracle.contains(J + t * J0) and t < 1e6:
-        t = 2.0 * t + 0.5
-    return J + t * J0
 
 
 def ref_cone_member(M, rng, n, scale, extreme):
@@ -428,18 +391,24 @@ def test_shift_to_boundary_matches_jet2_route(make):
     for _ in range(8):
         J = random_jet(rng, F.n, 1.5)
         margin = abs(rng.standard_normal()) + 1e-3
-        got = shift_to_boundary(F, J, J0, margin=margin)
+        got, = shift_jets(F, [J], J0, [margin])
         ref = ref_shift_to_boundary(F, J, J0, margin=margin)
         assert (got is None) == (ref is None)
         if got is not None:
             assert hexes(got) == hexes(ref)
 
 
+def mixed_cone_member(M, rng, n, scale):
+    """_cone_members on one row, mixed into M, drawn as one random_jet."""
+    K, = unstack_jets(*_cone_members(M, n, random_jets(rng, n, 1, scale), np.array([False])))
+    return K
+
+
 def test_sample_cone_member_matches_jet2_mixing():
     M = MonotonicityCone(1.0, DirectionalCone.halfspace([1.0, 0.0]), 1.0)
     oracle = make_oracle(M.key(), 2)
     for seed in range(10):
-        got = sample_cone_member(M, np.random.default_rng(seed), 2, scale=2.0)
+        got = mixed_cone_member(M, np.random.default_rng(seed), 2, 2.0)
         ref = ref_sample_cone_member(M, np.random.default_rng(seed), 2, 2.0)
         assert hexes(got) == hexes(ref)
         assert oracle.contains(got)
@@ -557,7 +526,7 @@ def test_fiber_jet_samples_match_the_per_jet_loop(key):
     for seed in range(3):
         x = theta.domain.sample(np.random.default_rng(seed), 1)[0]
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _fiber_jet_samples(theta, x, J0, rng, 12)
+        got = unstack_jets(*_fiber_jet_samples(theta, x, J0, rng, 12))
         ref = ref_fiber_jet_samples(theta, x, J0, ref_rng, 12)
         assert list(map(hexes, got)) == list(map(hexes, ref))
         # the draws leave the generator where the per-jet loop leaves it
@@ -599,8 +568,8 @@ def ref_check_fiberegularity(theta, M, eta, seed, grid_per_side=16, anchors=120,
                 bases.append(Jet2(rng.standard_normal(), rng.standard_normal(n),
                                   heavy_tail_symmetric(rng, n)) if i % 2 == 0
                              else random_jet(rng, n, scale=1.5))
-            moved = shift_jets_to_boundary(theta.fiber_at(point(ix)), bases, J0,
-                                           [1e-6] * jets_per_point, member_tol=DEFAULT_TOL)
+            moved = shift_jets(theta.fiber_at(point(ix)), bases, J0, [1e-6] * jets_per_point,
+                               member_tol=DEFAULT_TOL)
             cache[ix] = [J for J in moved if J is not None]
         return cache[ix]
 
@@ -692,13 +661,13 @@ def test_shift_to_boundary_none_within_max_expand(max_expand):
     P = make_oracle("P", 2)
     eyeJ = Jet2.from_matrix(SymMat.identity(2))
     far = Jet2.from_matrix(SymMat.diag(-100.0, -100.0))
-    got = shift_to_boundary(P, far, eyeJ, max_expand=max_expand)
+    got, = shift_jets(P, [far], eyeJ, [SHIFT_MARGIN], max_expand=max_expand)
     ref = ref_shift_to_boundary(P, far, eyeJ, max_expand=max_expand)
     # t = 1, 3, 7, 15, 31, 63, 127: the crossing at 100 needs seven doublings
     assert (got is None) == (ref is None) == (max_expand < 7)
     if got is not None:
         assert hexes(got) == hexes(ref)
-    assert shift_to_boundary(all_jets(2), far, eyeJ, max_expand=max_expand) is None
+    assert shift_jets(all_jets(2), [far], eyeJ, [SHIFT_MARGIN], max_expand=max_expand) == [None]
 
 
 def test_doublings_match_the_doubling_loop():
@@ -727,10 +696,12 @@ def test_crossing_at_the_first_doubling_step():
     # from outside, t = 1 already enters P
     eyeJ = Jet2.from_matrix(SymMat.identity(2))
     J = Jet2.from_matrix(SymMat.diag(-0.5, 2.0))
-    assert hexes(shift_to_boundary(P, J, eyeJ)) == hexes(ref_shift_to_boundary(P, J, eyeJ))
+    got, = shift_jets(P, [J], eyeJ, [SHIFT_MARGIN])
+    assert hexes(got) == hexes(ref_shift_to_boundary(P, J, eyeJ))
     # from inside, t = -1 already leaves P
     J = Jet2.from_matrix(SymMat.diag(0.5, 2.0))
-    assert hexes(shift_to_boundary(P, J, eyeJ)) == hexes(ref_shift_to_boundary(P, J, eyeJ))
+    got, = shift_jets(P, [J], eyeJ, [SHIFT_MARGIN])
+    assert hexes(got) == hexes(ref_shift_to_boundary(P, J, eyeJ))
 
 
 def test_bracket_already_within_tol():
@@ -738,11 +709,11 @@ def test_bracket_already_within_tol():
     A = SymMat.diag(0.5, 3.0)
     # the doubling bracket (0, 4) meets the stop rule before any bisection step
     assert canonical_operator(P, A, tol=1.0) == 2.0 == ref_canonical_operator(P, A, tol=1.0)
-    # shift_to_boundary and signed_distance stop only after a step, so a
-    # bracket of width 1 against tol 2 still takes one
+    # shift_stack_to_boundary and signed_distance stop only after a step,
+    # so a bracket of width 1 against tol 2 still takes one
     eyeJ = Jet2.from_matrix(SymMat.identity(2))
     for J in (Jet2.from_matrix(SymMat.diag(-0.5, 2.0)), Jet2.from_matrix(SymMat.diag(0.5, 2.0))):
-        got = shift_to_boundary(P, J, eyeJ, tol=2.0)
+        got, = shift_jets(P, [J], eyeJ, [SHIFT_MARGIN], tol=2.0)
         assert hexes(got) == hexes(ref_shift_to_boundary(P, J, eyeJ, tol=2.0))
         inside = P.value(J) >= 0.0
         got = _crossings(P, J, inside, 16, 1.0, 53, SEARCH_RADIUS)
@@ -1108,8 +1079,8 @@ def test_eigenvalue_shifts_match_the_fan_route(key, n, dual):
                     crossed += 1
         # the moved jets differ by (t_fast - t_slow) * J0, and the same
         # ones are members
-        got = shift_jets_to_boundary(F, jets, J0, margins, member_tol=DEFAULT_TOL)
-        ref = shift_jets_to_boundary(fan, jets, J0, margins, member_tol=DEFAULT_TOL)
+        got = shift_jets(F, jets, J0, margins, member_tol=DEFAULT_TOL)
+        ref = shift_jets(fan, jets, J0, margins, member_tol=DEFAULT_TOL)
         assert [K is None for K in got] == [K is None for K in ref]
         for K, L in zip(got, ref):
             if K is not None:
@@ -1171,9 +1142,9 @@ def test_shifts_off_a_scalar_hessian_take_the_fan_route(key, n):
                     (off_diagonal, True)]:
         J0 = Jet2.from_matrix(A0)
         calls, ref_calls = [], []
-        got = shift_jets_to_boundary(recording(F, calls, True), jets, J0, margins,
+        got = shift_jets(recording(F, calls, True), jets, J0, margins,
                                      member_tol=DEFAULT_TOL)
-        ref = shift_jets_to_boundary(recording(F, ref_calls, False), jets, J0, margins,
+        ref = shift_jets(recording(F, ref_calls, False), jets, J0, margins,
                                      member_tol=DEFAULT_TOL)
         if fan:
             assert calls == ref_calls
@@ -1191,7 +1162,7 @@ def test_shifts_off_a_scalar_hessian_take_the_fan_route(key, n):
 ], ids=["full", "orthant", "past-1e6"])
 def test_sample_cone_member_mixing_on_more_cones(M, n, scale):
     for seed in range(6):
-        got = sample_cone_member(M, np.random.default_rng(seed), n, scale=scale)
+        got = mixed_cone_member(M, np.random.default_rng(seed), n, scale)
         ref = ref_sample_cone_member(M, np.random.default_rng(seed), n, scale)
         assert hexes(got) == hexes(ref)
 
@@ -1332,11 +1303,11 @@ def test_lockstep_shifts_keep_each_jets_margin_around_failures(max_expand):
     refs = [ref_shift_to_boundary(F, J, J0, margin=m, max_expand=max_expand)
             for J, m in zip(jets, margins)]
     assert 5 < sum(K is None for K in refs) < 35
-    got = shift_jets_to_boundary(F, jets, J0, margins, max_expand=max_expand)
+    got = shift_jets(F, jets, J0, margins, max_expand=max_expand)
     assert [None if K is None else hexes(K) for K in got] == \
         [None if K is None else hexes(K) for K in refs]
     # member_tol -0.2 keeps the moved jets with g >= 0.2, about half of them
-    kept = shift_jets_to_boundary(F, jets, J0, margins, max_expand=max_expand,
+    kept = shift_jets(F, jets, J0, margins, max_expand=max_expand,
                                   member_tol=-0.2)
     verdicts = [K is not None and F.value(K) >= 0.2 for K in refs]
     assert 3 < sum(verdicts) < sum(K is not None for K in refs) - 3

@@ -19,7 +19,6 @@ from jetcones.catalog import (
     cone_P,
     cone_P_dual,
     make_oracle,
-    shift_to_boundary,
 )
 from jetcones.duality import dual_oracle
 from jetcones.errors import (
@@ -62,6 +61,7 @@ from jetcones.solver import (
     uniform_translation_probe,
     zmp_experiment,
 )
+from jet2_refs import ref_shift_to_boundary
 
 M_FULL = MonotonicityCone(0.0, DirectionalCone.full(), math.inf)
 
@@ -804,8 +804,8 @@ def test_comparison_battery_3d_smoke():
 
 
 def ref_comparison_battery(key, d, pairs, n_side, seed):
-    """The per-pair loop: draw, shift (shift_to_boundary, one Hessian at a
-    time), build and check each pair before drawing the next."""
+    """The per-pair loop: draw, shift (ref_shift_to_boundary, one Hessian
+    at a time), build and check each pair before drawing the next."""
     grid = square_grid(n_side if d == 2 else max(9, n_side // 3), 0.0, 1.0, d=d)
     oracle = make_oracle(key, d)
     eyeJ = Jet2.from_matrix(SymMat.identity(d))
@@ -814,8 +814,8 @@ def ref_comparison_battery(key, d, pairs, n_side, seed):
     for _ in range(pairs):
         hessians = []
         for margin in (0.2, -0.2):
-            J = shift_to_boundary(oracle, Jet2.from_matrix(random_symmetric(rng, d, 1.0)), eyeJ,
-                                  margin=margin)
+            J = ref_shift_to_boundary(oracle, Jet2.from_matrix(random_symmetric(rng, d, 1.0)),
+                                      eyeJ, margin=margin)
             if J is None:
                 raise RuntimeError(f"could not push a Hessian to margin {margin} of {oracle.label}")
             hessians.append(J.A)
@@ -844,19 +844,19 @@ def test_comparison_battery_matches_the_per_pair_loop(key, d):
 def test_comparison_battery_fails_at_the_pair_of_its_failed_shift(monkeypatch):
     # pair 2's supersolution Hessian finds no crossing: pairs 0 and 1 are
     # checked first, as in the per-pair loop
-    real_shift, real_experiment = experiments.shift_jets_to_boundary, comparison_experiment
+    real_shift, real_experiment = experiments.shift_stack_to_boundary, comparison_experiment
     checked = []
 
     def shift(*args, **kwargs):
-        out = real_shift(*args, **kwargs)
-        out[5] = None
-        return out
+        rows, moved = real_shift(*args, **kwargs)
+        kept = rows != 5
+        return rows[kept], tuple(a[kept] for a in moved)
 
     def experiment(*args):
         checked.append(args)
         return real_experiment(*args)
 
-    monkeypatch.setattr(experiments, "shift_jets_to_boundary", shift)
+    monkeypatch.setattr(experiments, "shift_stack_to_boundary", shift)
     monkeypatch.setattr(experiments, "comparison_experiment", experiment)
     with pytest.raises(RuntimeError, match="margin -0.2 of"):
         comparison_battery(["P"], pairs=4, n_side=9, seed=3)

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "jetcones").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "jetcones").glob("*.py"))
+# the scripts and the tests, named by their path from the repository root
+SCRIPTS_AND_TESTS = sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("tests/*.py"))
 
 
 class _Uses(ast.NodeVisitor):
@@ -82,7 +85,9 @@ def test_the_checker_sees_a_parameter_that_shadows_an_import():
     assert unused_imports(source + "\nx = field\n") == []
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+@pytest.mark.parametrize("path", SOURCES + SCRIPTS_AND_TESTS,
+                         ids=[p.name for p in SOURCES]
+                         + [p.relative_to(ROOT).as_posix() for p in SCRIPTS_AND_TESTS])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
