@@ -22,7 +22,7 @@ import numpy as np
 
 from .catalog import Box, DEFAULT_TOL, FiberOracle, bisect_brackets, jets_along
 from .errors import NotOnBoundary, SingularGradient
-from .jets import SymMat, random_orthogonal, trace_on_subspace
+from .jets import SymMat, eigenvalues, random_orthogonal, trace_on_subspace
 
 BOUNDARY_TOL = 1e-8
 GRAD_TOL = 1e-8
@@ -76,7 +76,7 @@ class BoundaryPointData:
     def principal_curvatures(self) -> np.ndarray:
         """Eigenvalues of A_x restricted to the tangent space, ascending."""
         W = self.tangent_frame
-        return np.linalg.eigvalsh(W.T @ self.A_x.entries @ W)
+        return eigenvalues(W.T @ self.A_x.entries @ W)
 
 
 def boundary_point(dom: LevelSetDomain, x, tol: float = BOUNDARY_TOL) -> BoundaryPointData:

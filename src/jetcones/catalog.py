@@ -1187,6 +1187,34 @@ def _fiber_jet_samples(
     return moved
 
 
+def _anchor_pairs(axes: list, anchor_idx: list) -> tuple:
+    """The pairs (anchor, neighbor) of grid indices on the offset ladder,
+    nearest first, and their distances dists[P].
+
+    The ladder holds the unit axis steps, the unit diagonal, then doubling
+    axis and diagonal steps out to the grid size. Pairs at equal distance
+    keep their order of generation: anchors in turn, offsets up the ladder.
+    """
+    d, side = len(axes), len(axes[0])
+    offsets = [tuple(int(j == k) for j in range(d)) for k in range(d)] + [(1,) * d]
+    step = 2
+    while step < side:
+        offsets += [(step,) + (0,) * (d - 1), (step,) * d]
+        step *= 2
+    pairs = []
+    for ix in anchor_idx:
+        for off in offsets:
+            jy = tuple(i + o for i, o in zip(ix, off))
+            if max(jy) < side:
+                pairs.append((ix, jy))
+    ends = np.array(pairs, dtype=int).reshape(-1, 2, d)
+    diff = np.stack([axes[k][ends[:, 0, k]] - axes[k][ends[:, 1, k]] for k in range(d)], axis=-1)
+    # diff.dot(diff) row by row, the arithmetic of np.linalg.norm(diff)
+    dists = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+    order = np.argsort(dists, kind="stable")
+    return [pairs[i] for i in order], dists[order]
+
+
 def check_fiberegularity(
     theta: VariableFiberMap,
     M: MonotonicityCone,
@@ -1229,30 +1257,7 @@ def check_fiberegularity(
     def point(ix):
         return np.array([axes[k][ix[k]] for k in range(d)])
 
-    # ladder of integer offsets: unit axis steps, unit diagonal, then
-    # doubling axis steps out to the grid size
-    offsets = []
-    for k in range(d):
-        off = [0] * d
-        off[k] = 1
-        offsets.append(tuple(off))
-    offsets.append((1,) * d)
-    step = 2
-    while step < grid_per_side:
-        off = [0] * d
-        off[0] = step
-        offsets.append(tuple(off))
-        offsets.append(tuple([step] * d))
-        step *= 2
-
-    pairs = []
-    for ix in anchor_idx:
-        for off in offsets:
-            jy = tuple(ix[k] + off[k] for k in range(d))
-            if all(0 <= jy[k] < grid_per_side for k in range(d)):
-                pairs.append((ix, jy))
-    pairs.sort(key=lambda p: np.linalg.norm(point(p[0]) - point(p[1])))
-
+    pairs, dists = _anchor_pairs(axes, anchor_idx)
     shifted = eta * J0
     jet_cache: dict = {}
 
@@ -1267,9 +1272,8 @@ def check_fiberegularity(
     resolution = math.inf
     witness = None
     jets_checked = 0
-    for ix, jy in pairs:
+    for (ix, jy), dist in zip(pairs, dists.tolist()):
         x, y = point(ix), point(jy)
-        dist = float(np.linalg.norm(x - y))
         if witness is not None and dist >= delta:
             break
         resolution = min(resolution, dist)

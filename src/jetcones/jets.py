@@ -230,8 +230,80 @@ def spectrum(A: SymMat) -> Spectrum:
 
 def eigenvalues(A) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix, or of each matrix of a
-    stack A[..., n, n] (no frame)."""
-    return np.linalg.eigvalsh(_mat(A))
+    stack A[..., n, n] (no frame), as np.linalg.eigvalsh gives them.
+
+    eigvalsh runs LAPACK's dsyevd (JOBZ='N', UPLO='L') once per matrix.
+    A stack of at least _MIN_STACK 2 x 2 matrices, each finite with its
+    largest lower-triangle magnitude zero or in [SSFMIN, RMAX] (about
+    [1.2e-122, 1e146], where neither dsyevd nor dsterf rescales), goes to
+    _eigvalsh_2x2 instead: the float sequence of dsterf, dlae2 and dlasrt
+    that dsyevd runs for n = 2, on the whole stack at once, bit for bit
+    (signed zeros included). Every other input, single matrices included,
+    goes to eigvalsh.
+    """
+    a = _mat(A)
+    if a.size >= 4 * _MIN_STACK and a.shape[-2:] == (2, 2):
+        lam = _eigvalsh_2x2(a)
+        if lam is not None:
+            return lam
+    return np.linalg.eigvalsh(a)
+
+
+# Smallest stack that _eigvalsh_2x2 takes, the measured crossover: below it,
+# eigvalsh's per-matrix LAPACK calls cost less than the kernel's fixed numpy
+# overhead of about 40 us.
+_MIN_STACK = 160
+_EPS = 2.0 ** -53  # dlamch('E')
+_EPS2 = _EPS * _EPS
+# dsterf rescales a block whose largest entry is below sqrt(safmin)/eps^2;
+# dsyevd rescales a matrix whose largest entry exceeds sqrt(eps'/safmin),
+# eps' = dlamch('P') = 2^-52, safmin = 2^-1022.
+_SSFMIN = 2.0 ** -405
+_RMAX = 2.0 ** 485
+
+
+def _eigvalsh_2x2(a: np.ndarray) -> Optional[np.ndarray]:
+    """np.linalg.eigvalsh of a stack a[..., 2, 2], bit for bit, or None
+    when a matrix is not finite or lies outside LAPACK's unscaled range.
+
+    For n = 2, dsytrd leaves d = (a11, a22) and e = a21 (the lower
+    triangle). dsterf then deflates on |e| <= sqrt|d1| sqrt|d2| eps,
+    squares e, iterates QR when |d2| < |d1| and QL otherwise, deflates
+    on e^2 <= eps^2 |d1 d2|, and otherwise solves the block with dlae2
+    on sqrt(e^2). dlasrt's insertion sort swaps the two output positions
+    only when the second is strictly less.
+    """
+    d1, d2, e = a[..., 0, 0], a[..., 1, 1], a[..., 1, 0]
+    ad1, ad2, ae = np.abs(d1), np.abs(d2), np.abs(e)
+    top = np.maximum(np.maximum(ad1, ad2), ae)
+    if not (((top >= _SSFMIN) | (top == 0.0)) & (top <= _RMAX)).all():
+        return None
+    qr = ad2 < ad1
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+        e2 = e * e
+        split = (ae <= np.sqrt(ad1) * np.sqrt(ad2) * _EPS) | (e2 <= _EPS2 * np.abs(d1 * d2))
+        # dlae2(a, b, c) runs with a at the starting position; its tie-break
+        # (acmx = a only when |a| > |c|) then always picks acmx = c.
+        acmx, acmn = np.where(qr, d1, d2), np.where(qr, d2, d1)
+        b = np.sqrt(e2)
+        sm = d1 + d2
+        adf, ab = np.abs(d1 - d2), b + b
+        # dlae2's three cases for rt = sqrt(adf^2 + ab^2) in one expression:
+        # with adf = ab, (big/big)^2 = 1 and big*sqrt(2) is its AB*SQRT(TWO)
+        big = np.maximum(adf, ab)
+        rt = big * np.sqrt(1.0 + np.square(np.minimum(adf, ab) / big))
+        # sm = 0: 0.5*(sm + rt) is dlae2's 0.5*rt
+        rt1 = 0.5 * np.where(sm < 0.0, sm - rt, sm + rt)
+        rt2 = np.where(sm == 0.0, -0.5 * rt, (acmx / rt1) * acmn - (b / rt1) * b)
+    # dlasrt on LAPACK's output positions: (d1, d2) for a deflated row. A
+    # solved row holds rt1 at the start of the iteration, but rt1 != 0 there,
+    # so its two values never tie in value with different bits and either
+    # position gives the same sorted pair.
+    x1, x2 = np.where(split, d1, rt1), np.where(split, d2, rt2)
+    swap = x2 < x1
+    lam = np.empty(a.shape[:-1])
+    lam[..., 0], lam[..., 1] = np.where(swap, x2, x1), np.where(swap, x1, x2)
+    return lam
 
 
 def jet_norm(J: Jet2, lam: Optional[np.ndarray] = None) -> float:

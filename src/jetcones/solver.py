@@ -75,7 +75,7 @@ from .errors import (
     UnstableStep,
 )
 from .grids import Grid, GridFunction, second_difference_field
-from .jets import random_symmetric
+from .jets import eigenvalues, random_symmetric
 
 # ---------------------------------------------------------------------------
 # Discrete operators (monotone reductions of directional second differences)
@@ -274,7 +274,7 @@ def stencil_bias(grid: Grid, op_key: str, rng: np.random.Generator,
         B = random_symmetric(rng, grid.d)
         u = 0.5 * (x[..., None, :] @ B.entries @ x[..., :, None])[..., 0, 0]
         fld = op.apply(u, grid)
-        value = float(target(np.linalg.eigvalsh(B.entries))) / params.get("p", 1)
+        value = float(target(eigenvalues(B))) / params.get("p", 1)
         worst = max(worst, float(np.max(np.abs(fld - value))))
     return worst
 

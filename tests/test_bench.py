@@ -1,0 +1,74 @@
+"""scripts/bench.py on stubbed benchmark runs: run order and record schema."""
+
+import importlib.util
+import json
+import subprocess
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+
+
+def _fake_run(calls):
+    """A subprocess.run that answers git with a fixed revision and the
+    benchmark with a detail line and a result line whose focus_s is the
+    seed in seconds."""
+
+    def run(cmd, cwd=None, capture_output=False, text=False, timeout=None):
+        if cmd[0] == "git":
+            out = "0123abc\n" if "rev-parse" in cmd else ""
+            return subprocess.CompletedProcess(cmd, 0, out, "")
+        seed = int(cmd[cmd.index("--seed") + 1])
+        calls.append((Path(cwd).name, cmd[cmd.index("--workload") + 1], seed))
+        metrics = {k: {"value": 1.0, "unit": "s"} for k in bench.end_to_end()}
+        metrics["focus_s"]["value"] = float(seed)
+        detail = {"detail": {"clock": {"ticks": seed, "kernel_q50_s": 5e-4}}}
+        result = {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}
+        return subprocess.CompletedProcess(cmd, 0, "log line\n" + json.dumps(detail) + "\n"
+                                           + json.dumps(result) + "\n", "")
+
+    return run
+
+
+def test_bench_alternates_checkouts_and_writes_one_record_each(tmp_path, monkeypatch):
+    for side in ("old", "new"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    calls = []
+    monkeypatch.setattr(bench.subprocess, "run", _fake_run(calls))
+    assert bench.main(["--seeds", "4", "1", "2", "--workloads", "verify", "grid-checks",
+                       "--seconds", "2", "--out", str(tmp_path),
+                       f"parent={tmp_path / 'old'}", f"change={tmp_path / 'new'}"]) == 0
+    # each seed runs both checkouts, the first one alternating
+    assert calls == [("old", "verify", 4), ("new", "verify", 4), ("new", "verify", 1),
+                     ("old", "verify", 1), ("old", "verify", 2), ("new", "verify", 2),
+                     ("old", "grid-checks", 4), ("new", "grid-checks", 4),
+                     ("new", "grid-checks", 1), ("old", "grid-checks", 1),
+                     ("old", "grid-checks", 2), ("new", "grid-checks", 2)]
+    for label in ("parent", "change"):
+        rec = json.loads((tmp_path / f"BENCH_{label}.json").read_text())
+        assert set(rec) == {"label", "revision", "seconds", "command", "workloads"}
+        assert rec["label"] == label and rec["revision"] == "0123abc"
+        assert rec["seconds"] == 2.0 and rec["command"] == bench.benchmark()["command"]
+        assert set(rec["workloads"]) == {"verify", "grid-checks"}
+        for w in rec["workloads"].values():
+            assert w["runs"] == 3 and w["attempted"] == 9 and w["failed"] == 0
+            assert list(w["metrics"]) == bench.end_to_end()
+            assert len(w["metrics"]) == 6
+            assert w["metrics"]["focus_s"] == {"median": 2.0, "q1": 1.5, "q3": 3.0}
+            assert w["metrics"]["setup_s"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
+            assert [r["seed"] for r in w["per_run"]] == [4, 1, 2]
+            assert [r["clock"]["ticks"] for r in w["per_run"]] == [4, 1, 2]
+
+
+def test_bench_summary_of_one_run():
+    assert bench.summary([0.5]) == {"median": 0.5, "q1": 0.5, "q3": 0.5}
+
+
+def test_bench_rejects_a_checkout_without_the_benchmark(tmp_path):
+    with pytest.raises(SystemExit):
+        bench.parse_args(["--seeds", "1", f"x={tmp_path}"])

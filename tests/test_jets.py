@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from jetcones.errors import NonOrthonormalBasis
 from jetcones.jets import (
+    _MIN_STACK,
+    _RMAX,
+    _SSFMIN,
     Jet2,
     SymMat,
+    _eigvalsh_2x2,
     eigenvalues,
     jet_norm,
     random_jet,
@@ -153,6 +158,143 @@ def test_eigenvalue_shift_and_weyl(seed):
     P = random_psd(rng, n)
     bumped = eigenvalues(A + P)
     assert np.min(bumped - lam) >= -1e-10
+
+
+# --- the stacked 2 x 2 route of eigenvalues: bit for bit LAPACK ----------
+
+
+def _int_bits(x) -> np.ndarray:
+    """The float64 bits of x, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+def _count_lapack(monkeypatch) -> list:
+    """Patch np.linalg.eigvalsh to record the shape of each call."""
+    calls, lapack = [], np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return lapack(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def _edge_rows() -> np.ndarray:
+    """(a11, a21, a22) rows at the branches of dsterf and dlae2."""
+    h = float.fromhex
+    rows = [
+        (2.0, 1.0, 2.0), (-2.0, 1.0, 2.0), (2.0, -1.0, -2.0), (-2.0, 3.0, -2.0),  # |a11| = |a22|
+        (1.5, 0.25, -1.5), (-1e3, 7.0, 1e3), (0.0, 1.0, 0.0), (-0.0, -2.0, 0.0),  # a11 + a22 = 0
+        (3.0, 0.0, 1.0), (1.0, -0.0, 3.0), (-1.0, 0.0, -1.0), (5.0, 0.0, -5.0),   # a21 = 0
+        (1.0, 1e-17, 1.0), (1.0, -1e-17, 2.0), (1e3, 1e-200, -1e-3),              # tiny a21
+        # |a21| at the deflation tests' rounding edge, where dlae2 would give
+        # other bits: the first trips only the unsquared test, the second
+        # only the squared one
+        (h("0x1.3162cc5e99a50p-1"), h("0x1.3162cc5e99a51p-54"), h("0x1.3162cc5e99a50p-1")),
+        (h("0x1.9426fc5cb9cdbp+1"), h("0x1.9426fc5cb9cdbp-52"), h("0x1.9426fc5cb9cdbp+1")),
+        (0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), (0.0, -0.0, -0.0), (-0.0, -0.0, -0.0),  # zeros
+        (3.0, 4.0, -3.0), (1.0, 1.0, 1.0), (2.0, -6.0, 7.0), (-4.0, 2.0, -1.0),    # integers
+        (1.0, 1.0, 1.0 + 2.0 ** -52), (1e-120, 3e-121, -2e-121), (9e145, -1e145, 3e145),
+    ]
+    return np.array(rows)
+
+
+def _from_rows(rows: np.ndarray, upper=None) -> np.ndarray:
+    """Matrices [[a11, upper], [a21, a22]]; upper defaults to a21."""
+    a = np.empty(rows.shape[:-1] + (2, 2))
+    a[..., 0, 0], a[..., 1, 0], a[..., 1, 1] = rows[..., 0], rows[..., 1], rows[..., 2]
+    a[..., 0, 1] = rows[..., 1] if upper is None else upper
+    return a
+
+
+def test_edge_rows_trip_each_deflation_test_alone():
+    d1, e, d2 = _edge_rows()[15:17].T
+    eps = 2.0 ** -53
+    unsquared = np.abs(e) <= np.sqrt(np.abs(d1)) * np.sqrt(np.abs(d2)) * eps
+    squared = e * e <= eps * eps * np.abs(d1 * d2)
+    assert unsquared.tolist() == [True, False]
+    assert squared.tolist() == [False, True]
+
+
+@pytest.mark.parametrize("scale", [1e-120, 1e-100, 1e-3, 1.0, 1e3, 1e100, 1e145])
+def test_stacked_2x2_eigenvalues_are_lapacks_to_the_bit(scale, monkeypatch):
+    rng = np.random.default_rng(2222)
+    g = rng.standard_normal((100_000, 2, 2)) * scale
+    a = 0.5 * (g + g.swapaxes(-1, -2))
+    ref = np.linalg.eigvalsh(a)
+    calls = _count_lapack(monkeypatch)
+    got = eigenvalues(a)
+    assert calls == []
+    assert np.array_equal(_int_bits(got), _int_bits(ref))
+
+
+def test_stacked_2x2_edge_rows_are_lapacks_to_the_bit(monkeypatch):
+    rows = _edge_rows()
+    a = _from_rows(rows)
+    for stack in (a, -a, a[:, ::-1, ::-1]):  # the swap exchanges QL and QR
+        assert _eigvalsh_2x2(stack) is not None
+        ref = np.linalg.eigvalsh(stack)
+        assert np.array_equal(_int_bits(_eigvalsh_2x2(stack)), _int_bits(ref))
+    big = np.tile(a, (_MIN_STACK // len(a) + 1, 1, 1))
+    ref = np.linalg.eigvalsh(big)
+    calls = _count_lapack(monkeypatch)
+    assert np.array_equal(_int_bits(eigenvalues(big)), _int_bits(ref))
+    assert calls == []
+
+
+def test_stacked_2x2_route_reads_the_lower_triangle(monkeypatch):
+    rng = np.random.default_rng(12)
+    rows = rng.standard_normal((4 * _MIN_STACK, 3))
+    a = _from_rows(rows, upper=rng.standard_normal(4 * _MIN_STACK) * 1e200).reshape(4, _MIN_STACK, 2, 2)
+    ref = np.linalg.eigvalsh(a)
+    assert np.array_equal(_int_bits(ref), _int_bits(np.linalg.eigvalsh(_from_rows(rows).reshape(a.shape))))
+    calls = _count_lapack(monkeypatch)
+    got = eigenvalues(a)
+    assert calls == [] and got.shape == (4, _MIN_STACK, 2)
+    assert np.array_equal(_int_bits(got), _int_bits(ref))
+
+
+@pytest.mark.parametrize("case", ["small", "tiny row", "huge row", "inf", "nan", "3x3", "single"])
+def test_other_inputs_go_to_lapack(case, monkeypatch):
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((_MIN_STACK, 2, 2))
+    a = g + g.swapaxes(-1, -2)
+    if case == "small":
+        a = a[1:]
+    elif case == "tiny row":
+        a[7] *= 1e-124  # rescaled by dsterf: its largest entry is below SSFMIN
+    elif case == "huge row":
+        a[7] *= 1e147  # rescaled by dsyevd: its largest entry exceeds RMAX
+    elif case == "inf":
+        a[7, 1, 1] = np.inf
+    elif case == "nan":
+        a[7, 0, 0] = np.nan
+    elif case == "3x3":
+        g = rng.standard_normal((_MIN_STACK, 3, 3))
+        a = g + g.swapaxes(-1, -2)
+    else:
+        a = a[0]
+    ref = np.linalg.eigvalsh(a)
+    calls = _count_lapack(monkeypatch)
+    got = eigenvalues(a)
+    assert calls == [a.shape]
+    assert np.array_equal(_int_bits(got), _int_bits(ref))
+    if case in ("tiny row", "huge row", "inf", "nan"):
+        assert _eigvalsh_2x2(a) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.just(3)),
+                  elements=st.floats(-2e146, 2e146, allow_subnormal=True)))
+def test_stacked_2x2_kernel_property(rows):
+    a = _from_rows(rows)
+    got = _eigvalsh_2x2(a)
+    top = np.max(np.abs(rows), axis=-1)
+    in_range = np.all(((top >= _SSFMIN) | (top == 0.0)) & (top <= _RMAX))
+    assert (got is not None) == in_range
+    if got is not None:
+        assert np.array_equal(_int_bits(got), _int_bits(np.linalg.eigvalsh(a)))
 
 
 def test_trace_on_subspace_identity_two_plane():

@@ -72,6 +72,7 @@ from jetcones.catalog import (
     MonotonicityCone,
     FiberegReport,
     VariableFiberMap,
+    _anchor_pairs,
     _fiber_jet_samples,
     bind_key,
     check_fiberegularity,
@@ -535,18 +536,20 @@ def test_fiber_jet_samples_match_the_per_jet_loop(key):
     assert seen != {0}
 
 
-def ref_check_fiberegularity(theta, M, eta, seed, grid_per_side=16, anchors=120,
-                             jets_per_point=12, tol=DEFAULT_TOL):
-    """check_fiberegularity by the per-point route: each anchor's jets shift
-    in the fiber_at(x) oracle, and each pair builds fiber_at(y) and tests
-    its jets one contains call at a time."""
-    J0, omega, d = theta.reference_jet, theta.domain, theta.domain.dim
-    assert reduced_cone(M, theta.n, theta.arity).classify(J0, tol).is_interior
-    rng = np.random.default_rng(seed)
+def ref_anchors(omega, rng, grid_per_side, anchors):
+    """check_fiberegularity's grid axes and anchor indices."""
+    d = omega.dim
     axes = [np.linspace(omega.lo[i], omega.hi[i], grid_per_side) for i in range(d)]
     idx_all = list(np.ndindex(*(grid_per_side,) * d))
     if len(idx_all) > anchors:
         idx_all = [idx_all[s] for s in rng.choice(len(idx_all), size=anchors, replace=False)]
+    return axes, idx_all
+
+
+def ref_anchor_pairs(axes, idx_all):
+    """The anchor pairs on the offset ladder, sorted by a per-pair
+    np.linalg.norm key."""
+    d, grid_per_side = len(axes), len(axes[0])
 
     def point(ix):
         return np.array([axes[k][ix[k]] for k in range(d)])
@@ -559,6 +562,39 @@ def ref_check_fiberegularity(theta, M, eta, seed, grid_per_side=16, anchors=120,
     pairs = [(ix, tuple(i + o for i, o in zip(ix, off))) for ix in idx_all for off in offsets
              if all(0 <= i + o < grid_per_side for i, o in zip(ix, off))]
     pairs.sort(key=lambda p: np.linalg.norm(point(p[0]) - point(p[1])))
+    return pairs
+
+
+@pytest.mark.parametrize("key", ["pma", "slag", "affine-sphere", "ot"])
+def test_anchor_pairs_keep_the_norm_key_order(key):
+    # at check_fiberegularity's default sizes (a 16-point side, 120 anchors
+    # at seed 11) and on every grid point as an anchor
+    omega = make_oracle(key, 2).domain
+    default = ref_anchors(omega, np.random.default_rng(11), 16, 120)
+    every = ref_anchors(omega, None, 16, 16 ** omega.dim)
+    for axes, idx in (default, every):
+        ref = ref_anchor_pairs(axes, idx)
+        got, dists = _anchor_pairs(axes, idx)
+        assert got == ref
+        norms = [np.linalg.norm(np.array([axes[k][a[k]] - axes[k][b[k]] for k in range(len(a))]))
+                 for a, b in ref]
+        assert list(map(float.hex, dists.tolist())) == list(map(float.hex, map(float, norms)))
+
+
+def ref_check_fiberegularity(theta, M, eta, seed, grid_per_side=16, anchors=120,
+                             jets_per_point=12, tol=DEFAULT_TOL):
+    """check_fiberegularity by the per-point route: each anchor's jets shift
+    in the fiber_at(x) oracle, and each pair builds fiber_at(y) and tests
+    its jets one contains call at a time."""
+    J0, omega, d = theta.reference_jet, theta.domain, theta.domain.dim
+    assert reduced_cone(M, theta.n, theta.arity).classify(J0, tol).is_interior
+    rng = np.random.default_rng(seed)
+    axes, idx_all = ref_anchors(omega, rng, grid_per_side, anchors)
+
+    def point(ix):
+        return np.array([axes[k][ix[k]] for k in range(d)])
+
+    pairs = ref_anchor_pairs(axes, idx_all)
     cache = {}
 
     def jets_at(ix):

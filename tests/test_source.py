@@ -104,3 +104,30 @@ def test_the_checker_sees_an_unread_parameter():
 def test_every_parameter_is_read(path):
     assert [name for name in unread_parameters(path.read_text())
             if name not in UNREAD_PARAMETERS] == []
+
+
+def eigvalsh_references(source: str) -> list:
+    """Lines that name eigvalsh: as an attribute, a bare name or an import."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        named = ((isinstance(node, ast.Attribute) and node.attr == "eigvalsh")
+                 or (isinstance(node, ast.Name) and node.id == "eigvalsh")
+                 or (isinstance(node, (ast.Import, ast.ImportFrom))
+                     and any(a.name.split(".")[-1] == "eigvalsh" for a in node.names)))
+        if named:
+            out.append(node.lineno)
+    return [f"line {n}" for n in sorted(out)]
+
+
+def test_the_checker_sees_every_eigvalsh_reference():
+    source = ("import numpy as np\nfrom numpy.linalg import eigvalsh\n"
+              "x = np.linalg.eigvalsh(a)\ny = eigvalsh\nz = np.linalg.eigh(a)\n")
+    assert eigvalsh_references(source) == ["line 2", "line 3", "line 4"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_eigen_solves_go_through_jets_eigenvalues(path):
+    # jets.eigenvalues chooses between LAPACK and the stacked 2 x 2 kernel;
+    # a direct eigvalsh call elsewhere would bypass that one entry point
+    if path.name != "jets.py":
+        assert eigvalsh_references(path.read_text()) == []
