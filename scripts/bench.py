@@ -12,8 +12,11 @@ the runs form alternating pairs.
 
 BENCH_<label>.json holds the checkout's git revision and, per workload:
 the median and quartiles of each end-to-end metric BENCHMARK.json declares,
-the run count, and each run's seed, metrics, operation counts and
-calibration-clock statistics (run.py's detail.clock).
+the run count, and each run's seed, metrics, operation counts,
+calibration-clock statistics (run.py's detail.clock) and detail: the
+fresh-process set-up samples whose median is setup_s
+(detail.setup_samples_s) and, for solve, the per-problem refinement rows
+(detail.refinement.rows: iterations, time, error and residual).
 """
 
 from __future__ import annotations
@@ -74,7 +77,8 @@ def revision(checkout: Path):
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run: its seed, end-to-end metrics, counts and clock."""
+    """One benchmark run: its seed, end-to-end metrics, counts, clock, set-up
+    samples and, for solve, refinement rows."""
     cmd = benchmark()["command"] + ["--workload", workload, "--seed", str(seed),
                                   "--seconds", str(seconds)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
@@ -84,10 +88,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
                            f"{done.stderr}")
     detail_line, result_line = done.stdout.strip().splitlines()[-2:]
     detail, result = json.loads(detail_line)["detail"], json.loads(result_line)
+    kept = {"setup_samples_s": detail["setup_samples_s"]}
+    if "refinement" in detail:
+        kept["refinement"] = {"rows": detail["refinement"]["rows"]}
     return {"seed": seed,
             "metrics": {k: result["metrics"][k]["value"] for k in end_to_end()},
             "attempted": result["attempted"], "failed": result["failed"],
-            "clock": detail["clock"]}
+            "clock": detail["clock"], "detail": kept}
 
 
 def summary(values: list) -> dict:

@@ -19,7 +19,6 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .catalog import (
     Arity,
@@ -181,6 +180,8 @@ def _spectral_root(f: Callable, lam: np.ndarray, keep: float, flip: float, tol: 
     often next to an inverse-quadratic step through a point beyond a kink
     of g; the secant step stays inside that bracket and is exact up to
     rounding wherever g is linear on it."""
+    from scipy.optimize import brentq
+
     ends = [None, None]  # the last points evaluated with g >= 0 and with g < 0
 
     def g(t):

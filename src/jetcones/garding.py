@@ -24,7 +24,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.optimize import linprog
 
 from .catalog import (
     REGISTRY,
@@ -401,6 +400,8 @@ def pucci_vertex_set(n: int, lam: float, Lam: float) -> list:
     A vertex v is extreme iff it is not a nonnegative combination of the
     other vertices; decided by linear feasibility, never hard-coded.
     """
+    from scipy.optimize import linprog
+
     check_pucci(lam, Lam)
     vertices = [np.array(v, dtype=float)
                 for v in itertools.product((lam, Lam), repeat=n)]

@@ -96,16 +96,9 @@ class Grid:
         m[self.interior_slice(width)] = True
         return m
 
-    def interior_nodes(self, width: Optional[int] = None) -> list:
-        w = self.layer_width if width is None else width
-        ranges = [range(w, dim - w) for dim in self.dims]
-        return list(itertools.product(*ranges))
-
-    def node_point(self, node) -> np.ndarray:
-        return self.lo + self.h * np.asarray(node, dtype=float)
-
     def node_points(self, width: Optional[int] = None) -> np.ndarray:
-        """node_point of every node of interior_slice(width), stacked [..., d]."""
+        """The point lo + h * node of every node of interior_slice(width),
+        stacked [..., d]."""
         w = self.layer_width if width is None else width
         axes = [np.arange(w, dim - w, dtype=float) for dim in self.dims]
         return self.lo + self.h * np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)

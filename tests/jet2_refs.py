@@ -6,7 +6,15 @@ duality._cone_members run on stacks in lockstep: every probe is one
 oracle.contains call on a Jet2 sum. shift_jets runs
 shift_stack_to_boundary on a list of Jet2s and hands back one moved Jet2
 or None per jet, so its result compares with the references jet by jet.
+
+interior_nodes and node_point walk a grid node by node: the index tuples
+of Grid.interior_slice and the point of one node, the per-node
+references for the stacked GridFunction.jet_field and Grid.node_points.
 """
+
+import itertools
+
+import numpy as np
 
 from jetcones.catalog import make_oracle, shift_stack_to_boundary
 from jetcones.jets import random_jet, stack_jets, unstack_jets
@@ -61,3 +69,13 @@ def shift_jets(F, jets, J0, margins, **kwargs):
     for i, K in zip(rows.tolist(), unstack_jets(*moved)):
         out[i] = K
     return out
+
+
+def interior_nodes(grid, width=None) -> list:
+    w = grid.layer_width if width is None else width
+    ranges = [range(w, dim - w) for dim in grid.dims]
+    return list(itertools.product(*ranges))
+
+
+def node_point(grid, node) -> np.ndarray:
+    return grid.lo + grid.h * np.asarray(node, dtype=float)

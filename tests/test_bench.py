@@ -16,17 +16,23 @@ spec.loader.exec_module(bench)
 def _fake_run(calls):
     """A subprocess.run that answers git with a fixed revision and the
     benchmark with a detail line and a result line whose focus_s is the
-    seed in seconds."""
+    seed in seconds. The detail line carries five set-up samples and, for
+    solve, one refinement row."""
 
     def run(cmd, cwd=None, capture_output=False, text=False, timeout=None):
         if cmd[0] == "git":
             out = "0123abc\n" if "rev-parse" in cmd else ""
             return subprocess.CompletedProcess(cmd, 0, out, "")
         seed = int(cmd[cmd.index("--seed") + 1])
-        calls.append((Path(cwd).name, cmd[cmd.index("--workload") + 1], seed))
+        workload = cmd[cmd.index("--workload") + 1]
+        calls.append((Path(cwd).name, workload, seed))
         metrics = {k: {"value": 1.0, "unit": "s"} for k in bench.end_to_end()}
         metrics["focus_s"]["value"] = float(seed)
-        detail = {"detail": {"clock": {"ticks": seed, "kernel_q50_s": 5e-4}}}
+        detail = {"detail": {"clock": {"ticks": seed, "kernel_q50_s": 5e-4},
+                             "setup_samples_s": [0.1 * seed] * 5, "ops": []}}
+        if workload == "solve":
+            detail["detail"]["refinement"] = {"rows": [{"problem": "P_33", "iterations": seed}],
+                                              "iter_growth": None, "known_gap": "x"}
         result = {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}
         return subprocess.CompletedProcess(cmd, 0, "log line\n" + json.dumps(detail) + "\n"
                                            + json.dumps(result) + "\n", "")
@@ -63,6 +69,22 @@ def test_bench_alternates_checkouts_and_writes_one_record_each(tmp_path, monkeyp
             assert w["metrics"]["setup_s"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
             assert [r["seed"] for r in w["per_run"]] == [4, 1, 2]
             assert [r["clock"]["ticks"] for r in w["per_run"]] == [4, 1, 2]
+            assert [r["detail"]["setup_samples_s"] for r in w["per_run"]] == [
+                [0.1 * seed] * 5 for seed in (4, 1, 2)]
+            assert all(set(r["detail"]) == {"setup_samples_s"} for r in w["per_run"])
+
+
+def test_bench_keeps_the_refinement_rows_of_solve(tmp_path, monkeypatch):
+    (tmp_path / "co" / "perfbench").mkdir(parents=True)
+    (tmp_path / "co" / "perfbench" / "run.py").write_text("")
+    monkeypatch.setattr(bench.subprocess, "run", _fake_run([]))
+    assert bench.main(["--seeds", "3", "5", "--workloads", "solve", "--seconds", "1",
+                       "--out", str(tmp_path), f"one={tmp_path / 'co'}"]) == 0
+    rec = json.loads((tmp_path / "BENCH_one.json").read_text())
+    for r, seed in zip(rec["workloads"]["solve"]["per_run"], (3, 5)):
+        assert r["detail"] == {"setup_samples_s": [0.1 * seed] * 5,
+                               "refinement": {"rows": [{"problem": "P_33",
+                                                        "iterations": seed}]}}
 
 
 def test_bench_summary_of_one_run():

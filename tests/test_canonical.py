@@ -32,7 +32,7 @@ from jetcones.duality import CheckReport
 from jetcones.errors import BoundaryNode, BracketingFailure
 from jetcones.grids import GridFunction, square_grid
 from jetcones.jets import Jet2, SymMat, random_jet, random_psd, random_symmetric
-from jet2_refs import ref_shift_to_boundary
+from jet2_refs import interior_nodes, ref_shift_to_boundary
 
 M_A_PART = MonotonicityCone(0.0, DirectionalCone.full(), math.inf)
 
@@ -324,7 +324,7 @@ def test_admissible_quadratic_subsolution():
     u = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
     op = lambda J: float(np.linalg.det(J.A.entries)) - 1.0
     P = cone_P(2)
-    for node in grid.interior_nodes(1):
+    for node in interior_nodes(grid, 1):
         assert admissible_subsolution_test(op, P, u, node)
         assert admissible_supersolution_test(op, P, u, node)
 
@@ -334,7 +334,7 @@ def test_admissible_affine_positive_not_admissible():
     u = GridFunction.from_callable(grid, lambda x: 1.0 + x[0])
     op = gradient_free_op(lambda r, A: -r * float(np.linalg.det(A)))
     Q = cone_Q(2)
-    node = grid.interior_nodes(1)[len(grid.interior_nodes(1)) // 2]
+    node = interior_nodes(grid, 1)[len(interior_nodes(grid, 1)) // 2]
     assert not admissible_subsolution_test(op, Q, u, node)
     # supersolution disjunction holds because the jet leaves Q
     assert admissible_supersolution_test(op, Q, u, node)
@@ -345,7 +345,7 @@ def test_admissible_concave_fails_constraint():
     u = GridFunction.from_callable(grid, lambda x: -float(x @ x))
     op = lambda J: float(np.linalg.det(J.A.entries)) - 1.0
     P = cone_P(2)
-    node = grid.interior_nodes(1)[0]
+    node = interior_nodes(grid, 1)[0]
     assert not admissible_subsolution_test(op, P, u, node)
 
 

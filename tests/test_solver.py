@@ -61,7 +61,7 @@ from jetcones.solver import (
     uniform_translation_probe,
     zmp_experiment,
 )
-from jet2_refs import ref_shift_to_boundary
+from jet2_refs import interior_nodes, node_point, ref_shift_to_boundary
 
 M_FULL = MonotonicityCone(0.0, DirectionalCone.full(), math.inf)
 
@@ -1005,7 +1005,7 @@ def test_ae_guard_discrete_jets_everywhere():
     grid = square_grid(17, -1.0, 1.0)
     u = GridFunction.from_callable(grid, lambda x: abs(x[0]) + 0.5 * float(x @ x))
     rep1 = check_subharmonic(u, cone_P(2))
-    nodes = grid.interior_nodes(1)
+    nodes = interior_nodes(grid, 1)
     members = sum(
         cone_P(2).classify(u.discrete_jet(nd)).is_member for nd in nodes
     )
@@ -1021,8 +1021,8 @@ def _per_node_report(u, fiber, tol=1e-8, width=1, dual=False):
     total = members = 0
     worst = math.inf
     failures = []
-    for node in u.grid.interior_nodes(width):
-        oracle = fiber.fiber_at(u.grid.node_point(node)) if variable else fiber
+    for node in interior_nodes(u.grid, width):
+        oracle = fiber.fiber_at(node_point(u.grid, node)) if variable else fiber
         oracle = dual_oracle(oracle) if dual else oracle
         r = oracle.classify(u.discrete_jet(node), tol)
         total += 1
@@ -1086,12 +1086,12 @@ def test_jet_field_is_discrete_jet_stacked():
         for width in (1, 2):
             r, p, A = u.jet_field(width)
             x = u.grid.node_points(width)
-            for node in u.grid.interior_nodes(width):
+            for node in interior_nodes(u.grid, width):
                 J = u.discrete_jet(node)
                 i = tuple(c - width for c in node)
                 assert r[i] == J.r
                 assert np.array_equal(p[i], J.p) and np.array_equal(A[i], J.A.entries)
-                assert np.array_equal(x[i], u.grid.node_point(node))
+                assert np.array_equal(x[i], node_point(u.grid, node))
 
 
 # --- uniform translation probe ----------------------------------------------

@@ -1,9 +1,19 @@
-"""Source hygiene of the package, checked with the standard library's ast."""
+"""Source hygiene of the package, checked with the standard library's ast,
+and the modules that importing it loads, checked in a fresh interpreter."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from numpy.random import default_rng
+
+from jetcones import catalog as cat
+from jetcones import garding, jets
+from jetcones.canonical import canonical_operator
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "jetcones").glob("*.py"))
@@ -131,3 +141,38 @@ def test_eigen_solves_go_through_jets_eigenvalues(path):
     # a direct eigvalsh call elsewhere would bypass that one entry point
     if path.name != "jets.py":
         assert eigvalsh_references(path.read_text()) == []
+
+
+# A fresh interpreter: jetcones.canonical loads no scipy; no module of the
+# package loads scipy.optimize until a call runs Brent or linprog.
+IMPORT_PROBE = """
+import importlib, json, sys
+from numpy.random import default_rng
+import jetcones.canonical
+out = {"scipy_after_canonical": "scipy" in sys.modules}
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+out["optimize_after_imports"] = "scipy.optimize" in sys.modules
+from jetcones import catalog as cat, garding, jets
+A = jets.random_symmetric(default_rng(0), 3, 1.5)
+out["brent_value"] = jetcones.canonical.canonical_operator(cat.cone_sigma_k(3, 2), A).hex()
+out["optimize_after_brent"] = "scipy.optimize" in sys.modules
+out["vertices"] = [v.tolist() for v in garding.pucci_vertex_set(3, 1.0, 2.0)]
+print(json.dumps(out))
+"""
+
+
+def test_importing_the_package_loads_no_scipy_optimize():
+    modules = ["jetcones" if p.stem == "__init__" else f"jetcones.{p.stem}" for p in SOURCES]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *modules], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    out = json.loads(done.stdout)
+    assert out["scipy_after_canonical"] is False
+    assert out["optimize_after_imports"] is False
+    # sigma_2's curved g fails the ladder's certificate, so Brent runs
+    A = jets.random_symmetric(default_rng(0), 3, 1.5)
+    assert out["optimize_after_brent"] is True
+    assert out["brent_value"] == canonical_operator(cat.cone_sigma_k(3, 2), A).hex()
+    assert out["vertices"] == [v.tolist() for v in garding.pucci_vertex_set(3, 1.0, 2.0)]
+    assert len(out["vertices"]) == 6
