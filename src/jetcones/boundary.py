@@ -39,28 +39,6 @@ class LevelSetDomain:
     hess: Callable[[np.ndarray], SymMat]
     bbox: Box
 
-    def fd_consistency(self, x, h: float = 1e-4):
-        """Max deviation of grad/hess from centered differences of phi at x."""
-        x = np.asarray(x, dtype=float)
-        n = len(x)
-        g = np.zeros(n)
-        H = np.zeros((n, n))
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = h
-            g[i] = (self.phi(x + ei) - self.phi(x - ei)) / (2 * h)
-            H[i, i] = (self.phi(x + ei) - 2 * self.phi(x) + self.phi(x - ei)) / h**2
-            for j in range(i + 1, n):
-                ej = np.zeros(n)
-                ej[j] = h
-                H[i, j] = H[j, i] = (
-                    self.phi(x + ei + ej) - self.phi(x + ei - ej)
-                    - self.phi(x - ei + ej) + self.phi(x - ei - ej)
-                ) / (4 * h**2)
-        gdev = float(np.max(np.abs(g - self.grad(x))))
-        hdev = float(np.max(np.abs(H - self.hess(x).entries)))
-        return gdev, hdev
-
 
 @dataclass(frozen=True)
 class BoundaryPointData:

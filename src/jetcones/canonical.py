@@ -37,7 +37,7 @@ from .catalog import (
     shift_stack_to_boundary,
 )
 from .duality import CheckReport
-from .errors import BadParameters, BracketingFailure, ReferenceJetNotInterior
+from .errors import BadParameters, BoundaryNode, BracketingFailure, ReferenceJetNotInterior
 from .jets import (
     Jet2,
     SymMat,
@@ -540,6 +540,20 @@ def check_strict_M_monotone(
 # Admissible viscosity sub/supersolution tests on grid functions
 # ---------------------------------------------------------------------------
 
+def _node_jet(u, node) -> Jet2:
+    """u's discrete jet at an interior node: its entry of u.jet_field(1).
+
+    A node on the layer raises BoundaryNode; its index into the trimmed
+    stacks would be negative and wrap to the far side.
+    """
+    node = tuple(node)
+    if any(c < 1 or c >= dim - 1 for c, dim in zip(node, u.grid.dims)):
+        raise BoundaryNode(f"node {node} has no centered jet")
+    i = tuple(c - 1 for c in node)
+    r, p, A = u.jet_field(1)
+    return Jet2(float(r[i]), p[i], A[i])
+
+
 def admissible_subsolution_test(op: JetOp, G: Optional[FiberOracle],
                                 u, node, tol: float = DEFAULT_TOL) -> bool:
     """Discrete-jet admissible subsolution test at an interior node.
@@ -547,7 +561,7 @@ def admissible_subsolution_test(op: JetOp, G: Optional[FiberOracle],
     The discrete jet (value, centered gradient, centered Hessian) must
     lie in G with op >= 0 there.
     """
-    J = u.discrete_jet(node)
+    J = _node_jet(u, node)
     if G is not None and not G.contains(J, tol):
         return False
     return op(J) >= -tol
@@ -559,7 +573,7 @@ def admissible_supersolution_test(op: JetOp, G: Optional[FiberOracle],
 
     Either the discrete jet leaves G, or op <= 0 on it.
     """
-    J = u.discrete_jet(node)
+    J = _node_jet(u, node)
     if G is not None and not G.contains(J, tol):
         return True
     return op(J) <= tol

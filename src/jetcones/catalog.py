@@ -723,11 +723,6 @@ class Box:
     def center(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
 
-    def grid(self, per_side: int) -> np.ndarray:
-        axes = [np.linspace(self.lo[i], self.hi[i], per_side) for i in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=(count, self.dim))
 

@@ -75,10 +75,6 @@ class SingularGradient(ValueError):
     """Level-set gradient too small for a regular boundary point."""
 
 
-class StencilOutOfBounds(ValueError):
-    """Stencil offset leaves the grid."""
-
-
 class NotConverged(RuntimeError):
     """Fixed-point iteration hit max_iter above tolerance."""
 

@@ -35,7 +35,6 @@ from .catalog import (
     bind_key,
     check_index,
     check_pucci,
-    classify_value,
     elementary_symmetric,
     per_jet_form,
     skew_hermitian_mu,
@@ -246,12 +245,6 @@ def verify_hyperbolic(op: GardingOperator, samples: int = 100, seed: int = 41) -
     return op
 
 
-def garding_cone_contains(op: GardingOperator, A, tol: float = DEFAULT_TOL):
-    """Classify A against the closed cone {Lambda_j(A) >= 0 for all j}."""
-    lam = garding_eigenvalues(op, A)
-    return classify_value(float(lam[0]), tol)
-
-
 def garding_cone_oracle(op: GardingOperator) -> FiberOracle:
     """The closed cone as a catalog-compatible fiber oracle."""
     return FiberOracle(
@@ -395,29 +388,22 @@ def lagrangian_ma_operator(two_n: int) -> GardingOperator:
 
 
 def pucci_vertex_set(n: int, lam: float, Lam: float) -> list:
-    """Extreme vertices of the cone over the eigenvalue cube {lam, Lam}^n.
+    """Extreme vertices of the cone over the eigenvalue cube {lam, Lam}^n:
+    the 2^n - 2 non-constant vertices, in itertools.product order.
 
     A vertex v is extreme iff it is not a nonnegative combination of the
-    other vertices; decided by linear feasibility, never hard-coded.
+    other vertices. Let v be non-constant, with v_i = lam and v_j = Lam.
+    Every vertex w has w_i / w_j in {lam/Lam, 1, Lam/lam}, so w_i >=
+    (lam/Lam) w_j with equality only where (w_i, w_j) = (lam, Lam). A
+    nonnegative combination sum c_w w equal to v has v_i = lam =
+    (lam/Lam) v_j, so every w with c_w > 0 is lam wherever v is lam and
+    Lam wherever v is Lam: w = v, and v is no combination of the others.
+    The two constant vertices are positive multiples of each other, so
+    neither is extreme. For n = 1 the set is empty.
     """
-    from scipy.optimize import linprog
-
     check_pucci(lam, Lam)
-    vertices = [np.array(v, dtype=float)
-                for v in itertools.product((lam, Lam), repeat=n)]
-    extreme = []
-    for i, v in enumerate(vertices):
-        others = np.stack([w for j, w in enumerate(vertices) if j != i], axis=1)
-        res = linprog(
-            c=np.zeros(others.shape[1]),
-            A_eq=others,
-            b_eq=v,
-            bounds=[(0, None)] * others.shape[1],
-            method="highs",
-        )
-        if not res.success:
-            extreme.append(v)
-    return extreme
+    return [np.array(v, dtype=float) for v in itertools.product((lam, Lam), repeat=n)
+            if lam in v and Lam in v]
 
 
 def pucci_garding_operator(lam: float, Lam: float, n: int) -> GardingOperator:

@@ -13,17 +13,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    BoundaryNode,
-    BoundaryViolation,
-    EmptyFamily,
-    StencilOutOfBounds,
-)
-from .jets import Jet2, SymMat
+from .errors import BoundaryNode, BoundaryViolation, EmptyFamily
 
 STENCIL_2D = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1), (1, -2))
 STENCIL_1D = ((1,),)
@@ -139,84 +133,18 @@ class GridFunction:
         mask = ~self.grid.interior_mask()
         self.values[mask] = self.boundary_data[mask]
 
-    @staticmethod
-    def from_callable(grid: Grid, f: Callable) -> "GridFunction":
-        mesh = grid.meshgrid()
-        vals = np.vectorize(lambda *xs: float(f(np.array(xs))))(*mesh)
-        return GridFunction(grid, vals)
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy(), self.boundary_data.copy())
-
-    def second_difference(self, node, direction) -> float:
-        """(u(x + h*dir) + u(x - h*dir) - 2u(x)) / (h |dir|)^2."""
-        g = self.grid
-        node = tuple(node)
-        fwd = tuple(node[i] + direction[i] for i in range(g.d))
-        bwd = tuple(node[i] - direction[i] for i in range(g.d))
-        for nb in (fwd, bwd):
-            if any(c < 0 or c >= g.dims[i] for i, c in enumerate(nb)):
-                raise StencilOutOfBounds(f"offset {direction} leaves the grid at {node}")
-        step2 = (g.h ** 2) * float(sum(c * c for c in direction))
-        return (self.values[fwd] + self.values[bwd] - 2.0 * self.values[node]) / step2
-
-    def discrete_spectrum(self, node) -> np.ndarray:
-        """Directional second differences over the stencil (one per direction)."""
-        return np.array([self.second_difference(node, s) for s in self.grid.stencil_dirs])
-
-    def discrete_gradient(self, node) -> np.ndarray:
-        g = self.grid
-        node = tuple(node)
-        out = np.zeros(g.d)
-        for i in range(g.d):
-            fwd = list(node)
-            bwd = list(node)
-            fwd[i] += 1
-            bwd[i] -= 1
-            out[i] = (self.values[tuple(fwd)] - self.values[tuple(bwd)]) / (2 * g.h)
-        return out
-
-    def discrete_hessian(self, node) -> SymMat:
-        """Centered second differences including cross terms; exact on quadratics."""
-        g = self.grid
-        node = tuple(node)
-        h = g.h
-        H = np.zeros((g.d, g.d))
-        for i in range(g.d):
-            ei = [0] * g.d
-            ei[i] = 1
-            H[i, i] = self.second_difference(node, ei)
-            for j in range(i + 1, g.d):
-                pp = list(node); pm = list(node); mp = list(node); mm = list(node)
-                pp[i] += 1; pp[j] += 1
-                pm[i] += 1; pm[j] -= 1
-                mp[i] -= 1; mp[j] += 1
-                mm[i] -= 1; mm[j] -= 1
-                H[i, j] = H[j, i] = (
-                    self.values[tuple(pp)] - self.values[tuple(pm)]
-                    - self.values[tuple(mp)] + self.values[tuple(mm)]
-                ) / (4 * h * h)
-        return SymMat(H)
-
-    def discrete_jet(self, node) -> Jet2:
-        """(value, centered gradient, centered Hessian) at an interior node."""
-        g = self.grid
-        node = tuple(node)
-        w = 1  # jets need one-node margins; wide stencil ops check their own
-        if any(c < w or c >= g.dims[i] - w for i, c in enumerate(node)):
-            raise BoundaryNode(f"node {node} has no centered jet")
-        return Jet2(float(self.values[node]), self.discrete_gradient(node),
-                    self.discrete_hessian(node))
-
     def jet_field(self, width: int = 1) -> tuple:
         """Discrete jets of the width-trimmed interior as stacks (r, p, A).
 
-        r[...], p[..., d] and A[..., d, d] span grid.interior_slice(width),
-        and each node's entry is what discrete_jet returns there, to the
-        bit: the same centred differences, with diagonals from
-        second_difference_field (both Hessians are exactly symmetric, so
-        SymMat's symmetrization leaves discrete_jet's unchanged short of
-        overflow).
+        r[...], p[..., d] and A[..., d, d] span grid.interior_slice(width).
+        A node's entry is its value, the centred gradient
+        (u(x + h e_i) - u(x - h e_i)) / 2h and the centred Hessian, whose
+        diagonal is second_difference_field along the axes and whose
+        off-diagonal is the four-point cross difference over 4h^2; A is
+        exactly symmetric, and all three are exact on quadratics. Width 0
+        would put the layer's nodes in the stacks, and a shift off the
+        grid would wrap, so it raises BoundaryNode. The node-by-node
+        reference is discrete_jet in tests/jet2_refs.py.
         """
         g = self.grid
         if width < 1:

@@ -10,6 +10,10 @@ or None per jet, so its result compares with the references jet by jet.
 interior_nodes and node_point walk a grid node by node: the index tuples
 of Grid.interior_slice and the point of one node, the per-node
 references for the stacked GridFunction.jet_field and Grid.node_points.
+second_difference, discrete_spectrum, discrete_gradient, discrete_hessian
+and discrete_jet read one node's differences of a GridFunction, the
+per-node references for second_difference_field and jet_field.
+from_callable fills a grid with a Python function, one call per node.
 """
 
 import itertools
@@ -17,7 +21,9 @@ import itertools
 import numpy as np
 
 from jetcones.catalog import make_oracle, shift_stack_to_boundary
-from jetcones.jets import random_jet, stack_jets, unstack_jets
+from jetcones.errors import BoundaryNode
+from jetcones.grids import GridFunction
+from jetcones.jets import Jet2, SymMat, random_jet, stack_jets, unstack_jets
 
 
 def ref_shift_to_boundary(oracle, J, J0, margin=1e-6, tol=1e-9, max_expand=60):
@@ -79,3 +85,73 @@ def interior_nodes(grid, width=None) -> list:
 
 def node_point(grid, node) -> np.ndarray:
     return grid.lo + grid.h * np.asarray(node, dtype=float)
+
+
+def from_callable(grid, f) -> GridFunction:
+    mesh = grid.meshgrid()
+    vals = np.vectorize(lambda *xs: float(f(np.array(xs))))(*mesh)
+    return GridFunction(grid, vals)
+
+
+def second_difference(u, node, direction) -> float:
+    """(u(x + h*dir) + u(x - h*dir) - 2u(x)) / (h |dir|)^2."""
+    g = u.grid
+    node = tuple(node)
+    fwd = tuple(node[i] + direction[i] for i in range(g.d))
+    bwd = tuple(node[i] - direction[i] for i in range(g.d))
+    for nb in (fwd, bwd):
+        if any(c < 0 or c >= g.dims[i] for i, c in enumerate(nb)):
+            raise IndexError(f"offset {direction} leaves the grid at {node}")
+    step2 = (g.h ** 2) * float(sum(c * c for c in direction))
+    return (u.values[fwd] + u.values[bwd] - 2.0 * u.values[node]) / step2
+
+
+def discrete_spectrum(u, node) -> np.ndarray:
+    """Directional second differences over the stencil (one per direction)."""
+    return np.array([second_difference(u, node, s) for s in u.grid.stencil_dirs])
+
+
+def discrete_gradient(u, node) -> np.ndarray:
+    g = u.grid
+    node = tuple(node)
+    out = np.zeros(g.d)
+    for i in range(g.d):
+        fwd = list(node)
+        bwd = list(node)
+        fwd[i] += 1
+        bwd[i] -= 1
+        out[i] = (u.values[tuple(fwd)] - u.values[tuple(bwd)]) / (2 * g.h)
+    return out
+
+
+def discrete_hessian(u, node) -> SymMat:
+    """Centered second differences including cross terms; exact on quadratics."""
+    g = u.grid
+    node = tuple(node)
+    h = g.h
+    H = np.zeros((g.d, g.d))
+    for i in range(g.d):
+        ei = [0] * g.d
+        ei[i] = 1
+        H[i, i] = second_difference(u, node, ei)
+        for j in range(i + 1, g.d):
+            pp = list(node); pm = list(node); mp = list(node); mm = list(node)
+            pp[i] += 1; pp[j] += 1
+            pm[i] += 1; pm[j] -= 1
+            mp[i] -= 1; mp[j] += 1
+            mm[i] -= 1; mm[j] -= 1
+            H[i, j] = H[j, i] = (
+                u.values[tuple(pp)] - u.values[tuple(pm)]
+                - u.values[tuple(mp)] + u.values[tuple(mm)]
+            ) / (4 * h * h)
+    return SymMat(H)
+
+
+def discrete_jet(u, node) -> Jet2:
+    """(value, centered gradient, centered Hessian) at an interior node."""
+    g = u.grid
+    node = tuple(node)
+    w = 1  # jets need one-node margins; wide stencil ops check their own
+    if any(c < w or c >= g.dims[i] - w for i, c in enumerate(node)):
+        raise BoundaryNode(f"node {node} has no centered jet")
+    return Jet2(float(u.values[node]), discrete_gradient(u, node), discrete_hessian(u, node))

@@ -30,6 +30,7 @@ from jetcones.solver import (
     strict_approximator,
     zmp_experiment,
 )
+from jet2_refs import from_callable
 
 M_FULL = MonotonicityCone(0.0, DirectionalCone.full(), math.inf)
 
@@ -220,8 +221,8 @@ def test_criterion_3_canonical_suite(capsys):
 
 def test_criterion_4_solver_exactness(capsys):
     grid = square_grid(65, 0.0, 1.0)
-    quad = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
-    saddle = GridFunction.from_callable(grid, lambda x: x[0] ** 2 - x[1] ** 2)
+    quad = from_callable(grid, lambda x: 0.5 * float(x @ x))
+    saddle = from_callable(grid, lambda x: x[0] ** 2 - x[1] ** 2)
     zeros = np.zeros(grid.dims)
     runs = [
         ("P", 1.0, quad),

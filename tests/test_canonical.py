@@ -30,9 +30,9 @@ from jetcones.catalog import (
 )
 from jetcones.duality import CheckReport
 from jetcones.errors import BoundaryNode, BracketingFailure
-from jetcones.grids import GridFunction, square_grid
+from jetcones.grids import square_grid
 from jetcones.jets import Jet2, SymMat, random_jet, random_psd, random_symmetric
-from jet2_refs import interior_nodes, ref_shift_to_boundary
+from jet2_refs import from_callable, interior_nodes, ref_shift_to_boundary
 
 M_A_PART = MonotonicityCone(0.0, DirectionalCone.full(), math.inf)
 
@@ -321,7 +321,7 @@ def test_strict_M_monotone_matches_the_per_sample_loop(op, make):
 
 def test_admissible_quadratic_subsolution():
     grid = square_grid(9, 0.0, 1.0)
-    u = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
+    u = from_callable(grid, lambda x: 0.5 * float(x @ x))
     op = lambda J: float(np.linalg.det(J.A.entries)) - 1.0
     P = cone_P(2)
     for node in interior_nodes(grid, 1):
@@ -331,7 +331,7 @@ def test_admissible_quadratic_subsolution():
 
 def test_admissible_affine_positive_not_admissible():
     grid = square_grid(9, 0.0, 1.0)
-    u = GridFunction.from_callable(grid, lambda x: 1.0 + x[0])
+    u = from_callable(grid, lambda x: 1.0 + x[0])
     op = gradient_free_op(lambda r, A: -r * float(np.linalg.det(A)))
     Q = cone_Q(2)
     node = interior_nodes(grid, 1)[len(interior_nodes(grid, 1)) // 2]
@@ -342,7 +342,7 @@ def test_admissible_affine_positive_not_admissible():
 
 def test_admissible_concave_fails_constraint():
     grid = square_grid(9, 0.0, 1.0)
-    u = GridFunction.from_callable(grid, lambda x: -float(x @ x))
+    u = from_callable(grid, lambda x: -float(x @ x))
     op = lambda J: float(np.linalg.det(J.A.entries)) - 1.0
     P = cone_P(2)
     node = interior_nodes(grid, 1)[0]
@@ -351,6 +351,6 @@ def test_admissible_concave_fails_constraint():
 
 def test_admissible_raises_on_boundary_node():
     grid = square_grid(9, 0.0, 1.0)
-    u = GridFunction.from_callable(grid, lambda x: float(x @ x))
+    u = from_callable(grid, lambda x: float(x @ x))
     with pytest.raises(BoundaryNode):
         admissible_subsolution_test(lambda J: 0.0, None, u, (0, 0))

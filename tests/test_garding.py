@@ -16,7 +16,6 @@ from jetcones.garding import (
     branch_oracle,
     delta_elliptic_operator,
     det_operator,
-    garding_cone_contains,
     garding_cone_oracle,
     garding_dirichlet_check,
     garding_eigenvalues,
@@ -168,7 +167,7 @@ def test_garding_cone_det_is_cone_P():
     P = cone_P(3)
     for _ in range(300):
         A = random_symmetric(rng, 3, 1.5)
-        assert garding_cone_contains(op, A).kind is P.classify(A).kind
+        assert garding_cone_oracle(op).classify(A).kind is P.classify(A).kind
 
 
 def test_garding_cone_pfold_matches_catalog():
@@ -177,7 +176,7 @@ def test_garding_cone_pfold_matches_catalog():
     ref = cone_pfold(3, 2)
     for _ in range(200):
         A = random_symmetric(rng, 3, 1.5)
-        assert garding_cone_contains(op, A).kind is ref.classify(A).kind
+        assert garding_cone_oracle(op).classify(A).kind is ref.classify(A).kind
 
 
 def test_garding_cone_lagrangian_matches_catalog():
@@ -189,7 +188,7 @@ def test_garding_cone_lagrangian_matches_catalog():
         r = ref.classify(A)
         if r.kind is RegionKind.BOUNDARY:
             continue
-        assert garding_cone_contains(op, A).kind is r.kind
+        assert garding_cone_oracle(op).classify(A).kind is r.kind
 
 
 def test_garding_dirichlet_positive_cases():
@@ -198,6 +197,28 @@ def test_garding_dirichlet_positive_cases():
                sigma_k_operator(3, 2)):
         ok, witnesses = garding_dirichlet_check(op, samples=150)
         assert ok, f"{op.label}: {witnesses}"
+
+
+def pucci_vertex_set_by_linprog(n, lam, Lam):
+    """Reference: a vertex of {lam, Lam}^n is extreme iff the linear
+    program v = others @ c, c >= 0 is infeasible."""
+    from scipy.optimize import linprog
+
+    vertices = [np.array(v, dtype=float)
+                for v in itertools.product((lam, Lam), repeat=n)]
+    extreme = []
+    for i, v in enumerate(vertices):
+        others = np.stack([w for j, w in enumerate(vertices) if j != i], axis=1)
+        res = linprog(
+            c=np.zeros(others.shape[1]),
+            A_eq=others,
+            b_eq=v,
+            bounds=[(0, None)] * others.shape[1],
+            method="highs",
+        )
+        if not res.success:
+            extreme.append(v)
+    return extreme
 
 
 def test_pucci_vertex_set_computed():
@@ -209,6 +230,24 @@ def test_pucci_vertex_set_computed():
     assert all(not np.allclose(v, v[0]) for v in S3)  # no uniform vertex survives
     with pytest.raises(BadParameters):
         pucci_vertex_set(2, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("lam, Lam", [(1.0, 2.0), (0.5, 3.0), (0.001, 1000.0), (2.0, 7.5)])
+def test_pucci_vertex_set_matches_the_linear_programs(lam, Lam):
+    for n in range(1, 7):
+        S = pucci_vertex_set(n, lam, Lam)
+        ref = pucci_vertex_set_by_linprog(n, lam, Lam)
+        assert len(S) == len(ref) == 2**n - 2
+        for v, w in zip(S, ref):
+            assert v.dtype == w.dtype and v.tobytes() == w.tobytes()
+
+
+def test_pucci_garding_operator_at_near_equal_parameters():
+    # the linear programs' feasibility tolerance finds no extreme vertex
+    # here for n >= 3; every non-constant vertex is extreme
+    op = pucci_garding_operator(1.0, 1.0000001, 3)
+    assert op.degree == 6
+    assert garding_eigenvalues(op, SymMat.diag(1, 2, 3))[0] > 0
 
 
 def test_pucci_garding_sign_agreement():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jetcones.catalog import cone_P
-from jetcones.errors import BoundaryViolation, EmptyFamily, StencilOutOfBounds
+from jetcones.errors import BoundaryNode, BoundaryViolation, EmptyFamily
 from jetcones.grids import (
     Grid,
     GridFunction,
@@ -13,6 +13,7 @@ from jetcones.grids import (
     sup_convolution,
 )
 from jetcones.jets import random_symmetric
+from jet2_refs import from_callable, second_difference
 
 
 def sup_convolution_bruteforce(u: GridFunction, eps: float) -> GridFunction:
@@ -44,13 +45,13 @@ def test_grid_rejects_nonuniform():
 
 def test_second_difference_exact_on_quadratics():
     g = square_grid(17, 0.0, 1.0)
-    u = GridFunction.from_callable(g, lambda x: 0.5 * float(x @ x))
-    for node in [(5, 5), (8, 3)]:
-        for s in g.stencil_dirs:
-            assert u.second_difference(node, s) == pytest.approx(1.0, abs=1e-10)
-    v = GridFunction.from_callable(g, lambda x: x[0] ** 2 - x[1] ** 2)
-    assert v.second_difference((8, 8), (1, 0)) == pytest.approx(2.0)
-    assert v.second_difference((8, 8), (0, 1)) == pytest.approx(-2.0)
+    w = g.layer_width
+    u = from_callable(g, lambda x: 0.5 * float(x @ x))
+    for s in g.stencil_dirs:
+        assert second_difference_field(u.values, s, g.h, w) == pytest.approx(1.0, abs=1e-10)
+    v = from_callable(g, lambda x: x[0] ** 2 - x[1] ** 2)
+    assert second_difference_field(v.values, (1, 0), g.h, w) == pytest.approx(2.0)
+    assert second_difference_field(v.values, (0, 1), g.h, w) == pytest.approx(-2.0)
 
 
 @pytest.mark.parametrize("d, side", [(1, 9), (2, 17), (3, 9)])
@@ -70,14 +71,16 @@ def test_second_difference_field_on_a_stack(d, side):
                 assert np.array_equal(fld[i, j], single)
         node = (w,) * d
         u = GridFunction(g, stack[1, 2])
-        assert fld[(1, 2) + (0,) * d] == u.second_difference(node, s)
+        assert fld[(1, 2) + (0,) * d] == second_difference(u, node, s)
 
 
 def test_stencil_out_of_bounds():
+    # width 0 would put the layer's nodes in the stacks, whose centred
+    # stencils leave the grid
     g = square_grid(9, 0.0, 1.0)
-    u = GridFunction.from_callable(g, lambda x: 0.0)
-    with pytest.raises(StencilOutOfBounds):
-        u.second_difference((0, 0), (1, 0))
+    u = from_callable(g, lambda x: 0.0)
+    with pytest.raises(BoundaryNode):
+        u.jet_field(width=0)
 
 
 def test_discrete_spectrum_bounds_eigenvalues():
@@ -87,32 +90,34 @@ def test_discrete_spectrum_bounds_eigenvalues():
     g = square_grid(17, 0.0, 1.0)
     for _ in range(30):
         B = random_symmetric(rng, 2, 1.5)
-        u = GridFunction.from_callable(g, lambda x: 0.5 * float(x @ B.entries @ x))
-        spec = u.discrete_spectrum((8, 8))
+        u = from_callable(g, lambda x: 0.5 * float(x @ B.entries @ x))
+        # one row per stencil direction, one column per interior node
+        spec = np.stack([second_difference_field(u.values, s, g.h, g.layer_width).ravel()
+                         for s in g.stencil_dirs])
         lam = np.linalg.eigvalsh(B.entries)
         assert np.min(spec) >= lam[0] - 1e-9
         assert np.max(spec) <= lam[-1] + 1e-9
         # stencil bias on the 8-direction set stays under the spectral gap
-        assert np.min(spec) - lam[0] <= 0.5 * (lam[-1] - lam[0]) + 1e-9
+        assert np.max(np.min(spec, axis=0)) - lam[0] <= 0.5 * (lam[-1] - lam[0]) + 1e-9
 
 
 def test_discrete_jet_exact_on_quadratics():
     g = square_grid(17, -1.0, 1.0)
     B = np.array([[2.0, 0.7], [0.7, -1.0]])
     p0 = np.array([0.3, -0.2])
-    u = GridFunction.from_callable(
-        g, lambda x: 1.5 + float(p0 @ x) + 0.5 * float(x @ B @ x)
-    )
-    node = (8, 8)  # the origin
-    J = u.discrete_jet(node)
-    assert J.r == pytest.approx(1.5)
-    assert np.allclose(J.p, p0, atol=1e-10)
-    assert np.allclose(J.A.entries, B, atol=1e-9)
+    u = from_callable(g, lambda x: 1.5 + float(p0 @ x) + 0.5 * float(x @ B @ x))
+    r, p, A = u.jet_field(1)
+    x = g.node_points(1)
+    assert np.allclose(p, p0 + x @ B, atol=1e-10)
+    assert np.allclose(A, B, atol=1e-9)
+    origin = (7, 7)  # node (8, 8)
+    assert r[origin] == pytest.approx(1.5)
+    assert np.allclose(p[origin], p0, atol=1e-10)
 
 
 def test_boundary_layer_pinned():
     g = square_grid(9, 0.0, 1.0)
-    u = GridFunction.from_callable(g, lambda x: float(x[0]))
+    u = from_callable(g, lambda x: float(x[0]))
     u.values[0, 0] = 99.0
     rebuilt = GridFunction(g, u.values, boundary_data=u.boundary_data)
     assert rebuilt.values[0, 0] == u.boundary_data[0, 0]
@@ -120,9 +125,9 @@ def test_boundary_layer_pinned():
 
 def test_perron_envelope_absolute_value():
     g = square_grid(33, -1.0, 1.0)
-    gb = GridFunction.from_callable(g, lambda x: abs(x[0]))
+    gb = from_callable(g, lambda x: abs(x[0]))
     fam = [
-        GridFunction.from_callable(g, lambda x, a=a: a * x[0])
+        from_callable(g, lambda x, a=a: a * x[0])
         for a in np.linspace(-1, 1, 21)
     ]
     env = perron_envelope(fam, gb)
@@ -135,18 +140,18 @@ def test_perron_envelope_absolute_value():
 
 def test_perron_envelope_errors():
     g = square_grid(9, -1.0, 1.0)
-    gb = GridFunction.from_callable(g, lambda x: abs(x[0]))
+    gb = from_callable(g, lambda x: abs(x[0]))
     with pytest.raises(EmptyFamily):
         perron_envelope([], gb)
-    too_big = GridFunction.from_callable(g, lambda x: 2.0 + x[0])
+    too_big = from_callable(g, lambda x: 2.0 + x[0])
     with pytest.raises(BoundaryViolation):
         perron_envelope([too_big], gb)
 
 
 def test_perron_single_member_identity():
     g = square_grid(9, -1.0, 1.0)
-    gb = GridFunction.from_callable(g, lambda x: 1.0 + abs(x[0]))
-    w = GridFunction.from_callable(g, lambda x: x[0])
+    gb = from_callable(g, lambda x: 1.0 + abs(x[0]))
+    w = from_callable(g, lambda x: x[0])
     env = perron_envelope([w], gb)
     assert np.allclose(env.values, w.values)
 
@@ -165,7 +170,7 @@ def test_sup_convolution_1d_closed_form():
     # u = -x^2/2 has curvature -1; the envelope curvature is a/(1 - eps a),
     # giving -x^2/3 at eps = 1/2 (frozen from the brute-force oracle)
     g = Grid([-2.0], [2.0], (129,))
-    u = GridFunction.from_callable(g, lambda x: -0.5 * float(x[0] ** 2))
+    u = from_callable(g, lambda x: -0.5 * float(x[0] ** 2))
     ue = sup_convolution(u, 0.5)
     brute = sup_convolution_bruteforce(u, 0.5)
     assert np.allclose(ue.values, brute.values, atol=1e-12)
@@ -180,7 +185,7 @@ def test_sup_convolution_1d_closed_form():
 def test_sup_convolution_properties():
     rng = np.random.default_rng(83)
     g = square_grid(33, -1.0, 1.0)
-    base = GridFunction.from_callable(g, lambda x: abs(x[0]) - 2 * abs(x[1]))
+    base = from_callable(g, lambda x: abs(x[0]) - 2 * abs(x[1]))
     noise = GridFunction(g, base.values + 0.1 * rng.standard_normal(g.dims))
     for u in (base, noise):
         u1 = sup_convolution(u, 0.25)
@@ -192,5 +197,5 @@ def test_sup_convolution_properties():
 
 def test_sup_convolution_of_zero_is_zero():
     g = square_grid(17, -1.0, 1.0)
-    u = GridFunction.from_callable(g, lambda x: 0.0)
+    u = from_callable(g, lambda x: 0.0)
     assert np.allclose(sup_convolution(u, 0.5).values, 0.0)

@@ -61,7 +61,13 @@ from jetcones.solver import (
     uniform_translation_probe,
     zmp_experiment,
 )
-from jet2_refs import interior_nodes, node_point, ref_shift_to_boundary
+from jet2_refs import (
+    discrete_jet,
+    from_callable,
+    interior_nodes,
+    node_point,
+    ref_shift_to_boundary,
+)
 
 M_FULL = MonotonicityCone(0.0, DirectionalCone.full(), math.inf)
 
@@ -71,7 +77,7 @@ M_FULL = MonotonicityCone(0.0, DirectionalCone.full(), math.inf)
 
 def test_solve_min_curvature_reproduces_quadratic():
     grid = square_grid(33, 0.0, 1.0)
-    g = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
+    g = from_callable(grid, lambda x: 0.5 * float(x @ x))
     u, rep = solve_dirichlet("P", 1.0, g, tol=1e-9, init=np.zeros(grid.dims))
     assert np.max(np.abs(u.values - g.values)) < 1e-6
     assert rep.iterations < 100_000
@@ -79,21 +85,21 @@ def test_solve_min_curvature_reproduces_quadratic():
 
 def test_solve_laplace_harmonic_quadratic():
     grid = square_grid(33, 0.0, 1.0)
-    g = GridFunction.from_callable(grid, lambda x: x[0] ** 2 - x[1] ** 2)
+    g = from_callable(grid, lambda x: x[0] ** 2 - x[1] ** 2)
     u, rep = solve_dirichlet("pfold:p=2", 0.0, g, tol=1e-9, init=np.zeros(grid.dims))
     assert np.max(np.abs(u.values - g.values)) < 1e-6
 
 
 def test_solve_phase_operator_constant_phase():
     grid = square_grid(33, 0.0, 1.0)
-    g = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
+    g = from_callable(grid, lambda x: 0.5 * float(x @ x))
     u, rep = solve_dirichlet("slag", np.pi / 2, g, tol=1e-9, init=np.zeros(grid.dims))
     assert np.max(np.abs(u.values - g.values)) < 1e-6
 
 
 def test_solve_with_source_field():
     grid = square_grid(25, 0.0, 1.0)
-    g = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
+    g = from_callable(grid, lambda x: 0.5 * float(x @ x))
     u, rep = solve_dirichlet("P", np.ones(grid.dims), g, tol=1e-9)
     assert np.max(np.abs(u.values - g.values)) < 1e-6
 
@@ -102,7 +108,7 @@ def test_source_field_reads_only_its_interior_nodes():
     # psi as node values: the boundary layer's entries are never read, and
     # a field of the constant level is the constant, bit for bit
     grid = square_grid(17, 0.0, 1.0)
-    g = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
+    g = from_callable(grid, lambda x: 0.5 * float(x @ x))
     zeros = np.zeros(grid.dims)
     psi = np.full(grid.dims, 1.0)
     psi[~grid.interior_mask()] = np.nan
@@ -231,13 +237,12 @@ def _ripple(grid):
     c, s = math.cos(0.3), math.sin(0.3)
     rot = np.array([[c, -s], [s, c]])
     H = rot @ np.diag([1.0, 2.0]) @ rot.T
-    return GridFunction.from_callable(
+    return from_callable(
         grid, lambda x: 0.5 * float(x @ H @ x) + 0.2 * math.cos(2.0 * x[0]))
 
 
 def _bowl(n_side, d=2):
-    return GridFunction.from_callable(square_grid(n_side, 0.0, 1.0, d=d),
-                                      lambda x: 0.5 * float(x @ x))
+    return from_callable(square_grid(n_side, 0.0, 1.0, d=d), lambda x: 0.5 * float(x @ x))
 
 
 @pytest.mark.parametrize("g, level", [
@@ -319,8 +324,8 @@ def _ladder_script():
 def test_ladder_quadratics_match_the_pointwise_evaluation(n_side):
     grid = square_grid(n_side, 0.0, 1.0)
     quad, saddle = _ladder_script().quadratics(grid)
-    ref_quad = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
-    ref_saddle = GridFunction.from_callable(grid, lambda x: x[0] ** 2 - x[1] ** 2)
+    ref_quad = from_callable(grid, lambda x: 0.5 * float(x @ x))
+    ref_saddle = from_callable(grid, lambda x: x[0] ** 2 - x[1] ** 2)
     assert np.array_equal(quad.values, ref_quad.values)
     assert np.array_equal(saddle.values, ref_saddle.values)
 
@@ -339,7 +344,7 @@ def test_slag_steep_data_converges_without_warnings():
     # 20|x|^2 at level 3: the secant iteration alone stopped at a residual
     # of 2.8e-7 after the default 500 steps
     grid = square_grid(33, 0.0, 1.0)
-    g = GridFunction.from_callable(grid, lambda x: 20.0 * float(x @ x))
+    g = from_callable(grid, lambda x: 20.0 * float(x @ x))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         u, rep = solve_dirichlet("slag", 3.0, g, tol=1e-10, init=np.zeros(grid.dims))
@@ -392,7 +397,7 @@ def test_slag_tangent_contract(d, side):
 
 def test_solve_not_converged():
     grid = square_grid(17, 0.0, 1.0)
-    g = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
+    g = from_callable(grid, lambda x: 0.5 * float(x @ x))
     with pytest.raises(NotConverged):
         _solve_jacobi("P", 1.0, g, tol=1e-12, max_iter=5, init=np.zeros(grid.dims))
 
@@ -400,14 +405,14 @@ def test_solve_not_converged():
 def test_solve_not_converged_policy_steps():
     # one linearization and no solve: P on |x|^2/2 needs a second step
     grid = square_grid(17, 0.0, 1.0)
-    g = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
+    g = from_callable(grid, lambda x: 0.5 * float(x @ x))
     with pytest.raises(NotConverged):
         solve_dirichlet("P", 1.0, g, tol=1e-12, max_iter=1, init=np.zeros(grid.dims))
 
 
 def test_solve_stops_at_roundoff_floor():
     grid = square_grid(33, 0.0, 1.0)
-    g = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
+    g = from_callable(grid, lambda x: 0.5 * float(x @ x))
     with pytest.raises(NotConverged, match="floor") as info:
         solve_dirichlet("P", 1.0, g, tol=1e-16, init=np.zeros(grid.dims))
     assert len(info.value.residuals) < 20
@@ -415,7 +420,7 @@ def test_solve_stops_at_roundoff_floor():
 
 def test_solve_report_json_fields():
     grid = square_grid(17, 0.0, 1.0)
-    g = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
+    g = from_callable(grid, lambda x: 0.5 * float(x @ x))
     _, rep = solve_dirichlet("P", 1.0, g, tol=1e-9, init=np.zeros(grid.dims))
     assert rep.stop_reason == "tol"
     floor = np.finfo(float).eps * np.max(np.abs(g.values)) / grid.h**2
@@ -429,7 +434,7 @@ def test_solve_report_json_fields():
 @pytest.mark.parametrize("key, level", [("P", 1.0), ("pucci:1,2", 2.0)])
 def test_solve_exact_at_129(key, level):
     grid = square_grid(129, 0.0, 1.0)
-    g = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
+    g = from_callable(grid, lambda x: 0.5 * float(x @ x))
     u, rep = solve_dirichlet(key, level, g, tol=1e-8, init=np.zeros(grid.dims))
     assert np.max(np.abs(u.values - g.values)) <= 1e-6
 
@@ -496,7 +501,7 @@ def test_unknown_operator_key():
 def test_discrete_branch_binds_positionally():
     # positional items bind in declared order: branch:2 is lambda_2, as in the catalog
     grid = square_grid(17, 0.0, 1.0)
-    u = GridFunction.from_callable(grid, lambda x: 0.5 * (x[0] ** 2 + 3.0 * x[1] ** 2))
+    u = from_callable(grid, lambda x: 0.5 * (x[0] ** 2 + 3.0 * x[1] ** 2))
     fld = make_discrete_operator("branch:2", grid).apply(u.values, grid)
     assert np.array_equal(fld, make_discrete_operator("branch:k=2", grid).apply(u.values, grid))
     assert np.allclose(fld, 3.0, atol=1e-9)
@@ -514,7 +519,7 @@ def test_discrete_operator_checks_ranges_like_the_catalog(key, error):
 
 def test_unstable_step_detected():
     grid = square_grid(17, 0.0, 1.0)
-    g = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
+    g = from_callable(grid, lambda x: 0.5 * float(x @ x))
     with pytest.raises(UnstableStep):
         _solve_jacobi("P", 1.0, g, dt=10 * grid.h**2, tol=1e-12,
                       init=np.zeros(grid.dims))
@@ -700,7 +705,7 @@ def test_stencil_bias_of_every_discrete_key(d, side):
 @pytest.mark.parametrize("d, side", [(2, 17), (3, 9)])
 def test_stencil_bias_matches_the_per_node_quadratics(d, side):
     # the reference builds each trial quadratic node by node with
-    # GridFunction.from_callable; stencil_bias builds it on the node array
+    # from_callable; stencil_bias builds it on the node array
     grid = square_grid(side, 0.0, 1.0, d=d)
     for key in _discrete_keys(d):
         name, params = solver.bind_key(key, DISCRETE_OPERATORS, "discretization")
@@ -708,7 +713,7 @@ def test_stencil_bias_matches_the_per_node_quadratics(d, side):
         rng, worst = np.random.default_rng(7), 0.0
         for _ in range(10):
             B = random_symmetric(rng, d)
-            u = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ B.entries @ x))
+            u = from_callable(grid, lambda x: 0.5 * float(x @ B.entries @ x))
             ev = np.linalg.eigvalsh(B.entries)
             target = (np.sum(np.arctan(ev)) if name == "slag"
                       else make_oracle(key, d).spectrum(0.0, 0.0, ev) / params.get("p", 1))
@@ -723,7 +728,7 @@ def test_bias_targets_are_exact_on_the_stencil_frame():
     # discretization but slag's (arctan is not concave) hits that target
     grid = square_grid(17, 0.0, 1.0)
     ev = np.array([-2.0, 1.0])
-    u = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ np.diag(ev[::-1]) @ x))
+    u = from_callable(grid, lambda x: 0.5 * float(x @ np.diag(ev[::-1]) @ x))
     for key in ("P", "P~", "branch:k=1", "branch:k=2", "pfold:p=2", "pucci:1,2"):
         name, params = solver.bind_key(key, DISCRETE_OPERATORS, "discretization")
         target = make_oracle(key, 2).spectrum(0.0, 0.0, ev) / params.get("p", 1)
@@ -739,9 +744,9 @@ def test_bias_targets_are_exact_on_the_stencil_frame():
 
 def test_perron_envelope_agrees_with_solver_on_convex_data():
     grid = square_grid(33, -1.0, 1.0)
-    gb = GridFunction.from_callable(grid, lambda x: abs(x[0]))
+    gb = from_callable(grid, lambda x: abs(x[0]))
     fam = [
-        GridFunction.from_callable(grid, lambda x, a=a: a * x[0])
+        from_callable(grid, lambda x, a=a: a * x[0])
         for a in np.linspace(-1, 1, 41)
     ]
     env = perron_envelope(fam, gb)
@@ -754,20 +759,20 @@ def test_perron_envelope_agrees_with_solver_on_convex_data():
 
 def test_check_subharmonic_examples():
     grid = square_grid(17, -1.0, 1.0)
-    u = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
+    u = from_callable(grid, lambda x: 0.5 * float(x @ x))
     assert check_subharmonic(u, cone_P(2)).all_pass
-    w = GridFunction.from_callable(grid, lambda x: -0.5 * float(x @ x))
+    w = from_callable(grid, lambda x: -0.5 * float(x @ x))
     rep = check_subharmonic(w, cone_P_dual(2))
     assert rep.members == 0  # concave: lambda_max = -1 < 0 everywhere
-    s = GridFunction.from_callable(grid, lambda x: 0.5 * x[0] ** 2 - 0.25 * x[1] ** 2)
+    s = from_callable(grid, lambda x: 0.5 * x[0] ** 2 - 0.25 * x[1] ** 2)
     assert check_subharmonic(s, cone_P_dual(2)).all_pass
 
 
 def test_check_superharmonic_via_duality():
     grid = square_grid(17, -1.0, 1.0)
-    w = GridFunction.from_callable(grid, lambda x: -0.5 * float(x @ x))
+    w = from_callable(grid, lambda x: -0.5 * float(x @ x))
     assert check_superharmonic(w, cone_P(2)).all_pass
-    u = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
+    u = from_callable(grid, lambda x: 0.5 * float(x @ x))
     # strictly convex functions are not P-superharmonic
     assert not check_superharmonic(u, cone_P(2)).all_pass
 
@@ -775,7 +780,7 @@ def test_check_superharmonic_via_duality():
 def test_variable_fiber_subharmonic_check():
     theta = perturbed_ma_map(2)
     grid = square_grid(17, -1.0, 1.0)
-    u = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
+    u = from_callable(grid, lambda x: 0.5 * float(x @ x))
     assert check_subharmonic(u, theta).all_pass
 
 
@@ -882,7 +887,7 @@ def test_comparison_rejects_bad_boundary_ordering():
 def test_subaffine_zmp_saddle():
     # z = x1^2 - x2^2 - max_boundary: subaffine, <= 0 on the rim, <= 0 inside
     grid = square_grid(21, -1.0, 1.0)
-    z0 = GridFunction.from_callable(grid, lambda x: x[0] ** 2 - x[1] ** 2)
+    z0 = from_callable(grid, lambda x: x[0] ** 2 - x[1] ** 2)
     mask = ~grid.interior_mask()
     shift = float(np.max(z0.values[mask]))
     z = GridFunction(grid, z0.values - shift)
@@ -930,7 +935,7 @@ def test_strict_approximator_matches_the_per_node_quadratic(grid):
     x0 = 0.5 * (grid.lo + grid.hi)
     pmax = max(float(np.linalg.norm(c - x0)) for c in solver._box_corners(grid))
     K = (pmax**2 + 2.0 * (gamma * pmax + 1.0) / 1.0) + 1.0
-    ref = GridFunction.from_callable(
+    ref = from_callable(
         grid, lambda x: 0.5 * 1.0 * (float(np.sum((x - x0) ** 2)) - K))
     assert np.array_equal(psi.values, ref.values)
 
@@ -946,8 +951,8 @@ def test_utp_grid_functions_match_the_per_node_callables(n_side, monkeypatch):
     utp_perturbed_ma(theta=0.1, n_side=n_side, curvature=0.15)
     (u, psi), = seen
     grid = square_grid(n_side, -1.0, 1.0, d=2)
-    ref_u = GridFunction.from_callable(grid, lambda x: -0.15 * x[0] ** 4 / 12.0)
-    ref_psi = GridFunction.from_callable(grid, lambda x: 0.5 * (float(x @ x) - 5.0))
+    ref_u = from_callable(grid, lambda x: -0.15 * x[0] ** 4 / 12.0)
+    ref_psi = from_callable(grid, lambda x: 0.5 * (float(x @ x) - 5.0))
     assert np.array_equal(u.values, ref_u.values)
     assert np.array_equal(np.signbit(u.values), np.signbit(ref_u.values))
     assert np.array_equal(psi.values, ref_psi.values)
@@ -1003,11 +1008,11 @@ def test_ae_guard_discrete_jets_everywhere():
     # recorded as a tautology guard (the continuum content is not
     # grid-testable)
     grid = square_grid(17, -1.0, 1.0)
-    u = GridFunction.from_callable(grid, lambda x: abs(x[0]) + 0.5 * float(x @ x))
+    u = from_callable(grid, lambda x: abs(x[0]) + 0.5 * float(x @ x))
     rep1 = check_subharmonic(u, cone_P(2))
     nodes = interior_nodes(grid, 1)
     members = sum(
-        cone_P(2).classify(u.discrete_jet(nd)).is_member for nd in nodes
+        cone_P(2).classify(discrete_jet(u, nd)).is_member for nd in nodes
     )
     assert rep1.members == members
     assert rep1.total == len(nodes)
@@ -1024,7 +1029,7 @@ def _per_node_report(u, fiber, tol=1e-8, width=1, dual=False):
     for node in interior_nodes(u.grid, width):
         oracle = fiber.fiber_at(node_point(u.grid, node)) if variable else fiber
         oracle = dual_oracle(oracle) if dual else oracle
-        r = oracle.classify(u.discrete_jet(node), tol)
+        r = oracle.classify(discrete_jet(u, node), tol)
         total += 1
         m = r.margin if r.is_member else -r.margin
         worst = min(worst, m)
@@ -1066,8 +1071,8 @@ def test_batched_check_subharmonic_matches_per_node_route(key, d):
     reports = []
     # a linear field: roundoff-sized Hessians, so that worst margins of 0
     # come from the band rule
-    flat = GridFunction.from_callable(square_grid(9, -1.0, 1.0, d=d),
-                                      lambda x: 0.1 + 0.3 * x[0] - 0.2 * x[-1])
+    flat = from_callable(square_grid(9, -1.0, 1.0, d=d),
+                         lambda x: 0.1 + 0.3 * x[0] - 0.2 * x[-1])
     for u, width in [(_rough_field(d, 1), 1), (_rough_field(d, 2), 2), (flat, 1)]:
         for dual in (False, True):
             rep = check_subharmonic(u, dual_oracle(fiber) if dual else fiber, width=width)
@@ -1087,7 +1092,7 @@ def test_jet_field_is_discrete_jet_stacked():
             r, p, A = u.jet_field(width)
             x = u.grid.node_points(width)
             for node in interior_nodes(u.grid, width):
-                J = u.discrete_jet(node)
+                J = discrete_jet(u, node)
                 i = tuple(c - width for c in node)
                 assert r[i] == J.r
                 assert np.array_equal(p[i], J.p) and np.array_equal(A[i], J.A.entries)
@@ -1103,7 +1108,7 @@ def test_utp_constant_fiber_full_margin():
     box = Box([-1.0, -1.0], [1.0, 1.0])
     const = fiber_perturbed_MA(box, lambda x: np.zeros((2, 2)), lambda x: 0.0, n=2)
     grid = square_grid(17, -1.0, 1.0)
-    u = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
+    u = from_callable(grid, lambda x: 0.5 * float(x @ x))
     rep = uniform_translation_probe(u, const, None, 0.0, max_shift=3)
     assert rep.passed
     assert rep.delta >= 3 * grid.h
@@ -1154,7 +1159,7 @@ def test_utp_matches_per_node_reference(theta, monkeypatch):
 def test_utp_requires_strict_psi():
     theta = perturbed_ma_map(2)
     grid = square_grid(17, -1.0, 1.0)
-    u = GridFunction.from_callable(grid, lambda x: 0.5 * float(x @ x))
-    flat = GridFunction.from_callable(grid, lambda x: 0.0)
+    u = from_callable(grid, lambda x: 0.5 * float(x @ x))
+    flat = from_callable(grid, lambda x: 0.0)
     with pytest.raises(HypothesisViolation):
         uniform_translation_probe(u, theta, flat, 0.1)

@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked with the standard library's ast,
 and the modules that importing it loads, checked in a fresh interpreter."""
 
+import argparse
 import ast
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 from numpy.random import default_rng
 
 from jetcones import catalog as cat
-from jetcones import garding, jets
+from jetcones import cli, garding, jets
 from jetcones.canonical import canonical_operator
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -143,8 +144,109 @@ def test_eigen_solves_go_through_jets_eigenvalues(path):
         assert eigvalsh_references(path.read_text()) == []
 
 
+# The trees whose code runs outside the tests: a public function of the
+# package that no name in them reaches is dead or test-only code.
+REACHING = (sorted((ROOT / "src").rglob("*.py")) + sorted(ROOT.glob("scripts/*.py"))
+            + sorted(ROOT.glob("perfbench/*.py")))
+
+# Public functions and methods that nothing in REACHING reaches, kept as
+# paper-level API: qualified name -> reason.
+UNREACHED_API = {
+    "boundary.tangential_planes": "sampled tangential planes of the geometric pseudoconvexity test",
+    "boundary.geometric_pseudoconvex_at": "the geometric pseudoconvexity test, "
+                                          "checked against strict_pseudoconvex_at",
+    "canonical.matrix_op": "lifts a matrix functional to a jet operator for the correspondence",
+    "canonical.gradient_free_op": "lifts an (r, A) functional; criterion 3 builds its operators",
+    "canonical.induced_fiber": "the constraint set of an operator; criterion 3",
+    "canonical.check_proper_elliptic": "the correspondence's proper-ellipticity check",
+    "canonical.check_compatibility": "the correspondence's compatibility check; criterion 3",
+    "canonical.check_topological_tameness": "the correspondence's tameness check",
+    "canonical.check_strict_M_monotone": "the correspondence's strict M-monotonicity check",
+    "canonical.admissible_subsolution_test": "the admissible viscosity subsolution test at a node",
+    "canonical.admissible_supersolution_test": "the admissible viscosity supersolution test "
+                                               "at a node",
+    "catalog.check_fiberegularity": "the fiber-regularity probe of variable fibers; criterion 2",
+    "catalog.check_positivity": "the sampled positivity property (P) of a cone",
+    "catalog.check_negativity": "the sampled negativity property (N) of a cone",
+    "duality.check_dual_pair": "Dirichlet duality against an independent closed form; "
+                               "criterion 2",
+    "duality.check_inclusion": "sampled inclusion of one cone in another",
+    "garding.verify_hyperbolic": "attaches a hyperbolicity certificate to an operator",
+    "garding.garding_cone_oracle": "the closed Garding cone as a catalog oracle",
+    "garding.branch_oracle": "the Garding eigenvalue branches; criterion 2",
+    "garding.garding_dirichlet_check": "the Garding cone contains the convex cone",
+    "grids.perron_envelope": "the discrete Perron upper envelope",
+    "grids.sup_convolution": "the discrete sup-convolution; criterion 9",
+    "grids.quasiconvexity_defect": "discrete quasiconvexity of a sup-convolution; criterion 9",
+    "solver.stencil_bias": "the measured bias of a discrete operator off the stencil",
+}
+
+
+def public_definitions(source: str, module: str) -> list:
+    """(qualified name, name) of each public module-level function and each
+    public method of a module-level class; dunders are not public."""
+    out = []
+    for node in ast.parse(source).body:
+        scope = [(f"{node.name}.", f) for f in node.body] if isinstance(node, ast.ClassDef) \
+            else [("", node)]
+        out += [(f"{module}.{prefix}{f.name}", f.name) for prefix, f in scope
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not f.name.startswith("_")]
+    return out
+
+
+def names_read(source: str) -> set:
+    """Every name a module reads, loads and attribute names alike, and
+    every name a from-import binds."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_the_checker_sees_an_unreached_definition():
+    source = ("def used():\n    pass\n\ndef dead():\n    pass\n\ndef _private():\n    pass\n\n"
+              "class C:\n    def m(self):\n        return used()\n\n"
+              "    def __init__(self):\n        self.m()\n\n"
+              "    def gone(self):\n        pass\n")
+    defined = public_definitions(source, "mod")
+    assert defined == [("mod.used", "used"), ("mod.dead", "dead"),
+                       ("mod.C.m", "m"), ("mod.C.gone", "gone")]
+    reached = names_read(source) | names_read("from mod import gone\n")
+    assert [q for q, name in defined if name not in reached] == ["mod.dead"]
+
+
+def test_every_public_function_is_reached():
+    """Each public function or method of the package is reached by a name
+    in src/, scripts/ or perfbench/, or is allowlisted API; cli.cmd_<name>
+    is reached through the parser's subcommand <name>.
+
+    The check goes by name alone. A definition counts as reached when any
+    Name, attribute or from-import of that name appears in those trees,
+    its own body and module included. So it cannot see a dead method whose
+    name another object also uses (GridFunction.copy, shadowed by every
+    ndarray.copy, was found by reading), nor a function that only other
+    unreached code calls.
+    """
+    reached = set().union(*(names_read(p.read_text()) for p in REACHING))
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    reached |= {f"cmd_{name}" for name in commands.choices}
+    unreached = [q for p in SOURCES for q, name in public_definitions(p.read_text(), p.stem)
+                 if name not in reached]
+    assert [q for q in unreached if q not in UNREACHED_API] == []
+    # no stale entry: each one is still defined and still unreached
+    assert sorted(UNREACHED_API) == sorted(unreached)
+
+
 # A fresh interpreter: jetcones.canonical loads no scipy; no module of the
-# package loads scipy.optimize until a call runs Brent or linprog.
+# package loads scipy.optimize, nor does building the Pucci Garding
+# operator, until a call runs Brent.
 IMPORT_PROBE = """
 import importlib, json, sys
 from numpy.random import default_rng
@@ -154,6 +256,8 @@ for name in sys.argv[1:]:
     importlib.import_module(name)
 out["optimize_after_imports"] = "scipy.optimize" in sys.modules
 from jetcones import catalog as cat, garding, jets
+out["degree"] = garding.pucci_garding_operator(1.0, 2.0, 3).degree
+out["optimize_after_pucci_garding"] = "scipy.optimize" in sys.modules
 A = jets.random_symmetric(default_rng(0), 3, 1.5)
 out["brent_value"] = jetcones.canonical.canonical_operator(cat.cone_sigma_k(3, 2), A).hex()
 out["optimize_after_brent"] = "scipy.optimize" in sys.modules
@@ -170,6 +274,7 @@ def test_importing_the_package_loads_no_scipy_optimize():
     out = json.loads(done.stdout)
     assert out["scipy_after_canonical"] is False
     assert out["optimize_after_imports"] is False
+    assert out["degree"] == 6 and out["optimize_after_pucci_garding"] is False
     # sigma_2's curved g fails the ladder's certificate, so Brent runs
     A = jets.random_symmetric(default_rng(0), 3, 1.5)
     assert out["optimize_after_brent"] is True
