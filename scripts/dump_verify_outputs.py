@@ -8,7 +8,11 @@ each operation once and prints its output, floats as float.hex:
 
 - verify (the default): check reports as to_json_dict, canonical values,
   Garding residuals and pseudoconvexity verdicts, plus the signed
-  distances of the first K canonical-operator matrices of each cone;
+  distances of the first K canonical-operator matrices of each cone and
+  the canonical values of the cones that canonical_operator bisects (Q,
+  M0, an M cone and the dual of another) on BISECTED_JETS seeded random
+  jets each, two in three with gradient 0 and value -|r| or |r| so that
+  values exist, a failure given as the exception's name;
 - grid-checks: every comparison and zero-maximum verdict (ok, witness
   node, margin, note), the strict approximator of the oversized box,
   the TranslationReport fields, the discrete jets classified per
@@ -37,10 +41,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads  # noqa: E402
 from jetcones import canonical, catalog  # noqa: E402
-from jetcones.duality import CheckReport  # noqa: E402
+from jetcones.duality import CheckReport, dual_oracle  # noqa: E402
+from jetcones.errors import BracketingFailure  # noqa: E402
+from jetcones.jets import Jet2, random_jet  # noqa: E402
 
 CONES = {"P2": catalog.cone_P(2), "P3": catalog.cone_P(3),
          "pfold32": catalog.cone_pfold(3, 2), "pucci": catalog.cone_pucci(2, 1.0, 2.0)}
+# spectral cones that read r or p: canonical_operator bisects them
+BISECTED = {"Q": catalog.cone_Q(2), "M0": catalog.cone_M0(2),
+            "M_half": catalog.make_oracle("M:gamma=1,D=half:e1,R=1", 2),
+            "M_full_dual": dual_oracle(catalog.make_oracle("M:gamma=0,D=full,R=inf", 2))}
+BISECTED_JETS = 50
 
 
 def exact(x):
@@ -59,6 +70,21 @@ def exact(x):
     return x
 
 
+def bisected_query(rng, n: int, k: int) -> Jet2:
+    """A random jet J, for k % 3 = 1 or 2 with gradient 0 and value -|r|
+    or |r|: the cones of BISECTED reach their Hessian constraint from
+    such jets (the duals from value |r|)."""
+    J = random_jet(rng, n, 1.5)
+    return J if k % 3 == 0 else Jet2((-1.0) ** k * abs(J.r), np.zeros(n), J.A)
+
+
+def canonical_or_failure(F, J):
+    try:
+        return exact(canonical.canonical_operator(F, J))
+    except BracketingFailure as e:
+        return type(e).__name__
+
+
 def verify_outputs(seed: int, distances: int) -> dict:
     wl = workloads.build("verify", seed, Path("."))
     out = {op.name: exact(op.call()) for op in wl.ops}
@@ -66,6 +92,10 @@ def verify_outputs(seed: int, distances: int) -> dict:
         mats = wl.inputs[name][:distances]
         out[f"signed_distance_{name}"] = exact(
             [canonical.signed_distance(F, A) for A in mats])
+    rng = np.random.default_rng(seed)
+    for name, F in BISECTED.items():
+        out[f"canonical_bisected_{name}"] = [
+            canonical_or_failure(F, bisected_query(rng, F.n, k)) for k in range(BISECTED_JETS)]
     return out
 
 

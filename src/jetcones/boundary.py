@@ -20,9 +20,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .catalog import Box, DEFAULT_TOL, FiberOracle, bisect_brackets, jets_along
+from .catalog import Box, DEFAULT_TOL, FiberOracle, bisect_brackets, ray_probe
 from .errors import NotOnBoundary, SingularGradient
-from .jets import SymMat, eigenvalues, random_orthogonal, trace_on_subspace
+from .jets import Jet2, SymMat, eigenvalues, random_orthogonal, trace_on_subspace
 
 BOUNDARY_TOL = 1e-8
 GRAD_TOL = 1e-8
@@ -120,13 +120,13 @@ def strict_pseudoconvex_at(
     when [0, t_cap] already meets that rule.
     """
     zero_p = np.zeros(len(bp.x))
-    Pe = SymMat(np.outer(bp.e, bp.e)).entries
+    g = ray_probe(F, (np.zeros(1), zero_p[None], bp.A_x.entries[None]),
+                  Jet2(0.0, zero_p, SymMat(np.outer(bp.e, bp.e))))
 
-    def outside(t):
-        g = F.values(*jets_along((0.0, zero_p, bp.A_x.entries), (0.0, zero_p, Pe), t))
-        return ~(g > DEFAULT_TOL)
+    def outside(live, t):
+        return ~(g(live, t) > DEFAULT_TOL)
 
-    at_cap, at_zero = outside(np.array([t_cap, 0.0])).tolist()
+    at_cap, at_zero = outside([0], np.array([[t_cap, 0.0]]))[0].tolist()
     if at_cap:
         return PseudoconvexVerdict(convex=False, t0=None, t_cap=t_cap)
     if not at_zero:
@@ -135,7 +135,7 @@ def strict_pseudoconvex_at(
     done = functools.partial(_threshold_done, tol=tol)
     bracket = (0.0, t_cap)
     if not done(*bracket):
-        bracket, = bisect_brackets(lambda live, t: outside(t), [bracket], done)
+        bracket, = bisect_brackets(outside, [bracket], done)
     return PseudoconvexVerdict(convex=True, t0=bracket[1], t_cap=t_cap)
 
 

@@ -33,7 +33,7 @@ from .catalog import (
     jets_along,
     members,
     per_jet_form,
-    ray_values,
+    ray_probe,
     shift_stack_to_boundary,
 )
 from .duality import CheckReport
@@ -95,10 +95,13 @@ def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
     for their duals (duality.dual_oracle), whose f(lambda - t) is negative
     exactly where the cone's f(t - lambda reversed) is positive. The other
     spectral fibers may vanish on an interval, like Q's min(-r,
-    lambda_min - t) at r = 0, where a root could land anywhere.
+    lambda_min - t) at r = 0, where a root could land anywhere (on
+    M(0, full, 1) at (0, (0.6, 0.8), diag(2, 3)) the ladder stops at 0,
+    not at the value 1).
 
     Every other fiber bisects the indicator until the bracket is narrower
-    than tol * max(1, |t_lo| + |t_hi|) and returns its midpoint.
+    than tol * max(1, |t_lo| + |t_hi|) and returns its midpoint, probing
+    through catalog.ray_probe: one eigen-solve for Q, Q~, M, M0 and duals.
     """
     if not (math.isfinite(tol) and tol >= MIN_TOL):
         raise BadParameters(f"canonical tol must be finite and at least {MIN_TOL:.3g}, got {tol}")
@@ -110,16 +113,15 @@ def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
         f = functools.partial(f, J.r, J.p)
         bracket = _ladder_bracket(f, lam, side)
     else:
-        eyeJ = Jet2.from_matrix(SymMat.identity(J.n))
+        g = ray_probe(F, stack_jets([J], J.n), Jet2.from_matrix(SymMat.identity(J.n)))
 
-        def member(t):
+        def member(live, t):
             # sign of the defining functional, not the tolerance band: the
             # bisection target is the exact zero crossing
-            return ray_values(F, J, eyeJ, -t) >= 0.0
+            return g(live, -t) >= 0.0
 
-        start_in = bool(member(0.0))
-        bracket, = crossing_brackets(lambda live, t: member(t),
-                                     [side if start_in else -side], [start_in])
+        start_in = bool(g([0])[0] >= 0.0)
+        bracket, = crossing_brackets(member, [side if start_in else -side], [start_in])
     if bracket is None:
         raise BracketingFailure(
             f"no boundary crossing of {F.label} along I within radius {SEARCH_RADIUS:g}"
@@ -129,7 +131,7 @@ def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
 
     done = functools.partial(_bracket_done, tol=tol)
     if not done(*bracket):
-        bracket, = bisect_brackets(lambda live, t: member(t), [bracket], done)
+        bracket, = bisect_brackets(member, [bracket], done)
     t_lo, t_hi = bracket
     return 0.5 * (t_lo + t_hi)
 

@@ -129,9 +129,9 @@ class FiberOracle:
     the dual of such a cone has spectrum -f(-r, -p, -lam[..., ::-1]),
     equal to its form up to rounding. Since lambda(A + s*I) = lambda(A)
     + s, canonical_operator finds the root of a pure second-order
-    spectral fiber on f(r, p, lambda - t), and boundary_shifts searches a
-    ray whose Hessian part is c*I on f(r + t*r0, p + t*p0, lambda + t*c),
-    with one eigen-solve per jet instead of one per probe.
+    spectral fiber on f(r, p, lambda - t), and every search along a ray
+    whose Hessian part is c*I probes f(r + t*r0, p + t*p0, lambda + t*c)
+    (ray_probe), with one eigen-solve per jet instead of one per probe.
     """
 
     label: str
@@ -188,18 +188,6 @@ def _as_jet(j, n: int) -> Jet2:
     if a.ndim == 2:
         return Jet2.from_matrix(SymMat(a))
     raise TypeError(f"cannot interpret {type(j)} as a jet in dimension {n}")
-
-
-def ray_values(oracle: FiberOracle, J: Jet2, U: Jet2, t):
-    """g(J + t*U) for a scalar t or each entry of an array t.
-
-    Evaluated through FiberOracle.values with the arithmetic of
-    J + t * U on Jet2s, so the result matches oracle.value(J + t * U)
-    to the bit without building the intermediate jets.
-    """
-    if J.n != U.n:
-        raise ValueError(f"dimension mismatch: jet of dimension {J.n}, direction {U.n}")
-    return oracle.values(*jets_along((J.r, J.p, J.A.entries), (U.r, U.p, U.A.entries), t))
 
 
 def jets_along(J: tuple, U: tuple, t) -> tuple:
@@ -1100,6 +1088,37 @@ def _scalar_hessian(J0: Jet2) -> Optional[float]:
     return c if np.array_equal(A, c * np.eye(J0.n)) else None
 
 
+def ray_probe(F, J: tuple, U: Jet2, points: Optional[list] = None) -> Callable:
+    """g(rows, t): F's functional on J_i + t*U, g[len(rows), k], for the
+    rows of the stack J = (r[N], p[N, n], A[N, n, n]) that rows lists in
+    increasing order and t[len(rows), k]; g(rows) is the functional on
+    the J_i themselves. F is a FiberOracle or, with points, a
+    VariableFiberMap (see fiber_values).
+
+    When F has a spectrum f and U's Hessian is exactly c*I, each jet's
+    eigenvalues lambda are solved once, here, and g is f(r + t*r0,
+    p + t*p0, lambda + t*c), since lambda(A + t*c*I) = lambda(A) + t*c:
+    the form on J_i + t*U up to the rounding of the eigen-solves. Every
+    other probe is the form along the ray, with the float operations of
+    Jet2 arithmetic.
+    """
+    f = None if points is not None else F.spectrum
+    c = None if f is None else _scalar_hessian(U)
+    if c is None:
+        values, V = fiber_values(F, points), (U.r, U.p, U.A.entries)
+    else:
+        J = (J[0], J[1], eigenvalues(J[2]))
+        values, V = (lambda rows, r, p, lam: f(r, p, lam)), (U.r, U.p, c)
+
+    def probe(rows, t=None):
+        at = tuple(take_rows(a, rows) for a in J)
+        if t is not None:
+            at = jets_along(tuple(a[:, None] for a in at), V, t)
+        return values(rows, *at)
+
+    return probe
+
+
 def boundary_shifts(F, J: tuple, start_in, J0: Jet2, tol: float = SHIFT_TOL,
                     max_expand: int = 60, points: Optional[list] = None) -> list:
     """The search of shift_stack_to_boundary, all jets of the stack in lockstep.
@@ -1113,36 +1132,19 @@ def boundary_shifts(F, J: tuple, start_in, J0: Jet2, tol: float = SHIFT_TOL,
     max_expand steps, then bisected until the bracket is narrower than
     tol (at most 60 steps). It is None when no crossing is bracketed, or
     when |t_in*J0| passes ROUNDING_REACH * max(1, |J_i|), norms taken as
-    max(|r|, |p|_2, |A|_F).
-
-    When F has a spectrum f and J0's Hessian is exactly c*I, the search
-    solves each jet's eigenvalues lambda once and probes f(r + t*r0,
-    p + t*p0, lambda + t*c), since lambda(A + t*c*I) = lambda(A) + t*c;
-    the probes then differ from the form on J_i + t*J0 only by the
-    rounding of the eigen-solves. Every other search probes the form
-    along the ray.
+    max(|r|, |p|_2, |A|_F). The probes go through ray_probe, so a
+    spectral fiber along a ray whose Hessian is exactly c*I solves each
+    jet's eigenvalues once instead of once per probe.
     """
     reach = ROUNDING_REACH * np.maximum(1.0, _jet_sizes(*J))
     step = float(_jet_sizes(J0.r, J0.p, J0.A.entries))
-    f = None if points is not None else F.spectrum
-    c = None if f is None else _scalar_hessian(J0)
-    if c is None:
-        values, U = fiber_values(F, points), (J0.r, J0.p, J0.A.entries)
-    else:
-        J = (J[0], J[1], eigenvalues(J[2]))
-        values, U = (lambda rows, r, p, lam: f(r, p, lam)), (J0.r, J0.p, c)
+    g = ray_probe(F, J, J0, points)
     if start_in is None:
-        start_in = members(values(np.arange(len(J[0])), *J), tol)
-    J = tuple(a[:, None] for a in J)
-
-    def inside(rows, t):
-        at = tuple(take_rows(a, rows) for a in J)
-        return members(values(rows, *jets_along(at, U, t)), tol)
-
+        start_in = members(g(np.arange(len(J[0]))), tol)
     start_in = np.asarray(start_in, dtype=bool)
     ts = _doubling_steps(max_expand) * np.where(start_in, -1.0, 1.0)[:, None]
-    brackets = crossing_brackets(inside, ts, start_in, lambda a, b: abs(a - b) < tol,
-                                 max_steps=60)
+    brackets = crossing_brackets(lambda rows, t: members(g(rows, t), tol), ts, start_in,
+                                 lambda a, b: abs(a - b) < tol, max_steps=60)
     return [None if b is None or abs(b[0]) * step > cap else b[0]
             for b, cap in zip(brackets, reach.tolist())]
 

@@ -13,11 +13,11 @@ stage once on stacks: check_involution, check_dual_pair and
 check_inclusion classify the sample with one values call per oracle;
 check_monotonicity and check_jet_addition classify their jets in one
 call, push every jet outside its fiber to the boundary in one lockstep
-search (catalog.shift_stack_to_boundary), mix the cone members in one
-lockstep search and classify every sum in one call. No draw depends on
-an oracle value, so reports are filled in sample order and match the
-one-sample-at-a-time loops over the same draws bit for bit. A Jet2 is
-built only for a witness.
+search (catalog.shift_stack_to_boundary), mix the cone members with one
+probe call on a fixed ladder and classify every sum in one call. No draw
+depends on an oracle value, so reports are filled in sample order and
+match the one-sample-at-a-time loops over the same draws bit for bit. A
+Jet2 is built only for a witness.
 """
 
 from __future__ import annotations
@@ -36,15 +36,15 @@ from .catalog import (
     MonotonicityCone,
     Region,
     VariableFiberMap,
+    _doubling_steps,
     classify_value,
     classify_values,
     cone_M,
-    crossing_brackets,
     fiber_values,
     jets_along,
     members,
+    ray_probe,
     shift_stack_to_boundary,
-    take_rows,
 )
 from .jets import Jet2, random_jets, unstack_jets
 
@@ -189,32 +189,20 @@ def _into_fibers(F: Union[FiberOracle, VariableFiberMap], J: tuple, J0: Jet2, ma
     return keep[order], tuple(np.concatenate((a[inside], m))[order] for a, m in zip(J, moved))
 
 
-def _mixing_ts() -> tuple:
-    """t = 0, 0.5, 1.5, ..., each 2*t + 0.5 of the last, up to the first t >= 1e6."""
-    ts = [0.0]
-    while ts[-1] < 1e6:
-        ts.append(2.0 * ts[-1] + 0.5)
-    return tuple(ts)
-
-
-_MIXING_TS = _mixing_ts()
-_MIXING_ROW = np.array([_MIXING_TS])
+# t = 0, 0.5, 1.5, ..., each 2*t + 0.5 of the last, up to the first t >= 1e6
+_MIXING_TS = np.concatenate(([0.0], 0.5 * _doubling_steps(21)))
 
 
 def _mix_into_cone(M: MonotonicityCone, n: int, J: tuple) -> tuple:
     """Each jet of the stack J mixed toward M's interior jet J0: J + t*J0
     at the first t of _MIXING_TS where that is a member of M, else at the
-    last t. All jets probe in lockstep."""
+    last t. One probe call (catalog.ray_probe) takes every jet's whole
+    ladder; J0's Hessian is a multiple of I, so it solves each jet's
+    eigenvalues once."""
     J0 = M.interior_jet(n)
-    U = (J0.r, J0.p, J0.A.entries)
-    values = cone_M(M, n).values
-    rays = tuple(a[:, None] for a in J)
-    count = len(J[0])
-    brackets = crossing_brackets(
-        lambda live, t: members(values(*jets_along(tuple(take_rows(a, live) for a in rays), U, t))),
-        np.repeat(_MIXING_ROW, count, axis=0), [False] * count)
-    # a bracket's member end comes first
-    return jets_along(J, U, [_MIXING_TS[-1] if b is None else b[0] for b in brackets])
+    kept = members(ray_probe(cone_M(M, n), J, J0)(np.arange(len(J[0])), _MIXING_TS[None]))
+    t = np.where(kept.any(axis=1), _MIXING_TS[kept.argmax(axis=1)], _MIXING_TS[-1])
+    return jets_along(J, (J0.r, J0.p, J0.A.entries), t)
 
 
 def _cone_members(M: MonotonicityCone, n: int, J: tuple, extreme: np.ndarray) -> tuple:

@@ -411,9 +411,13 @@ def pucci_garding_operator(lam: float, Lam: float, n: int) -> GardingOperator:
 
     The eigenvalue functionals pair v against the ascending eigenvalues;
     the zero set of the minimal factor agrees with the extremal cone
-    lam * tr A+ + Lam * tr A- >= 0 at the sign level.
+    lam * tr A+ + Lam * tr A- >= 0 at the sign level. BadParameters for
+    n < 2, where the cube has no extreme vertex.
     """
     S = pucci_vertex_set(n, lam, Lam)
+    if not S:
+        raise BadParameters(f"pucci-garding needs n >= 2, got n = {n}: "
+                            f"the cube {{lam, Lam}}^{n} has no extreme vertex")
     V = np.stack(S)
     weights = V.sum(axis=1)
 

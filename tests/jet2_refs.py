@@ -1,5 +1,9 @@
 """Jet2-arithmetic references shared by the test modules (not collected).
 
+ray_values evaluates an oracle along a ray J + t*U on arrays of t with
+the float operations of Jet2 arithmetic, the reference for the probes
+of catalog.ray_probe.
+
 ref_shift_to_boundary and ref_sample_cone_member are the one-jet,
 one-probe-at-a-time loops that catalog.shift_stack_to_boundary and
 duality._cone_members run on stacks in lockstep: every probe is one
@@ -20,10 +24,22 @@ import itertools
 
 import numpy as np
 
-from jetcones.catalog import make_oracle, shift_stack_to_boundary
+from jetcones.catalog import jets_along, make_oracle, shift_stack_to_boundary
 from jetcones.errors import BoundaryNode
 from jetcones.grids import GridFunction
 from jetcones.jets import Jet2, SymMat, random_jet, stack_jets, unstack_jets
+
+
+def ray_values(oracle, J, U, t):
+    """g(J + t*U) for a scalar t or each entry of an array t.
+
+    Evaluated through FiberOracle.values with the arithmetic of
+    J + t * U on Jet2s, so the result matches oracle.value(J + t * U)
+    to the bit without building the intermediate jets.
+    """
+    if J.n != U.n:
+        raise ValueError(f"dimension mismatch: jet of dimension {J.n}, direction {U.n}")
+    return oracle.values(*jets_along((J.r, J.p, J.A.entries), (U.r, U.p, U.A.entries), t))
 
 
 def ref_shift_to_boundary(oracle, J, J0, margin=1e-6, tol=1e-9, max_expand=60):

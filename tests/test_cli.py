@@ -118,6 +118,13 @@ def test_garding_command(capsys):
     assert np.allclose(payload["eigenvalues"], [1, 2, 3], atol=1e-8)
 
 
+def test_garding_command_rejects_pucci_garding_in_one_dimension(capsys):
+    code, _, err = run(capsys, "garding", "--op", "pucci-garding:1,2", "--matrix", "[[1]]")
+    assert code == 3
+    assert "pucci-garding needs n >= 2, got n = 1" in err
+    assert "no extreme vertex" in err
+
+
 def test_canonical_command(capsys):
     code, out, _ = run(capsys, "canonical", "--key", "pfold:p=2",
                        "--matrix", "[[1,0,0],[0,2,0],[0,0,3]]")

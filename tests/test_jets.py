@@ -382,7 +382,8 @@ def test_jet_add_rejects_dimension_mismatch():
 
 
 def test_ray_values_rejects_dimension_mismatch():
-    from jetcones.catalog import cone_P, ray_values
+    from jet2_refs import ray_values
+    from jetcones.catalog import cone_P
 
     with pytest.raises(ValueError, match="dimension mismatch"):
         ray_values(cone_P(3), BIG, SMALL, 0.5)

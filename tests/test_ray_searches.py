@@ -1,23 +1,25 @@
 """The line searches and the sampled checks against the Jet2 route.
 
 canonical_operator, signed_distance, shift_stack_to_boundary, the mixing
-loop of duality._cone_members, check_involution, check_monotonicity and
-check_jet_addition evaluate oracles on arrays along a ray (ray_values,
-values(*jets_along(...))) and on stacks (FiberOracle.values). The
-searches probe doubling brackets 2**BISECTION_DEPTH - 1 entries per call
-and walk BISECTION_DEPTH levels of each bisection tree per call,
+of duality._cone_members, strict_pseudoconvex_at, check_involution,
+check_monotonicity and check_jet_addition evaluate oracles on arrays
+along a ray (catalog.ray_probe, or values(*jets_along(...)) for
+signed_distance's many directions) and on stacks (FiberOracle.values).
+The searches probe doubling brackets 2**BISECTION_DEPTH - 1 entries per
+call and walk BISECTION_DEPTH levels of each bisection tree per call,
 signed_distance for all directions in lockstep (catalog.bisect_brackets)
 and the shifts of the two sampled checks for all samples in lockstep
-(catalog.boundary_shifts). The references here and in jet2_refs are the
+(catalog.boundary_shifts); the mixing probes its whole fixed ladder in
+one call. The references here and in jet2_refs are the
 one-probe-at-a-time, one-sample-at-a-time loops written with Jet2
-arithmetic and one oracle.value per probe (shift_jets runs the stack
-search on a list of Jet2s to compare with them jet by jet); the
-references of the sampled checks draw the checks' blocks in the same
-order (random_jet by random_jet, which gives a random_jets block to the
-bit) and then take one sample at a time. Every returned value, jet,
-report and error must match them bit for bit. Probes past the point
-where such a loop would stop must not warn either, so RuntimeWarnings
-are errors here.
+arithmetic and one oracle.value per probe (jet2_refs.ray_values is that
+arithmetic on arrays of t; shift_jets runs the stack search on a list of
+Jet2s to compare with them jet by jet); the references of the sampled
+checks draw the checks' blocks in the same order (random_jet by
+random_jet, which gives a random_jets block to the bit) and then take one
+sample at a time. Every returned value, jet, report and error must match
+them bit for bit. Probes past the point where such a loop would stop
+must not warn either, so RuntimeWarnings are errors here.
 
 canonical_operator on a pure second-order spectral fiber
 (FiberOracle.spectrum set) finds the crossing of f(r, p, lambda - t) on a
@@ -25,12 +27,16 @@ ladder of doubling points and eigenvalues instead of bisecting: it is
 checked against the closed forms, within the reference's final bracket
 and against Brent's zero on the doubling bracket, its f calls are
 counted, and the bisection route stays checked bit for bit through
-replace(F, spectrum=None). The duals of the spectral fibers
-are spectral too. boundary_shifts on a spectral fiber (Q, Q~, M and M0
-as well) along a ray whose Hessian part is c*I probes f(r + t*r0,
-p + t*p0, lambda + t*c) instead of the fiber's values along the ray: it
-is checked against the ray route within tol, and at the seeds of the
-Jet2-route comparisons below it matches them bit for bit as well.
+replace(F, spectrum=None). The duals of the spectral fibers are spectral
+too. Every search along a ray whose Hessian part is c*I on a spectral
+fiber (ray_probe: boundary_shifts on Q, Q~, M and M0 as well, the
+bisection of canonical_operator on those four and their duals, the
+mixing into M) probes f(r + t*r0, p + t*p0, lambda + t*c) instead of the
+fiber's values along the ray. A count of the matrices
+catalog.eigenvalues solves checks that this takes one eigen-solve per
+jet. The route is checked against the ray route within tol, and at the
+seeds of the Jet2-route comparisons below it matches them bit for bit
+as well.
 """
 
 import functools
@@ -84,7 +90,6 @@ from jetcones.catalog import (
     fiber_optimal_transport,
     make_oracle,
     parse_directional_cone,
-    ray_values,
     reduced_cone,
 )
 from jetcones.duality import (
@@ -107,7 +112,7 @@ from jetcones.jets import (
     stack_jets,
     unstack_jets,
 )
-from jet2_refs import ref_sample_cone_member, ref_shift_to_boundary, shift_jets
+from jet2_refs import ray_values, ref_sample_cone_member, ref_shift_to_boundary, shift_jets
 
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -996,6 +1001,58 @@ def test_fibers_off_the_spectral_route_keep_the_bisection():
     Q = make_oracle("Q", 2)
     for A in spectral_queries(2, 37)[::4]:
         assert float.hex(canonical_operator(Q, A)) == float.hex(ref_canonical_operator(Q, A))
+
+
+def test_bisected_canonical_where_g_vanishes_on_an_interval():
+    # g(t) = min(-0, 2 - t - |p|) is 0 for every t <= 1; the ladder's
+    # secant and Brent steps stop at the keep end 0 of their bracket,
+    # the bisection finds the crossing
+    F = make_oracle("M:gamma=0,D=full,R=1", 2)
+    J = Jet2(0.0, [0.6, 0.8], np.diag([2.0, 3.0]))
+    assert abs(canonical_operator(F, J) - 1.0) <= 1e-10
+    assert canonical_operator(replace(F, arity=Arity.PURE_SECOND_ORDER), J) == 0.0
+
+
+def counting_solves(monkeypatch) -> list:
+    """The number of matrices each catalog.eigenvalues call solves, from
+    now on in the test."""
+    solved = []
+    eigenvalues = catalog_module.eigenvalues
+
+    def counted(A):
+        solved.append(int(np.prod(np.shape(A)[:-2])))
+        return eigenvalues(A)
+
+    monkeypatch.setattr(catalog_module, "eigenvalues", counted)
+    return solved
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["F", "dual"])
+@pytest.mark.parametrize("key", MIXED_KEYS)
+def test_bisected_spectral_canonical_solves_one_matrix_per_call(key, dual, monkeypatch):
+    F = spectral_fiber(key, 2, dual)
+    solved = counting_solves(monkeypatch)
+    rng = np.random.default_rng(61)
+    for A in spectral_queries(2, 61)[::8] + [random_jet(rng, 2, 1.5) for _ in range(4)]:
+        solved.clear()
+        outcome(canonical_operator, F, A)
+        assert solved == [1]
+
+
+@pytest.mark.parametrize("M, n", [
+    (MonotonicityCone(0.0, DirectionalCone.full(), math.inf), 3),
+    (MonotonicityCone(2.0, DirectionalCone.orthant([0]), 0.5), 2),
+    (MonotonicityCone(1.0, DirectionalCone.halfspace([1.0, 0.0]), 1.0), 2),
+], ids=["full", "orthant", "half"])
+def test_cone_members_solve_one_matrix_per_mixed_row(M, n, monkeypatch):
+    J = random_jets(np.random.default_rng(67), n, 30, 2.0)
+    extreme = np.arange(30) % 3 == 0
+    solved = counting_solves(monkeypatch)
+    _cone_members(M, n, J, extreme)
+    assert solved == [int(np.count_nonzero(~extreme))]
+    solved.clear()
+    _cone_members(M, n, J, np.ones(30, dtype=bool))
+    assert sum(solved) == 0
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, 1e-20, MIN_TOL / 2, math.nan, math.inf])
