@@ -101,19 +101,21 @@ def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
 
     Every other fiber bisects the indicator until the bracket is narrower
     than tol * max(1, |t_lo| + |t_hi|) and returns its midpoint, probing
-    through catalog.ray_probe: one eigen-solve for Q, Q~, M, M0 and duals.
+    through catalog.ray_probe. A fiber with a spectrum (Q, Q~, M, M0 and
+    their duals) takes one eigen-solve, shared by the jet norm and the probe.
     """
     if not (math.isfinite(tol) and tol >= MIN_TOL):
         raise BadParameters(f"canonical tol must be finite and at least {MIN_TOL:.3g}, got {tol}")
     J = A if isinstance(A, Jet2) else Jet2.from_matrix(A)
     f = F.spectrum if F.arity is Arity.PURE_SECOND_ORDER else None
-    lam = None if f is None else eigenvalues(J.A)
+    lam = None if F.spectrum is None else eigenvalues(J.A)
     side = _doublings(jet_norm(J, lam) + 1.0, SEARCH_RADIUS)
     if f is not None:
         f = functools.partial(f, J.r, J.p)
         bracket = _ladder_bracket(f, lam, side)
     else:
-        g = ray_probe(F, stack_jets([J], J.n), Jet2.from_matrix(SymMat.identity(J.n)))
+        g = ray_probe(F, stack_jets([J], J.n), Jet2.from_matrix(SymMat.identity(J.n)),
+                      lam=None if lam is None else lam[None])
 
         def member(live, t):
             # sign of the defining functional, not the tolerance band: the

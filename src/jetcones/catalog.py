@@ -1088,7 +1088,8 @@ def _scalar_hessian(J0: Jet2) -> Optional[float]:
     return c if np.array_equal(A, c * np.eye(J0.n)) else None
 
 
-def ray_probe(F, J: tuple, U: Jet2, points: Optional[list] = None) -> Callable:
+def ray_probe(F, J: tuple, U: Jet2, points: Optional[list] = None,
+              lam: Optional[np.ndarray] = None) -> Callable:
     """g(rows, t): F's functional on J_i + t*U, g[len(rows), k], for the
     rows of the stack J = (r[N], p[N, n], A[N, n, n]) that rows lists in
     increasing order and t[len(rows), k]; g(rows) is the functional on
@@ -1098,17 +1099,18 @@ def ray_probe(F, J: tuple, U: Jet2, points: Optional[list] = None) -> Callable:
     When F has a spectrum f and U's Hessian is exactly c*I, each jet's
     eigenvalues lambda are solved once, here, and g is f(r + t*r0,
     p + t*p0, lambda + t*c), since lambda(A + t*c*I) = lambda(A) + t*c:
-    the form on J_i + t*U up to the rounding of the eigen-solves. Every
-    other probe is the form along the ray, with the float operations of
-    Jet2 arithmetic.
+    the form on J_i + t*U up to the rounding of the eigen-solves; lam,
+    when given, is eigenvalues(J[2]), which is then not solved again.
+    Every other probe is the form along the ray, with the float
+    operations of Jet2 arithmetic.
     """
     f = None if points is not None else F.spectrum
     c = None if f is None else _scalar_hessian(U)
     if c is None:
         values, V = fiber_values(F, points), (U.r, U.p, U.A.entries)
     else:
-        J = (J[0], J[1], eigenvalues(J[2]))
-        values, V = (lambda rows, r, p, lam: f(r, p, lam)), (U.r, U.p, c)
+        J = (J[0], J[1], eigenvalues(J[2]) if lam is None else lam)
+        values, V = (lambda rows, r, p, ev: f(r, p, ev)), (U.r, U.p, c)
 
     def probe(rows, t=None):
         at = tuple(take_rows(a, rows) for a in J)

@@ -32,6 +32,10 @@ Numer. Anal. 2006), the hypothesis the solver and discrete comparison
 rest on; scheme_monotonicity_probe checks it by finite differences,
 with no time step.
 
+The sparse solve (_sparse_solver, with its _assembler) is the only place
+this module imports scipy: SuperLU's scipy.sparse loads at the first
+solve, not at import.
+
 The experiment harness turns the comparison principle, the zero maximum
 principle for dual cones, and the uniform translation property into
 grid-level checks with explicit hypothesis validation.
@@ -47,8 +51,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .catalog import (
     REGISTRY,
@@ -322,7 +324,7 @@ def _setup(op_key, rhs, g: GridFunction, init) -> tuple:
     u = g.values.copy()
     if init is not None:
         u[interior] = np.asarray(init, dtype=float).reshape(grid.dims)[interior]
-    return grid, op, interior, rhs_field, u, _assembler(grid)
+    return grid, op, interior, rhs_field, u, _sparse_solver(grid)
 
 
 def _interior_index(grid: Grid) -> np.ndarray:
@@ -333,9 +335,10 @@ def _interior_index(grid: Grid) -> np.ndarray:
     return index
 
 
-def _assembler(grid: Grid) -> Callable[[np.ndarray], sp.csc_matrix]:
-    """coeffs -> sparse matrix of sum_theta c_theta D_theta on the interior
-    unknowns, with the neighbour indices along each direction built once.
+def _assembler(grid: Grid) -> Callable:
+    """coeffs -> scipy.sparse CSC matrix of sum_theta c_theta D_theta on the
+    interior unknowns, with the neighbour indices along each direction
+    built once.
 
     Only nonzero coefficients are assembled; neighbors on the boundary
     layer move to the right-hand side, which the caller's residual
@@ -353,6 +356,8 @@ def _assembler(grid: Grid) -> Callable[[np.ndarray], sp.csc_matrix]:
     ]
 
     def matrix(coeffs):
+        import scipy.sparse as sp
+
         n = coeffs[0].size
         diag = np.zeros(n)
         rows, cols, vals = [], [], []
@@ -375,6 +380,21 @@ def _assembler(grid: Grid) -> Callable[[np.ndarray], sp.csc_matrix]:
         )
 
     return matrix
+
+
+def _sparse_solver(grid: Grid) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """(coeffs, fld) -> du solving (sum_theta c_theta D_theta) du = fld on
+    the interior unknowns by SuperLU (scipy's spsolve), du shaped as fld.
+    Only this solve loads scipy.sparse, at its first call.
+    """
+    assemble = _assembler(grid)
+
+    def solve(coeffs, fld):
+        from scipy.sparse.linalg import spsolve
+
+        return spsolve(assemble(coeffs), fld.ravel()).reshape(fld.shape)
+
+    return solve
 
 
 def solve_dirichlet(
@@ -411,7 +431,7 @@ def solve_dirichlet(
     stalls at its roundoff floor above tol, and UnstableStep when the
     residual becomes non-finite.
     """
-    grid, op, interior, rhs_field, u, assemble = _setup(op_key, rhs, g, init)
+    grid, op, interior, rhs_field, u, solve = _setup(op_key, rhs, g, init)
     linearize = op.linearize if op.tangent is None else op.tangent
     history = []
     best = res = floor = gate = math.inf
@@ -422,7 +442,7 @@ def solve_dirichlet(
         res = float(np.max(np.abs(state[0] - rhs_field)))
         if res > tol:
             factorizations += 1
-            poisson = _poisson_start(op, grid, assemble, interior, rhs_field, u, res)
+            poisson = _poisson_start(op, grid, solve, interior, rhs_field, u, res)
             if poisson is not None:
                 (u, state), start = poisson, "poisson"
     for it in range(1, max_iter + 1):
@@ -446,13 +466,13 @@ def solve_dirichlet(
             )
         if op.tangent is not None and res < gate:
             factorizations += 1
-            step = _newton_step(op, grid, assemble, interior, rhs_field, u, fld, state[2], res)
+            step = _newton_step(op, grid, solve, interior, rhs_field, u, fld, state[2], res)
             if step is not None:
                 u, state = step
                 newton_steps += 1
                 continue
             gate = res / 2
-        u[interior] -= spsolve(assemble(coeffs), fld.ravel()).reshape(fld.shape)
+        u[interior] -= solve(coeffs, fld)
         factorizations += 1
         state = linearize(u, grid)
     raise NotConverged(
@@ -462,7 +482,7 @@ def solve_dirichlet(
     )
 
 
-def _poisson_start(op, grid, assemble, interior, rhs_field, u, res) -> Optional[tuple]:
+def _poisson_start(op, grid, solve, interior, rhs_field, u, res) -> Optional[tuple]:
     """One sparse solve of the linear problem with op's tangent coefficients
     c0 at the zero function (for slag the axis Laplacian) and u's boundary
     data: v = u - J0^-1 (sum_theta c0 D_theta(u) - psi). Returns
@@ -472,7 +492,7 @@ def _poisson_start(op, grid, assemble, interior, rhs_field, u, res) -> Optional[
     coeffs = op.tangent(np.zeros(grid.dims), grid)[2]
     fld = np.sum(coeffs * _diff_stack(u, grid), axis=0) - rhs_field
     v = u.copy()
-    v[interior] -= spsolve(assemble(coeffs), fld.ravel()).reshape(fld.shape)
+    v[interior] -= solve(coeffs, fld)
     state = op.tangent(v, grid)
     if float(np.max(np.abs(state[0] - rhs_field))) < res:
         return v, state
@@ -483,7 +503,7 @@ def _poisson_start(op, grid, assemble, interior, rhs_field, u, res) -> Optional[
 _NEWTON_STEPS = (1.0, 0.5, 0.25, 0.125)
 
 
-def _newton_step(op, grid, assemble, interior, rhs_field, u, fld, tangent,
+def _newton_step(op, grid, solve, interior, rhs_field, u, fld, tangent,
                  res) -> Optional[tuple]:
     """One sparse solve with the tangent matrix for the direction delta,
     then u - alpha * delta for alpha in _NEWTON_STEPS, each try one
@@ -493,9 +513,11 @@ def _newton_step(op, grid, assemble, interior, rhs_field, u, fld, tangent,
     A singular or overflowing tangent system leaves a non-finite delta
     and is rejected; its warnings stay inside.
     """
+    from scipy.sparse.linalg import MatrixRankWarning
+
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore", MatrixRankWarning)
-        delta = spsolve(assemble(tangent), fld.ravel()).reshape(fld.shape)
+        delta = solve(tangent, fld)
         if not np.all(np.isfinite(delta)):
             return None
         for alpha in _NEWTON_STEPS:

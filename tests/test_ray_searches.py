@@ -32,9 +32,10 @@ too. Every search along a ray whose Hessian part is c*I on a spectral
 fiber (ray_probe: boundary_shifts on Q, Q~, M and M0 as well, the
 bisection of canonical_operator on those four and their duals, the
 mixing into M) probes f(r + t*r0, p + t*p0, lambda + t*c) instead of the
-fiber's values along the ray. A count of the matrices
-catalog.eigenvalues solves checks that this takes one eigen-solve per
-jet. The route is checked against the ray route within tol, and at the
+fiber's values along the ray. A count of the matrices the
+eigenvalues calls of catalog, canonical and the jet norm solve checks
+that this takes one eigen-solve per jet, and that canonical_operator on
+any spectral fiber solves its matrix once. The route is checked against the ray route within tol, and at the
 seeds of the Jet2-route comparisons below it matches them bit for bit
 as well.
 """
@@ -49,6 +50,7 @@ import pytest
 
 from jetcones import canonical as canonical_module
 from jetcones import catalog as catalog_module
+from jetcones import jets as jets_module
 from jetcones.boundary import _threshold_done
 from jetcones.canonical import (
     MIN_TOL,
@@ -1014,16 +1016,17 @@ def test_bisected_canonical_where_g_vanishes_on_an_interval():
 
 
 def counting_solves(monkeypatch) -> list:
-    """The number of matrices each catalog.eigenvalues call solves, from
-    now on in the test."""
+    """The number of matrices each eigenvalues call solves, from now on in
+    the test: catalog's, canonical's and the jet norm's (jets module)."""
     solved = []
-    eigenvalues = catalog_module.eigenvalues
+    eigenvalues = jets_module.eigenvalues
 
     def counted(A):
         solved.append(int(np.prod(np.shape(A)[:-2])))
         return eigenvalues(A)
 
-    monkeypatch.setattr(catalog_module, "eigenvalues", counted)
+    for module in (catalog_module, canonical_module, jets_module):
+        monkeypatch.setattr(module, "eigenvalues", counted)
     return solved
 
 
@@ -1034,6 +1037,16 @@ def test_bisected_spectral_canonical_solves_one_matrix_per_call(key, dual, monke
     solved = counting_solves(monkeypatch)
     rng = np.random.default_rng(61)
     for A in spectral_queries(2, 61)[::8] + [random_jet(rng, 2, 1.5) for _ in range(4)]:
+        solved.clear()
+        outcome(canonical_operator, F, A)
+        assert solved == [1]
+
+
+@pytest.mark.parametrize("key", ["P", "pfold:p=2", "pucci:1,2", "sigma:k=2"])
+def test_ladder_spectral_canonical_solves_one_matrix_per_call(key, monkeypatch):
+    F = make_oracle(key, 3)
+    solved = counting_solves(monkeypatch)
+    for A in spectral_queries(3, 71)[::8]:
         solved.clear()
         outcome(canonical_operator, F, A)
         assert solved == [1]

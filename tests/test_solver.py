@@ -363,7 +363,7 @@ def test_singular_or_overflowing_tangent_is_a_rejected_try():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for bad in (np.zeros_like(tangent), tiny):
-            assert solver._newton_step(op, grid, solver._assembler(grid),
+            assert solver._newton_step(op, grid, solver._sparse_solver(grid),
                                        grid.interior_slice(), 0.0, u, fld, bad, 1.0) is None
 
 

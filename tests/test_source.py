@@ -9,12 +9,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from numpy.random import default_rng
 
 from jetcones import catalog as cat
 from jetcones import cli, garding, jets
 from jetcones.canonical import canonical_operator
+from jetcones.experiments import quadratic_grid_function
+from jetcones.grids import square_grid
+from jetcones.solver import solve_dirichlet
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "jetcones").glob("*.py"))
@@ -244,36 +248,64 @@ def test_every_public_function_is_reached():
     assert sorted(UNREACHED_API) == sorted(unreached)
 
 
-# A fresh interpreter: jetcones.canonical loads no scipy; no module of the
-# package loads scipy.optimize, nor does building the Pucci Garding
-# operator, until a call runs Brent.
+# A fresh interpreter: importing every module of the package loads no
+# scipy, and neither do the grid checks (a comparison pair, the scheme
+# probe, a zero-maximum check) nor a CLI command. The first Dirichlet
+# solve loads scipy.sparse; building the Pucci Garding operator loads no
+# scipy.optimize, the first Brent fallback does.
 IMPORT_PROBE = """
-import importlib, json, sys
+import contextlib, importlib, io, json, math, sys
 from numpy.random import default_rng
-import jetcones.canonical
-out = {"scipy_after_canonical": "scipy" in sys.modules}
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
 for name in sys.argv[1:]:
     importlib.import_module(name)
-out["optimize_after_imports"] = "scipy.optimize" in sys.modules
-from jetcones import catalog as cat, garding, jets
+out = {"after_imports": scipy_modules()}
+from jetcones import canonical, catalog as cat, cli, experiments, garding, jets, solver
+from jetcones.grids import square_grid
+experiments.comparison_battery(["P"], pairs=1, n_side=9, seed=117)
+grid = square_grid(9, 0.0, 1.0)
+out["probe"] = solver.scheme_monotonicity_probe("slag", grid, states=4)
+M = cat.MonotonicityCone(0.0, cat.DirectionalCone.full(), math.inf)
+z = experiments.zmp_sample(M, grid, default_rng(3))
+out["zmp"] = solver.zmp_experiment(M, z, arity=cat.Arity.FULL).ok
+with contextlib.redirect_stdout(io.StringIO()):
+    out["canonical"] = cli.main(["canonical", "--key", "Q", "--matrix", "[[1,0.5],[0.5,-2]]"])
+out["after_checks"] = scipy_modules()
+g = experiments.quadratic_grid_function(grid, jets.SymMat.identity(2))
+u, _ = solver.solve_dirichlet("slag", 1.0, g, tol=1e-10)
+out["solution"] = u.values.ravel().view("int64").tolist()
+out["sparse_after_solve"] = "scipy.sparse" in sys.modules
+out["optimize_after_solve"] = "scipy.optimize" in sys.modules
 out["degree"] = garding.pucci_garding_operator(1.0, 2.0, 3).degree
 out["optimize_after_pucci_garding"] = "scipy.optimize" in sys.modules
 A = jets.random_symmetric(default_rng(0), 3, 1.5)
-out["brent_value"] = jetcones.canonical.canonical_operator(cat.cone_sigma_k(3, 2), A).hex()
+out["brent_value"] = canonical.canonical_operator(cat.cone_sigma_k(3, 2), A).hex()
 out["optimize_after_brent"] = "scipy.optimize" in sys.modules
 out["vertices"] = [v.tolist() for v in garding.pucci_vertex_set(3, 1.0, 2.0)]
 print(json.dumps(out))
 """
 
 
-def test_importing_the_package_loads_no_scipy_optimize():
+def test_cold_start_loads_no_scipy_until_a_solve_or_brent():
     modules = ["jetcones" if p.stem == "__init__" else f"jetcones.{p.stem}" for p in SOURCES]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *modules], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     out = json.loads(done.stdout)
-    assert out["scipy_after_canonical"] is False
-    assert out["optimize_after_imports"] is False
+    assert out["after_imports"] == []
+    assert out["probe"] is True and out["zmp"] is True and out["canonical"] == 0
+    assert out["after_checks"] == []
+    # the solve loads SuperLU and gives the bits it gives in this process
+    grid = square_grid(9, 0.0, 1.0)
+    g = quadratic_grid_function(grid, jets.SymMat.identity(2))
+    u, _ = solve_dirichlet("slag", 1.0, g, tol=1e-10)
+    assert out["solution"] == u.values.ravel().view(np.int64).tolist()
+    assert out["sparse_after_solve"] is True and out["optimize_after_solve"] is False
     assert out["degree"] == 6 and out["optimize_after_pucci_garding"] is False
     # sigma_2's curved g fails the ladder's certificate, so Brent runs
     A = jets.random_symmetric(default_rng(0), 3, 1.5)
