@@ -12,7 +12,10 @@ each operation once and prints its output, floats as float.hex:
   the canonical values of the cones that canonical_operator bisects (Q,
   M0, an M cone and the dual of another) on BISECTED_JETS seeded random
   jets each, two in three with gradient 0 and value -|r| or |r| so that
-  values exist, a failure given as the exception's name;
+  values exist, a failure given as the exception's name; the Garding
+  eigenvalues of each garding operator on its inputs, and the canonical
+  values of each of its branch oracles on GARDING_BRANCH_MATRICES seeded
+  random matrices;
 - grid-checks: every comparison and zero-maximum verdict (ok, witness
   node, margin, note), the strict approximator of the oversized box,
   the TranslationReport fields, the discrete jets classified per
@@ -40,10 +43,10 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads  # noqa: E402
-from jetcones import canonical, catalog  # noqa: E402
+from jetcones import canonical, catalog, garding  # noqa: E402
 from jetcones.duality import CheckReport, dual_oracle  # noqa: E402
 from jetcones.errors import BracketingFailure  # noqa: E402
-from jetcones.jets import Jet2, random_jet  # noqa: E402
+from jetcones.jets import Jet2, random_jet, random_symmetric  # noqa: E402
 
 CONES = {"P2": catalog.cone_P(2), "P3": catalog.cone_P(3),
          "pfold32": catalog.cone_pfold(3, 2), "pucci": catalog.cone_pucci(2, 1.0, 2.0)}
@@ -52,6 +55,7 @@ BISECTED = {"Q": catalog.cone_Q(2), "M0": catalog.cone_M0(2),
             "M_half": catalog.make_oracle("M:gamma=1,D=half:e1,R=1", 2),
             "M_full_dual": dual_oracle(catalog.make_oracle("M:gamma=0,D=full,R=inf", 2))}
 BISECTED_JETS = 50
+GARDING_BRANCH_MATRICES = 10
 
 
 def exact(x):
@@ -96,6 +100,16 @@ def verify_outputs(seed: int, distances: int) -> dict:
     for name, F in BISECTED.items():
         out[f"canonical_bisected_{name}"] = [
             canonical_or_failure(F, bisected_query(rng, F.n, k)) for k in range(BISECTED_JETS)]
+    # the garding operation's (operator, matrices) pairs
+    g_in = next(op for op in wl.ops if op.name == "garding").call.args[0]
+    out["garding_eigenvalues"] = {
+        op.key: exact([garding.garding_eigenvalues(op, A) for A in mats]) for op, mats in g_in}
+    branches = out["canonical_garding_branches"] = {}
+    for op, _ in g_in:
+        mats = [random_symmetric(rng, op.n, 1.5) for _ in range(GARDING_BRANCH_MATRICES)]
+        for k in range(1, op.degree + 1):
+            F = garding.branch_oracle(op, k)
+            branches[F.key] = [canonical_or_failure(F, A) for A in mats]
     return out
 
 

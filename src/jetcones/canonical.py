@@ -32,7 +32,6 @@ from .catalog import (
     crossing_brackets,
     jets_along,
     members,
-    per_jet_form,
     ray_probe,
     shift_stack_to_boundary,
 )
@@ -325,9 +324,14 @@ def induced_fiber(op: JetOp, G: Optional[FiberOracle], n: int, arity: Arity,
     """The constraint set {J in G : op(J) >= 0} as a fiber oracle.
 
     The defining functional is min(G's functional, op); with G = None the
-    operator is unconstrained.
+    operator is unconstrained. op takes one jet: a stack goes jet by jet.
     """
-    op_form = per_jet_form(op)
+
+    def op_form(r, p, A):
+        r = np.asarray(r, dtype=float)
+        return np.array([op(Jet2(r[i], p[i], A[i]))
+                         for i in np.ndindex(r.shape)]).reshape(r.shape)
+
     if G is None:
         form = op_form
     else:
@@ -352,7 +356,7 @@ def _structured_probe_jets(n: int, rng: np.random.Generator, count: int) -> list
 def _boundary_probe(F: FiberOracle, J_in: Jet2, J_out: Jet2,
                     tol: float) -> Optional[Jet2]:
     """Bisect the segment [J_in, J_out] to a jet classified Boundary."""
-    # one probe per step: induced fibers evaluate per jet (per_jet_form), so a
+    # one probe per step: induced fibers evaluate one jet at a time, so a
     # 15-row bisection tree would cost 15 evaluations to save 3 calls
     lo, hi = 0.0, 1.0
     for _ in range(200):

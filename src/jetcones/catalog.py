@@ -19,8 +19,8 @@ and the same bits as one jet at a time. Constant-coefficient cones are
 FiberOracles. Variable-coefficient examples are VariableFiberMaps, whose
 form also takes the points, (x[..., n], r, p, A) -> g[...], and which
 carry their declared monotonicity cone and reference jet explicitly.
-Functionals that exist only one jet at a time (the Garding root-finders,
-user-supplied jet operators) become forms through per_jet_form.
+The Garding oracles (garding.py) are stack forms too; only a user-supplied
+jet operator (canonical.induced_fiber) is evaluated one jet at a time.
 """
 
 from __future__ import annotations
@@ -158,25 +158,6 @@ class FiberOracle:
 
     def contains(self, jet, tol: float = DEFAULT_TOL) -> bool:
         return self.classify(jet, tol).is_member
-
-
-def per_jet_form(fn: Callable[[Jet2], float]) -> Callable:
-    """Lift a Jet2 -> float functional to a stack form, one jet at a time.
-
-    For functionals with no array arithmetic: root-finders that work one
-    matrix at a time and user-supplied jet operators.
-    """
-
-    def form(r, p, A):
-        r = np.asarray(r, dtype=float)
-        p = np.asarray(p, dtype=float)
-        A = np.asarray(A, dtype=float)
-        out = np.empty(r.shape)
-        for i in np.ndindex(r.shape):
-            out[i] = fn(Jet2(r[i], p[i], A[i]))
-        return out
-
-    return form
 
 
 def _as_jet(j, n: int) -> Jet2:

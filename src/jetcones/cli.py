@@ -72,9 +72,14 @@ def _load_jet(text: str) -> Jet2:
 
 
 def _emit(payload: dict, seed) -> None:
+    """Write payload as strict JSON. A non-finite number has no JSON form:
+    it is a ValueError (exit 3), raised before any byte is written."""
     payload.setdefault("seed", seed)
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as e:
+        raise ValueError(f"the result is not finite: {e}") from e
+    sys.stdout.write(text + "\n")
 
 
 def _jet_from_args(args) -> Jet2:
@@ -124,12 +129,14 @@ def _fiber_at(oracle, at):
 
 
 def _parse_point(text: str, dim: int, flag: str) -> np.ndarray:
-    """A comma-separated point with dim coordinates; anything else is a
-    ParseError that names the flag it came from."""
+    """A comma-separated point with dim finite coordinates; anything else
+    is a ParseError that names the flag it came from."""
     try:
         x = np.asarray([float(v) for v in text.split(",")])
     except ValueError as e:
         raise ParseError(f"bad {flag} point {text!r}: {e}") from e
+    if not np.isfinite(x).all():
+        raise ParseError(f"bad {flag} point {text!r}: coordinates must be finite")
     if len(x) != dim:
         raise ParseError(f"{flag} {text!r} has {len(x)} coordinates, "
                          f"expected dimension {dim}")
@@ -188,16 +195,19 @@ def cmd_canonical(args) -> int:
 def cmd_garding(args) -> int:
     A = _load_matrix(args.matrix)
     op = gar.make_operator(args.op, A.n)
-    lam = gar.garding_eigenvalues(op, A)
-    if args.out:
-        flat = list(A.entries.ravel()) + list(lam)
-        Path(args.out).write_text(",".join(repr(float(v)) for v in flat) + "\n")
+    # an overflow shows as a non-finite number, which _emit reports
+    with np.errstate(all="ignore"):
+        lam = gar.garding_eigenvalues(op, A)
+        value = op.eval(A)
     _emit({
         "op": args.op,
         "degree": op.degree,
         "eigenvalues": lam.tolist(),
-        "value": op.eval(A),
+        "value": value,
     }, args.seed)
+    if args.out:
+        flat = list(A.entries.ravel()) + list(lam)
+        Path(args.out).write_text(",".join(repr(float(v)) for v in flat) + "\n")
     return EXIT_OK
 
 

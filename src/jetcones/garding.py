@@ -36,7 +36,6 @@ from .catalog import (
     check_index,
     check_pucci,
     elementary_symmetric,
-    per_jet_form,
     skew_hermitian_mu,
 )
 from .errors import (
@@ -64,12 +63,13 @@ class HyperbolicityCertificate:
 class GardingOperator:
     """I-hyperbolic polynomial of degree m on S(n).
 
-    eval_matrix evaluates F(A). exact_eigenvalues, when present, computes
-    the ascending eigenvalue vector from the operator's factor structure
-    at machine precision; the generic recovery route, which samples
-    s -> F(A + sI) through eval_matrix alone, stays available for
-    cross-validation and for operators without closed factors. Instances
-    are immutable in use and safe to share.
+    eval_matrix evaluates F(A) on one matrix, and F(I) once, when built.
+    exact_eigenvalues, when present, computes the eigenvalues, in any
+    order, from the operator's factor structure at machine precision on
+    a stack, a[..., n, n] -> Lambda[..., m]; the generic recovery route,
+    which samples s -> F(A + sI) through eval_matrix alone, stays
+    available for cross-validation and for operators without closed
+    factors. Instances are immutable in use and safe to share.
     """
 
     label: str
@@ -79,11 +79,12 @@ class GardingOperator:
     exact_eigenvalues: Optional[Callable[[np.ndarray], np.ndarray]] = None
     key: Optional[str] = None
     certificate: Optional[HyperbolicityCertificate] = field(default=None, repr=False)
+    _eval_I: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        FI = self.eval_matrix(np.eye(self.n))
-        if not FI > 0:
-            raise BadParameters(f"{self.label}: F(I) = {FI} must be positive")
+        self._eval_I = float(self.eval_matrix(np.eye(self.n)))
+        if not self._eval_I > 0:
+            raise BadParameters(f"{self.label}: F(I) = {self._eval_I} must be positive")
 
     def eval(self, A) -> float:
         a = A.entries if isinstance(A, SymMat) else np.asarray(A, dtype=float)
@@ -91,7 +92,7 @@ class GardingOperator:
 
     @property
     def eval_I(self) -> float:
-        return float(self.eval_matrix(np.eye(self.n)))
+        return self._eval_I
 
 
 def garding_eigenvalues(op: GardingOperator, A, tol: float = ROOT_TOL,
@@ -100,18 +101,21 @@ def garding_eigenvalues(op: GardingOperator, A, tol: float = ROOT_TOL,
 
     method="auto" uses the operator's exact factor structure when it has
     one (the built-ins all do), which is the only route that resolves
-    nearly coincident eigenvalues to full precision. The generic route
-    (method="generic") recovers the coefficients of s -> F(A + sI) from
-    m+1 Chebyshev-spaced evaluations scaled by 1 + ||A||, takes the
-    fitted polynomial's companion roots, and polishes by bisection where
-    a sign change brackets the root; coefficient noise limits it to
-    about the square root of machine precision near double roots.
-    Raises NonRealRoots when the real-root residue exceeds
-    tol * (1 + ||A||).
+    nearly coincident eigenvalues to full precision, on one matrix or a
+    stack A[..., n, n] -> Lambda[..., m] with each row's bits alone. The
+    generic route (method="generic", one matrix; ValueError on a stack)
+    recovers the coefficients of s -> F(A + sI) from m+1 Chebyshev-spaced
+    evaluations scaled by 1 + ||A||, takes the fitted polynomial's
+    companion roots, and polishes by bisection where a sign change
+    brackets the root; coefficient noise limits it to about the square
+    root of machine precision near double roots. Raises NonRealRoots
+    when the real-root residue exceeds tol * (1 + ||A||).
     """
     a = A.entries if isinstance(A, SymMat) else np.asarray(A, dtype=float)
     if method == "auto" and op.exact_eigenvalues is not None:
-        return np.sort(np.asarray(op.exact_eigenvalues(a), dtype=float))
+        return np.sort(np.asarray(op.exact_eigenvalues(a), dtype=float), axis=-1)
+    if a.ndim != 2:
+        raise ValueError(f"{op.label}: the generic route takes one matrix, got shape {a.shape}")
     coeffs, real_roots, vscale, _ = _real_root_fit(op, a, tol)
     # residual-gated vectorized bisection polish: companion roots whose
     # polynomial value is already at noise level are kept as is
@@ -247,19 +251,22 @@ def verify_hyperbolic(op: GardingOperator, samples: int = 100, seed: int = 41) -
 
 def garding_cone_oracle(op: GardingOperator) -> FiberOracle:
     """The closed cone as a catalog-compatible fiber oracle."""
-    return FiberOracle(
-        f"closed cone of {op.label}: Lambda_min(A) >= 0", op.n, Arity.PURE_SECOND_ORDER,
-        (op.key + ":cone") if op.key else None,
-        per_jet_form(lambda J: float(garding_eigenvalues(op, J.A)[0])))
+    return _eigenvalue_oracle(op, 1, f"closed cone of {op.label}: Lambda_min(A) >= 0", ":cone")
 
 
 def branch_oracle(op: GardingOperator, k: int) -> FiberOracle:
     """k-th eigenvalue branch {A : Lambda_k(A) >= 0}, 1-indexed."""
     check_index("branch", "k", k, op.degree)
-    return FiberOracle(
-        f"branch k={k} of {op.label}", op.n, Arity.PURE_SECOND_ORDER,
-        (op.key + f":branch:k={k}") if op.key else None,
-        per_jet_form(lambda J: float(garding_eigenvalues(op, J.A)[k - 1])))
+    return _eigenvalue_oracle(op, k, f"branch k={k} of {op.label}", f":branch:k={k}")
+
+
+def _eigenvalue_oracle(op: GardingOperator, k: int, label: str, suffix: str) -> FiberOracle:
+    """{A : Lambda_k(A) >= 0}, one exact_eigenvalues call per stack."""
+    if op.exact_eigenvalues is None:
+        raise BadParameters(f"{op.label}: a Garding oracle needs exact eigenvalues")
+    return FiberOracle(label, op.n, Arity.PURE_SECOND_ORDER,
+                       (op.key + suffix) if op.key else None,
+                       lambda r, p, A: garding_eigenvalues(op, A)[..., k - 1])
 
 
 def garding_dirichlet_check(
@@ -272,20 +279,22 @@ def garding_dirichlet_check(
     from .jets import random_psd
 
     rng = np.random.default_rng(seed)
-    witnesses = []
-    for _ in range(samples):
-        A = random_psd(rng, op.n, scale=1.5)
-        lam = garding_eigenvalues(op, A)
-        if lam[0] < -tol:
-            witnesses.append((A, float(lam[0])))
-            if len(witnesses) >= 4:
-                break
+    mats = [random_psd(rng, op.n, scale=1.5) for _ in range(samples)]
+    lam_min = garding_eigenvalues(
+        op, np.array([A.entries for A in mats]).reshape(samples, op.n, op.n))[:, 0]
+    witnesses = [(A, float(lam)) for A, lam in zip(mats, lam_min) if lam < -tol][:4]
     return len(witnesses) == 0, witnesses
 
 
 # ---------------------------------------------------------------------------
 # Built-in operators
 # ---------------------------------------------------------------------------
+
+def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M @ x for each row of x[..., k]: one gemv per row, each with the
+    bits of M @ x on that row alone."""
+    return (M @ x[..., None])[..., 0]
+
 
 def det_operator(n: int) -> GardingOperator:
     return GardingOperator(
@@ -311,7 +320,7 @@ def pfold_operator(n: int, p: int) -> GardingOperator:
         n=n,
         degree=len(subsets),
         eval_matrix=lambda a: float(np.prod(indicator @ eigenvalues(a))),
-        exact_eigenvalues=lambda a: (indicator @ eigenvalues(a)) / p,
+        exact_eigenvalues=lambda a: _matvec(indicator, eigenvalues(a)) / p,
         key=f"pfold:p={p}",
     )
 
@@ -331,7 +340,7 @@ def delta_elliptic_operator(n: int, delta: float) -> GardingOperator:
         degree=n,
         eval_matrix=eval_matrix,
         exact_eigenvalues=lambda a, d=delta: (
-            lambda lam: (lam + d * np.sum(lam)) / (1.0 + n * d)
+            lambda lam: (lam + d * np.sum(lam, axis=-1, keepdims=True)) / (1.0 + n * d)
         )(eigenvalues(a)),
         key=f"delta-elliptic:{_fmt(delta)}",
     )
@@ -344,13 +353,15 @@ def sigma_k_operator(n: int, k: int) -> GardingOperator:
 
     def exact(a):
         # sigma_k(lam + s) = sum_j C(n-k+j, j) sigma_{k-j}(lam) s^j: the
-        # coefficients are exact, leaving only a small companion solve
+        # coefficients are exact, leaving only a small companion solve, the
+        # matrix npoly.polyroots solves (ones below the diagonal, last column
+        # -c[:-1] / c[-1]; at k = 1 eigvals returns its one entry exactly)
         lam = eigenvalues(a)
-        coeffs = np.array(
-            [binom[j] * elementary_symmetric(lam, k - j) for j in range(k + 1)]
-        )
-        roots = npoly.polyroots(coeffs)
-        return -np.sort(np.real(roots))[::-1]
+        c = np.stack([binom[j] * elementary_symmetric(lam, k - j) for j in range(k + 1)], -1)
+        comp = np.zeros(c.shape[:-1] + (k, k))
+        comp[..., np.arange(1, k), np.arange(k - 1)] = 1.0
+        comp[..., -1] -= c[..., :-1] / c[..., -1:]
+        return -np.sort(np.real(np.linalg.eigvals(comp)), axis=-1)[..., ::-1]
 
     return GardingOperator(
         label=f"k-Hessian k={k}",
@@ -375,7 +386,8 @@ def lagrangian_ma_operator(two_n: int) -> GardingOperator:
 
     def factors(a):
         # tr(A + sI)/2 = tr(A)/2 + n*s; the anti-commuting part ignores sI
-        return 0.5 * float(np.trace(a)) + signs @ skew_hermitian_mu(a)
+        return (0.5 * np.trace(a, axis1=-2, axis2=-1)[..., None]
+                + _matvec(signs, skew_hermitian_mu(a)))
 
     return GardingOperator(
         label="lagrangian-ma",
@@ -426,7 +438,7 @@ def pucci_garding_operator(lam: float, Lam: float, n: int) -> GardingOperator:
         n=n,
         degree=len(S),
         eval_matrix=lambda a: float(np.prod(V @ eigenvalues(a))),
-        exact_eigenvalues=lambda a: (V @ eigenvalues(a)) / weights,
+        exact_eigenvalues=lambda a: _matvec(V, eigenvalues(a)) / weights,
         key=f"pucci-garding:{_fmt(lam)},{_fmt(Lam)}",
     )
 

@@ -10,6 +10,7 @@ spectral decomposition, the jet norm, and traces on subspaces.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,14 +23,20 @@ GRAM_ERR_TOL = 1e-8
 # Desk-scale cap: brute-force oracles (char-poly bisection, subset sums,
 # 2^n vertex sets) must stay tractable.
 MAX_DIM = 8
+# The largest entry that symmetrizing, 0.5 * (a + a.T), cannot overflow.
+_MAX_ENTRY = sys.float_info.max / 2
 
 
 def _as_symmetric(entries, tol=1e-12):
     a = np.asarray(entries, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    dev = np.max(np.abs(a - a.T)) if a.size else 0.0
     scale = 1.0 + (np.max(np.abs(a)) if a.size else 0.0)
+    # NaN fails the comparison too
+    if not scale <= _MAX_ENTRY:
+        raise ValueError(f"matrix entries must be finite and at most {_MAX_ENTRY:.6g} "
+                         f"in magnitude")
+    dev = np.max(np.abs(a - a.T)) if a.size else 0.0
     if dev > tol * scale:
         raise ValueError(f"matrix not symmetric: max asymmetry {dev:.3e}")
     return 0.5 * (a + a.T)
@@ -169,8 +176,13 @@ class Jet2:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Jet2":
-        # Full symmetric matrix required, both triangles present and equal.
-        return Jet2(d["r"], d["p"], SymMat(d["A"]))
+        # Full symmetric matrix required, both triangles present and equal,
+        # and every entry finite.
+        J = Jet2(d["r"], d["p"], SymMat(d["A"]))
+        if not (math.isfinite(J.r) and np.isfinite(J.p).all()):
+            raise ValueError(f"jet value and gradient must be finite, got r = {J.r}, "
+                             f"p = {J.p.tolist()}")
+        return J
 
 
 def stack_jets(jets, n: int) -> tuple:

@@ -53,14 +53,17 @@ def _suite_garding_identities(seed: int):
         gar.pucci_garding_operator(1.0, 2.0, 2),
     ]
     for op in ops:
-        worst_prod = worst_shift = 0.0
-        for _ in range(100):
-            A = random_symmetric(rng, op.n, 1.5)
-            lam = gar.garding_eigenvalues(op, A)
-            worst_prod = max(worst_prod, gar.product_identity_residual(op, A, lam))
-            t = float(rng.standard_normal())
-            shifted = gar.garding_eigenvalues(op, A + t * np.eye(op.n))
-            worst_shift = max(worst_shift, float(np.max(np.abs(shifted - lam - t))))
+        # A and t drawn in turn, then one stacked eigenvalue call for all A
+        # and one for all A + tI
+        draws = [(random_symmetric(rng, op.n, 1.5), float(rng.standard_normal()))
+                 for _ in range(100)]
+        a = np.array([A.entries for A, _ in draws])
+        t = np.array([t for _, t in draws])
+        lam = gar.garding_eigenvalues(op, a)
+        shifted = gar.garding_eigenvalues(op, a + t[:, None, None] * np.eye(op.n))
+        worst_prod = max(gar.product_identity_residual(op, A, lam_A)
+                         for (A, _), lam_A in zip(draws, lam))
+        worst_shift = float(np.max(np.abs(shifted - lam - t[:, None])))
         good = worst_prod < 1e-7 and worst_shift < 1e-8
         ok &= good
         lines.append(

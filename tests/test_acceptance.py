@@ -65,16 +65,18 @@ def test_criterion_1_garding_identities(capsys):
     matrices_per_op = 1000
     for op in garding_suite_operators():
         rng = np.random.default_rng(1001)
-        worst_prod = worst_shift = 0.0
-        for _ in range(matrices_per_op):
-            A = random_symmetric(rng, op.n, 1.5)
-            lam = gar.garding_eigenvalues(op, A, tol=1e-7)  # raises past 1e-7
-            worst_prod = max(worst_prod, gar.product_identity_residual(op, A, lam))
-            t = float(rng.standard_normal())
-            shifted = gar.garding_eigenvalues(
-                op, SymMat(A.entries + t * np.eye(op.n)), tol=1e-7
-            )
-            worst_shift = max(worst_shift, float(np.max(np.abs(shifted - lam - t))))
+        # A and t drawn in turn, then one stacked eigenvalue call for all A
+        # and one for all A + tI
+        draws = [(random_symmetric(rng, op.n, 1.5), float(rng.standard_normal()))
+                 for _ in range(matrices_per_op)]
+        mats = [A for A, _ in draws]
+        t = np.array([t for _, t in draws])
+        a = np.array([A.entries for A in mats])
+        lam = gar.garding_eigenvalues(op, a, tol=1e-7)
+        shifted = gar.garding_eigenvalues(op, a + t[:, None, None] * np.eye(op.n), tol=1e-7)
+        worst_prod = max(gar.product_identity_residual(op, A, lam_A)
+                         for A, lam_A in zip(mats, lam))
+        worst_shift = float(np.max(np.abs(shifted - lam - t[:, None])))
         assert worst_prod < 1e-7, f"{op.label}: product residual {worst_prod:.2e}"
         assert worst_shift < 1e-8, f"{op.label}: shift residual {worst_shift:.2e}"
     elapsed = time.time() - t0

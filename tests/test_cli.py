@@ -13,10 +13,29 @@ from jetcones.jets import Jet2, random_jet
 from jetcones.solver import solve_dirichlet
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text: str):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
+    # every JSON payload a command prints is strict JSON
+    if out.out.startswith("{"):
+        strict_json(out.out)
     return code, out.out, out.err
+
+
+def test_strict_json_rejects_what_json_loads_takes():
+    for text in ('{"v": NaN}', '{"v": [1, Infinity]}', '{"v": -Infinity}'):
+        json.loads(text)
+        with pytest.raises(ValueError, match="is not JSON"):
+            strict_json(text)
 
 
 def test_repeated_main_calls_match_fresh_ones(capsys):
@@ -123,6 +142,37 @@ def test_garding_command_rejects_pucci_garding_in_one_dimension(capsys):
     assert code == 3
     assert "pucci-garding needs n >= 2, got n = 1" in err
     assert "no extreme vertex" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("membership", "--key", "P", "--matrix", "[[NaN,0],[0,1]]"),
+    ("membership", "--key", "P", "--matrix", "[[1,0],[0,Infinity]]"),
+    ("membership", "--key", "Q", "--jet", '{"r": NaN, "p": [0,0], "A": [[1,0],[0,1]]}'),
+    ("membership", "--key", "Q", "--jet", '{"r": 0, "p": [0,-Infinity], "A": [[1,0],[0,1]]}'),
+    # symmetrizing would overflow to inf
+    ("membership", "--key", "P", "--matrix", "[[1e308,0],[0,1e308]]"),
+    ("garding", "--op", "det", "--matrix", "[[1e308,0],[0,1e308]]"),
+    ("dual", "--key", "slag", "--matrix", "[[1,0],[0,1]]", "--at", "0.1,inf"),
+    ("membership", "--key", "slag", "--matrix", "[[1,0],[0,1]]", "--at", "nan,0"),
+    ("pseudoconvex", "--domain", '{"kind": "sphere", "n": 2}', "--key", "P",
+     "--points", "nan,0"),
+])
+def test_non_finite_input_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad ") and err.count("\n") == 1
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("op, matrix", [
+    ("delta-elliptic:1e308", "[[1,0],[0,2]]"),  # 1 + n*delta overflows: NaN eigenvalues
+    ("det", "[[1e200,0],[0,1e200]]"),           # F(A) = 1e400 overflows to inf
+])
+def test_non_finite_result_exit_3(tmp_path, capsys, op, matrix):
+    csv = tmp_path / "out.csv"
+    code, out, err = run(capsys, "garding", "--op", op, "--matrix", matrix, "--out", str(csv))
+    assert code == 3 and out == "" and not csv.exists()
+    assert err.startswith("error: the result is not finite") and err.count("\n") == 1
 
 
 def test_canonical_command(capsys):

@@ -1,9 +1,20 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
-from jetcones.catalog import RegionKind, branch, cone_lagrangian, cone_P, cone_pfold, cone_pucci
+from jetcones.canonical import canonical_operator
+from jetcones.catalog import (
+    RegionKind,
+    branch,
+    cone_lagrangian,
+    cone_P,
+    cone_pfold,
+    cone_pucci,
+    elementary_symmetric,
+)
 from jetcones.errors import (
     BadParameters,
     IndexOutOfRange,
@@ -28,7 +39,13 @@ from jetcones.garding import (
     sigma_k_operator,
     verify_hyperbolic,
 )
-from jetcones.jets import SymMat, random_orthogonal, random_psd, random_symmetric
+from jetcones.jets import (
+    SymMat,
+    eigenvalues,
+    random_orthogonal,
+    random_psd,
+    random_symmetric,
+)
 
 
 def test_det_eigenvalues_are_standard():
@@ -350,3 +367,120 @@ def test_sigma_k_matches_k_hessian_value():
             lam[i] * lam[j] for i, j in itertools.combinations(range(3), 2)
         )
         assert op.eval(A) == pytest.approx(direct, rel=1e-10, abs=1e-12)
+
+
+# --- the exact route on stacks ---------------------------------------------
+
+STACK_OPERATORS = [("det", 3), ("det", 2), ("pfold:p=2", 3), ("pfold:p=3", 5),
+                   ("delta-elliptic:0.5", 3), ("delta-elliptic:0.1", 4), ("sigma:k=1", 3),
+                   ("sigma:k=2", 3), ("sigma:k=3", 3), ("sigma:k=2", 4), ("sigma:k=4", 5),
+                   ("lagrangian-ma", 4), ("pucci-garding:1,2", 2), ("pucci-garding:0.5,3", 3)]
+
+
+def random_stack(rng, n, count, scale=1.5):
+    return np.array([random_symmetric(rng, n, scale).entries for _ in range(count)])
+
+
+@pytest.mark.parametrize("key, n", STACK_OPERATORS)
+def test_stack_eigenvalues_are_the_one_matrix_bits(key, n):
+    # a 2 x 2 stack of 1000 matrices goes through the 2 x 2 eigen kernel,
+    # each matrix alone through LAPACK
+    op = make_operator(key, n)
+    a = random_stack(np.random.default_rng(60), n, 1000)
+    stack = garding_eigenvalues(op, a)
+    one = np.array([garding_eigenvalues(op, A) for A in a])
+    assert stack.shape == (1000, op.degree)
+    assert np.array_equal(stack.view(np.int64), one.view(np.int64))
+    # leading axes of any shape, sorted along the last
+    assert np.array_equal(garding_eigenvalues(op, a.reshape(10, 100, n, n)).view(np.int64),
+                          stack.reshape(10, 100, -1).view(np.int64))
+    assert np.all(np.diff(stack, axis=-1) >= 0)
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (3, 3), (4, 2), (5, 4)])
+def test_sigma_stack_roots_match_polyroots(n, k):
+    op = sigma_k_operator(n, k)
+    a = random_stack(np.random.default_rng(61), n, 300)
+    lam = eigenvalues(a)
+    binom = [math.comb(n - k + j, j) for j in range(k + 1)]
+    for A, l, got in zip(a, lam, garding_eigenvalues(op, a)):
+        coeffs = [binom[j] * elementary_symmetric(l, k - j) for j in range(k + 1)]
+        ref = np.sort(-np.real(npoly.polyroots(coeffs)))
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref))), A
+
+
+def counting(fn, calls):
+    def wrapped(a):
+        calls.append(np.shape(a))
+        return fn(a)
+    return wrapped
+
+
+def test_a_garding_oracle_solves_a_stack_in_one_call():
+    calls = []
+    op = GardingOperator(label="det", n=3, degree=3, eval_matrix=np.linalg.det,
+                         exact_eigenvalues=counting(eigenvalues, calls), key="det")
+    rng = np.random.default_rng(62)
+    for F in (garding_cone_oracle(op), branch_oracle(op, 2)):
+        for count in (1, 7, 500):
+            calls.clear()
+            a = random_stack(rng, 3, count)
+            g = F.values(np.zeros(count), np.zeros((count, 3)), a)
+            assert calls == [(count, 3, 3)]
+            assert np.array_equal(g, np.array([F.value(A) for A in a]))
+
+
+def test_eval_I_is_evaluated_once_when_built():
+    calls = []
+    op = GardingOperator(label="det", n=2, degree=2,
+                         eval_matrix=counting(np.linalg.det, calls))
+    assert calls == [(2, 2)]
+    assert op.eval_I == 1.0 and op.eval_I == 1.0
+    assert calls == [(2, 2)]
+
+
+@pytest.mark.parametrize("key, n", [("det", 3), ("pfold:p=2", 3), ("delta-elliptic:0.5", 3),
+                                    ("sigma:k=2", 3), ("sigma:k=3", 3), ("lagrangian-ma", 4),
+                                    ("pucci-garding:1,2", 2)])
+def test_canonical_operator_of_a_branch_is_its_eigenvalue(key, n):
+    # Lambda_k(A - tI) = Lambda_k(A) - t vanishes at t = Lambda_k(A)
+    op = make_operator(key, n)
+    tol = 1e-10
+    a = random_stack(np.random.default_rng(63), n, 5)
+    lam = garding_eigenvalues(op, a)
+    for k in range(1, op.degree + 1):
+        F = branch_oracle(op, k)
+        for A, lam_A in zip(a, lam):
+            t = canonical_operator(F, A, tol=tol)
+            assert abs(t - lam_A[k - 1]) <= tol * (1.0 + 2.0 * abs(lam_A[k - 1])), (k, A)
+
+
+def test_oracles_need_exact_eigenvalues_and_the_generic_route_one_matrix():
+    op = GardingOperator(label="det, no factors", n=2, degree=2, eval_matrix=np.linalg.det)
+    with pytest.raises(BadParameters, match="exact eigenvalues"):
+        garding_cone_oracle(op)
+    with pytest.raises(BadParameters, match="exact eigenvalues"):
+        branch_oracle(op, 1)
+    a = random_stack(np.random.default_rng(64), 2, 4)
+    with pytest.raises(ValueError, match="one matrix"):
+        garding_eigenvalues(det_operator(2), a, method="generic")
+    with pytest.raises(ValueError, match="one matrix"):
+        garding_eigenvalues(op, a)  # no exact eigenvalues: the generic route
+
+
+def test_garding_dirichlet_check_witnesses_are_the_per_sample_ones():
+    # shifted eigenvalues put some PSD samples outside the cone: the
+    # witnesses are the first four, as a loop over the samples finds them
+    op = GardingOperator(label="shifted det", n=3, degree=3, eval_matrix=np.linalg.det,
+                         exact_eigenvalues=lambda a: eigenvalues(a) - 0.3)
+    ok, witnesses = garding_dirichlet_check(op, samples=200, seed=43)
+    rng = np.random.default_rng(43)
+    ref = []
+    for _ in range(200):
+        A = random_psd(rng, 3, scale=1.5)
+        lam_min = float(eigenvalues(A.entries)[0] - 0.3)
+        if lam_min < -1e-8 and len(ref) < 4:
+            ref.append((A.entries.tobytes(), lam_min))
+    assert not ok and len(witnesses) == 4
+    assert [(A.entries.tobytes(), lam) for A, lam in witnesses] == ref
+    assert garding_dirichlet_check(det_operator(3), samples=0) == (True, [])

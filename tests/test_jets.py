@@ -351,6 +351,33 @@ def test_jet_json_rejects_mismatched_triangles():
         Jet2.from_json_dict({"r": 0.0, "p": [0.0, 0.0], "A": [[1.0, 2.0], [0.0, 1.0]]})
 
 
+@pytest.mark.parametrize("entries", [
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[1.0, np.nan], [np.nan, 1.0]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0], [0.0, -np.inf]],
+    # symmetrizing, 0.5 * (a + a.T), would overflow to inf
+    [[1e308, 0.0], [0.0, 1e308]],
+    [[0.0, -1e308], [-1e308, 0.0]],
+])
+def test_symmat_rejects_non_finite_and_overflowing_entries(entries):
+    with pytest.raises(ValueError, match="finite"):
+        SymMat(entries)
+
+
+def test_symmat_takes_the_largest_entry_that_symmetrizes():
+    big = np.finfo(float).max / 2
+    a = SymMat([[big, -big], [-big, big]])
+    assert np.isfinite(a.entries).all() and a.entries[0, 0] == big
+
+
+@pytest.mark.parametrize("r, p", [(np.nan, [0.0, 0.0]), (np.inf, [0.0, 0.0]),
+                                  (0.0, [np.nan, 0.0]), (0.0, [0.0, -np.inf])])
+def test_jet_json_rejects_non_finite_value_and_gradient(r, p):
+    with pytest.raises(ValueError, match="finite"):
+        Jet2.from_json_dict({"r": r, "p": p, "A": [[1.0, 0.0], [0.0, 1.0]]})
+
+
 # --- dimension mismatches and the trusted arithmetic constructor ------------
 
 SMALL = Jet2(0.0, [1.0], [[1.0]])

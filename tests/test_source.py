@@ -177,7 +177,6 @@ UNREACHED_API = {
     "duality.check_inclusion": "sampled inclusion of one cone in another",
     "garding.verify_hyperbolic": "attaches a hyperbolicity certificate to an operator",
     "garding.garding_cone_oracle": "the closed Garding cone as a catalog oracle",
-    "garding.branch_oracle": "the Garding eigenvalue branches; criterion 2",
     "garding.garding_dirichlet_check": "the Garding cone contains the convex cone",
     "grids.perron_envelope": "the discrete Perron upper envelope",
     "grids.sup_convolution": "the discrete sup-convolution; criterion 9",
