@@ -17,7 +17,7 @@ from .catalog import (
     VariableFiberMap,
     make_oracle,
 )
-from .jets import Jet2, Spectrum, SymMat, jet_norm, spectrum, trace_on_subspace
+from .jets import Jet2, SymMat, jet_norm, trace_on_subspace
 
 __version__ = "0.1.0"
 
@@ -30,12 +30,10 @@ __all__ = [
     "MonotonicityCone",
     "Region",
     "RegionKind",
-    "Spectrum",
     "SymMat",
     "VariableFiberMap",
     "jet_norm",
     "make_oracle",
-    "spectrum",
     "trace_on_subspace",
     "__version__",
 ]

@@ -20,7 +20,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .catalog import Box, DEFAULT_TOL, FiberOracle, bisect_brackets, ray_probe
+from .catalog import (Box, DEFAULT_TOL, FiberOracle, _dot_self, bisect_brackets,
+                      classify_values, ray_probe)
 from .errors import NotOnBoundary, SingularGradient
 from .jets import Jet2, SymMat, eigenvalues, random_orthogonal, trace_on_subspace
 
@@ -145,27 +146,29 @@ def strict_ellipticity_check(
     seed: int = 73,
     tol: float = DEFAULT_TOL,
 ):
-    """Rank-one projectors over sampled unit directions all interior to F.
+    """Rank-one projectors over sampled unit directions all interior to F:
+    (all interior, the least signed margin, the first direction with that
+    margin when it is not interior, else None).
 
     True means the potential theory has no boundary-geometry restriction
-    for existence; the geometric cones all fail this.
+    for existence; the geometric cones all fail this. The directions are
+    the n axes, then random unit vectors from one standard_normal block
+    (each row the draw of one direction), direction_samples in all, and
+    one values call classifies their projectors.
     """
     n = F.n
-    rng = np.random.default_rng(seed)
-    dirs = [np.eye(n)[i] for i in range(n)]
-    while len(dirs) < direction_samples:
-        v = rng.standard_normal(n)
-        dirs.append(v / np.linalg.norm(v))
-    worst = np.inf
-    witness = None
-    for e in dirs[:direction_samples]:
-        r = F.classify(SymMat(np.outer(e, e)), tol)
-        m = r.margin if r.is_interior else -r.margin
-        if m < worst:
-            worst = m
-            if not r.is_interior:
-                witness = e
-    return witness is None, worst, witness
+    v = np.random.default_rng(seed).standard_normal((max(0, direction_samples - n), n))
+    # the row-wise arithmetic of np.linalg.norm of one vector
+    e = np.concatenate((np.eye(n), v / np.sqrt(_dot_self(v))[:, None]))[:direction_samples]
+    _, margin = classify_values(F.values(np.zeros(len(e)), np.zeros_like(e),
+                                         e[:, :, None] * e[:, None, :]), tol)
+    interior = margin > 0.0
+    if not interior.size:
+        return True, np.inf, None
+    # a boundary projector's margin is -0.0
+    m = np.where(interior, margin, -np.abs(margin))
+    i = int(m.argmin())
+    return bool(interior.all()), float(m[i]), None if interior[i] else e[i]
 
 
 def tangential_planes(bp: BoundaryPointData, k: int, count: int,

@@ -26,11 +26,11 @@ from .catalog import (
     SHIFT_MARGIN,
     FiberOracle,
     MonotonicityCone,
-    RegionKind,
     bisect_brackets,
     cone_M,
     crossing_brackets,
     jets_along,
+    classify_values,
     members,
     ray_probe,
     shift_stack_to_boundary,
@@ -46,7 +46,6 @@ from .jets import (
     random_jets,
     random_psd,
     stack_jets,
-    unstack_jets,
 )
 
 SEARCH_RADIUS = 1e6
@@ -306,72 +305,77 @@ def _crossings(F: FiberOracle, J: Jet2, inside: bool, directions: int, tol: floa
 # Correspondence checkers
 # ---------------------------------------------------------------------------
 
-JetOp = Callable[[Jet2], float]
-
-
-def matrix_op(f: Callable[[np.ndarray], float]) -> JetOp:
-    """Lift a matrix functional to a jet operator (value/gradient silent)."""
-    return lambda J: float(f(J.A.entries))
-
-
-def gradient_free_op(f: Callable[[float, np.ndarray], float]) -> JetOp:
-    """Lift an (r, A) functional to a jet operator (gradient silent)."""
-    return lambda J: float(f(J.r, J.A.entries))
+# A jet operator is a form on stacks of jets, the contract of
+# FiberOracle.form: op(r[...], p[..., n], A[..., n, n]) -> v[...]
+JetOp = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 def induced_fiber(op: JetOp, G: Optional[FiberOracle], n: int, arity: Arity,
                   label: str = "induced") -> FiberOracle:
     """The constraint set {J in G : op(J) >= 0} as a fiber oracle.
 
-    The defining functional is min(G's functional, op); with G = None the
-    operator is unconstrained. op takes one jet: a stack goes jet by jet.
+    The defining functional is min(G's functional, op) on stacks, like
+    every form; with G = None it is op itself, unconstrained.
     """
-
-    def op_form(r, p, A):
-        r = np.asarray(r, dtype=float)
-        return np.array([op(Jet2(r[i], p[i], A[i]))
-                         for i in np.ndindex(r.shape)]).reshape(r.shape)
-
     if G is None:
-        form = op_form
-    else:
-        def form(r, p, A):
-            return np.minimum(G.form(r, p, A), op_form(r, p, A))
-
-    return FiberOracle(label, n, arity, None, form)
+        return FiberOracle(label, n, arity, None, op)
+    return FiberOracle(label, n, arity, None,
+                       lambda r, p, A: np.minimum(G.form(r, p, A), op(r, p, A)))
 
 
-def _structured_probe_jets(n: int, rng: np.random.Generator, count: int) -> list:
-    """Random jets plus axis-aligned degenerate ones (zero Hessian rays etc.)."""
-    jets = []
-    for _ in range(count):
-        jets.append(random_jet(rng, n, scale=1.5))
-    for c in (0.5, 1.0, 2.0):
-        jets.append(Jet2(-c, np.zeros(n), SymMat.zero(n)))
-        jets.append(Jet2(0.0, np.zeros(n), SymMat(c * np.eye(n))))
-        jets.append(Jet2(-c, np.zeros(n), SymMat(c * np.eye(n))))
-    return jets
+def _between(J0: tuple, J1: tuple, t) -> tuple:
+    """The parts of (1 - t)*J0 + t*J1, with the float operations of Jet2
+    arithmetic, for stacks J0 and J1 whose leading axes broadcast against
+    t's; t gets one trailing axis per axis a part has past r's (as in
+    catalog.jets_along)."""
+    t = np.asarray(t, dtype=float)
+    lead = np.ndim(J0[0])
+
+    def w(x, a):
+        return x.reshape(x.shape + (1,) * (np.ndim(a) - lead))
+
+    return tuple(w(1.0 - t, a) * a + w(t, a) * b for a, b in zip(J0, J1))
 
 
-def _boundary_probe(F: FiberOracle, J_in: Jet2, J_out: Jet2,
-                    tol: float) -> Optional[Jet2]:
-    """Bisect the segment [J_in, J_out] to a jet classified Boundary."""
-    # one probe per step: induced fibers evaluate one jet at a time, so a
-    # 15-row bisection tree would cost 15 evaluations to save 3 calls
-    lo, hi = 0.0, 1.0
+def _rows(J: tuple, rows) -> tuple:
+    return tuple(a[rows] for a in J)
+
+
+def _structured_probe_jets(n: int, rng: np.random.Generator, count: int) -> tuple:
+    """count random jets (one random_jets block, scale 1.5), then the
+    axis-aligned degenerate ones (-c, 0, 0), (0, 0, c*I) and (-c, 0, c*I)
+    for c = 0.5, 1, 2, as stacks."""
+    r, p, A = random_jets(rng, n, count, 1.5)
+    c = np.repeat([0.5, 1.0, 2.0], 3)
+    return (np.concatenate((r, c * np.tile([-1.0, 0.0, -1.0], 3))),
+            np.concatenate((p, np.zeros((len(c), n)))),
+            np.concatenate((A, (c * np.tile([0.0, 1.0, 1.0], 3))[:, None, None] * np.eye(n))))
+
+
+def _boundary_probes(F: FiberOracle, J_in: tuple, J_out: tuple, tol: float) -> tuple:
+    """For each pair of rows of the stacks J_in and J_out, the first jet
+    classified Boundary by the bisection of the segment [J_in, J_out]
+    (toward J_out while the midpoint is a member), which stops at that
+    jet, at a bracket narrower than 1e-14 or after 200 steps; the jets
+    found, as stacks in pair order.
+
+    The pairs bisect in lockstep, one values call per step. Each bracket
+    starts as [0, 1] and halves exactly at every step, so all of them
+    meet the width rule together; a pair that has found its jet keeps
+    bisecting with the others and keeps its first find.
+    """
+    lo, hi = np.zeros(len(J_in[0])), np.ones(len(J_in[0]))
+    at = np.full(len(lo), np.nan)  # where each pair found its jet
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        Jm = (1 - mid) * J_in + mid * J_out
-        r = F.classify(Jm, tol)
-        if r.kind is RegionKind.BOUNDARY:
-            return Jm
-        if r.is_member:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14:
+        if (hi - lo < 1e-14).all():
             break
-    return None
+        mid = 0.5 * (lo + hi)
+        member, margin = classify_values(F.values(*_between(J_in, J_out, mid)), tol)
+        hit = member & (margin == 0.0) & np.isnan(at)
+        at[hit] = mid[hit]
+        lo, hi = np.where(member, mid, lo), np.where(member, hi, mid)
+    found = ~np.isnan(at)
+    return _between(_rows(J_in, found), _rows(J_out, found), at[found])
 
 
 def check_proper_elliptic(
@@ -382,20 +386,29 @@ def check_proper_elliptic(
     seed: int = 59,
     tol: float = 1e-9,
 ) -> CheckReport:
-    """Sampled monotonicity of op in the (-r, +A) slots over members of G."""
+    """Sampled monotonicity of op in the (-r, +A) slots over members of G.
+
+    The probe jets (_structured_probe_jets) are drawn first; each member
+    of G then draws its s <= 0 and its P >= 0 (random_psd), member by
+    member. J2 = (r + s, p, A + P) must be a member too, and
+    op(J2) - op(J) >= -tol. One values call classifies each stack and
+    op runs once on each.
+    """
     rng = np.random.default_rng(seed)
+    J = _structured_probe_jets(n, rng, samples)
+    if G is not None:
+        J = _rows(J, members(G.values(*J)))
+    s, P = np.empty(len(J[0])), np.empty_like(J[2])
+    for i in range(len(s)):
+        s[i] = -abs(rng.standard_normal())
+        P[i] = random_psd(rng, n).entries
+    J2 = (J[0] + s, J[1], J[2] + P)
+    if G is not None:
+        kept = members(G.values(*J2))
+        J, J2 = _rows(J, kept), _rows(J2, kept)
+    gain = op(*J2) - op(*J)
     rep = CheckReport(name="proper-elliptic", seed=seed)
-    for J in _structured_probe_jets(n, rng, samples):
-        if G is not None and not G.contains(J):
-            continue
-        s = -abs(rng.standard_normal())
-        P = random_psd(rng, n)
-        J2 = Jet2(J.r + s, J.p, J.A + P)
-        if G is not None and not G.contains(J2):
-            continue
-        gain = op(J2) - op(J)
-        ok = gain >= -tol
-        rep.record(ok, gain, None if ok else J)
+    rep.record(gain >= -tol, gain, J)
     return rep
 
 
@@ -412,31 +425,26 @@ def check_compatibility(
 
     Interior-classified jets must have op > tol; boundary-classified
     jets (found by random probes, structured degenerate probes, and
-    member/non-member bisection) must have |op| <= slack.
+    member/non-member bisection) must have |op| <= slack. The i-th
+    member probe pairs with the i-th outsider, for up to samples // 3
+    pairs, and all pairs bisect in lockstep (_boundary_probes).
     """
     rng = np.random.default_rng(seed)
+    probes = _structured_probe_jets(F_induced.n, rng, samples)
+    inside = members(F_induced.values(*probes), tol)
+    k = min(np.count_nonzero(inside), np.count_nonzero(~inside), samples // 3)
+    J = _boundary_probes(F_induced, _rows(probes, np.flatnonzero(inside)[:k]),
+                         _rows(probes, np.flatnonzero(~inside)[:k]), tol)
+    J = tuple(np.concatenate(parts) for parts in zip(probes, J))
+    if G is not None:
+        J = _rows(J, members(G.values(*J), 1e-6))
+    member, margin = classify_values(F_induced.values(*J), tol)
+    interior, boundary = margin > 3 * tol, member & (margin == 0.0)
+    v = op(*J)
+    kept = interior | boundary
     rep = CheckReport(name="compatibility", seed=seed)
-    n = F_induced.n
-    probes = _structured_probe_jets(n, rng, samples)
-    members = [J for J in probes if F_induced.classify(J, tol).is_member]
-    outsiders = [J for J in probes if not F_induced.classify(J, tol).is_member]
-    # enrich with boundary jets between member/outsider pairs
-    boundary = []
-    for i in range(min(len(members), len(outsiders), samples // 3)):
-        B = _boundary_probe(F_induced, members[i], outsiders[i], tol)
-        if B is not None:
-            boundary.append(B)
-    for J in probes + boundary:
-        region = F_induced.classify(J, tol)
-        if G is not None and not G.contains(J, 1e-6):
-            continue
-        v = op(J)
-        if region.kind is RegionKind.INTERIOR and region.margin > 3 * tol:
-            ok = v > 0
-            rep.record(ok, v, None if ok else J)
-        elif region.kind is RegionKind.BOUNDARY:
-            ok = abs(v) <= slack
-            rep.record(ok, -abs(v), None if ok else J)
+    rep.record(np.where(interior, v > 0, np.abs(v) <= slack)[kept],
+               np.where(interior, v, -np.abs(v))[kept], _rows(J, kept))
     return rep
 
 
@@ -451,54 +459,65 @@ def check_topological_tameness(
 ) -> CheckReport:
     """Probe that op's level sets inside G have empty interior.
 
-    Level hits are found among G-member samples directly or by bisecting
-    segments between straddling pairs (G is convex for catalog cones).
-    Each hit must admit nearby jets with strictly larger and strictly
-    smaller operator values; a constant patch fails.
+    The sample is drawn first: the jets (one random_jets block, scale
+    1.5), then the four random probe directions. Level hits of each c in
+    levels are the G-member samples within 1e-9 * max(1, |c|) of c, in
+    sample order, then the jets found by bisecting segments between
+    straddling pairs (G is convex for catalog cones): the i-th member
+    below c with the i-th above, up to 20 pairs, 80 steps each on
+    op < c, kept when the midpoint lies in G within 1e-6 * max(1, |c|)
+    of c. Each hit must admit nearby jets (along +-I and the random
+    directions, scaled by probe_scale) with strictly larger and strictly
+    smaller operator values; a constant patch fails. Every level's
+    pairs bisect together through catalog.bisect_brackets, and every
+    stage is one call on a stack of all levels.
     """
     rng = np.random.default_rng(seed)
-    rep = CheckReport(name="topological-tameness", seed=seed)
     n = G.n
+    J = random_jets(rng, n, samples, 1.5)
     eyeJ = Jet2.from_matrix(SymMat.identity(n))
-    pool = []
-    for _ in range(samples):
-        J = random_jet(rng, n, scale=1.5)
-        if G.contains(J):
-            pool.append((J, op(J)))
-    probe_dirs = [eyeJ, (-1.0) * eyeJ]
+    dirs = [eyeJ, (-1.0) * eyeJ]
     for _ in range(4):
         U = random_jet(rng, n)
-        nrm = jet_norm(U)
-        probe_dirs.append((1.0 / nrm) * U)
+        dirs.append((1.0 / jet_norm(U)) * U)
+    U = tuple(probe_scale * a for a in stack_jets(dirs, n))
 
-    def probe(Jc: Jet2, c: float) -> bool:
-        vals = [op(Jc + probe_scale * U) for U in probe_dirs]
-        return max(vals) > c + tol and min(vals) < c - tol
+    pool = _rows(J, members(G.values(*J)))
+    v = op(*pool)
+    c = np.asarray(levels, dtype=float)
+    reach = np.maximum(1.0, np.abs(c))
+    level, below, above = [], [], []
+    for j in range(len(c)):
+        b, a = np.flatnonzero(v < c[j]), np.flatnonzero(v > c[j])
+        k = min(len(b), len(a), 20)
+        level += [j] * k
+        below += b[:k].tolist()
+        above += a[:k].tolist()
+    level = np.array(level, dtype=int)
+    Jb, Ja = _rows(pool, below), _rows(pool, above)
 
-    for c in levels:
-        hits = []
-        for J, v in pool:
-            if abs(v - c) <= 1e-9 * max(1.0, abs(c)):
-                hits.append(J)
-        below = [J for J, v in pool if v < c]
-        above = [J for J, v in pool if v > c]
-        for i in range(min(len(below), len(above), 20)):
-            Jb, Ja = below[i], above[i]
-            # one probe per step: op is a JetOp, so a stacked tree would cost
-            # one op call per row, 15 to save 3
-            lo, hi = 0.0, 1.0
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if op((1 - mid) * Jb + mid * Ja) < c:
-                    lo = mid
-                else:
-                    hi = mid
-            Jc = (1 - 0.5 * (lo + hi)) * Jb + (0.5 * (lo + hi)) * Ja
-            if G.contains(Jc) and abs(op(Jc) - c) <= 1e-6 * max(1.0, abs(c)):
-                hits.append(Jc)
-        for Jc in hits:
-            ok = probe(Jc, c)
-            rep.record(ok, 0.0 if not ok else probe_scale, None if ok else Jc)
+    def keeps(live, t):
+        ends = (tuple(a[live, None] for a in Jb), tuple(a[live, None] for a in Ja))
+        return op(*_between(*ends, t)) < c[level[live], None]
+
+    # a stop rule that never stops: each bracket takes the loop's 80 steps
+    brackets = np.array(bisect_brackets(keeps, [(0.0, 1.0)] * len(level),
+                                        lambda a, b: np.zeros(a.shape, dtype=bool),
+                                        max_steps=80)).reshape(-1, 2)
+    Jc = _between(Jb, Ja, 0.5 * (brackets[:, 0] + brackets[:, 1]))
+    found = members(G.values(*Jc)) & (np.abs(op(*Jc) - c[level]) <= 1e-6 * reach[level])
+    # each level's hits: its samples near c, then its bisected jets, in order
+    near_level, near = np.nonzero(np.abs(v - c[:, None]) <= 1e-9 * reach[:, None])
+    found = np.flatnonzero(found)
+    at = np.concatenate((near_level, level[found]))
+    order = np.argsort(at, kind="stable")
+    rows = np.concatenate((near, len(v) + found))[order]
+    hits = _rows(tuple(np.concatenate(parts) for parts in zip(pool, Jc)), rows)
+    vals = op(*(h[:, None] + u for h, u in zip(hits, U)))
+    at = c[at[order], None]
+    ok = (vals > at + tol).any(axis=1) & (vals < at - tol).any(axis=1)
+    rep = CheckReport(name="topological-tameness", seed=seed)
+    rep.record(ok, np.where(ok, probe_scale, 0.0), hits)
     return rep
 
 
@@ -518,29 +537,28 @@ def check_strict_M_monotone(
     classifies the jets; those outside F move along J0 onto its boundary
     and SHIFT_MARGIN past it in one lockstep search on their stacks
     (shift_stack_to_boundary), and a sample whose moved jet is not a
-    member is dropped. op takes one jet, so it runs jet by jet, on Jet2s
-    built from the stacks.
+    member is dropped. op runs once on the kept jets and once on their
+    moves along J0.
     """
     n = F.n
     J0 = J0 if J0 is not None else M.interior_jet(n)
     if not cone_M(M, n).classify(J0).is_interior:
         raise ReferenceJetNotInterior("J0 must lie in the interior of M")
     rng = np.random.default_rng(seed)
-    r, p, A = random_jets(rng, n, samples, scale=1.5)
+    J = random_jets(rng, n, samples, scale=1.5)
     ts = rng.uniform(1e-3, 1.0, samples)
-    kept = members(F.values(r, p, A))
+    kept = members(F.values(*J))
     outside = np.flatnonzero(~kept)
-    rows, moved = shift_stack_to_boundary(F, (r[outside], p[outside], A[outside]), J0,
+    rows, moved = shift_stack_to_boundary(F, _rows(J, outside), J0,
                                           [SHIFT_MARGIN] * len(outside), member_tol=DEFAULT_TOL)
     # a moved jet takes its sample's place; a sample left outside is dropped
     kept[outside[rows]] = True
-    for part, m in zip((r, p, A), moved):
+    for part, m in zip(J, moved):
         part[outside[rows]] = m
+    J = _rows(J, kept)
+    gain = op(*jets_along(J, (J0.r, J0.p, J0.A.entries), ts[kept])) - op(*J)
     rep = CheckReport(name="strict-M-monotone", seed=seed)
-    for J, t in zip(unstack_jets(r[kept], p[kept], A[kept]), ts[kept].tolist()):
-        gain = op(J + t * J0) - op(J)
-        ok = gain > tol
-        rep.record(ok, gain, None if ok else J)
+    rep.record(gain > tol, gain, J)
     return rep
 
 
@@ -548,8 +566,9 @@ def check_strict_M_monotone(
 # Admissible viscosity sub/supersolution tests on grid functions
 # ---------------------------------------------------------------------------
 
-def _node_jet(u, node) -> Jet2:
-    """u's discrete jet at an interior node: its entry of u.jet_field(1).
+def _node_jet(u, node) -> tuple:
+    """u's discrete jet at an interior node, its entry of u.jet_field(1),
+    as parts (r, p[n], A[n, n]).
 
     A node on the layer raises BoundaryNode; its index into the trimmed
     stacks would be negative and wrap to the far side.
@@ -558,8 +577,7 @@ def _node_jet(u, node) -> Jet2:
     if any(c < 1 or c >= dim - 1 for c, dim in zip(node, u.grid.dims)):
         raise BoundaryNode(f"node {node} has no centered jet")
     i = tuple(c - 1 for c in node)
-    r, p, A = u.jet_field(1)
-    return Jet2(float(r[i]), p[i], A[i])
+    return tuple(a[i] for a in u.jet_field(1))
 
 
 def admissible_subsolution_test(op: JetOp, G: Optional[FiberOracle],
@@ -570,9 +588,9 @@ def admissible_subsolution_test(op: JetOp, G: Optional[FiberOracle],
     lie in G with op >= 0 there.
     """
     J = _node_jet(u, node)
-    if G is not None and not G.contains(J, tol):
+    if G is not None and not members(G.values(*J), tol):
         return False
-    return op(J) >= -tol
+    return bool(op(*J) >= -tol)
 
 
 def admissible_supersolution_test(op: JetOp, G: Optional[FiberOracle],
@@ -582,6 +600,6 @@ def admissible_supersolution_test(op: JetOp, G: Optional[FiberOracle],
     Either the discrete jet leaves G, or op <= 0 on it.
     """
     J = _node_jet(u, node)
-    if G is not None and not G.contains(J, tol):
+    if G is not None and not members(G.values(*J), tol):
         return True
-    return op(J) <= tol
+    return bool(op(*J) <= tol)

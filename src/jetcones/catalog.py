@@ -19,8 +19,9 @@ and the same bits as one jet at a time. Constant-coefficient cones are
 FiberOracles. Variable-coefficient examples are VariableFiberMaps, whose
 form also takes the points, (x[..., n], r, p, A) -> g[...], and which
 carry their declared monotonicity cone and reference jet explicitly.
-The Garding oracles (garding.py) are stack forms too; only a user-supplied
-jet operator (canonical.induced_fiber) is evaluated one jet at a time.
+The Garding oracles (garding.py) and the fibers that jet operators induce
+(canonical.induced_fiber) are stack forms too, so no fiber is evaluated
+one jet at a time.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .jets import (
     eigenvalues,
     heavy_tail_symmetric,
     random_jet,
+    random_jets,
     stack_jets,
 )
 
@@ -155,9 +157,6 @@ class FiberOracle:
 
     def classify(self, jet, tol: float = DEFAULT_TOL) -> Region:
         return classify_value(self.value(jet), tol)
-
-    def contains(self, jet, tol: float = DEFAULT_TOL) -> bool:
-        return self.classify(jet, tol).is_member
 
 
 def _as_jet(j, n: int) -> Jet2:
@@ -884,33 +883,33 @@ def fiber_affine_sphere(
 
 
 def check_directionality(
-    g: Callable[[np.ndarray], float],
+    g: Callable[[np.ndarray], np.ndarray],
     D: DirectionalCone,
     n: int,
     samples: int = 512,
     seed: int = 7,
     tol: float = 1e-10,
 ):
-    """Sampled check of g(p+q) >= g(p) for p, q in D; returns a witness or None."""
+    """Sampled check of g(p+q) >= g(p) for p, q in D, with g a form on
+    stacks of gradients, p[..., n] -> g[...]; returns the first failing
+    pair (p, q) in sample order, or None.
+
+    The whole sample is drawn first: one standard_normal block of every
+    sample's p and then q, then one uniform block of their scales in
+    [0.1, 3). Each vector is reflected into D (across a halfspace's
+    boundary, or |v_j| on an orthant's axes), and g runs once on the p
+    and once on the p + q.
+    """
     rng = np.random.default_rng(seed)
-
-    def draw() -> np.ndarray:
-        v = rng.standard_normal(n) * rng.uniform(0.1, 3.0)
-        if D.kind is ConeKind.FULL:
-            return v
-        if D.kind is ConeKind.HALFSPACE:
-            s = v @ D.direction
-            return v if s >= 0 else v - 2 * s * D.direction
-        w = v.copy()
-        for a in D.axes:
-            w[a] = abs(w[a])
-        return w
-
-    for _ in range(samples):
-        p, q = draw(), draw()
-        if g(p + q) < g(p) - tol:
-            return (p, q)
-    return None
+    v = rng.standard_normal((samples, 2, n)) * rng.uniform(0.1, 3.0, (samples, 2, 1))
+    if D.kind is ConeKind.HALFSPACE:
+        s = D.functional(v)[..., None]
+        v = np.where(s < 0, v - 2 * s * D.direction, v)
+    elif D.kind is ConeKind.ORTHANT:
+        v[..., list(D.axes)] = np.abs(v[..., list(D.axes)])
+    p, q = v[:, 0], v[:, 1]
+    bad = np.flatnonzero(g(p + q) < g(p) - tol)
+    return (p[bad[0]], q[bad[0]]) if bad.size else None
 
 
 def fiber_optimal_transport(
@@ -923,10 +922,11 @@ def fiber_optimal_transport(
     """Gradient-coupled fibers {(r,p,A) : p in D, A >= 0, g(p) det A >= f(x)}.
 
     g_density maps gradients p[..., n] and f_field points x[..., n] to
-    values [...]. The target density g must satisfy the directionality
-    inequality g(p+q) >= g(p) on D x D; the sampled check
-    (check_directionality at its defaults) runs at construction and
-    raises DirectionalityViolation with a witness pair when it fails.
+    values [...], as forms on stacks. The target density g must satisfy
+    the directionality inequality g(p+q) >= g(p) on D x D; the sampled
+    check (check_directionality at its defaults, one g call on each of
+    its two stacks) runs at construction and raises
+    DirectionalityViolation with a witness pair when it fails.
     """
     witness = check_directionality(g_density, D, n)
     if witness is not None:
@@ -1287,38 +1287,44 @@ def check_fiberegularity(
 
 def check_positivity(oracle: FiberOracle, samples: int = 200, seed: int = 3,
                      tol: float = DEFAULT_TOL):
-    """Sampled (P): membership survives A -> A + P for P >= 0."""
-    from .jets import random_jet, random_psd
+    """Sampled (P): membership survives A -> A + P for P >= 0; returns the
+    first failing (J, P) in sample order, or None.
 
+    The whole sample is drawn first: the jets (one random_jets block,
+    scale 1.5), then one standard_normal block of the factors G of
+    P = G G^T / n, one per jet, used or not. One values call classifies
+    the jets under tol and one every J + P under 10*tol.
+    """
     rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        J = random_jet(rng, oracle.n, scale=1.5)
-        if not oracle.contains(J, tol):
-            continue
-        P = random_psd(rng, oracle.n)
-        J2 = Jet2(J.r, J.p, J.A + P)
-        if not oracle.contains(J2, 10 * tol):
-            return (J, P)
-    return None
+    n = oracle.n
+    r, p, A = random_jets(rng, n, samples, 1.5)
+    G = rng.standard_normal((samples, n, n))
+    P = G @ G.swapaxes(-1, -2) / n
+    P = 0.5 * (P + P.swapaxes(-1, -2))
+    bad = np.flatnonzero(members(oracle.values(r, p, A), tol)
+                         & ~members(oracle.values(r, p, A + P), 10 * tol))
+    return (Jet2(r[bad[0]], p[bad[0]], A[bad[0]]), SymMat(P[bad[0]])) if bad.size else None
 
 
 def check_negativity(oracle: FiberOracle, samples: int = 200, seed: int = 4,
                      tol: float = DEFAULT_TOL):
-    """Sampled (N): membership survives r -> r + s for s <= 0."""
-    from .jets import random_jet
+    """Sampled (N): membership survives r -> r + s for s <= 0; returns the
+    first failing (J, s) in sample order, or None (at once for a pure
+    second-order oracle).
 
+    The whole sample is drawn first: the jets (one random_jets block,
+    scale 1.5), then one standard_normal block of the -s, one per jet,
+    used or not. One values call classifies the jets under tol and one
+    every J + (s, 0, 0) under 10*tol.
+    """
     if oracle.arity is Arity.PURE_SECOND_ORDER:
         return None
     rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        J = random_jet(rng, oracle.n, scale=1.5)
-        if not oracle.contains(J, tol):
-            continue
-        s = -abs(rng.standard_normal())
-        J2 = Jet2(J.r + s, J.p, J.A)
-        if not oracle.contains(J2, 10 * tol):
-            return (J, s)
-    return None
+    r, p, A = random_jets(rng, oracle.n, samples, 1.5)
+    s = -np.abs(rng.standard_normal(samples))
+    bad = np.flatnonzero(members(oracle.values(r, p, A), tol)
+                         & ~members(oracle.values(r + s, p, A), 10 * tol))
+    return (Jet2(r[bad[0]], p[bad[0]], A[bad[0]]), float(s[bad[0]])) if bad.size else None
 
 
 # ---------------------------------------------------------------------------

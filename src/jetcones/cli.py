@@ -166,11 +166,11 @@ def cmd_membership(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    from .duality import dual_contains
+    from .duality import dual_oracle
 
     J = _jet_from_args(args)
     oracle = _fiber_at(cat.make_oracle(args.key, J.n), args.at)
-    region = dual_contains(oracle, J, args.tol)
+    region = dual_oracle(oracle).classify(J, args.tol)
     _emit({
         "key": args.key,
         "dual_region": region.kind.value,

@@ -34,10 +34,8 @@ from .catalog import (
     ConeKind,
     FiberOracle,
     MonotonicityCone,
-    Region,
     VariableFiberMap,
     _doubling_steps,
-    classify_value,
     classify_values,
     cone_M,
     fiber_values,
@@ -69,11 +67,6 @@ def dual_oracle(F: Union[FiberOracle, VariableFiberMap]):
                        None if f is None else lambda r, p, lam: -f(-r, -p, -lam[..., ::-1]))
 
 
-def dual_contains(F: FiberOracle, J, tol: float = DEFAULT_TOL) -> Region:
-    """Classify J against the dual of F, margins taken from F at -J."""
-    return dual_oracle(F).classify(J, tol)
-
-
 @dataclass
 class CheckReport:
     """Sampled-verification summary, JSON-serializable."""
@@ -94,13 +87,21 @@ class CheckReport:
     def ok(self) -> bool:
         return self.checked == self.passed
 
-    def record(self, ok: bool, margin: float, witness: Optional[Jet2] = None):
-        self.checked += 1
-        if ok:
-            self.passed += 1
-        elif witness is not None and len(self.witnesses) < 8:
-            self.witnesses.append(witness)
-        self.worst_margin = min(self.worst_margin, margin)
+    def record(self, ok, margin, witnesses: tuple) -> None:
+        """One verdict per sample, in order: ok[k] and margin[k], with row i
+        of the stacks witnesses = (r[k], p[k, n], A[k, n, n]) the witness
+        of sample i. The first 8 failures become witnesses; worst_margin
+        falls to the first least margin, and a NaN margin never lowers it,
+        as min(worst_margin, margin) sample by sample would give."""
+        ok = np.asarray(ok, dtype=bool)
+        margin = np.asarray(margin, dtype=float)
+        self.checked += len(ok)
+        self.passed += int(np.count_nonzero(ok))
+        bad = np.flatnonzero(~ok)[:max(0, 8 - len(self.witnesses))]
+        self.witnesses += unstack_jets(*(a[bad] for a in witnesses))
+        margin = margin[~np.isnan(margin)]
+        if margin.size:
+            self.worst_margin = min(self.worst_margin, float(margin[margin.argmin()]))
 
     def to_json_dict(self) -> dict:
         return {
@@ -116,21 +117,20 @@ class CheckReport:
 
 def _agreement(F: FiberOracle, G: FiberOracle, name: str, same: Callable, samples: int,
                seed: int, tol: float, scale: float) -> CheckReport:
-    """same(region under F, region under G) on sampled jets whose margin
-    under F exceeds 3*tol. F, then G on the jets it keeps, classify the
-    sample in one values call each; the report is filled jet by jet in
-    sampling order."""
+    """same(F's classification, G's) on sampled jets whose margin under F
+    exceeds 3*tol, each classification the (member, signed margin) arrays
+    of classify_values. F, then G on the jets it keeps, classify the
+    sample in one values call each."""
     if F.n != G.n:
         raise ValueError(f"dimension mismatch: oracles of dimension {F.n} and {G.n}")
     rep = CheckReport(name=name, seed=seed)
-    r, p, A = random_jets(np.random.default_rng(seed), F.n, samples, scale)
-    first = [classify_value(g, tol) for g in F.values(r, p, A).tolist()]
-    kept = [i for i, r1 in enumerate(first) if r1.margin > 3 * tol]
+    J = random_jets(np.random.default_rng(seed), F.n, samples, scale)
+    member, margin = classify_values(F.values(*J), tol)
+    kept = np.flatnonzero(np.abs(margin) > 3 * tol)
     rep.excluded_boundary = samples - len(kept)
-    second = G.values(r[kept], p[kept], A[kept]).tolist()
-    for i, g in zip(kept, second):
-        ok = same(first[i], classify_value(g, tol))
-        rep.record(ok, first[i].margin, None if ok else Jet2(r[i], p[i], A[i]))
+    J = tuple(a[kept] for a in J)
+    first = member[kept], margin[kept]
+    rep.record(same(first, classify_values(G.values(*J), tol)), np.abs(first[1]), J)
     return rep
 
 
@@ -141,10 +141,10 @@ def check_involution(
     tol: float = DEFAULT_TOL,
     scale: float = 1.5,
 ) -> CheckReport:
-    """Double dual agrees with F (the same region kind) away from a 3*tol
-    boundary band."""
+    """Double dual agrees with F (the same region kind: the sign of the
+    signed margin) away from a 3*tol boundary band."""
     return _agreement(F, dual_oracle(dual_oracle(F)), f"involution[{F.key or F.label}]",
-                      lambda r1, r2: r1.kind is r2.kind, samples, seed, tol, scale)
+                      lambda c1, c2: np.sign(c1[1]) == np.sign(c2[1]), samples, seed, tol, scale)
 
 
 def check_dual_pair(
@@ -162,7 +162,7 @@ def check_dual_pair(
     dual, another route to it); otherwise the check only tests negation.
     """
     return _agreement(dual_oracle(F), G, f"dual-pair[{F.key or F.label}, {G.key or G.label}]",
-                      lambda r1, r2: r1.is_member == r2.is_member, samples, seed, tol, scale)
+                      lambda c1, c2: c1[0] == c2[0], samples, seed, tol, scale)
 
 
 def _into_fibers(F: Union[FiberOracle, VariableFiberMap], J: tuple, J0: Jet2, margins,
@@ -238,13 +238,7 @@ def _record_sums(rep: CheckReport, g: np.ndarray, W: tuple, tol: float) -> None:
     outside by at most 10*tol; row i of the stack W is the witness of
     g[i]."""
     member, margin = classify_values(g, tol)
-    ok = member | (-margin <= 10 * tol)
-    rep.checked += len(ok)
-    rep.passed += int(np.count_nonzero(ok))
-    if len(ok):
-        rep.worst_margin = min(rep.worst_margin, float(np.min(margin)))
-    bad = np.flatnonzero(~ok)[:max(0, 8 - len(rep.witnesses))]
-    rep.witnesses += unstack_jets(*(a[bad] for a in W))
+    rep.record(member | (-margin <= 10 * tol), margin, W)
 
 
 def check_monotonicity(
@@ -341,13 +335,10 @@ def check_inclusion(
     and G the members of F outside F's 3*tol boundary band in another.
     """
     rep = CheckReport(name="inclusion", seed=seed)
-    r, p, A = random_jets(np.random.default_rng(seed), F.n, samples, scale)
-    first = [classify_value(g, tol) for g in F.values(r, p, A).tolist()]
-    inside = [i for i, rF in enumerate(first) if rF.is_member]
-    kept = [i for i in inside if first[i].margin > 3 * tol]
-    rep.excluded_boundary = len(inside) - len(kept)
-    for i, g in zip(kept, G.values(r[kept], p[kept], A[kept]).tolist()):
-        rG = classify_value(g, tol)
-        ok = rG.is_member
-        rep.record(ok, rG.margin if ok else -rG.margin, None if ok else Jet2(r[i], p[i], A[i]))
+    J = random_jets(np.random.default_rng(seed), F.n, samples, scale)
+    member, margin = classify_values(F.values(*J), tol)
+    kept = np.flatnonzero(member & (margin > 3 * tol))
+    rep.excluded_boundary = int(np.count_nonzero(member)) - len(kept)
+    J = tuple(a[kept] for a in J)
+    rep.record(*classify_values(G.values(*J), tol), J)
     return rep

@@ -4,14 +4,14 @@ A 2-jet is a triple (r, p, A): function value, gradient, Hessian. The
 jet space in dimension n is R x R^n x S(n), with S(n) the symmetric
 n x n matrices. Everything downstream (cone membership, duality, the
 solver's discrete jets) is built on the three operations here:
-spectral decomposition, the jet norm, and traces on subspaces.
+eigenvalues, the jet norm, and traces on subspaces.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -204,40 +204,6 @@ def _set_jet(J: Jet2, r, p: np.ndarray, A: SymMat) -> None:
     object.__setattr__(J, "r", float(r))
     object.__setattr__(J, "p", p)
     object.__setattr__(J, "A", A)
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues sorted ascending with an orthonormal eigenframe."""
-
-    lambdas: np.ndarray
-    frame: np.ndarray = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return len(self.lambdas)
-
-
-def spectrum(A: SymMat) -> Spectrum:
-    """Eigendecomposition with deterministic ordering and sign convention.
-
-    Eigenvalues ascending; each eigenvector's first component of
-    magnitude above 1e-12 * ||v||_inf is made positive, so repeated runs
-    produce identical frames.
-    """
-    a = _mat(A)
-    lam, vec = np.linalg.eigh(a)
-    for j in range(vec.shape[1]):
-        col = vec[:, j]
-        thresh = 1e-12 * np.max(np.abs(col))
-        for x in col:
-            if abs(x) > thresh:
-                if x < 0:
-                    vec[:, j] = -col
-                break
-    lam.flags.writeable = False
-    vec.flags.writeable = False
-    return Spectrum(lambdas=lam, frame=vec)
 
 
 def eigenvalues(A) -> np.ndarray:

@@ -7,7 +7,7 @@ of catalog.ray_probe.
 ref_shift_to_boundary and ref_sample_cone_member are the one-jet,
 one-probe-at-a-time loops that catalog.shift_stack_to_boundary and
 duality._cone_members run on stacks in lockstep: every probe is one
-oracle.contains call on a Jet2 sum. shift_jets runs
+oracle.classify call on a Jet2 sum. shift_jets runs
 shift_stack_to_boundary on a list of Jet2s and hands back one moved Jet2
 or None per jet, so its result compares with the references jet by jet.
 
@@ -18,16 +18,25 @@ second_difference, discrete_spectrum, discrete_gradient, discrete_hessian
 and discrete_jet read one node's differences of a GridFunction, the
 per-node references for second_difference_field and jet_field.
 from_callable fills a grid with a Python function, one call per node.
+
+The ref_check_* functions, ref_strict_ellipticity_check and the
+ref_admissible_* tests are the one-sample-at-a-time loops that the
+sampled checks of duality, canonical and boundary run on stacks: each
+classifies one Jet2 per oracle call, and record is CheckReport's
+one-verdict record. one_jet adapts a jet operator, a form on stacks, to
+one Jet2, as the loops call it.
 """
 
 import itertools
 
 import numpy as np
 
-from jetcones.catalog import jets_along, make_oracle, shift_stack_to_boundary
+from jetcones.catalog import RegionKind, jets_along, make_oracle, shift_stack_to_boundary
+from jetcones.duality import CheckReport, dual_oracle
 from jetcones.errors import BoundaryNode
 from jetcones.grids import GridFunction
-from jetcones.jets import Jet2, SymMat, random_jet, stack_jets, unstack_jets
+from jetcones.jets import (Jet2, SymMat, jet_norm, random_jet, random_psd, stack_jets,
+                           unstack_jets)
 
 
 def ray_values(oracle, J, U, t):
@@ -44,11 +53,11 @@ def ray_values(oracle, J, U, t):
 
 def ref_shift_to_boundary(oracle, J, J0, margin=1e-6, tol=1e-9, max_expand=60):
     t_in, t_out, t = None, None, 0.0
-    if oracle.contains(J, tol):
+    if oracle.classify(J, tol).is_member:
         t_in, step = 0.0, -1.0
         for _ in range(max_expand):
             t += step
-            if not oracle.contains(J + t * J0, tol):
+            if not oracle.classify(J + t * J0, tol).is_member:
                 t_out = t
                 break
             t_in = t
@@ -57,7 +66,7 @@ def ref_shift_to_boundary(oracle, J, J0, margin=1e-6, tol=1e-9, max_expand=60):
         t_out, step = 0.0, 1.0
         for _ in range(max_expand):
             t += step
-            if oracle.contains(J + t * J0, tol):
+            if oracle.classify(J + t * J0, tol).is_member:
                 t_in = t
                 break
             t_out = t
@@ -66,7 +75,7 @@ def ref_shift_to_boundary(oracle, J, J0, margin=1e-6, tol=1e-9, max_expand=60):
         return None
     for _ in range(60):
         mid = 0.5 * (t_in + t_out)
-        if oracle.contains(J + mid * J0, tol):
+        if oracle.classify(J + mid * J0, tol).is_member:
             t_in = mid
         else:
             t_out = mid
@@ -78,7 +87,7 @@ def ref_shift_to_boundary(oracle, J, J0, margin=1e-6, tol=1e-9, max_expand=60):
 def ref_sample_cone_member(M, rng, n, scale):
     oracle = make_oracle(M.key(), n)
     J0, J, t = M.interior_jet(n), random_jet(rng, n, scale), 0.0
-    while not oracle.contains(J + t * J0) and t < 1e6:
+    while not oracle.classify(J + t * J0).is_member and t < 1e6:
         t = 2.0 * t + 0.5
     return J + t * J0
 
@@ -171,3 +180,239 @@ def discrete_jet(u, node) -> Jet2:
     if any(c < w or c >= g.dims[i] - w for i, c in enumerate(node)):
         raise BoundaryNode(f"node {node} has no centered jet")
     return Jet2(float(u.values[node]), discrete_gradient(u, node), discrete_hessian(u, node))
+
+
+# --- one-sample-at-a-time sampled checks ----------------------------------------
+
+def record(rep, ok, margin, witness=None):
+    """One verdict into a CheckReport, as the per-sample loops record it."""
+    rep.checked += 1
+    if ok:
+        rep.passed += 1
+    elif witness is not None and len(rep.witnesses) < 8:
+        rep.witnesses.append(witness)
+    rep.worst_margin = min(rep.worst_margin, margin)
+
+
+def one_jet(op):
+    """The jet operator op(r[...], p[..., n], A[..., n, n]) on one Jet2."""
+    return lambda J: float(op(J.r, J.p, J.A.entries))
+
+
+def ref_check_involution(F, samples=1000, seed=23, tol=1e-8, scale=1.5):
+    rng = np.random.default_rng(seed)
+    ddF = dual_oracle(dual_oracle(F))
+    rep = CheckReport(name=f"involution[{F.key or F.label}]", seed=seed)
+    for _ in range(samples):
+        J = random_jet(rng, F.n, scale)
+        r1 = F.classify(J, tol)
+        if r1.margin <= 3 * tol:
+            rep.excluded_boundary += 1
+            continue
+        r2 = ddF.classify(J, tol)
+        ok = r1.kind is r2.kind
+        record(rep, ok, r1.margin, None if ok else J)
+    return rep
+
+
+def ref_check_dual_pair(F, G, samples, seed, tol=1e-8, scale=1.5):
+    rng = np.random.default_rng(seed)
+    rep = CheckReport(name=f"dual-pair[{F.key or F.label}, {G.key or G.label}]", seed=seed)
+    for _ in range(samples):
+        J = random_jet(rng, F.n, scale)
+        r1 = dual_oracle(F).classify(J, tol)
+        if r1.margin <= 3 * tol:
+            rep.excluded_boundary += 1
+            continue
+        ok = r1.is_member == G.classify(J, tol).is_member
+        record(rep, ok, r1.margin, None if ok else J)
+    return rep
+
+
+def ref_check_inclusion(F, G, samples=1000, seed=37, tol=1e-8, scale=1.5):
+    rng = np.random.default_rng(seed)
+    rep = CheckReport(name="inclusion", seed=seed)
+    for _ in range(samples):
+        J = random_jet(rng, F.n, scale)
+        rF = F.classify(J, tol)
+        if not rF.is_member:
+            continue
+        if rF.margin <= 3 * tol:
+            rep.excluded_boundary += 1
+            continue
+        rG = G.classify(J, tol)
+        ok = rG.is_member
+        record(rep, ok, rG.margin if ok else -rG.margin, None if ok else J)
+    return rep
+
+
+def ref_structured_probe_jets(n, rng, count):
+    jets = []
+    for _ in range(count):
+        jets.append(random_jet(rng, n, scale=1.5))
+    for c in (0.5, 1.0, 2.0):
+        jets.append(Jet2(-c, np.zeros(n), SymMat.zero(n)))
+        jets.append(Jet2(0.0, np.zeros(n), SymMat(c * np.eye(n))))
+        jets.append(Jet2(-c, np.zeros(n), SymMat(c * np.eye(n))))
+    return jets
+
+
+def ref_boundary_probe(F, J_in, J_out, tol):
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        Jm = (1 - mid) * J_in + mid * J_out
+        r = F.classify(Jm, tol)
+        if r.kind is RegionKind.BOUNDARY:
+            return Jm
+        if r.is_member:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-14:
+            break
+    return None
+
+
+def ref_check_proper_elliptic(op, G, n, samples=300, seed=59, tol=1e-9):
+    op = one_jet(op)
+    rng = np.random.default_rng(seed)
+    rep = CheckReport(name="proper-elliptic", seed=seed)
+    for J in ref_structured_probe_jets(n, rng, samples):
+        if G is not None and not G.classify(J).is_member:
+            continue
+        s = -abs(rng.standard_normal())
+        P = random_psd(rng, n)
+        J2 = Jet2(J.r + s, J.p, J.A + P)
+        if G is not None and not G.classify(J2).is_member:
+            continue
+        gain = op(J2) - op(J)
+        ok = gain >= -tol
+        record(rep, ok, gain, None if ok else J)
+    return rep
+
+
+def ref_check_compatibility(op, G, F_induced, samples=300, seed=61, tol=1e-8, slack=1e-6):
+    op = one_jet(op)
+    rng = np.random.default_rng(seed)
+    rep = CheckReport(name="compatibility", seed=seed)
+    n = F_induced.n
+    probes = ref_structured_probe_jets(n, rng, samples)
+    members = [J for J in probes if F_induced.classify(J, tol).is_member]
+    outsiders = [J for J in probes if not F_induced.classify(J, tol).is_member]
+    boundary = []
+    for i in range(min(len(members), len(outsiders), samples // 3)):
+        B = ref_boundary_probe(F_induced, members[i], outsiders[i], tol)
+        if B is not None:
+            boundary.append(B)
+    for J in probes + boundary:
+        region = F_induced.classify(J, tol)
+        if G is not None and not G.classify(J, 1e-6).is_member:
+            continue
+        v = op(J)
+        if region.kind is RegionKind.INTERIOR and region.margin > 3 * tol:
+            ok = v > 0
+            record(rep, ok, v, None if ok else J)
+        elif region.kind is RegionKind.BOUNDARY:
+            ok = abs(v) <= slack
+            record(rep, ok, -abs(v), None if ok else J)
+    return rep
+
+
+def ref_check_topological_tameness(op, G, levels, samples=200, seed=67, tol=1e-9,
+                                   probe_scale=1e-3):
+    op = one_jet(op)
+    rng = np.random.default_rng(seed)
+    rep = CheckReport(name="topological-tameness", seed=seed)
+    n = G.n
+    eyeJ = Jet2.from_matrix(SymMat.identity(n))
+    pool = []
+    for _ in range(samples):
+        J = random_jet(rng, n, scale=1.5)
+        if G.classify(J).is_member:
+            pool.append((J, op(J)))
+    probe_dirs = [eyeJ, (-1.0) * eyeJ]
+    for _ in range(4):
+        U = random_jet(rng, n)
+        nrm = jet_norm(U)
+        probe_dirs.append((1.0 / nrm) * U)
+
+    def probe(Jc, c):
+        vals = [op(Jc + probe_scale * U) for U in probe_dirs]
+        return max(vals) > c + tol and min(vals) < c - tol
+
+    for c in levels:
+        hits = []
+        for J, v in pool:
+            if abs(v - c) <= 1e-9 * max(1.0, abs(c)):
+                hits.append(J)
+        below = [J for J, v in pool if v < c]
+        above = [J for J, v in pool if v > c]
+        for i in range(min(len(below), len(above), 20)):
+            Jb, Ja = below[i], above[i]
+            lo, hi = 0.0, 1.0
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                if op((1 - mid) * Jb + mid * Ja) < c:
+                    lo = mid
+                else:
+                    hi = mid
+            Jc = (1 - 0.5 * (lo + hi)) * Jb + (0.5 * (lo + hi)) * Ja
+            if G.classify(Jc).is_member and abs(op(Jc) - c) <= 1e-6 * max(1.0, abs(c)):
+                hits.append(Jc)
+        for Jc in hits:
+            ok = probe(Jc, c)
+            record(rep, ok, 0.0 if not ok else probe_scale, None if ok else Jc)
+    return rep
+
+
+def ref_check_strict_M_monotone(op, F, M, samples=300, seed=71, tol=1e-12):
+    # the jets, then the t of every sample, then one sample at a time
+    op = one_jet(op)
+    rng = np.random.default_rng(seed)
+    J0 = M.interior_jet(F.n)
+    jets = [random_jet(rng, F.n, scale=1.5) for _ in range(samples)]
+    ts = [rng.uniform(1e-3, 1.0) for _ in range(samples)]
+    rep = CheckReport(name="strict-M-monotone", seed=seed)
+    for J, t in zip(jets, ts):
+        if not F.classify(J).is_member:
+            J = ref_shift_to_boundary(F, J, J0)
+            if J is None or not F.classify(J).is_member:
+                continue
+        gain = op(J + t * J0) - op(J)
+        ok = gain > tol
+        record(rep, ok, gain, None if ok else J)
+    return rep
+
+
+def ref_strict_ellipticity_check(F, direction_samples=64, seed=73, tol=1e-8):
+    n = F.n
+    rng = np.random.default_rng(seed)
+    dirs = [np.eye(n)[i] for i in range(n)]
+    while len(dirs) < direction_samples:
+        v = rng.standard_normal(n)
+        dirs.append(v / np.linalg.norm(v))
+    worst = np.inf
+    witness = None
+    for e in dirs[:direction_samples]:
+        r = F.classify(SymMat(np.outer(e, e)), tol)
+        m = r.margin if r.is_interior else -r.margin
+        if m < worst:
+            worst = m
+            if not r.is_interior:
+                witness = e
+    return witness is None, worst, witness
+
+
+def ref_admissible_subsolution_test(op, G, u, node, tol=1e-8):
+    J = discrete_jet(u, node)
+    if G is not None and not G.classify(J, tol).is_member:
+        return False
+    return one_jet(op)(J) >= -tol
+
+
+def ref_admissible_supersolution_test(op, G, u, node, tol=1e-8):
+    J = discrete_jet(u, node)
+    if G is not None and not G.classify(J, tol).is_member:
+        return True
+    return one_jet(op)(J) <= tol

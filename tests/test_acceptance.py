@@ -307,13 +307,14 @@ def test_criterion_6_zmp_dual_cones(capsys):
 
 
 def test_criterion_7_correspondence_controls(capsys):
-    from jetcones.canonical import gradient_free_op
-
     Q = cat.cone_Q(2)
-    product_op = gradient_free_op(lambda r, A: -r * float(np.linalg.det(A)))
-    rep = check_compatibility(product_op, Q, Q, samples=400, seed=7007)
+    rep = check_compatibility(lambda r, p, A: -r * np.linalg.det(A), Q, Q, samples=400,
+                              seed=7007)
     assert rep.ok
-    sum_op = gradient_free_op(lambda r, A: -r + float(np.linalg.det(A)))
+
+    def sum_op(r, p, A):
+        return -r + np.linalg.det(A)
+
     F_sum = induced_fiber(sum_op, Q, 2, Arity.GRADIENT_FREE, "sum-induced")
     rep2 = check_compatibility(sum_op, Q, F_sum, samples=400, seed=7008)
     assert not rep2.ok

@@ -19,6 +19,7 @@ from jetcones.catalog import DEFAULT_TOL, cone_P, cone_P_dual, cone_pfold, make_
 from jetcones.cli import main
 from jetcones.errors import NotOnBoundary, ParseError, SingularGradient
 from jetcones.jets import SymMat
+from jet2_refs import ref_strict_ellipticity_check
 
 
 def finite_difference_curvature(dom, x, v, h=1e-5):
@@ -145,6 +146,22 @@ def test_strict_ellipticity_dichotomy():
         assert not ok_p
     ok_n, _, _ = strict_ellipticity_check(cone_pfold(3, 3))
     assert ok_n
+
+
+def hexes_or_none(x):
+    return None if x is None else [float.hex(v) for v in x.tolist()]
+
+
+@pytest.mark.parametrize("key, n", [("P", 3), ("P~", 3), ("pfold:p=2", 3), ("pfold:p=3", 3),
+                                    ("P", 2), ("Q", 2), ("branch:k=2", 4)])
+def test_strict_ellipticity_matches_the_per_direction_loop(key, n):
+    F = make_oracle(key, n)
+    for seed, count in ((73, 64), (5, 40), (9, n - 1), (9, 0)):
+        got = strict_ellipticity_check(F, direction_samples=count, seed=seed)
+        ref = ref_strict_ellipticity_check(F, direction_samples=count, seed=seed)
+        assert got[0] is ref[0]
+        assert float.hex(float(got[1])) == float.hex(float(ref[1]))
+        assert hexes_or_none(got[2]) == hexes_or_none(ref[2])
 
 
 def test_pseudoconvexity_monotone_in_t():

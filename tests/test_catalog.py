@@ -12,6 +12,7 @@ from jetcones.catalog import (
     Arity,
     Box,
     DirectionalCone,
+    FiberOracle,
     MonotonicityCone,
     RegionKind,
     branch,
@@ -308,10 +309,10 @@ def test_failure_example():
     violations = 0
     for _ in range(300):
         J = random_jet(rng, 2)
-        if not F.contains(J):
+        if not F.classify(J).is_member:
             continue
         q = rng.standard_normal(2) * 0.5
-        if not F.contains(Jet2(J.r, J.p + q, J.A), 1e-6):
+        if not F.classify(Jet2(J.r, J.p + q, J.A), 1e-6).is_member:
             violations += 1
     assert violations > 0
 
@@ -335,6 +336,22 @@ def test_positivity_sampled(oracle):
 @pytest.mark.parametrize("oracle", CONE_FIXTURES, ids=lambda o: o.key or o.label)
 def test_negativity_sampled(oracle):
     assert check_negativity(oracle, samples=300) is None
+
+
+def test_positivity_and_negativity_return_the_first_witness():
+    # -tr A breaks (P): adding P >= 0 lowers it; r breaks (N): lowering r does
+    minus_trace = FiberOracle("-tr A >= 0", 2, Arity.PURE_SECOND_ORDER, None,
+                              lambda r, p, A: -np.trace(A, axis1=-2, axis2=-1))
+    J, P = check_positivity(minus_trace, samples=50)
+    assert minus_trace.classify(J).is_member
+    assert not minus_trace.classify(Jet2(J.r, J.p, J.A + P), 1e-7).is_member
+    assert np.linalg.eigvalsh(P.entries)[0] >= 0.0
+    value = FiberOracle("r >= 0", 2, Arity.GRADIENT_FREE, None, lambda r, p, A: r + 0.0 * p[..., 0])
+    J, s = check_negativity(value, samples=50)
+    assert s <= 0.0 and value.classify(J).is_member
+    assert not value.classify(Jet2(J.r + s, J.p, J.A), 1e-7).is_member
+    assert check_positivity(value, samples=50) is None
+    assert check_negativity(minus_trace, samples=50) is None
 
 
 def test_positivity_negativity_bulk_samples():
@@ -524,7 +541,16 @@ def test_optimal_transport_examples():
             box2(), lambda p: -p[..., 1],
             DirectionalCone.halfspace([0, 1]), lambda x: 1.0, n=2,
         )
-    assert check_directionality(lambda p: float(p[0] * p[1]), D, 2) is None
+    assert check_directionality(lambda p: p[..., 0] * p[..., 1], D, 2) is None
+
+
+@pytest.mark.parametrize("D", [DirectionalCone.halfspace([0, 1]), DirectionalCone.orthant([1])],
+                         ids=["half", "orth"])
+def test_directionality_returns_a_witness_pair_in_D(D):
+    g = lambda p: -p[..., 1]
+    p, q = check_directionality(g, D, 2, samples=20)
+    assert D.functional(p) >= 0 and D.functional(q) >= 0
+    assert g(p + q) < g(p) - 1e-10
 
 
 # --- key grammar ------------------------------------------------------------
@@ -647,7 +673,7 @@ def values_oracle(key, n):
     if key == "garding-branch":
         return branch_oracle(sigma_k_operator(n, 2), 2)
     if key == "induced":
-        return induced_fiber(lambda J: float(np.trace(J.A.entries)) - J.r + J.p[0],
+        return induced_fiber(lambda r, p, A: np.trace(A, axis1=-2, axis2=-1) - r + p[..., 0],
                              cone_Q(n), n, Arity.FULL)
     return make_oracle(key.replace("half:1,-2", "half:1," + ",".join(["-2"] * (n - 1))), n)
 

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,19 +32,22 @@ from jetcones.duality import (
     check_involution,
     check_jet_addition,
     check_monotonicity,
-    dual_contains,
     dual_oracle,
 )
-from jetcones.jets import Jet2, SymMat, random_jet, random_jets, random_symmetric, stack_jets
+from jetcones.jets import (Jet2, SymMat, random_jet, random_jets, random_symmetric, stack_jets,
+                           unstack_jets)
+from jet2_refs import record, ref_check_dual_pair, ref_check_inclusion, ref_check_involution
+
+ROOT = Path(__file__).resolve().parent.parent
 
 M_A_PART = MonotonicityCone(0.0, DirectionalCone.full(), math.inf)
 
 
 def test_dual_contains_examples():
     P = cone_P(2)
-    r = dual_contains(P, SymMat.diag(-1, 2))
+    r = dual_oracle(P).classify(SymMat.diag(-1, 2))
     assert r.is_member  # -J = diag(1,-2) is not interior to P
-    assert dual_contains(P, SymMat(-np.eye(2))).kind is RegionKind.EXTERIOR
+    assert dual_oracle(P).classify(SymMat(-np.eye(2))).kind is RegionKind.EXTERIOR
 
 
 def test_dual_of_P_matches_subaffine_exactly():
@@ -51,7 +55,7 @@ def test_dual_of_P_matches_subaffine_exactly():
     P, Pd = cone_P(3), cone_P_dual(3)
     for _ in range(2000):
         A = random_symmetric(rng, 3, 1.5)
-        r1 = dual_contains(P, A)
+        r1 = dual_oracle(P).classify(A)
         r2 = Pd.classify(A)
         assert r1.kind is r2.kind
         assert r1.margin == pytest.approx(r2.margin, abs=1e-9)
@@ -62,7 +66,7 @@ def test_dual_of_Q_matches_closed_form():
     Q, Qd = cone_Q(2), cone_Q_dual(2)
     for _ in range(2000):
         J = Jet2(rng.standard_normal(), np.zeros(2), random_symmetric(rng, 2))
-        r1 = dual_contains(Q, J)
+        r1 = dual_oracle(Q).classify(J)
         r2 = Qd.classify(J)
         assert r1.kind is r2.kind
         assert r1.margin == pytest.approx(r2.margin, abs=1e-9)
@@ -76,6 +80,42 @@ def test_involution_no_disagreements(oracle):
     rep = check_involution(oracle, samples=2000, seed=33)
     assert rep.ok
     assert rep.checked > 0
+
+
+def verify_involution_oracles(monkeypatch):
+    """The 18 oracles whose double duals the benchmark's verify workload checks."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    return workloads.involution_oracles()
+
+
+def test_involution_matches_the_per_jet_loop_on_the_verify_oracles(monkeypatch):
+    oracles = verify_involution_oracles(monkeypatch)
+    assert len(oracles) == 18
+    for F in oracles:
+        for seed in (23, 4):
+            got = check_involution(F, samples=150, seed=seed)
+            ref = ref_check_involution(F, samples=150, seed=seed)
+            assert got.to_json_dict() == ref.to_json_dict()
+            assert float.hex(got.worst_margin) == float.hex(ref.worst_margin)
+
+
+def test_record_takes_arrays_as_the_per_sample_record():
+    # one array call per batch against one record per sample: witnesses
+    # capped at 8, the first least margin, signed zeros and NaN margins
+    rng = np.random.default_rng(12)
+    J = random_jets(rng, 2, 40)
+    ok = rng.uniform(size=40) < 0.6
+    margin = rng.choice([-1.5, -0.0, 0.0, 0.25, np.nan, -1.5, 2.0], 40)
+    got, ref = CheckReport(name="x"), CheckReport(name="x")
+    for lo, hi in ((0, 0), (0, 7), (7, 40)):
+        got.record(ok[lo:hi], margin[lo:hi], tuple(a[lo:hi] for a in J))
+    for i, K in enumerate(unstack_jets(*J)):
+        record(ref, bool(ok[i]), float(margin[i]), K)
+    assert got.to_json_dict() == ref.to_json_dict()
+    assert float.hex(got.worst_margin) == float.hex(ref.worst_margin)
+    assert len(got.witnesses) == 8
 
 
 def test_involution_report_is_json_serializable():
@@ -145,23 +185,6 @@ def test_dual_positive_homogeneity():
         assert Fd.classify(t * J, 1e-10).is_member == r.is_member
 
 
-def ref_check_inclusion(F, G, samples=1000, seed=37, tol=1e-8, scale=1.5):
-    rng = np.random.default_rng(seed)
-    rep = CheckReport(name="inclusion", seed=seed)
-    for _ in range(samples):
-        J = random_jet(rng, F.n, scale)
-        rF = F.classify(J, tol)
-        if not rF.is_member:
-            continue
-        if rF.margin <= 3 * tol:
-            rep.excluded_boundary += 1
-            continue
-        rG = G.classify(J, tol)
-        ok = rG.is_member
-        rep.record(ok, rG.margin if ok else -rG.margin, None if ok else J)
-    return rep
-
-
 @pytest.mark.parametrize("F, G, tol", [
     (cone_P(3), branch(3, 2), 1e-8),
     (dual_oracle(branch(3, 2)), dual_oracle(cone_P(3)), 1e-8),
@@ -199,20 +222,6 @@ def eig_oracle(label, n, f):
     """A pure second-order oracle from a closed form in the eigenvalues."""
     return FiberOracle(label, n, Arity.PURE_SECOND_ORDER, None,
                        lambda r, p, A: f(np.linalg.eigvalsh(A)))
-
-
-def ref_check_dual_pair(F, G, samples, seed, tol=1e-8, scale=1.5):
-    rng = np.random.default_rng(seed)
-    rep = CheckReport(name=f"dual-pair[{F.key or F.label}, {G.key or G.label}]", seed=seed)
-    for _ in range(samples):
-        J = random_jet(rng, F.n, scale)
-        r1 = dual_contains(F, J, tol)
-        if r1.margin <= 3 * tol:
-            rep.excluded_boundary += 1
-            continue
-        ok = r1.is_member == G.classify(J, tol).is_member
-        rep.record(ok, r1.margin, None if ok else J)
-    return rep
 
 
 @pytest.mark.parametrize("F, G, dual", [

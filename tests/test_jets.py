@@ -18,95 +18,8 @@ from jetcones.jets import (
     random_orthogonal,
     random_psd,
     random_symmetric,
-    spectrum,
     trace_on_subspace,
 )
-
-# --- independent eigenvalue oracle: characteristic polynomial by the
-# trace recursion, roots isolated by sign scanning and bisection ------------
-
-
-def charpoly_coeffs(a: np.ndarray) -> np.ndarray:
-    """Coefficients of det(t I - A), leading first (Faddeev-LeVerrier)."""
-    n = a.shape[0]
-    coeffs = [1.0]
-    M = np.zeros_like(a)
-    for k in range(1, n + 1):
-        M = a @ M + coeffs[-1] * np.eye(n)
-        coeffs.append(-float(np.trace(a @ M)) / k)
-    return np.array(coeffs)
-
-
-def charpoly_roots_bisect(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    c = charpoly_coeffs(a)
-
-    def p(t):
-        acc = 0.0
-        for ck in c:
-            acc = acc * t + ck
-        return acc
-
-    bound = float(np.max(np.sum(np.abs(a), axis=1))) + 1.0
-    grid = np.linspace(-bound, bound, 20001)
-    vals = np.array([p(t) for t in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(grid[i])
-        elif vals[i] * vals[i + 1] < 0:
-            lo, hi = grid[i], grid[i + 1]
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                if p(lo) * p(mid) <= 0:
-                    hi = mid
-                else:
-                    lo = mid
-                if hi - lo < tol:
-                    break
-            roots.append(0.5 * (lo + hi))
-    return np.sort(np.array(roots))
-
-
-def test_spectrum_identity():
-    s = spectrum(SymMat.identity(3))
-    assert np.allclose(s.lambdas, [1, 1, 1])
-
-
-def test_spectrum_diagonal_reordering():
-    s = spectrum(SymMat.diag(3, 1, 2))
-    assert np.allclose(s.lambdas, [1, 2, 3])
-
-
-def test_spectrum_against_charpoly_bisection():
-    rng = np.random.default_rng(5150)
-    a = random_symmetric(rng, 5, 2.0).entries
-    lam = spectrum(SymMat(a)).lambdas
-    oracle = charpoly_roots_bisect(a)
-    assert len(oracle) == 5
-    assert np.max(np.abs(lam - oracle)) < 1e-9
-
-
-def test_spectrum_reconstruction_residual():
-    rng = np.random.default_rng(77)
-    for n in (2, 3, 5, 8):
-        A = random_symmetric(rng, n, 3.0)
-        s = spectrum(A)
-        recon = s.frame @ np.diag(s.lambdas) @ s.frame.T
-        scale = 1.0 + np.max(np.abs(A.entries))
-        assert np.max(np.abs(recon - A.entries)) <= 1e-12 * scale
-        assert np.max(np.abs(s.frame.T @ s.frame - np.eye(n))) <= 1e-12
-
-
-def test_spectrum_sign_convention_deterministic():
-    rng = np.random.default_rng(8)
-    A = random_symmetric(rng, 4, 1.0)
-    s1 = spectrum(A)
-    s2 = spectrum(SymMat(A.entries.copy()))
-    assert np.array_equal(s1.frame, s2.frame)
-    for j in range(4):
-        col = s1.frame[:, j]
-        nz = col[np.abs(col) > 1e-12 * np.max(np.abs(col))]
-        assert nz[0] > 0
 
 
 def test_jet_norm_examples():

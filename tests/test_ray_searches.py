@@ -114,7 +114,14 @@ from jetcones.jets import (
     stack_jets,
     unstack_jets,
 )
-from jet2_refs import ray_values, ref_sample_cone_member, ref_shift_to_boundary, shift_jets
+from jet2_refs import (
+    ray_values,
+    record,
+    ref_check_involution,
+    ref_sample_cone_member,
+    ref_shift_to_boundary,
+    shift_jets,
+)
 
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -241,10 +248,10 @@ def ref_cone_member(M, rng, n, scale, extreme):
 
 
 def ref_into_fiber(oracle, J, margin, tol, J0):
-    if oracle.contains(J, tol):
+    if oracle.classify(J, tol).is_member:
         return J
     moved = ref_shift_to_boundary(oracle, J, J0, margin=margin)
-    if moved is not None and oracle.contains(moved, tol):
+    if moved is not None and oracle.classify(moved, tol).is_member:
         return moved
     return None
 
@@ -252,7 +259,7 @@ def ref_into_fiber(oracle, J, margin, tol, J0):
 def ref_record(rep, oracle, S, witness, tol):
     r = oracle.classify(S, tol)
     ok = r.is_member or r.margin <= 10 * tol
-    rep.record(ok, r.margin if r.is_member else -r.margin, None if ok else witness)
+    record(rep, ok, r.margin if r.is_member else -r.margin, None if ok else witness)
 
 
 def ref_check_monotonicity(F, M, samples=400, seed=29, tol=1e-8, scale=1.5):
@@ -312,22 +319,6 @@ def ref_bisect(keep, a, b, done, max_steps):
         if done(a, b):
             break
     return a, b
-
-
-def ref_check_involution(F, samples=1000, seed=23, tol=1e-8, scale=1.5):
-    rng = np.random.default_rng(seed)
-    ddF = dual_oracle(dual_oracle(F))
-    rep = CheckReport(name=f"involution[{F.key or F.label}]", seed=seed)
-    for _ in range(samples):
-        J = random_jet(rng, F.n, scale)
-        r1 = F.classify(J, tol)
-        if r1.margin <= 3 * tol:
-            rep.excluded_boundary += 1
-            continue
-        r2 = ddF.classify(J, tol)
-        ok = r1.kind is r2.kind
-        rep.record(ok, r1.margin, None if ok else J)
-    return rep
 
 
 def hexes(J):
@@ -419,7 +410,7 @@ def test_sample_cone_member_matches_jet2_mixing():
         got = mixed_cone_member(M, np.random.default_rng(seed), 2, 2.0)
         ref = ref_sample_cone_member(M, np.random.default_rng(seed), 2, 2.0)
         assert hexes(got) == hexes(ref)
-        assert oracle.contains(got)
+        assert oracle.classify(got).is_member
 
 
 @pytest.mark.parametrize("samples", [0, 1, 200])
@@ -521,7 +512,7 @@ def ref_fiber_jet_samples(theta, x, J0, rng, count):
         else:
             base = random_jet(rng, n, scale=1.5)
         J = ref_shift_to_boundary(oracle, base, J0)
-        if J is not None and oracle.contains(J):
+        if J is not None and oracle.classify(J).is_member:
             out.append(J)
     return out
 
@@ -626,7 +617,7 @@ def ref_check_fiberegularity(theta, M, eta, seed, grid_per_side=16, anchors=120,
         oy, bad = theta.fiber_at(y), None
         for J in jets_at(ix):
             checked += 1
-            if not oy.contains(J + shifted, tol):
+            if not oy.classify(J + shifted, tol).is_member:
                 bad = J
                 break
         if bad is not None and dist < delta:
@@ -681,7 +672,8 @@ def test_lockstep_crossings_cross_or_not_per_direction():
 
 
 def all_jets(n):
-    return induced_fiber(lambda J: 1.0, None, n, Arity.PURE_SECOND_ORDER, "all")
+    return induced_fiber(lambda r, p, A: np.ones(np.shape(r)), None, n,
+                         Arity.PURE_SECOND_ORDER, "all")
 
 
 @pytest.mark.parametrize("make", [lambda: all_jets(2), lambda: make_oracle("Q~", 2)],

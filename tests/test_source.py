@@ -148,6 +148,54 @@ def test_eigen_solves_go_through_jets_eigenvalues(path):
         assert eigvalsh_references(path.read_text()) == []
 
 
+# Oracle calls that classify one jet: in a loop they make a per-sample route
+ONE_JET_METHODS = {"value", "classify", "contains"}
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def one_jet_calls_in_loops(source: str) -> list:
+    """Lines of .value(, .classify(, .contains( and classify_value( calls
+    that run once per pass of a loop: in a for or while body (not its
+    else), a while test, or a comprehension past its first iterable."""
+    out = []
+
+    def visit(node, looped):
+        if looped and isinstance(node, ast.Call):
+            f = node.func
+            if ((isinstance(f, ast.Attribute) and f.attr in ONE_JET_METHODS)
+                    or (isinstance(f, ast.Name) and f.id == "classify_value")):
+                out.append(node.lineno)
+        once = getattr(node, "orelse", []) if isinstance(node, LOOPS[:3]) else []
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            once = once + [node.iter]
+        elif isinstance(node, LOOPS[3:]):
+            once = [node.generators[0].iter]
+        for child in ast.iter_child_nodes(node):
+            visit(child, looped or (isinstance(node, LOOPS) and child not in once))
+
+    visit(ast.parse(source), False)
+    return [f"line {n}" for n in sorted(out)]
+
+
+def test_the_checker_sees_one_jet_calls_in_loops():
+    source = ("for J in F.classify(K):\n    F.value(J)\nelse:\n    F.contains(J)\n"
+              "while F.contains(J):\n    pass\n"
+              "x = [classify_value(g) for g in F.values(r, p, A)]\n"
+              "y = {F.value(J) for J in jets if F.contains(J)}\n"
+              "z = F.classify(J)\nw = [g for g in F.values(r, p, A)]\n"
+              "v = [1 for a in b for c in F.value(a)]\n")
+    assert one_jet_calls_in_loops(source) == ["line 2", "line 5", "line 7", "line 8",
+                                              "line 8", "line 11"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_oracle_classifies_one_jet_per_loop_pass(path):
+    # every sampled check classifies its whole sample with one values call
+    # per stage; a one-jet call in a loop is a per-sample route
+    assert one_jet_calls_in_loops(path.read_text()) == []
+
+
 # The trees whose code runs outside the tests: a public function of the
 # package that no name in them reaches is dead or test-only code.
 REACHING = (sorted((ROOT / "src").rglob("*.py")) + sorted(ROOT.glob("scripts/*.py"))
@@ -159,8 +207,6 @@ UNREACHED_API = {
     "boundary.tangential_planes": "sampled tangential planes of the geometric pseudoconvexity test",
     "boundary.geometric_pseudoconvex_at": "the geometric pseudoconvexity test, "
                                           "checked against strict_pseudoconvex_at",
-    "canonical.matrix_op": "lifts a matrix functional to a jet operator for the correspondence",
-    "canonical.gradient_free_op": "lifts an (r, A) functional; criterion 3 builds its operators",
     "canonical.induced_fiber": "the constraint set of an operator; criterion 3",
     "canonical.check_proper_elliptic": "the correspondence's proper-ellipticity check",
     "canonical.check_compatibility": "the correspondence's compatibility check; criterion 3",
@@ -231,10 +277,11 @@ def test_every_public_function_is_reached():
 
     The check goes by name alone. A definition counts as reached when any
     Name, attribute or from-import of that name appears in those trees,
-    its own body and module included. So it cannot see a dead method whose
-    name another object also uses (GridFunction.copy, shadowed by every
-    ndarray.copy, was found by reading), nor a function that only other
-    unreached code calls.
+    its own body and module included. So it cannot see a dead function or
+    method whose name another object also uses (GridFunction.copy, shadowed
+    by every ndarray.copy, and jets.spectrum, shadowed by
+    FiberOracle.spectrum, were found by reading), nor a function that only
+    other unreached code calls.
     """
     reached = set().union(*(names_read(p.read_text()) for p in REACHING))
     commands = next(a for a in cli.build_parser()._actions
