@@ -15,6 +15,7 @@ strict-convexity semantics of the membership condition below require.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -23,7 +24,7 @@ import numpy as np
 from .catalog import (Box, DEFAULT_TOL, FiberOracle, _dot_self, bisect_brackets,
                       classify_values, ray_probe)
 from .errors import NotOnBoundary, SingularGradient
-from .jets import Jet2, SymMat, eigenvalues, random_orthogonal, trace_on_subspace
+from .jets import MAX_DIM, Jet2, SymMat, eigenvalues, random_orthogonal, trace_on_subspace
 
 BOUNDARY_TOL = 1e-8
 GRAD_TOL = 1e-8
@@ -58,12 +59,13 @@ class BoundaryPointData:
         return eigenvalues(W.T @ self.A_x.entries @ W)
 
 
-def boundary_point(dom: LevelSetDomain, x, tol: float = BOUNDARY_TOL) -> BoundaryPointData:
-    """Boundary data at x; raises NotOnBoundary / SingularGradient."""
+def boundary_point(dom: LevelSetDomain, x) -> BoundaryPointData:
+    """Boundary data at x; raises NotOnBoundary when |phi(x)| exceeds
+    BOUNDARY_TOL, SingularGradient when |grad phi(x)| is at most GRAD_TOL."""
     x = np.asarray(x, dtype=float)
     val = dom.phi(x)
-    if abs(val) > tol:
-        raise NotOnBoundary(f"|phi(x)| = {abs(val):.3e} > {tol:.1e}")
+    if abs(val) > BOUNDARY_TOL:
+        raise NotOnBoundary(f"|phi(x)| = {abs(val):.3e} > {BOUNDARY_TOL:.1e}")
     g = np.asarray(dom.grad(x), dtype=float)
     gn = float(np.linalg.norm(g))
     if gn <= GRAD_TOL:
@@ -78,10 +80,11 @@ def boundary_point(dom: LevelSetDomain, x, tol: float = BOUNDARY_TOL) -> Boundar
     return BoundaryPointData(x=x, e=e, A_x=A, tangent_frame=frame)
 
 
-def project_to_boundary(dom: LevelSetDomain, seed, steps: int = 80) -> np.ndarray:
-    """Newton-type projection of a seed point onto {phi = 0}."""
+def project_to_boundary(dom: LevelSetDomain, seed) -> np.ndarray:
+    """Newton-type projection of a seed point onto {phi = 0}, at most 80
+    steps."""
     x = np.asarray(seed, dtype=float).copy()
-    for _ in range(steps):
+    for _ in range(80):
         v = dom.phi(x)
         if abs(v) <= BOUNDARY_TOL * 0.1:
             return x
@@ -144,7 +147,6 @@ def strict_ellipticity_check(
     F: FiberOracle,
     direction_samples: int = 64,
     seed: int = 73,
-    tol: float = DEFAULT_TOL,
 ):
     """Rank-one projectors over sampled unit directions all interior to F:
     (all interior, the least signed margin, the first direction with that
@@ -154,14 +156,14 @@ def strict_ellipticity_check(
     for existence; the geometric cones all fail this. The directions are
     the n axes, then random unit vectors from one standard_normal block
     (each row the draw of one direction), direction_samples in all, and
-    one values call classifies their projectors.
+    one values call classifies their projectors under DEFAULT_TOL.
     """
     n = F.n
     v = np.random.default_rng(seed).standard_normal((max(0, direction_samples - n), n))
     # the row-wise arithmetic of np.linalg.norm of one vector
     e = np.concatenate((np.eye(n), v / np.sqrt(_dot_self(v))[:, None]))[:direction_samples]
     _, margin = classify_values(F.values(np.zeros(len(e)), np.zeros_like(e),
-                                         e[:, :, None] * e[:, None, :]), tol)
+                                         e[:, :, None] * e[:, None, :]))
     interior = margin > 0.0
     if not interior.size:
         return True, np.inf, None
@@ -171,14 +173,14 @@ def strict_ellipticity_check(
     return bool(interior.all()), float(m[i]), None if interior[i] else e[i]
 
 
-def tangential_planes(bp: BoundaryPointData, k: int, count: int,
-                      seed: int = 79) -> list:
-    """Sampled orthonormal k-frames spanning planes inside the tangent space."""
+def tangential_planes(bp: BoundaryPointData, k: int, count: int) -> list:
+    """Sampled orthonormal k-frames spanning planes inside the tangent
+    space, at seed 79."""
     W = bp.tangent_frame
     m = W.shape[1]
     if k > m:
         return []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(79)
     frames = []
     for _ in range(count):
         Q = random_orthogonal(rng, m)
@@ -186,29 +188,24 @@ def tangential_planes(bp: BoundaryPointData, k: int, count: int,
     return frames
 
 
-def geometric_pseudoconvex_at(
-    planes: Sequence[np.ndarray],
-    bp: BoundaryPointData,
-    tol: float = 1e-9,
-    angle_tol: float = 1e-7,
-):
-    """Strictly positive trace of A_x on every sampled tangential plane.
+def geometric_pseudoconvex_at(planes: Sequence[np.ndarray], bp: BoundaryPointData):
+    """Trace of A_x above 1e-9 on every sampled tangential plane.
 
     Planes are orthonormal frames; frames not inside the tangent space
-    (normal component above angle_tol) are skipped.
+    (normal component above 1e-7) are skipped.
     """
     checked = 0
     worst = np.inf
     witness = None
     for W in planes:
         normal_part = float(np.max(np.abs(bp.e @ W)))
-        if normal_part > angle_tol:
+        if normal_part > 1e-7:
             continue
         checked += 1
         tr = trace_on_subspace(bp.A_x, W)
         if tr < worst:
             worst = tr
-            if tr <= tol:
+            if tr <= 1e-9:
                 witness = W
     return witness is None, checked, worst, witness
 
@@ -293,12 +290,46 @@ def saddle_domain() -> LevelSetDomain:
     )
 
 
+def _spec_int(spec: dict, key: str, default: int, hi: int) -> int:
+    """spec[key], or default when absent: an integer from 1 to hi."""
+    v = spec.get(key, default)
+    if not (isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= hi):
+        raise ValueError(f"{key} must be an integer from 1 to {hi}, got {v!r}")
+    return v
+
+
+def _spec_float(spec: dict, key: str, default: float, positive: bool = False) -> float:
+    """spec[key], or default when absent: a finite number, positive when
+    asked."""
+    v = float(spec.get(key, default))
+    if not (math.isfinite(v) and (v > 0 or not positive)):
+        raise ValueError(f"{key} must be a finite{' positive' if positive else ''} number, "
+                         f"got {spec[key]!r}")
+    return v
+
+
+def _semiaxes(spec: dict) -> np.ndarray:
+    """spec's semiaxes: 1 to MAX_DIM finite positive numbers."""
+    a = np.asarray(spec["semiaxes"], dtype=float)
+    if not (a.ndim == 1 and 1 <= len(a) <= MAX_DIM and np.all(np.isfinite(a) & (a > 0))):
+        raise ValueError(f"semiaxes must be 1 to {MAX_DIM} finite positive numbers, "
+                         f"got {spec['semiaxes']!r}")
+    return a
+
+
+def _slab_from_spec(spec: dict) -> LevelSetDomain:
+    n = _spec_int(spec, "n", 2, MAX_DIM)
+    return slab_domain(n, _spec_int(spec, "axis", 1, n) - 1, _spec_float(spec, "offset", 1.0))
+
+
+# Each spec field is checked here, at ingress: n from 1 to MAX_DIM, axis
+# from 1 to n, semiaxes and radius finite and positive, offset finite
 DOMAIN_BUILDERS = {
-    "sphere": lambda spec: sphere_domain(int(spec.get("n", 2)), float(spec.get("radius", 1.0))),
-    "ellipsoid": lambda spec: ellipsoid_domain(spec["semiaxes"]),
-    "slab": lambda spec: slab_domain(int(spec.get("n", 2)), int(spec.get("axis", 1)) - 1,
-                                     float(spec.get("offset", 1.0))),
-    "cylinder": lambda spec: cylinder_domain(float(spec.get("radius", 1.0))),
+    "sphere": lambda spec: sphere_domain(_spec_int(spec, "n", 2, MAX_DIM),
+                                         _spec_float(spec, "radius", 1.0, positive=True)),
+    "ellipsoid": lambda spec: ellipsoid_domain(_semiaxes(spec)),
+    "slab": _slab_from_spec,
+    "cylinder": lambda spec: cylinder_domain(_spec_float(spec, "radius", 1.0, positive=True)),
     "saddle": lambda spec: saddle_domain(),
 }
 

@@ -58,6 +58,12 @@ MIN_TOL = 4 * np.finfo(float).eps
 # tol >= MIN_TOL. Near a multiple root (sigma:k=3 at A = tI) Brent on the
 # whole doubling bracket took 140 steps, past brentq's default limit of 100.
 BRENT_MAX_ITER = 72 ** 2
+# The operator-value tolerance of check_proper_elliptic (op may fall by
+# at most this much) and check_topological_tameness (a level hit needs
+# nearby values this far above and below the level).
+OP_TOL = 1e-9
+# The length of check_topological_tameness's probe steps from a level hit
+PROBE_SCALE = 1e-3
 
 
 def _bracket_done(t_lo, t_hi, tol: float):
@@ -253,23 +259,23 @@ def signed_distance(
     F: FiberOracle,
     J,
     directions: int = 256,
-    tol: float = 1e-9,
     seed: int = 53,
-    cap: float = SEARCH_RADIUS,
 ) -> float:
     """Approximate signed jet-norm distance from J to the boundary of F.
 
     Positive iff J is a member. Bisection along a deterministic stream
-    of unit directions (canonical axes first, then seeded random); each
-    direction overestimates the true distance, so more directions never
-    increase the estimate's absolute value.
+    of unit directions (canonical axes first, then seeded random), out to
+    SEARCH_RADIUS; each direction overestimates the true distance, so
+    more directions never increase the estimate's absolute value.
     """
     J = J if isinstance(J, Jet2) else Jet2.from_matrix(J)
     inside = F.value(J) >= 0.0
-    found = [s for s in _crossings(F, J, inside, directions, tol, seed, cap) if s is not None]
+    found = [s for s in _crossings(F, J, inside, directions, 1e-9, seed, SEARCH_RADIUS)
+             if s is not None]
     if not found:
         raise BracketingFailure(
-            f"no boundary crossing of {F.label} from the query jet within radius {cap:g}"
+            f"no boundary crossing of {F.label} from the query jet within radius "
+            f"{SEARCH_RADIUS:g}"
         )
     best = min(found)
     return best if inside else -best
@@ -352,7 +358,7 @@ def _structured_probe_jets(n: int, rng: np.random.Generator, count: int) -> tupl
             np.concatenate((A, (c * np.tile([0.0, 1.0, 1.0], 3))[:, None, None] * np.eye(n))))
 
 
-def _boundary_probes(F: FiberOracle, J_in: tuple, J_out: tuple, tol: float) -> tuple:
+def _boundary_probes(F: FiberOracle, J_in: tuple, J_out: tuple) -> tuple:
     """For each pair of rows of the stacks J_in and J_out, the first jet
     classified Boundary by the bisection of the segment [J_in, J_out]
     (toward J_out while the midpoint is a member), which stops at that
@@ -370,7 +376,7 @@ def _boundary_probes(F: FiberOracle, J_in: tuple, J_out: tuple, tol: float) -> t
         if (hi - lo < 1e-14).all():
             break
         mid = 0.5 * (lo + hi)
-        member, margin = classify_values(F.values(*_between(J_in, J_out, mid)), tol)
+        member, margin = classify_values(F.values(*_between(J_in, J_out, mid)))
         hit = member & (margin == 0.0) & np.isnan(at)
         at[hit] = mid[hit]
         lo, hi = np.where(member, mid, lo), np.where(member, hi, mid)
@@ -384,14 +390,13 @@ def check_proper_elliptic(
     n: int,
     samples: int = 300,
     seed: int = 59,
-    tol: float = 1e-9,
 ) -> CheckReport:
     """Sampled monotonicity of op in the (-r, +A) slots over members of G.
 
     The probe jets (_structured_probe_jets) are drawn first; each member
     of G then draws its s <= 0 and its P >= 0 (random_psd), member by
     member. J2 = (r + s, p, A + P) must be a member too, and
-    op(J2) - op(J) >= -tol. One values call classifies each stack and
+    op(J2) - op(J) >= -OP_TOL. One values call classifies each stack and
     op runs once on each.
     """
     rng = np.random.default_rng(seed)
@@ -408,7 +413,7 @@ def check_proper_elliptic(
         J, J2 = _rows(J, kept), _rows(J2, kept)
     gain = op(*J2) - op(*J)
     rep = CheckReport(name="proper-elliptic", seed=seed)
-    rep.record(gain >= -tol, gain, J)
+    rep.record(gain >= -OP_TOL, gain, J)
     return rep
 
 
@@ -418,32 +423,31 @@ def check_compatibility(
     F_induced: FiberOracle,
     samples: int = 300,
     seed: int = 61,
-    tol: float = DEFAULT_TOL,
-    slack: float = 1e-6,
 ) -> CheckReport:
     """Two-sided sampled check that op's sign structure matches F_induced.
 
-    Interior-classified jets must have op > tol; boundary-classified
-    jets (found by random probes, structured degenerate probes, and
-    member/non-member bisection) must have |op| <= slack. The i-th
+    Interior-classified jets (margin above 3*DEFAULT_TOL) must have
+    op > 0; boundary-classified jets (found by random probes, structured
+    degenerate probes, and member/non-member bisection) must have
+    |op| <= 1e-6. The i-th
     member probe pairs with the i-th outsider, for up to samples // 3
     pairs, and all pairs bisect in lockstep (_boundary_probes).
     """
     rng = np.random.default_rng(seed)
     probes = _structured_probe_jets(F_induced.n, rng, samples)
-    inside = members(F_induced.values(*probes), tol)
+    inside = members(F_induced.values(*probes))
     k = min(np.count_nonzero(inside), np.count_nonzero(~inside), samples // 3)
     J = _boundary_probes(F_induced, _rows(probes, np.flatnonzero(inside)[:k]),
-                         _rows(probes, np.flatnonzero(~inside)[:k]), tol)
+                         _rows(probes, np.flatnonzero(~inside)[:k]))
     J = tuple(np.concatenate(parts) for parts in zip(probes, J))
     if G is not None:
         J = _rows(J, members(G.values(*J), 1e-6))
-    member, margin = classify_values(F_induced.values(*J), tol)
-    interior, boundary = margin > 3 * tol, member & (margin == 0.0)
+    member, margin = classify_values(F_induced.values(*J))
+    interior, boundary = margin > 3 * DEFAULT_TOL, member & (margin == 0.0)
     v = op(*J)
     kept = interior | boundary
     rep = CheckReport(name="compatibility", seed=seed)
-    rep.record(np.where(interior, v > 0, np.abs(v) <= slack)[kept],
+    rep.record(np.where(interior, v > 0, np.abs(v) <= 1e-6)[kept],
                np.where(interior, v, -np.abs(v))[kept], _rows(J, kept))
     return rep
 
@@ -454,8 +458,6 @@ def check_topological_tameness(
     levels: Sequence[float],
     samples: int = 200,
     seed: int = 67,
-    tol: float = 1e-9,
-    probe_scale: float = 1e-3,
 ) -> CheckReport:
     """Probe that op's level sets inside G have empty interior.
 
@@ -467,10 +469,10 @@ def check_topological_tameness(
     below c with the i-th above, up to 20 pairs, 80 steps each on
     op < c, kept when the midpoint lies in G within 1e-6 * max(1, |c|)
     of c. Each hit must admit nearby jets (along +-I and the random
-    directions, scaled by probe_scale) with strictly larger and strictly
-    smaller operator values; a constant patch fails. Every level's
-    pairs bisect together through catalog.bisect_brackets, and every
-    stage is one call on a stack of all levels.
+    directions, scaled by PROBE_SCALE) with values more than OP_TOL above
+    c and more than OP_TOL below it; a constant patch fails. Every
+    level's pairs bisect together through catalog.bisect_brackets, and
+    every stage is one call on a stack of all levels.
     """
     rng = np.random.default_rng(seed)
     n = G.n
@@ -480,7 +482,7 @@ def check_topological_tameness(
     for _ in range(4):
         U = random_jet(rng, n)
         dirs.append((1.0 / jet_norm(U)) * U)
-    U = tuple(probe_scale * a for a in stack_jets(dirs, n))
+    U = tuple(PROBE_SCALE * a for a in stack_jets(dirs, n))
 
     pool = _rows(J, members(G.values(*J)))
     v = op(*pool)
@@ -515,9 +517,9 @@ def check_topological_tameness(
     hits = _rows(tuple(np.concatenate(parts) for parts in zip(pool, Jc)), rows)
     vals = op(*(h[:, None] + u for h, u in zip(hits, U)))
     at = c[at[order], None]
-    ok = (vals > at + tol).any(axis=1) & (vals < at - tol).any(axis=1)
+    ok = (vals > at + OP_TOL).any(axis=1) & (vals < at - OP_TOL).any(axis=1)
     rep = CheckReport(name="topological-tameness", seed=seed)
-    rep.record(ok, np.where(ok, probe_scale, 0.0), hits)
+    rep.record(ok, np.where(ok, PROBE_SCALE, 0.0), hits)
     return rep
 
 
@@ -525,12 +527,11 @@ def check_strict_M_monotone(
     op: JetOp,
     F: FiberOracle,
     M: MonotonicityCone,
-    J0: Optional[Jet2] = None,
     samples: int = 300,
     seed: int = 71,
-    tol: float = 1e-12,
 ) -> CheckReport:
-    """Sampled strict monotonicity op(J + t*J0) > op(J) on members, t in (0, 1].
+    """Sampled strict monotonicity op(J + t*J0) > op(J) + 1e-12 on members,
+    t in (0, 1], along M's interior jet J0 = M.interior_jet(n).
 
     The whole sample is drawn first: the jets (one random_jets block,
     scale 1.5), then one uniform block of t in [1e-3, 1). One values call
@@ -541,9 +542,10 @@ def check_strict_M_monotone(
     moves along J0.
     """
     n = F.n
-    J0 = J0 if J0 is not None else M.interior_jet(n)
+    J0 = M.interior_jet(n)
+    # its margin is about 1, but gamma >= 1e16 rounds the r-slot's to 0
     if not cone_M(M, n).classify(J0).is_interior:
-        raise ReferenceJetNotInterior("J0 must lie in the interior of M")
+        raise ReferenceJetNotInterior("M's interior jet is not interior to M in floating point")
     rng = np.random.default_rng(seed)
     J = random_jets(rng, n, samples, scale=1.5)
     ts = rng.uniform(1e-3, 1.0, samples)
@@ -558,7 +560,7 @@ def check_strict_M_monotone(
     J = _rows(J, kept)
     gain = op(*jets_along(J, (J0.r, J0.p, J0.A.entries), ts[kept])) - op(*J)
     rep = CheckReport(name="strict-M-monotone", seed=seed)
-    rep.record(gain > tol, gain, J)
+    rep.record(gain > 1e-12, gain, J)
     return rep
 
 
@@ -580,26 +582,25 @@ def _node_jet(u, node) -> tuple:
     return tuple(a[i] for a in u.jet_field(1))
 
 
-def admissible_subsolution_test(op: JetOp, G: Optional[FiberOracle],
-                                u, node, tol: float = DEFAULT_TOL) -> bool:
+def admissible_subsolution_test(op: JetOp, G: Optional[FiberOracle], u, node) -> bool:
     """Discrete-jet admissible subsolution test at an interior node.
 
     The discrete jet (value, centered gradient, centered Hessian) must
-    lie in G with op >= 0 there.
+    lie in G with op >= 0 there, both up to DEFAULT_TOL.
     """
     J = _node_jet(u, node)
-    if G is not None and not members(G.values(*J), tol):
+    if G is not None and not members(G.values(*J)):
         return False
-    return bool(op(*J) >= -tol)
+    return bool(op(*J) >= -DEFAULT_TOL)
 
 
-def admissible_supersolution_test(op: JetOp, G: Optional[FiberOracle],
-                                  u, node, tol: float = DEFAULT_TOL) -> bool:
+def admissible_supersolution_test(op: JetOp, G: Optional[FiberOracle], u, node) -> bool:
     """Discrete-jet admissible supersolution test at an interior node.
 
-    Either the discrete jet leaves G, or op <= 0 on it.
+    Either the discrete jet leaves G, or op <= 0 on it, both up to
+    DEFAULT_TOL.
     """
     J = _node_jet(u, node)
-    if G is not None and not members(G.values(*J), tol):
+    if G is not None and not members(G.values(*J)):
         return True
-    return bool(op(*J) <= tol)
+    return bool(op(*J) <= DEFAULT_TOL)

@@ -887,8 +887,6 @@ def check_directionality(
     D: DirectionalCone,
     n: int,
     samples: int = 512,
-    seed: int = 7,
-    tol: float = 1e-10,
 ):
     """Sampled check of g(p+q) >= g(p) for p, q in D, with g a form on
     stacks of gradients, p[..., n] -> g[...]; returns the first failing
@@ -898,9 +896,10 @@ def check_directionality(
     sample's p and then q, then one uniform block of their scales in
     [0.1, 3). Each vector is reflected into D (across a halfspace's
     boundary, or |v_j| on an orthant's axes), and g runs once on the p
-    and once on the p + q.
+    and once on the p + q. A pair fails when g(p+q) < g(p) - 1e-10; the
+    seed is 7.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     v = rng.standard_normal((samples, 2, n)) * rng.uniform(0.1, 3.0, (samples, 2, 1))
     if D.kind is ConeKind.HALFSPACE:
         s = D.functional(v)[..., None]
@@ -908,7 +907,7 @@ def check_directionality(
     elif D.kind is ConeKind.ORTHANT:
         v[..., list(D.axes)] = np.abs(v[..., list(D.axes)])
     p, q = v[:, 0], v[:, 1]
-    bad = np.flatnonzero(g(p + q) < g(p) - tol)
+    bad = np.flatnonzero(g(p + q) < g(p) - 1e-10)
     return (p[bad[0]], q[bad[0]]) if bad.size else None
 
 
@@ -1198,13 +1197,11 @@ def _anchor_pairs(axes: list, anchor_idx: list) -> tuple:
 def check_fiberegularity(
     theta: VariableFiberMap,
     M: MonotonicityCone,
-    omega: Optional[Box] = None,
     eta: float = 0.1,
     grid_per_side: int = 16,
     anchors: int = 120,
     jets_per_point: int = 12,
     seed: int = 11,
-    tol: float = DEFAULT_TOL,
 ) -> FiberegReport:
     """Sampled probe of the uniform fiber-continuity inclusion.
 
@@ -1215,12 +1212,13 @@ def check_fiberegularity(
     resolution; see FiberegReport for the pass semantics. Each pair
     takes one form call at y on the anchor's stacked jets plus eta*J0;
     the jets count as checked up to the first one outside Theta(y).
+    Membership is judged under DEFAULT_TOL, over theta's whole domain.
     """
-    omega = omega or theta.domain
+    omega = theta.domain
     J0 = theta.reference_jet
     # interiority is judged in the reduced jet space matching the arity
     cone = reduced_cone(M, theta.n, theta.arity)
-    if not cone.classify(J0, tol).is_interior:
+    if not cone.classify(J0).is_interior:
         raise ReferenceJetNotInterior(
             "reference jet is not interior to the declared monotonicity cone"
         )
@@ -1260,7 +1258,7 @@ def check_fiberegularity(
         jets, moved = jets_at(ix)
         if not len(jets[0]):
             continue
-        outside = np.flatnonzero(~members(np.asarray(theta.form(y, *moved)), tol))
+        outside = np.flatnonzero(~members(np.asarray(theta.form(y, *moved))))
         jets_checked += int(outside[0]) + 1 if outside.size else len(jets[0])
         if outside.size and dist < delta:
             delta = dist
@@ -1285,45 +1283,44 @@ def check_fiberegularity(
 # Sampled structural checks (positivity / negativity / cone axioms)
 # ---------------------------------------------------------------------------
 
-def check_positivity(oracle: FiberOracle, samples: int = 200, seed: int = 3,
-                     tol: float = DEFAULT_TOL):
+def check_positivity(oracle: FiberOracle, samples: int = 200):
     """Sampled (P): membership survives A -> A + P for P >= 0; returns the
     first failing (J, P) in sample order, or None.
 
     The whole sample is drawn first: the jets (one random_jets block,
     scale 1.5), then one standard_normal block of the factors G of
-    P = G G^T / n, one per jet, used or not. One values call classifies
-    the jets under tol and one every J + P under 10*tol.
+    P = G G^T / n, one per jet, used or not, at seed 3. One values call
+    classifies the jets under DEFAULT_TOL and one every J + P under
+    10*DEFAULT_TOL.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(3)
     n = oracle.n
     r, p, A = random_jets(rng, n, samples, 1.5)
     G = rng.standard_normal((samples, n, n))
     P = G @ G.swapaxes(-1, -2) / n
     P = 0.5 * (P + P.swapaxes(-1, -2))
-    bad = np.flatnonzero(members(oracle.values(r, p, A), tol)
-                         & ~members(oracle.values(r, p, A + P), 10 * tol))
+    bad = np.flatnonzero(members(oracle.values(r, p, A))
+                         & ~members(oracle.values(r, p, A + P), 10 * DEFAULT_TOL))
     return (Jet2(r[bad[0]], p[bad[0]], A[bad[0]]), SymMat(P[bad[0]])) if bad.size else None
 
 
-def check_negativity(oracle: FiberOracle, samples: int = 200, seed: int = 4,
-                     tol: float = DEFAULT_TOL):
+def check_negativity(oracle: FiberOracle, samples: int = 200):
     """Sampled (N): membership survives r -> r + s for s <= 0; returns the
     first failing (J, s) in sample order, or None (at once for a pure
     second-order oracle).
 
     The whole sample is drawn first: the jets (one random_jets block,
     scale 1.5), then one standard_normal block of the -s, one per jet,
-    used or not. One values call classifies the jets under tol and one
-    every J + (s, 0, 0) under 10*tol.
+    used or not, at seed 4. One values call classifies the jets under
+    DEFAULT_TOL and one every J + (s, 0, 0) under 10*DEFAULT_TOL.
     """
     if oracle.arity is Arity.PURE_SECOND_ORDER:
         return None
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(4)
     r, p, A = random_jets(rng, oracle.n, samples, 1.5)
     s = -np.abs(rng.standard_normal(samples))
-    bad = np.flatnonzero(members(oracle.values(r, p, A), tol)
-                         & ~members(oracle.values(r + s, p, A), 10 * tol))
+    bad = np.flatnonzero(members(oracle.values(r, p, A))
+                         & ~members(oracle.values(r + s, p, A), 10 * DEFAULT_TOL))
     return (Jet2(r[bad[0]], p[bad[0]], A[bad[0]]), float(s[bad[0]])) if bad.size else None
 
 

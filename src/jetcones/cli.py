@@ -66,8 +66,15 @@ def _load_matrix(text: str) -> SymMat:
 
 def _load_jet(text: str) -> Jet2:
     try:
-        return Jet2.from_json_dict(json.loads(text))
-    except (json.JSONDecodeError, KeyError, ValueError) as e:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"bad jet payload: {e}") from e
+    if not isinstance(data, dict):
+        raise ParseError(f"bad jet payload: a jet is a JSON object with keys r, p and A, "
+                         f"got {type(data).__name__}")
+    try:
+        return Jet2.from_json_dict(data)
+    except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad jet payload: {e}") from e
 
 
@@ -225,6 +232,8 @@ def cmd_distance(args) -> int:
 def cmd_pseudoconvex(args) -> int:
     if not (math.isfinite(args.t_cap) and args.t_cap >= 0.0):
         raise ParseError(f"--t-cap must be finite and at least 0, got {args.t_cap}")
+    if args.count < 1:
+        raise ParseError(f"--count must be at least 1, got {args.count}")
     try:
         text = Path(args.domain).read_text()
     except OSError:  # not a readable file: the spec itself
@@ -275,6 +284,28 @@ SOLVE_KEYS = {"operator", "boundary", "box", "h", "level", "tol", "max_iter", "i
 SOLVE_REQUIRED = ("operator", "boundary", "box", "h")
 
 
+def _is_int(v) -> bool:
+    # JSON true and false load as bools, which are ints to Python
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    # finite, and an int no larger than a float can hold; NaN fails the comparison
+    return (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
+
+
+# The typed solve-config fields: key -> (valid value, what it must be)
+SOLVE_FIELDS = {
+    "operator": (lambda v: isinstance(v, str), "a key string"),
+    "boundary": (lambda v: isinstance(v, str), "an expression string"),
+    "dim": (lambda v: _is_int(v) and 1 <= v <= 3, "an integer from 1 to 3"),
+    "tol": (lambda v: _is_number(v) and v >= 0, "a finite number at least 0"),
+    "max_iter": (lambda v: _is_int(v) and v >= 1, "an integer at least 1"),
+    "level": (lambda v: isinstance(v, str) or _is_number(v),
+              "a finite number or an expression string"),
+}
+
+
 def _read_solve_config(path: str) -> dict:
     """Load a solve config; every defect is a ParseError (exit 2)."""
     try:
@@ -294,6 +325,9 @@ def _read_solve_config(path: str) -> dict:
     missing = [k for k in SOLVE_REQUIRED if k not in config]
     if missing:
         raise ParseError(f"config is missing required keys {missing}")
+    for key, (valid, what) in SOLVE_FIELDS.items():
+        if key in config and not valid(config[key]):
+            raise ParseError(f"config {key} must be {what}, got {json.dumps(config[key])}")
     try:
         lo, hi = (float(v) for v in config["box"])
         h = float(config["h"])
@@ -320,7 +354,7 @@ def solution_csv(u: GridFunction) -> str:
 
 def cmd_solve(args) -> int:
     config = _read_solve_config(args.config)
-    d = int(config.get("dim", 2))
+    d = config.get("dim", 2)
     grid = square_grid(config["n_side"], config["box"][0], config["box"][1], d=d)
     mesh = grid.meshgrid()
 
@@ -332,7 +366,7 @@ def cmd_solve(args) -> int:
     level = config.get("level", 0.0)
     rhs = on_mesh(level) if isinstance(level, str) else float(level)
     init = np.zeros(grid.dims) if config.get("init") == "zero" else None
-    limits = {"max_iter": int(config["max_iter"])} if "max_iter" in config else {}
+    limits = {"max_iter": config["max_iter"]} if "max_iter" in config else {}
     u, report = solve_dirichlet(
         config["operator"], rhs, g, tol=config.get("tol", 1e-10), init=init, **limits,
     )

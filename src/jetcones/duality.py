@@ -4,8 +4,9 @@ The dual of a constraint set F is (-Int F)^c. With a defining
 functional g for F, the dual's functional is J -> -g(-J): margins
 transfer exactly, interior of the dual is the negated exterior of F.
 All checks here are sampled evidence at declared resolutions, with
-fixed seeds per report; jets within 3*tol of a boundary are excluded
-from pass/fail counts and reported separately.
+fixed seeds per report and random jets of scale SAMPLE_SCALE; jets
+within 3*DEFAULT_TOL of a boundary (3*tol for check_inclusion) are
+excluded from pass/fail counts and reported separately.
 
 Sampling layout. Every check draws its whole sample first, as blocks
 from one generator in a fixed documented order, and then runs each
@@ -46,6 +47,9 @@ from .catalog import (
 )
 from .jets import Jet2, random_jets, unstack_jets
 
+# the scale of the random jets (jets.random_jets) of every check here
+SAMPLE_SCALE = 1.5
+
 
 def dual_oracle(F: Union[FiberOracle, VariableFiberMap]):
     """The Dirichlet dual, J in F~ iff -J not in Int F, with the form
@@ -85,7 +89,9 @@ class CheckReport:
 
     @property
     def ok(self) -> bool:
-        return self.checked == self.passed
+        """Every sample passed, and there was at least one: an empty
+        sample is no evidence."""
+        return 0 < self.checked == self.passed
 
     def record(self, ok, margin, witnesses: tuple) -> None:
         """One verdict per sample, in order: ok[k] and margin[k], with row i
@@ -116,21 +122,21 @@ class CheckReport:
 
 
 def _agreement(F: FiberOracle, G: FiberOracle, name: str, same: Callable, samples: int,
-               seed: int, tol: float, scale: float) -> CheckReport:
+               seed: int) -> CheckReport:
     """same(F's classification, G's) on sampled jets whose margin under F
-    exceeds 3*tol, each classification the (member, signed margin) arrays
-    of classify_values. F, then G on the jets it keeps, classify the
-    sample in one values call each."""
+    exceeds 3*DEFAULT_TOL, each classification the (member, signed margin)
+    arrays of classify_values. F, then G on the jets it keeps, classify
+    the sample in one values call each."""
     if F.n != G.n:
         raise ValueError(f"dimension mismatch: oracles of dimension {F.n} and {G.n}")
     rep = CheckReport(name=name, seed=seed)
-    J = random_jets(np.random.default_rng(seed), F.n, samples, scale)
-    member, margin = classify_values(F.values(*J), tol)
-    kept = np.flatnonzero(np.abs(margin) > 3 * tol)
+    J = random_jets(np.random.default_rng(seed), F.n, samples, SAMPLE_SCALE)
+    member, margin = classify_values(F.values(*J))
+    kept = np.flatnonzero(np.abs(margin) > 3 * DEFAULT_TOL)
     rep.excluded_boundary = samples - len(kept)
     J = tuple(a[kept] for a in J)
     first = member[kept], margin[kept]
-    rep.record(same(first, classify_values(G.values(*J), tol)), np.abs(first[1]), J)
+    rep.record(same(first, classify_values(G.values(*J))), np.abs(first[1]), J)
     return rep
 
 
@@ -138,13 +144,11 @@ def check_involution(
     F: FiberOracle,
     samples: int = 1000,
     seed: int = 23,
-    tol: float = DEFAULT_TOL,
-    scale: float = 1.5,
 ) -> CheckReport:
     """Double dual agrees with F (the same region kind: the sign of the
-    signed margin) away from a 3*tol boundary band."""
+    signed margin) away from a 3*DEFAULT_TOL boundary band."""
     return _agreement(F, dual_oracle(dual_oracle(F)), f"involution[{F.key or F.label}]",
-                      lambda c1, c2: np.sign(c1[1]) == np.sign(c2[1]), samples, seed, tol, scale)
+                      lambda c1, c2: np.sign(c1[1]) == np.sign(c2[1]), samples, seed)
 
 
 def check_dual_pair(
@@ -152,37 +156,36 @@ def check_dual_pair(
     G: FiberOracle,
     samples: int = 1000,
     seed: int = 41,
-    tol: float = DEFAULT_TOL,
-    scale: float = 1.5,
 ) -> CheckReport:
     """G is the Dirichlet dual of F: membership in G agrees with membership
-    in dual_oracle(F) away from a 3*tol band of the latter's boundary.
+    in dual_oracle(F) away from a 3*DEFAULT_TOL band of the latter's
+    boundary.
 
     G must be written independently of F's formula (a closed form of the
     dual, another route to it); otherwise the check only tests negation.
     """
     return _agreement(dual_oracle(F), G, f"dual-pair[{F.key or F.label}, {G.key or G.label}]",
-                      lambda c1, c2: c1[0] == c2[0], samples, seed, tol, scale)
+                      lambda c1, c2: c1[0] == c2[0], samples, seed)
 
 
 def _into_fibers(F: Union[FiberOracle, VariableFiberMap], J: tuple, J0: Jet2, margins,
-                 tol: float, points: Optional[np.ndarray] = None) -> tuple:
+                 points: Optional[np.ndarray] = None) -> tuple:
     """The rows of the stack J whose jets lie in their fibers (for a
     variable fiber map, the fiber at points[i]) or move into them,
     ascending, and those jets as stacks.
 
-    A member under tol stays as drawn. A jet outside moves along J0 to
-    the fiber's boundary and margins[i] past it, and is dropped when no
-    crossing is bracketed or the moved jet is not a member under tol. One
+    A member under DEFAULT_TOL stays as drawn. A jet outside moves along
+    J0 to the fiber's boundary and margins[i] past it, and is dropped when
+    no crossing is bracketed or the moved jet is not a member. One
     values call classifies the stack, one lockstep search
     (catalog.shift_stack_to_boundary) moves the jets outside and one more
     values call tests the moved jets.
     """
     g = fiber_values(F, points)(np.arange(len(J[0])), *J)
-    inside = members(g, tol)
+    inside = members(g)
     out = np.flatnonzero(~inside)
     rows, moved = shift_stack_to_boundary(F, tuple(a[out] for a in J), J0, margins[out],
-                                          members(g[out], SHIFT_TOL), member_tol=tol,
+                                          members(g[out], SHIFT_TOL), member_tol=DEFAULT_TOL,
                                           points=None if points is None else points[out])
     keep = np.concatenate((np.flatnonzero(inside), out[rows]))
     order = np.argsort(keep, kind="stable")
@@ -233,12 +236,12 @@ def _cone_members(M: MonotonicityCone, n: int, J: tuple, extreme: np.ndarray) ->
     return out
 
 
-def _record_sums(rep: CheckReport, g: np.ndarray, W: tuple, tol: float) -> None:
+def _record_sums(rep: CheckReport, g: np.ndarray, W: tuple) -> None:
     """One verdict per value of g, in order: a pass when a member or
-    outside by at most 10*tol; row i of the stack W is the witness of
-    g[i]."""
-    member, margin = classify_values(g, tol)
-    rep.record(member | (-margin <= 10 * tol), margin, W)
+    outside by at most 10*DEFAULT_TOL; row i of the stack W is the witness
+    of g[i]."""
+    member, margin = classify_values(g)
+    rep.record(member | (-margin <= 10 * DEFAULT_TOL), margin, W)
 
 
 def check_monotonicity(
@@ -246,8 +249,6 @@ def check_monotonicity(
     M: MonotonicityCone,
     samples: int = 400,
     seed: int = 29,
-    tol: float = DEFAULT_TOL,
-    scale: float = 1.5,
 ) -> CheckReport:
     """Sampled F + M subset-of F, fiberwise for variable fiber maps.
 
@@ -265,16 +266,16 @@ def check_monotonicity(
     rng = np.random.default_rng(seed)
     n = F.n
     x = F.domain.sample(rng, samples) if isinstance(F, VariableFiberMap) else None
-    J = random_jets(rng, n, samples, scale)
+    J = random_jets(rng, n, samples, SAMPLE_SCALE)
     margins = np.abs(rng.standard_normal(samples)) + 1e-3
     scales = np.abs(rng.standard_normal(samples)) + 0.1
     K = random_jets(rng, n, samples, scales)
-    rows, J = _into_fibers(F, J, M.interior_jet(n), margins, tol, x)
+    rows, J = _into_fibers(F, J, M.interior_jet(n), margins, x)
     rep = CheckReport(name="monotonicity", seed=seed)
     if rows.size:
         K = _cone_members(M, n, tuple(a[rows] for a in K), rows % 2 == 0)
         sums = tuple(a + b for a, b in zip(J, K))
-        _record_sums(rep, fiber_values(F, x)(rows, *sums), J, tol)
+        _record_sums(rep, fiber_values(F, x)(rows, *sums), J)
     return rep
 
 
@@ -283,41 +284,47 @@ def check_jet_addition(
     M: MonotonicityCone,
     samples: int = 400,
     seed: int = 31,
-    tol: float = DEFAULT_TOL,
-    scale: float = 1.5,
-    precheck: bool = True,
 ) -> CheckReport:
     """Sampled F + F~ subset-of M~ (the jet-addition route to comparison).
 
-    Precondition: F is M-monotone; verified by a sampled run first, and
-    the check refuses to run on failure. The whole sample is drawn first,
-    in this generator order: the jets J for F and the jets K for F~ (one
-    random_jets block each), then one block of shift margins (J's row,
-    then K's). The jets outside F and outside F~ move in along M's
-    interior jet (_into_fibers, once for each), a sample with a failed
-    shift is dropped, and every J + K is classified in one call.
+    Precondition: F is M-monotone; verified by a sampled run first
+    (check_monotonicity at seed + 1 and at least 200 samples), and the
+    check refuses to run when that run fails or checks no sample. Then
+    _jet_addition draws and classifies the sample.
     """
-    if precheck:
-        mono = check_monotonicity(F, M, samples=max(200, samples), seed=seed + 1,
-                                  tol=tol, scale=scale)
-        if not mono.ok:
-            raise ValueError(
-                f"jet-addition precondition failed: F is not M-monotone "
-                f"({mono.failed} violations)"
-            )
+    mono = check_monotonicity(F, M, samples=max(200, samples), seed=seed + 1)
+    if not mono.checked:
+        raise ValueError("jet-addition precondition failed: no sample reached F, "
+                         "so its M-monotonicity is untested")
+    if not mono.ok:
+        raise ValueError(
+            f"jet-addition precondition failed: F is not M-monotone "
+            f"({mono.failed} violations)"
+        )
+    return _jet_addition(F, M, samples, seed)
+
+
+def _jet_addition(F: FiberOracle, M: MonotonicityCone, samples: int, seed: int) -> CheckReport:
+    """check_jet_addition's sample, with no precheck. The whole sample is
+    drawn first, in this generator order: the jets J for F and the jets K
+    for F~ (one random_jets block each), then one block of shift margins
+    (J's row, then K's). The jets outside F and outside F~ move in along
+    M's interior jet (_into_fibers, once for each), a sample with a
+    failed shift is dropped, and every J + K is classified in one call.
+    """
     rng = np.random.default_rng(seed)
     n = F.n
     J0 = M.interior_jet(n)
-    J = random_jets(rng, n, samples, scale)
-    K = random_jets(rng, n, samples, scale)
+    J = random_jets(rng, n, samples, SAMPLE_SCALE)
+    K = random_jets(rng, n, samples, SAMPLE_SCALE)
     margins = np.abs(rng.standard_normal((2, samples))) + 1e-3
-    rowsJ, J = _into_fibers(F, J, J0, margins[0], tol)
-    rowsK, K = _into_fibers(dual_oracle(F), K, J0, margins[1], tol)
+    rowsJ, J = _into_fibers(F, J, J0, margins[0])
+    rowsK, K = _into_fibers(dual_oracle(F), K, J0, margins[1])
     inJ, inK = np.isin(rowsJ, rowsK), np.isin(rowsK, rowsJ)
     sums = tuple(a[inJ] + b[inK] for a, b in zip(J, K))
     rep = CheckReport(name="jet-addition", seed=seed)
     if len(sums[0]):
-        _record_sums(rep, dual_oracle(cone_M(M, n)).values(*sums), sums, tol)
+        _record_sums(rep, dual_oracle(cone_M(M, n)).values(*sums), sums)
     return rep
 
 
@@ -327,7 +334,6 @@ def check_inclusion(
     samples: int = 1000,
     seed: int = 37,
     tol: float = DEFAULT_TOL,
-    scale: float = 1.5,
 ) -> CheckReport:
     """Sampled F subset-of G (members of F classified as members of G).
 
@@ -335,7 +341,7 @@ def check_inclusion(
     and G the members of F outside F's 3*tol boundary band in another.
     """
     rep = CheckReport(name="inclusion", seed=seed)
-    J = random_jets(np.random.default_rng(seed), F.n, samples, scale)
+    J = random_jets(np.random.default_rng(seed), F.n, samples, SAMPLE_SCALE)
     member, margin = classify_values(F.values(*J), tol)
     kept = np.flatnonzero(member & (margin > 3 * tol))
     rep.excluded_boundary = int(np.count_nonzero(member)) - len(kept)

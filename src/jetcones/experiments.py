@@ -24,10 +24,10 @@ from .jets import Jet2, SymMat, random_symmetric, unstack_jets
 from .solver import comparison_experiment, zmp_experiment
 
 
-def quadratic_grid_function(grid: Grid, A: SymMat, p=None, c: float = 0.0,
-                            x0=None) -> GridFunction:
-    """u(x) = c + p.(x - x0) + (x - x0)^T A (x - x0) / 2 sampled on the grid."""
-    x0 = grid.lo * 0.5 + grid.hi * 0.5 if x0 is None else np.asarray(x0, dtype=float)
+def quadratic_grid_function(grid: Grid, A: SymMat, p=None, c: float = 0.0) -> GridFunction:
+    """u(x) = c + p.(x - x0) + (x - x0)^T A (x - x0) / 2 sampled on the
+    grid, with x0 the center of the grid box."""
+    x0 = grid.lo * 0.5 + grid.hi * 0.5
     p = np.zeros(grid.d) if p is None else np.asarray(p, dtype=float)
     mesh = grid.meshgrid()
     pts = np.stack(mesh, axis=-1) - x0
@@ -129,11 +129,10 @@ def zmp_battery(cases, n_side: int = 21, seed: int = 109, samples: int = 5) -> d
 # ---------------------------------------------------------------------------
 
 
-def utp_perturbed_ma(theta: float, n_side: int = 17, seed: int = 113,
-                     curvature: float = 0.15, max_shift: int = 3):
+def utp_perturbed_ma(theta: float, n_side: int = 17, seed: int = 113):
     """Translation probe on the perturbed MA fiber.
 
-    The base subharmonic u = -c x1^4 / 12 has membership exactly tight
+    The base subharmonic u = -0.15 x1^4 / 12 has membership exactly tight
     along the x2 axis, so naked translates fail while theta-perturbed
     ones survive within a positive radius. The probe draws nothing, so
     seed is not read; it stays because the benchmark's grid-checks
@@ -146,9 +145,9 @@ def utp_perturbed_ma(theta: float, n_side: int = 17, seed: int = 113,
 
     # x1^4 by the scalar power of each coordinate, which numpy's array
     # power can miss by an ulp; |x|^2 by matmul, the arithmetic of x @ x
-    u1 = [-curvature * c ** 4 / 12.0 for c in grid.coords()[0].tolist()]
+    u1 = [-0.15 * c ** 4 / 12.0 for c in grid.coords()[0].tolist()]
     u = GridFunction(grid, np.repeat(np.array(u1)[:, None], grid.dims[1], axis=1))
     K = 2.0 * 2 + 1.0
     x = np.stack(grid.meshgrid(), axis=-1)
     psi = GridFunction(grid, 0.5 * ((x[..., None, :] @ x[..., :, None])[..., 0, 0] - K))
-    return uniform_translation_probe(u, theta_map, psi, theta, max_shift=max_shift)
+    return uniform_translation_probe(u, theta_map, psi, theta)

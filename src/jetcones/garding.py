@@ -95,8 +95,7 @@ class GardingOperator:
         return self._eval_I
 
 
-def garding_eigenvalues(op: GardingOperator, A, tol: float = ROOT_TOL,
-                        method: str = "auto") -> np.ndarray:
+def garding_eigenvalues(op: GardingOperator, A, method: str = "auto") -> np.ndarray:
     """Ascending eigenvalues Lambda_1..Lambda_m at A.
 
     method="auto" uses the operator's exact factor structure when it has
@@ -109,14 +108,14 @@ def garding_eigenvalues(op: GardingOperator, A, tol: float = ROOT_TOL,
     companion roots, and polishes by bisection where a sign change
     brackets the root; coefficient noise limits it to about the square
     root of machine precision near double roots. Raises NonRealRoots
-    when the real-root residue exceeds tol * (1 + ||A||).
+    when the real-root residue exceeds ROOT_TOL * (1 + ||A||).
     """
     a = A.entries if isinstance(A, SymMat) else np.asarray(A, dtype=float)
     if method == "auto" and op.exact_eigenvalues is not None:
         return np.sort(np.asarray(op.exact_eigenvalues(a), dtype=float), axis=-1)
     if a.ndim != 2:
         raise ValueError(f"{op.label}: the generic route takes one matrix, got shape {a.shape}")
-    coeffs, real_roots, vscale, _ = _real_root_fit(op, a, tol)
+    coeffs, real_roots, vscale, _ = _real_root_fit(op, a)
     # residual-gated vectorized bisection polish: companion roots whose
     # polynomial value is already at noise level are kept as is
     def pv(x):
@@ -145,14 +144,14 @@ def garding_eigenvalues(op: GardingOperator, A, tol: float = ROOT_TOL,
     return -real_roots[::-1]
 
 
-def _real_root_fit(op: GardingOperator, a: np.ndarray, tol: float) -> tuple:
+def _real_root_fit(op: GardingOperator, a: np.ndarray) -> tuple:
     """The generic route's fit of s -> F(A + sI): its power-basis
     coefficients, its roots declared real (ascending), the value scale
     1 + max |F| on the sample nodes, and the residue of declaring the
     roots real, max(value residue, largest imaginary part).
 
     Raises DegenerateLeadingCoefficient when the fit loses its degree,
-    and NonRealRoots when the value residue exceeds tol * (1 + ||A||) or
+    and NonRealRoots when the value residue exceeds ROOT_TOL * (1 + ||A||) or
     an imaginary part exceeds 0.05 * (1 + ||A||).
     """
     m = op.degree
@@ -181,10 +180,10 @@ def _real_root_fit(op: GardingOperator, a: np.ndarray, tol: float) -> tuple:
     vscale = 1.0 + float(np.max(np.abs(vals)))
     residue = float(np.max(np.abs(vals - recon))) / vscale
     raw_imag = float(np.max(np.abs(np.imag(roots)))) if np.iscomplexobj(roots) else 0.0
-    if residue > tol * scale or raw_imag > 0.05 * scale:
+    if residue > ROOT_TOL * scale or raw_imag > 0.05 * scale:
         raise NonRealRoots(
             f"{op.label}: complex roots (value residue {residue:.3e}, "
-            f"max imag {raw_imag:.3e}) beyond {tol:.1e} * {scale:.3g}",
+            f"max imag {raw_imag:.3e}) beyond {ROOT_TOL:.1e} * {scale:.3g}",
             matrix=a,
             residue=max(residue, raw_imag),
         )
@@ -206,12 +205,11 @@ def hyperbolicity_check(
     op: GardingOperator,
     samples: int = 200,
     seed: int = 41,
-    tol: float = ROOT_TOL,
-    scale: float = 1.5,
 ):
     """Fraction of sampled matrices with all roots real; witnesses otherwise.
 
-    Every matrix goes through the generic route's fit (_real_root_fit),
+    The matrices are random_symmetric draws of scale 1.5. Every matrix
+    goes through the generic route's fit (_real_root_fit),
     which evaluates s -> F(A + sI) through eval_matrix: exact_eigenvalues
     is real by construction and would certify nothing about F. The
     certificate's worst_residue is the largest residue over every
@@ -222,9 +220,9 @@ def hyperbolicity_check(
     worst = 0.0
     ok = 0
     for _ in range(samples):
-        A = random_symmetric(rng, op.n, scale)
+        A = random_symmetric(rng, op.n, 1.5)
         try:
-            residue = _real_root_fit(op, A.entries, tol)[3]
+            residue = _real_root_fit(op, A.entries)[3]
             ok += 1
         except NonRealRoots as e:
             residue = e.residue
@@ -237,9 +235,10 @@ def hyperbolicity_check(
     return cert, witnesses
 
 
-def verify_hyperbolic(op: GardingOperator, samples: int = 100, seed: int = 41) -> GardingOperator:
-    """Attach (or refresh) a hyperbolicity certificate; raises on failure."""
-    cert, witnesses = hyperbolicity_check(op, samples=samples, seed=seed)
+def verify_hyperbolic(op: GardingOperator, samples: int = 100) -> GardingOperator:
+    """Attach (or refresh) a hyperbolicity certificate, from
+    hyperbolicity_check at its seed; raises on failure."""
+    cert, witnesses = hyperbolicity_check(op, samples=samples)
     if not cert.passed:
         raise NonRealRoots(
             f"{op.label}: hyperbolicity check failed ({len(witnesses)} witnesses)",
@@ -272,17 +271,16 @@ def _eigenvalue_oracle(op: GardingOperator, k: int, label: str, suffix: str) -> 
 def garding_dirichlet_check(
     op: GardingOperator,
     samples: int = 300,
-    seed: int = 43,
-    tol: float = DEFAULT_TOL,
 ):
-    """Sampled A >= 0 implies Lambda_min(A) >= -tol (cone contains convexity)."""
+    """Sampled A >= 0 implies Lambda_min(A) >= -DEFAULT_TOL (cone contains
+    convexity), at seed 43."""
     from .jets import random_psd
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(43)
     mats = [random_psd(rng, op.n, scale=1.5) for _ in range(samples)]
     lam_min = garding_eigenvalues(
         op, np.array([A.entries for A in mats]).reshape(samples, op.n, op.n))[:, 0]
-    witnesses = [(A, float(lam)) for A, lam in zip(mats, lam_min) if lam < -tol][:4]
+    witnesses = [(A, float(lam)) for A, lam in zip(mats, lam_min) if lam < -DEFAULT_TOL][:4]
     return len(witnesses) == 0, witnesses
 
 

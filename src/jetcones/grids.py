@@ -1,8 +1,8 @@
 """Uniform grids, wide stencils, discrete jets, envelopes, sup-convolution.
 
 Grids are uniform over a box in dimension 1, 2, or 3 with a boundary
-layer thick enough for the widest stencil offset. The default 2-D
-stencil holds 8 directions up to sign: the axes, the diagonals, and the
+layer thick enough for the widest stencil offset. The 2-D stencil
+holds 8 directions up to sign: the axes, the diagonals, and the
 (2,1)-type knight moves. Directional second differences are exact on
 quadratics whose eigenframe is spanned by stencil directions; off the
 stencil the min/max/partial-sum surrogates carry a measured bias (see
@@ -26,7 +26,7 @@ STENCIL_3D = (
     (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1),
 )
 
-_DEFAULT_STENCILS = {1: STENCIL_1D, 2: STENCIL_2D, 3: STENCIL_3D}
+_STENCILS = {1: STENCIL_1D, 2: STENCIL_2D, 3: STENCIL_3D}
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,9 @@ class Grid:
     lo: np.ndarray
     hi: np.ndarray
     dims: tuple
-    stencil_dirs: tuple = ()
+    stencil_dirs: tuple
 
-    def __init__(self, lo, hi, dims, stencil_dirs=None):
+    def __init__(self, lo, hi, dims):
         lo = np.asarray(lo, dtype=float).reshape(-1)
         hi = np.asarray(hi, dtype=float).reshape(-1)
         dims = tuple(int(d) for d in np.atleast_1d(dims))
@@ -48,15 +48,12 @@ class Grid:
         steps = (hi - lo) / (np.array(dims) - 1)
         if not np.allclose(steps, steps[0], rtol=1e-12, atol=1e-14):
             raise ValueError(f"grid spacing must be uniform, got {steps}")
-        if stencil_dirs is None:
-            stencil_dirs = _DEFAULT_STENCILS[d]
-        stencil_dirs = tuple(tuple(int(c) for c in s) for s in stencil_dirs)
         lo.flags.writeable = False
         hi.flags.writeable = False
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "stencil_dirs", stencil_dirs)
+        object.__setattr__(self, "stencil_dirs", _STENCILS[d])
         if min(dims) <= 2 * self.layer_width:
             raise ValueError(
                 f"grid too small for stencil width {self.layer_width}: dims {dims}"
@@ -81,13 +78,13 @@ class Grid:
     def meshgrid(self) -> list:
         return np.meshgrid(*self.coords(), indexing="ij")
 
-    def interior_slice(self, width: Optional[int] = None) -> tuple:
-        w = self.layer_width if width is None else width
+    def interior_slice(self) -> tuple:
+        w = self.layer_width
         return tuple(slice(w, dim - w) for dim in self.dims)
 
-    def interior_mask(self, width: Optional[int] = None) -> np.ndarray:
+    def interior_mask(self) -> np.ndarray:
         m = np.zeros(self.dims, dtype=bool)
-        m[self.interior_slice(width)] = True
+        m[self.interior_slice()] = True
         return m
 
     def node_points(self, width: Optional[int] = None) -> np.ndarray:
@@ -111,9 +108,8 @@ class Grid:
         return out
 
 
-def square_grid(n_side: int, lo=0.0, hi=1.0, d: int = 2,
-                stencil_dirs=None) -> Grid:
-    return Grid(np.full(d, lo), np.full(d, hi), (n_side,) * d, stencil_dirs)
+def square_grid(n_side: int, lo=0.0, hi=1.0, d: int = 2) -> Grid:
+    return Grid(np.full(d, lo), np.full(d, hi), (n_side,) * d)
 
 
 @dataclass
@@ -196,8 +192,7 @@ def second_difference_field(values: np.ndarray, direction, h: float,
 # Upper envelopes and sup-convolution
 # ---------------------------------------------------------------------------
 
-def perron_envelope(family: Sequence[GridFunction], g: GridFunction,
-                    tol: float = 1e-12) -> GridFunction:
+def perron_envelope(family: Sequence[GridFunction], g: GridFunction) -> GridFunction:
     """Pointwise max of a family of grid functions dominated by g on the layer.
 
     Raises EmptyFamily / BoundaryViolation; the envelope keeps g as its
@@ -214,7 +209,7 @@ def perron_envelope(family: Sequence[GridFunction], g: GridFunction,
         if w.grid.dims != grid.dims:
             raise ValueError("family member grid mismatch")
         excess = float(np.max(w.values[mask] - g.values[mask]))
-        if excess > tol:
+        if excess > 1e-12:
             raise BoundaryViolation(
                 f"family member {k} exceeds boundary data by {excess:.3e}"
             )

@@ -27,7 +27,7 @@ MAX_DIM = 8
 _MAX_ENTRY = sys.float_info.max / 2
 
 
-def _as_symmetric(entries, tol=1e-12):
+def _as_symmetric(entries):
     a = np.asarray(entries, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -37,7 +37,7 @@ def _as_symmetric(entries, tol=1e-12):
         raise ValueError(f"matrix entries must be finite and at most {_MAX_ENTRY:.6g} "
                          f"in magnitude")
     dev = np.max(np.abs(a - a.T)) if a.size else 0.0
-    if dev > tol * scale:
+    if dev > 1e-12 * scale:
         raise ValueError(f"matrix not symmetric: max asymmetry {dev:.3e}")
     return 0.5 * (a + a.T)
 
@@ -304,19 +304,19 @@ def _sup_abs(lam: np.ndarray) -> float:
     return float(max(abs(lam[0]), abs(lam[-1]))) if lam.size else 0.0
 
 
-def trace_on_subspace(A: SymMat, W, tol: float = GRAM_ERR_TOL) -> float:
+def trace_on_subspace(A: SymMat, W) -> float:
     """Trace of A restricted to the span of the orthonormal columns W.
 
     Equals <A, P_W> for the orthogonal projection P_W. Raises
     NonOrthonormalBasis when the Gram matrix deviates from the identity
-    by more than tol.
+    by more than GRAM_ERR_TOL.
     """
     w = np.asarray(W, dtype=float)
     if w.ndim == 1:
         w = w[:, None]
     gram_dev = np.max(np.abs(w.T @ w - np.eye(w.shape[1])))
-    if gram_dev > tol:
-        raise NonOrthonormalBasis(f"Gram deviation {gram_dev:.3e} > {tol:.1e}")
+    if gram_dev > GRAM_ERR_TOL:
+        raise NonOrthonormalBasis(f"Gram deviation {gram_dev:.3e} > {GRAM_ERR_TOL:.1e}")
     a = _mat(A)
     return float(np.einsum("ij,ik,jk->", a, w, w))
 
@@ -354,13 +354,13 @@ def random_jets(rng: np.random.Generator, n: int, count: int, scale=1.0) -> tupl
     return x[:, 0], x[:, 1:1 + n], 0.5 * (g + g.swapaxes(-1, -2))
 
 
-def heavy_tail_symmetric(rng: np.random.Generator, n: int, angle_margin: float = 0.05) -> SymMat:
+def heavy_tail_symmetric(rng: np.random.Generator, n: int) -> SymMat:
     """Random symmetric matrix with tan-distributed eigenvalues.
 
-    Eigenvalues tan(u) with u uniform on (-pi/2 + margin, pi/2 - margin)
+    Eigenvalues tan(u) with u uniform on (-pi/2 + 0.05, pi/2 - 0.05)
     give the large dynamic range needed to probe fibers whose level sets
     run off to infinity (arctan-type fibers especially).
     """
-    u = rng.uniform(-np.pi / 2 + angle_margin, np.pi / 2 - angle_margin, size=n)
+    u = rng.uniform(-np.pi / 2 + 0.05, np.pi / 2 - 0.05, size=n)
     q = random_orthogonal(rng, n)
     return SymMat(q @ np.diag(np.tan(u)) @ q.T)

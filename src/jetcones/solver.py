@@ -597,7 +597,7 @@ class NodeReport:
 
 
 def _classify(u: GridFunction, fiber: Union[FiberOracle, VariableFiberMap],
-              tol: float, width: int) -> NodeReport:
+              width: int) -> NodeReport:
     """Classify u's discrete jets on the width-trimmed interior with one
     form call, a variable fiber taking the node points along.
 
@@ -608,7 +608,7 @@ def _classify(u: GridFunction, fiber: Union[FiberOracle, VariableFiberMap],
         g = fiber.form(u.grid.node_points(width), *jets)
     else:
         g = fiber.values(*jets)
-    member, margin = classify_values(g, tol)
+    member, margin = classify_values(g)
     failures = [
         (tuple(int(c) + width for c in np.unravel_index(i, g.shape)), float(margin.flat[i]))
         for i in np.flatnonzero(~member)[:8]
@@ -620,31 +620,34 @@ def _classify(u: GridFunction, fiber: Union[FiberOracle, VariableFiberMap],
 def check_subharmonic(
     u: GridFunction,
     fiber: Union[FiberOracle, VariableFiberMap],
-    tol: float = DEFAULT_TOL,
     width: int = 1,
 ) -> NodeReport:
-    """Classify every interior node's discrete jet against the fiber.
+    """Classify every interior node's discrete jet against the fiber,
+    under DEFAULT_TOL.
 
     The whole u.jet_field(width) goes through the fiber's form in one
     call; a variable fiber also takes the node points.
     """
-    return _classify(u, fiber, tol, width)
+    return _classify(u, fiber, width)
 
 
 def check_superharmonic(
     w: GridFunction,
     fiber: Union[FiberOracle, VariableFiberMap],
-    tol: float = DEFAULT_TOL,
     width: int = 1,
 ) -> NodeReport:
     """Superharmonicity via duality: -w must be subharmonic for the dual."""
     neg = GridFunction(w.grid, -w.values, boundary_data=-w.boundary_data)
-    return check_subharmonic(neg, dual_oracle(fiber), tol, width)
+    return check_subharmonic(neg, dual_oracle(fiber), width)
 
 
 # ---------------------------------------------------------------------------
 # Comparison / ZMP experiments
 # ---------------------------------------------------------------------------
+
+# How far a grid function may exceed its bound (u over w, z over 0) in the
+# comparison and zero-maximum verdicts, on the boundary layer and inside
+VERDICT_SLACK = 1e-9
 
 
 @dataclass
@@ -659,21 +662,19 @@ def comparison_experiment(
     fiber: Union[FiberOracle, VariableFiberMap],
     u_sub: GridFunction,
     w_super: GridFunction,
-    tol: float = DEFAULT_TOL,
-    ordering_slack: float = 1e-9,
 ) -> Verdict:
     """Boundary ordering of a sub/super pair must propagate to the interior.
 
     Hypotheses (u subharmonic, w superharmonic, u <= w on the boundary
     layer) are validated first; HypothesisViolation reports which failed.
     """
-    sub = check_subharmonic(u_sub, fiber, tol)
+    sub = check_subharmonic(u_sub, fiber)
     if not sub.all_pass:
         raise HypothesisViolation(
             f"u fails the subharmonic check at {sub.total - sub.members} nodes "
             f"(worst margin {sub.worst_margin:.3e})"
         )
-    sup = check_superharmonic(w_super, fiber, tol)
+    sup = check_superharmonic(w_super, fiber)
     if not sup.all_pass:
         raise HypothesisViolation(
             f"w fails the superharmonic check at {sup.total - sup.members} nodes "
@@ -682,11 +683,11 @@ def comparison_experiment(
     grid = u_sub.grid
     mask = ~grid.interior_mask()
     gap = u_sub.values[mask] - w_super.values[mask]
-    if float(np.max(gap)) > ordering_slack:
+    if float(np.max(gap)) > VERDICT_SLACK:
         raise HypothesisViolation(f"boundary ordering fails by {float(np.max(gap)):.3e}")
     diff = u_sub.values - w_super.values
     worst = float(np.max(diff))
-    if worst > ordering_slack:
+    if worst > VERDICT_SLACK:
         node = np.unravel_index(int(np.argmax(diff)), diff.shape)
         return Verdict(ok=False, witness_node=tuple(node), margin=worst)
     return Verdict(ok=True, margin=worst)
@@ -761,8 +762,6 @@ def zmp_experiment(
     M: MonotonicityCone,
     z: GridFunction,
     arity: Arity = Arity.FULL,
-    tol: float = DEFAULT_TOL,
-    slack: float = 1e-9,
 ) -> Verdict:
     """Zero maximum principle for dual-cone subharmonics on the grid box.
 
@@ -775,14 +774,14 @@ def zmp_experiment(
     """
     grid = z.grid
     cone = reduced_cone(M, grid.d, arity)
-    rep = check_subharmonic(z, dual_oracle(cone), tol)
+    rep = check_subharmonic(z, dual_oracle(cone))
     if not rep.all_pass:
         raise HypothesisViolation(
             f"z fails the dual-cone subharmonic check at {rep.total - rep.members} nodes"
         )
     mask = ~grid.interior_mask()
     bmax = float(np.max(z.values[mask]))
-    if bmax > slack:
+    if bmax > VERDICT_SLACK:
         raise HypothesisViolation(f"z > 0 on the boundary layer (max {bmax:.3e})")
     if arity is Arity.FULL:
         psi = strict_approximator(M, grid)
@@ -793,7 +792,7 @@ def zmp_experiment(
                 "zero maximum principle not asserted",
             )
     worst = float(np.max(z.values))
-    if worst > slack:
+    if worst > VERDICT_SLACK:
         node = np.unravel_index(int(np.argmax(z.values)), z.values.shape)
         return Verdict(ok=False, witness_node=tuple(node), margin=worst)
     return Verdict(ok=True, margin=worst, note="strict approximator exists")
@@ -802,6 +801,10 @@ def zmp_experiment(
 # ---------------------------------------------------------------------------
 # Uniform translation probe
 # ---------------------------------------------------------------------------
+
+
+# The largest node offset per axis of the translation probe
+MAX_SHIFT = 3
 
 
 @dataclass
@@ -821,25 +824,24 @@ def uniform_translation_probe(
     theta_map: VariableFiberMap,
     psi: Optional[GridFunction],
     theta: float,
-    max_shift: int = 3,
-    tol: float = DEFAULT_TOL,
 ) -> TranslationReport:
     """Empirical radius delta of the uniform translation property.
 
-    Grid translates tau_y u (|y| < delta) perturbed by theta * psi must
-    stay subharmonic for the variable fiber on the shrunken grid. psi,
-    when given, must be strictly M-subharmonic in the discrete sense.
+    Grid translates tau_y u (|y| < delta, y an offset of at most
+    MAX_SHIFT nodes per axis) perturbed by theta * psi must stay
+    subharmonic for the variable fiber on the shrunken grid. psi, when
+    given, must be strictly M-subharmonic in the discrete sense.
     """
     grid = u.grid
     if psi is not None:
-        rep = check_subharmonic(psi, cone_M(theta_map.monotonicity, grid.d), tol)
+        rep = check_subharmonic(psi, cone_M(theta_map.monotonicity, grid.d))
         if not rep.all_pass or rep.worst_margin <= 0:
             raise HypothesisViolation(
                 f"psi is not strictly subharmonic for the declared cone "
                 f"(worst margin {rep.worst_margin:.3e})"
             )
     offsets = []
-    rng = range(-max_shift, max_shift + 1)
+    rng = range(-MAX_SHIFT, MAX_SHIFT + 1)
     for off in itertools.product(rng, repeat=grid.d):
         if any(off):
             offsets.append(off)
@@ -852,7 +854,7 @@ def uniform_translation_probe(
         vals = shifted if psi is None or theta == 0 else shifted + theta * psi.values
         width = grid.layer_width + max(abs(c) for c in off)
         trial = GridFunction(grid, vals.copy(), boundary_data=vals.copy())
-        rep = _classify(trial, theta_map, tol, width)
+        rep = _classify(trial, theta_map, width)
         tested += 1
         ynorm = grid.h * math.sqrt(sum(c * c for c in off))
         if rep.all_pass:

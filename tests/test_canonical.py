@@ -32,7 +32,7 @@ from jetcones.catalog import (
     cone_Q,
 )
 from jetcones.duality import check_dual_pair, check_inclusion, check_involution
-from jetcones.errors import BoundaryNode, BracketingFailure
+from jetcones.errors import BoundaryNode, BracketingFailure, ReferenceJetNotInterior
 from jetcones.grids import square_grid
 from jetcones.jets import Jet2, SymMat, random_jets, random_psd, random_symmetric, unstack_jets
 from jet2_refs import (
@@ -268,11 +268,30 @@ def test_tameness_det_on_P_and_constant_control():
     assert not rep2.ok
 
 
+@pytest.mark.parametrize("G, levels, samples", [
+    (cone_P(3), [0.5, 2.0], 120),
+    (cone_P(4), [0.5], 200),
+], ids=["P3", "P4"])
+def test_tameness_with_no_level_hit_is_not_ok(G, levels, samples):
+    # no member of G lands on or straddles a level: an empty check proves nothing
+    rep = check_topological_tameness(det_op, G, levels, samples=samples, seed=67)
+    assert rep.checked == 0
+    assert not rep.ok
+
+
 def test_strict_M_monotone_det_and_slag():
     rep = check_strict_M_monotone(det_op, cone_P(2), M_A_PART, samples=200)
     assert rep.ok
     rep2 = check_strict_M_monotone(slag_op, whole_space(2), M_A_PART, samples=200)
     assert rep2.ok
+
+
+def test_strict_M_monotone_refuses_an_interior_jet_rounded_onto_the_boundary():
+    # r = -(gamma*|p| + 1) loses the 1 at gamma = 1e16, so M's interior jet
+    # sits on M's boundary in floating point
+    M = MonotonicityCone(1e16, DirectionalCone.halfspace([1.0, 0.0]), math.inf)
+    with pytest.raises(ReferenceJetNotInterior):
+        check_strict_M_monotone(det_op, cone_P(2), M, samples=10)
 
 
 def hexes(J):

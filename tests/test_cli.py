@@ -393,6 +393,34 @@ def test_solve_config_h_must_divide_box(tmp_path, capsys):
     assert "does not divide" in err
 
 
+# dim is an integer in 1..3, tol a finite number >= 0, max_iter an integer
+# >= 1, level a number or an expression, operator and boundary strings
+MALFORMED_SOLVE_FIELDS = [
+    {"dim": 4},
+    {"dim": 0},
+    {"dim": "abc"},
+    {"dim": 1.5},
+    {"dim": True},
+    {"tol": "abc"},
+    {"tol": None},
+    {"tol": -1},
+    {"max_iter": "x"},
+    {"max_iter": 0},
+    {"max_iter": 2.5},
+    {"level": [1]},
+    {"level": None},
+    {"operator": 5},
+    {"boundary": 5},
+]
+
+
+@pytest.mark.parametrize("field", MALFORMED_SOLVE_FIELDS, ids=json.dumps)
+def test_solve_config_rejects_a_malformed_field(tmp_path, capsys, field):
+    err = solve_usage_error(capsys, tmp_path, json.dumps(dict(SOLVE_CONFIG, **field)))
+    key, = field
+    assert err.startswith(f"error: config {key} must be ")
+
+
 def test_check_suites_smoke(capsys):
     code, out, _ = run(capsys, "check", "duality-involution")
     assert code == 0
@@ -535,6 +563,8 @@ EXIT_CODES = [
     (("pseudoconvex", "--domain", SPHERE_2D, "--key", "P", "--t-cap", "inf"), 2),
     (("pseudoconvex", "--domain", SPHERE_2D, "--key", "P", "--t-cap", "nan"), 2),
     (("pseudoconvex", "--domain", SPHERE_2D, "--key", "P", "--t-cap", "-2"), 2),
+    (("pseudoconvex", "--domain", SPHERE_2D, "--key", "P", "--count", "0"), 2),
+    (("pseudoconvex", "--domain", SPHERE_2D, "--key", "P", "--count", "-3"), 2),
     (("pseudoconvex", "--domain", SPHERE_2D, "--key", "P", "--points", "0.1,0.2,0.3"), 2),
     (("pseudoconvex", "--domain", '{"kind": sphere', "--key", "P"), 2),
     (("pseudoconvex", "--domain", '["sphere"]', "--key", "P"), 2),
@@ -580,6 +610,28 @@ def test_exit_code_contract(tmp_path, capsys, argv, code):
         assert err.startswith("error: ") and err.count("\n") == 1
     if code == 2 and argv[-2:-1] == ("--key",) and argv[-1] in VARIABLE_KEYS:
         assert "variable fiber map" in err and "membership or dual --at" in err
+
+
+# a jet payload is a JSON object; a domain spec's n lies in 1..MAX_DIM, its
+# axis in 1..n, and its semiaxes are finite and positive
+MALFORMED_PAYLOADS = [
+    ("membership", "--key", "P", "--jet", "[1]"),
+    ("pseudoconvex", "--domain", '{"kind": "sphere", "n": 0}', "--key", "P"),
+    ("pseudoconvex", "--domain", '{"kind": "sphere", "n": 9}', "--key", "P"),
+    ("pseudoconvex", "--domain", '{"kind": "slab", "n": 2, "axis": 5}', "--key", "P"),
+    ("pseudoconvex", "--domain", '{"kind": "ellipsoid", "semiaxes": [0, 1]}', "--key", "P"),
+    ("pseudoconvex", "--domain", '{"kind": "ellipsoid", "semiaxes": [1, NaN]}', "--key", "P"),
+    ("pseudoconvex", "--domain", '{"kind": "sphere", "radius": 0}', "--key", "P"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", MALFORMED_PAYLOADS, ids=lambda argv: " ".join(argv[:4]))
+def test_malformed_payload_is_a_parse_error(capsys, argv):
+    # no warning either: the payload is rejected before any arithmetic
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad ") and err.count("\n") == 1
 
 
 def ref_solution_csv(u):

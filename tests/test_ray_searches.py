@@ -97,6 +97,7 @@ from jetcones.catalog import (
 from jetcones.duality import (
     CheckReport,
     _cone_members,
+    _jet_addition,
     check_involution,
     check_jet_addition,
     check_monotonicity,
@@ -287,6 +288,9 @@ def ref_check_jet_addition(F, M, samples=400, seed=31, tol=1e-8, scale=1.5, prec
     if precheck:
         mono = ref_check_monotonicity(F, M, samples=max(200, samples), seed=seed + 1,
                                       tol=tol, scale=scale)
+        if not mono.checked:
+            raise ValueError("jet-addition precondition failed: no sample reached F, "
+                             "so its M-monotonicity is untested")
         if not mono.ok:
             raise ValueError(f"jet-addition precondition failed: F is not M-monotone "
                              f"({mono.failed} violations)")
@@ -1337,6 +1341,15 @@ def test_check_monotonicity_matches_per_sample_loop(make, M, seed):
         assert got.witnesses
 
 
+def test_an_empty_sample_is_not_a_pass():
+    # no random jet reaches the empty fiber, so nothing is checked
+    rep = check_monotonicity(empty_fiber(2), M_FULL, samples=160, seed=29)
+    assert rep.checked == 0
+    assert not rep.ok
+    with pytest.raises(ValueError, match="no sample reached F"):
+        check_jet_addition(empty_fiber(2), M_FULL, samples=120, seed=31)
+
+
 def report_or_refusal(check, *args, **kwargs):
     try:
         return check(*args, **kwargs)
@@ -1347,11 +1360,12 @@ def report_or_refusal(check, *args, **kwargs):
 @pytest.mark.parametrize("make, M", CHECK_CASES[:4] + CHECK_CASES[5:])
 def test_check_jet_addition_matches_per_sample_loop(make, M):
     # the failure example and the capped fiber are not monotone: the
-    # precheck refuses them, with the same count of violations
+    # precheck refuses them, with the same count of violations; the sample
+    # without the precheck (_jet_addition) matches on them too
     F = make()
     for precheck in (True, False):
-        got = report_or_refusal(check_jet_addition, F, M, samples=120, seed=31,
-                                precheck=precheck)
+        got = report_or_refusal(check_jet_addition if precheck else _jet_addition, F, M,
+                                samples=120, seed=31)
         ref = report_or_refusal(ref_check_jet_addition, F, M, samples=120, seed=31,
                                 precheck=precheck)
         if isinstance(ref, str):

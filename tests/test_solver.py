@@ -947,8 +947,8 @@ def test_utp_grid_functions_match_the_per_node_callables(n_side, monkeypatch):
     # numpy's array power misses the scalar one
     seen = []
     monkeypatch.setattr(solver, "uniform_translation_probe",
-                        lambda u, theta_map, psi, theta, max_shift: seen.append((u, psi)))
-    utp_perturbed_ma(theta=0.1, n_side=n_side, curvature=0.15)
+                        lambda u, theta_map, psi, theta: seen.append((u, psi)))
+    utp_perturbed_ma(theta=0.1, n_side=n_side)
     (u, psi), = seen
     grid = square_grid(n_side, -1.0, 1.0, d=2)
     ref_u = from_callable(grid, lambda x: -0.15 * x[0] ** 4 / 12.0)
@@ -1109,7 +1109,7 @@ def test_utp_constant_fiber_full_margin():
     const = fiber_perturbed_MA(box, lambda x: np.zeros((2, 2)), lambda x: 0.0, n=2)
     grid = square_grid(17, -1.0, 1.0)
     u = from_callable(grid, lambda x: 0.5 * float(x @ x))
-    rep = uniform_translation_probe(u, const, None, 0.0, max_shift=3)
+    rep = uniform_translation_probe(u, const, None, 0.0)
     assert rep.passed
     assert rep.delta >= 3 * grid.h
 

@@ -39,13 +39,28 @@ class _Uses(ast.NodeVisitor):
             self.used.add(node.id)
 
     def _function(self, node):
-        a = node.args
-        self.params.append({x.arg for x in a.posonlyargs + a.args + a.kwonlyargs
-                            + [a.vararg, a.kwarg] if x is not None})
+        self.params.append({x.arg for x in _parameters(node.args)})
         self.generic_visit(node)
         self.params.pop()
 
     visit_FunctionDef = visit_AsyncFunctionDef = visit_Lambda = _function
+
+
+def _parameters(a: ast.arguments) -> list:
+    """Every parameter of a function or lambda: the positional ones, the
+    keyword-only ones, then *args and **kwargs."""
+    return [x for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            if x is not None]
+
+
+def _definitions(tree: ast.Module):
+    """(class prefix, function) for each module-level function ("") and each
+    method of a module-level class ("C.")."""
+    for node in tree.body:
+        prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        for f in node.body if prefix else [node]:
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield prefix, f
 
 
 def unused_imports(source: str) -> list:
@@ -81,16 +96,11 @@ def unread_parameters(source: str) -> list:
     never reads. Nested functions are not checked: the form and spectrum
     contracts fix their signatures."""
     out = []
-    for node in ast.parse(source).body:
-        for f in node.body if isinstance(node, ast.ClassDef) else [node]:
-            if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            uses = _Uses()
-            for stmt in f.body:
-                uses.visit(stmt)
-            a = f.args
-            out += [f"{f.name}({x.arg})" for x in a.posonlyargs + a.args + a.kwonlyargs
-                    + [a.vararg, a.kwarg] if x is not None and x.arg not in uses.used]
+    for _, f in _definitions(ast.parse(source)):
+        uses = _Uses()
+        for stmt in f.body:
+            uses.visit(stmt)
+        out += [f"{f.name}({x.arg})" for x in _parameters(f.args) if x.arg not in uses.used]
     return out
 
 
@@ -119,6 +129,125 @@ def test_the_checker_sees_an_unread_parameter():
 def test_every_parameter_is_read(path):
     assert [name for name in unread_parameters(path.read_text())
             if name not in UNREAD_PARAMETERS] == []
+
+
+# The files whose calls can set a parameter of the package
+CALLERS = (sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+           + sorted(ROOT.glob("tests/*.py")))
+
+# Defaulted parameters kept although no call passes them: name -> reason.
+UNSET_PARAMETERS = {
+    "fiber_failure_example(which)": "the operator-key parser binds it by name from a "
+                                    "failure key (failure:which=max)",
+}
+
+
+def _name(node) -> str:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def unset_parameters(sources: list, callers: list) -> list:
+    """Defaulted parameters of the module-level functions and methods of
+    the modules sources that no call passes, named as function(parameter)
+    or Class.method(parameter); the calls are those in sources and in the
+    modules callers.
+
+    Calls are matched by name: f(...) and x.f(...) call every f defined,
+    C(...) calls C.__init__, and functools.partial(f, ...) binds f's
+    parameters. A call passes a parameter by keyword or by position
+    (after self, for a method that is not a staticmethod); *args or
+    **kwargs passes every parameter it can reach. An argument written as
+    the parameter's default (the same literal, or the module constant the
+    default names) passes nothing, and neither does a forward of a
+    parameter of the enclosing function that is itself unset.
+    """
+    trees = [ast.parse(src) for src in sources]
+    defs, keys = {}, {}
+    for tree in trees:
+        consts = {t.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+                  for t in node.targets if isinstance(t, ast.Name)}
+        for prefix, f in _definitions(tree):
+            keys[f] = prefix + f.name
+            a = f.args
+            pos = a.posonlyargs + a.args
+            defaults = dict(zip([x.arg for x in pos[len(pos) - len(a.defaults):]], a.defaults))
+            defaults.update((x.arg, d) for x, d in zip(a.kwonlyargs, a.kw_defaults)
+                            if d is not None)
+            if prefix and "staticmethod" not in map(_name, f.decorator_list):
+                pos = pos[1:]
+            called = prefix[:-1] if f.name == "__init__" else f.name
+            defs.setdefault(called, []).append(
+                (prefix + f.name, [x.arg for x in pos],
+                 {p: ast.dump(consts.get(_name(d), d)) for p, d in defaults.items()}))
+    passes = []   # (function(parameter), argument, enclosing scopes)
+
+    def visit(node, scopes):
+        if isinstance(node, ast.Call):
+            func, args = node.func, node.args
+            if _name(func) == "partial" and args:
+                func, args = args[0], args[1:]
+            for key, pos, defaults in defs.get(_name(func), []):
+                given = []
+                for i, arg in enumerate(args):
+                    if isinstance(arg, ast.Starred):
+                        given += [(p, arg.value) for p in pos[i:]]
+                        break
+                    given += [(pos[i], arg)] if i < len(pos) else []
+                for k in node.keywords:
+                    given += [(p, k.value) for p in (defaults if k.arg is None else [k.arg])]
+                passes.extend((f"{key}({p})", arg, scopes) for p, arg in given
+                              if p in defaults and ast.dump(arg) != defaults[p])
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            scopes = scopes + [(keys.get(node), {x.arg for x in _parameters(node.args)})]
+        for child in ast.iter_child_nodes(node):
+            visit(child, scopes)
+
+    for tree in trees + [ast.parse(src) for src in callers]:
+        visit(tree, [])
+
+    def forwarded(arg, scopes):
+        # the parameter arg names, when it names one of a checked function
+        for key, params in reversed(scopes) if isinstance(arg, ast.Name) else []:
+            if arg.id in params:
+                return key and f"{key}({arg.id})"
+
+    # every parameter starts unset; a pass that forwards no unset parameter
+    # sets it, until none is left to set
+    unset = {f"{key}({p})" for ds in defs.values() for key, _, d in ds for p in d}
+    while True:
+        passed = {name for name, arg, scopes in passes if forwarded(arg, scopes) not in unset}
+        if not unset & passed:
+            return sorted(unset)
+        unset -= passed
+
+
+def test_the_checker_sees_an_unset_parameter():
+    source = ("T = 0.5\n\n"
+              "def f(a, b=1, *, c=2, d=T, e=3, g=4, h=5):\n    return k(a, s=b)\n\n"
+              "def k(a, s=0, u=None):\n    return k(a, s, u)\n\n"
+              "class C:\n    def __init__(self, x, y=0):\n        pass\n\n"
+              "    def m(self, z=1, w=2):\n        return f(z, c=w)\n\n"
+              "    @staticmethod\n    def st(v=0):\n        pass\n\n"
+              "def fwd(*args, **kwargs):\n    return C.st(*args), C(1, **kwargs)\n")
+    calls = ("import functools\n"
+             "f(1, 2, d=0.5, e=3, g=T)\nC(1).m(5)\nfunctools.partial(f, h=6)\n")
+    # b and g are set (T is not g's default); c only by m's unset w; d and e
+    # only at their defaults; s by forwards of f's b, set, and of k's own s;
+    # u only by k's own recursion
+    assert unset_parameters([source], [calls]) == [
+        "C.m(w)", "f(c)", "f(d)", "f(e)", "k(u)"]
+    # a forward from an unset parameter counts once that one is set
+    assert unset_parameters([source], [calls + "C(1).m(1, 3)\nk(0, u=1)\n"]) == [
+        "f(d)", "f(e)"]
+    assert unset_parameters(["def f(a, b=1):\n    pass\n"], []) == ["f(b)"]
+    assert unset_parameters(["def f(a, b=1):\n    pass\n"], ["f(*x)\n"]) == []
+
+
+def test_every_defaulted_parameter_is_set():
+    unset = unset_parameters([p.read_text() for p in SOURCES], [p.read_text() for p in CALLERS])
+    assert [name for name in unset if name not in UNSET_PARAMETERS] == []
+    # no stale entry: each one is still a parameter no call passes
+    assert sorted(UNSET_PARAMETERS) == [name for name in unset if name in UNSET_PARAMETERS]
 
 
 def eigvalsh_references(source: str) -> list:
@@ -234,14 +363,8 @@ UNREACHED_API = {
 def public_definitions(source: str, module: str) -> list:
     """(qualified name, name) of each public module-level function and each
     public method of a module-level class; dunders are not public."""
-    out = []
-    for node in ast.parse(source).body:
-        scope = [(f"{node.name}.", f) for f in node.body] if isinstance(node, ast.ClassDef) \
-            else [("", node)]
-        out += [(f"{module}.{prefix}{f.name}", f.name) for prefix, f in scope
-                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and not f.name.startswith("_")]
-    return out
+    return [(f"{module}.{prefix}{f.name}", f.name) for prefix, f in _definitions(ast.parse(source))
+            if not f.name.startswith("_")]
 
 
 def names_read(source: str) -> set:
