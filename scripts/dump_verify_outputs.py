@@ -9,9 +9,9 @@ each operation once and prints its output, floats as float.hex:
 - verify (the default): check reports as to_json_dict, canonical values,
   Garding residuals and pseudoconvexity verdicts, plus the signed
   distances of the first K canonical-operator matrices of each cone and
-  the canonical values of the cones that canonical_operator bisects (Q,
-  M0, an M cone and the dual of another) on BISECTED_JETS seeded random
-  jets each, two in three with gradient 0 and value -|r| or |r| so that
+  the canonical values of the spectral cones that read r or p (Q, M0, an
+  M cone and the dual of another) on BISECTED_JETS seeded random jets
+  each, two in three with gradient 0 and value -|r| or |r| so that
   values exist, a failure given as the exception's name; the Garding
   eigenvalues of each garding operator on its inputs, and the canonical
   values of each of its branch oracles on GARDING_BRANCH_MATRICES seeded
@@ -50,7 +50,9 @@ from jetcones.jets import Jet2, random_jet, random_symmetric  # noqa: E402
 
 CONES = {"P2": catalog.cone_P(2), "P3": catalog.cone_P(3),
          "pfold32": catalog.cone_pfold(3, 2), "pucci": catalog.cone_pucci(2, 1.0, 2.0)}
-# spectral cones that read r or p: canonical_operator bisects them
+# spectral cones that read r or p. canonical_operator bisected them before
+# every spectral fiber took the eigenvalue ladder; the canonical_bisected_*
+# keys keep that name, so dumps of either route line up
 BISECTED = {"Q": catalog.cone_Q(2), "M0": catalog.cone_M0(2),
             "M_half": catalog.make_oracle("M:gamma=1,D=half:e1,R=1", 2),
             "M_full_dual": dual_oracle(catalog.make_oracle("M:gamma=0,D=full,R=inf", 2))}

@@ -49,15 +49,9 @@ from .jets import (
 )
 
 SEARCH_RADIUS = 1e6
-# The smallest tol canonical_operator takes: Brent's relative-tolerance
-# floor. Both routes stop at or above it; the bisection's stop rule cannot
-# be met below one ulp of t, so tol = 0 would never return.
+# The smallest tol canonical_operator takes: the bisection's stop rule
+# cannot be met below one ulp of t, so tol = 0 would never return.
 MIN_TOL = 4 * np.finfo(float).eps
-# Brent's method takes at most about k**2 steps where bisection takes k
-# (Brent 1973), and k <= 72 for a bracket within SEARCH_RADIUS at
-# tol >= MIN_TOL. Near a multiple root (sigma:k=3 at A = tI) Brent on the
-# whole doubling bracket took 140 steps, past brentq's default limit of 100.
-BRENT_MAX_ITER = 72 ** 2
 # The operator-value tolerance of check_proper_elliptic (op may fall by
 # at most this much) and check_topological_tameness (a level hit needs
 # nearby values this far above and below the level).
@@ -75,66 +69,59 @@ def _bracket_done(t_lo, t_hi, tol: float):
 def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
     """The unique t with A - tI on the boundary of the cone F.
 
-    The crossing of the membership indicator t -> [A - tI in F] is
-    bracketed by doubling from ||A|| + 1; BracketingFailure when none lies
-    within the search radius (fiber empty or the whole space). tol must be
-    finite and at least MIN_TOL (BadParameters otherwise).
+    tol must be finite and at least MIN_TOL (BadParameters otherwise).
+    BracketingFailure when no crossing lies within SEARCH_RADIUS (fiber
+    empty or the whole space). The route goes by F.spectrum alone.
 
-    A pure second-order spectral fiber (F.spectrum = f, g = f(r, p,
-    lambda(A))) takes one eigen-solve: with lambda the eigenvalues of A,
-    g(A - tI) is f(r, p, lambda - t). One stacked f call on the ladder of
-    0, the +-doubling points and the eigenvalues brackets the crossing
+    A fiber with a spectrum (F.spectrum = f, g = f(r, p, lambda(A))) takes
+    one eigen-solve: with lambda the eigenvalues of A, g(A - tI) is f(r,
+    p, lambda - t). One stacked f call on the ladder of 0, the +-doubling
+    points from ||A|| + 1 and the eigenvalues brackets the crossing
     (_ladder_bracket); one secant step on that bracket, certified by a
     second stacked call, lands within tol * (1 + |t|) of it
-    (_ladder_root), and Brent's zero on the bracket is the fallback where
-    the certificate fails (_spectral_root). For a closed cone with P in F
-    and F missing -Int P the crossing lies in [lambda_1, lambda_n]; for P,
-    P~, branch, pfold, quasiconvex and pucci and their duals f(lambda - t)
-    is linear between consecutive eigenvalues, its kinks sitting at the
-    eigenvalues only, so the secant step is exact up to rounding. For the
-    seven pure second-order spectral catalog cones (P, P~, branch, pfold,
-    sigma, pucci, quasiconvex) f(lambda - t) is strictly positive before
-    the crossing (lambda - t lies in the open cone there) and strictly
-    negative after it, so its only zero is the crossing. The same holds
-    for their duals (duality.dual_oracle), whose f(lambda - t) is negative
-    exactly where the cone's f(t - lambda reversed) is positive. The other
-    spectral fibers may vanish on an interval, like Q's min(-r,
-    lambda_min - t) at r = 0, where a root could land anywhere (on
-    M(0, full, 1) at (0, (0.6, 0.8), diag(2, 3)) the ladder stops at 0,
-    not at the value 1).
+    (_ladder_root). Where the certificate fails, the bracket is bisected
+    on f(lambda - t) >= 0 to tol * max(1, |t_lo| + |t_hi|), and one secant
+    step on the last bracket gives the value. For P, P~, branch, pfold,
+    quasiconvex and pucci and their duals f(lambda - t) is linear between
+    consecutive eigenvalues, its kinks sitting at the eigenvalues only, so
+    the secant step is exact up to rounding; sigma's is curved. Along -I
+    membership of a fiber with F + P in F (every catalog cone and dual)
+    only shrinks, so g >= 0 exactly up to the crossing and g < 0 past it,
+    and the first sign change on the ladder is the crossing even where g
+    vanishes on an interval, like M(0, full, 1)'s min(-r, lambda_min - t
+    - |p|) at r = 0: where that interval ends off the ladder, the secant
+    step stops at the bracket's keep end, the certificate fails, and the
+    bisection finds the crossing.
 
-    Every other fiber bisects the indicator until the bracket is narrower
-    than tol * max(1, |t_lo| + |t_hi|) and returns its midpoint, probing
-    through catalog.ray_probe. A fiber with a spectrum (Q, Q~, M, M0 and
-    their duals) takes one eigen-solve, shared by the jet norm and the probe.
+    A fiber without a spectrum brackets the crossing of the membership
+    indicator t -> [A - tI in F] by doubling from ||A|| + 1, probing
+    through catalog.ray_probe, and bisects it to the same width,
+    returning the last bracket's midpoint.
     """
     if not (math.isfinite(tol) and tol >= MIN_TOL):
         raise BadParameters(f"canonical tol must be finite and at least {MIN_TOL:.3g}, got {tol}")
     J = A if isinstance(A, Jet2) else Jet2.from_matrix(A)
-    f = F.spectrum if F.arity is Arity.PURE_SECOND_ORDER else None
-    lam = None if F.spectrum is None else eigenvalues(J.A)
-    side = _doublings(jet_norm(J, lam) + 1.0, SEARCH_RADIUS)
-    if f is not None:
-        f = functools.partial(f, J.r, J.p)
-        bracket = _ladder_bracket(f, lam, side)
+    if F.spectrum is not None:
+        lam = eigenvalues(J.A)
+        f = functools.partial(F.spectrum, J.r, J.p)
+        bracket = _ladder_bracket(f, lam, _doublings(jet_norm(J, lam) + 1.0, SEARCH_RADIUS))
     else:
-        g = ray_probe(F, stack_jets([J], J.n), Jet2.from_matrix(SymMat.identity(J.n)),
-                      lam=None if lam is None else lam[None])
+        g = ray_probe(F, stack_jets([J], J.n), Jet2.from_matrix(SymMat.identity(J.n)))
 
         def member(live, t):
             # sign of the defining functional, not the tolerance band: the
             # bisection target is the exact zero crossing
             return g(live, -t) >= 0.0
 
+        side = _doublings(jet_norm(J) + 1.0, SEARCH_RADIUS)
         start_in = bool(g([0])[0] >= 0.0)
         bracket, = crossing_brackets(member, [side if start_in else -side], [start_in])
     if bracket is None:
         raise BracketingFailure(
             f"no boundary crossing of {F.label} along I within radius {SEARCH_RADIUS:g}"
         )
-    if f is not None:
+    if F.spectrum is not None:
         return _ladder_root(f, lam, *bracket, tol)
-
     done = functools.partial(_bracket_done, tol=tol)
     if not done(*bracket):
         bracket, = bisect_brackets(member, [bracket], done)
@@ -165,41 +152,23 @@ def _ladder_bracket(f: Callable, lam: np.ndarray, side: np.ndarray) -> Optional[
 def _ladder_root(f: Callable, lam: np.ndarray, keep: tuple, flip: tuple, tol: float) -> float:
     """The crossing of g(t) = f(lam - t) on a ladder bracket from
     _ladder_bracket: one secant step t on it, returned when one stacked f
-    call certifies g(t - d) >= 0 > g(t + d) for d = tol * (1 + |t|) / 2, so
-    the crossing lies within tol * (1 + |t|) of t. The step is exact up to
-    rounding where g is linear on the bracket. Otherwise Brent's zero on
-    the bracket (_spectral_root)."""
+    call certifies g(t - d) >= 0 > g(t + d) for d = tol * (1 + |t|) / 2,
+    so the crossing lies within tol * (1 + |t|) of t. The step is exact up
+    to rounding where g is linear on the bracket. Otherwise (sigma's
+    curved g, a g that vanishes on an interval, or tol near MIN_TOL where
+    the rounding of g outgrows the certificate's margin)
+    catalog.bisect_brackets refines the bracket on g >= 0 to
+    canonical_operator's stop rule (_bracket_done), and one secant step on
+    its last bracket, which stays inside it, is the value."""
     (a, ga), (b, gb) = keep, flip
     t = a + (b - a) * (ga / (ga - gb))
     d = 0.5 * tol * (1.0 + abs(t))
     below, above = f(lam - np.array([[t - d], [t + d]])).tolist()
     if below >= 0.0 and above < 0.0:
         return t
-    return _spectral_root(f, lam, a, b, tol)
-
-
-def _spectral_root(f: Callable, lam: np.ndarray, keep: float, flip: float, tol: float) -> float:
-    """The crossing of g(t) = f(lam - t), which is >= 0 up to it and < 0 past
-    it, given keep (g >= 0) and flip (g < 0): the fallback of _ladder_root
-    where its certificate fails, as for sigma's curved g, or at tol near
-    MIN_TOL where the rounding of g outgrows the certificate's margin.
-    Brent's zero to tol * (1 + |t|), then one secant step on the
-    tightest bracket Brent evaluated. Brent stops on the bracket's width,
-    often next to an inverse-quadratic step through a point beyond a kink
-    of g; the secant step stays inside that bracket and is exact up to
-    rounding wherever g is linear on it."""
-    from scipy.optimize import brentq
-
-    ends = [None, None]  # the last points evaluated with g >= 0 and with g < 0
-
-    def g(t):
-        v = float(f(lam - t))
-        # every point Brent evaluates lies inside its current bracket
-        ends[v < 0.0] = (t, v)
-        return v
-
-    brentq(g, keep, flip, xtol=tol, rtol=tol, maxiter=BRENT_MAX_ITER)
-    (a, ga), (b, gb) = ends
+    (a, b), = bisect_brackets(lambda live, t: f(lam - t[..., None]) >= 0.0, [(a, b)],
+                              functools.partial(_bracket_done, tol=tol))
+    ga, gb = f(lam - np.array([[a], [b]])).tolist()
     return a + (b - a) * (ga / (ga - gb))
 
 

@@ -130,8 +130,8 @@ class FiberOracle:
     eigenvalues have form f(r, p, eigenvalues(A)) (see spectral_oracle);
     the dual of such a cone has spectrum -f(-r, -p, -lam[..., ::-1]),
     equal to its form up to rounding. Since lambda(A + s*I) = lambda(A)
-    + s, canonical_operator finds the root of a pure second-order
-    spectral fiber on f(r, p, lambda - t), and every search along a ray
+    + s, canonical_operator finds the root of every spectral fiber on
+    f(r, p, lambda - t), and every search along a ray
     whose Hessian part is c*I probes f(r + t*r0, p + t*p0, lambda + t*c)
     (ray_probe), with one eigen-solve per jet instead of one per probe.
     """
@@ -1068,8 +1068,7 @@ def _scalar_hessian(J0: Jet2) -> Optional[float]:
     return c if np.array_equal(A, c * np.eye(J0.n)) else None
 
 
-def ray_probe(F, J: tuple, U: Jet2, points: Optional[list] = None,
-              lam: Optional[np.ndarray] = None) -> Callable:
+def ray_probe(F, J: tuple, U: Jet2, points: Optional[list] = None) -> Callable:
     """g(rows, t): F's functional on J_i + t*U, g[len(rows), k], for the
     rows of the stack J = (r[N], p[N, n], A[N, n, n]) that rows lists in
     increasing order and t[len(rows), k]; g(rows) is the functional on
@@ -1079,8 +1078,7 @@ def ray_probe(F, J: tuple, U: Jet2, points: Optional[list] = None,
     When F has a spectrum f and U's Hessian is exactly c*I, each jet's
     eigenvalues lambda are solved once, here, and g is f(r + t*r0,
     p + t*p0, lambda + t*c), since lambda(A + t*c*I) = lambda(A) + t*c:
-    the form on J_i + t*U up to the rounding of the eigen-solves; lam,
-    when given, is eigenvalues(J[2]), which is then not solved again.
+    the form on J_i + t*U up to the rounding of the eigen-solves.
     Every other probe is the form along the ray, with the float
     operations of Jet2 arithmetic.
     """
@@ -1089,7 +1087,7 @@ def ray_probe(F, J: tuple, U: Jet2, points: Optional[list] = None,
     if c is None:
         values, V = fiber_values(F, points), (U.r, U.p, U.A.entries)
     else:
-        J = (J[0], J[1], eigenvalues(J[2]) if lam is None else lam)
+        J = (J[0], J[1], eigenvalues(J[2]))
         values, V = (lambda rows, r, p, ev: f(r, p, ev)), (U.r, U.p, c)
 
     def probe(rows, t=None):

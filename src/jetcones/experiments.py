@@ -45,7 +45,7 @@ def sub_super_pair(grid: Grid, A_sub: SymMat, B_sup: SymMat, p_sub, p_sup):
     w = quadratic_grid_function(grid, B_sup, p_sup)
     mask = ~grid.interior_mask()
     gap = float(np.max(u.values[mask] - w.values[mask]))
-    w = GridFunction(grid, w.values + gap, boundary_data=w.boundary_data + gap)
+    w = GridFunction(grid, w.values + gap)
     return u, w
 
 
@@ -107,7 +107,7 @@ def zmp_sample(M: MonotonicityCone, grid: Grid, rng: np.random.Generator) -> Gri
     z = quadratic_grid_function(grid, A, p)
     mask = ~grid.interior_mask()
     shift = float(np.max(z.values[mask]))
-    return GridFunction(grid, z.values - shift, boundary_data=z.boundary_data - shift)
+    return GridFunction(grid, z.values - shift)
 
 
 def zmp_battery(cases, n_side: int = 21, seed: int = 109, samples: int = 5) -> dict:

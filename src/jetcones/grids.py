@@ -114,20 +114,16 @@ def square_grid(n_side: int, lo=0.0, hi=1.0, d: int = 2) -> Grid:
 
 @dataclass
 class GridFunction:
-    """Values over a grid, with the boundary layer pinned during solves."""
+    """Values over a grid; a Dirichlet solve keeps the values on the
+    boundary layer as its data."""
 
     grid: Grid
     values: np.ndarray
-    boundary_data: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).reshape(self.grid.dims)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid function must be finite")
-        if self.boundary_data is None:
-            self.boundary_data = self.values.copy()
-        mask = ~self.grid.interior_mask()
-        self.values[mask] = self.boundary_data[mask]
 
     def jet_field(self, width: int = 1) -> tuple:
         """Discrete jets of the width-trimmed interior as stacks (r, p, A).
@@ -216,7 +212,7 @@ def perron_envelope(family: Sequence[GridFunction], g: GridFunction) -> GridFunc
     vals = family[0].values.copy()
     for w in family[1:]:
         np.maximum(vals, w.values, out=vals)
-    return GridFunction(grid, vals, boundary_data=vals.copy())
+    return GridFunction(grid, vals)
 
 
 def sup_convolution(u: GridFunction, eps: float) -> GridFunction:
@@ -239,7 +235,7 @@ def sup_convolution(u: GridFunction, eps: float) -> GridFunction:
         # out[i, x] = max_y flat[i, y] - penalty[x, y]
         out = np.max(flat[:, None, :] - penalty[None, :, :], axis=2)
         vals = np.moveaxis(out.reshape(moved.shape), -1, axis)
-    return GridFunction(g, vals, boundary_data=vals.copy())
+    return GridFunction(g, vals)
 
 
 def quasiconvexity_defect(u: GridFunction, eps: float) -> float:

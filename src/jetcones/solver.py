@@ -453,7 +453,7 @@ def solve_dirichlet(
         history.append(res)
         floor = float(np.finfo(float).eps * np.max(np.abs(u)) / grid.h**2)
         if res <= tol:
-            out = GridFunction(grid, u, boundary_data=g.boundary_data.copy())
+            out = GridFunction(grid, u)
             return out, SolveReport(op_key, it, res, floor, "tol", history,
                                     factorizations, newton_steps, start)
         stalled = 0 if res < best else stalled + 1
@@ -637,7 +637,7 @@ def check_superharmonic(
     width: int = 1,
 ) -> NodeReport:
     """Superharmonicity via duality: -w must be subharmonic for the dual."""
-    neg = GridFunction(w.grid, -w.values, boundary_data=-w.boundary_data)
+    neg = GridFunction(w.grid, -w.values)
     return check_subharmonic(neg, dual_oracle(fiber), width)
 
 
@@ -853,7 +853,7 @@ def uniform_translation_probe(
         shifted = np.roll(u.values, shift=off, axis=tuple(range(grid.d)))
         vals = shifted if psi is None or theta == 0 else shifted + theta * psi.values
         width = grid.layer_width + max(abs(c) for c in off)
-        trial = GridFunction(grid, vals.copy(), boundary_data=vals.copy())
+        trial = GridFunction(grid, vals.copy())
         rep = _classify(trial, theta_map, width)
         tested += 1
         ynorm = grid.h * math.sqrt(sum(c * c for c in off))

@@ -19,6 +19,11 @@ and discrete_jet read one node's differences of a GridFunction, the
 per-node references for second_difference_field and jet_field.
 from_callable fills a grid with a Python function, one call per node.
 
+brent_root is Brent's zero of f(lam - t) on a bracket, polished by one
+secant step: the reference for the spectral canonical value, and the
+route canonical_operator took where its secant certificate failed before
+that bracket was bisected instead.
+
 The ref_check_* functions, ref_strict_ellipticity_check and the
 ref_admissible_* tests are the one-sample-at-a-time loops that the
 sampled checks of duality, canonical and boundary run on stacks: each
@@ -49,6 +54,34 @@ def ray_values(oracle, J, U, t):
     if J.n != U.n:
         raise ValueError(f"dimension mismatch: jet of dimension {J.n}, direction {U.n}")
     return oracle.values(*jets_along((J.r, J.p, J.A.entries), (U.r, U.p, U.A.entries), t))
+
+
+# Brent's method takes at most about k**2 steps where bisection takes k
+# (Brent 1973), and k <= 72 for a bracket within SEARCH_RADIUS at
+# tol >= MIN_TOL. Near a multiple root (sigma:k=3 at A = tI) Brent on the
+# whole doubling bracket took 140 steps, past brentq's default limit of 100.
+BRENT_MAX_ITER = 72 ** 2
+
+
+def brent_root(f, lam, keep: float, flip: float, tol: float) -> float:
+    """The crossing of g(t) = f(lam - t), which is >= 0 up to it and < 0
+    past it, given keep (g >= 0) and flip (g < 0): Brent's zero to
+    tol * (1 + |t|), then one secant step on the tightest bracket Brent
+    evaluated, which stays inside that bracket and is exact up to
+    rounding wherever g is linear on it."""
+    from scipy.optimize import brentq
+
+    ends = [None, None]  # the last points evaluated with g >= 0 and with g < 0
+
+    def g(t):
+        v = float(f(lam - t))
+        # every point Brent evaluates lies inside its current bracket
+        ends[v < 0.0] = (t, v)
+        return v
+
+    brentq(g, keep, flip, xtol=tol, rtol=tol, maxiter=BRENT_MAX_ITER)
+    (a, ga), (b, gb) = ends
+    return a + (b - a) * (ga / (ga - gb))
 
 
 def ref_shift_to_boundary(oracle, J, J0, margin=1e-6, tol=1e-9, max_expand=60):

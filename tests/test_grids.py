@@ -26,7 +26,7 @@ def sup_convolution_bruteforce(u: GridFunction, eps: float) -> GridFunction:
         d2 = np.sum((pts - x) ** 2, axis=1)
         out[i] = np.max(flat - d2 / (2.0 * eps))
     vals = out.reshape(g.dims)
-    return GridFunction(g, vals, boundary_data=vals.copy())
+    return GridFunction(g, vals)
 
 
 def test_grid_geometry_and_stencil():
@@ -113,14 +113,6 @@ def test_discrete_jet_exact_on_quadratics():
     origin = (7, 7)  # node (8, 8)
     assert r[origin] == pytest.approx(1.5)
     assert np.allclose(p[origin], p0, atol=1e-10)
-
-
-def test_boundary_layer_pinned():
-    g = square_grid(9, 0.0, 1.0)
-    u = from_callable(g, lambda x: float(x[0]))
-    u.values[0, 0] = 99.0
-    rebuilt = GridFunction(g, u.values, boundary_data=u.boundary_data)
-    assert rebuilt.values[0, 0] == u.boundary_data[0, 0]
 
 
 def test_perron_envelope_absolute_value():

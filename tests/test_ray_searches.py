@@ -21,23 +21,27 @@ sample at a time. Every returned value, jet, report and error must match
 them bit for bit. Probes past the point where such a loop would stop
 must not warn either, so RuntimeWarnings are errors here.
 
-canonical_operator on a pure second-order spectral fiber
-(FiberOracle.spectrum set) finds the crossing of f(r, p, lambda - t) on a
-ladder of doubling points and eigenvalues instead of bisecting: it is
-checked against the closed forms, within the reference's final bracket
-and against Brent's zero on the doubling bracket, its f calls are
-counted, and the bisection route stays checked bit for bit through
-replace(F, spectrum=None). The duals of the spectral fibers are spectral
-too. Every search along a ray whose Hessian part is c*I on a spectral
-fiber (ray_probe: boundary_shifts on Q, Q~, M and M0 as well, the
-bisection of canonical_operator on those four and their duals, the
-mixing into M) probes f(r + t*r0, p + t*p0, lambda + t*c) instead of the
-fiber's values along the ray. A count of the matrices the
+canonical_operator on a fiber with a spectrum (FiberOracle.spectrum set)
+finds the crossing of f(r, p, lambda - t) on a ladder of doubling points
+and eigenvalues instead of bisecting the membership of A - tI: one
+secant step on the ladder's bracket, certified by one more f call, or,
+where that certificate fails, the ladder's bracket bisected on
+f(lambda - t) >= 0 and one secant step on the last bracket. It is
+checked against the closed forms (bit for bit for Q, Q~ and M0 where the
+crossing is an eigenvalue), within the reference's final bracket and
+against Brent's zero on the doubling bracket (jet2_refs.brent_root); its
+f calls and its fallback bisections are counted, and the bisection
+route, which every fiber without a spectrum takes, stays checked bit for
+bit through replace(F, spectrum=None). The duals of the spectral fibers
+are spectral too. Every search along a ray whose Hessian part is c*I on
+a spectral fiber (ray_probe: boundary_shifts on Q, Q~, M and M0 as well,
+the mixing into M) probes f(r + t*r0, p + t*p0, lambda + t*c) instead of
+the fiber's values along the ray. A count of the matrices the
 eigenvalues calls of catalog, canonical and the jet norm solve checks
 that this takes one eigen-solve per jet, and that canonical_operator on
-any spectral fiber solves its matrix once. The route is checked against the ray route within tol, and at the
-seeds of the Jet2-route comparisons below it matches them bit for bit
-as well.
+any spectral fiber solves its matrix once. The route is checked against
+the ray route within tol, and at the seeds of the Jet2-route comparisons
+below it matches them bit for bit as well.
 """
 
 import functools
@@ -60,7 +64,6 @@ from jetcones.canonical import (
     _crossings,
     _doublings,
     _jet_directions,
-    _spectral_root,
     canonical_operator,
     induced_fiber,
     signed_distance,
@@ -116,6 +119,7 @@ from jetcones.jets import (
     unstack_jets,
 )
 from jet2_refs import (
+    brent_root,
     ray_values,
     record,
     ref_check_involution,
@@ -786,7 +790,8 @@ SPECTRAL = [
     pytest.param("pucci:0.5,3", 3, lambda ev: pucci_root(ev, 0.5, 3.0), id="pucci3"),
     pytest.param("sigma:k=2", 3, None, id="sigma"),
 ]
-# the spectral cones that read r or p too; canonical_operator bisects them
+# the spectral cones that read r or p too; their g can vanish on an
+# interval, where canonical_operator's ladder falls back to the bisection
 MIXED_KEYS = ["Q", "Q~", "M0", "M:gamma=1,D=half:e1,R=1", "M:gamma=2,D=orth:1,R=0.5",
               "M:gamma=0.5,D=full,R=inf"]
 
@@ -817,10 +822,10 @@ def test_spectral_forms_are_the_spectrum_of_the_eigenvalues(key, n, closed):
 
 @pytest.mark.parametrize("key, n, closed", [c for c in SPECTRAL if c.values[2] is not None])
 def test_spectral_canonical_matches_the_closed_forms(key, n, closed):
-    # exact up to rounding where g(t) = f(lambda - t) is linear on Brent's
+    # exact up to rounding where g(t) = f(lambda - t) is linear on the
     # last bracket. Pucci's g has a kink at each eigenvalue, and at A = tI
     # the root is one: there the value is good to tol * (1 + |t|), as
-    # Brent's bracket is
+    # the bisected bracket is
     F = make_oracle(key, n)
     for tol in (1e-10, 1e-6, MIN_TOL):
         for A in spectral_queries(n, 29):
@@ -829,6 +834,25 @@ def test_spectral_canonical_matches_the_closed_forms(key, n, closed):
             at_kink = key.startswith("pucci") and ev[0] == ev[-1]
             bound = tol * (1.0 + abs(t)) if at_kink else 1e-13 * max(1.0, abs(t))
             assert abs(canonical_operator(F, A, tol=tol) - t) <= bound
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_gradient_free_canonical_is_an_eigenvalue_bit_for_bit(n):
+    # Q at r <= 0 and M0 at r <= 0, p = 0 cross where lambda_min - t does,
+    # Q~ at r > 0 where lambda_max - t does: the eigenvalue is a ladder
+    # point, g is 0 there and negative past it, so the secant step lands
+    # on it and the certificate holds
+    rng = np.random.default_rng(89)
+    r, p, A = random_jets(rng, n, 150, 1.5)
+    r[::5] = 0.0
+    Q, Qd, M0 = make_oracle("Q", n), make_oracle("Q~", n), make_oracle("M0", n)
+    for ri, pi, Ai in zip(r.tolist(), p, A):
+        ev = np.linalg.eigvalsh(Ai)
+        lo, hi = float.hex(float(ev[0])), float.hex(float(ev[-1]))
+        assert float.hex(canonical_operator(Q, Jet2(-abs(ri), pi, Ai))) == lo
+        assert float.hex(canonical_operator(M0, Jet2(-abs(ri), np.zeros(n), Ai))) == lo
+        if ri != 0.0:
+            assert float.hex(canonical_operator(Qd, Jet2(abs(ri), pi, Ai))) == hi
 
 
 @pytest.mark.parametrize("key, n, closed", SPECTRAL)
@@ -893,7 +917,7 @@ DUALS = pytest.mark.parametrize("dual", [False, True], ids=["cone", "dual"])
 @pytest.mark.parametrize("key, n, closed", PIECEWISE_LINEAR)
 def test_spectral_canonical_takes_two_spectrum_calls(key, n, closed, dual):
     # one stacked call on the ladder brackets the crossing, one more
-    # certifies the secant step on it: no Brent on distinct eigenvalues,
+    # certifies the secant step on it: no bisection on distinct eigenvalues,
     # over six decades of scale
     F = spectral_fiber(key, n, dual)
     for A in spectral_queries(n, 43)[:120]:
@@ -907,8 +931,8 @@ def test_spectral_canonical_takes_two_spectrum_calls(key, n, closed, dual):
 @DUALS
 @pytest.mark.parametrize("key, n, closed", SPECTRAL)
 def test_spectral_canonical_agrees_with_brent_on_the_doubling_bracket(key, n, closed, dual):
-    # the ladder's value against Brent's zero on the doubling bracket,
-    # the spectral route it replaced, within tol * (1 + |t|); and inside the
+    # the ladder's value against Brent's zero on the doubling bracket
+    # (jet2_refs.brent_root), within tol * (1 + |t|); and inside the
     # bisection reference's bracket up to the rounding of its own
     # eigen-solves of A - tI
     F = spectral_fiber(key, n, dual)
@@ -919,7 +943,7 @@ def test_spectral_canonical_agrees_with_brent_on_the_doubling_bracket(key, n, cl
             lam = np.linalg.eigvalsh(A.entries)
             g = functools.partial(F.spectrum, J.r, J.p)
             keep, flip = ref_doubling_bracket(lambda t: g(lam - t) >= 0.0, jet_norm(J) + 1.0)
-            brent = _spectral_root(g, lam, keep, flip, tol)
+            brent = brent_root(g, lam, keep, flip, tol)
             got = canonical_operator(F, A, tol=tol)
             assert abs(got - brent) <= tol * (1.0 + abs(brent))
             t_lo, t_hi = ref_canonical_bracket(bisect, A, tol)
@@ -927,18 +951,26 @@ def test_spectral_canonical_agrees_with_brent_on_the_doubling_bracket(key, n, cl
             assert t_lo - rounding <= got <= t_hi + rounding
 
 
-def test_spectral_canonical_falls_back_to_brent(monkeypatch):
+def counting_bisections(monkeypatch) -> list:
+    """The brackets canonical's bisect_brackets calls start from, from now
+    on in the test."""
+    started = []
+    bisect = canonical_module.bisect_brackets
+
+    def counted(keeps, brackets, done):
+        started.extend(brackets)
+        return bisect(keeps, brackets, done)
+
+    monkeypatch.setattr(canonical_module, "bisect_brackets", counted)
+    return started
+
+
+def test_spectral_canonical_falls_back_to_bisection(monkeypatch):
     # sigma's f(lambda - t) is curved, so the secant step on the ladder's
     # bracket misses the certificate; so does pucci's at MIN_TOL on
     # matrices of scale 1e3, where the rounding of g outgrows the
-    # certificate's margin. Both take Brent's zero on the ladder's bracket
-    fallbacks = []
-
-    def counted(*args):
-        fallbacks.append(args[2:4])
-        return _spectral_root(*args)
-
-    monkeypatch.setattr(canonical_module, "_spectral_root", counted)
+    # certificate's margin. Both bisect the ladder's bracket
+    fallbacks = counting_bisections(monkeypatch)
     sigma = make_oracle("sigma:k=2", 3)
     for tol in (1e-10, 1e-6, MIN_TOL):
         for A in spectral_queries(3, 47)[:120]:
@@ -985,30 +1017,45 @@ def test_fibers_off_the_spectral_route_keep_the_bisection():
         assert F.spectrum is None
     # the dual of a spectral fiber is spectral (see the dual tests below)
     assert dual_oracle(make_oracle("P", 2)).spectrum is not None
-    # Q's g = min(-r, lambda_min - t) is exactly 0 for t below lambda_min
-    # when r = 0, so a root-finder could stop anywhere there: the spectral
-    # fibers that read r or p bisect, as without their spectrum
+    # the spectral fibers that read r or p take the ladder too. Their g
+    # can be 0 on an interval, as Q's min(-r, lambda_min - t) is below
+    # lambda_min at r = 0; where such an interval ends off the ladder the
+    # secant step stops at its bracket's keep end and the certificate
+    # sends the bracket to the bisection. Each value has the bisection's
+    # outcome, within the bounds of the Brent comparison above
     rng = np.random.default_rng(37)
     queries = spectral_queries(2, 37)[::4] + [random_jet(rng, 2, 1.5) for _ in range(6)]
     for key in MIXED_KEYS:
         for F in (make_oracle(key, 2), dual_oracle(make_oracle(key, 2))):
             assert F.spectrum is not None
             bisect = replace(F, spectrum=None)
-            assert [outcome(canonical_operator, F, A) for A in queries] == \
-                [outcome(canonical_operator, bisect, A) for A in queries], F.label
-    Q = make_oracle("Q", 2)
+            for tol in (1e-10, 1e-6):
+                got = [outcome(canonical_operator, F, A, tol=tol) for A in queries]
+                want = [outcome(canonical_operator, bisect, A, tol=tol) for A in queries]
+                assert [v == "BracketingFailure" for v in got] == \
+                    [v == "BracketingFailure" for v in want], F.label
+                for A, v, t in zip(queries, got, want):
+                    if v == "BracketingFailure":
+                        continue
+                    v, t = float.fromhex(v), float.fromhex(t)
+                    assert abs(v - t) <= tol * (1.0 + abs(t)), F.label
+                    t_lo, t_hi = ref_canonical_bracket(bisect, A, tol)
+                    rounding = 1e-13 * max(1.0, abs(v))
+                    assert t_lo - rounding <= v <= t_hi + rounding, F.label
+    Q = replace(make_oracle("Q", 2), spectrum=None)
     for A in spectral_queries(2, 37)[::4]:
         assert float.hex(canonical_operator(Q, A)) == float.hex(ref_canonical_operator(Q, A))
 
 
 def test_bisected_canonical_where_g_vanishes_on_an_interval():
     # g(t) = min(-0, 2 - t - |p|) is 0 for every t <= 1; the ladder's
-    # secant and Brent steps stop at the keep end 0 of their bracket,
-    # the bisection finds the crossing
+    # secant step stops at the keep end 0 of its bracket (0, 2), the
+    # certificate fails there, and the bisection finds the crossing, on
+    # the fiber and with its arity forced to pure second order alike
     F = make_oracle("M:gamma=0,D=full,R=1", 2)
     J = Jet2(0.0, [0.6, 0.8], np.diag([2.0, 3.0]))
     assert abs(canonical_operator(F, J) - 1.0) <= 1e-10
-    assert canonical_operator(replace(F, arity=Arity.PURE_SECOND_ORDER), J) == 0.0
+    assert canonical_operator(replace(F, arity=Arity.PURE_SECOND_ORDER), J) == 1.0
 
 
 def counting_solves(monkeypatch) -> list:
@@ -1111,6 +1158,8 @@ def test_dual_spectrum_is_the_dual_form(key, n):
 
 @pytest.mark.parametrize("key, n", SPECTRAL_FIBERS)
 def test_dual_canonical_by_brent_matches_the_bisection(key, n):
+    # the dual's ladder value against the bisection of its membership
+    # indicator
     Fd = dual_oracle(make_oracle(key, n))
     bisect = replace(Fd, spectrum=None)
     for tol in (1e-10, 1e-6):

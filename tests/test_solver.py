@@ -136,7 +136,7 @@ def _solve_jacobi(op_key, rhs, g, dt=None, tol=1e-10, max_iter=100_000, init=Non
         if not math.isfinite(res):
             raise UnstableStep(f"residual became non-finite at it={it}")
         if res <= tol:
-            return GridFunction(grid, u, boundary_data=g.boundary_data.copy()), it
+            return GridFunction(grid, u), it
         growth = growth + 1 if res > prev_res * (1 + 1e-12) else 0
         if growth >= 100:
             raise UnstableStep(f"residual grew for {growth} consecutive steps at it={it}")
@@ -179,7 +179,7 @@ def _solve_secant(op_key, rhs, g, tol=1e-10, max_iter=500, init=None):
         if not math.isfinite(res):
             raise UnstableStep(f"residual became non-finite at it={it}")
         if res <= tol:
-            return GridFunction(grid, u, boundary_data=g.boundary_data.copy()), it
+            return GridFunction(grid, u), it
         u[interior] -= spsolve(_frozen_matrix(coeffs, grid), fld.ravel()).reshape(fld.shape)
     raise NotConverged(f"{op_key}: residual {res:.3e} > {tol:.1e} after {max_iter} steps")
 
@@ -828,7 +828,7 @@ def ref_comparison_battery(key, d, pairs, n_side, seed):
         w = quadratic_grid_function(grid, hessians[1], rng.standard_normal(grid.d) * 0.5)
         mask = ~grid.interior_mask()
         gap = float(np.max(u.values[mask] - w.values[mask]))
-        w = GridFunction(grid, w.values + gap, boundary_data=w.boundary_data + gap)
+        w = GridFunction(grid, w.values + gap)
         verdicts.append(comparison_experiment(oracle, u, w))
     return verdicts
 
@@ -1134,7 +1134,7 @@ def _per_node_translation_probe(u, theta_map, psi, theta, max_shift=3, tol=1e-8)
         shifted = np.roll(u.values, shift=off, axis=tuple(range(grid.d)))
         vals = shifted if psi is None or theta == 0 else shifted + theta * psi.values
         width = grid.layer_width + max(abs(c) for c in off)
-        rep = _per_node_report(GridFunction(grid, vals.copy(), boundary_data=vals.copy()),
+        rep = _per_node_report(GridFunction(grid, vals.copy()),
                                theta_map, tol, width)
         tested += 1
         if rep.all_pass:

@@ -277,6 +277,44 @@ def test_eigen_solves_go_through_jets_eigenvalues(path):
         assert eigvalsh_references(path.read_text()) == []
 
 
+# The functions that may import scipy: the sparse Dirichlet solve's, so
+# that no other path pays for loading it (see the cold-start test below)
+SCIPY_HOMES = {"solver._assembler", "solver._sparse_solver", "solver._newton_step"}
+
+
+def scipy_imports(source: str, module: str) -> list:
+    """(home, line) for each import of scipy or a scipy module, its home
+    the module-level function or class that holds it (module.name), or
+    the module itself at its top level."""
+    out = []
+    for top in ast.parse(source).body:
+        named = isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        home = f"{module}.{top.name}" if named else module
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                out.append((home, node.lineno))
+    return sorted(out, key=lambda found: found[1])
+
+
+def test_the_checker_sees_every_scipy_import():
+    source = ("import numpy, scipy.sparse\nfrom . import scipy_like\n"
+              "def f():\n    def g():\n        from scipy.optimize import brentq\n"
+              "    import scipy\nclass C:\n    def h(self):\n        import scipy_like\n"
+              "if True:\n    from scipy import linalg\n")
+    assert scipy_imports(source, "m") == [("m", 1), ("m.f", 5), ("m.f", 6), ("m", 11)]
+
+
+def test_scipy_loads_only_in_the_sparse_solve():
+    found = [(home, line) for p in SOURCES for home, line in scipy_imports(p.read_text(), p.stem)]
+    assert [f for f in found if f[0] not in SCIPY_HOMES] == []
+
+
 # Oracle calls that classify one jet: in a loop they make a per-sample route
 ONE_JET_METHODS = {"value", "classify", "contains"}
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
@@ -420,8 +458,8 @@ def test_every_public_function_is_reached():
 # A fresh interpreter: importing every module of the package loads no
 # scipy, and neither do the grid checks (a comparison pair, the scheme
 # probe, a zero-maximum check) nor a CLI command. The first Dirichlet
-# solve loads scipy.sparse; building the Pucci Garding operator loads no
-# scipy.optimize, the first Brent fallback does.
+# solve loads scipy.sparse; nothing loads scipy.optimize, neither building
+# the Pucci Garding operator nor a canonical value that bisects.
 IMPORT_PROBE = """
 import contextlib, importlib, io, json, math, sys
 from numpy.random import default_rng
@@ -453,14 +491,14 @@ out["optimize_after_solve"] = "scipy.optimize" in sys.modules
 out["degree"] = garding.pucci_garding_operator(1.0, 2.0, 3).degree
 out["optimize_after_pucci_garding"] = "scipy.optimize" in sys.modules
 A = jets.random_symmetric(default_rng(0), 3, 1.5)
-out["brent_value"] = canonical.canonical_operator(cat.cone_sigma_k(3, 2), A).hex()
-out["optimize_after_brent"] = "scipy.optimize" in sys.modules
+out["fallback_value"] = canonical.canonical_operator(cat.cone_sigma_k(3, 2), A).hex()
+out["optimize_after_fallback"] = "scipy.optimize" in sys.modules
 out["vertices"] = [v.tolist() for v in garding.pucci_vertex_set(3, 1.0, 2.0)]
 print(json.dumps(out))
 """
 
 
-def test_cold_start_loads_no_scipy_until_a_solve_or_brent():
+def test_cold_start_loads_no_scipy_until_a_solve():
     modules = ["jetcones" if p.stem == "__init__" else f"jetcones.{p.stem}" for p in SOURCES]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *modules], env=env,
@@ -476,9 +514,10 @@ def test_cold_start_loads_no_scipy_until_a_solve_or_brent():
     assert out["solution"] == u.values.ravel().view(np.int64).tolist()
     assert out["sparse_after_solve"] is True and out["optimize_after_solve"] is False
     assert out["degree"] == 6 and out["optimize_after_pucci_garding"] is False
-    # sigma_2's curved g fails the ladder's certificate, so Brent runs
+    # sigma_2's curved g fails the ladder's certificate, so its bracket
+    # is bisected, with no scipy
     A = jets.random_symmetric(default_rng(0), 3, 1.5)
-    assert out["optimize_after_brent"] is True
-    assert out["brent_value"] == canonical_operator(cat.cone_sigma_k(3, 2), A).hex()
+    assert out["optimize_after_fallback"] is False
+    assert out["fallback_value"] == canonical_operator(cat.cone_sigma_k(3, 2), A).hex()
     assert out["vertices"] == [v.tolist() for v in garding.pucci_vertex_set(3, 1.0, 2.0)]
     assert len(out["vertices"]) == 6
