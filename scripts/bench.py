@@ -17,6 +17,12 @@ calibration-clock statistics (run.py's detail.clock) and detail: the
 fresh-process set-up samples whose median is setup_s
 (detail.setup_samples_s) and, for solve, the per-problem refinement rows
 (detail.refinement.rows: iterations, time, error and residual).
+
+It also holds a layers block: the in-process cost of one oracle
+evaluation layer, the median microseconds per canonical_operator value
+on each of verify's four focus cones (layers.canonical_us_per_value),
+timed once per checkout in a child process that imports the checkout's
+src.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -32,6 +39,33 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # run.py's own set-up samples and first full pass come on top of --seconds
 RUN_TIMEOUT_S = 600
+# The layer timing: LAYER_REPEATS passes over LAYER_VALUES seeded matrices
+# per cone, the cones, sizes and scales of verify's canonical operations;
+# the child prints {cone: median us per value} as one JSON line
+LAYER_VALUES, LAYER_REPEATS = 250, 21
+LAYER_CODE = """
+import json, statistics, sys, time
+import numpy as np
+from jetcones import catalog, jets
+from jetcones.canonical import canonical_operator
+values, repeats = int(sys.argv[1]), int(sys.argv[2])
+rng = np.random.default_rng(0)
+cones = {}
+for name, F, scale in (("P2", catalog.cone_P(2), 2.0), ("P3", catalog.cone_P(3), 2.0),
+                       ("pfold32", catalog.cone_pfold(3, 2), 1.5),
+                       ("pucci", catalog.cone_pucci(2, 1.0, 2.0), 1.5)):
+    cones[name] = F, [jets.random_symmetric(rng, F.n, scale) for _ in range(values)]
+passes = {name: [] for name in cones}
+# the passes of the four cones interleave, so a slow spell of the host
+# lands on all of them
+for _ in range(repeats):
+    for name, (F, mats) in cones.items():
+        start = time.perf_counter()
+        for A in mats:
+            canonical_operator(F, A)
+        passes[name].append((time.perf_counter() - start) / values * 1e6)
+print(json.dumps({name: statistics.median(us) for name, us in passes.items()}))
+"""
 
 
 @functools.cache
@@ -97,6 +131,20 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             "clock": detail["clock"], "detail": kept}
 
 
+def layers(checkout: Path) -> dict:
+    """The layers block: median us per canonical_operator value on each
+    verify focus cone, timed in a child process on the checkout's src."""
+    cmd = [sys.executable, "-c", LAYER_CODE, str(LAYER_VALUES), str(LAYER_REPEATS)]
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S)
+    if done.returncode != 0:
+        raise RuntimeError(f"the layer timing in {checkout} exited {done.returncode}:\n"
+                           f"{done.stderr}")
+    return {"canonical_us_per_value": json.loads(done.stdout.strip().splitlines()[-1]),
+            "values": LAYER_VALUES, "repeats": LAYER_REPEATS}
+
+
 def summary(values: list) -> dict:
     """Median and quartiles (inclusive method) of a metric over runs."""
     q1, med, q3 = (statistics.quantiles(values, n=4, method="inclusive")
@@ -104,7 +152,7 @@ def summary(values: list) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def record(label: str, checkout: Path, seconds: float, runs: dict) -> dict:
+def record(label: str, checkout: Path, seconds: float, runs: dict, layer: dict) -> dict:
     workloads = {}
     for w, rs in runs.items():
         workloads[w] = {
@@ -115,7 +163,7 @@ def record(label: str, checkout: Path, seconds: float, runs: dict) -> dict:
             "per_run": rs,
         }
     return {"label": label, "revision": revision(checkout), "seconds": seconds,
-            "command": benchmark()["command"], "workloads": workloads}
+            "command": benchmark()["command"], "workloads": workloads, "layers": layer}
 
 
 def main(argv=None) -> int:
@@ -131,8 +179,8 @@ def main(argv=None) -> int:
                                   "seed": seed, "failed": r["failed"]}), flush=True)
     for label, checkout in args.checkouts:
         path = args.out / f"BENCH_{label}.json"
-        path.write_text(json.dumps(record(label, checkout, args.seconds, runs[label]),
-                                   indent=1) + "\n")
+        rec = record(label, checkout, args.seconds, runs[label], layers(checkout))
+        path.write_text(json.dumps(rec, indent=1) + "\n")
         print(f"wrote {path}", file=sys.stderr)
     return 0
 

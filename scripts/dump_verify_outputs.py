@@ -15,7 +15,10 @@ each operation once and prints its output, floats as float.hex:
   values exist, a failure given as the exception's name; the Garding
   eigenvalues of each garding operator on its inputs, and the canonical
   values of each of its branch oracles on GARDING_BRANCH_MATRICES seeded
-  random matrices;
+  random matrices; and the canonical values of the FALLBACK fibers
+  (sigma:k=2 in 3-D, M(0, full, 1) in 2-D) on FALLBACK_JETS seeded random
+  jets each with value 0, most of which the ladder's bisection fallback
+  solves;
 - grid-checks: every comparison and zero-maximum verdict (ok, witness
   node, margin, note), the strict approximator of the oversized box,
   the TranslationReport fields, the discrete jets classified per
@@ -57,6 +60,13 @@ BISECTED = {"Q": catalog.cone_Q(2), "M0": catalog.cone_M0(2),
             "M_half": catalog.make_oracle("M:gamma=1,D=half:e1,R=1", 2),
             "M_full_dual": dual_oracle(catalog.make_oracle("M:gamma=0,D=full,R=inf", 2))}
 BISECTED_JETS = 50
+# spectral fibers whose secant step on the ladder's bracket mostly fails its
+# certificate, so that the value comes from the bisection fallback: sigma's
+# g is curved, and M(0, full, 1)'s g = min(-r, lambda_min - t - |p|)
+# vanishes on an interval at r = 0
+FALLBACK = {"sigma3": catalog.make_oracle("sigma:k=2", 3),
+            "M_full_R1": catalog.make_oracle("M:gamma=0,D=full,R=1", 2)}
+FALLBACK_JETS = 50
 GARDING_BRANCH_MATRICES = 10
 
 
@@ -82,6 +92,12 @@ def bisected_query(rng, n: int, k: int) -> Jet2:
     such jets (the duals from value |r|)."""
     J = random_jet(rng, n, 1.5)
     return J if k % 3 == 0 else Jet2((-1.0) ** k * abs(J.r), np.zeros(n), J.A)
+
+
+def fallback_query(rng, n: int) -> Jet2:
+    """A random jet with value 0."""
+    J = random_jet(rng, n, 1.5)
+    return Jet2(0.0, J.p, J.A)
 
 
 def canonical_or_failure(F, J):
@@ -112,6 +128,9 @@ def verify_outputs(seed: int, distances: int) -> dict:
         for k in range(1, op.degree + 1):
             F = garding.branch_oracle(op, k)
             branches[F.key] = [canonical_or_failure(F, A) for A in mats]
+    for name, F in FALLBACK.items():
+        out[f"canonical_fallback_{name}"] = [
+            canonical_or_failure(F, fallback_query(rng, F.n)) for _ in range(FALLBACK_JETS)]
     return out
 
 

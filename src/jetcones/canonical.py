@@ -14,8 +14,10 @@ is fixed by agreement with lambda_min on the convexity cone.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+import sys
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -38,10 +40,12 @@ from .catalog import (
 from .duality import CheckReport
 from .errors import BadParameters, BoundaryNode, BracketingFailure, ReferenceJetNotInterior
 from .jets import (
+    MAX_DIM,
     Jet2,
     SymMat,
     eigenvalues,
     jet_norm,
+    parts_norm,
     random_jet,
     random_jets,
     random_psd,
@@ -51,7 +55,7 @@ from .jets import (
 SEARCH_RADIUS = 1e6
 # The smallest tol canonical_operator takes: the bisection's stop rule
 # cannot be met below one ulp of t, so tol = 0 would never return.
-MIN_TOL = 4 * np.finfo(float).eps
+MIN_TOL = 4 * sys.float_info.epsilon
 # The operator-value tolerance of check_proper_elliptic (op may fall by
 # at most this much) and check_topological_tameness (a level hit needs
 # nearby values this far above and below the level).
@@ -69,51 +73,56 @@ def _bracket_done(t_lo, t_hi, tol: float):
 def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
     """The unique t with A - tI on the boundary of the cone F.
 
+    A is a Jet2, a SymMat or a raw square matrix; a matrix stands for the
+    jet (0, 0, A). Only a raw matrix is validated, through SymMat: a SymMat
+    or a Jet2 was validated when it was built, and is read as it is.
     tol must be finite and at least MIN_TOL (BadParameters otherwise).
     BracketingFailure when no crossing lies within SEARCH_RADIUS (fiber
-    empty or the whole space). The route goes by F.spectrum alone.
+    empty or the whole space). The route goes by F.spectrum alone; both
+    routes solve A's eigenvalues lambda once, and double from the jet
+    norm + 1, computed from lambda.
 
-    A fiber with a spectrum (F.spectrum = f, g = f(r, p, lambda(A))) takes
-    one eigen-solve: with lambda the eigenvalues of A, g(A - tI) is f(r,
-    p, lambda - t). One stacked f call on the ladder of 0, the +-doubling
-    points from ||A|| + 1 and the eigenvalues brackets the crossing
-    (_ladder_bracket); one secant step on that bracket, certified by a
-    second stacked call, lands within tol * (1 + |t|) of it
-    (_ladder_root). Where the certificate fails, the bracket is bisected
-    on f(lambda - t) >= 0 to tol * max(1, |t_lo| + |t_hi|), and one secant
-    step on the last bracket gives the value. For P, P~, branch, pfold,
-    quasiconvex and pucci and their duals f(lambda - t) is linear between
-    consecutive eigenvalues, its kinks sitting at the eigenvalues only, so
-    the secant step is exact up to rounding; sigma's is curved. Along -I
-    membership of a fiber with F + P in F (every catalog cone and dual)
-    only shrinks, so g >= 0 exactly up to the crossing and g < 0 past it,
-    and the first sign change on the ladder is the crossing even where g
-    vanishes on an interval, like M(0, full, 1)'s min(-r, lambda_min - t
-    - |p|) at r = 0: where that interval ends off the ladder, the secant
-    step stops at the bracket's keep end, the certificate fails, and the
-    bisection finds the crossing.
+    A fiber with a spectrum (F.spectrum = f, g = f(r, p, lambda(A))) needs
+    no other eigen-solve: g(A - tI) is f(r, p, lambda - t). One stacked f
+    call on the ladder of 0, the +-doubling points and the eigenvalues
+    brackets the crossing (_ladder_bracket); one secant step on that
+    bracket, certified by a second stacked call, lands within tol * (1 +
+    |t|) of it (_ladder_root). Where the certificate fails, the bracket is
+    bisected on f(lambda - t) >= 0 to tol * max(1, |t_lo| + |t_hi|), and
+    one secant step on the last bracket gives the value. For P, P~,
+    branch, pfold, quasiconvex and pucci and their duals f(lambda - t) is
+    linear between consecutive eigenvalues, its kinks sitting at the
+    eigenvalues only, so the secant step is exact up to rounding; sigma's
+    is curved. Along -I membership of a fiber with F + P in F (every
+    catalog cone and dual) only shrinks, so g >= 0 exactly up to the
+    crossing and g < 0 past it, and the first sign change on the ladder is
+    the crossing even where g vanishes on an interval, like M(0, full,
+    1)'s min(-r, lambda_min - t - |p|) at r = 0: where that interval ends
+    off the ladder, the secant step stops at the bracket's keep end, the
+    certificate fails, and the bisection finds the crossing.
 
     A fiber without a spectrum brackets the crossing of the membership
-    indicator t -> [A - tI in F] by doubling from ||A|| + 1, probing
-    through catalog.ray_probe, and bisects it to the same width,
-    returning the last bracket's midpoint.
+    indicator t -> [A - tI in F] by doubling, probing through
+    catalog.ray_probe, and bisects it to the same width, returning the
+    last bracket's midpoint.
     """
     if not (math.isfinite(tol) and tol >= MIN_TOL):
         raise BadParameters(f"canonical tol must be finite and at least {MIN_TOL:.3g}, got {tol}")
-    J = A if isinstance(A, Jet2) else Jet2.from_matrix(A)
+    r, p, S = _jet_parts(A)
+    lam = eigenvalues(S)
+    side = _doublings(parts_norm(r, p, lam) + 1.0, SEARCH_RADIUS)
     if F.spectrum is not None:
-        lam = eigenvalues(J.A)
-        f = functools.partial(F.spectrum, J.r, J.p)
-        bracket = _ladder_bracket(f, lam, _doublings(jet_norm(J, lam) + 1.0, SEARCH_RADIUS))
+        f = functools.partial(F.spectrum, r, p)
+        bracket = _ladder_bracket(f, lam, side)
     else:
-        g = ray_probe(F, stack_jets([J], J.n), Jet2.from_matrix(SymMat.identity(J.n)))
+        g = ray_probe(F, (np.array([r]), p[None], S.entries[None]),
+                      Jet2.from_matrix(SymMat.identity(S.n)))
 
         def member(live, t):
             # sign of the defining functional, not the tolerance band: the
             # bisection target is the exact zero crossing
             return g(live, -t) >= 0.0
 
-        side = _doublings(jet_norm(J) + 1.0, SEARCH_RADIUS)
         start_in = bool(g([0])[0] >= 0.0)
         bracket, = crossing_brackets(member, [side if start_in else -side], [start_in])
     if bracket is None:
@@ -129,24 +138,45 @@ def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
     return 0.5 * (t_lo + t_hi)
 
 
+# A matrix's jet (0, 0, A) has the gradient _ZERO_GRADIENT[:n], read-only
+_ZERO_GRADIENT = np.zeros(MAX_DIM)
+_ZERO_GRADIENT.setflags(write=False)
+_ZERO_RUNG = np.zeros(1)  # the ladder's rung at t = 0
+
+
+def _jet_parts(A) -> tuple:
+    """(r, p, S) of canonical_operator's query: a Jet2's parts as they are,
+    or (0, 0, S) for a matrix, with S = A for a SymMat and SymMat(A),
+    which validates it, for a raw array."""
+    if isinstance(A, Jet2):
+        return A.r, A.p, A.A
+    if not isinstance(A, SymMat):
+        A = SymMat(A)
+    return 0.0, _ZERO_GRADIENT[:A.n], A
+
+
 def _ladder_bracket(f: Callable, lam: np.ndarray, side: np.ndarray) -> Optional[tuple]:
     """The first sign change of g(t) = f(lam - t) from g >= 0 to g < 0 on
-    the sorted ladder of 0, +-side and lam, from one stacked f call, as
-    ((keep, g(keep)), (flip, g(flip))). None when side is empty or g keeps
-    one sign on the ladder. Every eigenvalue lies within (-side[0],
-    side[0]), so the ladder spans the doubling walk's reach on both sides
-    of 0, and g, which is >= 0 up to the crossing and < 0 past it, changes
-    sign on the ladder exactly when the walk finds a crossing."""
+    the ladder of 0, +-side and lam, from one stacked f call, as ((keep,
+    g(keep)), (flip, g(flip))). None when side is empty or g keeps one
+    sign on the ladder. Every eigenvalue lies within (-side[0], side[0]),
+    so the ladder spans the doubling walk's reach on both sides of 0, and
+    g, which is >= 0 up to the crossing and < 0 past it, changes sign on
+    the ladder exactly when the walk finds a crossing. The ladder is built
+    in ascending order, with no sort: -side reversed, the eigenvalues up
+    to 0, 0, the other eigenvalues, side. The ladder's +0 follows every
+    eigenvalue +-0, so a keep end at t = 0 is +0."""
     if not side.size:
         return None
-    ts = np.sort(np.concatenate((-side, [0.0], lam, side)))
+    k = bisect.bisect_right(lam.tolist(), 0.0)
+    ts = np.concatenate((-side[::-1], lam[:k], _ZERO_RUNG, lam[k:], side))
     g = f(lam - ts[:, None])
-    keep = g >= 0.0
-    change = keep[:-1] > keep[1:]
-    i = int(change.argmax())
-    if not change[i]:
+    # the first rung with g >= 0 whose next rung has g < 0: the first True,
+    # False pair among the one-byte booleans
+    i = (g >= 0.0).tobytes().find(b"\x01\x00")
+    if i < 0:
         return None
-    return tuple(zip(ts[i:i + 2].tolist(), g[i:i + 2].tolist()))
+    return (ts.item(i), g.item(i)), (ts.item(i + 1), g.item(i + 1))
 
 
 def _ladder_root(f: Callable, lam: np.ndarray, keep: tuple, flip: tuple, tol: float) -> float:
@@ -163,7 +193,7 @@ def _ladder_root(f: Callable, lam: np.ndarray, keep: tuple, flip: tuple, tol: fl
     (a, ga), (b, gb) = keep, flip
     t = a + (b - a) * (ga / (ga - gb))
     d = 0.5 * tol * (1.0 + abs(t))
-    below, above = f(lam - np.array([[t - d], [t + d]])).tolist()
+    below, above = f(lam - np.array((t - d, t + d))[:, None]).tolist()
     if below >= 0.0 and above < 0.0:
         return t
     (a, b), = bisect_brackets(lambda live, t: f(lam - t[..., None]) >= 0.0, [(a, b)],
@@ -176,10 +206,18 @@ def _doublings(first: float, cap: float) -> np.ndarray:
     """first, 2*first, 4*first, ... while at most cap, for first > 0."""
     if not first <= cap:
         return np.empty(0)
-    # first * 2**k is exact, as repeated doubling is, and exceeds cap for
-    # k past the difference of their binary exponents
-    out = np.ldexp(first, np.arange(math.frexp(cap)[1] - math.frexp(first)[1] + 1))
-    return out[out <= cap]
+    # first * 2**k is exact, as repeated doubling is. With first = f 2**e
+    # and cap = c 2**E, f and c in [0.5, 1), it is below cap for k < E - e
+    # and above it for k > E - e
+    k = math.frexp(cap)[1] - math.frexp(first)[1]
+    if math.ldexp(first, k) > cap:
+        k -= 1
+    return np.ldexp(first, _EXPONENTS[:k + 1])
+
+
+# 0, 1, 2, ...: every k _doublings can take, as the binary exponents frexp
+# gives positive doubles run from min_exp - 52 to max_exp
+_EXPONENTS = np.arange(sys.float_info.max_exp - sys.float_info.min_exp + 53, dtype=np.int32)
 
 
 def _jet_directions(n: int, count: int, seed: int, arity: Arity) -> list:

@@ -398,7 +398,7 @@ def cone_pfold(n: int, p: int) -> FiberOracle:
     """
     check_index("pfold", "p", p, n)
     return spectral_oracle(f"pfold p={p}: lambda_1(A)+...+lambda_{p}(A) >= 0", n,
-                           f"pfold:p={p}", lambda r, q, lam: np.sum(lam[..., :p], axis=-1))
+                           f"pfold:p={p}", lambda r, q, lam: lam[..., :p].sum(axis=-1))
 
 
 def elementary_symmetric(lam: np.ndarray, k: int):
@@ -426,8 +426,8 @@ def cone_pucci(n: int, lam: float, Lam: float) -> FiberOracle:
     check_pucci(lam, Lam)
 
     def f(r, p, ev):
-        return (lam * np.sum(np.maximum(ev, 0.0), axis=-1)
-                + Lam * np.sum(np.minimum(ev, 0.0), axis=-1))
+        return (lam * np.maximum(ev, 0.0).sum(axis=-1)
+                + Lam * np.minimum(ev, 0.0).sum(axis=-1))
 
     return spectral_oracle(f"pucci ({lam},{Lam}): {lam}*tr A+ + {Lam}*tr A- >= 0", n,
                            f"pucci:{_fmt(lam)},{_fmt(Lam)}", f)
@@ -555,13 +555,19 @@ class DirectionalCone:
         return v / np.linalg.norm(v)
 
 
+# The bound on MonotonicityCone's gamma. interior_jet's r-slot margin is
+# (gamma*|p| + 1) - gamma*|p| with |p| = 1 or 0: at least 0.5 below 2**52,
+# but rounded to 0 or 2 from 2**53 on, where the jet lands on M's boundary
+MAX_GAMMA = 2.0 ** 52
+
+
 @dataclass(frozen=True)
 class MonotonicityCone:
     """Fundamental-family cone M(gamma, D, R).
 
     Membership: r <= -gamma*|p|, p in D, A >= (|p|/R) I. R = +inf (a
     structural value, checked with isinf) relaxes the last condition to
-    A >= 0.
+    A >= 0. gamma must lie in [0, MAX_GAMMA).
     """
 
     gamma: float
@@ -569,8 +575,8 @@ class MonotonicityCone:
     R: float
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise BadParameters(f"gamma must be >= 0, got {self.gamma}")
+        if not 0.0 <= self.gamma < MAX_GAMMA:
+            raise BadParameters(f"gamma must be >= 0 and below 2**52, got {self.gamma}")
         if not (self.R > 0):
             raise BadParameters(f"R must be positive or inf, got {self.R}")
 

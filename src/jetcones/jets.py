@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NonOrthonormalBasis
 
@@ -210,17 +211,25 @@ def eigenvalues(A) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix, or of each matrix of a
     stack A[..., n, n] (no frame), as np.linalg.eigvalsh gives them.
 
-    eigvalsh runs LAPACK's dsyevd (JOBZ='N', UPLO='L') once per matrix.
-    A stack of at least _MIN_STACK 2 x 2 matrices, each finite with its
-    largest lower-triangle magnitude zero or in [SSFMIN, RMAX] (about
-    [1.2e-122, 1e146], where neither dsyevd nor dsterf rescales), goes to
+    eigvalsh runs LAPACK's dsyevd (JOBZ='N', UPLO='L') once per matrix,
+    through the gufunc numpy.linalg._umath_linalg.eigvalsh_lo. A single
+    finite square matrix goes to that gufunc directly, without eigvalsh's
+    wrapper (its type checks and the errstate that turns a failed dsyevd
+    into LinAlgError): the same LAPACK call, so the same bits. A stack of
+    at least _MIN_STACK 2 x 2 matrices, each finite with its largest
+    lower-triangle magnitude zero or in [SSFMIN, RMAX] (about [1.2e-122,
+    1e146], where neither dsyevd nor dsterf rescales), goes to
     _eigvalsh_2x2 instead: the float sequence of dsterf, dlae2 and dlasrt
     that dsyevd runs for n = 2, on the whole stack at once, bit for bit
-    (signed zeros included). Every other input, single matrices included,
-    goes to eigvalsh.
+    (signed zeros included). Every other input goes to eigvalsh: a
+    matrix with an infinite or NaN entry, where dsyevd can fail and
+    eigvalsh raises LinAlgError, and every other stack.
     """
     a = _mat(A)
-    if a.size >= 4 * _MIN_STACK and a.shape[-2:] == (2, 2):
+    if a.ndim == 2:
+        if a.shape[0] == a.shape[1] and np.count_nonzero(np.isfinite(a)) == a.size:
+            return _umath_linalg.eigvalsh_lo(a)
+    elif a.size >= 4 * _MIN_STACK and a.shape[-2:] == (2, 2):
         lam = _eigvalsh_2x2(a)
         if lam is not None:
             return lam
@@ -284,14 +293,15 @@ def _eigvalsh_2x2(a: np.ndarray) -> Optional[np.ndarray]:
     return lam
 
 
-def jet_norm(J: Jet2, lam: Optional[np.ndarray] = None) -> float:
-    """max(|r|, |p|_2, max_k |lambda_k(A)|); zero iff J is the zero jet.
+def jet_norm(J: Jet2) -> float:
+    """max(|r|, |p|_2, max_k |lambda_k(A)|); zero iff J is the zero jet."""
+    return parts_norm(J.r, J.p, eigenvalues(J.A))
 
-    lam, when given, is eigenvalues(J.A), which is then not solved again.
-    """
-    sup = matrix_sup_norm(J.A) if lam is None else _sup_abs(lam)
+
+def parts_norm(r: float, p: np.ndarray, lam: np.ndarray) -> float:
+    """jet_norm of the jet (r, p, A), given lam = eigenvalues(A)."""
     # sqrt(p . p) is the arithmetic of np.linalg.norm(p), without its overhead
-    return max(abs(J.r), math.sqrt(J.p.dot(J.p)), sup)
+    return max(abs(r), math.sqrt(p.dot(p)), _sup_abs(lam))
 
 
 def matrix_sup_norm(A) -> float:
@@ -301,7 +311,8 @@ def matrix_sup_norm(A) -> float:
 
 def _sup_abs(lam: np.ndarray) -> float:
     """max_k |lam_k| of ascending eigenvalues: |lam_1| or |lam_n|."""
-    return float(max(abs(lam[0]), abs(lam[-1]))) if lam.size else 0.0
+    lam = lam.tolist()
+    return max(abs(lam[0]), abs(lam[-1])) if lam else 0.0
 
 
 def trace_on_subspace(A: SymMat, W) -> float:

@@ -24,6 +24,13 @@ secant step: the reference for the spectral canonical value, and the
 route canonical_operator took where its secant certificate failed before
 that bracket was bisected instead.
 
+ref_ladder_canonical is the spectral route of canonical_operator as it
+ran before its lean one-row form: the query as a Jet2 (Jet2.from_matrix
+validates a matrix again), eigvalsh's eigenvalues, the doubling walked
+by a loop from the numpy reductions' jet norm + 1, and
+ref_ladder_bracket's ladder put in order by np.sort; the root step on
+the bracket is canonical's own.
+
 The ref_check_* functions, ref_strict_ellipticity_check and the
 ref_admissible_* tests are the one-sample-at-a-time loops that the
 sampled checks of duality, canonical and boundary run on stacks: each
@@ -32,13 +39,15 @@ one-verdict record. one_jet adapts a jet operator, a form on stacks, to
 one Jet2, as the loops call it.
 """
 
+import functools
 import itertools
 
 import numpy as np
 
+from jetcones.canonical import SEARCH_RADIUS, _ladder_root
 from jetcones.catalog import RegionKind, jets_along, make_oracle, shift_stack_to_boundary
 from jetcones.duality import CheckReport, dual_oracle
-from jetcones.errors import BoundaryNode
+from jetcones.errors import BoundaryNode, BracketingFailure
 from jetcones.grids import GridFunction
 from jetcones.jets import (Jet2, SymMat, jet_norm, random_jet, random_psd, stack_jets,
                            unstack_jets)
@@ -82,6 +91,38 @@ def brent_root(f, lam, keep: float, flip: float, tol: float) -> float:
     brentq(g, keep, flip, xtol=tol, rtol=tol, maxiter=BRENT_MAX_ITER)
     (a, ga), (b, gb) = ends
     return a + (b - a) * (ga / (ga - gb))
+
+
+def ref_ladder_canonical(F, A, tol=1e-10):
+    """canonical_operator(F, A, tol) for a fiber F with a spectrum, through
+    a Jet2 and a sorted ladder (see the module docstring)."""
+    J = A if isinstance(A, Jet2) else Jet2.from_matrix(A)
+    lam = np.linalg.eigvalsh(J.A.entries)
+    f = functools.partial(F.spectrum, J.r, J.p)
+    side, t = [], max(abs(J.r), float(np.linalg.norm(J.p)), float(np.max(np.abs(lam)))) + 1.0
+    while t <= SEARCH_RADIUS:
+        side.append(t)
+        t *= 2.0
+    bracket = ref_ladder_bracket(f, lam, np.array(side))
+    if bracket is None:
+        raise BracketingFailure(f"no boundary crossing of {F.label} along I")
+    return _ladder_root(f, lam, *bracket, tol)
+
+
+def ref_ladder_bracket(f, lam, side):
+    """The first sign change of g(t) = f(lam - t) from g >= 0 to g < 0 on
+    the ladder of 0, +-side and lam, sorted by np.sort, as ((keep,
+    g(keep)), (flip, g(flip))), or None."""
+    if not side.size:
+        return None
+    ts = np.sort(np.concatenate((-side, [0.0], lam, side)))
+    g = f(lam - ts[:, None])
+    keep = g >= 0.0
+    change = keep[:-1] > keep[1:]
+    i = int(change.argmax())
+    if not change[i]:
+        return None
+    return tuple(zip(ts[i:i + 2].tolist(), g[i:i + 2].tolist()))
 
 
 def ref_shift_to_boundary(oracle, J, J0, margin=1e-6, tol=1e-9, max_expand=60):

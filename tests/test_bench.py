@@ -2,7 +2,9 @@
 
 import importlib.util
 import json
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,16 +15,26 @@ bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench)
 
 
-def _fake_run(calls):
-    """A subprocess.run that answers git with a fixed revision and the
-    benchmark with a detail line and a result line whose focus_s is the
-    seed in seconds. The detail line carries five set-up samples and, for
-    solve, one refinement row."""
+LAYER_CONES = ["P2", "P3", "pfold32", "pucci"]
 
-    def run(cmd, cwd=None, capture_output=False, text=False, timeout=None):
+
+def _fake_run(calls, layer_calls=None):
+    """A subprocess.run that answers git with a fixed revision, the layer
+    timing with len(layer_calls) us per value on each cone (noting each
+    call's checkout and PYTHONPATH), and the benchmark with a detail line
+    and a result line whose focus_s is the seed in seconds. The detail
+    line carries five set-up samples and, for solve, one refinement row."""
+
+    def run(cmd, cwd=None, capture_output=False, text=False, timeout=None, env=None):
         if cmd[0] == "git":
             out = "0123abc\n" if "rev-parse" in cmd else ""
             return subprocess.CompletedProcess(cmd, 0, out, "")
+        if cmd[1] == "-c":
+            assert cmd[2] == bench.LAYER_CODE
+            assert cmd[3:] == [str(bench.LAYER_VALUES), str(bench.LAYER_REPEATS)]
+            layer_calls.append((Path(cwd).name, env["PYTHONPATH"]))
+            us = {cone: float(len(layer_calls)) for cone in LAYER_CONES}
+            return subprocess.CompletedProcess(cmd, 0, json.dumps(us) + "\n", "")
         seed = int(cmd[cmd.index("--seed") + 1])
         workload = cmd[cmd.index("--workload") + 1]
         calls.append((Path(cwd).name, workload, seed))
@@ -44,8 +56,8 @@ def test_bench_alternates_checkouts_and_writes_one_record_each(tmp_path, monkeyp
     for side in ("old", "new"):
         (tmp_path / side / "perfbench").mkdir(parents=True)
         (tmp_path / side / "perfbench" / "run.py").write_text("")
-    calls = []
-    monkeypatch.setattr(bench.subprocess, "run", _fake_run(calls))
+    calls, layer_calls = [], []
+    monkeypatch.setattr(bench.subprocess, "run", _fake_run(calls, layer_calls))
     assert bench.main(["--seeds", "4", "1", "2", "--workloads", "verify", "grid-checks",
                        "--seconds", "2", "--out", str(tmp_path),
                        f"parent={tmp_path / 'old'}", f"change={tmp_path / 'new'}"]) == 0
@@ -55,9 +67,14 @@ def test_bench_alternates_checkouts_and_writes_one_record_each(tmp_path, monkeyp
                      ("old", "grid-checks", 4), ("new", "grid-checks", 4),
                      ("new", "grid-checks", 1), ("old", "grid-checks", 1),
                      ("old", "grid-checks", 2), ("new", "grid-checks", 2)]
-    for label in ("parent", "change"):
+    # one layer timing per checkout, on its own src
+    assert layer_calls == [("old", str(tmp_path / "old" / "src")),
+                           ("new", str(tmp_path / "new" / "src"))]
+    for i, label in enumerate(("parent", "change")):
         rec = json.loads((tmp_path / f"BENCH_{label}.json").read_text())
-        assert set(rec) == {"label", "revision", "seconds", "command", "workloads"}
+        assert set(rec) == {"label", "revision", "seconds", "command", "workloads", "layers"}
+        assert rec["layers"] == {"canonical_us_per_value": {c: i + 1.0 for c in LAYER_CONES},
+                                 "values": bench.LAYER_VALUES, "repeats": bench.LAYER_REPEATS}
         assert rec["label"] == label and rec["revision"] == "0123abc"
         assert rec["seconds"] == 2.0 and rec["command"] == bench.benchmark()["command"]
         assert set(rec["workloads"]) == {"verify", "grid-checks"}
@@ -77,7 +94,7 @@ def test_bench_alternates_checkouts_and_writes_one_record_each(tmp_path, monkeyp
 def test_bench_keeps_the_refinement_rows_of_solve(tmp_path, monkeypatch):
     (tmp_path / "co" / "perfbench").mkdir(parents=True)
     (tmp_path / "co" / "perfbench" / "run.py").write_text("")
-    monkeypatch.setattr(bench.subprocess, "run", _fake_run([]))
+    monkeypatch.setattr(bench.subprocess, "run", _fake_run([], []))
     assert bench.main(["--seeds", "3", "5", "--workloads", "solve", "--seconds", "1",
                        "--out", str(tmp_path), f"one={tmp_path / 'co'}"]) == 0
     rec = json.loads((tmp_path / "BENCH_one.json").read_text())
@@ -85,6 +102,17 @@ def test_bench_keeps_the_refinement_rows_of_solve(tmp_path, monkeypatch):
         assert r["detail"] == {"setup_samples_s": [0.1 * seed] * 5,
                                "refinement": {"rows": [{"problem": "P_33",
                                                         "iterations": seed}]}}
+
+
+def test_layer_code_times_every_focus_cone(tmp_path):
+    # the child the layer timing starts, on this checkout's src with one
+    # value and one pass per cone: one positive median per focus cone
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", bench.LAYER_CODE, "1", "1"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    us = json.loads(done.stdout)
+    assert list(us) == LAYER_CONES and all(v > 0.0 for v in us.values())
 
 
 def test_bench_summary_of_one_run():

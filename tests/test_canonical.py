@@ -287,9 +287,10 @@ def test_strict_M_monotone_det_and_slag():
 
 
 def test_strict_M_monotone_refuses_an_interior_jet_rounded_onto_the_boundary():
-    # r = -(gamma*|p| + 1) loses the 1 at gamma = 1e16, so M's interior jet
-    # sits on M's boundary in floating point
-    M = MonotonicityCone(1e16, DirectionalCone.halfspace([1.0, 0.0]), math.inf)
+    # A = (1 + |p|/R) I loses the 1 at R = 1e-20, so M's interior jet sits
+    # on M's boundary in floating point (MonotonicityCone refuses a gamma
+    # that would do the same to r = -(gamma*|p| + 1))
+    M = MonotonicityCone(1.0, DirectionalCone.halfspace([1.0, 0.0]), 1e-20)
     with pytest.raises(ReferenceJetNotInterior):
         check_strict_M_monotone(det_op, cone_P(2), M, samples=10)
 

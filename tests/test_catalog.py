@@ -291,6 +291,29 @@ def test_interior_jet_lands_inside():
         assert cone_M(M, 2).classify(M.interior_jet(2)).is_interior
 
 
+@pytest.mark.parametrize("gamma", [1.0, 1e8, 1e15, math.nextafter(2.0 ** 52, 0.0)])
+def test_interior_jet_stays_inside_up_to_the_largest_gamma(gamma):
+    # r = -(gamma*|p| + 1) keeps a margin of at least 0.5 below 2**52
+    for n, D in [(2, DirectionalCone.halfspace([1, 0])),
+                 (2, DirectionalCone.orthant([0, 1])),
+                 (3, DirectionalCone.halfspace([0, 0, 1])),
+                 (3, DirectionalCone.orthant([0, 1, 2]))]:
+        M = MonotonicityCone(gamma, D, math.inf)
+        assert cone_M(M, n).classify(M.interior_jet(n)).is_interior
+
+
+@pytest.mark.parametrize("gamma", [2.0 ** 52, 1e16, math.inf, math.nan, -1.0])
+def test_monotonicity_cone_refuses_a_gamma_that_rounds_the_margin(gamma):
+    # from 2**53 on, gamma*|p| + 1 rounds to gamma*|p| or past it, and the
+    # interior jet lands on the boundary: at 1e16 check_monotonicity
+    # checked 0 of 200 samples
+    with pytest.raises(BadParameters):
+        MonotonicityCone(gamma, DirectionalCone.halfspace([1, 0]), math.inf)
+    if math.isfinite(gamma):
+        with pytest.raises(BadParameters):
+            make_oracle(f"M:gamma={gamma!r},D=half:e1,R=inf", 2)
+
+
 # --- failure example -------------------------------------------------------
 
 

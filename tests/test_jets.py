@@ -1,9 +1,13 @@
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from jetcones import jets as jets_module
 from jetcones.errors import NonOrthonormalBasis
 from jetcones.jets import (
     _MIN_STACK,
@@ -14,6 +18,7 @@ from jetcones.jets import (
     _eigvalsh_2x2,
     eigenvalues,
     jet_norm,
+    parts_norm,
     random_jet,
     random_orthogonal,
     random_psd,
@@ -42,7 +47,7 @@ def test_jet_norm_matches_the_numpy_reductions():
     for J in jets:
         lam = np.linalg.eigvalsh(J.A.entries)
         ref = max(abs(J.r), float(np.linalg.norm(J.p)), float(np.max(np.abs(lam))))
-        assert float.hex(jet_norm(J)) == float.hex(jet_norm(J, lam)) == float.hex(ref)
+        assert float.hex(jet_norm(J)) == float.hex(parts_norm(J.r, J.p, lam)) == float.hex(ref)
 
 
 @settings(max_examples=60, deadline=None)
@@ -90,6 +95,20 @@ def _count_lapack(monkeypatch) -> list:
         return lapack(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def _count_gufunc(monkeypatch) -> list:
+    """Patch the LAPACK gufunc that jets.eigenvalues calls for a single
+    matrix to record the shape of each call (eigvalsh's own calls of it
+    are not counted)."""
+    calls, gufunc = [], jets_module._umath_linalg.eigvalsh_lo
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return gufunc(a)
+
+    monkeypatch.setattr(jets_module, "_umath_linalg", SimpleNamespace(eigvalsh_lo=counted))
     return calls
 
 
@@ -168,7 +187,9 @@ def test_stacked_2x2_route_reads_the_lower_triangle(monkeypatch):
     assert np.array_equal(_int_bits(got), _int_bits(ref))
 
 
-@pytest.mark.parametrize("case", ["small", "tiny row", "huge row", "inf", "nan", "3x3", "single"])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["small", "tiny row", "huge row", "inf", "nan", "3x3", "single",
+                                  "single inf", "single nan"])
 def test_other_inputs_go_to_lapack(case, monkeypatch):
     rng = np.random.default_rng(3)
     g = rng.standard_normal((_MIN_STACK, 2, 2))
@@ -179,22 +200,87 @@ def test_other_inputs_go_to_lapack(case, monkeypatch):
         a[7] *= 1e-124  # rescaled by dsterf: its largest entry is below SSFMIN
     elif case == "huge row":
         a[7] *= 1e147  # rescaled by dsyevd: its largest entry exceeds RMAX
-    elif case == "inf":
+    elif case in ("inf", "single inf"):
         a[7, 1, 1] = np.inf
-    elif case == "nan":
+    elif case in ("nan", "single nan"):
         a[7, 0, 0] = np.nan
     elif case == "3x3":
         g = rng.standard_normal((_MIN_STACK, 3, 3))
         a = g + g.swapaxes(-1, -2)
-    else:
-        a = a[0]
+    if case.startswith("single"):
+        a = a[7]
     ref = np.linalg.eigvalsh(a)
-    calls = _count_lapack(monkeypatch)
+    calls, direct = _count_lapack(monkeypatch), _count_gufunc(monkeypatch)
     got = eigenvalues(a)
-    assert calls == [a.shape]
+    # a single finite matrix goes to eigvalsh's LAPACK gufunc directly
+    assert (calls, direct) == (([], [a.shape]) if case == "single" else ([a.shape], []))
     assert np.array_equal(_int_bits(got), _int_bits(ref))
     if case in ("tiny row", "huge row", "inf", "nan"):
         assert _eigvalsh_2x2(a) is None
+
+
+def _signed_zero_matrices(n: int, rng) -> list:
+    """Symmetric n x n matrices of +-0 entries: all +0, all -0, and random
+    signs; then a diagonal with one -0 among nonzero entries."""
+    out = [np.zeros((n, n)), -np.zeros((n, n))]
+    for _ in range(4):
+        s = rng.integers(0, 2, (n, n))
+        s = np.where(np.tril(np.ones((n, n), dtype=bool)), s, s.T)
+        out.append(np.where(s == 1, -0.0, 0.0))
+    out.append(np.diag([-0.0] + list(range(1, n))) * 1.0)
+    return out
+
+
+def test_single_matrices_are_eigvalshs_to_the_bit(monkeypatch):
+    # the gufunc route of one matrix against eigvalsh: 10,080 random
+    # matrices of every size up to MAX_DIM at scales from 1e-120 to 1e145,
+    # where dsyevd rescales at both ends, and matrices of signed zeros
+    rng = np.random.default_rng(131)
+    mats = []
+    for n in range(1, 9):
+        for scale in (1e-120, 1e-60, 1e-3, 1.0, 1e3, 1e60, 1e145):
+            g = rng.standard_normal((180, n, n)) * scale
+            mats += list(0.5 * (g + g.swapaxes(-1, -2)))
+        mats += _signed_zero_matrices(n, rng)
+    refs = [np.linalg.eigvalsh(a) for a in mats]
+    direct = _count_gufunc(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, ref in zip(mats, refs):
+            assert np.array_equal(_int_bits(eigenvalues(a)), _int_bits(ref))
+    assert len(direct) == len(mats) > 10_000
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_non_finite_single_matrices_keep_eigvalshs_outcome(n, monkeypatch):
+    # where dsyevd fails, eigvalsh raises LinAlgError and the gufunc alone
+    # would warn and return NaN: a matrix with an infinite or NaN entry
+    # keeps eigvalsh, with the same bits or the same error and no warning
+    rng = np.random.default_rng(137 + n)
+    direct = _count_gufunc(monkeypatch)
+    outcomes = set()
+    for _ in range(60):
+        g = rng.standard_normal((n, n))
+        a = g + g.T
+        i, j = rng.integers(0, n, 2)
+        a[i, j] = a[j, i] = rng.choice([np.inf, -np.inf, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                ref = _int_bits(np.linalg.eigvalsh(a))
+            except np.linalg.LinAlgError:
+                ref = None
+            try:
+                got = _int_bits(eigenvalues(a))
+            except np.linalg.LinAlgError:
+                got = None
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert np.array_equal(got, ref)
+        outcomes.add(got is None)
+    assert direct == []
+    # from n = 3 on, both outcomes occur
+    assert outcomes == ({False, True} if n >= 3 else {False})
 
 
 @settings(max_examples=200, deadline=None)

@@ -47,6 +47,7 @@ below it matches them bit for bit as well.
 import functools
 import itertools
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -106,7 +107,8 @@ from jetcones.duality import (
     check_monotonicity,
     dual_oracle,
 )
-from jetcones.errors import BadParameters, BracketingFailure, NegativeSource
+from jetcones.errors import (BadParameters, BracketingFailure, IndexOutOfRange, NegativeSource,
+                             OddDimension)
 from jetcones.jets import (
     Jet2,
     SymMat,
@@ -123,6 +125,7 @@ from jet2_refs import (
     ray_values,
     record,
     ref_check_involution,
+    ref_ladder_canonical,
     ref_sample_cone_member,
     ref_shift_to_boundary,
     shift_jets,
@@ -724,7 +727,7 @@ def test_doublings_match_the_doubling_loop():
     rng = np.random.default_rng(89)
     cases = [(1.0, SEARCH_RADIUS), (1.0, 1.0), (1.0 + 2**-52, 1.0), (3.0, 3.0 * 2**19),
              (3.0, np.nextafter(3.0 * 2**19, 0.0)), (math.nan, 1.0), (math.inf, 1.0),
-             (1e-300, 1e300), (5e-324, 1.0), (1.0, 1.7e308)]
+             (1e-300, 1e300), (5e-324, 1.0), (1.0, 1.7e308), (5e-324, sys.float_info.max)]
     cases += list(zip(rng.uniform(1e-3, 1e6, 500).tolist(), rng.uniform(0.0, 1e7, 500).tolist()))
     cases += [(2.0**k * (1.0 + 2**-52), 2.0**j) for k in range(-3, 24) for j in range(-3, 24)]
     for first, cap in cases:
@@ -911,6 +914,81 @@ def sigma2_root(ev):
 # the families whose f(lambda - t) is linear between consecutive eigenvalues
 PIECEWISE_LINEAR = [c for c in SPECTRAL if c.id != "sigma"]
 DUALS = pytest.mark.parametrize("dual", [False, True], ids=["cone", "dual"])
+
+
+def ladder_keys(n):
+    """Every catalog key whose fiber in dimension n has a spectrum: each
+    family with its default parameters, then the parametrized keys the
+    tests above use."""
+    keys = []
+    for key in [name for name, family in REGISTRY.items() if not family.variable] + \
+            [c.values[0] for c in SPECTRAL] + MIXED_KEYS:
+        try:
+            F = make_oracle(key, n)
+        except (BadParameters, IndexOutOfRange, OddDimension):
+            continue
+        if F.spectrum is not None and key not in keys:
+            keys.append(key)
+    return keys
+
+
+def ladder_queries(n, rng):
+    """Random matrices over six decades of scale, each as a SymMat, as a raw
+    array, as a Jet2 with r = 0, p = 0 and as one with r and p nonzero; then
+    the zero matrix, repeated eigenvalues, an eigenvalue exactly 0 and a
+    -0.0 entry, each as a raw array and as a Jet2 with r and p nonzero."""
+    queries = []
+    for scale in (1e-3, 1.5, 1e3):
+        for _ in range(6):
+            A = random_symmetric(rng, n, scale)
+            r, p = rng.standard_normal() * scale, rng.standard_normal(n) * scale
+            queries += [A, A.entries.copy(), Jet2(0.0, np.zeros(n), A), Jet2(r, p, A)]
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    special = [np.zeros((n, n)), -np.zeros((n, n)), 2.0 * np.eye(n),
+               q @ np.diag([1.0] * (n - 1) + [-2.0]) @ q.T, np.diag([0.0, 1.0, -1.0][:n]),
+               np.diag([-0.0] + [1.0] * (n - 1)), np.diag([-0.0] + [-1.0] * (n - 1))]
+    for A in special:
+        queries += [A, Jet2(-0.5, np.full(n, 0.25), A)]
+    return queries
+
+
+def outcome_bits(f, *args) -> tuple:
+    """f's value as its int64 bits, or the name of the jetcones error it raised."""
+    try:
+        return "value", int(np.array(f(*args)).view(np.int64))
+    except BracketingFailure as e:
+        return type(e).__name__, None
+
+
+ZERO_BITS = {0, int(np.array(-0.0).view(np.int64))}
+
+
+@DUALS
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_canonical_is_the_sorted_ladder_on_jet2s_bit_for_bit(n, dual):
+    # the one-row route (parts read once, one LAPACK gufunc call, a ladder
+    # built in order) against the route it replaced, which wraps a matrix
+    # in a Jet2, solves with eigvalsh and sorts the ladder: every spectral
+    # key and its dual, every input kind, the same bits or the same failure.
+    # One exception: an eigenvalue -0.0 ties with the ladder's 0, and where
+    # the value is a zero its sign follows the tie's order. The ladder puts
+    # its +0 last, so the value is +0; np.sort ordered the tie as its
+    # sorting network fell, and gave either sign.
+    rng = np.random.default_rng(149 + n)
+    ties = compared = 0
+    for key in ladder_keys(n):
+        F = spectral_fiber(key, n, dual)
+        for A in ladder_queries(n, rng):
+            got = outcome_bits(canonical_operator, F, A)
+            ref = outcome_bits(ref_ladder_canonical, F, A)
+            lam = np.linalg.eigvalsh((A if isinstance(A, Jet2) else Jet2.from_matrix(A)).A.entries)
+            if got[1] in ZERO_BITS and np.any((lam == 0.0) & np.signbit(lam)):
+                assert got == ("value", 0) and ref[1] in ZERO_BITS, (key, A)
+                ties += 1
+            else:
+                assert got == ref, (key, A)
+                compared += 1
+    assert ties > 0 and compared > 10 * ties
 
 
 @DUALS

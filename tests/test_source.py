@@ -250,17 +250,22 @@ def test_every_defaulted_parameter_is_set():
     assert sorted(UNSET_PARAMETERS) == [name for name in unset if name in UNSET_PARAMETERS]
 
 
-def eigvalsh_references(source: str) -> list:
-    """Lines that name eigvalsh: as an attribute, a bare name or an import."""
+def references(source: str, name: str) -> list:
+    """Lines that name name: as an attribute, a bare name or an import."""
     out = []
     for node in ast.walk(ast.parse(source)):
-        named = ((isinstance(node, ast.Attribute) and node.attr == "eigvalsh")
-                 or (isinstance(node, ast.Name) and node.id == "eigvalsh")
+        named = ((isinstance(node, ast.Attribute) and node.attr == name)
+                 or (isinstance(node, ast.Name) and node.id == name)
                  or (isinstance(node, (ast.Import, ast.ImportFrom))
-                     and any(a.name.split(".")[-1] == "eigvalsh" for a in node.names)))
+                     and any(a.name.split(".")[-1] == name for a in node.names)))
         if named:
             out.append(node.lineno)
     return [f"line {n}" for n in sorted(out)]
+
+
+def eigvalsh_references(source: str) -> list:
+    """Lines that name eigvalsh: as an attribute, a bare name or an import."""
+    return references(source, "eigvalsh")
 
 
 def test_the_checker_sees_every_eigvalsh_reference():
@@ -269,12 +274,23 @@ def test_the_checker_sees_every_eigvalsh_reference():
     assert eigvalsh_references(source) == ["line 2", "line 3", "line 4"]
 
 
+def test_the_checker_sees_every_umath_linalg_reference():
+    source = ("import numpy as np\nfrom numpy.linalg import _umath_linalg\n"
+              "import numpy.linalg._umath_linalg as u\n"
+              "x = np.linalg._umath_linalg.eigvalsh_lo(a)\ny = _umath_linalg\n"
+              "z = np.linalg.eigvalsh(a)\nw = u.eigvalsh_lo(a)\n")
+    assert references(source, "_umath_linalg") == ["line 2", "line 3", "line 4", "line 5"]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_eigen_solves_go_through_jets_eigenvalues(path):
     # jets.eigenvalues chooses between LAPACK and the stacked 2 x 2 kernel;
-    # a direct eigvalsh call elsewhere would bypass that one entry point
+    # a direct eigvalsh call elsewhere would bypass that one entry point,
+    # and eigvalsh's private gufunc module, which jets.eigenvalues calls
+    # for one finite matrix, stays behind it
     if path.name != "jets.py":
         assert eigvalsh_references(path.read_text()) == []
+        assert references(path.read_text(), "_umath_linalg") == []
 
 
 # The functions that may import scipy: the sparse Dirichlet solve's, so
