@@ -20,9 +20,10 @@ fresh-process set-up samples whose median is setup_s
 
 It also holds a layers block: the in-process cost of one oracle
 evaluation layer, the median microseconds per canonical_operator value
-on each of verify's four focus cones (layers.canonical_us_per_value),
-timed once per checkout in a child process that imports the checkout's
-src.
+(layers.canonical_us_per_value) on each of verify's four focus cones and
+on two fibers without a spectrum, branch 2 of the Garding operator det in
+3-D and the Lagrangian cone in 4-D, timed once per checkout in a child
+process that imports the checkout's src.
 """
 
 from __future__ import annotations
@@ -40,13 +41,15 @@ ROOT = Path(__file__).resolve().parent.parent
 # run.py's own set-up samples and first full pass come on top of --seconds
 RUN_TIMEOUT_S = 600
 # The layer timing: LAYER_REPEATS passes over LAYER_VALUES seeded matrices
-# per cone, the cones, sizes and scales of verify's canonical operations;
-# the child prints {cone: median us per value} as one JSON line
+# per cone, the cones, sizes and scales of verify's canonical operations,
+# then over a fifth as many (at least one) on each of two fibers without a
+# spectrum, whose values took 40 to 70 times as long before they took the
+# ladder; the child prints {cone: median us per value} as one JSON line
 LAYER_VALUES, LAYER_REPEATS = 250, 21
 LAYER_CODE = """
 import json, statistics, sys, time
 import numpy as np
-from jetcones import catalog, jets
+from jetcones import catalog, garding, jets
 from jetcones.canonical import canonical_operator
 values, repeats = int(sys.argv[1]), int(sys.argv[2])
 rng = np.random.default_rng(0)
@@ -55,15 +58,18 @@ for name, F, scale in (("P2", catalog.cone_P(2), 2.0), ("P3", catalog.cone_P(3),
                        ("pfold32", catalog.cone_pfold(3, 2), 1.5),
                        ("pucci", catalog.cone_pucci(2, 1.0, 2.0), 1.5)):
     cones[name] = F, [jets.random_symmetric(rng, F.n, scale) for _ in range(values)]
+for name, F in (("det3_branch2", garding.branch_oracle(garding.det_operator(3), 2)),
+                ("lagrangian4", catalog.cone_lagrangian(4))):
+    cones[name] = F, [jets.random_symmetric(rng, F.n, 1.5) for _ in range(max(1, values // 5))]
 passes = {name: [] for name in cones}
-# the passes of the four cones interleave, so a slow spell of the host
-# lands on all of them
+# the passes of the cones interleave, so a slow spell of the host lands on
+# all of them
 for _ in range(repeats):
     for name, (F, mats) in cones.items():
         start = time.perf_counter()
         for A in mats:
             canonical_operator(F, A)
-        passes[name].append((time.perf_counter() - start) / values * 1e6)
+        passes[name].append((time.perf_counter() - start) / len(mats) * 1e6)
 print(json.dumps({name: statistics.median(us) for name, us in passes.items()}))
 """
 
@@ -133,7 +139,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def layers(checkout: Path) -> dict:
     """The layers block: median us per canonical_operator value on each
-    verify focus cone, timed in a child process on the checkout's src."""
+    verify focus cone and on the two fibers without a spectrum, timed in a
+    child process on the checkout's src."""
     cmd = [sys.executable, "-c", LAYER_CODE, str(LAYER_VALUES), str(LAYER_REPEATS)]
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,

@@ -18,7 +18,10 @@ each operation once and prints its output, floats as float.hex:
   random matrices; and the canonical values of the FALLBACK fibers
   (sigma:k=2 in 3-D, M(0, full, 1) in 2-D) on FALLBACK_JETS seeded random
   jets each with value 0, most of which the ladder's bisection fallback
-  solves;
+  solves; and the canonical values of the FORMROUTE fibers, which have no
+  spectrum (lagrangian in 4-D and its dual, failure:alpha=2 with which=min
+  and which=max in 2-D, the trace induced on P in 3-D), on FORMROUTE_JETS
+  seeded random matrices, or jets for the full failure fibers, each;
 - grid-checks: every comparison and zero-maximum verdict (ok, witness
   node, margin, note), the strict approximator of the oversized box,
   the TranslationReport fields, the discrete jets classified per
@@ -67,6 +70,16 @@ BISECTED_JETS = 50
 FALLBACK = {"sigma3": catalog.make_oracle("sigma:k=2", 3),
             "M_full_R1": catalog.make_oracle("M:gamma=0,D=full,R=1", 2)}
 FALLBACK_JETS = 50
+# fibers without a spectrum, whose ladder evaluates the form on the stack
+# of jets A - tI
+FORMROUTE = {"lagrangian4": catalog.cone_lagrangian(4),
+             "lagrangian4_dual": dual_oracle(catalog.cone_lagrangian(4)),
+             "failure_min": catalog.make_oracle("failure:alpha=2,which=min", 2),
+             "failure_max": catalog.make_oracle("failure:alpha=2,which=max", 2),
+             "trace_on_P3": canonical.induced_fiber(
+                 lambda r, p, A: np.trace(A, axis1=-2, axis2=-1), catalog.cone_P(3), 3,
+                 catalog.Arity.PURE_SECOND_ORDER, "trace on P")}
+FORMROUTE_JETS = 50
 GARDING_BRANCH_MATRICES = 10
 
 
@@ -131,6 +144,11 @@ def verify_outputs(seed: int, distances: int) -> dict:
     for name, F in FALLBACK.items():
         out[f"canonical_fallback_{name}"] = [
             canonical_or_failure(F, fallback_query(rng, F.n)) for _ in range(FALLBACK_JETS)]
+    for name, F in FORMROUTE.items():
+        queries = [random_jet(rng, F.n, 1.5) for _ in range(FORMROUTE_JETS)]
+        out[f"canonical_formroute_{name}"] = [
+            canonical_or_failure(F, J if F.arity is catalog.Arity.FULL else J.A)
+            for J in queries]
     return out
 
 

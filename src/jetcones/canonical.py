@@ -29,7 +29,6 @@ from .catalog import (
     FiberOracle,
     MonotonicityCone,
     bisect_brackets,
-    cone_M,
     crossing_brackets,
     jets_along,
     classify_values,
@@ -38,7 +37,7 @@ from .catalog import (
     shift_stack_to_boundary,
 )
 from .duality import CheckReport
-from .errors import BadParameters, BoundaryNode, BracketingFailure, ReferenceJetNotInterior
+from .errors import BadParameters, BoundaryNode, BracketingFailure
 from .jets import (
     MAX_DIM,
     Jet2,
@@ -78,21 +77,26 @@ def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
     or a Jet2 was validated when it was built, and is read as it is.
     tol must be finite and at least MIN_TOL (BadParameters otherwise).
     BracketingFailure when no crossing lies within SEARCH_RADIUS (fiber
-    empty or the whole space). The route goes by F.spectrum alone; both
-    routes solve A's eigenvalues lambda once, and double from the jet
-    norm + 1, computed from lambda.
+    empty or the whole space).
 
-    A fiber with a spectrum (F.spectrum = f, g = f(r, p, lambda(A))) needs
-    no other eigen-solve: g(A - tI) is f(r, p, lambda - t). One stacked f
-    call on the ladder of 0, the +-doubling points and the eigenvalues
-    brackets the crossing (_ladder_bracket); one secant step on that
-    bracket, certified by a second stacked call, lands within tol * (1 +
-    |t|) of it (_ladder_root). Where the certificate fails, the bracket is
-    bisected on f(lambda - t) >= 0 to tol * max(1, |t_lo| + |t_hi|), and
-    one secant step on the last bracket gives the value. For P, P~,
-    branch, pfold, quasiconvex and pucci and their duals f(lambda - t) is
+    Every fiber takes one route. A's eigenvalues lambda are solved once;
+    one stacked call of g(t) = g(A - tI) on the ladder of 0, the
+    +-doubling points from the jet norm + 1 and the eigenvalues brackets
+    the crossing (_ladder_bracket); one secant step on that bracket,
+    certified by a second stacked call, lands within tol * (1 + |t|) of it
+    (_ladder_root). Where the certificate fails, the bracket is bisected
+    on g >= 0 to tol * max(1, |t_lo| + |t_hi|), and one secant step on the
+    last bracket gives the value. F.spectrum chooses only how g is
+    evaluated: a fiber with a spectrum (F.spectrum = f, g = f(r, p,
+    lambda(A))) reads f(r, p, lambda - t) with no other eigen-solve; a
+    fiber without one evaluates its form on the stack of jets A - tI,
+    through catalog.ray_probe.
+
+    For P, P~, branch, pfold, quasiconvex and pucci and their duals g is
     linear between consecutive eigenvalues, its kinks sitting at the
-    eigenvalues only, so the secant step is exact up to rounding; sigma's
+    eigenvalues only, so the secant step is exact up to rounding; so is it
+    for the Garding cones and branches, lagrangian and failure, whose g
+    drops by t (n*t for lagrangian in 2n dimensions) along -I; sigma's g
     is curved. Along -I membership of a fiber with F + P in F (every
     catalog cone and dual) only shrinks, so g >= 0 exactly up to the
     crossing and g < 0 past it, and the first sign change on the ladder is
@@ -100,42 +104,28 @@ def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
     1)'s min(-r, lambda_min - t - |p|) at r = 0: where that interval ends
     off the ladder, the secant step stops at the bracket's keep end, the
     certificate fails, and the bisection finds the crossing.
-
-    A fiber without a spectrum brackets the crossing of the membership
-    indicator t -> [A - tI in F] by doubling, probing through
-    catalog.ray_probe, and bisects it to the same width, returning the
-    last bracket's midpoint.
     """
     if not (math.isfinite(tol) and tol >= MIN_TOL):
         raise BadParameters(f"canonical tol must be finite and at least {MIN_TOL:.3g}, got {tol}")
     r, p, S = _jet_parts(A)
     lam = eigenvalues(S)
-    side = _doublings(parts_norm(r, p, lam) + 1.0, SEARCH_RADIUS)
     if F.spectrum is not None:
         f = functools.partial(F.spectrum, r, p)
-        bracket = _ladder_bracket(f, lam, side)
+
+        def g(t):
+            return f(lam - t[..., None])
     else:
-        g = ray_probe(F, (np.array([r]), p[None], S.entries[None]),
-                      Jet2.from_matrix(SymMat.identity(S.n)))
+        probe = ray_probe(F, (np.array([r]), p[None], S.entries[None]),
+                          Jet2.from_matrix(SymMat.identity(S.n)))
 
-        def member(live, t):
-            # sign of the defining functional, not the tolerance band: the
-            # bisection target is the exact zero crossing
-            return g(live, -t) >= 0.0
-
-        start_in = bool(g([0])[0] >= 0.0)
-        bracket, = crossing_brackets(member, [side if start_in else -side], [start_in])
+        def g(t):
+            return probe([0], -t.reshape(1, -1)).reshape(t.shape)
+    bracket = _ladder_bracket(g, lam, _doublings(parts_norm(r, p, lam) + 1.0, SEARCH_RADIUS))
     if bracket is None:
         raise BracketingFailure(
             f"no boundary crossing of {F.label} along I within radius {SEARCH_RADIUS:g}"
         )
-    if F.spectrum is not None:
-        return _ladder_root(f, lam, *bracket, tol)
-    done = functools.partial(_bracket_done, tol=tol)
-    if not done(*bracket):
-        bracket, = bisect_brackets(member, [bracket], done)
-    t_lo, t_hi = bracket
-    return 0.5 * (t_lo + t_hi)
+    return _ladder_root(g, *bracket, tol)
 
 
 # A matrix's jet (0, 0, A) has the gradient _ZERO_GRADIENT[:n], read-only
@@ -155,50 +145,51 @@ def _jet_parts(A) -> tuple:
     return 0.0, _ZERO_GRADIENT[:A.n], A
 
 
-def _ladder_bracket(f: Callable, lam: np.ndarray, side: np.ndarray) -> Optional[tuple]:
-    """The first sign change of g(t) = f(lam - t) from g >= 0 to g < 0 on
-    the ladder of 0, +-side and lam, from one stacked f call, as ((keep,
-    g(keep)), (flip, g(flip))). None when side is empty or g keeps one
-    sign on the ladder. Every eigenvalue lies within (-side[0], side[0]),
-    so the ladder spans the doubling walk's reach on both sides of 0, and
-    g, which is >= 0 up to the crossing and < 0 past it, changes sign on
-    the ladder exactly when the walk finds a crossing. The ladder is built
-    in ascending order, with no sort: -side reversed, the eigenvalues up
-    to 0, 0, the other eigenvalues, side. The ladder's +0 follows every
-    eigenvalue +-0, so a keep end at t = 0 is +0."""
+def _ladder_bracket(g: Callable, lam: np.ndarray, side: np.ndarray) -> Optional[tuple]:
+    """The first sign change of g(t) from g >= 0 to g < 0 on the ladder of
+    0, +-side and lam, from one stacked g call on the 1-D array of rungs,
+    as ((keep, g(keep)), (flip, g(flip))). None when side is empty or g
+    keeps one sign on the ladder. Every eigenvalue lies within (-side[0],
+    side[0]), so the ladder holds every doubling point on both sides of 0
+    in order, and g, which is >= 0 up to the crossing and < 0 past it,
+    changes sign on the ladder exactly when a doubling walk from 0 finds a
+    crossing. The ladder
+    is built in ascending order, with no sort: -side reversed, the
+    eigenvalues up to 0, 0, the other eigenvalues, side. The ladder's +0
+    follows every eigenvalue +-0, so a keep end at t = 0 is +0."""
     if not side.size:
         return None
     k = bisect.bisect_right(lam.tolist(), 0.0)
     ts = np.concatenate((-side[::-1], lam[:k], _ZERO_RUNG, lam[k:], side))
-    g = f(lam - ts[:, None])
+    gs = g(ts)
     # the first rung with g >= 0 whose next rung has g < 0: the first True,
     # False pair among the one-byte booleans
-    i = (g >= 0.0).tobytes().find(b"\x01\x00")
+    i = (gs >= 0.0).tobytes().find(b"\x01\x00")
     if i < 0:
         return None
-    return (ts.item(i), g.item(i)), (ts.item(i + 1), g.item(i + 1))
+    return (ts.item(i), gs.item(i)), (ts.item(i + 1), gs.item(i + 1))
 
 
-def _ladder_root(f: Callable, lam: np.ndarray, keep: tuple, flip: tuple, tol: float) -> float:
-    """The crossing of g(t) = f(lam - t) on a ladder bracket from
-    _ladder_bracket: one secant step t on it, returned when one stacked f
-    call certifies g(t - d) >= 0 > g(t + d) for d = tol * (1 + |t|) / 2,
-    so the crossing lies within tol * (1 + |t|) of t. The step is exact up
-    to rounding where g is linear on the bracket. Otherwise (sigma's
-    curved g, a g that vanishes on an interval, or tol near MIN_TOL where
-    the rounding of g outgrows the certificate's margin)
-    catalog.bisect_brackets refines the bracket on g >= 0 to
-    canonical_operator's stop rule (_bracket_done), and one secant step on
-    its last bracket, which stays inside it, is the value."""
+def _ladder_root(g: Callable, keep: tuple, flip: tuple, tol: float) -> float:
+    """The crossing of g(t) on a ladder bracket from _ladder_bracket: one
+    secant step t on it, returned when one stacked g call certifies
+    g(t - d) >= 0 > g(t + d) for d = tol * (1 + |t|) / 2, so the crossing
+    lies within tol * (1 + |t|) of t. The step is exact up to rounding
+    where g is linear on the bracket. Otherwise (sigma's curved g, a g
+    that vanishes on an interval, or tol near MIN_TOL where the rounding
+    of g outgrows the certificate's margin) catalog.bisect_brackets
+    refines the bracket on g >= 0 to canonical_operator's stop rule
+    (_bracket_done), and one secant step on its last bracket, which stays
+    inside it, is the value. g takes an array of t of any shape."""
     (a, ga), (b, gb) = keep, flip
     t = a + (b - a) * (ga / (ga - gb))
     d = 0.5 * tol * (1.0 + abs(t))
-    below, above = f(lam - np.array((t - d, t + d))[:, None]).tolist()
+    below, above = g(np.array((t - d, t + d))).tolist()
     if below >= 0.0 and above < 0.0:
         return t
-    (a, b), = bisect_brackets(lambda live, t: f(lam - t[..., None]) >= 0.0, [(a, b)],
+    (a, b), = bisect_brackets(lambda live, t: g(t) >= 0.0, [(a, b)],
                               functools.partial(_bracket_done, tol=tol))
-    ga, gb = f(lam - np.array([[a], [b]])).tolist()
+    ga, gb = g(np.array((a, b))).tolist()
     return a + (b - a) * (ga / (ga - gb))
 
 
@@ -549,10 +540,9 @@ def check_strict_M_monotone(
     moves along J0.
     """
     n = F.n
+    # interior to M with a margin of at least 0.5: MonotonicityCone bounds
+    # gamma and R so that neither slot's margin rounds away
     J0 = M.interior_jet(n)
-    # its margin is about 1, but gamma >= 1e16 rounds the r-slot's to 0
-    if not cone_M(M, n).classify(J0).is_interior:
-        raise ReferenceJetNotInterior("M's interior jet is not interior to M in floating point")
     rng = np.random.default_rng(seed)
     J = random_jets(rng, n, samples, scale=1.5)
     ts = rng.uniform(1e-3, 1.0, samples)

@@ -206,10 +206,11 @@ def _check_max_steps(max_steps: Optional[int]) -> None:
         raise ValueError(f"max_steps must be at least 1 (or None for no cap), got {max_steps}")
 
 
-def crossing_brackets(keeps: Callable, ts, start, done: Optional[Callable] = None,
+def crossing_brackets(keeps: Callable, ts, start, done: Callable,
                       max_steps: Optional[int] = None) -> list:
-    """For each row of ts[rows, m], the bracket of its first crossing, or
-    None when keeps holds start[row] at every entry.
+    """For each row of ts[rows, m], the bracket of its first crossing,
+    bisected to the stop rule done, or None when keeps holds start[row] at
+    every entry.
 
     keeps(live, t) gets the indices of the rows still searched, as an int
     array in increasing order, and their next ts as t[len(live), k]; it
@@ -221,10 +222,10 @@ def crossing_brackets(keeps: Callable, ts, start, done: Optional[Callable] = Non
         (ts[i, k - 1], ts[i, k])   when start[i],
         (ts[i, k], ts[i, k - 1])   otherwise (the row starts on the flip side),
 
-    with 0.0, the search's start, for ts[i, k - 1] when k == 0. With
-    done, each bracket is then bisected by
-    bisect_brackets(keeps, brackets, done, max_steps), which takes at
-    least one step; max_steps below 1 raises ValueError.
+    with 0.0, the search's start, for ts[i, k - 1] when k == 0. Each
+    bracket is then bisected by bisect_brackets(keeps, brackets, done,
+    max_steps), which takes at least one step; max_steps below 1 raises
+    ValueError.
     """
     _check_max_steps(max_steps)
     ts = np.asarray(ts, dtype=float)
@@ -246,13 +247,12 @@ def crossing_brackets(keeps: Callable, ts, start, done: Optional[Callable] = Non
                            np.where(on_keep, t, prev).tolist()):
             out[i] = (a, b)
         live = live[~hit]
-    if done is not None:
-        rows = [i for i, b in enumerate(out) if b is not None]
-        index = np.array(rows, dtype=int)
-        found = bisect_brackets(lambda live, t: keeps(index[live], t),
-                                [out[i] for i in rows], done, max_steps)
-        for i, b in zip(rows, found):
-            out[i] = b
+    rows = [i for i, b in enumerate(out) if b is not None]
+    index = np.array(rows, dtype=int)
+    found = bisect_brackets(lambda live, t: keeps(index[live], t),
+                            [out[i] for i in rows], done, max_steps)
+    for i, b in zip(rows, found):
+        out[i] = b
     return out
 
 
@@ -559,6 +559,11 @@ class DirectionalCone:
 # (gamma*|p| + 1) - gamma*|p| with |p| = 1 or 0: at least 0.5 below 2**52,
 # but rounded to 0 or 2 from 2**53 on, where the jet lands on M's boundary
 MAX_GAMMA = 2.0 ** 52
+# The bound on MonotonicityCone's R. interior_jet's A-slot margin is
+# (1 + |p|/R) - |p|/R with |p| = 1 or 0: at least 0.5 while |p|/R <= 2**52,
+# but rounded to 0 once |p|/R passes 2**53 (R = 1e-16 and below), where the
+# jet lands on M's boundary
+MIN_R = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -567,7 +572,7 @@ class MonotonicityCone:
 
     Membership: r <= -gamma*|p|, p in D, A >= (|p|/R) I. R = +inf (a
     structural value, checked with isinf) relaxes the last condition to
-    A >= 0. gamma must lie in [0, MAX_GAMMA).
+    A >= 0. gamma must lie in [0, MAX_GAMMA), and R be at least MIN_R.
     """
 
     gamma: float
@@ -577,8 +582,8 @@ class MonotonicityCone:
     def __post_init__(self):
         if not 0.0 <= self.gamma < MAX_GAMMA:
             raise BadParameters(f"gamma must be >= 0 and below 2**52, got {self.gamma}")
-        if not (self.R > 0):
-            raise BadParameters(f"R must be positive or inf, got {self.R}")
+        if not self.R >= MIN_R:
+            raise BadParameters(f"R must be at least 2**-52 or inf, got {self.R}")
 
     def spectrum(self, r, p, lam):
         """Defining functional on the ascending Hessian eigenvalues, in

@@ -24,12 +24,13 @@ secant step: the reference for the spectral canonical value, and the
 route canonical_operator took where its secant certificate failed before
 that bracket was bisected instead.
 
-ref_ladder_canonical is the spectral route of canonical_operator as it
-ran before its lean one-row form: the query as a Jet2 (Jet2.from_matrix
+ref_ladder_canonical is the route of canonical_operator as it ran
+before its lean one-row form: the query as a Jet2 (Jet2.from_matrix
 validates a matrix again), eigvalsh's eigenvalues, the doubling walked
 by a loop from the numpy reductions' jet norm + 1, and
 ref_ladder_bracket's ladder put in order by np.sort; the root step on
-the bracket is canonical's own.
+the bracket is canonical's own. On a fiber without a spectrum it builds
+each rung A - tI with Jet2 arithmetic and calls F.value once per rung.
 
 The ref_check_* functions, ref_strict_ellipticity_check and the
 ref_admissible_* tests are the one-sample-at-a-time loops that the
@@ -94,35 +95,47 @@ def brent_root(f, lam, keep: float, flip: float, tol: float) -> float:
 
 
 def ref_ladder_canonical(F, A, tol=1e-10):
-    """canonical_operator(F, A, tol) for a fiber F with a spectrum, through
-    a Jet2 and a sorted ladder (see the module docstring)."""
+    """canonical_operator(F, A, tol) through a Jet2 and a sorted ladder (see
+    the module docstring): g(t) is f(r, p, lambda - t) on a fiber with a
+    spectrum f, and F.value(J + (-t) * I), one call per rung, on one
+    without."""
     J = A if isinstance(A, Jet2) else Jet2.from_matrix(A)
     lam = np.linalg.eigvalsh(J.A.entries)
-    f = functools.partial(F.spectrum, J.r, J.p)
+    if F.spectrum is not None:
+        f = functools.partial(F.spectrum, J.r, J.p)
+
+        def g(t):
+            return f(lam - t[..., None])
+    else:
+        eyeJ = Jet2.from_matrix(SymMat.identity(J.n))
+
+        def g(t):
+            return np.array([F.value(J + (-s) * eyeJ) for s in t.ravel().tolist()]).reshape(
+                t.shape)
     side, t = [], max(abs(J.r), float(np.linalg.norm(J.p)), float(np.max(np.abs(lam)))) + 1.0
     while t <= SEARCH_RADIUS:
         side.append(t)
         t *= 2.0
-    bracket = ref_ladder_bracket(f, lam, np.array(side))
+    bracket = ref_ladder_bracket(g, lam, np.array(side))
     if bracket is None:
         raise BracketingFailure(f"no boundary crossing of {F.label} along I")
-    return _ladder_root(f, lam, *bracket, tol)
+    return _ladder_root(g, *bracket, tol)
 
 
-def ref_ladder_bracket(f, lam, side):
-    """The first sign change of g(t) = f(lam - t) from g >= 0 to g < 0 on
-    the ladder of 0, +-side and lam, sorted by np.sort, as ((keep,
-    g(keep)), (flip, g(flip))), or None."""
+def ref_ladder_bracket(g, lam, side):
+    """The first sign change of g(t) from g >= 0 to g < 0 on the ladder of
+    0, +-side and lam, sorted by np.sort, as ((keep, g(keep)), (flip,
+    g(flip))), or None."""
     if not side.size:
         return None
     ts = np.sort(np.concatenate((-side, [0.0], lam, side)))
-    g = f(lam - ts[:, None])
-    keep = g >= 0.0
+    gs = g(ts)
+    keep = gs >= 0.0
     change = keep[:-1] > keep[1:]
     i = int(change.argmax())
     if not change[i]:
         return None
-    return tuple(zip(ts[i:i + 2].tolist(), g[i:i + 2].tolist()))
+    return tuple(zip(ts[i:i + 2].tolist(), gs[i:i + 2].tolist()))
 
 
 def ref_shift_to_boundary(oracle, J, J0, margin=1e-6, tol=1e-9, max_expand=60):

@@ -137,6 +137,9 @@ def dual_pairs():
         (cat.cone_Q(2), cat.cone_Q_dual(2)),
         # the dual of a Garding cone is {Lambda_max >= 0}, by polynomial roots
         (cat.cone_sigma_k(n, 2), gar.branch_oracle(gar.sigma_k_operator(n, 2), 2)),
+        # the Lagrangian cone is lagrangian-ma's Garding cone, whose dual is
+        # its top branch
+        (cat.cone_lagrangian(4), gar.branch_oracle(gar.lagrangian_ma_operator(4), 4)),
     ]
     return pairs
 
@@ -166,7 +169,9 @@ def test_criterion_2_duality_suite(capsys):
     (cat.cone_pfold(3, 2), eig_oracle("bottom-2 sum", 3, lambda ev: ev[..., 0] + ev[..., 1])),
     (cat.cone_quasiconvex(2, 0.5), eig_oracle("lambda_max >= -0.5", 2,
                                               lambda ev: ev[..., -1] + 0.5)),
-], ids=["branch1-self", "branch3-self", "pucci-unswapped", "pfold-bottom", "quasiconvex-sign"])
+    (cat.cone_lagrangian(4), gar.branch_oracle(gar.lagrangian_ma_operator(4), 3)),
+], ids=["branch1-self", "branch3-self", "pucci-unswapped", "pfold-bottom", "quasiconvex-sign",
+        "lagrangian-branch3"])
 def test_criterion_2_rejects_a_mutated_dual(F, G):
     # branch:2 is self-dual in 3-D, so pairing it with itself would pass
     with pytest.raises(AssertionError, match="disagreements"):

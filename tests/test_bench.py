@@ -15,7 +15,8 @@ bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench)
 
 
-LAYER_CONES = ["P2", "P3", "pfold32", "pucci"]
+# verify's four focus cones, then the two fibers without a spectrum
+LAYER_CONES = ["P2", "P3", "pfold32", "pucci", "det3_branch2", "lagrangian4"]
 
 
 def _fake_run(calls, layer_calls=None):
@@ -106,7 +107,8 @@ def test_bench_keeps_the_refinement_rows_of_solve(tmp_path, monkeypatch):
 
 def test_layer_code_times_every_focus_cone(tmp_path):
     # the child the layer timing starts, on this checkout's src with one
-    # value and one pass per cone: one positive median per focus cone
+    # value and one pass per cone: one positive median per focus cone and
+    # per fiber without a spectrum
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", bench.LAYER_CODE, "1", "1"], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120)

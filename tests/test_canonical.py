@@ -32,7 +32,7 @@ from jetcones.catalog import (
     cone_Q,
 )
 from jetcones.duality import check_dual_pair, check_inclusion, check_involution
-from jetcones.errors import BoundaryNode, BracketingFailure, ReferenceJetNotInterior
+from jetcones.errors import BadParameters, BoundaryNode, BracketingFailure
 from jetcones.grids import square_grid
 from jetcones.jets import Jet2, SymMat, random_jets, random_psd, random_symmetric, unstack_jets
 from jet2_refs import (
@@ -287,12 +287,12 @@ def test_strict_M_monotone_det_and_slag():
 
 
 def test_strict_M_monotone_refuses_an_interior_jet_rounded_onto_the_boundary():
-    # A = (1 + |p|/R) I loses the 1 at R = 1e-20, so M's interior jet sits
-    # on M's boundary in floating point (MonotonicityCone refuses a gamma
-    # that would do the same to r = -(gamma*|p| + 1))
-    M = MonotonicityCone(1.0, DirectionalCone.halfspace([1.0, 0.0]), 1e-20)
-    with pytest.raises(ReferenceJetNotInterior):
-        check_strict_M_monotone(det_op, cone_P(2), M, samples=10)
+    # A = (1 + |p|/R) I loses the 1 at R = 1e-20, so M's interior jet would
+    # sit on M's boundary in floating point: MonotonicityCone refuses that
+    # R when it is built, as it refuses a gamma that would do the same to
+    # r = -(gamma*|p| + 1)
+    with pytest.raises(BadParameters):
+        MonotonicityCone(1.0, DirectionalCone.halfspace([1.0, 0.0]), 1e-20)
 
 
 def hexes(J):

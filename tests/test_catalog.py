@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from jetcones.catalog import (
     BISECTION_DEPTH,
+    MIN_R,
     Arity,
     Box,
     DirectionalCone,
@@ -312,6 +313,29 @@ def test_monotonicity_cone_refuses_a_gamma_that_rounds_the_margin(gamma):
     if math.isfinite(gamma):
         with pytest.raises(BadParameters):
             make_oracle(f"M:gamma={gamma!r},D=half:e1,R=inf", 2)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_interior_jet_stays_inside_down_to_the_smallest_R(n):
+    # A = (1 + |p|/R) I keeps a margin of at least 0.5 while |p|/R <= 2**52
+    for D in (DirectionalCone.full(), DirectionalCone.halfspace([1.0] + [0.0] * (n - 1)),
+              DirectionalCone.halfspace(np.ones(n)), DirectionalCone.orthant([0]),
+              DirectionalCone.orthant(range(n))):
+        for gamma in (0.0, 1.0):
+            M = MonotonicityCone(gamma, D, MIN_R)
+            assert cone_M(M, n).classify(M.interior_jet(n)).is_interior, (D, gamma)
+
+
+@pytest.mark.parametrize("R", [math.nextafter(MIN_R, 0.0), 1e-16, 1e-20, 0.0, -1.0, math.nan])
+def test_monotonicity_cone_refuses_an_R_that_rounds_the_margin(R):
+    # from |p|/R = 2**53 on, 1 + |p|/R rounds to |p|/R or past it, and the
+    # interior jet lands on the boundary: at R = 1e-16 and 1e-20 it
+    # classifies as Boundary
+    with pytest.raises(BadParameters):
+        MonotonicityCone(1.0, DirectionalCone.halfspace([1, 0]), R)
+    if math.isfinite(R):
+        with pytest.raises(BadParameters):
+            make_oracle(f"M:gamma=1,D=half:e1,R={R!r}", 2)
 
 
 # --- failure example -------------------------------------------------------
@@ -756,7 +780,7 @@ def test_variable_fiber_keys():
 
 # --- crossing_brackets against the stepwise loop it stands for ----------------
 
-def ref_crossing_bracket(keep, ts, start, done=None, max_steps=None):
+def ref_crossing_bracket(keep, ts, start, done, max_steps=None):
     """Walk ts one entry at a time to the first flag that is not start, then
     bisect one midpoint at a time."""
     prev = 0.0
@@ -767,8 +791,6 @@ def ref_crossing_bracket(keep, ts, start, done=None, max_steps=None):
         prev = t
     else:
         return None
-    if done is None:
-        return a, b
     steps = 0
     while True:
         mid = 0.5 * (a + b)
@@ -835,23 +857,33 @@ def test_crossing_brackets_match_the_stepwise_loop(max_steps):
     def done(a, b):
         return abs(a - b) < 1e-6
 
-    refs = [ref_crossing_bracket(functools.partial(keep_one, i), ts[i].tolist(), start[i])
-            for i in range(len(ts))]
-    got = crossing_brackets(keeps, ts, start)
+    def first_step(a, b):
+        return np.ones(np.shape(a), dtype=bool)
+
+    # a stop rule that stops at the first bisection step, which every
+    # bracket takes
+    refs = [ref_crossing_bracket(functools.partial(keep_one, i), ts[i].tolist(), start[i],
+                                 first_step) for i in range(len(ts))]
+    got = crossing_brackets(keeps, ts, start, first_step)
     assert list(map(bracket_hex, got)) == list(map(bracket_hex, refs))
-    # the flips sit where the rows put them: the keep end comes first, and
-    # the end at 0.0 stands in for the entry before entry 0
+    # the flips sit where the rows put them: the keep end comes first, the
+    # end at 0.0 stands in for the entry before entry 0, and the one step
+    # keeps one end and moves the other to the midpoint
     for i, k in enumerate(first):
         if k is None:
             assert got[i] is None
         else:
             ends = (0.0 if k == 0 else ts[i, k - 1], ts[i, k])
-            assert got[i] == (ends if start[i] else ends[::-1])
+            a, b = ends if start[i] else ends[::-1]
+            mid = 0.5 * (a + b)
+            assert got[i] in ((a, mid), (mid, b))
     assert {None, 0, CHUNK - 1, CHUNK, CHUNK + 1} <= set(first)
-    # CHUNK entries per call, and no row probed past the chunk of its first flip
+    # CHUNK entries per call, no row probed past the chunk of its first
+    # flip, and one bisection round for every row with a flip
     assert all(shape[1] <= CHUNK for _, shape in calls)
     for i, k in enumerate(first):
-        assert sum(i in live for live, _ in calls) == (23 if k is None else k) // CHUNK + 1
+        assert sum(i in live for live, _ in calls) == \
+            (23 if k is None else k) // CHUNK + 1 + (k is not None)
 
     for count in (1, 16, 120, 300):
         ts, start, first = crossing_rows(count)
@@ -866,6 +898,6 @@ def test_crossing_brackets_with_no_rows_or_no_entries():
     def keeps(live, t):
         raise AssertionError("nothing to probe")
 
-    assert crossing_brackets(keeps, np.zeros((0, 5)), []) == []
+    assert crossing_brackets(keeps, np.zeros((0, 5)), [], lambda a, b: True) == []
     assert crossing_brackets(keeps, np.zeros((3, 0)), [True, False, True],
                              lambda a, b: True) == [None, None, None]

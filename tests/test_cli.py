@@ -541,6 +541,8 @@ EXIT_CODES = [
     (("membership", "--key", "P", "--matrix", "[[-1,0],[0,1]]"), 1),
     (("membership", "--key", "P", "--matrix", "oops"), 2),
     (("membership", "--key", "lagrangian", "--matrix", "[[1,0,0],[0,1,0],[0,0,1]]"), 3),
+    # an R whose interior jet rounds onto M's boundary
+    (("membership", "--key", "M:gamma=1,D=half:e1,R=1e-20", "--matrix", MATRIX_2D), 3),
     (("dual", "--key", "slag", "--matrix", MATRIX_2D, "--at", "0.1,0.2"), 0),
     (("dual", "--key", "pma", "--matrix", MATRIX_2D, "--at", "a,b"), 2),
     (("canonical", "--key", "P", "--matrix", MATRIX_2D), 0),

@@ -6,6 +6,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from jetcones.canonical import canonical_operator
+from jetcones.duality import check_inclusion, dual_oracle
 from jetcones.catalog import (
     RegionKind,
     branch,
@@ -443,16 +444,42 @@ def test_eval_I_is_evaluated_once_when_built():
                                     ("sigma:k=2", 3), ("sigma:k=3", 3), ("lagrangian-ma", 4),
                                     ("pucci-garding:1,2", 2)])
 def test_canonical_operator_of_a_branch_is_its_eigenvalue(key, n):
-    # Lambda_k(A - tI) = Lambda_k(A) - t vanishes at t = Lambda_k(A)
+    # Lambda_k(A - tI) = Lambda_k(A) - t vanishes at t = Lambda_k(A), and
+    # is linear in t, so the secant step on the ladder's bracket is exact
+    # up to the rounding of the stacked eigenvalues: every branch and the
+    # cone, on 200 matrices
     op = make_operator(key, n)
-    tol = 1e-10
-    a = random_stack(np.random.default_rng(63), n, 5)
+    a = random_stack(np.random.default_rng(63), n, 200)
     lam = garding_eigenvalues(op, a)
-    for k in range(1, op.degree + 1):
-        F = branch_oracle(op, k)
-        for A, lam_A in zip(a, lam):
-            t = canonical_operator(F, A, tol=tol)
-            assert abs(t - lam_A[k - 1]) <= tol * (1.0 + 2.0 * abs(lam_A[k - 1])), (k, A)
+    oracles = [(branch_oracle(op, k), k) for k in range(1, op.degree + 1)]
+    for F, k in oracles + [(garding_cone_oracle(op), 1)]:
+        for A, lam_A in zip(a, lam[:, k - 1].tolist()):
+            t = canonical_operator(F, A)
+            assert abs(t - lam_A) <= 1e-12 * (1.0 + abs(lam_A)), (F.label, A)
+
+
+def test_lagrangian_cone_is_the_lagrangian_ma_garding_cone():
+    # both ways of a sampled inclusion, and the same canonical value bit for
+    # bit: the Garding cone's Lambda_min is (tr(A)/2 - mu_1 - mu_2) / 2,
+    # the Lagrangian functional halved, which scales g exactly
+    L, G = cone_lagrangian(4), garding_cone_oracle(lagrangian_ma_operator(4))
+    for F, H in ((L, G), (G, L)):
+        rep = check_inclusion(F, H, samples=20_000)
+        assert rep.checked > 500 and rep.failed == 0, (F.label, rep.checked, rep.failed)
+    for A in random_stack(np.random.default_rng(67), 4, 200):
+        t = canonical_operator(L, A)
+        assert float.hex(t) == float.hex(canonical_operator(G, A))
+
+
+def test_lagrangian_canonical_is_half_its_functional():
+    # along -I the functional tr(A)/2 - mu_1 - mu_2 drops by 2t, and the
+    # anti-commuting part does not move: t = g(A)/2, and -g(-A)/2 for the
+    # dual
+    L = cone_lagrangian(4)
+    Ld = dual_oracle(L)
+    for A in random_stack(np.random.default_rng(69), 4, 200):
+        for F, t in ((L, 0.5 * L.value(A)), (Ld, -0.5 * L.value(-A))):
+            assert abs(canonical_operator(F, A) - t) <= 1e-12 * (1.0 + abs(t)), (F.label, A)
 
 
 def test_oracles_need_exact_eigenvalues_and_the_generic_route_one_matrix():

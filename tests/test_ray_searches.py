@@ -21,19 +21,20 @@ sample at a time. Every returned value, jet, report and error must match
 them bit for bit. Probes past the point where such a loop would stop
 must not warn either, so RuntimeWarnings are errors here.
 
-canonical_operator on a fiber with a spectrum (FiberOracle.spectrum set)
-finds the crossing of f(r, p, lambda - t) on a ladder of doubling points
-and eigenvalues instead of bisecting the membership of A - tI: one
-secant step on the ladder's bracket, certified by one more f call, or,
-where that certificate fails, the ladder's bracket bisected on
-f(lambda - t) >= 0 and one secant step on the last bracket. It is
-checked against the closed forms (bit for bit for Q, Q~ and M0 where the
-crossing is an eigenvalue), within the reference's final bracket and
-against Brent's zero on the doubling bracket (jet2_refs.brent_root); its
-f calls and its fallback bisections are counted, and the bisection
-route, which every fiber without a spectrum takes, stays checked bit for
-bit through replace(F, spectrum=None). The duals of the spectral fibers
-are spectral too. Every search along a ray whose Hessian part is c*I on
+canonical_operator finds the crossing of g(t) = g(A - tI) on a ladder of
+doubling points and eigenvalues instead of bisecting the membership of
+A - tI (the walk, ref_canonical_operator here): one secant step on the
+ladder's bracket, certified by one more g call, or, where that
+certificate fails, the ladder's bracket bisected on g >= 0 and one
+secant step on the last bracket. On a fiber with a spectrum
+(FiberOracle.spectrum set) g is f(r, p, lambda - t); on one without, the
+form on the stack of jets A - tI, bit for bit the ladder of
+jet2_refs.ref_ladder_canonical with one F.value per rung. It is checked
+against the closed forms (bit for bit for Q, Q~ and M0 where the
+crossing is an eigenvalue), within the walk's final bracket and against
+Brent's zero on the doubling bracket (jet2_refs.brent_root); its f and
+form calls and its fallback bisections are counted. The duals of the
+spectral fibers are spectral too. Every search along a ray whose Hessian part is c*I on
 a spectral fiber (ray_probe: boundary_shifts on Q, Q~, M and M0 as well,
 the mixing into M) probes f(r + t*r0, p + t*p0, lambda + t*c) instead of
 the fiber's values along the ray. A count of the matrices the
@@ -109,6 +110,7 @@ from jetcones.duality import (
 )
 from jetcones.errors import (BadParameters, BracketingFailure, IndexOutOfRange, NegativeSource,
                              OddDimension)
+from jetcones.garding import branch_oracle, det_operator, garding_cone_oracle, sigma_k_operator
 from jetcones.jets import (
     Jet2,
     SymMat,
@@ -355,12 +357,20 @@ def test_ray_values_is_value_of_the_jet2_sum(make):
 
 @pytest.mark.parametrize("make", ORACLES)
 def test_canonical_operator_matches_jet2_route(make):
-    # the bisection route; spectral fibers are checked against it below
+    # the form route: bit for bit its Jet2 reference, and within
+    # 2 * tol * max(1, |t|) of the bisection of the membership indicator
+    # (the walk), the bound of the dual's comparison below: where g
+    # vanishes on an interval (Q and M, their spectrum dropped) the route
+    # returns the keep end of its bisected bracket, the walk the midpoint
+    # of its own. Spectral fibers are checked against both below
     F = replace(make(), spectrum=None)
     rng = np.random.default_rng(7)
     for _ in range(6):
         A = random_symmetric(rng, F.n, 1.5)
-        assert float.hex(canonical_operator(F, A)) == float.hex(ref_canonical_operator(F, A))
+        got = canonical_operator(F, A)
+        assert float.hex(got) == float.hex(ref_ladder_canonical(F, A))
+        t = ref_canonical_operator(F, A)
+        assert abs(got - t) <= 2e-10 * max(1.0, abs(t))
 
 
 def test_canonical_operator_bracketing_failure_like_jet2_route():
@@ -736,9 +746,11 @@ def test_doublings_match_the_doubling_loop():
 
 def test_crossing_at_the_first_doubling_step():
     P = replace(make_oracle("P", 2), spectrum=None)
-    # span = 4: A - 4I already leaves P
+    # span = 4: A - 4I already leaves P, so the walk brackets (0, 4)
     A = SymMat.diag(0.5, 3.0)
-    assert float.hex(canonical_operator(P, A)) == float.hex(ref_canonical_operator(P, A))
+    got = canonical_operator(P, A)
+    assert float.hex(got) == float.hex(ref_ladder_canonical(P, A))
+    assert abs(got - ref_canonical_operator(P, A)) <= 1e-10 * (1.0 + abs(got))
     # from outside, t = 1 already enters P
     eyeJ = Jet2.from_matrix(SymMat.identity(2))
     J = Jet2.from_matrix(SymMat.diag(-0.5, 2.0))
@@ -753,8 +765,12 @@ def test_crossing_at_the_first_doubling_step():
 def test_bracket_already_within_tol():
     P = replace(make_oracle("P", 2), spectrum=None)
     A = SymMat.diag(0.5, 3.0)
-    # the doubling bracket (0, 4) meets the stop rule before any bisection step
-    assert canonical_operator(P, A, tol=1.0) == 2.0 == ref_canonical_operator(P, A, tol=1.0)
+    # the walk's doubling bracket (0, 4) meets the stop rule before any
+    # bisection step, and the walk returns its midpoint; the ladder's
+    # bracket is (0.5, 3), where the secant step lands on lambda_min and the
+    # certificate holds, within tol * (1 + |t|) of the walk's
+    assert ref_canonical_operator(P, A, tol=1.0) == 2.0
+    assert canonical_operator(P, A, tol=1.0) == 0.5 == ref_ladder_canonical(P, A, tol=1.0)
     # shift_stack_to_boundary and signed_distance stop only after a step,
     # so a bracket of width 1 against tol 2 still takes one
     eyeJ = Jet2.from_matrix(SymMat.identity(2))
@@ -876,13 +892,12 @@ def test_spectral_bracketing_failures_like_the_bisection(key, n, closed):
     # the doubling starts at the jet norm + 1, r and p included, and fails
     # once that passes SEARCH_RADIUS
     F = make_oracle(key, n)
-    bisect = replace(F, spectrum=None)
     shape = np.diag(np.linspace(1.0, -0.5, n))
     queries = [SymMat(s * shape) for s in (999998.0, 999999.5, 2e6)]
     queries += [Jet2(r, np.zeros(n), shape) for r in (999998.0, -2e6)]
     got = [outcome(canonical_operator, F, A) for A in queries]
     assert [g == "BracketingFailure" for g in got] == \
-        [outcome(canonical_operator, bisect, A) == "BracketingFailure" for A in queries] == \
+        [outcome(ref_canonical_operator, F, A) == "BracketingFailure" for A in queries] == \
         [False, True, True, False, True]
 
 
@@ -1014,7 +1029,6 @@ def test_spectral_canonical_agrees_with_brent_on_the_doubling_bracket(key, n, cl
     # bisection reference's bracket up to the rounding of its own
     # eigen-solves of A - tI
     F = spectral_fiber(key, n, dual)
-    bisect = replace(F, spectrum=None)
     for tol in (1e-10, 1e-6):
         for A in spectral_queries(n, 31)[::3]:
             J = Jet2.from_matrix(A)
@@ -1024,7 +1038,7 @@ def test_spectral_canonical_agrees_with_brent_on_the_doubling_bracket(key, n, cl
             brent = brent_root(g, lam, keep, flip, tol)
             got = canonical_operator(F, A, tol=tol)
             assert abs(got - brent) <= tol * (1.0 + abs(brent))
-            t_lo, t_hi = ref_canonical_bracket(bisect, A, tol)
+            t_lo, t_hi = ref_canonical_bracket(F, A, tol)
             rounding = 1e-13 * max(1.0, abs(got))
             assert t_lo - rounding <= got <= t_hi + rounding
 
@@ -1099,17 +1113,18 @@ def test_fibers_off_the_spectral_route_keep_the_bisection():
     # can be 0 on an interval, as Q's min(-r, lambda_min - t) is below
     # lambda_min at r = 0; where such an interval ends off the ladder the
     # secant step stops at its bracket's keep end and the certificate
-    # sends the bracket to the bisection. Each value has the bisection's
-    # outcome, within the bounds of the Brent comparison above
+    # sends the bracket to the bisection. Each value has the outcome of
+    # the bisection of the membership indicator (the walk,
+    # ref_canonical_operator), within the bounds of the Brent comparison
+    # above
     rng = np.random.default_rng(37)
     queries = spectral_queries(2, 37)[::4] + [random_jet(rng, 2, 1.5) for _ in range(6)]
     for key in MIXED_KEYS:
         for F in (make_oracle(key, 2), dual_oracle(make_oracle(key, 2))):
             assert F.spectrum is not None
-            bisect = replace(F, spectrum=None)
             for tol in (1e-10, 1e-6):
                 got = [outcome(canonical_operator, F, A, tol=tol) for A in queries]
-                want = [outcome(canonical_operator, bisect, A, tol=tol) for A in queries]
+                want = [outcome(ref_canonical_operator, F, A, tol=tol) for A in queries]
                 assert [v == "BracketingFailure" for v in got] == \
                     [v == "BracketingFailure" for v in want], F.label
                 for A, v, t in zip(queries, got, want):
@@ -1117,12 +1132,90 @@ def test_fibers_off_the_spectral_route_keep_the_bisection():
                         continue
                     v, t = float.fromhex(v), float.fromhex(t)
                     assert abs(v - t) <= tol * (1.0 + abs(t)), F.label
-                    t_lo, t_hi = ref_canonical_bracket(bisect, A, tol)
+                    t_lo, t_hi = ref_canonical_bracket(F, A, tol)
                     rounding = 1e-13 * max(1.0, abs(v))
                     assert t_lo - rounding <= v <= t_hi + rounding, F.label
+    # with its spectrum dropped, Q takes the form route on the same ladder
     Q = replace(make_oracle("Q", 2), spectrum=None)
     for A in spectral_queries(2, 37)[::4]:
-        assert float.hex(canonical_operator(Q, A)) == float.hex(ref_canonical_operator(Q, A))
+        assert float.hex(canonical_operator(Q, A)) == float.hex(ref_ladder_canonical(Q, A))
+
+
+def trace_on_P(n):
+    """The induced fiber {J in P : tr(A) >= 0}."""
+    return induced_fiber(lambda r, p, A: np.trace(A, axis1=-2, axis2=-1), make_oracle("P", n),
+                         n, Arity.PURE_SECOND_ORDER, "trace on P")
+
+
+# fibers without a spectrum
+FORM_FIBERS = [
+    pytest.param(lambda: garding_cone_oracle(sigma_k_operator(3, 2)), id="sigma-cone"),
+    pytest.param(lambda: branch_oracle(det_operator(3), 2), id="det-branch2"),
+    pytest.param(lambda: make_oracle("lagrangian", 4), id="lagrangian"),
+    pytest.param(lambda: dual_oracle(make_oracle("lagrangian", 4)), id="lagrangian-dual"),
+    pytest.param(lambda: make_oracle("failure:alpha=2,which=min", 2), id="failure-min"),
+    pytest.param(lambda: make_oracle("failure:alpha=2,which=max", 2), id="failure-max"),
+    pytest.param(lambda: trace_on_P(3), id="induced"),
+]
+
+
+def form_queries(F, rng, count):
+    """count random jets of F's dimension, a third each at scales 1e-3,
+    1.5 and 1e3; a jet with value and gradient for a full fiber, a matrix
+    otherwise."""
+    queries = []
+    for scale in (1e-3, 1.5, 1e3):
+        for _ in range(count // 3):
+            J = random_jet(rng, F.n, scale)
+            queries.append(J if F.arity is Arity.FULL else J.A)
+    return queries
+
+
+@pytest.mark.parametrize("make", FORM_FIBERS)
+def test_form_route_is_its_jet2_reference_and_within_tol_of_the_walk(make):
+    # every value of a fiber without a spectrum: bit for bit the ladder
+    # with one F.value per rung (ref_ladder_canonical), the walk's outcome,
+    # and within tol * (1 + |t|) of the walk's value
+    F = make()
+    assert F.spectrum is None
+    rng = np.random.default_rng(151)
+    values = 0
+    for A in form_queries(F, rng, 30):
+        got = outcome(canonical_operator, F, A)
+        assert got == outcome(ref_ladder_canonical, F, A), A
+        walk = outcome(ref_canonical_operator, F, A)
+        assert (got == "BracketingFailure") == (walk == "BracketingFailure"), A
+        if got != "BracketingFailure":
+            v, t = float.fromhex(got), float.fromhex(walk)
+            assert abs(v - t) <= 1e-10 * (1.0 + abs(t)), A
+            values += 1
+    assert values > 0
+
+
+def counting_forms(F, calls):
+    """F with its form noting the shape of each stack of values it gives."""
+    form = F.form
+
+    def counted(r, p, A):
+        calls.append(np.shape(r))
+        return form(r, p, A)
+
+    return replace(F, form=counted)
+
+
+@pytest.mark.parametrize("make", FORM_FIBERS)
+def test_form_route_takes_two_form_calls(make):
+    # the g of each of these fibers is linear in t up to rounding, so the
+    # secant step's certificate holds: one stacked form call on the
+    # ladder, one on the certificate's two points, and no bisection
+    F = make()
+    rng = np.random.default_rng(157)
+    for A in form_queries(F, rng, 30):
+        calls = []
+        got = outcome(canonical_operator, counting_forms(F, calls), A)
+        if got != "BracketingFailure":
+            assert len(calls) == 2 and calls[1] == (1, 2), (A, calls)
+            assert got == outcome(canonical_operator, F, A)
 
 
 def test_bisected_canonical_where_g_vanishes_on_an_interval():
@@ -1239,10 +1332,9 @@ def test_dual_canonical_by_brent_matches_the_bisection(key, n):
     # the dual's ladder value against the bisection of its membership
     # indicator
     Fd = dual_oracle(make_oracle(key, n))
-    bisect = replace(Fd, spectrum=None)
     for tol in (1e-10, 1e-6):
         for A in spectral_queries(n, 43)[::3]:
-            t = canonical_operator(bisect, A, tol=tol)
+            t = ref_canonical_operator(Fd, A, tol=tol)
             assert abs(canonical_operator(Fd, A, tol=tol) - t) <= 2 * tol * max(1.0, abs(t))
 
 

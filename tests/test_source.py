@@ -154,7 +154,10 @@ def unset_parameters(sources: list, callers: list) -> list:
 
     Calls are matched by name: f(...) and x.f(...) call every f defined,
     C(...) calls C.__init__, and functools.partial(f, ...) binds f's
-    parameters. A call passes a parameter by keyword or by position
+    parameters. A call h(f, ..., k=v) that passes a function f as a value
+    (or as either branch of a conditional) passes its keywords to f as
+    well, as a helper that calls f(*args, **kwargs) does. A call passes a
+    parameter by keyword or by position
     (after self, for a method that is not a staticmethod); *args or
     **kwargs passes every parameter it can reach. An argument written as
     the parameter's default (the same literal, or the module constant the
@@ -186,17 +189,22 @@ def unset_parameters(sources: list, callers: list) -> list:
             func, args = node.func, node.args
             if _name(func) == "partial" and args:
                 func, args = args[0], args[1:]
-            for key, pos, defaults in defs.get(_name(func), []):
-                given = []
-                for i, arg in enumerate(args):
-                    if isinstance(arg, ast.Starred):
-                        given += [(p, arg.value) for p in pos[i:]]
-                        break
-                    given += [(pos[i], arg)] if i < len(pos) else []
-                for k in node.keywords:
-                    given += [(p, k.value) for p in (defaults if k.arg is None else [k.arg])]
-                passes.extend((f"{key}({p})", arg, scopes) for p, arg in given
-                              if p in defaults and ast.dump(arg) != defaults[p])
+            values = [v for arg in args
+                      for v in ((arg.body, arg.orelse) if isinstance(arg, ast.IfExp) else (arg,))]
+            callees = [(func, args)] + [(v, []) for v in values
+                                        if isinstance(v, (ast.Name, ast.Attribute))]
+            for f, f_args in callees:
+                for key, pos, defaults in defs.get(_name(f), []):
+                    given = []
+                    for i, arg in enumerate(f_args):
+                        if isinstance(arg, ast.Starred):
+                            given += [(p, arg.value) for p in pos[i:]]
+                            break
+                        given += [(pos[i], arg)] if i < len(pos) else []
+                    for k in node.keywords:
+                        given += [(p, k.value) for p in (defaults if k.arg is None else [k.arg])]
+                    passes.extend((f"{key}({p})", arg, scopes) for p, arg in given
+                                  if p in defaults and ast.dump(arg) != defaults[p])
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             scopes = scopes + [(keys.get(node), {x.arg for x in _parameters(node.args)})]
         for child in ast.iter_child_nodes(node):
@@ -239,6 +247,11 @@ def test_the_checker_sees_an_unset_parameter():
     # a forward from an unset parameter counts once that one is set
     assert unset_parameters([source], [calls + "C(1).m(1, 3)\nk(0, u=1)\n"]) == [
         "f(d)", "f(e)"]
+    # a function passed as a value takes the call's keywords, also from
+    # either branch of a conditional
+    assert unset_parameters([source], [calls + "run(k, 0, u=1)\nrun(C.st if x else f, c=0)\n"]) \
+        == ["C.m(w)", "f(d)", "f(e)"]
+    assert unset_parameters(["def f(a, b=1):\n    pass\n"], ["run(f, 2)\n"]) == ["f(b)"]
     assert unset_parameters(["def f(a, b=1):\n    pass\n"], []) == ["f(b)"]
     assert unset_parameters(["def f(a, b=1):\n    pass\n"], ["f(*x)\n"]) == []
 
@@ -390,7 +403,6 @@ UNREACHED_API = {
     "boundary.tangential_planes": "sampled tangential planes of the geometric pseudoconvexity test",
     "boundary.geometric_pseudoconvex_at": "the geometric pseudoconvexity test, "
                                           "checked against strict_pseudoconvex_at",
-    "canonical.induced_fiber": "the constraint set of an operator; criterion 3",
     "canonical.check_proper_elliptic": "the correspondence's proper-ellipticity check",
     "canonical.check_compatibility": "the correspondence's compatibility check; criterion 3",
     "canonical.check_topological_tameness": "the correspondence's tameness check",
