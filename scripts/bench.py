@@ -22,8 +22,12 @@ It also holds a layers block: the in-process cost of one oracle
 evaluation layer, the median microseconds per canonical_operator value
 (layers.canonical_us_per_value) on each of verify's four focus cones and
 on two fibers without a spectrum, branch 2 of the Garding operator det in
-3-D and the Lagrangian cone in 4-D, timed once per checkout in a child
-process that imports the checkout's src.
+3-D and the Lagrangian cone in 4-D; and the median microseconds per jet
+of one shift_stack_to_boundary call that moves SHIFT_JETS seeded jets in
+3-D along the interior jet of M(0, full, inf) into P
+(layers.shift_us_per_jet: P3_eigenvalue, the eigenvalue route, and
+P3_fan, the same call on P without its spectrum). Both are timed once per
+checkout in one child process that imports the checkout's src.
 """
 
 from __future__ import annotations
@@ -44,14 +48,18 @@ RUN_TIMEOUT_S = 600
 # per cone, the cones, sizes and scales of verify's canonical operations,
 # then over a fifth as many (at least one) on each of two fibers without a
 # spectrum, whose values took 40 to 70 times as long before they took the
-# ladder; the child prints {cone: median us per value} as one JSON line
-LAYER_VALUES, LAYER_REPEATS = 250, 21
+# ladder. Each pass also times one shift_stack_to_boundary call on
+# SHIFT_JETS seeded jets per route. The child prints one JSON line:
+# {"canonical_us_per_value": {cone: median us per value},
+#  "shift_us_per_jet": {route: median us per jet}}
+LAYER_VALUES, LAYER_REPEATS, SHIFT_JETS = 250, 21, 200
 LAYER_CODE = """
 import json, statistics, sys, time
+from dataclasses import replace
 import numpy as np
 from jetcones import catalog, garding, jets
 from jetcones.canonical import canonical_operator
-values, repeats = int(sys.argv[1]), int(sys.argv[2])
+values, repeats, count = int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
 rng = np.random.default_rng(0)
 cones = {}
 for name, F, scale in (("P2", catalog.cone_P(2), 2.0), ("P3", catalog.cone_P(3), 2.0),
@@ -61,16 +69,27 @@ for name, F, scale in (("P2", catalog.cone_P(2), 2.0), ("P3", catalog.cone_P(3),
 for name, F in (("det3_branch2", garding.branch_oracle(garding.det_operator(3), 2)),
                 ("lagrangian4", catalog.cone_lagrangian(4))):
     cones[name] = F, [jets.random_symmetric(rng, F.n, 1.5) for _ in range(max(1, values // 5))]
+P3 = catalog.cone_P(3)
+J0 = catalog.MonotonicityCone(0.0, catalog.DirectionalCone.full(), float("inf")).interior_jet(3)
+J = jets.random_jets(rng, 3, count, 1.5)
+margins = np.abs(rng.standard_normal(count)) + 1e-3
+routes = {"P3_eigenvalue": P3, "P3_fan": replace(P3, spectrum=None)}
 passes = {name: [] for name in cones}
-# the passes of the cones interleave, so a slow spell of the host lands on
-# all of them
+shifts = {name: [] for name in routes}
+# the passes of the cones and routes interleave, so a slow spell of the
+# host lands on all of them
 for _ in range(repeats):
     for name, (F, mats) in cones.items():
         start = time.perf_counter()
         for A in mats:
             canonical_operator(F, A)
         passes[name].append((time.perf_counter() - start) / len(mats) * 1e6)
-print(json.dumps({name: statistics.median(us) for name, us in passes.items()}))
+    for name, F in routes.items():
+        start = time.perf_counter()
+        catalog.shift_stack_to_boundary(F, J, J0, margins)
+        shifts[name].append((time.perf_counter() - start) / count * 1e6)
+print(json.dumps({"canonical_us_per_value": {k: statistics.median(v) for k, v in passes.items()},
+                  "shift_us_per_jet": {k: statistics.median(v) for k, v in shifts.items()}}))
 """
 
 
@@ -139,17 +158,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def layers(checkout: Path) -> dict:
     """The layers block: median us per canonical_operator value on each
-    verify focus cone and on the two fibers without a spectrum, timed in a
+    verify focus cone and on the two fibers without a spectrum, and median
+    us per jet of a shift_stack_to_boundary call on each route, timed in a
     child process on the checkout's src."""
-    cmd = [sys.executable, "-c", LAYER_CODE, str(LAYER_VALUES), str(LAYER_REPEATS)]
+    cmd = [sys.executable, "-c", LAYER_CODE, str(LAYER_VALUES), str(LAYER_REPEATS),
+           str(SHIFT_JETS)]
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
     if done.returncode != 0:
         raise RuntimeError(f"the layer timing in {checkout} exited {done.returncode}:\n"
                            f"{done.stderr}")
-    return {"canonical_us_per_value": json.loads(done.stdout.strip().splitlines()[-1]),
-            "values": LAYER_VALUES, "repeats": LAYER_REPEATS}
+    return {**json.loads(done.stdout.strip().splitlines()[-1]),
+            "values": LAYER_VALUES, "repeats": LAYER_REPEATS, "shift_jets": SHIFT_JETS}
 
 
 def summary(values: list) -> dict:

@@ -21,7 +21,14 @@ each operation once and prints its output, floats as float.hex:
   solves; and the canonical values of the FORMROUTE fibers, which have no
   spectrum (lagrangian in 4-D and its dual, failure:alpha=2 with which=min
   and which=max in 2-D, the trace induced on P in 3-D), on FORMROUTE_JETS
-  seeded random matrices, or jets for the full failure fibers, each;
+  seeded random matrices, or jets for the full failure fibers, each; the
+  strict M-monotonicity reports (canonical.check_strict_M_monotone) of
+  the STRICT fibers, each with its own functional as the operator and
+  M = M(0, full, inf), and the fiber-continuity reports
+  (catalog.check_fiberegularity) of the four demo fiber maps, each with
+  its own monotonicity cone; these reports run in every check that moves
+  jets into their fibers (catalog.into_fibers,
+  catalog.shift_stack_to_boundary) outside the benchmark's operations;
 - grid-checks: every comparison and zero-maximum verdict (ok, witness
   node, margin, note), the strict approximator of the oversized box,
   the TranslationReport fields, the discrete jets classified per
@@ -80,6 +87,10 @@ FORMROUTE = {"lagrangian4": catalog.cone_lagrangian(4),
                  lambda r, p, A: np.trace(A, axis1=-2, axis2=-1), catalog.cone_P(3), 3,
                  catalog.Arity.PURE_SECOND_ORDER, "trace on P")}
 FORMROUTE_JETS = 50
+# fibers of the strict M-monotonicity reports, by (key, dimension)
+STRICT = {"P3": ("P", 3), "Q": ("Q", 2), "pucci": ("pucci:1,2", 2)}
+STRICT_M = catalog.MonotonicityCone(0.0, catalog.DirectionalCone.full(), float("inf"))
+FIBER_MAPS = ("pma", "slag", "affine-sphere", "ot")
 GARDING_BRANCH_MATRICES = 10
 
 
@@ -149,6 +160,14 @@ def verify_outputs(seed: int, distances: int) -> dict:
         out[f"canonical_formroute_{name}"] = [
             canonical_or_failure(F, J if F.arity is catalog.Arity.FULL else J.A)
             for J in queries]
+    for name, (key, n) in STRICT.items():
+        F = catalog.make_oracle(key, n)
+        out[f"strict_M_monotone_{name}"] = exact(
+            canonical.check_strict_M_monotone(F.values, F, STRICT_M))
+    for key in FIBER_MAPS:
+        theta = catalog.make_oracle(key, 2)
+        out[f"fiberegularity_{key}"] = exact(
+            catalog.check_fiberegularity(theta, theta.monotonicity))
     return out
 
 

@@ -30,11 +30,11 @@ from .catalog import (
     MonotonicityCone,
     bisect_brackets,
     crossing_brackets,
+    into_fibers,
     jets_along,
     classify_values,
     members,
     ray_probe,
-    shift_stack_to_boundary,
 )
 from .duality import CheckReport
 from .errors import BadParameters, BoundaryNode, BracketingFailure
@@ -115,8 +115,7 @@ def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
         def g(t):
             return f(lam - t[..., None])
     else:
-        probe = ray_probe(F, (np.array([r]), p[None], S.entries[None]),
-                          Jet2.from_matrix(SymMat.identity(S.n)))
+        probe = ray_probe(F, (np.array([r]), p[None], S.entries[None]), _identity_jet(S.n))
 
         def g(t):
             return probe([0], -t.reshape(1, -1)).reshape(t.shape)
@@ -126,6 +125,13 @@ def canonical_operator(F: FiberOracle, A, tol: float = 1e-10) -> float:
             f"no boundary crossing of {F.label} along I within radius {SEARCH_RADIUS:g}"
         )
     return _ladder_root(g, *bracket, tol)
+
+
+@functools.lru_cache(maxsize=MAX_DIM)
+def _identity_jet(n: int) -> Jet2:
+    """The jet (0, 0, I) in n dimensions, the direction of canonical_operator's
+    form route, built (and its SymMat validated) once per n."""
+    return Jet2.from_matrix(SymMat.identity(n))
 
 
 # A matrix's jet (0, 0, A) has the gradient _ZERO_GRADIENT[:n], read-only
@@ -475,7 +481,7 @@ def check_topological_tameness(
     rng = np.random.default_rng(seed)
     n = G.n
     J = random_jets(rng, n, samples, 1.5)
-    eyeJ = Jet2.from_matrix(SymMat.identity(n))
+    eyeJ = _identity_jet(n)
     dirs = [eyeJ, (-1.0) * eyeJ]
     for _ in range(4):
         U = random_jet(rng, n)
@@ -532,12 +538,10 @@ def check_strict_M_monotone(
     t in (0, 1], along M's interior jet J0 = M.interior_jet(n).
 
     The whole sample is drawn first: the jets (one random_jets block,
-    scale 1.5), then one uniform block of t in [1e-3, 1). One values call
-    classifies the jets; those outside F move along J0 onto its boundary
-    and SHIFT_MARGIN past it in one lockstep search on their stacks
-    (shift_stack_to_boundary), and a sample whose moved jet is not a
-    member is dropped. op runs once on the kept jets and once on their
-    moves along J0.
+    scale 1.5), then one uniform block of t in [1e-3, 1). The jets outside
+    F move along J0 onto its boundary and SHIFT_MARGIN past it
+    (catalog.into_fibers), and a sample whose shift fails is dropped. op
+    runs once on the kept jets and once on their moves along J0.
     """
     n = F.n
     # interior to M with a margin of at least 0.5: MonotonicityCone bounds
@@ -546,16 +550,8 @@ def check_strict_M_monotone(
     rng = np.random.default_rng(seed)
     J = random_jets(rng, n, samples, scale=1.5)
     ts = rng.uniform(1e-3, 1.0, samples)
-    kept = members(F.values(*J))
-    outside = np.flatnonzero(~kept)
-    rows, moved = shift_stack_to_boundary(F, _rows(J, outside), J0,
-                                          [SHIFT_MARGIN] * len(outside), member_tol=DEFAULT_TOL)
-    # a moved jet takes its sample's place; a sample left outside is dropped
-    kept[outside[rows]] = True
-    for part, m in zip(J, moved):
-        part[outside[rows]] = m
-    J = _rows(J, kept)
-    gain = op(*jets_along(J, (J0.r, J0.p, J0.A.entries), ts[kept])) - op(*J)
+    rows, J = into_fibers(F, J, J0, np.full(samples, SHIFT_MARGIN))
+    gain = op(*jets_along(J, (J0.r, J0.p, J0.A.entries), ts[rows])) - op(*J)
     rep = CheckReport(name="strict-M-monotone", seed=seed)
     rep.record(gain > 1e-12, gain, J)
     return rep

@@ -186,8 +186,8 @@ def jets_along(J: tuple, U: tuple, t) -> tuple:
 # about as much as a few rows, so deeper trees save calls but waste rows
 # past the stop point. The walk table below has 2**(2**depth - 1) rows,
 # so the walker serves depths up to 4. Measured with this walker and the
-# eigenvalue route of boundary_shifts (four alternating 10 s runs per
-# depth, seeds 7-10, 2-core x86 host), depth 3 against depth 4: verify
+# eigenvalue route of shift_stack_to_boundary (four alternating 10 s runs
+# per depth, seeds 7-10, 2-core x86 host), depth 3 against depth 4: verify
 # batch_s 0.245 s against 0.255 s (median, -3.8 %, faster in 3 of 4
 # pairs), grid-checks focus_s 0.051 s against 0.049 s (+2.8 %, slower in
 # 3 of 4 pairs).
@@ -1006,11 +1006,11 @@ SHIFT_TOL = 1e-9
 # how far past the boundary the shifted jets of the sampled checks move
 SHIFT_MARGIN = 1e-6
 # J + t*J0 keeps at most half of J's digits once |t*J0| passes |J| times
-# this: boundary_shifts reports no crossing there. Along a ray on which the
-# functional tends to a constant, its rounding, about eps*|t*J0|, outgrows
-# the functional's own size long before J + t*J0 has lost all of J's
-# digits (at |J|/eps), and the sign flips it places differ between two
-# evaluations of the same functional
+# this: shift_stack_to_boundary reports no crossing there. Along a ray on
+# which the functional tends to a constant, its rounding, about
+# eps*|t*J0|, outgrows the functional's own size long before J + t*J0 has
+# lost all of J's digits (at |J|/eps), and the sign flips it places differ
+# between two evaluations of the same functional
 ROUNDING_REACH = 1.0 / math.sqrt(np.finfo(float).eps)
 
 
@@ -1030,32 +1030,68 @@ def fiber_values(F, points: Optional[list] = None) -> Callable:
     return values
 
 
-def shift_stack_to_boundary(F, J: tuple, J0: Jet2, margins, start_in=None,
-                            tol: float = SHIFT_TOL, max_expand: int = 60,
-                            member_tol: Optional[float] = None,
-                            points: Optional[list] = None) -> tuple:
+def shift_stack_to_boundary(F, J: tuple, J0: Jet2, margins, tol: float = SHIFT_TOL,
+                            max_expand: int = 60, points: Optional[list] = None) -> tuple:
     """Move each jet of the stack J = (r[N], p[N, n], A[N, n, n]) along J0
-    onto the membership boundary, then margins[i] past it, in one lockstep
-    search (boundary_shifts): row i becomes J_i + (t + margins[i]) * J0,
-    with the float operations of Jet2 arithmetic. Membership is monotone
-    along J0 when J0 is interior to a cone the fiber is monotone for, so
+    onto the membership boundary, then margins[i] past it, all jets in one
+    lockstep search: row i becomes J_i + (t_in + margins[i]) * J0, with
+    the float operations of Jet2 arithmetic. Membership is monotone along
+    J0 when J0 is interior to a cone the fiber is monotone for, so
     bisection applies.
 
-    F is a FiberOracle, or a VariableFiberMap with row i in the fiber at
-    points[i]; start_in holds each row's membership under tol (found by
-    the search when None). Returns the rows whose crossing is bracketed,
-    ascending, and their moved jets as stacks; with member_tol, only the
-    rows whose moved jet is a member under member_tol, all tested in one
-    values call.
+    F is a FiberOracle, every row in its one fiber, or a VariableFiberMap
+    with row i in the fiber at points[i] (see fiber_values). t_in is the
+    member end of row i's crossing along J_i + t*J0: doubled outward
+    (t = +-1, +-3, +-7, ..., outward from a member, inward from a jet
+    outside) for max_expand steps, then bisected until the bracket is
+    narrower than tol (at most 60 steps). A row has no crossing when none
+    is bracketed, or when |t_in*J0| passes ROUNDING_REACH * max(1, |J_i|),
+    norms taken as max(|r|, |p|_2, |A|_F). The probes go through
+    ray_probe, so a spectral fiber along a ray whose Hessian is exactly
+    c*I solves each jet's eigenvalues once instead of once per probe.
+
+    Returns the rows with a crossing, ascending, and their moved jets as
+    stacks; whether a moved jet is a member is for the caller to test.
     """
-    t_in = boundary_shifts(F, J, start_in, J0, tol, max_expand, points) if len(J[0]) else []
-    rows = np.array([i for i, t in enumerate(t_in) if t is not None], dtype=int)
-    s = np.array([t for t in t_in if t is not None]) + np.asarray(margins, dtype=float)[rows]
-    moved = jets_along(tuple(take_rows(a, rows) for a in J), (J0.r, J0.p, J0.A.entries), s)
-    if member_tol is not None and rows.size:
-        kept = members(fiber_values(F, points)(rows, *moved), member_tol)
+    if not len(J[0]):
+        return np.array([], dtype=int), J
+    reach = ROUNDING_REACH * np.maximum(1.0, _jet_sizes(*J))
+    step = float(_jet_sizes(J0.r, J0.p, J0.A.entries))
+    g = ray_probe(F, J, J0, points)
+    start_in = members(g(np.arange(len(J[0]))), tol)
+    ts = _doubling_steps(max_expand) * np.where(start_in, -1.0, 1.0)[:, None]
+    brackets = crossing_brackets(lambda rows, t: members(g(rows, t), tol), ts, start_in,
+                                 lambda a, b: abs(a - b) < tol, max_steps=60)
+    t_in = np.array([math.nan if b is None or abs(b[0]) * step > cap else b[0]
+                     for b, cap in zip(brackets, reach.tolist())])
+    rows = np.flatnonzero(~np.isnan(t_in))
+    s = t_in[rows] + np.asarray(margins, dtype=float)[rows]
+    return rows, jets_along(tuple(take_rows(a, rows) for a in J), (J0.r, J0.p, J0.A.entries), s)
+
+
+def into_fibers(F, J: tuple, J0: Jet2, margins, points: Optional[np.ndarray] = None) -> tuple:
+    """The rows of the stack J whose jets lie in their fibers (for a
+    variable fiber map, the fiber at points[i]) or move into them, in
+    sample order, and those jets as stacks.
+
+    A member under DEFAULT_TOL stays as drawn. A jet outside moves along
+    J0 to the fiber's boundary and margins[i] past it
+    (shift_stack_to_boundary), and is dropped when it has no crossing or
+    its moved jet is not a member. One values call classifies the stack,
+    one lockstep search moves the jets outside and one more values call
+    tests the moved jets.
+    """
+    inside = members(fiber_values(F, points)(np.arange(len(J[0])), *J))
+    out = np.flatnonzero(~inside)
+    at = None if points is None else points[out]
+    rows, moved = shift_stack_to_boundary(F, tuple(a[out] for a in J), J0, margins[out],
+                                          points=at)
+    if rows.size:
+        kept = members(fiber_values(F, at)(rows, *moved))
         rows, moved = rows[kept], tuple(a[kept] for a in moved)
-    return rows, moved
+    keep = np.concatenate((np.flatnonzero(inside), out[rows]))
+    order = np.argsort(keep, kind="stable")
+    return keep[order], tuple(np.concatenate((a[inside], m))[order] for a, m in zip(J, moved))
 
 
 @functools.lru_cache(maxsize=8)
@@ -1110,36 +1146,6 @@ def ray_probe(F, J: tuple, U: Jet2, points: Optional[list] = None) -> Callable:
     return probe
 
 
-def boundary_shifts(F, J: tuple, start_in, J0: Jet2, tol: float = SHIFT_TOL,
-                    max_expand: int = 60, points: Optional[list] = None) -> list:
-    """The search of shift_stack_to_boundary, all jets of the stack in lockstep.
-
-    J = (r[N], p[N, n], A[N, n, n]) holds the jets; F is a FiberOracle,
-    every row in its one fiber, or a VariableFiberMap with row i in the
-    fiber at points[i] (see fiber_values). start_in[i] is J_i's
-    membership under tol, or start_in is None and the search finds it.
-    For each row the result is the member end t_in of its crossing along
-    J_i + t*J0: doubled outward (t = +-1, +-3, +-7, ...) from t = 0 for
-    max_expand steps, then bisected until the bracket is narrower than
-    tol (at most 60 steps). It is None when no crossing is bracketed, or
-    when |t_in*J0| passes ROUNDING_REACH * max(1, |J_i|), norms taken as
-    max(|r|, |p|_2, |A|_F). The probes go through ray_probe, so a
-    spectral fiber along a ray whose Hessian is exactly c*I solves each
-    jet's eigenvalues once instead of once per probe.
-    """
-    reach = ROUNDING_REACH * np.maximum(1.0, _jet_sizes(*J))
-    step = float(_jet_sizes(J0.r, J0.p, J0.A.entries))
-    g = ray_probe(F, J, J0, points)
-    if start_in is None:
-        start_in = members(g(np.arange(len(J[0]))), tol)
-    start_in = np.asarray(start_in, dtype=bool)
-    ts = _doubling_steps(max_expand) * np.where(start_in, -1.0, 1.0)[:, None]
-    brackets = crossing_brackets(lambda rows, t: members(g(rows, t), tol), ts, start_in,
-                                 lambda a, b: abs(a - b) < tol, max_steps=60)
-    return [None if b is None or abs(b[0]) * step > cap else b[0]
-            for b, cap in zip(brackets, reach.tolist())]
-
-
 def _jet_sizes(r, p, A):
     """max(|r|, |p|_2, |A|_F) of each jet of a stack (r[...], p[..., n],
     A[..., n, n]): within a factor sqrt(n) of the jet norm, without an
@@ -1156,9 +1162,9 @@ def _fiber_jet_samples(
     count: int,
 ) -> tuple:
     """Jets in Theta(x) near its boundary, with heavy-tailed Hessians, as
-    stacks (r, p, A): count draws, each moved along J0 to the boundary and
-    SHIFT_MARGIN past it (all in one lockstep search on the map's point
-    form) and kept when the moved jet is a member."""
+    stacks (r, p, A): count draws, each moved along J0 to the boundary of
+    the fiber Theta.fiber_at(x) and SHIFT_MARGIN past it (all in one
+    lockstep search) and kept when the moved jet is a member."""
     n = theta.n
     bases = []
     for i in range(count):
@@ -1170,9 +1176,10 @@ def _fiber_jet_samples(
             ))
         else:
             bases.append(random_jet(rng, n, scale=1.5))
-    _, moved = shift_stack_to_boundary(theta, stack_jets(bases, n), J0, [SHIFT_MARGIN] * count,
-                                       member_tol=DEFAULT_TOL, points=[x] * count)
-    return moved
+    F = theta.fiber_at(x)
+    _, moved = shift_stack_to_boundary(F, stack_jets(bases, n), J0, [SHIFT_MARGIN] * count)
+    kept = members(F.values(*moved))
+    return tuple(a[kept] for a in moved)
 
 
 def _anchor_pairs(axes: list, anchor_idx: list) -> tuple:

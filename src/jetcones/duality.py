@@ -11,14 +11,17 @@ excluded from pass/fail counts and reported separately.
 Sampling layout. Every check draws its whole sample first, as blocks
 from one generator in a fixed documented order, and then runs each
 stage once on stacks: check_involution, check_dual_pair and
-check_inclusion classify the sample with one values call per oracle;
-check_monotonicity and check_jet_addition classify their jets in one
-call, push every jet outside its fiber to the boundary in one lockstep
-search (catalog.shift_stack_to_boundary), mix the cone members with one
-probe call on a fixed ladder and classify every sum in one call. No draw
-depends on an oracle value, so reports are filled in sample order and
-match the one-sample-at-a-time loops over the same draws bit for bit. A
-Jet2 is built only for a witness.
+check_inclusion classify the sample with one values call per oracle.
+check_monotonicity and check_jet_addition move their jets into their
+fibers in one step, catalog.into_fibers: one values call classifies the
+jets, one lockstep search (catalog.shift_stack_to_boundary) pushes every
+jet outside its fiber past the boundary, and one more values call keeps
+the moved jets that are members. check_monotonicity then mixes its cone
+members with one probe call on a fixed ladder, dropping a sample whose
+ladder reaches no member of M, and both checks classify every sum in one
+call. No draw depends on an oracle value, so reports are filled in
+sample order and match the one-sample-at-a-time loops over the same
+draws bit for bit. A Jet2 is built only for a witness.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ import numpy as np
 
 from .catalog import (
     DEFAULT_TOL,
-    SHIFT_TOL,
     ConeKind,
     FiberOracle,
     MonotonicityCone,
@@ -40,12 +42,12 @@ from .catalog import (
     classify_values,
     cone_M,
     fiber_values,
+    into_fibers,
     jets_along,
     members,
     ray_probe,
-    shift_stack_to_boundary,
 )
-from .jets import Jet2, random_jets, unstack_jets
+from .jets import random_jets, unstack_jets
 
 # the scale of the random jets (jets.random_jets) of every check here
 SAMPLE_SCALE = 1.5
@@ -168,56 +170,36 @@ def check_dual_pair(
                       lambda c1, c2: c1[0] == c2[0], samples, seed)
 
 
-def _into_fibers(F: Union[FiberOracle, VariableFiberMap], J: tuple, J0: Jet2, margins,
-                 points: Optional[np.ndarray] = None) -> tuple:
-    """The rows of the stack J whose jets lie in their fibers (for a
-    variable fiber map, the fiber at points[i]) or move into them,
-    ascending, and those jets as stacks.
-
-    A member under DEFAULT_TOL stays as drawn. A jet outside moves along
-    J0 to the fiber's boundary and margins[i] past it, and is dropped when
-    no crossing is bracketed or the moved jet is not a member. One
-    values call classifies the stack, one lockstep search
-    (catalog.shift_stack_to_boundary) moves the jets outside and one more
-    values call tests the moved jets.
-    """
-    g = fiber_values(F, points)(np.arange(len(J[0])), *J)
-    inside = members(g)
-    out = np.flatnonzero(~inside)
-    rows, moved = shift_stack_to_boundary(F, tuple(a[out] for a in J), J0, margins[out],
-                                          members(g[out], SHIFT_TOL), member_tol=DEFAULT_TOL,
-                                          points=None if points is None else points[out])
-    keep = np.concatenate((np.flatnonzero(inside), out[rows]))
-    order = np.argsort(keep, kind="stable")
-    return keep[order], tuple(np.concatenate((a[inside], m))[order] for a, m in zip(J, moved))
-
-
 # t = 0, 0.5, 1.5, ..., each 2*t + 0.5 of the last, up to the first t >= 1e6
 _MIXING_TS = np.concatenate(([0.0], 0.5 * _doubling_steps(21)))
 
 
 def _mix_into_cone(M: MonotonicityCone, n: int, J: tuple) -> tuple:
     """Each jet of the stack J mixed toward M's interior jet J0: J + t*J0
-    at the first t of _MIXING_TS where that is a member of M, else at the
-    last t. One probe call (catalog.ray_probe) takes every jet's whole
+    at the first t of _MIXING_TS where that is a member of M. Returns
+    which rows reached a member on the ladder, and the mixed jets as
+    stacks; a row that reached none keeps its jet, to be dropped by the
+    caller. One probe call (catalog.ray_probe) takes every jet's whole
     ladder; J0's Hessian is a multiple of I, so it solves each jet's
     eigenvalues once."""
     J0 = M.interior_jet(n)
     kept = members(ray_probe(cone_M(M, n), J, J0)(np.arange(len(J[0])), _MIXING_TS[None]))
-    t = np.where(kept.any(axis=1), _MIXING_TS[kept.argmax(axis=1)], _MIXING_TS[-1])
-    return jets_along(J, (J0.r, J0.p, J0.A.entries), t)
+    t = _MIXING_TS[kept.argmax(axis=1)]
+    return kept.any(axis=1), jets_along(J, (J0.r, J0.p, J0.A.entries), t)
 
 
 def _cone_members(M: MonotonicityCone, n: int, J: tuple, extreme: np.ndarray) -> tuple:
     """Members of M(gamma, D, R) built constructively from the random jets
-    of the stack J, one per row, as stacks (r, p, A).
+    of the stack J, one per row: which rows became members, and the jets
+    as stacks (r, p, A).
 
     A row with extreme set sits on the cone's extreme rays (tight value
     slot, minimal Hessian part), the discriminating directions for
     monotonicity probes: its gradient p, reflected into D (across the
     half space's boundary, or |p_j| on the orthant's axes and 0
-    elsewhere), gives (-gamma*|p|, p, (|p|/R) I). Every other row is
-    mixed toward the cone's interior jet (_mix_into_cone).
+    elsewhere), gives (-gamma*|p|, p, (|p|/R) I), a member by
+    construction. Every other row is mixed toward the cone's interior jet
+    (_mix_into_cone), and is no member when its ladder reaches none.
     """
     p = J[1]
     if M.D.kind is ConeKind.HALFSPACE:
@@ -231,9 +213,12 @@ def _cone_members(M: MonotonicityCone, n: int, J: tuple, extreme: np.ndarray) ->
     out = (np.where(extreme, -M.gamma * pn, J[0]), np.where(extreme[:, None], p, J[1]),
            np.where(extreme[:, None, None], a[:, None, None] * np.eye(n), J[2]))
     mixing = np.flatnonzero(~extreme)
-    for part, mixed in zip(out, _mix_into_cone(M, n, tuple(b[mixing] for b in J))):
+    reached, mix = _mix_into_cone(M, n, tuple(b[mixing] for b in J))
+    for part, mixed in zip(out, mix):
         part[mixing] = mixed
-    return out
+    ok = extreme.copy()
+    ok[mixing] = reached
+    return ok, out
 
 
 def _record_sums(rep: CheckReport, g: np.ndarray, W: tuple) -> None:
@@ -258,10 +243,11 @@ def check_monotonicity(
     cone members and the random jets K they scale (one more block).
     Every sample draws every part, used or not. Then each stage runs once
     on stacks: the jets outside their fibers move into them along M's
-    interior jet (_into_fibers), a sample whose shift fails is dropped,
-    each kept sample's K becomes a member of M (on an extreme ray for
-    even i, mixed into M otherwise; _cone_members) and every J + K is
-    classified in one call against J's fiber.
+    interior jet (catalog.into_fibers), a sample whose shift fails is
+    dropped, each kept sample's K becomes a member of M (on an extreme ray
+    for even i, mixed into M otherwise; _cone_members), a sample whose K
+    reaches no member on the mixing ladder is dropped as well, and every
+    J + K is classified in one call against J's fiber.
     """
     rng = np.random.default_rng(seed)
     n = F.n
@@ -270,10 +256,11 @@ def check_monotonicity(
     margins = np.abs(rng.standard_normal(samples)) + 1e-3
     scales = np.abs(rng.standard_normal(samples)) + 0.1
     K = random_jets(rng, n, samples, scales)
-    rows, J = _into_fibers(F, J, M.interior_jet(n), margins, x)
+    rows, J = into_fibers(F, J, M.interior_jet(n), margins, x)
     rep = CheckReport(name="monotonicity", seed=seed)
     if rows.size:
-        K = _cone_members(M, n, tuple(a[rows] for a in K), rows % 2 == 0)
+        ok, K = _cone_members(M, n, tuple(a[rows] for a in K), rows % 2 == 0)
+        rows, J, K = rows[ok], tuple(a[ok] for a in J), tuple(b[ok] for b in K)
         sums = tuple(a + b for a, b in zip(J, K))
         _record_sums(rep, fiber_values(F, x)(rows, *sums), J)
     return rep
@@ -309,8 +296,8 @@ def _jet_addition(F: FiberOracle, M: MonotonicityCone, samples: int, seed: int) 
     drawn first, in this generator order: the jets J for F and the jets K
     for F~ (one random_jets block each), then one block of shift margins
     (J's row, then K's). The jets outside F and outside F~ move in along
-    M's interior jet (_into_fibers, once for each), a sample with a
-    failed shift is dropped, and every J + K is classified in one call.
+    M's interior jet (catalog.into_fibers, once for each), a sample with
+    a failed shift is dropped, and every J + K is classified in one call.
     """
     rng = np.random.default_rng(seed)
     n = F.n
@@ -318,8 +305,8 @@ def _jet_addition(F: FiberOracle, M: MonotonicityCone, samples: int, seed: int) 
     J = random_jets(rng, n, samples, SAMPLE_SCALE)
     K = random_jets(rng, n, samples, SAMPLE_SCALE)
     margins = np.abs(rng.standard_normal((2, samples))) + 1e-3
-    rowsJ, J = _into_fibers(F, J, J0, margins[0])
-    rowsK, K = _into_fibers(dual_oracle(F), K, J0, margins[1])
+    rowsJ, J = into_fibers(F, J, J0, margins[0])
+    rowsK, K = into_fibers(dual_oracle(F), K, J0, margins[1])
     inJ, inK = np.isin(rowsJ, rowsK), np.isin(rowsK, rowsJ)
     sums = tuple(a[inJ] + b[inK] for a, b in zip(J, K))
     rep = CheckReport(name="jet-addition", seed=seed)

@@ -9,7 +9,9 @@ one-probe-at-a-time loops that catalog.shift_stack_to_boundary and
 duality._cone_members run on stacks in lockstep: every probe is one
 oracle.classify call on a Jet2 sum. shift_jets runs
 shift_stack_to_boundary on a list of Jet2s and hands back one moved Jet2
-or None per jet, so its result compares with the references jet by jet.
+or None per jet, so its result compares with the references jet by jet;
+given member_tol, it keeps only the moved jets that are members, the
+filter catalog.into_fibers applies under DEFAULT_TOL.
 
 interior_nodes and node_point walk a grid node by node: the index tuples
 of Grid.interior_slice and the point of one node, the per-node
@@ -46,7 +48,8 @@ import itertools
 import numpy as np
 
 from jetcones.canonical import SEARCH_RADIUS, _ladder_root
-from jetcones.catalog import RegionKind, jets_along, make_oracle, shift_stack_to_boundary
+from jetcones.catalog import (RegionKind, jets_along, make_oracle, members,
+                              shift_stack_to_boundary)
 from jetcones.duality import CheckReport, dual_oracle
 from jetcones.errors import BoundaryNode, BracketingFailure
 from jetcones.grids import GridFunction
@@ -172,18 +175,27 @@ def ref_shift_to_boundary(oracle, J, J0, margin=1e-6, tol=1e-9, max_expand=60):
 
 
 def ref_sample_cone_member(M, rng, n, scale):
+    """J + t*J0 at the first t = 0, 0.5, 1.5, ..., up to the first past 1e6,
+    where that is a member of M; None when it is a member at no t."""
     oracle = make_oracle(M.key(), n)
     J0, J, t = M.interior_jet(n), random_jet(rng, n, scale), 0.0
-    while not oracle.classify(J + t * J0).is_member and t < 1e6:
+    while not oracle.classify(J + t * J0).is_member:
+        if t >= 1e6:
+            return None
         t = 2.0 * t + 0.5
     return J + t * J0
 
 
-def shift_jets(F, jets, J0, margins, **kwargs):
+def shift_jets(F, jets, J0, margins, member_tol=None, **kwargs):
     """shift_stack_to_boundary(F, <jets stacked>, J0, margins, **kwargs) as
-    a list: the moved Jet2 of each jet, or None where the search drops it."""
+    a list: the moved Jet2 of each jet, or None where the search drops it;
+    with member_tol, also None where the moved jet is not a member under
+    member_tol (one F.values call on the moved stack)."""
     out = [None] * len(jets)
     rows, moved = shift_stack_to_boundary(F, stack_jets(jets, J0.n), J0, margins, **kwargs)
+    if member_tol is not None and rows.size:
+        kept = members(F.values(*moved), member_tol)
+        rows, moved = rows[kept], tuple(a[kept] for a in moved)
     for i, K in zip(rows.tolist(), unstack_jets(*moved)):
         out[i] = K
     return out

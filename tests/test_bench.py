@@ -17,12 +17,15 @@ spec.loader.exec_module(bench)
 
 # verify's four focus cones, then the two fibers without a spectrum
 LAYER_CONES = ["P2", "P3", "pfold32", "pucci", "det3_branch2", "lagrangian4"]
+# the two routes of the timed shift
+SHIFT_ROUTES = ["P3_eigenvalue", "P3_fan"]
 
 
 def _fake_run(calls, layer_calls=None):
     """A subprocess.run that answers git with a fixed revision, the layer
-    timing with len(layer_calls) us per value on each cone (noting each
-    call's checkout and PYTHONPATH), and the benchmark with a detail line
+    timing with len(layer_calls) us per value on each cone and 10 times
+    that per jet on each shift route (noting each call's checkout and
+    PYTHONPATH), and the benchmark with a detail line
     and a result line whose focus_s is the seed in seconds. The detail
     line carries five set-up samples and, for solve, one refinement row."""
 
@@ -32,9 +35,12 @@ def _fake_run(calls, layer_calls=None):
             return subprocess.CompletedProcess(cmd, 0, out, "")
         if cmd[1] == "-c":
             assert cmd[2] == bench.LAYER_CODE
-            assert cmd[3:] == [str(bench.LAYER_VALUES), str(bench.LAYER_REPEATS)]
+            assert cmd[3:] == [str(bench.LAYER_VALUES), str(bench.LAYER_REPEATS),
+                               str(bench.SHIFT_JETS)]
             layer_calls.append((Path(cwd).name, env["PYTHONPATH"]))
-            us = {cone: float(len(layer_calls)) for cone in LAYER_CONES}
+            k = float(len(layer_calls))
+            us = {"canonical_us_per_value": {cone: k for cone in LAYER_CONES},
+                  "shift_us_per_jet": {route: 10 * k for route in SHIFT_ROUTES}}
             return subprocess.CompletedProcess(cmd, 0, json.dumps(us) + "\n", "")
         seed = int(cmd[cmd.index("--seed") + 1])
         workload = cmd[cmd.index("--workload") + 1]
@@ -75,7 +81,9 @@ def test_bench_alternates_checkouts_and_writes_one_record_each(tmp_path, monkeyp
         rec = json.loads((tmp_path / f"BENCH_{label}.json").read_text())
         assert set(rec) == {"label", "revision", "seconds", "command", "workloads", "layers"}
         assert rec["layers"] == {"canonical_us_per_value": {c: i + 1.0 for c in LAYER_CONES},
-                                 "values": bench.LAYER_VALUES, "repeats": bench.LAYER_REPEATS}
+                                 "shift_us_per_jet": {r: 10 * (i + 1.0) for r in SHIFT_ROUTES},
+                                 "values": bench.LAYER_VALUES, "repeats": bench.LAYER_REPEATS,
+                                 "shift_jets": bench.SHIFT_JETS}
         assert rec["label"] == label and rec["revision"] == "0123abc"
         assert rec["seconds"] == 2.0 and rec["command"] == bench.benchmark()["command"]
         assert set(rec["workloads"]) == {"verify", "grid-checks"}
@@ -107,14 +115,17 @@ def test_bench_keeps_the_refinement_rows_of_solve(tmp_path, monkeypatch):
 
 def test_layer_code_times_every_focus_cone(tmp_path):
     # the child the layer timing starts, on this checkout's src with one
-    # value and one pass per cone: one positive median per focus cone and
-    # per fiber without a spectrum
+    # value, one pass per cone and a shift of five jets: one positive
+    # median per focus cone, per fiber without a spectrum and per route
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, "-c", bench.LAYER_CODE, "1", "1"], cwd=tmp_path,
+    done = subprocess.run([sys.executable, "-c", bench.LAYER_CODE, "1", "1", "5"], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    us = json.loads(done.stdout)
+    out = json.loads(done.stdout)
+    assert list(out) == ["canonical_us_per_value", "shift_us_per_jet"]
+    us, shift = out["canonical_us_per_value"], out["shift_us_per_jet"]
     assert list(us) == LAYER_CONES and all(v > 0.0 for v in us.values())
+    assert list(shift) == SHIFT_ROUTES and all(v > 0.0 for v in shift.values())
 
 
 def test_bench_summary_of_one_run():

@@ -265,8 +265,10 @@ def test_cone_M_is_closed_under_addition_and_scaling():
     oracle = cone_M(M, 2)
     Js, Ks, ts = zip(*[(random_jets(rng, 2, 1), random_jets(rng, 2, 1), rng.uniform(0.1, 3.0))
                        for _ in range(10_000)])
-    J, K = (_cone_members(M, 2, tuple(map(np.concatenate, zip(*side))), extreme)
-            for side, extreme in [(Js, np.arange(10_000) % 3 == 0), (Ks, np.zeros(10_000, bool))])
+    (okJ, J), (okK, K) = (
+        _cone_members(M, 2, tuple(map(np.concatenate, zip(*side))), extreme)
+        for side, extreme in [(Js, np.arange(10_000) % 3 == 0), (Ks, np.zeros(10_000, bool))])
+    assert okJ.all() and okK.all()
     t = np.array(ts)
     assert members(oracle.values(*(a + b for a, b in zip(J, K))), 1e-7).all()
     assert members(oracle.values(t * J[0], t[:, None] * J[1], t[:, None, None] * J[2]), 1e-7).all()

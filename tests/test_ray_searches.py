@@ -1,16 +1,17 @@
 """The line searches and the sampled checks against the Jet2 route.
 
-canonical_operator, signed_distance, shift_stack_to_boundary, the mixing
-of duality._cone_members, strict_pseudoconvex_at, check_involution,
-check_monotonicity and check_jet_addition evaluate oracles on arrays
-along a ray (catalog.ray_probe, or values(*jets_along(...)) for
-signed_distance's many directions) and on stacks (FiberOracle.values).
-The searches probe doubling brackets 2**BISECTION_DEPTH - 1 entries per
-call and walk BISECTION_DEPTH levels of each bisection tree per call,
-signed_distance for all directions in lockstep (catalog.bisect_brackets)
-and the shifts of the two sampled checks for all samples in lockstep
-(catalog.boundary_shifts); the mixing probes its whole fixed ladder in
-one call. The references here and in jet2_refs are the
+canonical_operator, signed_distance, shift_stack_to_boundary and
+into_fibers, the mixing of duality._cone_members, strict_pseudoconvex_at,
+check_involution, check_monotonicity and check_jet_addition evaluate
+oracles on arrays along a ray (catalog.ray_probe, or
+values(*jets_along(...)) for signed_distance's many directions) and on
+stacks (FiberOracle.values). The searches probe doubling brackets
+2**BISECTION_DEPTH - 1 entries per call and walk BISECTION_DEPTH levels
+of each bisection tree per call, signed_distance for all directions in
+lockstep (catalog.bisect_brackets) and the shifts of the sampled checks
+for all samples in lockstep (catalog.shift_stack_to_boundary, inside
+catalog.into_fibers); the mixing probes its whole fixed ladder in one
+call. The references here and in jet2_refs are the
 one-probe-at-a-time, one-sample-at-a-time loops written with Jet2
 arithmetic and one oracle.value per probe (jet2_refs.ray_values is that
 arithmetic on arrays of t; shift_jets runs the stack search on a list of
@@ -34,10 +35,11 @@ against the closed forms (bit for bit for Q, Q~ and M0 where the
 crossing is an eigenvalue), within the walk's final bracket and against
 Brent's zero on the doubling bracket (jet2_refs.brent_root); its f and
 form calls and its fallback bisections are counted. The duals of the
-spectral fibers are spectral too. Every search along a ray whose Hessian part is c*I on
-a spectral fiber (ray_probe: boundary_shifts on Q, Q~, M and M0 as well,
-the mixing into M) probes f(r + t*r0, p + t*p0, lambda + t*c) instead of
-the fiber's values along the ray. A count of the matrices the
+spectral fibers are spectral too. Every search along a ray whose
+Hessian part is c*I on a spectral fiber (ray_probe:
+shift_stack_to_boundary on Q, Q~, M and M0 as well, the mixing into M)
+probes f(r + t*r0, p + t*p0, lambda + t*c) instead of the fiber's values
+along the ray. A count of the matrices the
 eigenvalues calls of catalog, canonical and the jet norm solve checks
 that this takes one eigen-solve per jet, and that canonical_operator on
 any spectral fiber solves its matrix once. The route is checked against
@@ -90,11 +92,11 @@ from jetcones.catalog import (
     bind_key,
     check_fiberegularity,
     bisect_brackets,
-    boundary_shifts,
     cone_M,
     crossing_brackets,
     fiber_affine_sphere,
     fiber_optimal_transport,
+    into_fibers,
     make_oracle,
     parse_directional_cone,
     reduced_cone,
@@ -288,7 +290,8 @@ def ref_check_monotonicity(F, M, samples=400, seed=29, tol=1e-8, scale=1.5):
     for x, J, margin, K in zip(points, jets, margins, cones):
         oracle = F.fiber_at(x) if variable else F
         J = ref_into_fiber(oracle, J, margin, tol, J0)
-        if J is not None:
+        # a sample whose jet or cone member could not be placed is dropped
+        if J is not None and K is not None:
             ref_record(rep, oracle, J + K, J, tol)
     return rep
 
@@ -419,9 +422,11 @@ def test_shift_to_boundary_matches_jet2_route(make):
 
 
 def mixed_cone_member(M, rng, n, scale):
-    """_cone_members on one row, mixed into M, drawn as one random_jet."""
-    K, = unstack_jets(*_cone_members(M, n, random_jets(rng, n, 1, scale), np.array([False])))
-    return K
+    """_cone_members on one row, mixed into M, drawn as one random_jet; None
+    when the mixing ladder reaches no member."""
+    (ok,), K = _cone_members(M, n, random_jets(rng, n, 1, scale), np.array([False]))
+    K, = unstack_jets(*K)
+    return K if ok else None
 
 
 def test_sample_cone_member_matches_jet2_mixing():
@@ -1218,6 +1223,21 @@ def test_form_route_takes_two_form_calls(make):
             assert got == outcome(canonical_operator, F, A)
 
 
+@pytest.mark.parametrize("make", FORM_FIBERS)
+def test_form_route_builds_its_direction_once(make, monkeypatch):
+    # the direction I of the form route is built, and its SymMat
+    # validated, once per dimension: a second value validates nothing
+    F = make()
+    A = form_queries(F, np.random.default_rng(163), 3)[1]
+    first = outcome(canonical_operator, F, A)
+    validated = []
+    real = jets_module._as_symmetric
+    monkeypatch.setattr(jets_module, "_as_symmetric",
+                        lambda a: validated.append(np.shape(a)) or real(a))
+    assert outcome(canonical_operator, F, A) == first
+    assert validated == []
+
+
 def test_bisected_canonical_where_g_vanishes_on_an_interval():
     # g(t) = min(-0, 2 - t - |p|) is 0 for every t <= 1; the ladder's
     # secant step stops at the keep end 0 of its bracket (0, 2), the
@@ -1387,19 +1407,19 @@ def test_eigenvalue_shifts_match_the_fan_route(key, n, dual):
     # and jets with p = 0, where M0 (empty interior) has its members
     jets += [Jet2(J.r, np.zeros(n), J.A) for J in jets[:10]]
     margins += margins[:10]
-    J = stack_jets(jets, n)
     crossed = 0
     for J0 in shift_rays(n, M):
+        # on the boundary (zero margins) the moved jets differ by
+        # (t_fast - t_slow) * J0; past it, the same ones are members
         for tol in (SHIFT_TOL, 1e-4):
-            fast = boundary_shifts(F, J, None, J0, tol)
-            slow = boundary_shifts(fan, J, None, J0, tol)
-            assert [t is None for t in fast] == [t is None for t in slow]
-            for a, b in zip(fast, slow):
-                if a is not None:
-                    assert abs(a - b) <= tol + 1e-12 * (1.0 + abs(b))
+            fast = shift_jets(F, jets, J0, [0.0] * len(jets), tol=tol)
+            slow = shift_jets(fan, jets, J0, [0.0] * len(jets), tol=tol)
+            assert [K is None for K in fast] == [K is None for K in slow]
+            for K, L in zip(fast, slow):
+                if K is not None:
+                    gap = jet_norm(K + (-L))
+                    assert gap <= (tol + 1e-12 * (1.0 + jet_norm(L))) * jet_norm(J0)
                     crossed += 1
-        # the moved jets differ by (t_fast - t_slow) * J0, and the same
-        # ones are members
         got = shift_jets(F, jets, J0, margins, member_tol=DEFAULT_TOL)
         ref = shift_jets(fan, jets, J0, margins, member_tol=DEFAULT_TOL)
         assert [K is None for K in got] == [K is None for K in ref]
@@ -1424,23 +1444,25 @@ def test_rounding_placed_crossings_are_no_crossings(dual, monkeypatch):
     J0 = shift_rays(2)[2]
     jets, _ = shift_queries(2, 53)
     jets += [Jet2(J.r, np.zeros(2), J.A) for J in jets[:10]]
-    J = stack_jets(jets, 2)
+    zero = [0.0] * len(jets)
     for tol in (SHIFT_TOL, 1e-4):
-        fast = boundary_shifts(F, J, None, J0, tol)
-        slow = boundary_shifts(fan, J, None, J0, tol)
-        assert [t is None for t in fast] == [t is None for t in slow]
-        for a, b, K in zip(fast, slow, jets):
-            if a is not None:
-                assert abs(a - b) <= tol + 1e-12 * (1.0 + abs(b))
+        fast = shift_jets(F, jets, J0, zero, tol=tol)
+        slow = shift_jets(fan, jets, J0, zero, tol=tol)
+        assert [K is None for K in fast] == [K is None for K in slow]
+        for K, L, J in zip(fast, slow, jets):
+            if K is not None:
+                assert jet_norm(K + (-L)) <= (tol + 1e-12 * (1.0 + jet_norm(L))) * jet_norm(J0)
                 # |A|_F is at most sqrt(2) times the spectral norm in 2-D
-                reach = ROUNDING_REACH * math.sqrt(2.0) * max(1.0, jet_norm(K))
-                assert abs(a) * jet_norm(J0) <= reach
+                reach = ROUNDING_REACH * math.sqrt(2.0) * max(1.0, jet_norm(J))
+                assert jet_norm(K + (-J)) <= reach
     # without the reach the routes part
     monkeypatch.setattr(catalog_module, "ROUNDING_REACH", math.inf)
-    fast = boundary_shifts(F, J, None, J0, SHIFT_TOL)
-    slow = boundary_shifts(fan, J, None, J0, SHIFT_TOL)
-    assert fast != slow
-    assert max(abs(t) for t in fast + slow if t is not None) > 1e14
+    fast = shift_jets(F, jets, J0, zero)
+    slow = shift_jets(fan, jets, J0, zero)
+    assert [None if K is None else hexes(K) for K in fast] != \
+        [None if K is None else hexes(K) for K in slow]
+    assert max(jet_norm(K + (-J)) for K, J in zip(fast + slow, jets + jets)
+               if K is not None) > 1e14 * jet_norm(J0)
 
 
 def recording(F, calls, spectrum):
@@ -1449,6 +1471,37 @@ def recording(F, calls, spectrum):
         calls.append(np.shape(r))
         return F.form(r, p, A)
     return replace(F, form=form, spectrum=F.spectrum if spectrum else None)
+
+
+@pytest.mark.parametrize("spectral", [True, False], ids=["eigenvalue", "fan"])
+def test_into_fibers_keeps_members_and_drops_failed_shifts(spectral, monkeypatch):
+    # the dual of quasiconvex:1e8 holds the jets with lambda_max(A) >= 1e8.
+    # In one stack: a jet that moves in, a member, a jet whose crossing
+    # lies 1e8 along I (past ROUNDING_REACH from a jet of norm 0), a jet
+    # moved to 0.2 outside by its negative margin, and one more member
+    F = dual_oracle(make_oracle("quasiconvex:1e8", 2))
+    F = F if spectral else replace(F, spectrum=None)
+    J0 = Jet2.from_matrix(SymMat.identity(2))
+    jets = [Jet2(0.3, [1.0, 2.0], np.diag([1e8 - 1.0, -2.0])),
+            Jet2(-0.5, [0.0, 1.0], np.diag([2e8, 1.0])),
+            Jet2.zero(2),
+            Jet2(0.3, [1.0, 2.0], np.diag([1e8 - 1.0, -2.0])),
+            Jet2(1.0, [0.0, 0.0], np.diag([1.0, 3e8]))]
+    margins = np.array([0.5, 0.5, 0.5, -0.2, 0.5])
+    rows, kept = into_fibers(F, stack_jets(jets, 2), J0, margins)
+    K = unstack_jets(*kept)
+    assert rows.tolist() == [0, 1, 4]
+    # members stay as drawn, bit for bit; the moved jet is a member
+    assert [hexes(L) for L in K[1:]] == [hexes(jets[1]), hexes(jets[4])]
+    assert F.classify(K[0]).is_member
+    assert hexes(K[0]) == hexes(shift_jets(F, jets[:1], J0, [0.5])[0])
+    # the two dropped rows: no crossing within the reach, and a moved jet
+    # outside the fiber
+    moved = shift_jets(F, jets, J0, margins.tolist())
+    assert moved[2] is None
+    assert not F.classify(moved[3]).is_member
+    monkeypatch.setattr(catalog_module, "ROUNDING_REACH", math.inf)
+    assert shift_jets(F, jets[2:3], J0, [0.5])[0] is not None
 
 
 @pytest.mark.parametrize("key, n", [("P", 2), ("pucci:1,2", 3), ("sigma:k=2", 3)])
@@ -1463,10 +1516,9 @@ def test_shifts_off_a_scalar_hessian_take_the_fan_route(key, n):
                     (off_diagonal, True)]:
         J0 = Jet2.from_matrix(A0)
         calls, ref_calls = [], []
-        got = shift_jets(recording(F, calls, True), jets, J0, margins,
-                                     member_tol=DEFAULT_TOL)
+        got = shift_jets(recording(F, calls, True), jets, J0, margins, member_tol=DEFAULT_TOL)
         ref = shift_jets(recording(F, ref_calls, False), jets, J0, margins,
-                                     member_tol=DEFAULT_TOL)
+                         member_tol=DEFAULT_TOL)
         if fan:
             assert calls == ref_calls
             assert [None if K is None else hexes(K) for K in got] == \
@@ -1485,7 +1537,9 @@ def test_sample_cone_member_mixing_on_more_cones(M, n, scale):
     for seed in range(6):
         got = mixed_cone_member(M, np.random.default_rng(seed), n, scale)
         ref = ref_sample_cone_member(M, np.random.default_rng(seed), n, scale)
-        assert hexes(got) == hexes(ref)
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert hexes(got) == hexes(ref)
 
 
 # --- check_monotonicity and check_jet_addition against the per-sample loops --
@@ -1638,12 +1692,26 @@ def test_lockstep_shifts_keep_each_jets_margin_around_failures(max_expand):
     assert [None if K is None else hexes(K) for K in got] == \
         [None if K is None else hexes(K) for K in refs]
     # member_tol -0.2 keeps the moved jets with g >= 0.2, about half of them
-    kept = shift_jets(F, jets, J0, margins, max_expand=max_expand,
-                                  member_tol=-0.2)
+    kept = shift_jets(F, jets, J0, margins, max_expand=max_expand, member_tol=-0.2)
     verdicts = [K is not None and F.value(K) >= 0.2 for K in refs]
     assert 3 < sum(verdicts) < sum(K is not None for K in refs) - 3
     assert [None if K is None else hexes(K) for K in kept] == \
         [hexes(K) if ok else None for K, ok in zip(refs, verdicts)]
+
+
+@pytest.mark.parametrize("gamma", [1e6, 1e8])
+def test_monotonicity_of_M_at_large_gamma(gamma, monkeypatch):
+    # the mixing ladder ends at t ~ 1.05e6, where many cone jets of a
+    # large gamma are still outside M; such a sample is dropped, as a
+    # failed shift is, instead of being checked with a jet outside M
+    M = MonotonicityCone(gamma, DirectionalCone.halfspace([1.0, 0.0]), math.inf)
+    F = cone_M(M, 2)
+    got = check_monotonicity(F, M, samples=200)
+    assert got.ok and got.checked > 0
+    # the per-sample loop has no ROUNDING_REACH; without it the two agree
+    monkeypatch.setattr(catalog_module, "ROUNDING_REACH", math.inf)
+    same_report(check_monotonicity(F, M, samples=200),
+                ref_check_monotonicity(F, M, samples=200))
 
 
 def test_failed_shifts_drop_only_their_samples():

@@ -406,11 +406,9 @@ UNREACHED_API = {
     "canonical.check_proper_elliptic": "the correspondence's proper-ellipticity check",
     "canonical.check_compatibility": "the correspondence's compatibility check; criterion 3",
     "canonical.check_topological_tameness": "the correspondence's tameness check",
-    "canonical.check_strict_M_monotone": "the correspondence's strict M-monotonicity check",
     "canonical.admissible_subsolution_test": "the admissible viscosity subsolution test at a node",
     "canonical.admissible_supersolution_test": "the admissible viscosity supersolution test "
                                                "at a node",
-    "catalog.check_fiberegularity": "the fiber-regularity probe of variable fibers; criterion 2",
     "catalog.check_positivity": "the sampled positivity property (P) of a cone",
     "catalog.check_negativity": "the sampled negativity property (N) of a cone",
     "duality.check_dual_pair": "Dirichlet duality against an independent closed form; "
