@@ -26,7 +26,12 @@ on two fibers without a spectrum, branch 2 of the Garding operator det in
 of one shift_stack_to_boundary call that moves SHIFT_JETS seeded jets in
 3-D along the interior jet of M(0, full, inf) into P
 (layers.shift_us_per_jet: P3_eigenvalue, the eigenvalue route, and
-P3_fan, the same call on P without its spectrum). Both are timed once per
+P3_fan, the same call on P without its spectrum). It also holds the
+median microseconds of one discrete-operator sweep
+(layers.sweep_us: one DiscreteOperator.apply for P at 33² and 65²,
+pucci:1,2 at 65², pfold:p=2 at 9³, and P on a 16-state 17² block as
+scheme_monotonicity_probe builds it) and of one GridFunction.jet_field
+at width 1 (layers.jet_field_us at 33² and 11³). All are timed once per
 checkout in one child process that imports the checkout's src.
 """
 
@@ -49,9 +54,12 @@ RUN_TIMEOUT_S = 600
 # then over a fifth as many (at least one) on each of two fibers without a
 # spectrum, whose values took 40 to 70 times as long before they took the
 # ladder. Each pass also times one shift_stack_to_boundary call on
-# SHIFT_JETS seeded jets per route. The child prints one JSON line:
+# SHIFT_JETS seeded jets per route, and a fifth as many calls (at least
+# one) of each sweep and each jet_field. The child prints one JSON line:
 # {"canonical_us_per_value": {cone: median us per value},
-#  "shift_us_per_jet": {route: median us per jet}}
+#  "shift_us_per_jet": {route: median us per jet},
+#  "sweep_us": {case: median us per apply},
+#  "jet_field_us": {grid: median us per jet_field}}
 LAYER_VALUES, LAYER_REPEATS, SHIFT_JETS = 250, 21, 200
 LAYER_CODE = """
 import json, statistics, sys, time
@@ -59,6 +67,8 @@ from dataclasses import replace
 import numpy as np
 from jetcones import catalog, garding, jets
 from jetcones.canonical import canonical_operator
+from jetcones.grids import GridFunction, square_grid
+from jetcones.solver import make_discrete_operator
 values, repeats, count = int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
 rng = np.random.default_rng(0)
 cones = {}
@@ -74,8 +84,24 @@ J0 = catalog.MonotonicityCone(0.0, catalog.DirectionalCone.full(), float("inf"))
 J = jets.random_jets(rng, 3, count, 1.5)
 margins = np.abs(rng.standard_normal(count)) + 1e-3
 routes = {"P3_eigenvalue": P3, "P3_fan": replace(P3, spectrum=None)}
+sweeps = {}
+for name, key, side, d, lead in (("P_33", "P", 33, 2, ()), ("P_65", "P", 65, 2, ()),
+                                 ("pucci_65", "pucci:1,2", 65, 2, ()),
+                                 ("pfold_9x9x9", "pfold:p=2", 9, 3, ()),
+                                 ("P_block16_17", "P", 17, 2, (16,))):
+    grid = square_grid(side, 0.0, 1.0, d=d)
+    # standard-normal states scaled by h^2, as the monotonicity probe draws them
+    sweeps[name] = (make_discrete_operator(key, grid).apply,
+                    grid.h ** 2 * rng.standard_normal((*lead, *grid.dims)), grid)
+fields = {}
+for name, side, d in (("33x33", 33, 2), ("11x11x11", 11, 3)):
+    grid = square_grid(side, 0.0, 1.0, d=d)
+    fields[name] = GridFunction(grid, rng.standard_normal(grid.dims))
+calls = max(1, values // 5)
 passes = {name: [] for name in cones}
 shifts = {name: [] for name in routes}
+sweep_us = {name: [] for name in sweeps}
+jet_field_us = {name: [] for name in fields}
 # the passes of the cones and routes interleave, so a slow spell of the
 # host lands on all of them
 for _ in range(repeats):
@@ -88,8 +114,20 @@ for _ in range(repeats):
         start = time.perf_counter()
         catalog.shift_stack_to_boundary(F, J, J0, margins)
         shifts[name].append((time.perf_counter() - start) / count * 1e6)
-print(json.dumps({"canonical_us_per_value": {k: statistics.median(v) for k, v in passes.items()},
-                  "shift_us_per_jet": {k: statistics.median(v) for k, v in shifts.items()}}))
+    for name, (apply, v, grid) in sweeps.items():
+        start = time.perf_counter()
+        for _ in range(calls):
+            apply(v, grid)
+        sweep_us[name].append((time.perf_counter() - start) / calls * 1e6)
+    for name, u in fields.items():
+        start = time.perf_counter()
+        for _ in range(calls):
+            u.jet_field(1)
+        jet_field_us[name].append((time.perf_counter() - start) / calls * 1e6)
+print(json.dumps({name: {k: statistics.median(v) for k, v in timed.items()}
+                  for name, timed in (("canonical_us_per_value", passes),
+                                      ("shift_us_per_jet", shifts), ("sweep_us", sweep_us),
+                                      ("jet_field_us", jet_field_us))}))
 """
 
 
@@ -158,9 +196,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def layers(checkout: Path) -> dict:
     """The layers block: median us per canonical_operator value on each
-    verify focus cone and on the two fibers without a spectrum, and median
-    us per jet of a shift_stack_to_boundary call on each route, timed in a
-    child process on the checkout's src."""
+    verify focus cone and on the two fibers without a spectrum, median us
+    per jet of a shift_stack_to_boundary call on each route, and median us
+    per discrete-operator sweep and per jet_field, timed in a child
+    process on the checkout's src."""
     cmd = [sys.executable, "-c", LAYER_CODE, str(LAYER_VALUES), str(LAYER_REPEATS),
            str(SHIFT_JETS)]
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}

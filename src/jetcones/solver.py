@@ -76,7 +76,7 @@ from .errors import (
     UnknownKey,
     UnstableStep,
 )
-from .grids import Grid, GridFunction, second_difference_field
+from .grids import Grid, GridFunction
 from .jets import eigenvalues, random_symmetric
 
 # ---------------------------------------------------------------------------
@@ -113,17 +113,6 @@ class DiscreteOperator:
     tangent: Optional[Callable[[np.ndarray, Grid], tuple]] = None
 
 
-def _diff_stack(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Second differences along every stencil direction, (dirs, *lead, *interior)
-    for values of shape (*lead, *grid.dims)."""
-    w = grid.layer_width
-    lead = values.shape[:values.ndim - grid.d]
-    out = np.empty((len(grid.stencil_dirs), *lead, *(dim - 2 * w for dim in grid.dims)))
-    for i, s in enumerate(grid.stencil_dirs):
-        out[i] = second_difference_field(values, s, grid.h, w)
-    return out
-
-
 def _frame_reduction(tuples, p: int = 1, largest: bool = False,
                      phi: Optional[Callable] = None,
                      slope: Optional[Callable] = None,
@@ -141,7 +130,7 @@ def _frame_reduction(tuples, p: int = 1, largest: bool = False,
     reduce, pick = (np.max, np.argmax) if largest else (np.min, np.argmin)
 
     def stack(v, g):
-        diffs = _diff_stack(v, g)
+        diffs = g.plan(g.layer_width).sweep(v)
         terms = diffs if phi is None else phi(diffs)
         return diffs, terms, terms if singles else terms[frames].sum(axis=1)
 
@@ -327,14 +316,6 @@ def _setup(op_key, rhs, g: GridFunction, init) -> tuple:
     return grid, op, interior, rhs_field, u, _sparse_solver(grid)
 
 
-def _interior_index(grid: Grid) -> np.ndarray:
-    """Each node's index in the flattened interior field, -1 on the layer."""
-    inner = tuple(dim - 2 * grid.layer_width for dim in grid.dims)
-    index = np.full(grid.dims, -1, dtype=np.int32)
-    index[grid.interior_slice()] = np.arange(math.prod(inner), dtype=np.int32).reshape(inner)
-    return index
-
-
 def _assembler(grid: Grid) -> Callable:
     """coeffs -> scipy.sparse CSC matrix of sum_theta c_theta D_theta on the
     interior unknowns, with the neighbour indices along each direction
@@ -344,16 +325,11 @@ def _assembler(grid: Grid) -> Callable:
     layer move to the right-hand side, which the caller's residual
     already holds.
     """
-    w = grid.layer_width
-    index = _interior_index(grid)
+    plan = grid.plan(grid.layer_width)
     # per direction: h^2 |s|^2 and the interior index of every interior
     # node's neighbour at +s and at -s, flattened
-    stencil = [
-        (grid.h**2 * float(sum(x * x for x in s)),
-         [index[tuple(slice(w + sign * o, dim - w + sign * o)
-                      for o, dim in zip(s, grid.dims))].ravel() for sign in (1, -1)])
-        for s in grid.stencil_dirs
-    ]
+    stencil = [(step2, [plan.index[f].ravel(), plan.index[b].ravel()])
+               for f, b, step2 in plan.arms]
 
     def matrix(coeffs):
         import scipy.sparse as sp
@@ -490,7 +466,7 @@ def _poisson_start(op, grid, solve, interior, rhs_field, u, res) -> Optional[tup
     the start's, or None.
     """
     coeffs = op.tangent(np.zeros(grid.dims), grid)[2]
-    fld = np.sum(coeffs * _diff_stack(u, grid), axis=0) - rhs_field
+    fld = np.sum(coeffs * grid.plan(grid.layer_width).sweep(u), axis=0) - rhs_field
     v = u.copy()
     v[interior] -= solve(coeffs, fld)
     state = op.tangent(v, grid)
@@ -555,7 +531,7 @@ def scheme_monotonicity_probe(op_key: str, grid: Grid, states: int = 100,
     rng = np.random.default_rng(seed)
     op = make_discrete_operator(op_key, grid)
     slack = _PROBE_TOL * _PROBE_BUMP / grid.h**2
-    flat = _interior_index(grid)
+    flat = grid.plan(grid.layer_width).index
     for start in range(0, states, _PROBE_BLOCK):
         u = np.empty((min(_PROBE_BLOCK, states - start), *grid.dims))
         nodes = np.empty((len(u), grid.d), dtype=np.intp)

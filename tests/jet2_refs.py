@@ -18,8 +18,12 @@ of Grid.interior_slice and the point of one node, the per-node
 references for the stacked GridFunction.jet_field and Grid.node_points.
 second_difference, discrete_spectrum, discrete_gradient, discrete_hessian
 and discrete_jet read one node's differences of a GridFunction, the
-per-node references for second_difference_field and jet_field.
-from_callable fills a grid with a Python function, one call per node.
+per-node references for the stencil plan's sweep (StencilPlan.sweep)
+and jet_field. second_difference_field
+and ref_jet_field are the whole-field references that build their
+slices call by call (shifted), as the grid module did before its
+stencil plan. from_callable fills a grid with a Python function, one
+call per node.
 
 brent_root is Brent's zero of f(lam - t) on a bracket, polished by one
 secant step: the reference for the spectral canonical value, and the
@@ -217,6 +221,49 @@ def from_callable(grid, f) -> GridFunction:
     return GridFunction(grid, vals)
 
 
+def shifted(values: np.ndarray, off, width: int) -> np.ndarray:
+    """View of values on the width-trimmed interior moved by offset off.
+
+    The trim and the offset act on the trailing len(off) axes; leading
+    axes (a stack of grid functions) ride along.
+    """
+    grid_dims = values.shape[values.ndim - len(off):]
+    return values[(..., *(slice(width + o, dim - width + o) for o, dim in zip(off, grid_dims)))]
+
+
+def second_difference_field(values: np.ndarray, direction, h: float,
+                            width: int) -> np.ndarray:
+    """Directional second difference on the width-trimmed interior, for
+    one grid function or a stack (*lead, *grid dims) with len(direction)
+    grid axes last."""
+    c = shifted(values, (0,) * len(direction), width)
+    f = shifted(values, direction, width)
+    b = shifted(values, tuple(-x for x in direction), width)
+    step2 = (h ** 2) * float(sum(x * x for x in direction))
+    return (f + b - 2.0 * c) / step2
+
+
+def ref_jet_field(u, width: int) -> tuple:
+    """GridFunction.jet_field(width) with its slices built call by call."""
+    g = u.grid
+    v, h = u.values, g.h
+    unit = np.eye(g.d, dtype=int)
+    r = shifted(v, np.zeros(g.d, dtype=int), width).copy()
+    p = np.stack(
+        [(shifted(v, e, width) - shifted(v, -e, width)) / (2 * h) for e in unit], axis=-1
+    )
+    H = np.empty(r.shape + (g.d, g.d))
+    for i, ei in enumerate(unit):
+        H[..., i, i] = second_difference_field(v, ei, h, width)
+        for j in range(i + 1, g.d):
+            ej = unit[j]
+            H[..., i, j] = H[..., j, i] = (
+                shifted(v, ei + ej, width) - shifted(v, ei - ej, width)
+                - shifted(v, ej - ei, width) + shifted(v, -ei - ej, width)
+            ) / (4 * h * h)
+    return r, p, H
+
+
 def second_difference(u, node, direction) -> float:
     """(u(x + h*dir) + u(x - h*dir) - 2u(x)) / (h |dir|)^2."""
     g = u.grid
@@ -248,8 +295,9 @@ def discrete_gradient(u, node) -> np.ndarray:
     return out
 
 
-def discrete_hessian(u, node) -> SymMat:
-    """Centered second differences including cross terms; exact on quadratics."""
+def discrete_hessian(u, node) -> np.ndarray:
+    """Centered second differences including cross terms, as an array;
+    exact on quadratics."""
     g = u.grid
     node = tuple(node)
     h = g.h
@@ -268,7 +316,7 @@ def discrete_hessian(u, node) -> SymMat:
                 u.values[tuple(pp)] - u.values[tuple(pm)]
                 - u.values[tuple(mp)] + u.values[tuple(mm)]
             ) / (4 * h * h)
-    return SymMat(H)
+    return H
 
 
 def discrete_jet(u, node) -> Jet2:
@@ -278,7 +326,8 @@ def discrete_jet(u, node) -> Jet2:
     w = 1  # jets need one-node margins; wide stencil ops check their own
     if any(c < w or c >= g.dims[i] - w for i, c in enumerate(node)):
         raise BoundaryNode(f"node {node} has no centered jet")
-    return Jet2(float(u.values[node]), discrete_gradient(u, node), discrete_hessian(u, node))
+    return Jet2(float(u.values[node]), discrete_gradient(u, node),
+                SymMat(discrete_hessian(u, node)))
 
 
 # --- one-sample-at-a-time sampled checks ----------------------------------------

@@ -19,13 +19,17 @@ spec.loader.exec_module(bench)
 LAYER_CONES = ["P2", "P3", "pfold32", "pucci", "det3_branch2", "lagrangian4"]
 # the two routes of the timed shift
 SHIFT_ROUTES = ["P3_eigenvalue", "P3_fan"]
+# the timed discrete-operator sweeps and jet_field grids
+SWEEPS = ["P_33", "P_65", "pucci_65", "pfold_9x9x9", "P_block16_17"]
+JET_FIELDS = ["33x33", "11x11x11"]
 
 
 def _fake_run(calls, layer_calls=None):
     """A subprocess.run that answers git with a fixed revision, the layer
-    timing with len(layer_calls) us per value on each cone and 10 times
-    that per jet on each shift route (noting each call's checkout and
-    PYTHONPATH), and the benchmark with a detail line
+    timing with len(layer_calls) us per value on each cone, 10 times
+    that per jet on each shift route, 100 times per sweep and 1000 times
+    per jet_field (noting each call's checkout and PYTHONPATH), and the
+    benchmark with a detail line
     and a result line whose focus_s is the seed in seconds. The detail
     line carries five set-up samples and, for solve, one refinement row."""
 
@@ -40,7 +44,9 @@ def _fake_run(calls, layer_calls=None):
             layer_calls.append((Path(cwd).name, env["PYTHONPATH"]))
             k = float(len(layer_calls))
             us = {"canonical_us_per_value": {cone: k for cone in LAYER_CONES},
-                  "shift_us_per_jet": {route: 10 * k for route in SHIFT_ROUTES}}
+                  "shift_us_per_jet": {route: 10 * k for route in SHIFT_ROUTES},
+                  "sweep_us": {case: 100 * k for case in SWEEPS},
+                  "jet_field_us": {grid: 1000 * k for grid in JET_FIELDS}}
             return subprocess.CompletedProcess(cmd, 0, json.dumps(us) + "\n", "")
         seed = int(cmd[cmd.index("--seed") + 1])
         workload = cmd[cmd.index("--workload") + 1]
@@ -82,6 +88,8 @@ def test_bench_alternates_checkouts_and_writes_one_record_each(tmp_path, monkeyp
         assert set(rec) == {"label", "revision", "seconds", "command", "workloads", "layers"}
         assert rec["layers"] == {"canonical_us_per_value": {c: i + 1.0 for c in LAYER_CONES},
                                  "shift_us_per_jet": {r: 10 * (i + 1.0) for r in SHIFT_ROUTES},
+                                 "sweep_us": {c: 100 * (i + 1.0) for c in SWEEPS},
+                                 "jet_field_us": {g: 1000 * (i + 1.0) for g in JET_FIELDS},
                                  "values": bench.LAYER_VALUES, "repeats": bench.LAYER_REPEATS,
                                  "shift_jets": bench.SHIFT_JETS}
         assert rec["label"] == label and rec["revision"] == "0123abc"
@@ -116,16 +124,19 @@ def test_bench_keeps_the_refinement_rows_of_solve(tmp_path, monkeypatch):
 def test_layer_code_times_every_focus_cone(tmp_path):
     # the child the layer timing starts, on this checkout's src with one
     # value, one pass per cone and a shift of five jets: one positive
-    # median per focus cone, per fiber without a spectrum and per route
+    # median per focus cone, per fiber without a spectrum, per route, per
+    # sweep and per jet_field grid
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", bench.LAYER_CODE, "1", "1", "5"], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout)
-    assert list(out) == ["canonical_us_per_value", "shift_us_per_jet"]
-    us, shift = out["canonical_us_per_value"], out["shift_us_per_jet"]
-    assert list(us) == LAYER_CONES and all(v > 0.0 for v in us.values())
-    assert list(shift) == SHIFT_ROUTES and all(v > 0.0 for v in shift.values())
+    assert list(out) == ["canonical_us_per_value", "shift_us_per_jet", "sweep_us",
+                         "jet_field_us"]
+    for key, names in (("canonical_us_per_value", LAYER_CONES),
+                       ("shift_us_per_jet", SHIFT_ROUTES), ("sweep_us", SWEEPS),
+                       ("jet_field_us", JET_FIELDS)):
+        assert list(out[key]) == names and all(v > 0.0 for v in out[key].values())
 
 
 def test_bench_summary_of_one_run():

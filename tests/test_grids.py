@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from jetcones import grids
 from jetcones.catalog import cone_P
 from jetcones.errors import BoundaryNode, BoundaryViolation, EmptyFamily
 from jetcones.grids import (
@@ -8,12 +11,21 @@ from jetcones.grids import (
     GridFunction,
     perron_envelope,
     quasiconvexity_defect,
-    second_difference_field,
     square_grid,
     sup_convolution,
 )
 from jetcones.jets import random_symmetric
-from jet2_refs import from_callable, second_difference
+from jetcones.solver import make_discrete_operator
+from jet2_refs import (
+    discrete_gradient,
+    discrete_hessian,
+    discrete_spectrum,
+    from_callable,
+    interior_nodes,
+    ref_jet_field,
+    second_difference,
+    second_difference_field,
+)
 
 
 def sup_convolution_bruteforce(u: GridFunction, eps: float) -> GridFunction:
@@ -43,15 +55,52 @@ def test_grid_rejects_nonuniform():
         Grid([0.0, 0.0], [1.0, 2.0], (9, 9))
 
 
+def test_grid_rejects_a_reversed_box():
+    # hi <= lo once gave a negative spacing
+    with pytest.raises(ValueError, match="hi > lo"):
+        Grid((1, 1), (0, 0), (9, 9))
+    with pytest.raises(ValueError, match="hi > lo"):
+        Grid((0, 1), (1, 1), (9, 9))
+
+
+def test_grid_rejects_a_non_finite_box():
+    for lo, hi in (((0.0, 0.0), (np.inf, np.inf)), ((np.nan, 0.0), (1.0, 1.0))):
+        with pytest.raises(ValueError, match="finite"):
+            Grid(lo, hi, (9, 9))
+
+
+def test_grid_rejects_fractional_dims():
+    # 9.7 was truncated to 9
+    for dims in ((9.7, 9), (np.nan, 9), (np.inf, 9)):
+        with pytest.raises(ValueError, match="whole numbers"):
+            Grid((0, 0), (1, 1), dims)
+    assert Grid((0, 0), (1, 1), (9.0, 9)).dims == (9, 9)
+
+
+def test_grid_rejects_a_dimension_without_a_stencil():
+    # a KeyError from the stencil table before
+    for d in (0, 4):
+        with pytest.raises(ValueError, match="dimension 1, 2 or 3"):
+            Grid((0.0,) * d, (1.0,) * d, (9,) * d)
+
+
+def test_grid_size_check_comes_before_the_spacing():
+    # dims (1, 9) divided by zero, with a RuntimeWarning, before it raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="too small"):
+            Grid((0, 0), (1, 1), (1, 9))
+
+
 def test_second_difference_exact_on_quadratics():
     g = square_grid(17, 0.0, 1.0)
-    w = g.layer_width
+    sweep = g.plan(g.layer_width).sweep
     u = from_callable(g, lambda x: 0.5 * float(x @ x))
-    for s in g.stencil_dirs:
-        assert second_difference_field(u.values, s, g.h, w) == pytest.approx(1.0, abs=1e-10)
+    assert sweep(u.values) == pytest.approx(1.0, abs=1e-10)
     v = from_callable(g, lambda x: x[0] ** 2 - x[1] ** 2)
-    assert second_difference_field(v.values, (1, 0), g.h, w) == pytest.approx(2.0)
-    assert second_difference_field(v.values, (0, 1), g.h, w) == pytest.approx(-2.0)
+    axes = sweep(v.values)
+    assert axes[0] == pytest.approx(2.0)  # directions (1, 0) then (0, 1)
+    assert axes[1] == pytest.approx(-2.0)
 
 
 @pytest.mark.parametrize("d, side", [(1, 9), (2, 17), (3, 9)])
@@ -62,16 +111,121 @@ def test_second_difference_field_on_a_stack(d, side):
     rng = np.random.default_rng(d)
     stack = rng.standard_normal((2, 3, *g.dims))
     w = g.layer_width
-    for s in g.stencil_dirs:
-        fld = second_difference_field(stack, s, g.h, w)
-        assert fld.shape == (2, 3) + tuple(dim - 2 * w for dim in g.dims)
-        for i in range(2):
-            for j in range(3):
-                single = second_difference_field(stack[i, j], s, g.h, w)
-                assert np.array_equal(fld[i, j], single)
-        node = (w,) * d
-        u = GridFunction(g, stack[1, 2])
-        assert fld[(1, 2) + (0,) * d] == second_difference(u, node, s)
+    fld = g.plan(w).sweep(stack)
+    assert fld.shape == (len(g.stencil_dirs), 2, 3) + tuple(dim - 2 * w for dim in g.dims)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(fld[:, i, j], g.plan(w).sweep(stack[i, j]))
+    node = (w,) * d
+    u = GridFunction(g, stack[1, 2])
+    for k, s in enumerate(g.stencil_dirs):
+        assert fld[(k, 1, 2) + (0,) * d] == second_difference(u, node, s)
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def _rough_values(rng, shape) -> np.ndarray:
+    """Standard-normal values with an inf, a -inf and a nan planted."""
+    v = rng.standard_normal(shape)
+    flat = v.reshape(-1)
+    at = rng.choice(flat.size, 3, replace=False)
+    flat[at] = (np.inf, -np.inf, np.nan)
+    return v
+
+
+# (d, side): every trim width 1 to 3 leaves interior nodes
+PLAN_GRIDS = [(1, 9), (2, 11), (3, 9)]
+
+
+@pytest.mark.parametrize("d, side", PLAN_GRIDS)
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_plan_sweep_is_the_slice_reference_bit_for_bit(d, side, width):
+    g = square_grid(side, -1.0, 1.0, d=d)
+    plan = g.plan(width)
+    if width < g.layer_width:
+        # the wide stencil leaves the grid
+        with pytest.raises(BoundaryNode):
+            plan.sweep(np.zeros(g.dims))
+        return
+    rng = np.random.default_rng(10 * d + width)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for values in (_rough_values(rng, g.dims), _rough_values(rng, (16, *g.dims))):
+            fld = plan.sweep(values)
+            ref = np.stack([second_difference_field(values, s, g.h, width)
+                            for s in g.stencil_dirs])
+            assert np.array_equal(_bits(fld), _bits(ref))
+        # node by node on the stack's last grid function
+        u = GridFunction(g, np.zeros(g.dims))
+        u.values = values[-1]
+        for node in interior_nodes(g, width):
+            at = (..., -1, *(c - width for c in node))
+            assert np.array_equal(_bits(fld[at]), _bits(discrete_spectrum(u, node)))
+
+
+@pytest.mark.parametrize("d, side", PLAN_GRIDS)
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_jet_field_is_the_slice_reference_bit_for_bit(d, side, width):
+    g = square_grid(side, -1.0, 1.0, d=d)
+    rng = np.random.default_rng(20 * d + width)
+    u = GridFunction(g, np.zeros(g.dims))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for values in (rng.standard_normal(g.dims), _rough_values(rng, g.dims)):
+            u.values = values
+            r, p, A = u.jet_field(width)
+            for got, ref in zip((r, p, A), ref_jet_field(u, width)):
+                assert np.array_equal(_bits(got), _bits(ref))
+            for node in interior_nodes(g, width):
+                i = tuple(c - width for c in node)
+                assert _bits(r[i]) == _bits(values[node])
+                assert np.array_equal(_bits(p[i]), _bits(discrete_gradient(u, node)))
+                assert np.array_equal(_bits(A[i]), _bits(discrete_hessian(u, node)))
+
+
+@pytest.mark.parametrize("d, side", [(1, 9), (2, 17), (3, 9)])
+def test_apply_on_the_plan_is_apply_on_the_slice_reference(d, side, monkeypatch):
+    # every discretization of this dimension, on one grid function and on
+    # a 16-state stack holding infinities and nans: the field is the one
+    # the call-by-call slices give, to the bit
+    g = square_grid(side, 0.0, 1.0, d=d)
+    keys = [k for k in ("P", "P~", f"branch:k={d}", "pfold:p=2", "slag", "pucci:1,2")
+            if d > 1 or k in ("P", "P~")]
+    ops = [make_discrete_operator(k, g) for k in keys]
+    rng = np.random.default_rng(d)
+    states = [_rough_values(rng, g.dims), _rough_values(rng, (16, *g.dims))]
+    with np.errstate(invalid="ignore", over="ignore"):
+        fields = [op.apply(v, g) for op in ops for v in states]
+        monkeypatch.setattr(grids.StencilPlan, "sweep", lambda plan, values: np.stack(
+            [second_difference_field(values, s, g.h, plan.width) for s in g.stencil_dirs]))
+        refs = [op.apply(v, g) for op in ops for v in states]
+    for fld, ref in zip(fields, refs):
+        assert np.array_equal(_bits(fld), _bits(ref))
+    # node by node, P and P~ are the least and the greatest directional
+    # second difference
+    u = GridFunction(g, np.zeros(g.dims))
+    u.values = states[0]
+    w = g.layer_width
+    with np.errstate(invalid="ignore", over="ignore"):
+        for node in interior_nodes(g, w):
+            at = tuple(c - w for c in node)
+            spectrum = discrete_spectrum(u, node)
+            assert _bits(fields[0][at]) == _bits(np.min(spectrum))
+            assert _bits(fields[2][at]) == _bits(np.max(spectrum))
+
+
+def test_a_plan_is_built_once_per_grid_and_width():
+    g = square_grid(17, 0.0, 1.0)
+    plan = g.plan(2)
+    assert g.plan(2) is plan and g.plan(3) is not plan
+    assert square_grid(17, 0.0, 1.0).plan(2) is not plan
+    assert g.node_points(2) is plan.points and g.node_points() is plan.points
+    for a in (plan.points, plan.index):
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1
+    # the index numbers the trimmed interior in node order, -1 off it
+    assert np.array_equal(plan.index[2:-2, 2:-2].ravel(), np.arange(13 * 13))
+    assert np.all(plan.index[~g.interior_mask()] == -1)
 
 
 def test_stencil_out_of_bounds():
@@ -92,8 +246,7 @@ def test_discrete_spectrum_bounds_eigenvalues():
         B = random_symmetric(rng, 2, 1.5)
         u = from_callable(g, lambda x: 0.5 * float(x @ B.entries @ x))
         # one row per stencil direction, one column per interior node
-        spec = np.stack([second_difference_field(u.values, s, g.h, g.layer_width).ravel()
-                         for s in g.stencil_dirs])
+        spec = g.plan(g.layer_width).sweep(u.values).reshape(len(g.stencil_dirs), -1)
         lam = np.linalg.eigvalsh(B.entries)
         assert np.min(spec) >= lam[0] - 1e-9
         assert np.max(spec) <= lam[-1] + 1e-9

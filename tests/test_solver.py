@@ -39,7 +39,6 @@ from jetcones.experiments import (
 from jetcones.grids import (
     GridFunction,
     perron_envelope,
-    second_difference_field,
     square_grid,
 )
 from jetcones.jets import Jet2, SymMat, random_symmetric
@@ -67,6 +66,7 @@ from jet2_refs import (
     interior_nodes,
     node_point,
     ref_shift_to_boundary,
+    second_difference_field,
 )
 
 M_FULL = MonotonicityCone(0.0, DirectionalCone.full(), math.inf)
