@@ -30,9 +30,13 @@ P3_fan, the same call on P without its spectrum). It also holds the
 median microseconds of one discrete-operator sweep
 (layers.sweep_us: one DiscreteOperator.apply for P at 33² and 65²,
 pucci:1,2 at 65², pfold:p=2 at 9³, and P on a 16-state 17² block as
-scheme_monotonicity_probe builds it) and of one GridFunction.jet_field
-at width 1 (layers.jet_field_us at 33² and 11³). All are timed once per
-checkout in one child process that imports the checkout's src.
+scheme_monotonicity_probe builds it), of one GridFunction.jet_field
+at width 1 (layers.jet_field_us at 33² and 11³), of one cli.solution_csv
+(layers.csv_us at 65² and 129², the CSV that `jetcones solve` writes) and
+of one experiments.quadratic_grid_function (layers.quadratic_us on one
+33² and one 11³ grid, each reused across calls as a comparison battery
+reuses its grid). All are timed once per checkout in one child process
+that imports the checkout's src.
 """
 
 from __future__ import annotations
@@ -54,12 +58,15 @@ RUN_TIMEOUT_S = 600
 # then over a fifth as many (at least one) on each of two fibers without a
 # spectrum, whose values took 40 to 70 times as long before they took the
 # ladder. Each pass also times one shift_stack_to_boundary call on
-# SHIFT_JETS seeded jets per route, and a fifth as many calls (at least
-# one) of each sweep and each jet_field. The child prints one JSON line:
+# SHIFT_JETS seeded jets per route, a fifth as many calls (at least one)
+# of each sweep, each jet_field and each quadratic, and one CSV per grid,
+# each of which takes milliseconds. The child prints one JSON line:
 # {"canonical_us_per_value": {cone: median us per value},
 #  "shift_us_per_jet": {route: median us per jet},
 #  "sweep_us": {case: median us per apply},
-#  "jet_field_us": {grid: median us per jet_field}}
+#  "jet_field_us": {grid: median us per jet_field},
+#  "csv_us": {grid: median us per solution_csv},
+#  "quadratic_us": {grid: median us per quadratic_grid_function}}
 LAYER_VALUES, LAYER_REPEATS, SHIFT_JETS = 250, 21, 200
 LAYER_CODE = """
 import json, statistics, sys, time
@@ -67,6 +74,8 @@ from dataclasses import replace
 import numpy as np
 from jetcones import catalog, garding, jets
 from jetcones.canonical import canonical_operator
+from jetcones.cli import solution_csv
+from jetcones.experiments import quadratic_grid_function
 from jetcones.grids import GridFunction, square_grid
 from jetcones.solver import make_discrete_operator
 values, repeats, count = int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
@@ -97,11 +106,21 @@ fields = {}
 for name, side, d in (("33x33", 33, 2), ("11x11x11", 11, 3)):
     grid = square_grid(side, 0.0, 1.0, d=d)
     fields[name] = GridFunction(grid, rng.standard_normal(grid.dims))
+csvs = {}
+for side in (65, 129):
+    grid = square_grid(side, 0.0, 1.0)
+    csvs[f"{side}x{side}"] = GridFunction(grid, rng.standard_normal(grid.dims))
+quadratics = {}
+for name, side, d in (("33x33", 33, 2), ("11x11x11", 11, 3)):
+    quadratics[name] = (square_grid(side, 0.0, 1.0, d=d), jets.random_symmetric(rng, d),
+                        rng.standard_normal(d))
 calls = max(1, values // 5)
 passes = {name: [] for name in cones}
 shifts = {name: [] for name in routes}
 sweep_us = {name: [] for name in sweeps}
 jet_field_us = {name: [] for name in fields}
+csv_us = {name: [] for name in csvs}
+quadratic_us = {name: [] for name in quadratics}
 # the passes of the cones and routes interleave, so a slow spell of the
 # host lands on all of them
 for _ in range(repeats):
@@ -124,10 +143,20 @@ for _ in range(repeats):
         for _ in range(calls):
             u.jet_field(1)
         jet_field_us[name].append((time.perf_counter() - start) / calls * 1e6)
+    for name, u in csvs.items():
+        start = time.perf_counter()
+        solution_csv(u)
+        csv_us[name].append((time.perf_counter() - start) * 1e6)
+    for name, (grid, A, p) in quadratics.items():
+        start = time.perf_counter()
+        for _ in range(calls):
+            quadratic_grid_function(grid, A, p)
+        quadratic_us[name].append((time.perf_counter() - start) / calls * 1e6)
 print(json.dumps({name: {k: statistics.median(v) for k, v in timed.items()}
                   for name, timed in (("canonical_us_per_value", passes),
                                       ("shift_us_per_jet", shifts), ("sweep_us", sweep_us),
-                                      ("jet_field_us", jet_field_us))}))
+                                      ("jet_field_us", jet_field_us), ("csv_us", csv_us),
+                                      ("quadratic_us", quadratic_us))}))
 """
 
 
@@ -198,8 +227,9 @@ def layers(checkout: Path) -> dict:
     """The layers block: median us per canonical_operator value on each
     verify focus cone and on the two fibers without a spectrum, median us
     per jet of a shift_stack_to_boundary call on each route, and median us
-    per discrete-operator sweep and per jet_field, timed in a child
-    process on the checkout's src."""
+    per discrete-operator sweep, per jet_field, per solution CSV and per
+    quadratic grid function, timed in a child process on the checkout's
+    src."""
     cmd = [sys.executable, "-c", LAYER_CODE, str(LAYER_VALUES), str(LAYER_REPEATS),
            str(SHIFT_JETS)]
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}

@@ -25,7 +25,7 @@ MAX_ERR = 1e-6
 def quadratics(grid):
     """The bowl |x|^2 / 2 and the saddle x1^2 - x2^2, evaluated on the
     node array in one pass each."""
-    x = np.stack(grid.meshgrid(), axis=-1)
+    x = np.stack(np.meshgrid(*grid.coords(), indexing="ij"), axis=-1)
     return (GridFunction(grid, 0.5 * np.sum(x * x, axis=-1)),
             GridFunction(grid, x[..., 0] ** 2 - x[..., 1] ** 2))
 

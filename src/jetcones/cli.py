@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
@@ -345,18 +344,21 @@ def _read_solve_config(path: str) -> dict:
 def solution_csv(u: GridFunction) -> str:
     """u as CSV text: a header x1,...,xd,value, then one row per node in
     C order of the grid's index, each float as its repr."""
-    axes = [[repr(c) for c in axis.tolist()] for axis in u.grid.coords()]
-    lines = [",".join(f"x{i + 1}" for i in range(u.grid.d)) + ",value"]
-    lines += [",".join(pt) + "," + repr(v)
-              for pt, v in zip(itertools.product(*axes), u.values.ravel().tolist())]
-    return "\n".join(lines) + "\n"
+    # one %r row template, its rows prefixed axis by axis from the last,
+    # filled with every value in one formatting pass
+    *outer, last = u.grid.coords()
+    rows = "\n".join(f"{c!r},%r" for c in last.tolist())
+    for axis in reversed(outer):
+        rows = "\n".join(f"{c!r}," + rows.replace("\n", f"\n{c!r},") for c in axis.tolist())
+    header = ",".join(f"x{i + 1}" for i in range(u.grid.d)) + ",value"
+    return f"{header}\n{rows}\n" % tuple(u.values.ravel().tolist())
 
 
 def cmd_solve(args) -> int:
     config = _read_solve_config(args.config)
     d = config.get("dim", 2)
     grid = square_grid(config["n_side"], config["box"][0], config["box"][1], d=d)
-    mesh = grid.meshgrid()
+    mesh = np.moveaxis(grid.nodes, -1, 0)
 
     def on_mesh(text):
         # an expression's node values, one vectorized evaluation on the mesh

@@ -29,8 +29,7 @@ def quadratic_grid_function(grid: Grid, A: SymMat, p=None, c: float = 0.0) -> Gr
     grid, with x0 the center of the grid box."""
     x0 = grid.lo * 0.5 + grid.hi * 0.5
     p = np.zeros(grid.d) if p is None else np.asarray(p, dtype=float)
-    mesh = grid.meshgrid()
-    pts = np.stack(mesh, axis=-1) - x0
+    pts = grid.nodes - x0
     quad = 0.5 * np.einsum("...i,ij,...j->...", pts, A.entries, pts)
     lin = np.einsum("...i,i->...", pts, p)
     return GridFunction(grid, c + lin + quad)
@@ -148,6 +147,6 @@ def utp_perturbed_ma(theta: float, n_side: int = 17, seed: int = 113):
     u1 = [-0.15 * c ** 4 / 12.0 for c in grid.coords()[0].tolist()]
     u = GridFunction(grid, np.repeat(np.array(u1)[:, None], grid.dims[1], axis=1))
     K = 2.0 * 2 + 1.0
-    x = np.stack(grid.meshgrid(), axis=-1)
+    x = grid.nodes
     psi = GridFunction(grid, 0.5 * ((x[..., None, :] @ x[..., :, None])[..., 0, 0] - K))
     return uniform_translation_probe(u, theta_map, psi, theta)

@@ -11,8 +11,10 @@ the stencil_bias helper) rather than a convergence theorem.
 Every slice a discrete jet or a second difference reads comes from the
 grid's StencilPlan for its trim width (Grid.plan), built at the first
 use of that width and kept on the grid: the stencil sweep (one
-StencilPlan.sweep per DiscreteOperator.apply), GridFunction.jet_field,
-the node points and the interior index all read it.
+StencilPlan.sweep per DiscreteOperator.apply), GridFunction.jet_field
+and the interior index all read it. Every node coordinate comes from
+Grid.nodes, the np.linspace points of each axis (the last node of an
+axis is hi exactly), built at first use and kept on the grid as well.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ class Grid:
         if min(dims) <= 2 * width:
             raise ValueError(f"grid too small for stencil width {width}: dims {dims}")
         steps = (hi - lo) / (np.array(dims) - 1)
-        if not np.allclose(steps, steps[0], rtol=1e-12, atol=1e-14):
+        if not np.all(np.abs(steps - steps[0]) <= 1e-14 + 1e-12 * abs(steps[0])):
             raise ValueError(f"grid spacing must be uniform, got {steps}")
         lo.flags.writeable = False
         hi.flags.writeable = False
@@ -101,8 +103,12 @@ class Grid:
     def coords(self) -> list:
         return [np.linspace(self.lo[i], self.hi[i], self.dims[i]) for i in range(self.d)]
 
-    def meshgrid(self) -> list:
-        return np.meshgrid(*self.coords(), indexing="ij")
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        """Every node's point, (*dims, d), read-only: the meshgrid of coords()."""
+        nodes = np.stack(np.meshgrid(*self.coords(), indexing="ij"), axis=-1)
+        nodes.flags.writeable = False
+        return nodes
 
     def interior_slice(self) -> tuple:
         w = self.layer_width
@@ -114,9 +120,9 @@ class Grid:
         return m
 
     def node_points(self, width: Optional[int] = None) -> np.ndarray:
-        """The point lo + h * node of every node of interior_slice(width),
-        stacked [..., d]; read-only, built once per width."""
-        return self.plan(self.layer_width if width is None else width).points
+        """The read-only view of nodes on the width-trimmed interior."""
+        w = self.layer_width if width is None else width
+        return self.nodes[tuple(slice(w, dim - w) for dim in self.dims)]
 
     def orthogonal_tuples(self, p: int) -> list:
         """All p-tuples of mutually orthogonal stencil directions."""
@@ -145,15 +151,14 @@ class StencilPlan:
     - axes: per axis e_i, the moves by +e_i and by -e_i;
     - cross: per axis pair i < j, (i, j) and the moves by e_i + e_j,
       e_i - e_j, e_j - e_i and -e_i - e_j.
-    index and points, read-only arrays built at their first use, are
-    each node's position in the flattened width-trimmed interior (-1
-    off it) and each interior node's point lo + h * node.
+    index, a read-only array built at its first use, is each node's
+    position in the flattened width-trimmed interior (-1 off it).
     """
 
     def __init__(self, grid: Grid, width: int):
         # the plan keeps what it reads of the grid, not the grid: the grid
         # holds its plans, and a cycle would outlive its last reference
-        self.dims, self.lo, self.h, self.width = grid.dims, grid.lo, grid.h, width
+        self.dims, self.width = grid.dims, width
         self.shape = tuple(dim - 2 * width for dim in grid.dims)
         self.centre = self._moved((0,) * grid.d)
         self.arms = None if width < grid.layer_width else tuple(
@@ -195,14 +200,6 @@ class StencilPlan:
         index[self.centre] = np.arange(math.prod(self.shape), dtype=np.int32).reshape(self.shape)
         index.flags.writeable = False
         return index
-
-    @functools.cached_property
-    def points(self) -> np.ndarray:
-        w = self.width
-        axes = [np.arange(w, dim - w, dtype=float) for dim in self.dims]
-        points = self.lo + self.h * np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        points.flags.writeable = False
-        return points
 
 
 def square_grid(n_side: int, lo=0.0, hi=1.0, d: int = 2) -> Grid:
@@ -296,8 +293,7 @@ def sup_convolution(u: GridFunction, eps: float) -> GridFunction:
         raise ValueError(f"eps must be positive, got {eps}")
     g = u.grid
     vals = u.values.copy()
-    for axis in range(g.d):
-        xs = np.linspace(g.lo[axis], g.hi[axis], g.dims[axis])
+    for axis, xs in enumerate(g.coords()):
         penalty = (xs[None, :] - xs[:, None]) ** 2 / (2.0 * eps)
         moved = np.moveaxis(vals, axis, -1)
         flat = moved.reshape(-1, g.dims[axis])
@@ -314,8 +310,7 @@ def quasiconvexity_defect(u: GridFunction, eps: float) -> float:
     eps: discrete (1/eps)-quasiconvexity.
     """
     g = u.grid
-    mesh = g.meshgrid()
-    q = sum(m**2 for m in mesh) / (2.0 * eps)
+    q = sum(m**2 for m in np.moveaxis(g.nodes, -1, 0)) / (2.0 * eps)
     worst = np.inf
     for fld in g.plan(g.layer_width).sweep(u.values + q):
         worst = min(worst, float(np.min(fld)))

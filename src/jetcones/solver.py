@@ -259,7 +259,7 @@ def stencil_bias(grid: Grid, op_key: str, rng: np.random.Generator,
     else:
         target = functools.partial(make_oracle(op_key, grid.d).spectrum, 0.0, 0.0)
     # x.Bx / 2 on the node array by matmul, the arithmetic of x @ B @ x at a node
-    x = np.stack(grid.meshgrid(), axis=-1)
+    x = grid.nodes
     worst = 0.0
     for _ in range(trials):
         B = random_symmetric(rng, grid.d)
@@ -715,8 +715,7 @@ def strict_approximator(M: MonotonicityCone, grid: Grid) -> Optional[GridFunctio
         return None
     K = (pmax**2 + 2.0 * (M.gamma * pmax + 1.0)) + 1.0
 
-    nodes = np.stack(grid.meshgrid(), axis=-1)
-    out = GridFunction(grid, 0.5 * (np.sum((nodes - x0) ** 2, axis=-1) - K))
+    out = GridFunction(grid, 0.5 * (np.sum((grid.nodes - x0) ** 2, axis=-1) - K))
     # validate strictness of the analytic jets (psi(x), x - x0, I) at
     # every node one layer in, with one batched evaluation
     x = grid.node_points(1)
@@ -829,7 +828,7 @@ def uniform_translation_probe(
         shifted = np.roll(u.values, shift=off, axis=tuple(range(grid.d)))
         vals = shifted if psi is None or theta == 0 else shifted + theta * psi.values
         width = grid.layer_width + max(abs(c) for c in off)
-        trial = GridFunction(grid, vals.copy())
+        trial = GridFunction(grid, vals)
         rep = _classify(trial, theta_map, width)
         tested += 1
         ynorm = grid.h * math.sqrt(sum(c * c for c in off))

@@ -14,8 +14,12 @@ given member_tol, it keeps only the moved jets that are members, the
 filter catalog.into_fibers applies under DEFAULT_TOL.
 
 interior_nodes and node_point walk a grid node by node: the index tuples
-of Grid.interior_slice and the point of one node, the per-node
-references for the stacked GridFunction.jet_field and Grid.node_points.
+of Grid.interior_slice and the point lo + h * node of one node, the
+per-node references for the stacked GridFunction.jet_field and
+Grid.node_points. plan_points is the whole-interior lo + h * node that
+the stencil plans held before Grid.nodes, and ref_quadratic_grid_function
+the body experiments.quadratic_grid_function had then, each node array
+rebuilt from np.meshgrid per call.
 second_difference, discrete_spectrum, discrete_gradient, discrete_hessian
 and discrete_jet read one node's differences of a GridFunction, the
 per-node references for the stencil plan's sweep (StencilPlan.sweep)
@@ -215,8 +219,23 @@ def node_point(grid, node) -> np.ndarray:
     return grid.lo + grid.h * np.asarray(node, dtype=float)
 
 
+def plan_points(grid, width) -> np.ndarray:
+    axes = [np.arange(width, dim - width, dtype=float) for dim in grid.dims]
+    return grid.lo + grid.h * np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+def ref_quadratic_grid_function(grid, A, p=None, c: float = 0.0) -> GridFunction:
+    x0 = grid.lo * 0.5 + grid.hi * 0.5
+    p = np.zeros(grid.d) if p is None else np.asarray(p, dtype=float)
+    mesh = np.meshgrid(*grid.coords(), indexing="ij")
+    pts = np.stack(mesh, axis=-1) - x0
+    quad = 0.5 * np.einsum("...i,ij,...j->...", pts, A.entries, pts)
+    lin = np.einsum("...i,i->...", pts, p)
+    return GridFunction(grid, c + lin + quad)
+
+
 def from_callable(grid, f) -> GridFunction:
-    mesh = grid.meshgrid()
+    mesh = np.meshgrid(*grid.coords(), indexing="ij")
     vals = np.vectorize(lambda *xs: float(f(np.array(xs))))(*mesh)
     return GridFunction(grid, vals)
 

@@ -394,7 +394,7 @@ def test_criterion_8_pseudoconvexity_dichotomy(capsys):
 def nonsmooth_samples(grid, seed):
     rng = np.random.default_rng(seed)
     out = []
-    mesh = grid.meshgrid()
+    mesh = np.meshgrid(*grid.coords(), indexing="ij")
     for k in range(5):
         vals = np.zeros(grid.dims)
         for _ in range(3):

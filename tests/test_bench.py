@@ -22,13 +22,17 @@ SHIFT_ROUTES = ["P3_eigenvalue", "P3_fan"]
 # the timed discrete-operator sweeps and jet_field grids
 SWEEPS = ["P_33", "P_65", "pucci_65", "pfold_9x9x9", "P_block16_17"]
 JET_FIELDS = ["33x33", "11x11x11"]
+# the timed solution CSVs and quadratic grid functions
+CSVS = ["65x65", "129x129"]
+QUADRATICS = ["33x33", "11x11x11"]
 
 
 def _fake_run(calls, layer_calls=None):
     """A subprocess.run that answers git with a fixed revision, the layer
     timing with len(layer_calls) us per value on each cone, 10 times
-    that per jet on each shift route, 100 times per sweep and 1000 times
-    per jet_field (noting each call's checkout and PYTHONPATH), and the
+    that per jet on each shift route, 100 times per sweep, 1000 times per
+    jet_field, 10000 times per CSV and 100000 times per quadratic (noting
+    each call's checkout and PYTHONPATH), and the
     benchmark with a detail line
     and a result line whose focus_s is the seed in seconds. The detail
     line carries five set-up samples and, for solve, one refinement row."""
@@ -46,7 +50,9 @@ def _fake_run(calls, layer_calls=None):
             us = {"canonical_us_per_value": {cone: k for cone in LAYER_CONES},
                   "shift_us_per_jet": {route: 10 * k for route in SHIFT_ROUTES},
                   "sweep_us": {case: 100 * k for case in SWEEPS},
-                  "jet_field_us": {grid: 1000 * k for grid in JET_FIELDS}}
+                  "jet_field_us": {grid: 1000 * k for grid in JET_FIELDS},
+                  "csv_us": {grid: 10000 * k for grid in CSVS},
+                  "quadratic_us": {grid: 100000 * k for grid in QUADRATICS}}
             return subprocess.CompletedProcess(cmd, 0, json.dumps(us) + "\n", "")
         seed = int(cmd[cmd.index("--seed") + 1])
         workload = cmd[cmd.index("--workload") + 1]
@@ -90,6 +96,8 @@ def test_bench_alternates_checkouts_and_writes_one_record_each(tmp_path, monkeyp
                                  "shift_us_per_jet": {r: 10 * (i + 1.0) for r in SHIFT_ROUTES},
                                  "sweep_us": {c: 100 * (i + 1.0) for c in SWEEPS},
                                  "jet_field_us": {g: 1000 * (i + 1.0) for g in JET_FIELDS},
+                                 "csv_us": {g: 10000 * (i + 1.0) for g in CSVS},
+                                 "quadratic_us": {g: 100000 * (i + 1.0) for g in QUADRATICS},
                                  "values": bench.LAYER_VALUES, "repeats": bench.LAYER_REPEATS,
                                  "shift_jets": bench.SHIFT_JETS}
         assert rec["label"] == label and rec["revision"] == "0123abc"
@@ -125,17 +133,18 @@ def test_layer_code_times_every_focus_cone(tmp_path):
     # the child the layer timing starts, on this checkout's src with one
     # value, one pass per cone and a shift of five jets: one positive
     # median per focus cone, per fiber without a spectrum, per route, per
-    # sweep and per jet_field grid
+    # sweep, per jet_field grid, per CSV grid and per quadratic grid
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", bench.LAYER_CODE, "1", "1", "5"], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout)
     assert list(out) == ["canonical_us_per_value", "shift_us_per_jet", "sweep_us",
-                         "jet_field_us"]
+                         "jet_field_us", "csv_us", "quadratic_us"]
     for key, names in (("canonical_us_per_value", LAYER_CONES),
                        ("shift_us_per_jet", SHIFT_ROUTES), ("sweep_us", SWEEPS),
-                       ("jet_field_us", JET_FIELDS)):
+                       ("jet_field_us", JET_FIELDS), ("csv_us", CSVS),
+                       ("quadratic_us", QUADRATICS)):
         assert list(out[key]) == names and all(v > 0.0 for v in out[key].values())
 
 

@@ -318,7 +318,7 @@ def test_solve_level_expression_is_evaluated_on_the_mesh(tmp_path, capsys):
     level = "1 + 0.5*x1*x2^2 - max(x1, 0.4) + 0.2*abs(x2 - 0.3) + min(x1, x2)"
     csv, _ = _solve_files(tmp_path, capsys, "field", level=level)
     grid = square_grid(17, 0.0, 1.0)
-    mesh = grid.meshgrid()
+    mesh = np.meshgrid(*grid.coords(), indexing="ij")
     f = compile_expression(level)
     psi = f(mesh)
     # the whole-mesh evaluation is the per-node one, bit for bit
@@ -638,7 +638,7 @@ def test_malformed_payload_is_a_parse_error(capsys, argv):
 
 def ref_solution_csv(u):
     """The per-row formatter: one row of coordinates per node from the mesh."""
-    mesh = u.grid.meshgrid()
+    mesh = np.meshgrid(*u.grid.coords(), indexing="ij")
     coords = np.stack([m.ravel() for m in mesh], axis=-1)
     lines = [",".join(f"x{i + 1}" for i in range(u.grid.d)) + ",value"]
     for pt, v in zip(coords, u.values.ravel()):
@@ -646,7 +646,8 @@ def ref_solution_csv(u):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("n_side, lo, hi, d", [(7, -1.0, 1.0 / 3.0, 2), (5, 0.0, 1e16, 3)])
+@pytest.mark.parametrize("n_side, lo, hi, d", [(7, -1.0, 1.0 / 3.0, 2), (5, 0.0, 1e16, 3),
+                                               (9, -2.0, 0.7, 1), (129, 0.0, 1.0, 2)])
 def test_solution_csv_matches_the_per_row_formatter(n_side, lo, hi, d):
     grid = square_grid(n_side, lo, hi, d=d)
     rng = np.random.default_rng(d)

@@ -22,6 +22,7 @@ from jet2_refs import (
     discrete_spectrum,
     from_callable,
     interior_nodes,
+    plan_points,
     ref_jet_field,
     second_difference,
     second_difference_field,
@@ -31,7 +32,7 @@ from jet2_refs import (
 def sup_convolution_bruteforce(u: GridFunction, eps: float) -> GridFunction:
     """Direct double-loop reference for the separable sup_convolution."""
     g = u.grid
-    pts = np.stack([m.ravel() for m in g.meshgrid()], axis=-1)
+    pts = np.stack([m.ravel() for m in np.meshgrid(*g.coords(), indexing="ij")], axis=-1)
     flat = u.values.ravel()
     out = np.empty_like(flat)
     for i, x in enumerate(pts):
@@ -53,6 +54,27 @@ def test_grid_geometry_and_stencil():
 def test_grid_rejects_nonuniform():
     with pytest.raises(ValueError):
         Grid([0.0, 0.0], [1.0, 2.0], (9, 9))
+
+
+def test_uniform_spacing_is_the_allclose_decision():
+    # Grid.__init__ tests |step - step0| <= 1e-14 + 1e-12 |step0| itself,
+    # the decision np.allclose(steps, step0, rtol=1e-12, atol=1e-14) makes
+    for h in (1e-15, 1e-13, 1e-3, 1.0, 1e3):
+        for k in (0.0, 0.5, 0.99, 1.01, 2.0, -0.99, -1.01, -2.0):
+            # the second axis's step off the first by k tolerances
+            hi = np.array([8 * h, 8 * (h + k * (1e-14 + 1e-12 * h))])
+            if hi[1] <= 0:
+                continue
+            steps = hi / 8
+            if np.allclose(steps, steps[0], rtol=1e-12, atol=1e-14):
+                assert Grid((0.0, 0.0), hi, (9, 9)).h == steps[0]
+            else:
+                with pytest.raises(ValueError, match="uniform"):
+                    Grid((0.0, 0.0), hi, (9, 9))
+    # a box whose width overflows has no finite spacing; np.allclose
+    # accepted h = inf there, this test rejects it
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        Grid((-1e308, -1e308), (1e308, 1e308), (9, 9))
 
 
 def test_grid_rejects_a_reversed_box():
@@ -219,13 +241,47 @@ def test_a_plan_is_built_once_per_grid_and_width():
     plan = g.plan(2)
     assert g.plan(2) is plan and g.plan(3) is not plan
     assert square_grid(17, 0.0, 1.0).plan(2) is not plan
-    assert g.node_points(2) is plan.points and g.node_points() is plan.points
-    for a in (plan.points, plan.index):
+    # the node points are views of the grid's one node array
+    assert g.nodes is g.nodes
+    assert np.shares_memory(g.node_points(2), g.nodes)
+    assert np.shares_memory(g.node_points(), g.nodes)
+    for a in (g.nodes, g.node_points(2), plan.index):
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1
     # the index numbers the trimmed interior in node order, -1 off it
     assert np.array_equal(plan.index[2:-2, 2:-2].ravel(), np.arange(13 * 13))
     assert np.all(plan.index[~g.interior_mask()] == -1)
+
+
+GRID_BOXES = [(0.0, 1.0), (-1.0, 1.0 / 3.0), (0.0, 2.4), (0.0, 1e16)]
+
+
+@pytest.mark.parametrize("lo, hi", GRID_BOXES)
+@pytest.mark.parametrize("d, n_side", [(1, 11), (2, 9), (3, 7)])
+def test_nodes_are_the_meshgrid_of_the_coords(lo, hi, d, n_side):
+    g = square_grid(n_side, lo, hi, d=d)
+    ref = np.stack(np.meshgrid(*g.coords(), indexing="ij"), -1)
+    assert g.nodes.shape == (*g.dims, d)
+    assert np.array_equal(_bits(g.nodes), _bits(ref))
+    # np.linspace puts the last node of every axis at hi exactly
+    assert np.all(g.nodes[(-1,) * d] == g.hi)
+    assert not g.nodes.flags.writeable
+    with pytest.raises(ValueError):
+        g.nodes[(0,) * d] = 1.0
+
+
+@pytest.mark.parametrize("lo, hi", GRID_BOXES)
+@pytest.mark.parametrize("d, n_side", [(1, 11), (2, 9), (3, 7)])
+def test_node_points_are_lo_plus_h_node(lo, hi, d, n_side):
+    # on every trimmed interior the linspace points are lo + h * node to
+    # the bit: only the last node of an axis, which no interior holds,
+    # differs between the two
+    g = square_grid(n_side, lo, hi, d=d)
+    for width in (1, 2, 3):
+        x = g.node_points(width)
+        assert np.array_equal(_bits(x), _bits(plan_points(g, width)))
+        assert not x.flags.writeable
+    assert np.array_equal(_bits(g.node_points()), _bits(plan_points(g, g.layer_width)))
 
 
 def test_stencil_out_of_bounds():

@@ -65,6 +65,7 @@ from jet2_refs import (
     from_callable,
     interior_nodes,
     node_point,
+    ref_quadratic_grid_function,
     ref_shift_to_boundary,
     second_difference_field,
 )
@@ -285,7 +286,7 @@ def test_poisson_start_keeps_a_good_init():
 
 
 def _quadratic(grid, H):
-    x = np.stack(grid.meshgrid(), axis=-1)
+    x = np.stack(np.meshgrid(*grid.coords(), indexing="ij"), axis=-1)
     return GridFunction(grid, 0.5 * (x[..., None, :] @ H @ x[..., :, None])[..., 0, 0])
 
 
@@ -795,6 +796,23 @@ def test_comparison_quadratic_pair_cone_P():
     assert v.ok
 
 
+@pytest.mark.parametrize("n_side, lo, hi, d", [
+    (33, 0.0, 1.0, 2), (17, -1.0, 1.0 / 3.0, 2), (11, 0.0, 1.0, 3), (9, 0.0, 2.4, 3)])
+def test_quadratic_grid_function_reads_the_node_array(n_side, lo, hi, d):
+    # the quadratics of one grid share its node array and keep the values
+    # of a node array rebuilt per call, bit for bit
+    grid = square_grid(n_side, lo, hi, d=d)
+    rng = np.random.default_rng(n_side)
+    for _ in range(3):
+        A = random_symmetric(rng, d)
+        p, c = rng.standard_normal(d), float(rng.standard_normal())
+        for args in ((A,), (A, p, c)):
+            got = quadratic_grid_function(grid, *args).values
+            ref = ref_quadratic_grid_function(grid, *args).values
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    assert "nodes" in vars(grid)
+
+
 def test_comparison_battery_multiple_operators():
     res = comparison_battery(["P", "branch:k=2", "pucci:1,2"], pairs=3,
                              n_side=17, seed=117)
@@ -1049,7 +1067,7 @@ def _rough_field(d, seed):
     B = random_symmetric(rng, d)
     vals = quadratic_grid_function(grid, B).values + grid.h**2 * rng.standard_normal(grid.dims)
     vals[(slice(0, 4),) * d] = 0.0
-    mesh = grid.meshgrid()
+    mesh = np.meshgrid(*grid.coords(), indexing="ij")
     linear = 0.1 + 0.3 * mesh[0] - 0.2 * mesh[-1]
     corner = (slice(-4, None),) * d
     vals[corner] = linear[corner]
